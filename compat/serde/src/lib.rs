@@ -3,9 +3,18 @@
 //! The build environment has no access to crates.io, so this vendored
 //! shim provides the small slice of serde that DReAMSim actually uses:
 //! `#[derive(Serialize, Deserialize)]` on plain structs and enums (with
-//! `#[serde(skip)]`/`#[serde(default)]` on fields), mediated through an
-//! owned [`Value`] tree instead of serde's zero-copy visitor machinery.
-//! The companion `serde_json` shim renders and parses that tree.
+//! `#[serde(skip)]`/`#[serde(default)]` on fields).
+//!
+//! The two directions are deliberately asymmetric:
+//! * **Serialization streams.** [`Serialize::write_json`] appends compact
+//!   JSON straight to an output `String` — no intermediate tree, no
+//!   per-field allocation — because checkpoints serialize megabytes on
+//!   the hot path.
+//! * **Deserialization goes through a tree.** The companion
+//!   `serde_json` shim parses text into an owned [`Value`], and
+//!   [`Deserialize::from_value`] rebuilds the type from it. Loading is
+//!   cold (once per resume), and the tree keeps the generated code and
+//!   the hand-written legacy-format fallbacks simple.
 //!
 //! Supported shapes (everything the workspace derives):
 //! * structs with named fields,
@@ -40,10 +49,11 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can render itself as a [`Value`] tree.
+/// A type that can write itself as JSON.
 pub trait Serialize {
-    /// Convert to the intermediate value tree.
-    fn to_value(&self) -> Value;
+    /// Append this value as compact JSON (no whitespace outside
+    /// strings) to `out`.
+    fn write_json(&self, out: &mut String);
 }
 
 /// A type that can rebuild itself from a [`Value`] tree.
@@ -58,11 +68,81 @@ pub fn __find<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
+/// Append `items` to `out` as a JSON array.
+pub fn write_seq<I>(out: &mut String, items: I)
+where
+    I: IntoIterator,
+    I::Item: Serialize,
+{
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Append `s` to `out` as a JSON string literal. Quote, backslash and
+/// control characters are escaped; everything else, non-ASCII included,
+/// is copied verbatim.
+fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append the decimal digits of `v` to `out`.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        // `v % 10` is a single digit, so the narrowing is exact.
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+fn write_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(out, v.unsigned_abs());
+}
+
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::U(*self as u64))
+            fn write_json(&self, out: &mut String) {
+                write_u64(out, *self as u64);
             }
         }
         impl Deserialize for $t {
@@ -85,13 +165,8 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 {
-                    Value::Number(Number::U(v as u64))
-                } else {
-                    Value::Number(Number::I(v))
-                }
+            fn write_json(&self, out: &mut String) {
+                write_i64(out, *self as i64);
             }
         }
         impl Deserialize for $t {
@@ -108,9 +183,17 @@ macro_rules! impl_signed {
 }
 impl_signed!(i8, i16, i32, i64, isize);
 
+/// Floats use Rust's shortest round-trippable formatting (`{:?}`), so a
+/// serialize → parse round trip is bit-exact; non-finite values render
+/// as `null`, like real `serde_json`.
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F(*self))
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            use std::fmt::Write as _;
+            let _ = write!(out, "{self:?}");
+        } else {
+            out.push_str("null");
+        }
     }
 }
 
@@ -129,8 +212,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F(f64::from(*self)))
+    fn write_json(&self, out: &mut String) {
+        f64::from(*self).write_json(out);
     }
 }
 
@@ -141,8 +224,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -155,8 +238,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
@@ -170,22 +253,22 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_owned())
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
+            None => out.push_str("null"),
+            Some(v) => v.write_json(out),
         }
     }
 }
@@ -200,8 +283,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -218,8 +301,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
@@ -235,9 +318,48 @@ impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
     }
 }
 
+/// Tuples serialize as fixed-length arrays, like real serde.
+macro_rules! impl_tuple {
+    ($first:ident . $fi:tt $(, $name:ident . $idx:tt)*) => {
+        impl<$first: Serialize $(, $name: Serialize)*> Serialize for ($first, $($name,)*) {
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                self.$fi.write_json(out);
+                $(
+                    out.push(',');
+                    self.$idx.write_json(out);
+                )*
+                out.push(']');
+            }
+        }
+    };
+}
+impl_tuple!(A.0, B.1);
+impl_tuple!(A.0, B.1, C.2);
+
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Number(Number::U(v)) => write_u64(out, *v),
+            Value::Number(Number::I(v)) => write_i64(out, *v),
+            Value::Number(Number::F(v)) => v.write_json(out),
+            Value::String(s) => write_str(out, s),
+            Value::Array(items) => write_seq(out, items),
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! crates.io is unreachable in this build environment, so instead of
 //! `syn`/`quote` this crate walks the raw [`proc_macro::TokenStream`] of
-//! the deriving item and emits impls of the shim's value-tree traits as
-//! formatted source text. Supported shapes: non-generic structs (named,
-//! tuple, unit) and enums (unit, newtype, tuple, struct variants) with
-//! optional `#[serde(skip)]` / `#[serde(default)]` field attributes —
-//! exactly the surface the DReAMSim workspace uses.
+//! the deriving item and emits the shim's impls as formatted source
+//! text: a `Serialize::write_json` that appends compact JSON straight to
+//! the output buffer, and a `Deserialize::from_value` that rebuilds the
+//! type from a parsed value tree. Supported shapes: non-generic structs
+//! (named, tuple, unit) and enums (unit, newtype, tuple, struct variants)
+//! with optional `#[serde(skip)]` / `#[serde(default)]` field attributes
+//! — exactly the surface the DReAMSim workspace uses.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write as _;
@@ -231,20 +233,56 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Serialize expression for a named-field body, given an accessor prefix
-/// (`&self.` for structs, `` for bound variant fields).
-fn named_to_value(fields: &[Field], accessor: impl Fn(&str) -> String) -> String {
-    let mut out = String::from("{ let mut __fields: Vec<(String, ::serde::Value)> = Vec::new(); ");
-    for f in fields.iter().filter(|f| !f.skip) {
-        let _ = write!(
-            out,
-            "__fields.push((\"{name}\".to_string(), ::serde::Serialize::to_value({acc})));",
-            name = f.name,
-            acc = accessor(&f.name)
-        );
+/// Statement appending the fixed JSON text `json` to `__out`. The text is
+/// embedded as a Rust string literal via `{:?}`.
+fn push_text(json: &str) -> String {
+    format!("__out.push_str({json:?}); ")
+}
+
+/// Statements writing a JSON array or object: `open`, the comma-separated
+/// `(label, expr)` parts, then `close`. `label` is a part's fixed key
+/// text (`"name":`), empty for array items. Adjacent fixed text goes out
+/// in one `push_str`, so a body costs one call per part plus one.
+fn write_body(open: &str, close: &str, parts: &[(String, String)]) -> String {
+    let mut out = String::new();
+    let mut text = open.to_string();
+    for (i, (label, expr)) in parts.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text.push_str(label);
+        out.push_str(&push_text(&text));
+        text.clear();
+        let _ = write!(out, "::serde::Serialize::write_json({expr}, __out); ");
     }
-    out.push_str("::serde::Value::Object(__fields) }");
+    text.push_str(close);
+    out.push_str(&push_text(&text));
     out
+}
+
+/// Statements writing a named-field body as a JSON object wrapped in
+/// `open` / `close` (`open` ends in `{`), reading each field through
+/// `accessor` (`&self.name` for structs, the bound name for variants).
+/// Skipped fields are left out; a body with none left renders `{}`.
+fn write_named(
+    fields: &[Field],
+    open: &str,
+    close: &str,
+    accessor: impl Fn(&str) -> String,
+) -> String {
+    let parts: Vec<(String, String)> = fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| (format!("\"{}\":", f.name), accessor(&f.name)))
+        .collect();
+    write_body(open, close, &parts)
+}
+
+/// Statements writing `items` as a JSON array wrapped in `open` / `close`
+/// (`open` ends in `[`).
+fn write_tuple(items: &[String], open: &str, close: &str) -> String {
+    let parts: Vec<(String, String)> = items.iter().map(|e| (String::new(), e.clone())).collect();
+    write_body(open, close, &parts)
 }
 
 /// Deserialize expression rebuilding a named-field body from `__obj`.
@@ -274,53 +312,54 @@ fn named_from_obj(type_path: &str, ctx: &str, fields: &[Field]) -> String {
     out
 }
 
+/// The `Serialize` impl: one `write_json` per type that appends compact
+/// JSON to the output buffer. Field names and variant tags are fixed at
+/// expansion time, so they are written as literal text (Rust identifiers
+/// never need JSON escaping).
 fn gen_serialize(item: &Item) -> String {
     let body = match item {
         Item::Struct { body, .. } => match body {
-            Body::Unit => "::serde::Value::Null".to_string(),
-            Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+            Body::Unit => push_text("null"),
+            Body::Tuple(1) => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
             Body::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                let items: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+                write_tuple(&items, "[", "]")
             }
-            Body::Named(fields) => named_to_value(fields, |f| format!("&self.{f}")),
+            Body::Named(fields) => write_named(fields, "{", "}", |f| format!("&self.{f}")),
         },
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                let arm = match &v.body {
-                    Body::Unit => {
-                        format!("{name}::{vn} => ::serde::Value::String(\"{vn}\".to_string()),")
-                    }
-                    Body::Tuple(1) => format!(
-                        "{name}::{vn}(__f0) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), \
-                         ::serde::Serialize::to_value(__f0))]),"
+                let (pattern, write) = match &v.body {
+                    Body::Unit => (String::new(), push_text(&format!("\"{vn}\""))),
+                    Body::Tuple(1) => (
+                        "(__f0)".to_string(),
+                        write_body(
+                            &format!("{{\"{vn}\":"),
+                            "}",
+                            &[(String::new(), "__f0".to_string())],
+                        ),
                     ),
                     Body::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Serialize::to_value(__f{i})"))
-                            .collect();
-                        format!(
-                            "{name}::{vn}({binds}) => ::serde::Value::Object(vec![(\"{vn}\".to_string(), \
-                             ::serde::Value::Array(vec![{items}]))]),",
-                            binds = binds.join(", "),
-                            items = items.join(", ")
+                        (
+                            format!("({})", binds.join(", ")),
+                            write_tuple(&binds, &format!("{{\"{vn}\":["), "]}"),
                         )
                     }
                     Body::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let inner = named_to_value(fields, |f| f.to_string());
-                        format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\"{vn}\".to_string(), {inner})]),",
-                            binds = binds.join(", ")
-                        )
+                        // Bind only the written fields; `..` covers skipped ones.
+                        let mut pattern = String::from(" { ");
+                        for f in fields.iter().filter(|f| !f.skip) {
+                            let _ = write!(pattern, "{}, ", f.name);
+                        }
+                        pattern.push_str(".. }");
+                        let open = format!("{{\"{vn}\":{{");
+                        (pattern, write_named(fields, &open, "}}", str::to_string))
                     }
                 };
-                arms.push_str(&arm);
+                let _ = write!(arms, "{name}::{vn}{pattern} => {{ {write} }} ");
             }
             format!("match self {{ {arms} }}")
         }
@@ -330,7 +369,7 @@ fn gen_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
-           fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
+           fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }} }}"
     )
 }
 

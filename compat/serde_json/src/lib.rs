@@ -1,7 +1,8 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Renders the vendored serde shim's [`Value`] tree to JSON text and
-//! parses JSON text back, covering the workspace's usage: `to_string`,
+//! Writes JSON text by streaming the vendored serde shim's
+//! [`Serialize::write_json`] and parses JSON text back into its
+//! [`Value`] tree, covering the workspace's usage: `to_string`,
 //! `to_string_pretty`, `from_str`, and indexable [`Value`] documents.
 //! Floats use Rust's shortest round-trippable formatting (`{:?}`), so
 //! serialize → parse round-trips are bit-exact for finite values;
@@ -13,23 +14,25 @@ pub use serde::{Error, Number, Value};
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Convert any serializable type to a [`Value`] tree.
-pub fn to_value<T: Serialize>(value: &T) -> Value {
-    value.to_value()
+/// Convert any serializable type to a [`Value`] tree by parsing its
+/// serialized text. A convenience for cold paths and tests: it costs a
+/// full serialize plus a parse. Non-finite floats come back as
+/// [`Value::Null`], as they would from the text.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
+    from_str(&to_string(value)?)
 }
 
 /// Serialize to a compact JSON string.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
-/// Serialize to a pretty-printed JSON string (two-space indent).
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
-    Ok(out)
+/// Serialize to a pretty-printed JSON string (two-space indent, one
+/// member per line, empty arrays and objects kept as `[]` / `{}`).
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    Ok(indent(&to_string(value)?))
 }
 
 /// Deserialize any supported type from JSON text.
@@ -50,95 +53,74 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     T::from_value(&v)
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(out, n),
-        Value::String(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
-            }
-            newline(out, indent, level);
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, indent, level + 1);
-                write_string(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
-            }
-            newline(out, indent, level);
-            out.push('}');
-        }
-    }
-}
-
-fn newline(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
+/// Re-indent compact JSON, as [`Serialize::write_json`] writes it (no
+/// whitespace outside strings), in one pass over the text: a newline
+/// and two spaces per level after every `[`, `{` and `,`, a newline
+/// before every `]` and `}`, and a space after every `:`. Bytes inside
+/// string literals are copied untouched.
+fn indent(compact: &str) -> String {
+    fn newline(out: &mut String, level: usize) {
         out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
+        for _ in 0..level {
+            out.push_str("  ");
         }
     }
-}
-
-fn write_number(out: &mut String, n: &Number) {
-    use std::fmt::Write as _;
-    match *n {
-        Number::U(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Number::I(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Number::F(v) if v.is_finite() => {
-            let _ = write!(out, "{v:?}");
-        }
-        Number::F(_) => out.push_str("null"),
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let bytes = compact.as_bytes();
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut level = 0usize;
+    // Start of the verbatim run not yet copied. Structural bytes are
+    // ASCII, so every cut lands on a char boundary.
+    let mut run = 0;
+    let mut in_string = false;
+    let mut escaped = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        i += 1;
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
             }
-            c => out.push(c),
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                let close = if b == b'[' { b']' } else { b'}' };
+                if bytes.get(i) == Some(&close) {
+                    // Empty containers stay on one line.
+                    i += 1;
+                    continue;
+                }
+                out.push_str(&compact[run..i]);
+                run = i;
+                level += 1;
+                newline(&mut out, level);
+            }
+            b']' | b'}' => {
+                out.push_str(&compact[run..i - 1]);
+                run = i - 1;
+                level = level.saturating_sub(1);
+                newline(&mut out, level);
+            }
+            b',' => {
+                out.push_str(&compact[run..i]);
+                run = i;
+                newline(&mut out, level);
+            }
+            b':' => {
+                out.push_str(&compact[run..i]);
+                run = i;
+                out.push(' ');
+            }
+            _ => {}
         }
     }
-    out.push('"');
+    out.push_str(&compact[run..]);
+    out
 }
 
 struct Parser<'a> {

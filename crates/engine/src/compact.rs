@@ -36,6 +36,7 @@
 //! Task ids are elided entirely: the table is dense, so `id == index`.
 
 use dreamsim_model::{ConfigId, PreferredConfig, Task, TaskId, TaskState};
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // varints
@@ -192,13 +193,16 @@ pub fn encode_tasks(tasks: &[Task]) -> Vec<u8> {
     }
 
     // Preferred-config palette: the distinct values (first-seen order),
-    // then one palette index per task. Real workloads draw from a small
-    // configuration list, so indices are almost always one byte.
+    // then one palette index per task. Known configurations come from a
+    // small list, but every closest-match task carries its own phantom
+    // area, so the palette grows with the table; the ordered index keeps
+    // the lookup logarithmic rather than a scan of the palette per task.
     let mut palette: Vec<(u128, u128)> = Vec::new();
+    let mut palette_index: BTreeMap<(u128, u128), usize> = BTreeMap::new();
     let mut indices: Vec<usize> = Vec::with_capacity(tasks.len());
     for t in tasks {
         let key = preferred_key(t.preferred);
-        let idx = palette.iter().position(|&k| k == key).unwrap_or_else(|| {
+        let idx = *palette_index.entry(key).or_insert_with(|| {
             palette.push(key);
             palette.len() - 1
         });

@@ -548,26 +548,14 @@ impl EventQueue {
 // rebuilds the heap representation; the backend is derived state,
 // re-selected after resume (see [`EventQueueBackend`]).
 impl serde::Serialize for EventQueue {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
         let mut entries = self.entries();
         entries.sort_by_key(|s| (s.time, s.seq));
-        let entries: Vec<serde::Value> = entries
-            .into_iter()
-            .map(|s| {
-                serde::Value::Array(vec![
-                    serde::Serialize::to_value(&s.time),
-                    serde::Serialize::to_value(&s.seq),
-                    serde::Serialize::to_value(&s.event),
-                ])
-            })
-            .collect();
-        serde::Value::Object(vec![
-            ("entries".to_string(), serde::Value::Array(entries)),
-            (
-                "next_seq".to_string(),
-                serde::Serialize::to_value(&self.next_seq),
-            ),
-        ])
+        out.push_str("{\"entries\":");
+        serde::write_seq(out, entries.iter().map(|s| (s.time, s.seq, &s.event)));
+        out.push_str(",\"next_seq\":");
+        serde::Serialize::write_json(&self.next_seq, out);
+        out.push('}');
     }
 }
 

@@ -235,15 +235,13 @@ pub struct TaskTable {
 }
 
 impl serde::Serialize for TaskTable {
-    fn to_value(&self) -> serde::Value {
+    fn write_json(&self, out: &mut String) {
         let packed = crate::compact::to_base64(&crate::compact::encode_tasks(&self.tasks));
-        serde::Value::Object(vec![
-            (
-                "count".to_string(),
-                serde::Value::Number(serde::Number::U(self.tasks.len() as u64)),
-            ),
-            ("packed".to_string(), serde::Value::String(packed)),
-        ])
+        out.push_str("{\"count\":");
+        serde::Serialize::write_json(&self.tasks.len(), out);
+        out.push_str(",\"packed\":");
+        serde::Serialize::write_json(packed.as_str(), out);
+        out.push('}');
     }
 }
 
@@ -287,11 +285,11 @@ impl TaskTable {
     /// The version-1 serialization (`{"tasks": [...]}`), used by
     /// [`crate::checkpoint::write_checkpoint_compat_v1`] to produce
     /// old-format files that compatibility tests resume from.
-    pub(crate) fn to_legacy_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(
+    pub(crate) fn to_legacy_value(&self) -> Result<serde::Value, serde::Error> {
+        Ok(serde::Value::Object(vec![(
             "tasks".to_string(),
-            serde::Serialize::to_value(&self.tasks),
-        )])
+            serde_json::to_value(&self.tasks)?,
+        )]))
     }
 
     /// Empty table.
@@ -3140,21 +3138,43 @@ mod tests {
                 "truncation to {len} bytes must be rejected"
             );
         }
-        // Single-bit flips sweeping header and payload. A flip may land
-        // as invalid UTF-8 (Io), a mangled header (Format/Version), or
-        // a payload mismatch (Crc) — the CRC32 catches every single-bit
-        // payload error, so none of these may load.
+        // Single-bit flips sweeping header and payload. A flip in the
+        // header line may land as a mangled header (Format/Version) or a
+        // checksum mismatch; a flip anywhere in the payload — even one
+        // that breaks UTF-8 — must be reported as a CRC mismatch, since
+        // the checksum runs on raw bytes before any decoding.
+        let payload_start = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
         for pos in (0..raw.len()).step_by(stride) {
             for bit in 0..8 {
                 let mut bytes = raw.clone();
                 bytes[pos] ^= 1 << bit;
                 std::fs::write(&case, &bytes).unwrap();
-                assert!(
-                    read_checkpoint(&case).is_err(),
-                    "bit flip at byte {pos} bit {bit} must be rejected"
-                );
+                let result = read_checkpoint(&case);
+                if pos >= payload_start {
+                    assert!(
+                        matches!(result, Err(CheckpointError::Crc { .. })),
+                        "payload bit flip at byte {pos} bit {bit} must be a CRC \
+                         mismatch, got {:?}",
+                        result.err()
+                    );
+                } else {
+                    assert!(
+                        result.is_err(),
+                        "header bit flip at byte {pos} bit {bit} must be rejected"
+                    );
+                }
             }
         }
+        // The bytes the service drill writes (`\xff` two bytes from the
+        // end) are invalid UTF-8: still a CRC mismatch, not an I/O error.
+        let mut bytes = raw.clone();
+        let at = bytes.len() - 2;
+        bytes[at] = 0xff;
+        std::fs::write(&case, &bytes).unwrap();
+        assert!(matches!(
+            read_checkpoint(&case),
+            Err(CheckpointError::Crc { .. })
+        ));
         // Hand-crafted malformed files.
         let malformed: &[&[u8]] = &[
             b"",

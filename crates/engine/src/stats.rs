@@ -375,29 +375,19 @@ impl WaitSketch {
 // encoding canonical — two sketches holding the same distribution
 // serialize to identical bytes.
 impl Serialize for WaitSketch {
-    fn to_value(&self) -> serde::Value {
-        let buckets: Vec<serde::Value> = self
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(i, &c)| {
-                serde::Value::Array(vec![
-                    Serialize::to_value(&(i as u64)),
-                    Serialize::to_value(&c),
-                ])
-            })
-            .collect();
-        serde::Value::Object(vec![
-            ("count".to_string(), Serialize::to_value(&self.count)),
-            ("max".to_string(), Serialize::to_value(&self.max)),
-            (
-                "collapsed".to_string(),
-                serde::Value::Bool(self.is_collapsed()),
-            ),
-            ("exact".to_string(), Serialize::to_value(&self.exact)),
-            ("buckets".to_string(), serde::Value::Array(buckets)),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"count\":");
+        self.count.write_json(out);
+        out.push_str(",\"max\":");
+        self.max.write_json(out);
+        out.push_str(",\"collapsed\":");
+        self.is_collapsed().write_json(out);
+        out.push_str(",\"exact\":");
+        self.exact.write_json(out);
+        out.push_str(",\"buckets\":");
+        let buckets = self.counts.iter().enumerate().filter(|&(_, &c)| c != 0);
+        serde::write_seq(out, buckets.map(|(i, &c)| (i as u64, c)));
+        out.push('}');
     }
 }
 

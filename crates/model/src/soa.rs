@@ -31,10 +31,11 @@
 //! ## Serialization
 //!
 //! Checkpoint bytes must not depend on the memory layout, so
-//! `NodeStore` serializes by materializing the legacy `Vec<Node>` form
-//! ([`NodeStore::to_nodes`]) and reusing `Node`'s derived serde —
+//! `NodeStore` serializes as the legacy `Vec<Node>` form, streaming one
+//! materialized `Node` at a time through its derived serde —
 //! byte-identical to the seed store by construction, pinned by the
-//! round-trip tests below and the differential battery.
+//! round-trip tests below, the differential battery and the checkpoint
+//! goldens.
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
@@ -184,54 +185,56 @@ impl NodeStore {
         st
     }
 
-    /// Materialize the legacy AoS node table (the serialization form).
+    /// Materialize the legacy AoS node table.
     #[must_use]
     pub fn to_nodes(&self) -> Vec<Node> {
-        (0..self.len())
-            .map(|i| {
-                let base = self.base[i];
-                // BOUND: slab_len is a u32 slot count; usize is at least as wide.
-                let slab = self.slab_len[i] as usize;
-                let slots: Vec<Option<Slot>> = (0..slab)
-                    .map(|s| {
-                        let f = base + s;
-                        self.slot_live[f].then(|| Slot {
-                            config: self.slot_config[f],
-                            area: self.slot_area[f],
-                            task: self.slot_task[f],
-                            link: self.slot_link[f],
-                        })
-                    })
-                    .collect();
-                // The intrusive stack walks top→bottom; the AoS `free`
-                // Vec stores bottom→top (push order), so reverse.
-                let mut free = Vec::new();
-                let mut cur = self.free_head[i];
-                while cur != NIL {
-                    free.push(cur);
-                    // BOUND: cur < slab_len (free-stack entries are holes
-                    // of this slab), so base + cur stays inside the slab.
-                    cur = self.free_next[base + cur as usize];
-                }
-                free.reverse();
-                Node {
-                    id: NodeId::from_index(i),
-                    total_area: self.total_area[i],
-                    available_area: self.available_area[i],
-                    family: self.family[i],
-                    caps: self.caps[i],
-                    network_delay: self.network_delay[i],
-                    reconfig_count: self.reconfig_count[i],
-                    down: self.down[i],
-                    strip: self.strip[i].clone(),
-                    gap_fit: self.gap_fit[i],
-                    slots,
-                    free,
-                    live: self.live[i],
-                    running: self.running[i],
-                }
+        (0..self.len()).map(|i| self.to_node(i)).collect()
+    }
+
+    /// Materialize node `i` in the legacy AoS form (the serialization
+    /// form, built one node at a time).
+    fn to_node(&self, i: usize) -> Node {
+        let base = self.base[i];
+        // BOUND: slab_len is a u32 slot count; usize is at least as wide.
+        let slab = self.slab_len[i] as usize;
+        let slots: Vec<Option<Slot>> = (0..slab)
+            .map(|s| {
+                let f = base + s;
+                self.slot_live[f].then(|| Slot {
+                    config: self.slot_config[f],
+                    area: self.slot_area[f],
+                    task: self.slot_task[f],
+                    link: self.slot_link[f],
+                })
             })
-            .collect()
+            .collect();
+        // The intrusive stack walks top→bottom; the AoS `free` Vec
+        // stores bottom→top (push order), so reverse.
+        let mut free = Vec::new();
+        let mut cur = self.free_head[i];
+        while cur != NIL {
+            free.push(cur);
+            // BOUND: cur < slab_len (free-stack entries are holes of
+            // this slab), so base + cur stays inside the slab.
+            cur = self.free_next[base + cur as usize];
+        }
+        free.reverse();
+        Node {
+            id: NodeId::from_index(i),
+            total_area: self.total_area[i],
+            available_area: self.available_area[i],
+            family: self.family[i],
+            caps: self.caps[i],
+            network_delay: self.network_delay[i],
+            reconfig_count: self.reconfig_count[i],
+            down: self.down[i],
+            strip: self.strip[i].clone(),
+            gap_fit: self.gap_fit[i],
+            slots,
+            free,
+            live: self.live[i],
+            running: self.running[i],
+        }
     }
 
     /// Number of nodes.
@@ -632,11 +635,12 @@ impl NodeStore {
 }
 
 impl serde::Serialize for NodeStore {
-    fn to_value(&self) -> serde::Value {
-        // Serialize through the legacy AoS form so checkpoint bytes are
-        // identical to the seed layout (pinned by round-trip tests and
-        // the differential battery).
-        serde::Serialize::to_value(&self.to_nodes())
+    fn write_json(&self, out: &mut String) {
+        // Serialize through the legacy AoS form, one node at a time, so
+        // checkpoint bytes are identical to the seed layout (pinned by
+        // round-trip tests, the differential battery and the checkpoint
+        // goldens) without materializing the whole table.
+        serde::write_seq(out, (0..self.len()).map(|i| self.to_node(i)));
     }
 }
 

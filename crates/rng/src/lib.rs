@@ -234,8 +234,8 @@ impl Rng {
 // plain JSON array. Distributions are stateless free functions over the
 // core, so the word vector is the *entire* stream position.
 impl serde::Serialize for Rng {
-    fn to_value(&self) -> serde::Value {
-        serde::Serialize::to_value(&self.state().to_vec())
+    fn write_json(&self, out: &mut String) {
+        serde::write_seq(out, self.state());
     }
 }
 
@@ -350,7 +350,7 @@ mod tests {
                 for _ in 0..23 {
                     draw(&mut a);
                 }
-                let snapshot = serde::Serialize::to_value(&a);
+                let snapshot = serde_json::to_value(&a).expect("Rng state serializes");
                 let expected: Vec<u64> = (0..64).map(|_| draw(&mut a)).collect();
                 let mut b = <Rng as serde::Deserialize>::from_value(&snapshot)
                     .expect("serialized Rng state restores");

@@ -1,0 +1,209 @@
+//! Golden checkpoint bytes.
+//!
+//! The checkpoint encoder may change how it produces bytes, but never
+//! which bytes it produces: a format change needs a `FORMAT_VERSION`
+//! bump. Comparing two runs of the same encoder cannot show that, so
+//! these tests pin the length and CRC-32 of real `write_checkpoint`
+//! output for fixed-seed states that between them reach every
+//! serialized shape: fault injection, correlated failure domains,
+//! contiguous strips (experiment A5), sketch statistics, a mid-window
+//! `serve` snapshot, and the version-1 compatibility writer.
+//!
+//! Each scenario folds every checkpoint file it writes, in name order,
+//! into one `(files, bytes, crc32)` triple. On a mismatch the message
+//! prints the actual triple.
+
+use dreamsim::engine::{
+    read_checkpoint, serve, write_checkpoint_compat_v1, AdmissionPolicy, ArrivalDistribution,
+    DomainOutageKind, DomainParams, PlacementModel, ReconfigMode, RunOptions, ScriptedOutage,
+    ServiceOptions, ServiceParams, SimParams, Simulation, StatsBackend,
+};
+use dreamsim::sched::CaseStudyScheduler;
+use dreamsim::workload::{OpenSource, SyntheticSource};
+use std::path::{Path, PathBuf};
+
+/// `(checkpoint files, total bytes, CRC-32 of their concatenation)`.
+type Golden = (usize, u64, u32);
+
+const FAULTS: Golden = (14, 572_147, 0x10DA_5E5B);
+const CHAOS_DOMAINS: Golden = (6, 168_693, 0x8CF1_A5C8);
+const CONTIGUOUS: Golden = (2, 54_671, 0x81EC_47E8);
+const SKETCH: Golden = (1, 158_743, 0x03E1_121F);
+const SERVE_MID_WINDOW: Golden = (10, 348_998, 0xF1ED_7FC1);
+const COMPAT_V1: Golden = (1, 114_674, 0xD6B7_6B99);
+
+/// Bitwise CRC-32 (IEEE, reflected), written independently of the
+/// engine's so the goldens do not trust the code they check.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    // lint: allow(r2) -- scratch directory for test artifacts, never simulator state
+    let dir = std::env::temp_dir().join(format!("dreamsim-golden-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The `.dsc` files in `dir`, sorted by path.
+fn checkpoint_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "dsc"))
+        .collect();
+    files.sort();
+    files
+}
+
+fn fold(files: &[PathBuf]) -> Golden {
+    let mut all = Vec::new();
+    for f in files {
+        all.extend(std::fs::read(f).unwrap());
+    }
+    (files.len(), all.len() as u64, crc32(&all))
+}
+
+fn check(name: &str, files: &[PathBuf], golden: Golden) {
+    let actual = fold(files);
+    assert!(actual.0 > 0, "{name}: the scenario wrote no checkpoint");
+    assert_eq!(
+        actual, golden,
+        "{name}: checkpoint bytes changed; actual (files, bytes, crc32) = \
+         ({}, {}, 0x{:08X})",
+        actual.0, actual.1, actual.2
+    );
+}
+
+fn batch_params(nodes: usize, tasks: usize, seed: u64) -> SimParams {
+    let mut p = SimParams::paper(nodes, tasks, ReconfigMode::Partial).with_seed(seed);
+    p.task_time = dreamsim::engine::params::Range::new(10, 2_000);
+    p
+}
+
+/// Run a batch simulation that checkpoints every `every` ticks into a
+/// fresh directory; returns the directory.
+fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> PathBuf {
+    let dir = fresh_dir(tag);
+    let opts = RunOptions {
+        checkpoint_every: Some(every),
+        checkpoint_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    Simulation::new(
+        p.clone(),
+        SyntheticSource::from_params(p),
+        CaseStudyScheduler::new(),
+    )
+    .unwrap()
+    .with_stats_backend(stats)
+    .run_with(&opts)
+    .unwrap();
+    dir
+}
+
+fn fault_params() -> SimParams {
+    let mut p = batch_params(20, 300, 0x601D);
+    p.faults.node_mttf = Some(20_000);
+    p.faults.node_mttr = 2_000;
+    p.faults.reconfig_fail_prob = 0.15;
+    p.faults.task_fail_prob = 0.05;
+    p.faults.suspension_deadline = Some(100_000);
+    p
+}
+
+#[test]
+fn fault_injection_checkpoints_match_golden() {
+    let dir = run_batch("faults", &fault_params(), StatsBackend::Exact, 5_000);
+    check("faults", &checkpoint_files(&dir), FAULTS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn chaos_domain_checkpoints_match_golden() {
+    let mut p = batch_params(24, 300, 0xC4A05);
+    p.domains = Some(DomainParams {
+        count: 4,
+        mttf: Some(15_000),
+        mttr: 2_000,
+        kind: DomainOutageKind::Partition,
+        scripted: vec![ScriptedOutage {
+            domain: 2,
+            at: 4_000,
+            duration: 3_000,
+        }],
+    });
+    p.suspension_cap = Some(16);
+    p.admission = AdmissionPolicy::ShedOldest;
+    let dir = run_batch("chaos", &p, StatsBackend::Exact, 5_000);
+    check("chaos domains", &checkpoint_files(&dir), CHAOS_DOMAINS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn contiguous_strip_checkpoints_match_golden() {
+    let mut p = batch_params(16, 300, 0xA5);
+    p.placement = PlacementModel::Contiguous;
+    let dir = run_batch("strips", &p, StatsBackend::Exact, 5_000);
+    check("contiguous strips", &checkpoint_files(&dir), CONTIGUOUS);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sketch_stats_checkpoint_matches_golden() {
+    // Enough completions to collapse the sketch past its exact window.
+    let p = batch_params(20, 6_000, 0x5CE7C4);
+    let dir = run_batch("sketch", &p, StatsBackend::Sketch, 25_000);
+    let files = checkpoint_files(&dir);
+    let last = files.last().expect("the run checkpoints").clone();
+    check("sketch stats", &[last], SKETCH);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn mid_window_serve_snapshots_match_golden() {
+    let horizon = 20_000;
+    let mut p = SimParams::paper(16, horizon as usize + 1, ReconfigMode::Partial).with_seed(11);
+    p.arrival = ArrivalDistribution::Poisson;
+    p.service = Some(ServiceParams {
+        horizon,
+        day_length: 4_000,
+        amplitude_permille: 400,
+        window: 1_000,
+        window_retain: 8,
+    });
+    let dir = fresh_dir("serve");
+    let mut opts = ServiceOptions::new(&dir);
+    opts.ring_every = 2_000;
+    // Keep every snapshot so all of them are pinned.
+    opts.ring_retain = 1_000;
+    let outcome = serve(&p, OpenSource::from_params, CaseStudyScheduler::new, &opts).unwrap();
+    assert!(outcome.result.is_some(), "the service window drains");
+    check("serve", &checkpoint_files(&dir), SERVE_MID_WINDOW);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn compat_v1_writer_matches_golden() {
+    let dir = run_batch("v1", &fault_params(), StatsBackend::Exact, 5_000);
+    let files = checkpoint_files(&dir);
+    let mid = read_checkpoint(&files[files.len() / 2]).unwrap();
+    let out = fresh_dir("v1-out");
+    let legacy = out.join("legacy.dsc");
+    write_checkpoint_compat_v1(&legacy, &mid).unwrap();
+    check("compat v1", &[legacy], COMPAT_V1);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&out).ok();
+}
