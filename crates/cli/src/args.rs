@@ -59,6 +59,32 @@ impl Args {
         Ok(out)
     }
 
+    /// Reject any flag outside `valued` and `bare`, a valued flag
+    /// without a value, and a bare flag that swallowed one. `command`
+    /// names the subcommand in the error.
+    pub fn check(&self, command: &str, valued: &[&str], bare: &[&str]) -> Result<(), ArgError> {
+        for (name, value) in &self.flags {
+            if valued.contains(&name.as_str()) {
+                if value.is_empty() {
+                    return Err(ArgError(format!(
+                        "--{name} needs a value for `dreamsim {command}`"
+                    )));
+                }
+            } else if bare.contains(&name.as_str()) {
+                if !value.is_empty() {
+                    return Err(ArgError(format!(
+                        "--{name} takes no value for `dreamsim {command}`, got {value:?}"
+                    )));
+                }
+            } else {
+                return Err(ArgError(format!(
+                    "unknown flag --{name} for `dreamsim {command}`"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// String flag with default.
     #[must_use]
     pub fn get<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
@@ -142,6 +168,21 @@ mod tests {
     fn empty_flag_names_rejected() {
         assert!(Args::parse(["--".to_string()]).is_err());
         assert!(Args::parse(["--=value".to_string()]).is_err());
+    }
+
+    #[test]
+    fn check_accepts_known_flags_and_names_the_rest() {
+        let ok = parse("run --nodes 10 --audit");
+        assert!(ok.check("run", &["nodes"], &["audit"]).is_ok());
+        let typo = parse("run --sead 5").check("run", &["seed"], &[]);
+        assert_eq!(
+            typo.unwrap_err().0,
+            "unknown flag --sead for `dreamsim run`"
+        );
+        let missing = parse("run --seed --audit").check("run", &["seed"], &["audit"]);
+        assert!(missing.unwrap_err().0.contains("--seed needs a value"));
+        let swallowed = parse("run --audit 5").check("run", &[], &["audit"]);
+        assert!(swallowed.unwrap_err().0.contains("--audit takes no value"));
     }
 
     #[test]

@@ -62,8 +62,8 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 use dreamsim_engine::{
     read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
-    DomainParams, EventQueueBackend, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage,
-    SearchBackend, SimParams, Simulation, StatsBackend,
+    DomainParams, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage, SearchBackend,
+    SimParams, Simulation, StatsBackend,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
@@ -93,27 +93,24 @@ USAGE:
                [--swf FILE [--ticks-per-second N] [--max-jobs N]]
                [--checkpoint-every TICKS] [--checkpoint-dir DIR]
                [--audit] [--audit-every TICKS] [--resume-from FILE]
-               [--search auto|linear|indexed]
-               [--event-queue heap|calendar] [--stats exact|sketch]
+               [--search auto|linear|indexed] [--stats exact|sketch]
                [--report table|xml|json|csv] [--out FILE]
   dreamsim figures [--fig 6a|6b|7a|7b|8a|8b|9a|9b|10|all]
                    [--max-tasks N | --tasks N1,N2,...]
                    [--jobs N] [--seed S] [--out-dir DIR]
                    [--search auto|linear|indexed]
   dreamsim ablations [--which a1|a2|a3|a4|a5|all] [--nodes N] [--tasks N]
-                     [--seed S] [--jobs N]
+                     [--mode full|partial] [--seed S] [--jobs N]
   dreamsim bench-search [--nodes N1,N2,...] [--tasks N1,N2,...]
                         [--rounds N] [--seed S] [--out FILE]
   dreamsim bench-grid [--nodes N1,N2,...] [--tasks N1,N2,...]
                       [--jobs J1,J2,...] [--seed S] [--out FILE]
   dreamsim bench-scale [--nodes N1,N2,...] [--tasks-per-node N]
-                       [--seed S] [--verify-max-nodes N] [--reps N]
-                       [--check-against FILE] [--tolerance PCT]
-                       [--out FILE]
+                       [--seed S] [--reps N] [--check-against FILE]
+                       [--tolerance PCT] [--out FILE]
   dreamsim bench-profile [--nodes N] [--tasks N] [--mode full|partial]
                          [--seed S] [--policy P] [--search auto|linear|indexed]
-                         [--event-queue heap|calendar] [--stats exact|sketch]
-                         [--out FILE]
+                         [--stats exact|sketch] [--out FILE]
   dreamsim chaos [--script FILE] [--no-drill] [--audit-every TICKS]
                  [--work-dir DIR] [--report csv|json] [--out FILE]
   dreamsim serve [--nodes N] [--seed S] [--mode full|partial]
@@ -207,25 +204,20 @@ bench-search measures both backends (search-time micro benchmark plus
 end-to-end runs) and writes the results as JSON (default
 BENCH_search.json).
 
-Scale backends: --event-queue selects the pending-event structure. heap
-(default) is the binary heap; calendar is a Brown-style calendar queue
-with O(1) amortized operations that pops the exact same (time, seq)
-order, so reports and checkpoints are byte-identical under both (the
-differential suite proves it). --stats selects wait-time statistics:
-exact (default) stores every wait sample; sketch replaces the unbounded
-sample vector with a fixed-size integer quantile sketch whose
-percentiles match exact to within 1/128 relative error (and are
-byte-identical below the 4096-sample exact window). Both flags also
-apply to --resume-from: checkpoints are backend-agnostic and the chosen
-structures are rebuilt from the restored state. bench-scale times the
-seed path (heap+exact) against the scale path (calendar+sketch) over a
-node ladder, records peak RSS per rung, cross-checks report
-byte-identity up to --verify-max-nodes (default: every rung), records the
-deterministic per-phase operation counters of each rung, and writes
-BENCH_scale.json; --check-against diffs those counters against a committed
-baseline file and fails (exit 1) on any counter that grew more than
---tolerance percent (default 25) — counters, not wall-clock, so the gate
-holds on noisy CI runners. bench-profile runs one simulation and prints
+Statistics backends: --stats selects wait-time statistics. exact
+(default) stores every wait sample; sketch replaces the unbounded sample
+vector with a fixed-size integer quantile sketch whose percentiles match
+exact to within 1/128 relative error (and are byte-identical below the
+4096-sample exact window). --stats also applies to --resume-from: the
+restored statistics convert to the chosen backend, except that a sketch
+past its exact window stays a sketch (its samples are gone). bench-scale
+times a node ladder with exact and with sketch stats, records peak RSS
+per rung after the sketch run, checks that both runs did the same work
+(identical deterministic per-phase operation counters), and writes
+BENCH_scale.json; --check-against diffs those counters against a
+committed baseline file and fails (exit 1) on any counter that grew more
+than --tolerance percent (default 25) — counters, not wall-clock, so the
+gate holds on noisy CI runners. bench-profile runs one simulation and prints
 the XML report with an extra <profile> block: the same operation counters
 plus the heap-allocation count from the CLI's counting allocator.
 
@@ -237,6 +229,63 @@ figures grid serially under each backend and in parallel across a jobs
 ladder, checksums every run's cells, and writes BENCH_grid.json.
 ";
 
+/// Valued and bare flags [`params_from_args`] reads, space-separated.
+const PARAM_FLAGS: (&str, &str) = (
+    "nodes tasks mode seed arrival placement mtbf mttr mttf reconfig-fail-prob task-fail-prob \
+     max-retries suspension-deadline domains domain-mttf domain-mttr domain-kind outages \
+     suspension-cap admission burst",
+    "no-suspension no-resubmit",
+);
+
+/// The flags each subcommand reads: `(command, builds SimParams from
+/// the command line, valued flags, bare flags)`. A subcommand that
+/// builds its [`SimParams`] with [`params_from_args`] also accepts
+/// [`PARAM_FLAGS`].
+#[rustfmt::skip]
+const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
+    ("run", true,
+     "policy replay swf ticks-per-second max-jobs checkpoint-every checkpoint-dir audit-every \
+      resume-from search stats report out", "audit"),
+    ("figures", false, "fig max-tasks tasks jobs threads seed out-dir search", ""),
+    ("ablations", false, "which nodes tasks mode seed jobs threads", ""),
+    ("bench-search", false, "nodes tasks rounds seed out", ""),
+    ("bench-grid", false, "nodes tasks jobs seed out", ""),
+    ("bench-scale", false, "nodes tasks-per-node seed reps check-against tolerance out", ""),
+    ("bench-profile", true, "policy search stats out", ""),
+    ("chaos", false, "script audit-every work-dir report out", "no-drill"),
+    ("serve", true,
+     "policy horizon day-length amplitude window window-retain ring-dir ring-every ring-retain \
+      audit-every stall-window max-restarts kill-at recovery-report search report out",
+     "no-watchdog"),
+    ("trace", false, "out tasks seed", ""),
+    ("lint", false, "root format out", "list-rules"),
+    ("help", false, "", "help"),
+];
+
+/// The flags `command` reads, as `(valued, bare)` for [`Args::check`];
+/// `None` for an unknown subcommand.
+fn accepted_flags(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let &(_, params, valued, bare) = COMMAND_FLAGS.iter().find(|(c, ..)| *c == command)?;
+    let mut valued: Vec<&str> = valued.split_whitespace().collect();
+    let mut bare: Vec<&str> = bare.split_whitespace().collect();
+    if params {
+        valued.extend(PARAM_FLAGS.0.split_whitespace());
+        bare.extend(PARAM_FLAGS.1.split_whitespace());
+    }
+    Some((valued, bare))
+}
+
+/// Reject any flag the subcommand does not read, before any work
+/// starts: a misspelled flag must not silently fall back to its
+/// default. Dispatch reports an unknown subcommand itself.
+fn check_flags(args: &Args) -> Result<(), ArgError> {
+    let command = args.command.as_deref().unwrap_or("help");
+    match accepted_flags(command) {
+        Some((valued, bare)) => args.check(command, &valued, &bare),
+        None => Ok(()),
+    }
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -245,7 +294,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let r = match args.command.as_deref() {
+    let r = check_flags(&args).and_then(|()| match args.command.as_deref() {
         Some("run") => cmd_run(&args),
         Some("figures") => cmd_figures(&args),
         Some("ablations") => cmd_ablations(&args),
@@ -262,7 +311,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some(other) => Err(ArgError(format!("unknown subcommand {other:?}"))),
-    };
+    });
     match r {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -290,12 +339,6 @@ fn parse_search(args: &Args) -> Result<SearchBackend, ArgError> {
             "--search must be auto, linear, or indexed, got {s:?}"
         ))
     })
-}
-
-fn parse_event_queue(args: &Args) -> Result<EventQueueBackend, ArgError> {
-    let s = args.get("event-queue", "heap");
-    EventQueueBackend::parse(s)
-        .ok_or_else(|| ArgError(format!("--event-queue must be heap or calendar, got {s:?}")))
 }
 
 fn parse_stats(args: &Args) -> Result<StatsBackend, ArgError> {
@@ -596,13 +639,12 @@ fn trace_from_args(args: &Args, num_configs: usize) -> Result<TraceSource, ArgEr
     }
 }
 
-/// The trio of derived-state backends `run` can select: checkpoints
-/// store none of them, so they are re-applied identically to fresh and
+/// The derived-state backends `run` can select: checkpoints store
+/// neither selection, so they are re-applied identically to fresh and
 /// resumed simulations.
 #[derive(Clone, Copy)]
 struct Backends {
     search: SearchBackend,
-    queue: EventQueueBackend,
     stats: StatsBackend,
 }
 
@@ -610,7 +652,6 @@ impl Backends {
     fn from_args(args: &Args) -> Result<Self, ArgError> {
         Ok(Self {
             search: parse_search(args)?,
-            queue: parse_event_queue(args)?,
             stats: parse_stats(args)?,
         })
     }
@@ -621,7 +662,6 @@ impl Backends {
         P: dreamsim_engine::SchedulePolicy,
     {
         sim.with_search_backend(self.search)
-            .with_event_queue_backend(self.queue)
             .with_stats_backend(self.stats)
     }
 }
@@ -1089,10 +1129,9 @@ fn cmd_bench_grid(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// `bench-scale`: climb a node ladder timing the seed path (heap queue +
-/// exact stats) against the scale path (calendar queue + quantile
-/// sketch), record per-rung wall time and peak RSS, cross-check report
-/// byte-identity at exact-capable sizes, and write `BENCH_scale.json`.
+/// `bench-scale`: climb a node ladder timing exact stats against the
+/// quantile sketch, record per-rung wall time, peak RSS and phase
+/// counters, and write `BENCH_scale.json`.
 fn cmd_bench_scale(args: &Args) -> Result<(), ArgError> {
     let seed = args.get_num("seed", 2012u64)?;
     let node_ladder: Vec<usize> = if args.has("nodes") {
@@ -1107,27 +1146,17 @@ fn cmd_bench_scale(args: &Args) -> Result<(), ArgError> {
     if tasks_per_node == 0 {
         return Err(ArgError("--tasks-per-node must be > 0".into()));
     }
-    // Default: cross-check every rung. The SoA store made full-ladder
-    // verification affordable, so "not checked" is now opt-in.
-    let verify_max_nodes = args.get_num("verify-max-nodes", usize::MAX)?;
     let reps = args.get_num("reps", 1usize)?;
     eprintln!(
-        "benchmarking scale ladder: nodes {node_ladder:?} x {tasks_per_node} tasks/node, \
-         cross-check up to {verify_max_nodes} nodes (seed {seed})"
+        "benchmarking scale ladder: nodes {node_ladder:?} x {tasks_per_node} tasks/node \
+         (seed {seed})"
     );
-    let report =
-        dreamsim_sweep::run_scale_bench(&node_ladder, tasks_per_node, seed, verify_max_nodes, reps);
+    let report = dreamsim_sweep::run_scale_bench(&node_ladder, tasks_per_node, seed, reps);
     for r in &report.rungs {
         println!(
-            "scale  n{:<8} t{:<8} heap+exact {:>13} ns  calendar+sketch {:>13} ns  \
-             speedup {:.2}x  peak rss {:>9} kB  cross-checked: {}",
-            r.nodes,
-            r.tasks,
-            r.heap_exact_ns,
-            r.calendar_sketch_ns,
-            r.speedup,
-            r.peak_rss_kb,
-            r.reports_cross_checked
+            "scale  n{:<8} t{:<8} exact {:>13} ns  sketch {:>13} ns  \
+             speedup {:.2}x  peak rss {:>9} kB",
+            r.nodes, r.tasks, r.exact_ns, r.sketch_ns, r.speedup, r.peak_rss_kb
         );
         println!(
             "       profile: sched {} hk {} store {} push {} pop {} stats {}",
@@ -1282,7 +1311,7 @@ fn cmd_lint(args: &Args) -> Result<(), ArgError> {
     .map_err(|e| ArgError(format!("lint scan failed: {e}")))?;
     let rendered = lint::render(&report, format);
     match args.flags.get("out") {
-        Some(path) if !path.is_empty() => {
+        Some(path) => {
             std::fs::write(path, &rendered)
                 .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
             println!(
@@ -1292,7 +1321,7 @@ fn cmd_lint(args: &Args) -> Result<(), ArgError> {
                 report.files_scanned
             );
         }
-        _ => print!("{rendered}"),
+        None => print!("{rendered}"),
     }
     if report.is_clean() {
         Ok(())
@@ -1328,4 +1357,68 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
         .map_err(|e| ArgError(format!("writing {out}: {e}")))?;
     println!("wrote {tasks} tasks to {out}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(subcommand, USAGE text of its entry)` for every USAGE entry.
+    fn usage_entries() -> Vec<(String, String)> {
+        let body = USAGE
+            .split_once("USAGE:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(entries, _)| entries)
+            .expect("USAGE has an entry block");
+        let mut entries: Vec<(String, String)> = Vec::new();
+        for line in body.lines() {
+            if let Some(rest) = line.strip_prefix("  dreamsim ") {
+                let command = rest.split_whitespace().next().expect("subcommand name");
+                entries.push((command.to_string(), rest.to_string()));
+            } else {
+                let (_, text) = entries.last_mut().expect("continuation follows an entry");
+                text.push_str(line);
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_with_its_arity() {
+        let entries = usage_entries();
+        assert_eq!(entries.len(), 12, "one entry per subcommand");
+        for (command, text) in entries {
+            let (valued, bare) = accepted_flags(&command)
+                .unwrap_or_else(|| panic!("USAGE lists unknown subcommand {command}"));
+            for (start, _) in text.match_indices("--") {
+                let rest = &text[start + 2..];
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(rest.len());
+                let name = &rest[..end];
+                // `[--flag]` documents a bare flag; anything else takes a value.
+                let list = if rest[end..].starts_with(']') {
+                    &bare
+                } else {
+                    &valued
+                };
+                assert!(
+                    list.contains(&name),
+                    "`dreamsim {command}` USAGE lists --{name}, which it does not accept \
+                     with that arity"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn undocumented_flags_are_accepted_only_where_read() {
+        let parse = |s: &str| Args::parse(s.split_whitespace().map(String::from)).unwrap();
+        // `--threads` aliases `--jobs` only where `parse_jobs` reads it.
+        assert!(check_flags(&parse("figures --threads 2")).is_ok());
+        assert!(check_flags(&parse("run --threads 2")).is_err());
+        // `serve` builds its parameters with `params_from_args`.
+        assert!(check_flags(&parse("serve --tasks 10 --no-suspension")).is_ok());
+        assert!(check_flags(&parse("--help")).is_ok());
+    }
 }

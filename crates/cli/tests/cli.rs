@@ -333,47 +333,65 @@ fn bench_grid_writes_json_report() {
 }
 
 #[test]
-fn event_queue_and_stats_backends_match_defaults_byte_for_byte() {
+fn stats_backends_match_defaults_byte_for_byte() {
     // 100 tasks sits far below the sketch's 4096-sample exact window, so
-    // every backend combination must render the identical report.
-    let run = |queue: &str, stats: &str| {
+    // both statistics backends must render the identical report.
+    let run = |stats: &str| {
         run_ok(&[
-            "run",
-            "--nodes",
-            "20",
-            "--tasks",
-            "100",
-            "--seed",
-            "3",
-            "--event-queue",
-            queue,
-            "--stats",
-            stats,
-            "--report",
+            "run", "--nodes", "20", "--tasks", "100", "--seed", "3", "--stats", stats, "--report",
             "csv",
         ])
     };
-    let base = run("heap", "exact");
-    assert_eq!(base, run("calendar", "exact"), "calendar queue diverged");
-    assert_eq!(base, run("heap", "sketch"), "sketch stats diverged");
-    assert_eq!(
-        base,
-        run("calendar", "sketch"),
-        "combined backends diverged"
-    );
-    let bad_queue = dreamsim()
-        .args(["run", "--event-queue", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!bad_queue.status.success());
-    assert!(String::from_utf8_lossy(&bad_queue.stderr)
-        .contains("--event-queue must be heap or calendar"));
+    assert_eq!(run("exact"), run("sketch"), "sketch stats diverged");
     let bad_stats = dreamsim()
         .args(["run", "--stats", "bogus"])
         .output()
         .unwrap();
     assert!(!bad_stats.status.success());
     assert!(String::from_utf8_lossy(&bad_stats.stderr).contains("--stats must be exact or sketch"));
+}
+
+/// Misspelled and removed flags fail before any simulation starts, and
+/// the error names both the flag and the subcommand.
+#[test]
+fn unknown_flags_are_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("dreamsim-unknown-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("out");
+    for (line, flag) in [
+        ("run --nodes 20 --tasks 100 --sead 5", "--sead"),
+        (
+            "run --nodes 20 --tasks 100 --event-queue calendar",
+            "--event-queue",
+        ),
+        (
+            "bench-scale --nodes 20 --verify-max-nodes 10",
+            "--verify-max-nodes",
+        ),
+        (
+            "bench-scale --nodes 20 --check-againts base.json",
+            "--check-againts",
+        ),
+    ] {
+        let out = dreamsim()
+            .args(line.split_whitespace())
+            .arg("--out")
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let command = line.split_whitespace().next().unwrap();
+        assert!(!out.status.success(), "dreamsim {line} must fail");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for `dreamsim {command}`")),
+            "dreamsim {line}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty() && !out_path.exists(),
+            "dreamsim {line} did work before rejecting {flag}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -389,14 +407,12 @@ fn bench_scale_writes_json_report() {
         "5",
         "--seed",
         "7",
-        "--verify-max-nodes",
-        "40",
         "--reps",
         "1",
         "--out",
         out_path.to_str().unwrap(),
     ]);
-    assert!(stdout.contains("cross-checked: true"), "{stdout}");
+    assert!(stdout.contains("sketch"), "{stdout}");
     let json = std::fs::read_to_string(&out_path).expect("report written");
     let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
     assert_eq!(v["benchmark"], "scale-ladder");
@@ -404,7 +420,8 @@ fn bench_scale_writes_json_report() {
     assert_eq!(v["rungs"][0]["nodes"], 20);
     assert_eq!(v["rungs"][0]["tasks"], 100);
     assert_eq!(v["rungs"][1]["nodes"], 40);
-    assert_eq!(v["rungs"][1]["reports_cross_checked"], true);
+    assert!(v["rungs"][1]["exact_ns"].as_u64().unwrap() > 0);
+    assert!(v["rungs"][1]["sketch_ns"].as_u64().unwrap() > 0);
     // A zero entry in the node ladder is rejected up front.
     let bad = dreamsim()
         .args(["bench-scale", "--nodes", "0,20"])

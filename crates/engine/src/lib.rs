@@ -44,7 +44,7 @@ pub use checkpoint::{
     FORMAT_VERSION, OLDEST_READABLE_VERSION,
 };
 pub use dreamsim_model::SearchBackend;
-pub use event::{Event, EventQueue, EventQueueBackend};
+pub use event::{Event, EventQueue};
 pub use fault::FaultModel;
 pub use monitor::{NullObserver, Observer, RecordingMonitor};
 pub use params::{

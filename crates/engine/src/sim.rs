@@ -803,25 +803,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         self
     }
 
-    /// Select the event-queue backend (CLI `--event-queue`). Both
-    /// backends pop in the same exact `(time, seq)` order and
-    /// serialize identically, so reports *and* checkpoints are
-    /// byte-identical — the calendar queue trades the heap's `log n`
-    /// for O(1) amortized operations at scale (DESIGN.md §16). Works
-    /// on fresh and resumed simulations: checkpoints never record the
-    /// backend, so this is also how a resumed run re-selects the
-    /// calendar (pending entries are carried across the switch).
-    #[must_use]
-    pub fn with_event_queue_backend(mut self, backend: crate::event::EventQueueBackend) -> Self {
-        self.events.set_backend(backend);
-        self
-    }
-
     /// Select the waiting-time statistics backend (CLI `--stats`).
     /// The sketch keeps percentiles byte-identical to the exact
     /// backend up to [`crate::stats::WaitSketch::EXACT_WINDOW`] placed
-    /// tasks and error-bounded beyond, in O(1) memory — the scale
-    /// ladder's second leg (DESIGN.md §16). On a resumed simulation
+    /// tasks and error-bounded beyond, in O(1) memory (DESIGN.md
+    /// §16). On a resumed simulation
     /// the checkpoint's own sketch state wins: converting to `Sketch`
     /// is a no-op if one was restored, and a restored *collapsed*
     /// sketch refuses conversion back to `Exact` (the samples are

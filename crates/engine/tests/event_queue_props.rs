@@ -1,40 +1,11 @@
-//! Property tests for the event-queue backends: arbitrary event
-//! batches — heavy on timestamp ties and interleaved pops — must pop in
-//! identical `(time, seq)` order from the `Heap` and `Calendar`
-//! backends, and mid-stream checkpoints taken from either backend must
-//! serialize to identical bytes.
+//! Property test for event-queue checkpoints: an arbitrary batch of
+//! events — heavy on timestamp ties — must survive a serialize /
+//! deserialize round trip with its `(time, seq)` pop order and its
+//! bytes intact.
 
-use dreamsim_engine::{Event, EventQueue, EventQueueBackend};
-use dreamsim_model::{TaskId, Ticks};
+use dreamsim_engine::{Event, EventQueue};
+use dreamsim_model::TaskId;
 use proptest::prelude::*;
-
-/// One abstract queue operation. Pushes dominate so queues grow deep
-/// enough to exercise calendar resizes; explicit `tie` pushes reuse the
-/// previous timestamp so `(time, seq)` tiebreaking is always under test.
-#[derive(Clone, Debug)]
-enum Op {
-    /// Push at `base + offset` (clustered around the running clock).
-    Push { offset: u64 },
-    /// Push at exactly the previous push's timestamp (a guaranteed tie).
-    PushTie,
-    /// Push far in the future (sparse-span outlier; stresses bucket
-    /// wraparound and the calendar's sparse fallback scan).
-    PushFar { offset: u64 },
-    /// Pop the earliest event from both queues and compare.
-    Pop,
-    /// Pop only events due at the current clock (the tick-driver probe).
-    PopDue { advance: u64 },
-}
-
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0u64..200).prop_map(|offset| Op::Push { offset }),
-        2 => Just(Op::PushTie),
-        1 => (0u64..1_000_000).prop_map(|offset| Op::PushFar { offset }),
-        3 => Just(Op::Pop),
-        2 => (0u64..50).prop_map(|advance| Op::PopDue { advance }),
-    ]
-}
 
 /// Distinct payloads per push so a mis-ordered pop cannot hide behind
 /// identical events.
@@ -50,83 +21,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn heap_and_calendar_pop_identically_with_mid_stream_checkpoints(
-        ops in prop::collection::vec(arb_op(), 1..300),
-    ) {
-        let mut heap = EventQueue::new();
-        let mut cal = EventQueue::new();
-        cal.set_backend(EventQueueBackend::Calendar);
-        let mut clock: Ticks = 0;
-        let mut last_time: Ticks = 0;
-        let mut next_id = 0u32;
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Push { offset } => {
-                    last_time = clock + offset;
-                    heap.push(last_time, payload(next_id));
-                    cal.push(last_time, payload(next_id));
-                    next_id += 1;
-                }
-                Op::PushTie => {
-                    heap.push(last_time, payload(next_id));
-                    cal.push(last_time, payload(next_id));
-                    next_id += 1;
-                }
-                Op::PushFar { offset } => {
-                    last_time = clock + 1_000_000 + offset;
-                    heap.push(last_time, payload(next_id));
-                    cal.push(last_time, payload(next_id));
-                    next_id += 1;
-                }
-                Op::Pop => {
-                    let h = heap.pop();
-                    prop_assert_eq!(h, cal.pop());
-                    if let Some((t, _)) = h {
-                        clock = clock.max(t);
-                    }
-                }
-                Op::PopDue { advance } => {
-                    clock += advance;
-                    prop_assert_eq!(heap.pop_due(clock), cal.pop_due(clock));
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len());
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
-            // Mid-stream checkpoint: both backends must serialize to the
-            // same bytes at every intermediate state, not just at the end.
-            if i % 17 == 0 {
-                prop_assert_eq!(snapshot(&heap), snapshot(&cal));
-            }
-        }
-        // Drain completely: the full residual pop sequences must match.
-        prop_assert_eq!(snapshot(&heap), snapshot(&cal));
-        while let Some(h) = heap.pop() {
-            prop_assert_eq!(Some(h), cal.pop());
-        }
-        prop_assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn checkpoint_round_trip_preserves_pop_order_for_both_backends(
+    fn checkpoint_round_trip_preserves_pop_order(
         times in prop::collection::vec(0u64..100_000, 1..200),
-        backend_calendar in prop::bool::ANY,
     ) {
-        let backend = if backend_calendar {
-            EventQueueBackend::Calendar
-        } else {
-            EventQueueBackend::Heap
-        };
         let mut q = EventQueue::new();
-        q.set_backend(backend);
         for (i, &t) in times.iter().enumerate() {
             q.push(t, payload(i as u32));
         }
         let bytes = snapshot(&q);
-        // Deserialization restores the heap representation; the restored
-        // queue must pop the identical sequence regardless of the
-        // backend that produced the snapshot.
         let mut restored: EventQueue = serde_json::from_str(&bytes).expect("round-trip");
-        prop_assert_eq!(restored.backend(), EventQueueBackend::Heap);
+        prop_assert_eq!(snapshot(&restored), bytes);
         prop_assert_eq!(restored.len(), q.len());
         while let Some(orig) = q.pop() {
             prop_assert_eq!(Some(orig), restored.pop());

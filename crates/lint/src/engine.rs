@@ -558,7 +558,6 @@ mod tests {
         let src = "use std::time::Instant;\n";
         assert!(!lint_source("crates/engine/src/x.rs", src).is_clean());
         assert!(lint_source("crates/cli/src/main.rs", src).is_clean());
-        assert!(lint_source("crates/bench/src/lib.rs", src).is_clean());
         assert!(lint_source("crates/sweep/src/bench.rs", src).is_clean());
     }
 }

@@ -7,8 +7,7 @@
 //! hand-rolled Rust lexer (comments, strings, raw strings, char
 //! literals, and `#[cfg(test)]` regions are classified correctly; no
 //! crates.io dependencies) and a rule engine that walks every
-//! `crates/*/src` file — including `crates/bench`, which the cargo
-//! workspace excludes but the path-based walk does not.
+//! `crates/*/src` file.
 //!
 //! Beyond the token rules, a lightweight item [`parser`] recovers
 //! structs, fields, fns, and call edges, feeding the workspace-global

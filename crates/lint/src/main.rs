@@ -8,11 +8,10 @@
 //! ```
 //!
 //! With no `FILES`, walks every `crates/*/src` tree under `--root`
-//! (default `.`) plus the facade crate's `src/` — including the
-//! cargo-excluded `crates/bench` — and the `tests/`/`examples/` trees
-//! (r2 only; see `walk.rs`). Exit code 0 when clean, 1 when there
-//! are unsuppressed findings, 2 on usage or I/O errors, so it slots
-//! directly into CI as a blocking gate.
+//! (default `.`) plus the facade crate's `src/` and the
+//! `tests/`/`examples/` trees (r2 only; see `walk.rs`). Exit code 0
+//! when clean, 1 when there are unsuppressed findings, 2 on usage or
+//! I/O errors, so it slots directly into CI as a blocking gate.
 
 use dreamsim_lint::{lint_files, lint_workspace, render, rule_catalogue, Format};
 use std::path::PathBuf;
@@ -25,11 +24,10 @@ USAGE:
   dreamsim-lint [--root DIR] [--format text|json|sarif] [--out FILE]
                 [--list-rules] [FILES...]
 
-Walks crates/*/src (path-based, so the cargo-excluded crates/bench is
-included) plus tests/ and examples/ trees (r2 only) and reports
-determinism hazards: nondeterministic iteration, wall-clock/entropy
-reads, float equality, unjustified panics, unstable sorts,
-undocumented #[serde(skip)] fields, unchecked counter arithmetic,
+Walks crates/*/src plus tests/ and examples/ trees (r2 only) and
+reports determinism hazards: nondeterministic iteration,
+wall-clock/entropy reads, float equality, unjustified panics, unstable
+sorts, undocumented #[serde(skip)] fields, unchecked counter arithmetic,
 unproven checkpoint coverage, transitive entropy via helper fns, and
 shard-unsafe state (interior mutability, unsafe, raw pointers).
 Suppress a finding with a `lint: allow(<rule>) -- <reason>` comment;

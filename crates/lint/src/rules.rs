@@ -27,9 +27,8 @@
 //!
 //! Rules are scoped by path: r1 and r9 only fire in the crates whose
 //! state feeds the event loop (`model`, `engine`, `sched`, `sweep`);
-//! r2 and r9 are waived for the `cli` crate and for bench harness code
-//! (`crates/bench` and `bench.rs` modules), which measure wall-clock
-//! time by design; r7 covers only the `model` and `engine` hot paths,
+//! r2 and r9 are waived for the `cli` crate and for bench harness
+//! modules (`bench.rs`), which measure wall-clock time by design; r7 covers only the `model` and `engine` hot paths,
 //! where a wrapped tick or truncated area silently corrupts the
 //! simulation instead of crashing it. An r7 site is justified with a
 //! `// BOUND:` comment naming the bound that rules overflow/truncation
@@ -209,9 +208,7 @@ pub fn rule_applies(rule: &str, path: &str) -> bool {
             // full rule set.
             None => true,
         },
-        "r2" => !segments
-            .iter()
-            .any(|s| *s == "cli" || *s == "bench" || *s == "bench.rs"),
+        "r2" => !segments.iter().any(|s| *s == "cli" || *s == "bench.rs"),
         "r7" => match segments.iter().position(|s| *s == "crates") {
             Some(i) => segments.get(i + 1).is_some_and(|c| R7_CRATES.contains(c)),
             // Same fallback as r1: ad-hoc scans get the full rule set.
@@ -224,7 +221,7 @@ pub fn rule_applies(rule: &str, path: &str) -> bool {
                 Some(i) => segments.get(i + 1).is_some_and(|c| R1_CRATES.contains(c)),
                 None => true,
             };
-            in_scope && !segments.iter().any(|s| *s == "bench" || *s == "bench.rs")
+            in_scope && !segments.contains(&"bench.rs")
         }
         "r10" | "r11" => match segments.iter().position(|s| *s == "crates") {
             Some(i) => segments.get(i + 1).is_some_and(|c| R10_CRATES.contains(c)),

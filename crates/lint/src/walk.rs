@@ -1,8 +1,7 @@
 //! Deterministic, path-based workspace walk.
 //!
 //! The walk is driven by the directory layout, **not** by cargo
-//! metadata, so crates excluded from the cargo workspace (the
-//! criterion-dependent `crates/bench`) are still scanned.
+//! metadata, so it needs no build and no registry.
 //!
 //! ## Scan roots and exclusion rules
 //!

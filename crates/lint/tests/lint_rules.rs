@@ -100,11 +100,7 @@ fn r1_is_scoped_to_scheduler_visible_crates() {
 
 #[test]
 fn r2_is_waived_for_cli_and_bench() {
-    for label in [
-        "crates/cli/src/main.rs",
-        "crates/bench/src/lib.rs",
-        "crates/sweep/src/bench.rs",
-    ] {
+    for label in ["crates/cli/src/main.rs", "crates/sweep/src/bench.rs"] {
         let report = lint_fixture("r2_bad", label);
         assert!(
             !rules_hit(&report).contains(&"r2"),
@@ -205,7 +201,6 @@ fn r9_is_scoped_like_r1_with_the_bench_waiver() {
         "crates/cli/src/main.rs",
         "crates/rng/src/lib.rs",
         "crates/sweep/src/bench.rs",
-        "crates/bench/src/lib.rs",
     ] {
         let report = lint_fixture("r9_bad", label);
         assert!(

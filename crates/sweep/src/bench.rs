@@ -20,10 +20,8 @@
 //! would be meaningless.
 //!
 //! The harness is dependency-free (`std::time::Instant` only) so it
-//! runs in offline builds; the Criterion target in `crates/bench`
-//! (`search_backends.rs`) wraps these same helpers for statistically
-//! rigorous numbers when the registry is reachable. Results serialize
-//! to the `BENCH_search.json` schema committed at the repo root.
+//! runs in offline builds. Results serialize to the `BENCH_search.json`
+//! schema committed at the repo root.
 
 use crate::figures::ExperimentGrid;
 use crate::runner::{run_point, SweepPoint};
@@ -501,7 +499,7 @@ pub fn run_grid_bench(
 /// `VmHWM` is the process-lifetime *high-water mark*, so it is
 /// cumulative across rungs: the scale bench runs its ladder in
 /// ascending node order and reads the mark right after each rung's
-/// scale-path run, which makes the recorded value ≈ that rung's own
+/// sketch-stats run, which makes the recorded value ≈ that rung's own
 /// peak (every earlier rung is an order of magnitude smaller).
 #[must_use]
 pub fn peak_rss_kb() -> u64 {
@@ -520,35 +518,29 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// One rung of the scale ladder: the same workload timed under the
-/// scale path (calendar queue + sketch stats) and the seed path
-/// (binary heap + exact samples).
+/// One rung of the scale ladder: the same workload timed with exact
+/// waiting-time samples and with the streaming quantile sketch.
 #[derive(Clone, Debug)]
 pub struct ScaleRung {
     /// Node count of the rung.
     pub nodes: usize,
     /// Task count of the rung (`nodes × tasks_per_node`).
     pub tasks: usize,
-    /// Wall time under the seed path (heap queue, exact stats), ns;
-    /// best of the configured repetitions.
-    pub heap_exact_ns: u128,
-    /// Wall time under the scale path (calendar queue, sketch stats),
-    /// ns; best of the configured repetitions.
-    pub calendar_sketch_ns: u128,
-    /// `heap_exact_ns / calendar_sketch_ns`.
+    /// Wall time with exact stats (the default), ns; best of the
+    /// configured repetitions.
+    pub exact_ns: u128,
+    /// Wall time with sketch stats, ns; best of the configured
+    /// repetitions.
+    pub sketch_ns: u128,
+    /// `exact_ns / sketch_ns`.
     pub speedup: f64,
-    /// Peak RSS in KiB right after the scale-path run (see
-    /// [`peak_rss_kb`] for the cumulative caveat).
+    /// Peak RSS in KiB right after the sketch-stats run, which goes
+    /// first (see [`peak_rss_kb`] for the cumulative caveat).
     pub peak_rss_kb: u64,
-    /// Whether the calendar-queue report was verified byte-identical
-    /// to the heap report at this rung (done up to the configured
-    /// verification ceiling; `false` means *not checked here*, never
-    /// "checked and differed" — a difference panics).
-    pub reports_cross_checked: bool,
-    /// Deterministic per-phase operation counters of the scale-path
-    /// run (identical under the seed path — the differential battery
-    /// pins backend-independence), so CI can diff algorithmic cost
-    /// against the committed baseline without trusting the wall clock.
+    /// Deterministic per-phase operation counters, identical under both
+    /// stats backends (the bench asserts it), so CI can diff
+    /// algorithmic cost against the committed baseline without trusting
+    /// the wall clock.
     pub profile: dreamsim_engine::PhaseProfile,
 }
 
@@ -559,9 +551,6 @@ pub struct ScaleBenchReport {
     pub seed: u64,
     /// Tasks generated per node at every rung.
     pub tasks_per_node: usize,
-    /// Largest rung at which the calendar-vs-heap report cross-check
-    /// ran.
-    pub verify_max_nodes: usize,
     /// Ladder rungs, ascending node counts.
     pub rungs: Vec<ScaleRung>,
 }
@@ -576,7 +565,6 @@ impl ScaleBenchReport {
         let _ = writeln!(out, "  \"benchmark\": \"scale-ladder\",");
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"tasks_per_node\": {},", self.tasks_per_node);
-        let _ = writeln!(out, "  \"verify_max_nodes\": {},", self.verify_max_nodes);
         let _ = writeln!(out, "  \"rungs\": [");
         for (i, r) in self.rungs.iter().enumerate() {
             let comma = if i + 1 < self.rungs.len() { "," } else { "" };
@@ -592,16 +580,9 @@ impl ScaleBenchReport {
             profile.push('}');
             let _ = writeln!(
                 out,
-                "    {{\"nodes\": {}, \"tasks\": {}, \"heap_exact_ns\": {}, \
-                 \"calendar_sketch_ns\": {}, \"speedup\": {:.2}, \"peak_rss_kb\": {}, \
-                 \"reports_cross_checked\": {}, \"profile\": {profile}}}{comma}",
-                r.nodes,
-                r.tasks,
-                r.heap_exact_ns,
-                r.calendar_sketch_ns,
-                r.speedup,
-                r.peak_rss_kb,
-                r.reports_cross_checked
+                "    {{\"nodes\": {}, \"tasks\": {}, \"exact_ns\": {}, \"sketch_ns\": {}, \
+                 \"speedup\": {:.2}, \"peak_rss_kb\": {}, \"profile\": {profile}}}{comma}",
+                r.nodes, r.tasks, r.exact_ns, r.sketch_ns, r.speedup, r.peak_rss_kb
             );
         }
         let _ = writeln!(out, "  ]");
@@ -698,23 +679,20 @@ fn time_reps<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, u128) {
 }
 
 /// Run the scale ladder: at each rung (ascending `node_ladder`, tasks
-/// scaled as `nodes × tasks_per_node`) time the scale path (calendar
-/// queue + sketch stats) and the seed path (heap + exact), record peak
-/// RSS, and — up to `verify_max_nodes` — cross-check that the calendar
-/// queue reproduces the heap's XML report byte for byte (with exact
-/// stats on both sides, so the comparison isolates the queue; the
-/// sketch-vs-exact identity below its window is pinned separately by
-/// the differential battery).
+/// scaled as `nodes × tasks_per_node`) time the run with sketch stats,
+/// record peak RSS, then time it with exact stats. Both legs do the
+/// same work in a different stats structure, so their phase profiles
+/// must agree; the sketch-vs-exact report identity below its window is
+/// pinned separately by the differential battery.
 ///
 /// # Panics
-/// Panics if parameters fail validation or a cross-check finds a
-/// report difference — timings of diverging runs are meaningless.
+/// Panics if parameters fail validation or the two legs' phase
+/// profiles differ — timings of diverging runs are meaningless.
 #[must_use]
 pub fn run_scale_bench(
     node_ladder: &[usize],
     tasks_per_node: usize,
     seed: u64,
-    verify_max_nodes: usize,
     reps: usize,
 ) -> ScaleBenchReport {
     let mut rungs = Vec::with_capacity(node_ladder.len());
@@ -722,42 +700,32 @@ pub fn run_scale_bench(
         let tasks = nodes.saturating_mul(tasks_per_node);
         let mut params = SimParams::paper(nodes, tasks, ReconfigMode::Partial);
         params.seed = dreamsim_rng::derive_stream(seed, nodes as u64);
-        let label = format!("scale-n{nodes}");
-        let scale_point = SweepPoint::new(label.clone(), params.clone())
-            .with_queue(dreamsim_engine::EventQueueBackend::Calendar)
+        let exact_point = SweepPoint::new(format!("scale-n{nodes}"), params);
+        let sketch_point = exact_point
+            .clone()
             .with_stats(dreamsim_engine::StatsBackend::Sketch);
-        let seed_point = SweepPoint::new(label.clone(), params.clone());
-        let ((_, profile), calendar_sketch_ns) =
-            time_reps(reps, || crate::runner::run_point_profiled(&scale_point));
+        let ((_, profile), sketch_ns) =
+            time_reps(reps, || crate::runner::run_point_profiled(&sketch_point));
         let peak = peak_rss_kb();
-        let (heap_report, heap_exact_ns) = time_reps(reps, || run_point(&seed_point));
-        let cross_checked = nodes <= verify_max_nodes;
-        if cross_checked {
-            let cal_exact = run_point(
-                &SweepPoint::new(label, params)
-                    .with_queue(dreamsim_engine::EventQueueBackend::Calendar),
-            );
-            assert_eq!(
-                heap_report.to_xml(),
-                cal_exact.to_xml(),
-                "calendar queue diverged from heap at n{nodes}"
-            );
-        }
+        let ((_, exact_profile), exact_ns) =
+            time_reps(reps, || crate::runner::run_point_profiled(&exact_point));
+        assert_eq!(
+            profile, exact_profile,
+            "sketch stats changed the phase profile at n{nodes}"
+        );
         rungs.push(ScaleRung {
             nodes,
             tasks,
-            heap_exact_ns,
-            calendar_sketch_ns,
-            speedup: heap_exact_ns as f64 / calendar_sketch_ns as f64,
+            exact_ns,
+            sketch_ns,
+            speedup: exact_ns as f64 / sketch_ns as f64,
             peak_rss_kb: peak,
-            reports_cross_checked: cross_checked,
             profile,
         });
     }
     ScaleBenchReport {
         seed,
         tasks_per_node,
-        verify_max_nodes,
         rungs,
     }
 }
@@ -800,22 +768,22 @@ mod tests {
     }
 
     #[test]
-    fn scale_bench_serializes_expected_schema_and_cross_checks() {
-        let report = run_scale_bench(&[20, 40], 10, 7, 20, 1);
+    fn scale_bench_serializes_expected_schema() {
+        let report = run_scale_bench(&[20, 40], 10, 7, 1);
         assert_eq!(report.rungs.len(), 2);
         assert_eq!(report.rungs[0].tasks, 200);
-        assert!(report.rungs[0].reports_cross_checked, "20 <= verify cap");
-        assert!(!report.rungs[1].reports_cross_checked, "40 > verify cap");
-        assert!(report.rungs.iter().all(|r| r.calendar_sketch_ns > 0));
+        assert!(report
+            .rungs
+            .iter()
+            .all(|r| r.exact_ns > 0 && r.sketch_ns > 0));
         let json = report.to_json();
         for needle in [
             "\"benchmark\": \"scale-ladder\"",
             "\"tasks_per_node\": 10",
-            "\"verify_max_nodes\": 20",
-            "\"heap_exact_ns\"",
-            "\"calendar_sketch_ns\"",
+            "\"exact_ns\"",
+            "\"sketch_ns\"",
             "\"peak_rss_kb\"",
-            "\"reports_cross_checked\": true",
+            "\"profile\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

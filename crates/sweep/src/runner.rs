@@ -7,8 +7,7 @@
 
 use crate::parallel::{cost_descending_order, effective_jobs, run_ordered};
 use dreamsim_engine::{
-    EventQueueBackend, Report, RunOptions, SearchBackend, SimParams, SimScratch, Simulation,
-    StatsBackend,
+    Report, RunOptions, SearchBackend, SimParams, SimScratch, Simulation, StatsBackend,
 };
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim_workload::SyntheticSource;
@@ -49,10 +48,6 @@ pub struct SweepPoint {
     /// (DESIGN.md §11), so this changes wall-clock speed only, never the
     /// report — which is why it lives outside [`SimParams`].
     pub search: SearchBackend,
-    /// Event-queue backend. Byte-equivalent in reports *and*
-    /// checkpoints (DESIGN.md §16); lives outside [`SimParams`] for the
-    /// same reason as `search`.
-    pub queue: EventQueueBackend,
     /// Waiting-time statistics backend. Byte-equivalent up to the
     /// sketch's exact window, error-bounded beyond (DESIGN.md §16).
     pub stats: StatsBackend,
@@ -73,7 +68,6 @@ impl SweepPoint {
             params,
             policy: PolicyConfig::paper(),
             search: SearchBackend::Auto,
-            queue: EventQueueBackend::Heap,
             stats: StatsBackend::Exact,
         }
     }
@@ -89,13 +83,6 @@ impl SweepPoint {
     #[must_use]
     pub fn with_search(mut self, search: SearchBackend) -> Self {
         self.search = search;
-        self
-    }
-
-    /// Builder-style event-queue-backend override.
-    #[must_use]
-    pub fn with_queue(mut self, queue: EventQueueBackend) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -133,7 +120,6 @@ pub fn run_point_with_scratch(point: &SweepPoint, scratch: &mut SimScratch) -> R
             // panic above), validated once per point.
             .expect("sweep point parameters must validate")
             .with_search_backend(point.search)
-            .with_event_queue_backend(point.queue)
             .with_stats_backend(point.stats);
     let result = sim
         .run_with_scratch(&RunOptions::default(), scratch)
@@ -155,7 +141,6 @@ pub fn run_point_profiled(point: &SweepPoint) -> (Report, dreamsim_engine::Phase
         // panic above), validated once per point.
         .expect("sweep point parameters must validate")
         .with_search_backend(point.search)
-        .with_event_queue_backend(point.queue)
         .with_stats_backend(point.stats);
     let result = sim
         .run_with(&RunOptions::default())
@@ -338,26 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_stats_backend_points_report_identically() {
+    fn stats_backend_points_report_identically() {
         let point = small(9, ReconfigMode::Partial);
         let base = run_point(&point);
-        let cal = run_point(&point.clone().with_queue(EventQueueBackend::Calendar));
-        assert_eq!(
-            base.metrics, cal.metrics,
-            "queue backends must be equivalent"
-        );
-        assert_eq!(base.to_xml(), cal.to_xml());
         // 200 placed tasks sit far below the sketch's exact window, so
-        // the sketch report is byte-identical too.
+        // the sketch report is byte-identical.
         let sk = run_point(&point.clone().with_stats(StatsBackend::Sketch));
-        assert_eq!(base.to_xml(), sk.to_xml());
-        let both = run_point(
-            &point
-                .clone()
-                .with_queue(EventQueueBackend::Calendar)
-                .with_stats(StatsBackend::Sketch),
+        assert_eq!(
+            base.metrics, sk.metrics,
+            "stats backends must be equivalent"
         );
-        assert_eq!(base.to_xml(), both.to_xml());
+        assert_eq!(base.to_xml(), sk.to_xml());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Checkpoint-size regression for the scale backends (DESIGN.md §16).
+//! Checkpoint-size regression for the sketch statistics (DESIGN.md §16).
 //!
 //! The seed checkpoint format carried every waiting-time sample
 //! (`wait_samples`), an O(task count) payload that dominates snapshots

@@ -6,15 +6,17 @@
 //! switch backends at any checkpoint boundary without perturbing
 //! anything.
 //!
-//! Scale backends (DESIGN.md §16): the calendar event queue must be
-//! byte-identical to the binary heap — reports *and* checkpoints —
-//! across policies × drivers × fault-on/off, and the quantile-sketch
-//! statistics must render byte-identical reports at exact-capable sizes
-//! (below the sketch's 4096-sample exact window).
+//! Drivers: the event-driven and tick-stepped drivers must agree byte
+//! for byte — reports *and* checkpoints — across policies × fault-on/off.
+//!
+//! Statistics backends (DESIGN.md §16): the quantile sketch must render
+//! byte-identical reports at exact-capable sizes (below its 4096-sample
+//! exact window), and its checkpoints must resume to the uninterrupted
+//! run's report.
 
 use dreamsim::engine::{
-    read_checkpoint, EventQueueBackend, ReconfigMode, RunOptions, RunResult, SearchBackend,
-    SimParams, Simulation, StatsBackend,
+    read_checkpoint, ReconfigMode, RunOptions, RunResult, SearchBackend, SimParams, Simulation,
+    StatsBackend,
 };
 use dreamsim::sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim::workload::SyntheticSource;
@@ -95,6 +97,35 @@ fn checkpoint_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
+/// Assert that two runs of one cell are byte-identical: metrics, XML
+/// and JSON reports, task tables, and every checkpoint file each run
+/// wrote into its directory.
+fn assert_runs_identical(cell: &str, a: &RunResult, a_dir: &Path, b: &RunResult, b_dir: &Path) {
+    assert_eq!(a.metrics, b.metrics, "{cell}: metrics");
+    assert_eq!(a.report.to_xml(), b.report.to_xml(), "{cell}: XML report");
+    assert_eq!(
+        a.report.to_json(),
+        b.report.to_json(),
+        "{cell}: JSON report"
+    );
+    assert_eq!(a.tasks, b.tasks, "{cell}: task table");
+    let a_cps = checkpoint_files(a_dir);
+    let b_cps = checkpoint_files(b_dir);
+    assert!(
+        !a_cps.is_empty(),
+        "{cell}: grid cells must actually checkpoint"
+    );
+    assert_eq!(
+        a_cps.len(),
+        b_cps.len(),
+        "{cell}: checkpoint cadence diverged"
+    );
+    for ((an, ab), (bn, bb)) in a_cps.iter().zip(&b_cps) {
+        assert_eq!(an, bn, "{cell}: checkpoint file names");
+        assert_eq!(ab, bb, "{cell}: checkpoint {an} not byte-identical");
+    }
+}
+
 /// The tentpole guarantee: every policy × mode × fault cell is
 /// byte-identical across backends — reports (XML and JSON) *and* every
 /// mid-run checkpoint file written along the way.
@@ -109,33 +140,7 @@ fn full_grid_reports_and_checkpoints_byte_identical() {
                 let idx_dir = fresh_dir("idx");
                 let lin = run_cell(&p, strategy, SearchBackend::Linear, Some(&lin_dir));
                 let idx = run_cell(&p, strategy, SearchBackend::Indexed, Some(&idx_dir));
-                assert_eq!(lin.metrics, idx.metrics, "{cell}: metrics");
-                assert_eq!(
-                    lin.report.to_xml(),
-                    idx.report.to_xml(),
-                    "{cell}: XML report"
-                );
-                assert_eq!(
-                    lin.report.to_json(),
-                    idx.report.to_json(),
-                    "{cell}: JSON report"
-                );
-                assert_eq!(lin.tasks, idx.tasks, "{cell}: task table");
-                let lin_cps = checkpoint_files(&lin_dir);
-                let idx_cps = checkpoint_files(&idx_dir);
-                assert!(
-                    !lin_cps.is_empty(),
-                    "{cell}: grid cells must actually checkpoint"
-                );
-                assert_eq!(
-                    lin_cps.len(),
-                    idx_cps.len(),
-                    "{cell}: checkpoint cadence diverged"
-                );
-                for ((ln, lb), (in_, ib)) in lin_cps.iter().zip(&idx_cps) {
-                    assert_eq!(ln, in_, "{cell}: checkpoint file names");
-                    assert_eq!(lb, ib, "{cell}: checkpoint {ln} not byte-identical");
-                }
+                assert_runs_identical(&cell, &lin, &lin_dir, &idx, &idx_dir);
                 std::fs::remove_dir_all(&lin_dir).ok();
                 std::fs::remove_dir_all(&idx_dir).ok();
             }
@@ -186,15 +191,14 @@ enum Driver {
     /// Event-driven clock (the default).
     Event,
     /// Literal tick-by-tick clock (ablation A4); probes the queue with
-    /// one `pop_due` miss per idle tick, the calendar's cursor hot path.
+    /// one `pop_due` miss per idle tick.
     Tick,
 }
 
-/// Run one cell under an explicit queue/stats backend pair and driver.
-fn run_cell_scale(
+/// Run one cell under an explicit stats backend and driver.
+fn run_cell_driven(
     p: &SimParams,
     strategy: AllocationStrategy,
-    queue: EventQueueBackend,
     stats: StatsBackend,
     driver: Driver,
     checkpoint_dir: Option<&Path>,
@@ -210,7 +214,6 @@ fn run_cell_scale(
         CaseStudyScheduler::with_strategy(strategy),
     )
     .unwrap()
-    .with_event_queue_backend(queue)
     .with_stats_backend(stats);
     match driver {
         Driver::Event => sim.run_with(&opts),
@@ -219,74 +222,42 @@ fn run_cell_scale(
     .unwrap()
 }
 
-/// Scale-backend tentpole guarantee, queue half: the calendar event
-/// queue is byte-identical to the binary heap — reports (XML and JSON),
-/// metrics, task tables, *and* every mid-run checkpoint — across every
-/// policy × driver × fault cell.
+/// The two drivers are interchangeable: under every case-study strategy
+/// × fault cell, the tick-stepped driver reproduces the event-driven
+/// one's reports (XML and JSON), metrics, task table, *and* every
+/// mid-run checkpoint file byte for byte.
 #[test]
-fn queue_backend_grid_reports_and_checkpoints_byte_identical() {
+fn driver_grid_reports_and_checkpoints_byte_identical() {
     for strategy in STRATEGIES {
-        for driver in [Driver::Event, Driver::Tick] {
-            for faults in [false, true] {
-                let cell = format!("{strategy:?}/{driver:?}/faults={faults}");
-                let p = params(ReconfigMode::Partial, faults, 0xCA1);
-                let heap_dir = fresh_dir("heap");
-                let cal_dir = fresh_dir("cal");
-                let heap = run_cell_scale(
-                    &p,
-                    strategy,
-                    EventQueueBackend::Heap,
-                    StatsBackend::Exact,
-                    driver,
-                    Some(&heap_dir),
-                );
-                let cal = run_cell_scale(
-                    &p,
-                    strategy,
-                    EventQueueBackend::Calendar,
-                    StatsBackend::Exact,
-                    driver,
-                    Some(&cal_dir),
-                );
-                assert_eq!(heap.metrics, cal.metrics, "{cell}: metrics");
-                assert_eq!(
-                    heap.report.to_xml(),
-                    cal.report.to_xml(),
-                    "{cell}: XML report"
-                );
-                assert_eq!(
-                    heap.report.to_json(),
-                    cal.report.to_json(),
-                    "{cell}: JSON report"
-                );
-                assert_eq!(heap.tasks, cal.tasks, "{cell}: task table");
-                let heap_cps = checkpoint_files(&heap_dir);
-                let cal_cps = checkpoint_files(&cal_dir);
-                assert!(
-                    !heap_cps.is_empty(),
-                    "{cell}: grid cells must actually checkpoint"
-                );
-                assert_eq!(
-                    heap_cps.len(),
-                    cal_cps.len(),
-                    "{cell}: checkpoint cadence diverged"
-                );
-                for ((hn, hb), (cn, cb)) in heap_cps.iter().zip(&cal_cps) {
-                    assert_eq!(hn, cn, "{cell}: checkpoint file names");
-                    assert_eq!(hb, cb, "{cell}: checkpoint {hn} not byte-identical");
-                }
-                std::fs::remove_dir_all(&heap_dir).ok();
-                std::fs::remove_dir_all(&cal_dir).ok();
-            }
+        for faults in [false, true] {
+            let cell = format!("{strategy:?}/faults={faults}");
+            let p = params(ReconfigMode::Partial, faults, 0xCA1);
+            let event_dir = fresh_dir("event");
+            let tick_dir = fresh_dir("tick");
+            let event = run_cell_driven(
+                &p,
+                strategy,
+                StatsBackend::Exact,
+                Driver::Event,
+                Some(&event_dir),
+            );
+            let tick = run_cell_driven(
+                &p,
+                strategy,
+                StatsBackend::Exact,
+                Driver::Tick,
+                Some(&tick_dir),
+            );
+            assert_runs_identical(&cell, &event, &event_dir, &tick, &tick_dir);
+            std::fs::remove_dir_all(&event_dir).ok();
+            std::fs::remove_dir_all(&tick_dir).ok();
         }
     }
 }
 
-/// Scale-backend tentpole guarantee, stats half: at exact-capable sizes
-/// (200 tasks, far below the sketch's 4096-sample exact window) the
-/// quantile sketch renders byte-identical reports across every policy ×
-/// driver × fault cell, and the sketch-mode checkpoints themselves are
-/// byte-identical across queue backends.
+/// At exact-capable sizes (200 tasks, far below the sketch's
+/// 4096-sample exact window) the quantile sketch renders byte-identical
+/// reports across every policy × driver × fault cell.
 #[test]
 fn stats_backend_reports_byte_identical_below_exact_window() {
     for strategy in STRATEGIES {
@@ -294,22 +265,8 @@ fn stats_backend_reports_byte_identical_below_exact_window() {
             for faults in [false, true] {
                 let cell = format!("{strategy:?}/{driver:?}/faults={faults}");
                 let p = params(ReconfigMode::Partial, faults, 0x57A7);
-                let exact = run_cell_scale(
-                    &p,
-                    strategy,
-                    EventQueueBackend::Heap,
-                    StatsBackend::Exact,
-                    driver,
-                    None,
-                );
-                let sketch = run_cell_scale(
-                    &p,
-                    strategy,
-                    EventQueueBackend::Heap,
-                    StatsBackend::Sketch,
-                    driver,
-                    None,
-                );
+                let exact = run_cell_driven(&p, strategy, StatsBackend::Exact, driver, None);
+                let sketch = run_cell_driven(&p, strategy, StatsBackend::Sketch, driver, None);
                 assert_eq!(exact.metrics, sketch.metrics, "{cell}: metrics");
                 assert_eq!(
                     exact.report.to_xml(),
@@ -324,96 +281,58 @@ fn stats_backend_reports_byte_identical_below_exact_window() {
             }
         }
     }
-    // Sketch-mode checkpoints must not depend on the queue backend.
-    let p = params(ReconfigMode::Partial, true, 0x57A8);
-    let heap_dir = fresh_dir("sk-heap");
-    let cal_dir = fresh_dir("sk-cal");
-    let _ = run_cell_scale(
-        &p,
-        AllocationStrategy::BestFit,
-        EventQueueBackend::Heap,
-        StatsBackend::Sketch,
-        Driver::Event,
-        Some(&heap_dir),
-    );
-    let _ = run_cell_scale(
-        &p,
-        AllocationStrategy::BestFit,
-        EventQueueBackend::Calendar,
-        StatsBackend::Sketch,
-        Driver::Event,
-        Some(&cal_dir),
-    );
-    let heap_cps = checkpoint_files(&heap_dir);
-    let cal_cps = checkpoint_files(&cal_dir);
-    assert!(!heap_cps.is_empty(), "sketch cells must checkpoint");
-    assert_eq!(heap_cps, cal_cps, "sketch checkpoints diverged by queue");
-    std::fs::remove_dir_all(&heap_dir).ok();
-    std::fs::remove_dir_all(&cal_dir).ok();
 }
 
-/// A checkpoint taken under the calendar queue (sketch stats on) resumes
-/// under either queue backend to the uninterrupted run's exact report —
-/// the scale analogue of [`resume_mid_run_and_switch_backend`].
+/// A mid-run checkpoint taken with sketch stats on resumes, under
+/// either driver, to the uninterrupted run's exact report — the sketch
+/// analogue of [`resume_mid_run_and_switch_backend`].
 #[test]
-fn resume_mid_run_and_switch_queue_backend() {
+fn resume_mid_run_with_sketch_stats() {
     let p = params(ReconfigMode::Partial, true, 0xCA15);
-    let reference = run_cell_scale(
+    let dir = fresh_dir("sketch-resume");
+    let reference = run_cell_driven(
         &p,
         AllocationStrategy::BestFit,
-        EventQueueBackend::Heap,
         StatsBackend::Sketch,
         Driver::Event,
-        None,
+        Some(&dir),
     );
-    for writer in [EventQueueBackend::Heap, EventQueueBackend::Calendar] {
-        let dir = fresh_dir("qswitch");
-        let _ = run_cell_scale(
-            &p,
-            AllocationStrategy::BestFit,
-            writer,
-            StatsBackend::Sketch,
-            Driver::Event,
-            Some(&dir),
-        );
-        let files = checkpoint_files(&dir);
-        assert!(files.len() >= 2, "need a mid-run checkpoint to switch at");
-        let mid = &files[files.len() / 2].0;
-        for resumer in [EventQueueBackend::Heap, EventQueueBackend::Calendar] {
-            let cp = read_checkpoint(&dir.join(mid)).unwrap();
-            let resumed = Simulation::resume(
-                cp,
-                SyntheticSource::from_params(&p),
-                CaseStudyScheduler::new(),
-            )
-            .unwrap()
-            .with_event_queue_backend(resumer)
-            .with_stats_backend(StatsBackend::Sketch)
-            .run_with(&RunOptions::default())
-            .unwrap();
-            assert_eq!(
-                resumed.report.to_xml(),
-                reference.report.to_xml(),
-                "wrote under {writer:?}, resumed {mid} under {resumer:?}"
-            );
-            assert_eq!(resumed.metrics, reference.metrics);
+    let files = checkpoint_files(&dir);
+    assert!(files.len() >= 2, "need a mid-run checkpoint to resume");
+    let mid = &files[files.len() / 2].0;
+    for driver in [Driver::Event, Driver::Tick] {
+        let cp = read_checkpoint(&dir.join(mid)).unwrap();
+        let sim = Simulation::resume(
+            cp,
+            SyntheticSource::from_params(&p),
+            CaseStudyScheduler::new(),
+        )
+        .unwrap()
+        .with_stats_backend(StatsBackend::Sketch);
+        let resumed = match driver {
+            Driver::Event => sim.run_with(&RunOptions::default()),
+            Driver::Tick => sim.run_tick_stepped_with(&RunOptions::default()),
         }
-        std::fs::remove_dir_all(&dir).ok();
+        .unwrap();
+        assert_eq!(
+            resumed.report.to_xml(),
+            reference.report.to_xml(),
+            "resumed {mid} under the {driver:?} driver"
+        );
+        assert_eq!(resumed.metrics, reference.metrics);
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The deterministic parallel sweep pool stays byte-identical across
-/// `--jobs` when points run under the scale backends (calendar queue +
-/// quantile sketch).
+/// `--jobs` when points run with the quantile sketch.
 #[test]
-fn parallel_batch_invariant_across_jobs_with_scale_backends() {
+fn parallel_batch_invariant_across_jobs_with_sketch_stats() {
     use dreamsim::sweep::{run_batch, SweepPoint};
     let points: Vec<SweepPoint> = (0..6)
         .map(|i| {
             let p = params(ReconfigMode::Partial, i % 2 == 0, 0xBA7C + i);
-            SweepPoint::new(format!("scale{i}"), p)
-                .with_queue(EventQueueBackend::Calendar)
-                .with_stats(StatsBackend::Sketch)
+            SweepPoint::new(format!("sketch{i}"), p).with_stats(StatsBackend::Sketch)
         })
         .collect();
     let xmls = |jobs: usize| -> Vec<String> {
@@ -423,7 +342,7 @@ fn parallel_batch_invariant_across_jobs_with_scale_backends() {
             .collect()
     };
     let serial = xmls(1);
-    assert_eq!(serial, xmls(4), "scale-backend batch diverged at -j4");
+    assert_eq!(serial, xmls(4), "sketch-stats batch diverged at -j4");
 }
 
 /// The continuous auditor accepts the indexed backend after **every**
