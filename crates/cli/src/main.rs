@@ -1181,7 +1181,10 @@ fn cmd_bench_scale(args: &Args) -> Result<(), ArgError> {
                 for n in notes {
                     println!("check  {n}");
                 }
-                println!("phase counters within {:.0}% of {baseline_path}", tolerance * 100.0);
+                println!(
+                    "phase counters within {:.0}% of {baseline_path}",
+                    tolerance * 100.0
+                );
             }
             Err(failures) => {
                 return Err(ArgError(format!(

@@ -117,12 +117,7 @@ fn put_opt_time(out: &mut Vec<u8>, value: Option<u64>, base: u64) {
 }
 
 /// Decode the counterpart of [`put_opt_time`].
-fn get_opt_time(
-    buf: &[u8],
-    pos: &mut usize,
-    base: u64,
-    what: &str,
-) -> Result<Option<u64>, String> {
+fn get_opt_time(buf: &[u8], pos: &mut usize, base: u64, what: &str) -> Result<Option<u64>, String> {
     let raw = get_varint(buf, pos)?;
     if raw == 0 {
         return Ok(None);
@@ -480,7 +475,7 @@ pub fn from_base64(s: &str) -> Result<Vec<u8>, String> {
     }
 
     let raw = s.as_bytes();
-    if raw.len() % 4 != 0 {
+    if !raw.len().is_multiple_of(4) {
         return Err(format!("base64: length {} not a multiple of 4", raw.len()));
     }
     let mut out = Vec::with_capacity(raw.len() / 4 * 3);
@@ -515,11 +510,11 @@ mod tests {
     use super::*;
 
     fn sample_task(i: usize) -> Task {
-        let completed = i % 3 == 0;
+        let completed = i.is_multiple_of(3);
         Task {
             id: TaskId::from_index(i),
             required_time: 40 + (i as u64 % 17),
-            preferred: if i % 5 == 0 {
+            preferred: if i.is_multiple_of(5) {
                 PreferredConfig::Phantom {
                     area: 30 + (i as u64 % 7),
                 }
@@ -532,8 +527,8 @@ mod tests {
             create_time: 10 * i as u64,
             start_time: completed.then(|| 10 * i as u64 + 3),
             completion_time: completed.then(|| 10 * i as u64 + 50),
-            assigned_config: completed.then(|| ConfigId((i % 4) as u32)),
-            resolved_config: (i % 2 == 0).then(|| ConfigId((i % 4) as u32)),
+            assigned_config: completed.then_some(ConfigId((i % 4) as u32)),
+            resolved_config: i.is_multiple_of(2).then_some(ConfigId((i % 4) as u32)),
             sus_retry: (i % 6) as u64,
             fault_retries: (i % 3) as u32,
             suspended_at: (i % 7 == 1).then(|| 10 * i as u64 + 1),

@@ -104,8 +104,7 @@ impl ConfigLists {
             heads
                 .iter()
                 .map(|&head| {
-                    let mut chain: Vec<EntryRef> =
-                        ListIter { nodes, cur: head }.collect();
+                    let mut chain: Vec<EntryRef> = ListIter { nodes, cur: head }.collect();
                     // The walk is head-first (newest first); the shadow
                     // stores oldest first.
                     chain.reverse();

@@ -91,10 +91,14 @@ pub enum SearchBackend {
 ///
 /// The indexed backend's per-query win grows with the node count, but
 /// it pays a roughly constant index-maintenance cost on every store
-/// mutation. `BENCH_search.json` puts the end-to-end break-even at
-/// ≈200 nodes (0.86–0.89× at 100 nodes, 0.98–1.04× at 200), so auto
-/// stays linear below 200 nodes and goes indexed at 200 and above,
-/// where the maintenance cost is amortized.
+/// mutation. The threshold dates from a `BENCH_search.json` measured on
+/// one hardware thread, which put the end-to-end break-even at ≈200
+/// nodes (indexed-over-linear speedup 0.86–0.89× at 100 nodes,
+/// 0.98–1.04× at 200). The current file, measured on two hardware
+/// threads after suspension rescans became cheap, shows no break-even
+/// at bench scale: over nine passes the median end-to-end speedups are
+/// 1.05–1.09× at 100 nodes and 1.00–1.02× at 200, each within its
+/// passes' spread.
 pub const AUTO_INDEXED_MIN_NODES: usize = 200;
 
 impl SearchBackend {

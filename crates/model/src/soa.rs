@@ -492,7 +492,11 @@ impl NodeStore {
         // Reserve the slot index first so the strip region can be keyed
         // by it; nothing is committed until every check passes.
         let reuse = self.free_head[i];
-        let idx = if reuse != NIL { reuse } else { self.slab_len[i] };
+        let idx = if reuse != NIL {
+            reuse
+        } else {
+            self.slab_len[i]
+        };
         if let Some(strip) = &mut self.strip[i] {
             if strip.place(config.req_area, idx, self.gap_fit[i]).is_none() {
                 return Err(NodeError::Fragmented {
@@ -864,7 +868,10 @@ mod tests {
         // Evict the middle two, then reconfigure: index reuse must
         // follow the same LIFO order.
         for &s in &[slots[1], slots[2]] {
-            assert_eq!(n.evict_slot(s).map(|c| c.0), st.evict_slot(0, s).map(|c| c.0));
+            assert_eq!(
+                n.evict_slot(s).map(|c| c.0),
+                st.evict_slot(0, s).map(|c| c.0)
+            );
             assert_eq!(st.to_nodes(), vec![n.clone()]);
         }
         let ra = n.send_bitstream(&cfg(9, 50)).unwrap();
@@ -940,7 +947,10 @@ mod tests {
         // Evict the middle region; a too-wide module must fail on both
         // with the same Fragmented error.
         assert_eq!(n.evict_slot(1).is_ok(), st.evict_slot(0, 1).is_ok());
-        assert_eq!(n.send_bitstream(&cfg(5, 350)), st.send_bitstream(0, &cfg(5, 350)));
+        assert_eq!(
+            n.send_bitstream(&cfg(5, 350)),
+            st.send_bitstream(0, &cfg(5, 350))
+        );
         assert_eq!(st.to_nodes(), vec![n.clone()]);
         assert!(st.node(NodeId(0)).is_contiguous());
         assert_eq!(st.node(NodeId(0)).fragmentation(), n.fragmentation());

@@ -337,8 +337,8 @@ impl SchedulePolicy for CaseStudyScheduler {
             };
             let freed_config = view.resources.node(node).slot(freed.slot).map(|s| s.config);
             let mut picked = None;
+            // Full mode, pass 1: exact configuration reuse.
             if *mode == ReconfigMode::Full {
-                // Pass 1: exact configuration reuse.
                 if let Some(fc) = freed_config {
                     picked = suspension.remove_first_match(steps, |tid| {
                         if tasks.get(tid).resolved_config == Some(fc) {
@@ -349,32 +349,28 @@ impl SchedulePolicy for CaseStudyScheduler {
                         }
                     });
                 }
-                // Pass 2: FIFO-first reconfiguration fallback.
-                if picked.is_none() {
-                    picked = suspension.remove_first_match(steps, |tid| {
-                        let Some(config) = tasks.get(tid).resolved_config else {
-                            return false;
-                        };
-                        let req = view.resources.config(config).req_area;
-                        if let Some(plan) = view.plan(node, freed, config, req) {
-                            chosen = Some((tid, plan));
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                }
-            } else {
+            }
+            // The partial-mode scan, or full mode's pass 2 (FIFO-first
+            // reconfiguration fallback). Nothing is mutated until a task
+            // is chosen, so for this node and freed slot `plan` is a
+            // function of the configuration alone: once it rejects a
+            // configuration, every later task resolving to it is skipped.
+            // Each examined entry is still charged its step.
+            if picked.is_none() {
+                let mut rejected = vec![false; view.resources.num_configs()];
                 picked = suspension.remove_first_match(steps, |tid| {
-                    let t = tasks.get(tid);
-                    let Some(config) = t.resolved_config else {
+                    let Some(config) = tasks.get(tid).resolved_config else {
                         return false;
                     };
+                    if rejected[config.index()] {
+                        return false;
+                    }
                     let req = view.resources.config(config).req_area;
                     if let Some(plan) = view.plan(node, freed, config, req) {
                         chosen = Some((tid, plan));
                         true
                     } else {
+                        rejected[config.index()] = true;
                         false
                     }
                 });

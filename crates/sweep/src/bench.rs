@@ -573,7 +573,11 @@ impl ScaleBenchReport {
                 let sep = if j == 0 { "" } else { ", " };
                 let _ = write!(profile, "{sep}\"{name}\": {value}");
             }
-            let _ = write!(profile, ", \"checkpoint_bytes\": {}", r.profile.checkpoint_bytes);
+            let _ = write!(
+                profile,
+                ", \"checkpoint_bytes\": {}",
+                r.profile.checkpoint_bytes
+            );
             if let Some(allocs) = r.profile.allocations {
                 let _ = write!(profile, ", \"allocations\": {allocs}");
             }
@@ -603,7 +607,11 @@ impl ScaleBenchReport {
     /// improvement should update the baseline, not break the build).
     /// Baseline rungs that predate the profile schema, and rungs present
     /// on only one side, are skipped with a note.
-    pub fn check_against(&self, baseline_json: &str, tolerance: f64) -> Result<Vec<String>, String> {
+    pub fn check_against(
+        &self,
+        baseline_json: &str,
+        tolerance: f64,
+    ) -> Result<Vec<String>, String> {
         let baseline: serde::Value = serde_json::from_str(baseline_json)
             .map_err(|e| format!("baseline is not valid JSON: {e}"))?;
         let base_rungs = baseline
@@ -625,7 +633,10 @@ impl ScaleBenchReport {
                 continue;
             };
             let Some(profile) = base.get("profile") else {
-                notes.push(format!("n{}: baseline predates profiles — skipped", r.nodes));
+                notes.push(format!(
+                    "n{}: baseline predates profiles — skipped",
+                    r.nodes
+                ));
                 continue;
             };
             for (name, new) in r.profile.gated_counters() {
