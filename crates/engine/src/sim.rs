@@ -2922,16 +2922,13 @@ mod tests {
 
     #[test]
     fn audit_catches_compensated_slot_area_corruption() {
-        // Grow a slot's area and the node's total area together: Eq. 4
-        // still balances, so the store's own checker passes — only the
-        // auditor's cross-check against the configuration table sees it.
+        // Grow an idle slot's area and the node's total area together:
+        // Eq. 4 still balances and the busy area is unchanged, so the
+        // store's own checker passes — only the auditor's cross-check
+        // against the configuration table sees it. (On a busy slot the
+        // store's busy-area check would catch it first.)
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
-        let (victim, slot) = drive_find(&mut sim, |s| {
-            s.resources
-                .nodes()
-                .iter()
-                .find_map(|n| n.slots().next().map(|(i, _)| (n.id, i)))
-        });
+        let (victim, slot) = drive_to_idle_slot(&mut sim);
         let area = sim.resources.node(victim).slot(slot).unwrap().area;
         let total = sim.resources.node(victim).total_area;
         sim.resources.debug_set_slot_area(victim, slot, area + 1);

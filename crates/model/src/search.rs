@@ -44,9 +44,13 @@
 //! stream), `find_any_idle_node` (Algorithm 1's per-slot accumulation
 //! with early exit), and `busy_candidate_exists` (its step charge
 //! equals the position of the first match, which no order-preserving
-//! index can reproduce without doing the scan). These are documented in
-//! DESIGN.md §11; the differential harness covers them anyway because
-//! both backends share the same code paths for them.
+//! index can reproduce without doing the scan). Algorithm 1 is different:
+//! only the succeeding node's slot position needs the walk, and every
+//! node before it is charged its live-slot count. Both backends share
+//! the busy-area shortcut that skips the walk on nodes that cannot
+//! succeed (DESIGN.md §4). These are documented in DESIGN.md §11; the
+//! differential harness covers them anyway because both backends share
+//! the same code paths for them.
 //!
 //! ## Consistency
 //!

@@ -62,8 +62,7 @@ pub struct NodeStore {
     down: Vec<bool>,
     strip: Vec<Option<Strip>>,
     gap_fit: Vec<GapFit>,
-    live: Vec<u32>,
-    running: Vec<u32>,
+    occupancy: Vec<Occupancy>,
     // ---- per-node slab bookkeeping ----
     /// First flat arena index of the node's slab.
     base: Vec<usize>,
@@ -84,6 +83,16 @@ pub struct NodeStore {
     /// Next node-relative slot index on the free stack (valid only
     /// while the cell is dead).
     free_next: Vec<u32>,
+}
+
+/// Per-node slot counts and busy area, side by side so that assignment
+/// and release update one 16-byte cell (DESIGN.md §18.1).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Occupancy {
+    /// Sum of the occupied slots' areas; derived, not serialized.
+    busy_area: Area,
+    live: u32,
+    running: u32,
 }
 
 /// Copy of one live slot's fields (the SoA replacement for `&Slot`).
@@ -118,8 +127,7 @@ impl NodeStore {
         st.down.reserve(count);
         st.strip.reserve(count);
         st.gap_fit.reserve(count);
-        st.live.reserve(count);
-        st.running.reserve(count);
+        st.occupancy.reserve(count);
         st.base.reserve(count);
         st.cap.reserve(count);
         st.slab_len.reserve(count);
@@ -142,8 +150,17 @@ impl NodeStore {
             st.down.push(n.down);
             st.strip.push(n.strip);
             st.gap_fit.push(n.gap_fit);
-            st.live.push(n.live);
-            st.running.push(n.running);
+            st.occupancy.push(Occupancy {
+                busy_area: n
+                    .slots
+                    .iter()
+                    .flatten()
+                    .filter(|s| s.task.is_some())
+                    .map(|s| s.area)
+                    .sum(),
+                live: n.live,
+                running: n.running,
+            });
             let base = st.slot_config.len();
             // BOUND: slab length is the AoS slots.len(), bounded by u32 slot ids.
             let slab_len = n.slots.len() as u32;
@@ -232,8 +249,8 @@ impl NodeStore {
             gap_fit: self.gap_fit[i],
             slots,
             free,
-            live: self.live[i],
-            running: self.running[i],
+            live: self.occupancy[i].live,
+            running: self.occupancy[i].running,
         }
     }
 
@@ -315,21 +332,21 @@ impl NodeStore {
     #[inline]
     #[must_use]
     pub fn is_blank(&self, i: usize) -> bool {
-        self.live[i] == 0
+        self.occupancy[i].live == 0
     }
 
     /// Number of live slots on node `i`.
     #[inline]
     #[must_use]
     pub fn live_count(&self, i: usize) -> u32 {
-        self.live[i]
+        self.occupancy[i].live
     }
 
     /// Number of running tasks on node `i`.
     #[inline]
     #[must_use]
     pub fn running_count(&self, i: usize) -> u32 {
-        self.running[i]
+        self.occupancy[i].running
     }
 
     /// Reconfigurations performed on node `i`.
@@ -342,9 +359,9 @@ impl NodeStore {
     /// Coarse state of node `i` (the paper's `state` field).
     #[must_use]
     pub fn state(&self, i: usize) -> NodeState {
-        if self.running[i] > 0 {
+        if self.occupancy[i].running > 0 {
             NodeState::Busy
-        } else if self.live[i] > 0 {
+        } else if self.occupancy[i].live > 0 {
             NodeState::Idle
         } else {
             NodeState::Blank
@@ -372,6 +389,40 @@ impl NodeStore {
             Some(s) => s.can_fit_after_removing(area, evict),
             None => true,
         }
+    }
+
+    /// Algorithm 1's walk over node `i`: the idle slots to evict, in slab
+    /// order, until `AvailableArea` plus their areas covers `area` (with
+    /// room for it under contiguity), and the count of live slots visited.
+    /// A node with no idle slot, or with `TotalArea − busy < area`, cannot
+    /// succeed (Eq. 4) and is answered without the walk (DESIGN.md §4).
+    #[inline]
+    #[must_use]
+    pub fn reclaim_idle(&self, i: usize, area: Area) -> (Option<Vec<u32>>, u32) {
+        let occ = self.occupancy[i];
+        if occ.running == occ.live || self.total_area[i].saturating_sub(occ.busy_area) < area {
+            return (None, occ.live);
+        }
+        self.walk_idle(i, area)
+    }
+
+    /// Out of line, so that node scans inline only the early test.
+    fn walk_idle(&self, i: usize, area: Area) -> (Option<Vec<u32>>, u32) {
+        let mut accum = self.available_area[i];
+        let mut evict = Vec::new();
+        let mut visited = 0;
+        for (idx, slot) in self.slots(i) {
+            visited += 1;
+            if slot.task.is_none() {
+                // BOUND: accumulates slot areas of one node, at most its total_area.
+                accum += slot.area;
+                evict.push(idx);
+                if accum >= area && self.can_host_after_evicting(i, area, &evict) {
+                    return (Some(evict), visited);
+                }
+            }
+        }
+        (None, visited)
     }
 
     /// Flat arena index of slot `slot` of node `i`, if live.
@@ -507,7 +558,7 @@ impl NodeStore {
         }
         self.available_area[i] -= config.req_area;
         self.reconfig_count[i] += 1;
-        self.live[i] += 1;
+        self.occupancy[i].live += 1;
         if reuse != NIL {
             // BOUND: reuse < slab_len, so base + reuse stays inside the slab.
             let f = self.base[i] + reuse as usize;
@@ -546,7 +597,7 @@ impl NodeStore {
         self.slot_link[f] = None;
         self.free_next[f] = self.free_head[i];
         self.free_head[i] = idx;
-        self.live[i] -= 1;
+        self.occupancy[i].live -= 1;
         if let Some(strip) = &mut self.strip[i] {
             let freed = strip.free_slot(idx);
             debug_assert!(freed, "strip region missing for slot {idx}");
@@ -564,7 +615,9 @@ impl NodeStore {
             return Err(NodeError::SlotOccupied(idx));
         }
         self.slot_task[f] = Some(task);
-        self.running[i] += 1;
+        self.occupancy[i].running += 1;
+        // BOUND: busy slot areas sum to at most total_area by Eq. 4.
+        self.occupancy[i].busy_area += self.slot_area[f];
         Ok(())
     }
 
@@ -577,7 +630,8 @@ impl NodeStore {
         let task = self.slot_task[f]
             .take()
             .ok_or(NodeError::SlotBusyOrVacant(idx))?;
-        self.running[i] -= 1;
+        self.occupancy[i].running -= 1;
+        self.occupancy[i].busy_area -= self.slot_area[f];
         Ok(task)
     }
 
@@ -586,26 +640,32 @@ impl NodeStore {
         self.down[i] = down;
     }
 
-    /// Recompute the Eq. 4 invariant of node `i` from scratch; used by
-    /// `ResourceManager::check_invariants` and property tests.
+    /// Recompute Eq. 4, the slot counts and the busy area of node `i` from
+    /// scratch; used by `ResourceManager::check_invariants` and proptests.
     #[must_use]
     pub fn area_invariant_holds(&self, i: usize) -> bool {
+        let occ = self.occupancy[i];
         let used: Area = self.slots(i).map(|(_, s)| s.area).sum();
+        let busy: Vec<Area> = self
+            .slots(i)
+            .filter_map(|(_, s)| s.task.map(|_| s.area))
+            .collect();
         let strip_ok = match &self.strip[i] {
             Some(s) => {
                 s.is_consistent()
                     && s.total_free() == self.available_area[i]
                     // BOUND: live is a small per-node slot count.
-                    && s.placed_count() == self.live[i] as usize
+                    && s.placed_count() == occ.live as usize
             }
             None => true,
         };
         // BOUND: used + available re-checks Eq. 4; both are at most total_area.
         used + self.available_area[i] == self.total_area[i]
             // BOUND: live is a small per-node slot count.
-            && self.slots(i).count() == self.live[i] as usize
+            && self.slots(i).count() == occ.live as usize
             // BOUND: running is a small per-node slot count.
-            && self.slots(i).filter(|(_, s)| s.task.is_some()).count() == self.running[i] as usize
+            && busy.len() == occ.running as usize
+            && busy.iter().sum::<Area>() == occ.busy_area
             && strip_ok
     }
 

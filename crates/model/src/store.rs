@@ -208,7 +208,7 @@ impl ResourceManager {
         self.nodes.iter()
     }
 
-    /// The underlying columnar store (read-only; benches and audits).
+    /// The underlying columnar store (read-only).
     #[must_use]
     pub fn node_store(&self) -> &NodeStore {
         &self.nodes
@@ -491,10 +491,11 @@ impl ResourceManager {
     /// `SearchLength` and `TotalSimWorkLoad`; scheduling steps fold into
     /// the workload total by definition here).
     ///
-    /// Identical under both backends: the step charge equals the number
-    /// of slots examined before the accumulation threshold is reached,
-    /// which no index can reproduce without performing the walk
-    /// (DESIGN.md §11).
+    /// Identical under both backends. Only the succeeding node's charge
+    /// needs the walk (its slot position); every node before it is
+    /// charged its live-slot count, and a node whose idle slots cannot
+    /// cover the demand is answered from the busy-area column without
+    /// walking ([`NodeStore::reclaim_idle`], DESIGN.md §4).
     pub fn find_any_idle_node(
         &self,
         demand: Demand,
@@ -504,20 +505,10 @@ impl ResourceManager {
             if self.nodes.is_down(i) || !self.caps_ok_at(i, demand) {
                 continue;
             }
-            let mut accum = self.nodes.available_area(i);
-            let mut entries: Vec<u32> = Vec::new();
-            for (idx, slot) in self.nodes.slots(i) {
-                steps.tick(StepKind::Scheduling);
-                if slot.task.is_none() {
-                    // BOUND: accumulates slot areas of one node, at most its total_area.
-                    accum += slot.area;
-                    entries.push(idx);
-                    if accum >= demand.area
-                        && self.nodes.can_host_after_evicting(i, demand.area, &entries)
-                    {
-                        return Some((NodeId::from_index(i), entries));
-                    }
-                }
+            let (evict, visited) = self.nodes.reclaim_idle(i, demand.area);
+            steps.charge(StepKind::Scheduling, u64::from(visited));
+            if let Some(evict) = evict {
+                return Some((NodeId::from_index(i), evict));
             }
         }
         None
@@ -675,7 +666,8 @@ impl ResourceManager {
         self.lists
             .push(&mut self.nodes, ListKind::Idle, config, entry, steps);
         if self.backend == SearchBackend::Indexed {
-            self.index.refresh_node(&self.nodes, entry.node);
+            // Release changes no area, blank or down status, so the
+            // node's index registration is already current.
             self.index.add_entry(&self.nodes, entry, config);
         }
         Ok(task)
@@ -784,7 +776,8 @@ impl ResourceManager {
     /// for tests and debug builds; O(nodes × slots).
     ///
     /// Checks:
-    /// 1. every node satisfies Eq. 4 (area accounting);
+    /// 1. every node satisfies Eq. 4 (area accounting), and its live and
+    ///    running counts and busy area match its slots;
     /// 2. every live slot appears on exactly one list — the idle list of
     ///    its config when vacant, the busy list when running a task;
     /// 3. the lists contain no duplicates, no dangling entries, and no
@@ -990,6 +983,33 @@ mod tests {
         assert!(rm.find_any_idle_node(Demand::area(900), &mut s).is_none());
         let (_, evict) = rm.find_any_idle_node(Demand::area(800), &mut s).unwrap();
         assert_eq!(evict.len(), 1, "only the idle 600-slot is reclaimable");
+    }
+
+    #[test]
+    fn algorithm_one_charges_skipped_nodes_their_live_slots() {
+        let mut rm = make(&[(0, 400), (1, 600)], &[4000, 1100, 1200]);
+        let mut s = StepCounter::new();
+        let mut configure = |rm: &mut ResourceManager, n: u32, c: u32, busy: bool| {
+            let e = rm.configure_slot(NodeId(n), ConfigId(c), &mut s).unwrap();
+            if busy {
+                rm.assign_task(e, TaskId(n * 10 + c), &mut s).unwrap();
+            }
+        };
+        // Node 0: 3000 free but no idle slot.
+        configure(&mut rm, 0, 0, true);
+        configure(&mut rm, 0, 1, true);
+        // Node 1: free 100 plus idle 400 is short of 1200.
+        configure(&mut rm, 1, 0, false);
+        configure(&mut rm, 1, 1, true);
+        // Node 2: free 200 plus idle 400 + 600 is exactly 1200, reached
+        // at its second slot.
+        configure(&mut rm, 2, 0, false);
+        configure(&mut rm, 2, 1, false);
+        let live = |n: u32| rm.node(NodeId(n)).configured_count() as u64;
+        let before = s.scheduling;
+        let (node, evict) = rm.find_any_idle_node(Demand::area(1200), &mut s).unwrap();
+        assert_eq!((node, evict), (NodeId(2), vec![0, 1]));
+        assert_eq!(s.scheduling - before, live(0) + live(1) + 2);
     }
 
     #[test]
@@ -1305,6 +1325,20 @@ mod tests {
         rm.check_invariants().unwrap();
         // Corrupt: mark the slot busy without moving lists.
         rm.nodes.add_task(0, e.slot, TaskId(9)).unwrap();
+        assert!(rm.check_invariants().is_err());
+    }
+
+    #[test]
+    fn invariant_checker_catches_a_stale_busy_area() {
+        // Grow a busy slot's area and the node's total area together:
+        // Eq. 4 still balances, but the busy-area column no longer
+        // matches the slots.
+        let mut rm = make(&[(0, 400)], &[1000]);
+        let mut s = StepCounter::new();
+        let e = rm.configure_slot(NodeId(0), ConfigId(0), &mut s).unwrap();
+        rm.assign_task(e, TaskId(1), &mut s).unwrap();
+        rm.debug_set_slot_area(NodeId(0), e.slot, 401);
+        rm.debug_set_total_area(NodeId(0), 1001);
         assert!(rm.check_invariants().is_err());
     }
 

@@ -3,8 +3,8 @@
 //! (Eq. 4 area accounting, idle/busy list partition, no leaks).
 
 use dreamsim_model::{
-    Config, ConfigId, Demand, EntryRef, Node, NodeId, ResourceManager, SearchBackend, StepCounter,
-    TaskId,
+    Capabilities, Capability, Config, ConfigId, Demand, EntryRef, GapFit, Node, NodeId,
+    ResourceManager, SearchBackend, StepCounter, TaskId,
 };
 use proptest::prelude::*;
 
@@ -45,6 +45,57 @@ fn build(nodes: usize, configs: usize) -> ResourceManager {
         .map(|i| Node::new(NodeId::from_index(i), 500 + (i as u64 * 307) % 2500, 1))
         .collect();
     ResourceManager::new(nodes, configs)
+}
+
+/// Like [`build`], but bit `i` of `strips` puts node `i` under
+/// contiguous placement and bit `i` of `dsp` gives it DSP slices.
+fn build_mixed(nodes: usize, configs: usize, strips: u16, dsp: u16) -> ResourceManager {
+    let configs: Vec<Config> = (0..configs)
+        .map(|i| Config::new(ConfigId::from_index(i), 100 + (i as u64 * 211) % 900, 10))
+        .collect();
+    let nodes: Vec<Node> = (0..nodes)
+        .map(|i| {
+            let mut n = Node::new(NodeId::from_index(i), 500 + (i as u64 * 307) % 2500, 1);
+            if strips >> i & 1 == 1 {
+                n = n.with_contiguous(GapFit::FirstFit);
+            }
+            if dsp >> i & 1 == 1 {
+                let mut caps = Capabilities::none();
+                caps.insert(Capability::DspSlices);
+                n = n.with_caps(caps);
+            }
+            n
+        })
+        .collect();
+    ResourceManager::new(nodes, configs)
+}
+
+/// Algorithm 1 as a plain walk over every slot of every node, against
+/// the public `NodeRef` API: the answer and the scheduling steps it
+/// charges (one per visited slot).
+fn reference_any_idle_node(
+    rm: &ResourceManager,
+    demand: Demand,
+) -> (Option<(NodeId, Vec<u32>)>, u64) {
+    let mut steps = 0;
+    for n in rm.nodes() {
+        if n.down || !demand.caps_ok(n) {
+            continue;
+        }
+        let mut accum = n.available_area();
+        let mut evict = Vec::new();
+        for (idx, slot) in n.slots() {
+            steps += 1;
+            if slot.task.is_none() {
+                accum += slot.area;
+                evict.push(idx);
+                if accum >= demand.area && n.can_host_after_evicting(demand.area, &evict) {
+                    return (Some((n.id, evict)), steps);
+                }
+            }
+        }
+    }
+    (None, steps)
 }
 
 fn idle_entries(rm: &ResourceManager) -> Vec<EntryRef> {
@@ -307,6 +358,54 @@ proptest! {
                 "scheduling steps diverged after {:?}", op);
             prop_assert_eq!(lin_steps.housekeeping, idx_steps.housekeeping,
                 "housekeeping steps diverged after {:?}", op);
+        }
+    }
+
+    /// `find_any_idle_node`, which answers hopeless nodes from the busy
+    /// area without walking them, returns what the plain walk returns
+    /// and charges the same steps, after every op, on stores mixing
+    /// scalar and strip nodes, with and without a capability demand.
+    /// Besides a random area, each node's exact reclaimable area
+    /// (`TotalArea` minus busy slots) is probed, the boundary of the
+    /// shortcut.
+    #[test]
+    fn algorithm_one_matches_the_plain_walk(
+        nodes in 1usize..12,
+        configs in 1usize..8,
+        strips in any::<u16>(),
+        dsp in any::<u16>(),
+        indexed in any::<bool>(),
+        ops in prop::collection::vec(arb_op(), 1..120),
+        probe_area in 1u64..4_000,
+    ) {
+        let mut rm = build_mixed(nodes, configs, strips, dsp);
+        if indexed {
+            rm.set_search_backend(SearchBackend::Indexed);
+        }
+        let mut steps = StepCounter::new();
+        let mut next_task = 0u32;
+        let mut dsp_caps = Capabilities::none();
+        dsp_caps.insert(Capability::DspSlices);
+        for op in &ops {
+            apply(&mut rm, op, &mut steps, &mut next_task, nodes, configs);
+            if let Err(e) = rm.check_invariants() {
+                prop_assert!(false, "invariant violated after {op:?}: {e}");
+            }
+            let reclaimable = rm.nodes().map(|n| {
+                let busy: u64 = n.slots().filter(|(_, s)| s.task.is_some()).map(|(_, s)| s.area).sum();
+                n.total_area - busy
+            });
+            for area in reclaimable.chain([probe_area]) {
+                for caps in [Capabilities::none(), dsp_caps] {
+                    let demand = Demand { area, caps };
+                    let (want, want_steps) = reference_any_idle_node(&rm, demand);
+                    let before = steps.scheduling;
+                    let got = rm.find_any_idle_node(demand, &mut steps);
+                    prop_assert_eq!(&got, &want, "answer for {:?} after {:?}", demand, op);
+                    prop_assert_eq!(steps.scheduling - before, want_steps,
+                        "steps for {:?} after {:?}", demand, op);
+                }
+            }
         }
     }
 

@@ -531,17 +531,7 @@ impl PlanView<'_> {
         if self.mode == ReconfigMode::Partial && n.can_host(req) {
             return Some(Plan::PartialConfigure);
         }
-        let mut accum = n.available_area();
-        let mut evict = Vec::new();
-        for (idx, slot) in n.slots() {
-            if slot.task.is_none() {
-                accum += slot.area;
-                evict.push(idx);
-                if accum >= req && n.can_host_after_evicting(req, &evict) {
-                    return Some(Plan::Reconfigure(evict));
-                }
-            }
-        }
-        None
+        let (evict, _) = self.resources.node_store().reclaim_idle(node.index(), req);
+        evict.map(Plan::Reconfigure)
     }
 }
