@@ -24,42 +24,6 @@
 mod args;
 
 use args::{ArgError, Args};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Heap allocations observed since process start (relaxed counter; the
-/// `bench-profile` command reads deltas around a run).
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Counting wrapper around the system allocator. Installed for the whole
-/// binary — the cost is one relaxed atomic increment per allocation,
-/// unobservable next to the allocation itself — but only `bench-profile`
-/// ever reads the counter. Lives in the CLI so the engine and model
-/// crates stay free of `unsafe` (enforced by lint rule r11).
-struct CountingAlloc;
-
-// SAFETY: delegates every operation unchanged to the system allocator;
-// the counter has no effect on the returned memory.
-unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-        // SAFETY: same contract as the caller's.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same contract as the caller's.
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 use dreamsim_engine::{
     read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
     DomainParams, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage, SearchBackend,
@@ -101,16 +65,6 @@ USAGE:
                    [--search auto|linear|indexed]
   dreamsim ablations [--which a1|a2|a3|a4|a5|all] [--nodes N] [--tasks N]
                      [--mode full|partial] [--seed S] [--jobs N]
-  dreamsim bench-search [--nodes N1,N2,...] [--tasks N1,N2,...]
-                        [--rounds N] [--seed S] [--out FILE]
-  dreamsim bench-grid [--nodes N1,N2,...] [--tasks N1,N2,...]
-                      [--jobs J1,J2,...] [--seed S] [--out FILE]
-  dreamsim bench-scale [--nodes N1,N2,...] [--tasks-per-node N]
-                       [--seed S] [--reps N] [--check-against FILE]
-                       [--tolerance PCT] [--out FILE]
-  dreamsim bench-profile [--nodes N] [--tasks N] [--mode full|partial]
-                         [--seed S] [--policy P] [--search auto|linear|indexed]
-                         [--stats exact|sketch] [--out FILE]
   dreamsim chaos [--script FILE] [--no-drill] [--audit-every TICKS]
                  [--work-dir DIR] [--report csv|json] [--out FILE]
   dreamsim serve [--nodes N] [--seed S] [--mode full|partial]
@@ -197,12 +151,9 @@ from ordered indexes in O(log n) wall-clock time while charging the
 paper's exact step counts, so reports, figures, and checkpoints are
 byte-identical under both (the differential test suite proves it).
 auto (default) picks per run from the node count: linear below 200
-nodes, indexed at or above, matching the measured end-to-end break-even.
+nodes, indexed at or above.
 --search also applies to --resume-from: checkpoints never store the
 backend, and the index is rebuilt from the restored state.
-bench-search measures both backends (search-time micro benchmark plus
-end-to-end runs) and writes the results as JSON (default
-BENCH_search.json).
 
 Statistics backends: --stats selects wait-time statistics. exact
 (default) stores every wait sample; sketch replaces the unbounded sample
@@ -210,23 +161,12 @@ vector with a fixed-size integer quantile sketch whose percentiles match
 exact to within 1/128 relative error (and are byte-identical below the
 4096-sample exact window). --stats also applies to --resume-from: the
 restored statistics convert to the chosen backend, except that a sketch
-past its exact window stays a sketch (its samples are gone). bench-scale
-times a node ladder with exact and with sketch stats, records peak RSS
-per rung after the sketch run, checks that both runs did the same work
-(identical deterministic per-phase operation counters), and writes
-BENCH_scale.json; --check-against diffs those counters against a
-committed baseline file and fails (exit 1) on any counter that grew more
-than --tolerance percent (default 25) — counters, not wall-clock, so the
-gate holds on noisy CI runners. bench-profile runs one simulation and prints
-the XML report with an extra <profile> block: the same operation counters
-plus the heap-allocation count from the CLI's counting allocator.
+past its exact window stays a sketch (its samples are gone).
 
 Parallel sweeps: figures and ablations fan their independent simulation
 points across --jobs worker threads (0 or omitted = all hardware
 threads; --threads is an alias). Results are merged in point order, so
-output is byte-identical for every --jobs value. bench-grid times the
-figures grid serially under each backend and in parallel across a jobs
-ladder, checksums every run's cells, and writes BENCH_grid.json.
+output is byte-identical for every --jobs value.
 ";
 
 /// Valued and bare flags [`params_from_args`] reads, space-separated.
@@ -248,10 +188,6 @@ const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
       resume-from search stats report out", "audit"),
     ("figures", false, "fig max-tasks tasks jobs threads seed out-dir search", ""),
     ("ablations", false, "which nodes tasks mode seed jobs threads", ""),
-    ("bench-search", false, "nodes tasks rounds seed out", ""),
-    ("bench-grid", false, "nodes tasks jobs seed out", ""),
-    ("bench-scale", false, "nodes tasks-per-node seed reps check-against tolerance out", ""),
-    ("bench-profile", true, "policy search stats out", ""),
     ("chaos", false, "script audit-every work-dir report out", "no-drill"),
     ("serve", true,
      "policy horizon day-length amplitude window window-retain ring-dir ring-every ring-retain \
@@ -298,10 +234,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args),
         Some("figures") => cmd_figures(&args),
         Some("ablations") => cmd_ablations(&args),
-        Some("bench-search") => cmd_bench_search(&args),
-        Some("bench-grid") => cmd_bench_grid(&args),
-        Some("bench-scale") => cmd_bench_scale(&args),
-        Some("bench-profile") => cmd_bench_profile(&args),
         Some("chaos") => cmd_chaos(&args),
         Some("serve") => cmd_serve(&args),
         Some("trace") => cmd_trace(&args),
@@ -960,6 +892,9 @@ fn cmd_ablations(args: &Args) -> Result<(), ArgError> {
         mode,
     );
     base.seed = args.get_num("seed", 7u64)?;
+    // The harnesses treat parameters as programmer input and panic on
+    // invalid ones, so user input is validated here first.
+    base.validate().map_err(|e| ArgError(e.to_string()))?;
     let threads = parse_jobs(args)?;
     let run_a1 = which == "all" || which == "a1";
     let run_a2 = which == "all" || which == "a2";
@@ -1036,187 +971,6 @@ fn cmd_ablations(args: &Args) -> Result<(), ArgError> {
         );
     }
     Ok(())
-}
-
-/// `bench-search`: measure both search backends (micro + end-to-end)
-/// and write the results as `BENCH_search.json`-schema JSON.
-fn cmd_bench_search(args: &Args) -> Result<(), ArgError> {
-    let seed = args.get_num("seed", 2012u64)?;
-    let rounds = args.get_num("rounds", 512usize)?;
-    let node_ladder: Vec<usize> = if args.has("nodes") {
-        args.get_list("nodes", &[])?
-    } else {
-        vec![100, 200]
-    };
-    let task_ladder: Vec<usize> = if args.has("tasks") {
-        args.get_list("tasks", &[])?
-    } else {
-        vec![500, 1_000, 2_000]
-    };
-    eprintln!(
-        "benchmarking search backends: nodes {node_ladder:?} x tasks {task_ladder:?}, \
-         {rounds} micro rounds (seed {seed})"
-    );
-    let report = dreamsim_sweep::run_search_bench(&node_ladder, &task_ladder, seed, rounds);
-    for p in &report.micro {
-        println!(
-            "micro  n{:<5} linear {:>11} ns  indexed {:>11} ns  speedup {:.2}x",
-            p.nodes, p.linear_ns, p.indexed_ns, p.speedup
-        );
-    }
-    for p in &report.end_to_end {
-        println!(
-            "run    n{:<5} t{:<6} linear {:>11} ns  indexed {:>11} ns  speedup {:.2}x  \
-             reports identical: {}",
-            p.nodes, p.tasks, p.linear_ns, p.indexed_ns, p.speedup, p.reports_identical
-        );
-    }
-    let out = args.get("out", "BENCH_search.json");
-    std::fs::write(out, report.to_json()).map_err(|e| ArgError(format!("writing {out}: {e}")))?;
-    println!(
-        "wrote {out} (peak micro speedup {:.2}x)",
-        report.peak_micro_speedup()
-    );
-    Ok(())
-}
-
-/// `bench-grid`: time the figures grid serially under every backend and
-/// in parallel across a jobs ladder, and write `BENCH_grid.json`.
-fn cmd_bench_grid(args: &Args) -> Result<(), ArgError> {
-    let seed = args.get_num("seed", 2012u64)?;
-    let node_ladder: Vec<usize> = if args.has("nodes") {
-        args.get_list("nodes", &[])?
-    } else {
-        vec![100, 200]
-    };
-    let task_ladder: Vec<usize> = if args.has("tasks") {
-        args.get_list("tasks", &[])?
-    } else {
-        vec![500, 1_000, 2_000]
-    };
-    let jobs_ladder: Vec<usize> = if args.has("jobs") {
-        args.get_list("jobs", &[])?
-    } else {
-        vec![1, 2, 4]
-    };
-    if jobs_ladder.is_empty() || jobs_ladder.contains(&0) {
-        return Err(ArgError("--jobs ladder entries must be > 0".into()));
-    }
-    eprintln!(
-        "benchmarking grid: nodes {node_ladder:?} x tasks {task_ladder:?}, jobs {jobs_ladder:?} \
-         (seed {seed})"
-    );
-    let report = dreamsim_sweep::run_grid_bench(&node_ladder, &task_ladder, seed, &jobs_ladder);
-    for p in &report.serial {
-        println!(
-            "serial n{:<5} linear {:>12} ns  indexed {:>12} ns  auto {:>12} ns  \
-             (auto/best {:.3})",
-            p.nodes, p.linear_ns, p.indexed_ns, p.auto_ns, p.auto_vs_best
-        );
-    }
-    for p in &report.parallel {
-        println!(
-            "grid   -j{:<4} {:>12} ns  speedup vs -j1 {:.2}x",
-            p.jobs, p.wall_ns, p.speedup_vs_j1
-        );
-    }
-    let out = args.get("out", "BENCH_grid.json");
-    std::fs::write(out, report.to_json()).map_err(|e| ArgError(format!("writing {out}: {e}")))?;
-    println!(
-        "wrote {out} ({} hardware threads, checksum {:016x}, all runs identical: {})",
-        report.hardware_threads, report.checksum, report.checksums_identical
-    );
-    Ok(())
-}
-
-/// `bench-scale`: climb a node ladder timing exact stats against the
-/// quantile sketch, record per-rung wall time, peak RSS and phase
-/// counters, and write `BENCH_scale.json`.
-fn cmd_bench_scale(args: &Args) -> Result<(), ArgError> {
-    let seed = args.get_num("seed", 2012u64)?;
-    let node_ladder: Vec<usize> = if args.has("nodes") {
-        args.get_list("nodes", &[])?
-    } else {
-        vec![1_000, 10_000, 100_000, 1_000_000]
-    };
-    if node_ladder.is_empty() || node_ladder.contains(&0) {
-        return Err(ArgError("--nodes ladder entries must be > 0".into()));
-    }
-    let tasks_per_node = args.get_num("tasks-per-node", 2usize)?;
-    if tasks_per_node == 0 {
-        return Err(ArgError("--tasks-per-node must be > 0".into()));
-    }
-    let reps = args.get_num("reps", 1usize)?;
-    eprintln!(
-        "benchmarking scale ladder: nodes {node_ladder:?} x {tasks_per_node} tasks/node \
-         (seed {seed})"
-    );
-    let report = dreamsim_sweep::run_scale_bench(&node_ladder, tasks_per_node, seed, reps);
-    for r in &report.rungs {
-        println!(
-            "scale  n{:<8} t{:<8} exact {:>13} ns  sketch {:>13} ns  \
-             speedup {:.2}x  peak rss {:>9} kB",
-            r.nodes, r.tasks, r.exact_ns, r.sketch_ns, r.speedup, r.peak_rss_kb
-        );
-        println!(
-            "       profile: sched {} hk {} store {} push {} pop {} stats {}",
-            r.profile.scheduling_steps,
-            r.profile.housekeeping_steps,
-            r.profile.store_mutations,
-            r.profile.events_pushed,
-            r.profile.events_popped,
-            r.profile.stats_samples
-        );
-    }
-    let out = args.get("out", "BENCH_scale.json");
-    std::fs::write(out, report.to_json()).map_err(|e| ArgError(format!("writing {out}: {e}")))?;
-    println!("wrote {out} ({} rungs)", report.rungs.len());
-    if args.has("check-against") {
-        let baseline_path = args.get("check-against", "");
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| ArgError(format!("reading {baseline_path}: {e}")))?;
-        let tolerance = args.get_num("tolerance", 25u64)? as f64 / 100.0;
-        match report.check_against(&baseline, tolerance) {
-            Ok(notes) => {
-                for n in notes {
-                    println!("check  {n}");
-                }
-                println!(
-                    "phase counters within {:.0}% of {baseline_path}",
-                    tolerance * 100.0
-                );
-            }
-            Err(failures) => {
-                return Err(ArgError(format!(
-                    "phase-counter regression vs {baseline_path}:\n{failures}"
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `dreamsim bench-profile` — run one simulation and print the XML
-/// report with the opt-in `<profile>` block: the deterministic per-phase
-/// operation counters plus the heap-allocation count measured by the
-/// binary's counting allocator.
-fn cmd_bench_profile(args: &Args) -> Result<(), ArgError> {
-    let params = params_from_args(args)?;
-    let backends = Backends::from_args(args)?;
-    let strategy = parse_strategy(args.get("policy", "best-fit"))?;
-    let policy = CaseStudyScheduler::with_strategy(strategy);
-    let source = SyntheticSource::from_params(&params);
-    let sim = backends
-        .apply(Simulation::new(params, source, policy).map_err(|e| ArgError(e.to_string()))?);
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = sim
-        .run_with(&RunOptions::default())
-        .map_err(|e| ArgError(e.to_string()))?;
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let mut profile = result.profile;
-    profile.allocations = Some(allocs);
-    let rendered = result.report.to_xml_with_profile(&profile);
-    write_or_print(args.flags.get("out").map(String::as_str), &rendered)
 }
 
 /// `dreamsim chaos` — run a chaos campaign: every scenario executes
@@ -1389,7 +1143,7 @@ mod tests {
     #[test]
     fn every_usage_flag_is_accepted_with_its_arity() {
         let entries = usage_entries();
-        assert_eq!(entries.len(), 12, "one entry per subcommand");
+        assert_eq!(entries.len(), 8, "one entry per subcommand");
         for (command, text) in entries {
             let (valued, bare) = accepted_flags(&command)
                 .unwrap_or_else(|| panic!("USAGE lists unknown subcommand {command}"));

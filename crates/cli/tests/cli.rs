@@ -73,10 +73,23 @@ fn run_csv_report_matches_header() {
 
 #[test]
 fn unknown_subcommand_fails_with_message() {
-    let out = dreamsim().arg("bogus").output().unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown subcommand"), "{err}");
+    // The retired benchmark subcommands are unknown like any typo; the
+    // `benchmark/` crate replaces them.
+    for command in [
+        "bogus",
+        "bench-search",
+        "bench-grid",
+        "bench-scale",
+        "bench-profile",
+    ] {
+        let out = dreamsim().arg(command).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "dreamsim {command}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown subcommand"),
+            "dreamsim {command}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -295,44 +308,6 @@ fn figures_output_invariant_across_jobs() {
 }
 
 #[test]
-fn bench_grid_writes_json_report() {
-    let dir = std::env::temp_dir().join(format!("dreamsim-bench-grid-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("BENCH_grid.json");
-    let stdout = run_ok(&[
-        "bench-grid",
-        "--nodes",
-        "20",
-        "--tasks",
-        "100",
-        "--jobs",
-        "1,2",
-        "--seed",
-        "7",
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(stdout.contains("all runs identical: true"), "{stdout}");
-    let json = std::fs::read_to_string(&out_path).expect("report written");
-    let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-    assert_eq!(v["benchmark"], "grid-parallel");
-    assert_eq!(v["seed"], 7);
-    assert!(v["hardware_threads"].as_u64().unwrap() >= 1);
-    assert_eq!(v["serial"][0]["nodes"], 20);
-    assert_eq!(v["parallel"][0]["jobs"], 1);
-    assert_eq!(v["parallel"][1]["jobs"], 2);
-    assert_eq!(v["checksums_identical"], true);
-    // A zero entry in the jobs ladder is rejected up front.
-    let bad = dreamsim()
-        .args(["bench-grid", "--jobs", "0,2"])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--jobs ladder"));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn stats_backends_match_defaults_byte_for_byte() {
     // 100 tasks sits far below the sketch's 4096-sample exact window, so
     // both statistics backends must render the identical report.
@@ -364,14 +339,8 @@ fn unknown_flags_are_rejected_before_any_work() {
             "run --nodes 20 --tasks 100 --event-queue calendar",
             "--event-queue",
         ),
-        (
-            "bench-scale --nodes 20 --verify-max-nodes 10",
-            "--verify-max-nodes",
-        ),
-        (
-            "bench-scale --nodes 20 --check-againts base.json",
-            "--check-againts",
-        ),
+        ("trace --tasks 20 --sead 5", "--sead"),
+        ("serve --horizon 500 --kill-att 200", "--kill-att"),
     ] {
         let out = dreamsim()
             .args(line.split_whitespace())
@@ -391,44 +360,6 @@ fn unknown_flags_are_rejected_before_any_work() {
             "dreamsim {line} did work before rejecting {flag}"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn bench_scale_writes_json_report() {
-    let dir = std::env::temp_dir().join(format!("dreamsim-bench-scale-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("BENCH_scale.json");
-    let stdout = run_ok(&[
-        "bench-scale",
-        "--nodes",
-        "20,40",
-        "--tasks-per-node",
-        "5",
-        "--seed",
-        "7",
-        "--reps",
-        "1",
-        "--out",
-        out_path.to_str().unwrap(),
-    ]);
-    assert!(stdout.contains("sketch"), "{stdout}");
-    let json = std::fs::read_to_string(&out_path).expect("report written");
-    let v: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-    assert_eq!(v["benchmark"], "scale-ladder");
-    assert_eq!(v["seed"], 7);
-    assert_eq!(v["rungs"][0]["nodes"], 20);
-    assert_eq!(v["rungs"][0]["tasks"], 100);
-    assert_eq!(v["rungs"][1]["nodes"], 40);
-    assert!(v["rungs"][1]["exact_ns"].as_u64().unwrap() > 0);
-    assert!(v["rungs"][1]["sketch_ns"].as_u64().unwrap() > 0);
-    // A zero entry in the node ladder is rejected up front.
-    let bad = dreamsim()
-        .args(["bench-scale", "--nodes", "0,20"])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("--nodes ladder"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -582,4 +513,20 @@ fn ablations_run_end_to_end() {
     assert!(out.contains("A2"));
     assert!(out.contains("A3"));
     assert!(out.contains("metrics identical: true"), "{out}");
+}
+
+#[test]
+fn ablations_reject_invalid_parameters_without_panicking() {
+    let out = dreamsim()
+        .args(["ablations", "--nodes", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("parameter total_nodes must be nonzero"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "typed error, not a panic: {err}");
+    assert!(out.stdout.is_empty(), "no harness ran");
 }

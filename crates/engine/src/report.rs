@@ -63,34 +63,6 @@ impl Report {
         serde_json::to_string_pretty(self).expect("Report serialization cannot fail")
     }
 
-    /// The XML report with an extra `<profile>` block of deterministic
-    /// per-phase operation counters appended before the closing tag.
-    ///
-    /// Explicitly opt-in (`bench-profile` and `--profile` callers only):
-    /// the plain [`to_xml`](Self::to_xml) output and the JSON report are
-    /// byte-identical to builds that predate the profiler, which is what
-    /// keeps the golden-report corpus and the differential battery valid.
-    #[must_use]
-    pub fn to_xml_with_profile(&self, profile: &crate::profile::PhaseProfile) -> String {
-        let mut out = self.to_xml();
-        let closing = "</dreamsim-report>\n";
-        // INVARIANT: to_xml always terminates the document with the
-        // closing root tag it opened.
-        let body_end = out.rfind(closing).expect("report must be well-formed");
-        out.truncate(body_end);
-        out.push_str("  <profile>\n");
-        for (name, value) in profile.gated_counters() {
-            elem(&mut out, 4, &name.replace('_', "-"), value);
-        }
-        elem(&mut out, 4, "checkpoint-bytes", profile.checkpoint_bytes);
-        if let Some(allocs) = profile.allocations {
-            elem(&mut out, 4, "allocations", allocs);
-        }
-        out.push_str("  </profile>\n");
-        out.push_str(closing);
-        out
-    }
-
     /// The paper's XML simulation report.
     #[must_use]
     pub fn to_xml(&self) -> String {

@@ -766,7 +766,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             stats_samples: self.stats.generated + self.stats.completed + self.stats.discarded,
             checkpoints_written: self.checkpoints_written,
             checkpoint_bytes: self.checkpoint_bytes,
-            allocations: None,
         }
     }
 

@@ -27,9 +27,9 @@
 //!
 //! Rules are scoped by path: r1 and r9 only fire in the crates whose
 //! state feeds the event loop (`model`, `engine`, `sched`, `sweep`);
-//! r2 and r9 are waived for the `cli` crate and for bench harness
-//! modules (`bench.rs`), which measure wall-clock time by design; r7 covers only the `model` and `engine` hot paths,
-//! where a wrapped tick or truncated area silently corrupts the
+//! r2 is waived for the `cli` crate, the process front end, which reads
+//! its own argv by design; r7 covers only the `model` and `engine` hot
+//! paths, where a wrapped tick or truncated area silently corrupts the
 //! simulation instead of crashing it. An r7 site is justified with a
 //! `// BOUND:` comment naming the bound that rules overflow/truncation
 //! out. r10/r11 cover `model`, `engine`, and `sched` — the state a
@@ -69,7 +69,7 @@ pub const RULES: [RuleInfo; 13] = [
         id: "r2",
         name: "ambient-entropy",
         summary: "wall clock or ambient entropy (Instant, SystemTime, std::time, std::env, \
-                  thread_rng) outside cli/bench: simulated time and the seeded Rng are the only \
+                  thread_rng) outside cli: simulated time and the seeded Rng are the only \
                   admissible sources",
     },
     RuleInfo {
@@ -202,27 +202,20 @@ pub fn rule_applies(rule: &str, path: &str) -> bool {
     }
     let segments: Vec<&str> = path.split('/').collect();
     match rule {
-        "r1" => match segments.iter().position(|s| *s == "crates") {
+        // r9 shares r1's crate scope: the crates whose state feeds the
+        // event loop.
+        "r1" | "r9" => match segments.iter().position(|s| *s == "crates") {
             Some(i) => segments.get(i + 1).is_some_and(|c| R1_CRATES.contains(c)),
             // Paths outside a crates/ tree (ad-hoc file scans) get the
             // full rule set.
             None => true,
         },
-        "r2" => !segments.iter().any(|s| *s == "cli" || *s == "bench.rs"),
+        "r2" => !segments.contains(&"cli"),
         "r7" => match segments.iter().position(|s| *s == "crates") {
             Some(i) => segments.get(i + 1).is_some_and(|c| R7_CRATES.contains(c)),
             // Same fallback as r1: ad-hoc scans get the full rule set.
             None => true,
         },
-        // r9 shares r1's crate scope *and* r2's bench waiver: the bench
-        // harness measures wall-clock by design, transitively included.
-        "r9" => {
-            let in_scope = match segments.iter().position(|s| *s == "crates") {
-                Some(i) => segments.get(i + 1).is_some_and(|c| R1_CRATES.contains(c)),
-                None => true,
-            };
-            in_scope && !segments.contains(&"bench.rs")
-        }
         "r10" | "r11" => match segments.iter().position(|s| *s == "crates") {
             Some(i) => segments.get(i + 1).is_some_and(|c| R10_CRATES.contains(c)),
             None => true,
@@ -359,8 +352,8 @@ fn scan_ident(
             rule: "r2",
             line: t.line,
             message: format!(
-                "ambient entropy: `{}` outside cli/bench; simulated time and the seeded Rng are \
-                 the only admissible sources",
+                "ambient entropy: `{}` outside cli; simulated time and the seeded Rng are the \
+                 only admissible sources",
                 t.text
             ),
         }),
@@ -373,8 +366,8 @@ fn scan_ident(
                             rule: "r2",
                             line: t.line,
                             message: format!(
-                                "ambient entropy: `std::{}` outside cli/bench; simulated time \
-                                 and the seeded Rng are the only admissible sources",
+                                "ambient entropy: `std::{}` outside cli; simulated time and \
+                                 the seeded Rng are the only admissible sources",
                                 seg.text
                             ),
                         });

@@ -403,7 +403,12 @@ mod tests {
                 "pub fn cmd_bench() { micro_point(); }\n",
             ),
         ]);
-        // bench.rs is r2/r9-waived by path; cli is out of scope.
-        assert!(findings.is_empty(), "findings: {findings:?}");
+        // A sweep file is in r9's scope whatever its name; cli is not,
+        // so its call to the tainted `micro_point` goes unreported.
+        let r9: Vec<&(usize, RawFinding)> =
+            findings.iter().filter(|(_, f)| f.rule == "r9").collect();
+        assert_eq!(r9.len(), 1, "findings: {findings:?}");
+        assert_eq!(r9[0].0, 0, "only the sweep call site is reported");
+        assert!(r9[0].1.message.contains("time_reps"));
     }
 }

@@ -17,7 +17,7 @@
 //!   `crates/lint/tests/fixtures/` holds the deliberately-hazardous
 //!   rule fixtures, which must never fail the workspace's own gate.
 //! * `benches/` trees stay out of scope entirely: bench code measures
-//!   wall-clock time by design (the same reason r2 waives `bench.rs`).
+//!   wall-clock time by design.
 //!
 //! Directory entries are sorted before recursion so the report order —
 //! and therefore the uploaded CI artifact — is byte-stable across

@@ -15,7 +15,7 @@ fn lint_fixture(name: &str, label: &str) -> LintReport {
 }
 
 /// Label that puts every rule in scope (r1 needs model/engine/sched/
-/// sweep; r2 needs a non-cli, non-bench path).
+/// sweep; r2 needs a non-cli path).
 const IN_SCOPE: &str = "crates/engine/src/fixture.rs";
 
 fn rules_hit(report: &LintReport) -> Vec<&str> {
@@ -99,16 +99,19 @@ fn r1_is_scoped_to_scheduler_visible_crates() {
 }
 
 #[test]
-fn r2_is_waived_for_cli_and_bench() {
-    for label in ["crates/cli/src/main.rs", "crates/sweep/src/bench.rs"] {
-        let report = lint_fixture("r2_bad", label);
+fn r2_is_waived_for_cli_only() {
+    let report = lint_fixture("r2_bad", "crates/cli/src/main.rs");
+    assert!(
+        !rules_hit(&report).contains(&"r2"),
+        "r2 must be waived for cli, got {:?}",
+        report.findings
+    );
+    for label in [IN_SCOPE, "crates/sweep/src/bench.rs"] {
         assert!(
-            !rules_hit(&report).contains(&"r2"),
-            "r2 must be waived for {label}, got {:?}",
-            report.findings
+            rules_hit(&lint_fixture("r2_bad", label)).contains(&"r2"),
+            "r2 must fire in {label}"
         );
     }
-    assert!(rules_hit(&lint_fixture("r2_bad", IN_SCOPE)).contains(&"r2"));
 }
 
 #[test]
@@ -196,12 +199,8 @@ fn r9_bad_flags_the_call_site_with_its_root() {
 }
 
 #[test]
-fn r9_is_scoped_like_r1_with_the_bench_waiver() {
-    for label in [
-        "crates/cli/src/main.rs",
-        "crates/rng/src/lib.rs",
-        "crates/sweep/src/bench.rs",
-    ] {
+fn r9_is_scoped_like_r1() {
+    for label in ["crates/cli/src/main.rs", "crates/rng/src/lib.rs"] {
         let report = lint_fixture("r9_bad", label);
         assert!(
             !rules_hit(&report).contains(&"r9"),
@@ -209,11 +208,17 @@ fn r9_is_scoped_like_r1_with_the_bench_waiver() {
             report.findings
         );
     }
-    for scope in ["model", "engine", "sched", "sweep"] {
-        let report = lint_fixture("r9_bad", &format!("crates/{scope}/src/x.rs"));
+    for label in [
+        "crates/model/src/x.rs",
+        "crates/engine/src/x.rs",
+        "crates/sched/src/x.rs",
+        "crates/sweep/src/x.rs",
+        "crates/sweep/src/bench.rs",
+    ] {
+        let report = lint_fixture("r9_bad", label);
         assert!(
             rules_hit(&report).contains(&"r9"),
-            "r9 must fire in {scope}"
+            "r9 must fire in {label}"
         );
     }
 }

@@ -95,14 +95,14 @@ pub enum SearchBackend {
 ///
 /// The indexed backend's per-query win grows with the node count, but
 /// it pays a roughly constant index-maintenance cost on every store
-/// mutation. The threshold dates from a `BENCH_search.json` measured on
-/// one hardware thread, which put the end-to-end break-even at ≈200
-/// nodes (indexed-over-linear speedup 0.86–0.89× at 100 nodes,
-/// 0.98–1.04× at 200). The current file, measured on two hardware
-/// threads after suspension rescans became cheap, shows no break-even
-/// at bench scale: over nine passes the median end-to-end speedups are
-/// 1.05–1.09× at 100 nodes and 1.00–1.02× at 200, each within its
-/// passes' spread.
+/// mutation. The threshold dates from an end-to-end measurement on one
+/// hardware thread, which put the break-even at ≈200 nodes
+/// (indexed-over-linear speedup 0.86–0.89× at 100 nodes, 0.98–1.04× at
+/// 200). Re-measured on two hardware threads after suspension rescans
+/// became cheap, there is no break-even at 100–200 nodes: over nine
+/// passes the median end-to-end speedups were 1.05–1.09× at 100 nodes
+/// and 1.00–1.02× at 200, each within its passes' spread. DESIGN.md
+/// §11.4 has whole-run times at 1k–100k nodes.
 pub const AUTO_INDEXED_MIN_NODES: usize = 200;
 
 impl SearchBackend {

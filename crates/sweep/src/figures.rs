@@ -292,8 +292,8 @@ impl ExperimentGrid {
     /// the headline Table I metrics. Unlike
     /// [`figures_csv_bundle`](Self::figures_csv_bundle) this covers
     /// *every* cell, including node counts no paper figure fixes — the
-    /// grid benchmark checksums it to certify that backends and thread
-    /// counts all produced the same grid.
+    /// parallel-determinism tests compare it across thread counts, and
+    /// the `figures-grid` benchmark workload digests it.
     #[must_use]
     pub fn cells_csv(&self) -> String {
         let mut out = String::from(

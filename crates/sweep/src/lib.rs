@@ -19,24 +19,16 @@
 //! * [`parallel`] — the deterministic hand-rolled worker pool behind
 //!   `--jobs`: index-ordered merge, per-worker scratch arenas, LPT
 //!   claim order (DESIGN.md §13).
-//! * [`bench`] — the offline benchmark harnesses behind
-//!   `dreamsim bench-search` / `dreamsim bench-grid` and the committed
-//!   `BENCH_search.json` / `BENCH_grid.json` baselines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bench;
 pub mod chaos;
 pub mod figures;
 pub mod parallel;
 pub mod runner;
 
-pub use bench::{
-    peak_rss_kb, run_grid_bench, run_scale_bench, run_search_bench, GridBenchReport,
-    ScaleBenchReport, ScaleRung, SearchBenchReport,
-};
 pub use chaos::{
     parse_campaign, run_campaign, service_drill, CampaignCase, CampaignOptions, CampaignReport,
     ChaosError, ChaosScenario, DrillResult, ServiceDrillReport, BUILTIN_CAMPAIGN,
@@ -44,6 +36,5 @@ pub use chaos::{
 pub use figures::{ExperimentGrid, Figure, FigureSeries};
 pub use parallel::{cost_descending_order, effective_jobs, run_indexed, run_ordered};
 pub use runner::{
-    replicate, run_batch, run_point, run_point_profiled, run_point_with_scratch, PolicyConfig,
-    Replicated, SweepPoint,
+    replicate, run_batch, run_point, run_point_with_scratch, PolicyConfig, Replicated, SweepPoint,
 };

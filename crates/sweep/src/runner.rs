@@ -59,8 +59,8 @@ impl SweepPoint {
     /// The search backend defaults to [`SearchBackend::Auto`], which
     /// resolves to linear or indexed per point from its node count
     /// (DESIGN.md §11) — byte-equivalent either way, so only speed
-    /// changes. Benchmarks that compare backends pass them explicitly
-    /// via [`with_search`](Self::with_search).
+    /// changes. [`with_search`](Self::with_search) picks one
+    /// explicitly.
     #[must_use]
     pub fn new(label: impl Into<String>, params: SimParams) -> Self {
         Self {
@@ -128,26 +128,6 @@ pub fn run_point_with_scratch(point: &SweepPoint, scratch: &mut SimScratch) -> R
         .expect("a run without checkpoints or audits cannot fail");
     scratch.reclaim_tasks(result.tasks);
     result.report
-}
-
-/// [`run_point`], also returning the run's deterministic phase profile
-/// (operation counters; see `dreamsim_engine::profile`). Same report,
-/// same panics.
-#[must_use]
-pub fn run_point_profiled(point: &SweepPoint) -> (Report, dreamsim_engine::PhaseProfile) {
-    let source = SyntheticSource::from_params(&point.params);
-    let sim = Simulation::new(point.params.clone(), source, point.policy.build())
-        // INVARIANT: sweep declarations are programmer input (documented
-        // panic above), validated once per point.
-        .expect("sweep point parameters must validate")
-        .with_search_backend(point.search)
-        .with_stats_backend(point.stats);
-    let result = sim
-        .run_with(&RunOptions::default())
-        // INVARIANT: RunError only arises from checkpoint I/O or a
-        // failed audit; default options enable neither.
-        .expect("a run without checkpoints or audits cannot fail");
-    (result.report, result.profile)
 }
 
 /// Run a batch across `jobs` OS threads (clamped to the batch size;
