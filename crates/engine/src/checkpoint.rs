@@ -35,6 +35,12 @@
 //! before deserialization. Writes go to a sibling `*.tmp` file which is
 //! fsynced and atomically renamed into place — a crash mid-write can
 //! never leave a half-written file under the checkpoint's final name.
+//!
+//! There is one format: the reader accepts exactly [`FORMAT_VERSION`]
+//! (2, the columnar task table) and rejects any other header version
+//! with [`CheckpointError::Version`] before touching the payload. The
+//! version-1 layout, whose task table was a plain JSON array, is
+//! retired: no writer produces it and no reader decodes it.
 
 use crate::event::EventQueue;
 use crate::fault::FaultModel;
@@ -48,15 +54,9 @@ use std::path::Path;
 
 /// Format version written to the header; bumped on any incompatible
 /// payload change. Version 2 packs the task table into the compact
-/// columnar form (see [`crate::compact`]); version 1 carried it as a
-/// plain JSON array. Readers accept every version from
-/// [`OLDEST_READABLE_VERSION`] up to this one and reject the rest with
-/// [`CheckpointError::Version`].
+/// columnar form (see [`crate::compact`]). Readers accept exactly this
+/// version and reject every other one with [`CheckpointError::Version`].
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest header version this build still reads (the version-1 task
-/// array decodes through the same [`TaskTable`] deserializer).
-pub const OLDEST_READABLE_VERSION: u32 = 1;
 
 /// Magic token opening every checkpoint file.
 const MAGIC: &str = "DREAMSIM-CHECKPOINT";
@@ -96,7 +96,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Version { found } => write!(
                 f,
                 "unsupported checkpoint format version {found} (this build reads \
-                 versions {OLDEST_READABLE_VERSION} through {FORMAT_VERSION})"
+                 version {FORMAT_VERSION} only)"
             ),
             CheckpointError::Crc { expected, found } => write!(
                 f,
@@ -254,13 +254,21 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Write the header for `version` plus `payload` to `path` atomically
-/// and return the number of bytes written.
+/// Serialize `cp` and atomically write it to `path`; returns the number
+/// of bytes written (header + payload), which the phase profiler
+/// accumulates as `checkpoint_bytes`.
 ///
-/// The bytes go to `path` + `".tmp"` first, are flushed and fsynced,
-/// then renamed over `path` — readers never observe a partial file.
-fn write_payload(path: &Path, version: u32, payload: &str) -> Result<u64, CheckpointError> {
-    let header = format!("{MAGIC} {version} {:08x}\n", crc32(payload.as_bytes()));
+/// The payload is streamed straight into one buffer by the serde shim
+/// (no intermediate value tree) and checksummed. The bytes then go to
+/// `path` + `".tmp"`, are flushed and fsynced, and are renamed over
+/// `path` — readers never observe a partial file.
+pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointError> {
+    let payload = serde_json::to_string(cp)
+        .map_err(|e| CheckpointError::Format(format!("serialization failed: {e}")))?;
+    let header = format!(
+        "{MAGIC} {FORMAT_VERSION} {:08x}\n",
+        crc32(payload.as_bytes())
+    );
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
@@ -273,45 +281,6 @@ fn write_payload(path: &Path, version: u32, payload: &str) -> Result<u64, Checkp
     }
     std::fs::rename(&tmp, path)?;
     Ok((header.len() + payload.len()) as u64)
-}
-
-fn serialization_failed(e: serde::Error) -> CheckpointError {
-    CheckpointError::Format(format!("serialization failed: {e}"))
-}
-
-/// Serialize `cp` and atomically write it to `path`; returns the number
-/// of bytes written (header + payload), which the phase profiler
-/// accumulates as `checkpoint_bytes`.
-///
-/// The payload is streamed straight into one buffer by the serde shim
-/// (no intermediate value tree), then checksummed and written through
-/// the tmp-fsync-rename path.
-pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointError> {
-    let payload = serde_json::to_string(cp).map_err(serialization_failed)?;
-    write_payload(path, FORMAT_VERSION, &payload)
-}
-
-/// Serialize `cp` in the legacy version-1 layout and write it to `path`.
-///
-/// Identical to [`write_checkpoint`] except the task table is emitted as
-/// the version-1 JSON array and the header carries version 1. Exists so
-/// compatibility tests (and tooling that must interoperate with old
-/// fleets) can produce files this build is contractually able to read.
-/// Returns the number of bytes written, like [`write_checkpoint`].
-pub fn write_checkpoint_compat_v1(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointError> {
-    let mut value = serde_json::to_value(cp).map_err(serialization_failed)?;
-    let serde::Value::Object(fields) = &mut value else {
-        return Err(CheckpointError::Format(
-            "checkpoint did not serialize to an object".to_string(),
-        ));
-    };
-    let tasks_slot = fields
-        .iter_mut()
-        .find(|(k, _)| k == "tasks")
-        .ok_or_else(|| CheckpointError::Format("payload missing tasks field".to_string()))?;
-    tasks_slot.1 = cp.tasks.to_legacy_value().map_err(serialization_failed)?;
-    let payload = serde_json::to_string(&value).map_err(serialization_failed)?;
-    write_payload(path, OLDEST_READABLE_VERSION, &payload)
 }
 
 /// Read and validate a checkpoint file written by [`write_checkpoint`].
@@ -345,7 +314,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
         .next()
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| CheckpointError::Format("header missing version".to_string()))?;
-    if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(CheckpointError::Version { found: version });
     }
     let expected = parts

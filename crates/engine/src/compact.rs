@@ -10,8 +10,8 @@
 //! to a few bytes per task.
 //!
 //! The encoding is self-contained and versioned by the checkpoint header
-//! (`FORMAT_VERSION` 2 writes this form; version-1 files carry the legacy
-//! array and are still read). Decoding is defensive: every read is
+//! (`FORMAT_VERSION` 2, the only version read or written, carries this
+//! form). Decoding is defensive: every read is
 //! bounds- and range-checked and returns an error instead of panicking,
 //! because checkpoint bytes come from disk.
 //!

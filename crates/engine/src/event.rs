@@ -146,17 +146,7 @@ impl EventQueue {
         }
     }
 
-    /// Remove every pending event and reset the sequence counter,
-    /// keeping the allocated capacity. A cleared queue is
-    /// indistinguishable from a fresh one (same tie-breaking from seq
-    /// 0), which is what lets sweep workers recycle queues across
-    /// points.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-    }
-
-    /// Current allocated capacity (allocation-diet tests only).
+    /// Current allocated capacity (capacity tests only).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
@@ -399,8 +389,8 @@ mod tests {
 
     #[test]
     fn capacity_is_invisible_to_pop_order_and_serialization() {
-        // The allocation-diet contract: a pre-sized queue and a fresh
-        // queue fed the same pushes drain identically and serialize to
+        // The pre-sizing contract: a pre-sized queue and a fresh queue
+        // fed the same pushes drain identically and serialize to
         // identical bytes.
         let mut plain = EventQueue::new();
         let mut sized = EventQueue::with_capacity(64);
@@ -419,31 +409,6 @@ mod tests {
         let plain_order: Vec<(Ticks, Event)> = std::iter::from_fn(|| plain.pop()).collect();
         let sized_order: Vec<(Ticks, Event)> = std::iter::from_fn(|| sized.pop()).collect();
         assert_eq!(plain_order, sized_order);
-    }
-
-    #[test]
-    fn clear_resets_sequencing_but_keeps_capacity() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.push(u64::from(i % 13), arrival(i));
-        }
-        let cap = q.capacity();
-        assert!(cap > 0);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.capacity(), cap, "clear must keep the allocation");
-        // A cleared queue tie-breaks exactly like a fresh one:
-        // same-tick insertion order restarts from sequence 0.
-        let mut fresh = EventQueue::new();
-        for i in 0..6 {
-            q.push(3, arrival(100 + i));
-            fresh.push(3, arrival(100 + i));
-        }
-        assert_eq!(q.pending(), fresh.pending());
-        assert_eq!(
-            serde_json::to_string(&q).unwrap(),
-            serde_json::to_string(&fresh).unwrap()
-        );
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //!
 //! ## Time model
 //!
-//! Time advances in integer *timeticks* (Eq. 5). The default driver is
-//! event-driven: the clock jumps to the next scheduled event, which
-//! produces identical traces to the paper's tick-by-tick loop because
-//! nothing observable changes between events. A literal tick-stepped
-//! driver ([`sim::Simulation::run_tick_stepped`]) is kept for
-//! cross-validation (DESIGN.md ablation A4).
+//! Time advances in integer *timeticks* (Eq. 5). A batch run has one
+//! entry point, [`sim::Simulation::run_with`] (with
+//! [`sim::Simulation::run`] as its all-defaults shorthand), and
+//! [`sim::RunOptions`] picks its time loop once per run. The default
+//! [`sim::Driver::Event`] jumps the clock to the next scheduled event,
+//! which produces identical traces to the paper's tick-by-tick loop
+//! because nothing observable changes between events; the literal
+//! [`sim::Driver::TickStepped`] loop is kept for cross-validation
+//! (DESIGN.md ablation A4). Batch checkpoints and service-ring
+//! snapshots go through one engine hook, which audits before every
+//! snapshot and counts each one in the phase profile.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,8 +45,7 @@ pub mod stats;
 
 pub use audit::AuditError;
 pub use checkpoint::{
-    read_checkpoint, write_checkpoint, write_checkpoint_compat_v1, Checkpoint, CheckpointError,
-    FORMAT_VERSION, OLDEST_READABLE_VERSION,
+    read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, FORMAT_VERSION,
 };
 pub use dreamsim_model::SearchBackend;
 pub use event::{Event, EventQueue};
@@ -60,8 +64,8 @@ pub use service::{
     WatchdogParams,
 };
 pub use sim::{
-    Decision, DiscardReason, PlacePhase, Placement, Resume, RunError, RunOptions, RunResult,
-    SchedCtx, SchedulePolicy, SimScratch, Simulation, SourceYield, TaskSource, TaskSpec, TaskTable,
+    Decision, DiscardReason, Driver, PlacePhase, Placement, Resume, RunError, RunOptions,
+    RunResult, SchedCtx, SchedulePolicy, Simulation, SourceYield, TaskSource, TaskSpec, TaskTable,
 };
 pub use stats::{
     Metrics, PhaseCounts, PhaseKind, Stats, StatsBackend, WaitSketch, WindowBucket, WindowStats,

@@ -111,14 +111,15 @@ impl CheckpointRing {
         &self.dir
     }
 
-    /// Snapshot `cp` into the ring (atomic tmp-then-rename, fsynced),
-    /// then prune entries beyond retention. Returns the entry path.
-    pub fn write(&self, cp: &Checkpoint) -> Result<PathBuf, CheckpointError> {
+    /// Snapshot `cp` into the ring as [`entry_name`]`(cp.clock())`
+    /// (atomic tmp-then-rename, fsynced), then prune entries beyond
+    /// retention. Returns the bytes written, as
+    /// [`write_checkpoint`](checkpoint::write_checkpoint) does.
+    pub fn write(&self, cp: &Checkpoint) -> Result<u64, CheckpointError> {
         std::fs::create_dir_all(&self.dir).map_err(CheckpointError::Io)?;
-        let path = self.dir.join(entry_name(cp.clock()));
-        checkpoint::write_checkpoint(&path, cp)?;
+        let bytes = checkpoint::write_checkpoint(&self.dir.join(entry_name(cp.clock())), cp)?;
         self.prune()?;
-        Ok(path)
+        Ok(bytes)
     }
 
     /// Delete the oldest entries beyond retention (path-sorted, so the

@@ -224,11 +224,10 @@ pub enum Resume {
 
 /// Dense task table (the driver's master copy of every task).
 ///
-/// Serialization is custom: the table writes the compact columnar form
-/// from [`crate::compact`] (`{"count": n, "packed": "<base64>"}`), which
-/// is what makes version-2 checkpoints small. Deserialization dispatches
-/// on shape and also accepts the legacy `{"tasks": [...]}` array so
-/// version-1 checkpoints keep loading.
+/// Serialization is custom: the table reads and writes the compact
+/// columnar form from [`crate::compact`]
+/// (`{"count": n, "packed": "<base64>"}`), which is what makes
+/// checkpoints small.
 #[derive(Clone, Debug, Default)]
 pub struct TaskTable {
     tasks: Vec<Task>,
@@ -247,33 +246,20 @@ impl serde::Serialize for TaskTable {
 
 impl serde::Deserialize for TaskTable {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        if let Some(packed) = value.get("packed") {
-            let s = packed
-                .as_str()
-                .ok_or_else(|| serde::Error::custom("TaskTable: packed must be a string"))?;
-            let bytes = crate::compact::from_base64(s)
-                .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
-            let tasks = crate::compact::decode_tasks(&bytes)
-                .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
-            if let Some(count) = value.get("count").and_then(serde::Value::as_u64) {
-                if count != tasks.len() as u64 {
-                    return Err(serde::Error::custom(format!(
-                        "TaskTable: count {count} disagrees with packed length {}",
-                        tasks.len()
-                    )));
-                }
-            }
-            return Ok(Self { tasks });
-        }
-        let legacy = value
-            .get("tasks")
-            .ok_or_else(|| serde::Error::custom("TaskTable: expected packed or tasks field"))?;
-        let tasks = Vec::<Task>::from_value(legacy)?;
-        for (i, t) in tasks.iter().enumerate() {
-            if t.id.index() != i {
+        let s = value
+            .get("packed")
+            .ok_or_else(|| serde::Error::custom("TaskTable: expected a packed field"))?
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("TaskTable: packed must be a string"))?;
+        let bytes = crate::compact::from_base64(s)
+            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
+        let tasks = crate::compact::decode_tasks(&bytes)
+            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
+        if let Some(count) = value.get("count").and_then(serde::Value::as_u64) {
+            if count != tasks.len() as u64 {
                 return Err(serde::Error::custom(format!(
-                    "TaskTable: legacy task {i} has non-dense id {}",
-                    t.id.index()
+                    "TaskTable: count {count} disagrees with packed length {}",
+                    tasks.len()
                 )));
             }
         }
@@ -282,16 +268,6 @@ impl serde::Deserialize for TaskTable {
 }
 
 impl TaskTable {
-    /// The version-1 serialization (`{"tasks": [...]}`), used by
-    /// [`crate::checkpoint::write_checkpoint_compat_v1`] to produce
-    /// old-format files that compatibility tests resume from.
-    pub(crate) fn to_legacy_value(&self) -> Result<serde::Value, serde::Error> {
-        Ok(serde::Value::Object(vec![(
-            "tasks".to_string(),
-            serde_json::to_value(&self.tasks)?,
-        )]))
-    }
-
     /// Empty table.
     #[must_use]
     pub fn new() -> Self {
@@ -391,12 +367,27 @@ pub trait SchedulePolicy {
     }
 }
 
-/// Options controlling checkpointing and auditing during a run
-/// ([`Simulation::run_with`] / [`Simulation::run_tick_stepped_with`]).
-/// The default — everything off — makes those drivers behave exactly
-/// like [`Simulation::run`] / [`Simulation::run_tick_stepped`].
+/// Which time loop a batch run uses ([`RunOptions::driver`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Driver {
+    /// Jump the clock straight to the next scheduled event.
+    #[default]
+    Event,
+    /// Advance the clock one timetick at a time, as the paper's
+    /// `IncreaseTimeTick()` loop does. Kept as the cross-check reference
+    /// (ablation A4): its reports and checkpoints are byte-identical to
+    /// [`Driver::Event`]'s, but it costs O(total ticks), so use small
+    /// workloads.
+    TickStepped,
+}
+
+/// Options for a batch run ([`Simulation::run_with`]): the time loop,
+/// plus checkpoint and audit cadences. The default — the event-driven
+/// loop with everything else off — is exactly [`Simulation::run`].
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
+    /// The time loop, chosen once per run.
+    pub driver: Driver,
     /// Write a checkpoint whenever the clock crosses a multiple of this
     /// many ticks (after the crossing event is dispatched). `None`
     /// disables periodic checkpoints.
@@ -468,38 +459,6 @@ pub struct RunResult {
     pub profile: crate::profile::PhaseProfile,
 }
 
-/// Reusable allocation arena for back-to-back runs (sweep points).
-///
-/// A simulation built with [`Simulation::new_with_scratch`] steals the
-/// arena's buffers (event heap, wait-sample vector, task table) instead
-/// of allocating fresh ones, and a run finished through
-/// [`Simulation::run_with_scratch`] hands them back — cleared but with
-/// capacity intact — so the next point on the same worker reallocates
-/// nothing. Capacity is unobservable: pop order, reports, and
-/// checkpoint bytes are identical whether or not an arena is used
-/// (pinned by `scratch_reuse_is_byte_identical`).
-#[derive(Debug, Default)]
-pub struct SimScratch {
-    events: EventQueue,
-    wait_samples: Vec<Ticks>,
-    tasks: Vec<Task>,
-}
-
-impl SimScratch {
-    /// Fresh, empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Return a finished run's task vector to the arena once the caller
-    /// is done reading it, so the next point reuses its capacity.
-    pub fn reclaim_tasks(&mut self, mut tasks: Vec<Task>) {
-        tasks.clear();
-        self.tasks = tasks;
-    }
-}
-
 /// Per-tick scheduling steps charged while the suspension queue is
 /// non-empty: the tick-driven scheduler of the original simulator probes
 /// the queue head every timetick (a bounded feasibility check across the
@@ -537,6 +496,80 @@ fn next_boundary(clock: Ticks, every: Ticks) -> Ticks {
     (clock / every + 1) * every
 }
 
+/// A periodic boundary: fires once the clock reaches the next multiple
+/// of `every`.
+struct Interval {
+    every: Ticks,
+    next: Ticks,
+}
+
+impl Interval {
+    fn new(clock: Ticks, every: Ticks) -> Self {
+        Self {
+            every,
+            next: next_boundary(clock, every),
+        }
+    }
+
+    /// Whether `clock` reached the boundary; if so, re-arm past it.
+    fn due(&mut self, clock: Ticks) -> bool {
+        let due = clock >= self.next;
+        if due {
+            self.next = next_boundary(clock, self.every);
+        }
+        due
+    }
+}
+
+/// Where snapshots go. Both sinks name files
+/// [`ring::entry_name`](crate::ring::entry_name)`(clock)`; only the
+/// ring prunes.
+enum SnapshotSink {
+    /// A batch checkpoint directory, created on first write and never
+    /// pruned.
+    Dir(std::path::PathBuf),
+    /// A service leg's pruning checkpoint ring.
+    Ring(CheckpointRing),
+}
+
+impl SnapshotSink {
+    /// Write `cp` and return the bytes written.
+    fn write(&self, cp: &Checkpoint) -> Result<u64, CheckpointError> {
+        match self {
+            SnapshotSink::Dir(dir) => {
+                std::fs::create_dir_all(dir)?;
+                checkpoint::write_checkpoint(&dir.join(crate::ring::entry_name(cp.clock())), cp)
+            }
+            SnapshotSink::Ring(ring) => ring.write(cp),
+        }
+    }
+}
+
+/// The audit and snapshot cadence of one run loop, checked after every
+/// dispatched event by [`Simulation::at_boundary`]. With nothing
+/// configured the check is three untaken branches.
+struct Cadence {
+    /// Audit after every dispatched event.
+    audit_each: bool,
+    audit: Option<Interval>,
+    snapshot: Option<(Interval, SnapshotSink)>,
+}
+
+impl Cadence {
+    fn new(
+        clock: Ticks,
+        audit_each: bool,
+        audit_every: Option<Ticks>,
+        snapshots: Option<(Ticks, SnapshotSink)>,
+    ) -> Self {
+        Self {
+            audit_each,
+            audit: audit_every.map(|every| Interval::new(clock, every)),
+            snapshot: snapshots.map(|(every, sink)| (Interval::new(clock, every), sink)),
+        }
+    }
+}
+
 /// Up-front reservation cap for service-mode runs, whose `total_tasks`
 /// is a horizon-derived upper bound rather than an expected count.
 const SERVICE_RESERVE_CAP: usize = 1 << 20;
@@ -570,7 +603,8 @@ pub struct Simulation<S, P> {
     // REBUILD: resume constructs the simulation with primed = true;
     // a checkpoint is only ever taken after priming.
     primed: bool,
-    /// Checkpoint files written by this process's run loop.
+    /// Snapshots written by this process's run loops: batch
+    /// checkpoints and service ring entries alike.
     // REBUILD: deliberately not checkpointed — the phase profiler
     // describes the live process, so a resumed run restarts its
     // checkpoint-write accounting at zero.
@@ -584,29 +618,13 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// Build a simulation: validates parameters and generates the node
     /// and configuration tables from the master seed.
     pub fn new(params: SimParams, source: S, policy: P) -> Result<Self, ParamsError> {
-        Self::new_with_scratch(params, source, policy, &mut SimScratch::new())
-    }
-
-    /// Like [`new`](Self::new), but steal the buffers of a
-    /// [`SimScratch`] arena instead of allocating fresh ones. The arena
-    /// is left empty; [`run_with_scratch`](Self::run_with_scratch)
-    /// refills it when the run finishes. Behavior is identical to
-    /// [`new`](Self::new) — only allocation traffic changes.
-    pub fn new_with_scratch(
-        params: SimParams,
-        source: S,
-        policy: P,
-        scratch: &mut SimScratch,
-    ) -> Result<Self, ParamsError> {
         params.validate()?;
         let mut rng = Rng::seed_from(params.seed);
         let configs = init::generate_configs(&params, &mut rng);
         let nodes = init::generate_nodes(&params, &mut rng);
         let resources = ResourceManager::new(nodes, configs);
         let fault = FaultModel::new(&params);
-        let mut events = std::mem::take(&mut scratch.events);
-        events.clear();
-        events.ensure_capacity(expected_pending_events(&params));
+        let events = EventQueue::with_capacity(expected_pending_events(&params));
         let mut stats = Stats::default();
         if let Some(s) = &params.service {
             if s.window > 0 {
@@ -623,19 +641,14 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         } else {
             params.total_tasks
         };
-        stats.wait_samples = std::mem::take(&mut scratch.wait_samples);
-        stats.wait_samples.clear();
-        let extra = reserve_budget.saturating_sub(stats.wait_samples.capacity());
-        stats.wait_samples.reserve(extra);
-        let mut task_vec = std::mem::take(&mut scratch.tasks);
-        task_vec.clear();
-        let extra = reserve_budget.saturating_sub(task_vec.capacity());
-        task_vec.reserve(extra);
+        stats.wait_samples.reserve(reserve_budget);
         Ok(Self {
             fault,
             params,
             resources,
-            tasks: TaskTable { tasks: task_vec },
+            tasks: TaskTable {
+                tasks: Vec::with_capacity(reserve_budget),
+            },
             events,
             suspension: SuspensionQueue::new(),
             steps: StepCounter::new(),
@@ -831,54 +844,76 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             .expect("a run without checkpoints or audits cannot fail")
     }
 
-    /// Run event-driven to completion with periodic checkpoints and/or
-    /// audits. With default options this is exactly [`run`](Self::run).
+    /// Run to completion under `opts`: its time loop, with periodic
+    /// checkpoints and/or audits. With default options this is exactly
+    /// [`run`](Self::run).
     ///
     /// Boundary semantics: after an event is dispatched at time `t`, a
     /// checkpoint (and audit) fires if `t` reached the next multiple of
-    /// the configured interval. Both drivers dispatch the same events at
-    /// the same clock values in the same order, so they hit identical
-    /// boundary states — checkpoints taken by this driver and by
-    /// [`run_tick_stepped_with`](Self::run_tick_stepped_with) under the
-    /// same options are byte-identical.
+    /// the configured interval. Both [`Driver`]s dispatch the same
+    /// events at the same clock values in the same order, so they hit
+    /// identical boundary states — their checkpoints under the same
+    /// options are byte-identical.
     pub fn run_with(mut self, opts: &RunOptions) -> Result<RunResult, RunError> {
-        self.drive(opts)?;
-        Ok(self.finish(None))
+        let snapshots = opts.checkpoint_every.map(|every| {
+            let dir = opts
+                .checkpoint_dir
+                .clone()
+                .unwrap_or_else(|| std::path::PathBuf::from("."));
+            (every, SnapshotSink::Dir(dir))
+        });
+        let mut cadence = Cadence::new(self.clock, opts.audit, opts.audit_every, snapshots);
+        self.start(&cadence)?;
+        match opts.driver {
+            Driver::Event => self.drive_events(&mut cadence)?,
+            Driver::TickStepped => self.drive_ticks(&mut cadence)?,
+        }
+        Ok(self.finish())
     }
 
-    /// [`run_with`](Self::run_with), returning the big buffers to a
-    /// [`SimScratch`] arena after the report is assembled so the next
-    /// run on this worker reuses their capacity. Results are identical
-    /// to [`run_with`](Self::run_with).
-    pub fn run_with_scratch(
-        mut self,
-        opts: &RunOptions,
-        scratch: &mut SimScratch,
-    ) -> Result<RunResult, RunError> {
-        self.drive(opts)?;
-        Ok(self.finish(Some(scratch)))
-    }
-
-    /// The event-driven main loop shared by the `run*` entry points.
-    fn drive(&mut self, opts: &RunOptions) -> Result<(), RunError> {
-        let mut next_cp = opts.checkpoint_every.map(|e| next_boundary(self.clock, e));
-        let mut next_audit = opts.audit_every.map(|e| next_boundary(self.clock, e));
+    /// The preamble every run loop shares: prime a fresh simulation,
+    /// then, under per-event auditing, validate the starting (possibly
+    /// just-restored) state before acting on it — corruption must
+    /// surface as a typed error, not as a panic inside the first
+    /// dispatch that trips over it.
+    fn start(&mut self, cadence: &Cadence) -> Result<(), RunError> {
         if !self.primed {
             self.prime();
             self.primed = true;
         }
-        // Under --audit, validate the starting state before acting on
-        // it: corruption must surface as a typed error, not as a panic
-        // inside the first dispatch that trips over it.
-        if opts.audit {
+        if cadence.audit_each {
             self.audit()?;
         }
+        Ok(())
+    }
+
+    /// The event-driven loop: the clock jumps to each next event.
+    fn drive_events(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
         while let Some((t, ev)) = self.events.pop() {
             debug_assert!(t >= self.clock, "time must be monotone");
             self.charge_idle_polls(t - self.clock);
             self.clock = t;
             self.dispatch(ev);
-            self.at_boundary(opts, &mut next_cp, &mut next_audit)?;
+            self.at_boundary(cadence)?;
+        }
+        Ok(())
+    }
+
+    /// The tick-stepped loop ([`Driver::TickStepped`]): dispatch every
+    /// event due now, then advance the clock by one timetick.
+    fn drive_ticks(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
+        while !self.events.is_empty() {
+            while let Some((t, ev)) = self.events.pop_due(self.clock) {
+                debug_assert_eq!(t, self.clock);
+                self.dispatch(ev);
+                self.at_boundary(cadence)?;
+            }
+            if self.events.is_empty() {
+                break;
+            }
+            self.charge_idle_polls(1);
+            // BOUND: one tick per loop iteration; runs end far below 2^64.
+            self.clock += 1;
         }
         Ok(())
     }
@@ -904,47 +939,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             // BOUND: elapsed x small constant x node count stays far below 2^64.
             elapsed * POLL_HOUSEKEEPING_PER_NODE * self.params.total_nodes as u64,
         );
-    }
-
-    /// Run tick-stepped: the clock advances one timetick at a time, as
-    /// in the paper's `IncreaseTimeTick()` loop. Produces results
-    /// identical to [`run`](Self::run) (property-tested); kept for
-    /// cross-validation and the driver ablation. O(total ticks), so use
-    /// small workloads.
-    pub fn run_tick_stepped(self) -> RunResult {
-        self.run_tick_stepped_with(&RunOptions::default())
-            // INVARIANT: RunError only arises from checkpoint I/O or a
-            // failed audit; default options enable neither.
-            .expect("a run without checkpoints or audits cannot fail")
-    }
-
-    /// Tick-stepped counterpart of [`run_with`](Self::run_with); same
-    /// boundary semantics, byte-identical checkpoints.
-    pub fn run_tick_stepped_with(mut self, opts: &RunOptions) -> Result<RunResult, RunError> {
-        let mut next_cp = opts.checkpoint_every.map(|e| next_boundary(self.clock, e));
-        let mut next_audit = opts.audit_every.map(|e| next_boundary(self.clock, e));
-        if !self.primed {
-            self.prime();
-            self.primed = true;
-        }
-        // See run_with: audit the starting state before acting on it.
-        if opts.audit {
-            self.audit()?;
-        }
-        while !self.events.is_empty() {
-            while let Some((t, ev)) = self.events.pop_due(self.clock) {
-                debug_assert_eq!(t, self.clock);
-                self.dispatch(ev);
-                self.at_boundary(opts, &mut next_cp, &mut next_audit)?;
-            }
-            if self.events.is_empty() {
-                break;
-            }
-            self.charge_idle_polls(1);
-            // BOUND: one tick per loop iteration; runs end far below 2^64.
-            self.clock += 1;
-        }
-        Ok(self.finish(None))
     }
 
     /// Current simulated clock (service orchestration and tests).
@@ -985,23 +979,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             // service block in the parameters.
             .expect("run_service_leg requires SimParams::service")
             .horizon;
-        let ring = opts
-            .ring_dir
-            .as_ref()
-            .map(|dir| CheckpointRing::new(dir.clone(), opts.ring_retain));
-        let mut next_ring = ring
-            .as_ref()
-            .map(|_| next_boundary(self.clock, opts.ring_every));
-        let mut next_audit = opts.audit_every.map(|e| next_boundary(self.clock, e));
-        if !self.primed {
-            self.prime();
-            self.primed = true;
-        }
-        // See run_with: audit the starting (possibly just-restored)
-        // state before acting on it.
-        if opts.audit {
-            self.audit()?;
-        }
+        let snapshots = opts.ring_dir.as_ref().map(|dir| {
+            let ring = CheckpointRing::new(dir.clone(), opts.ring_retain);
+            (opts.ring_every, SnapshotSink::Ring(ring))
+        });
+        let mut cadence = Cadence::new(self.clock, opts.audit, opts.audit_every, snapshots);
+        self.start(&cadence)?;
         while let Some((t, ev)) = self.events.pop_due(horizon.saturating_sub(1)) {
             debug_assert!(t >= self.clock, "time must be monotone");
             self.charge_idle_polls(t - self.clock);
@@ -1010,7 +993,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 w.roll(t);
             }
             self.dispatch(ev);
-            self.at_service_boundary(opts, ring.as_ref(), &mut next_ring, &mut next_audit)?;
+            self.at_boundary(&mut cadence)?;
             if let Some(wd) = watchdog {
                 let progress = self.stats.completed + self.stats.discarded;
                 if let Some(diag) = wd.observe(self.clock, progress, self.suspension.len() as u64) {
@@ -1031,39 +1014,10 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         if let Some(w) = &mut self.stats.window {
             w.roll(self.clock);
         }
-        if let Some(ring) = &ring {
-            // A due snapshot always audits first (see at_boundary).
-            self.audit()?;
-            ring.write(&self.checkpoint())?;
+        if let Some((_, sink)) = &cadence.snapshot {
+            self.snapshot(sink)?;
         }
         Ok(ServiceLegEnd::Horizon)
-    }
-
-    /// Service-leg counterpart of [`at_boundary`](Self::at_boundary):
-    /// same audit-before-snapshot ordering, but snapshots go through
-    /// the pruning [`CheckpointRing`] instead of a bare directory.
-    fn at_service_boundary(
-        &mut self,
-        opts: &ServiceLegOptions,
-        ring: Option<&CheckpointRing>,
-        next_ring: &mut Option<Ticks>,
-        next_audit: &mut Option<Ticks>,
-    ) -> Result<(), RunError> {
-        let ring_due = next_ring.is_some_and(|t| self.clock >= t);
-        let audit_due = next_audit.is_some_and(|t| self.clock >= t);
-        if opts.audit || ring_due || audit_due {
-            self.audit()?;
-        }
-        if audit_due {
-            *next_audit = Some(next_boundary(self.clock, opts.audit_every.unwrap_or(1)));
-        }
-        if ring_due {
-            // INVARIANT: next_ring is only armed when a ring exists.
-            let ring = ring.expect("ring boundary without a ring");
-            ring.write(&self.checkpoint())?;
-            *next_ring = Some(next_boundary(self.clock, opts.ring_every));
-        }
-        Ok(())
     }
 
     /// Finalize a drained service window into the standard
@@ -1071,42 +1025,35 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// counterpart of the batch drivers' implicit finish.
     #[must_use]
     pub fn finish_service(self) -> RunResult {
-        self.finish(None)
+        self.finish()
     }
 
-    /// Post-dispatch hook of the `*_with` drivers: audit and/or write a
-    /// periodic checkpoint when the clock has crossed the next interval
-    /// boundary. A due checkpoint always audits first — persisting a
-    /// corrupted snapshot would poison every future resume.
-    fn at_boundary(
-        &mut self,
-        opts: &RunOptions,
-        next_cp: &mut Option<Ticks>,
-        next_audit: &mut Option<Ticks>,
-    ) -> Result<(), RunError> {
-        let cp_due = next_cp.is_some_and(|t| self.clock >= t);
-        let audit_due = next_audit.is_some_and(|t| self.clock >= t);
-        if opts.audit || cp_due || audit_due {
+    /// Post-dispatch hook of every run loop: audit and/or snapshot when
+    /// the clock has crossed the next interval boundary, re-arming each
+    /// interval past the current clock.
+    fn at_boundary(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
+        let audit_due = cadence.audit.as_mut().is_some_and(|a| a.due(self.clock));
+        if let Some((interval, sink)) = &mut cadence.snapshot {
+            if interval.due(self.clock) {
+                // The snapshot audits first, covering any audit due now.
+                return self.snapshot(sink);
+            }
+        }
+        if cadence.audit_each || audit_due {
             self.audit()?;
         }
-        if audit_due {
-            let every = opts.audit_every.unwrap_or(1);
-            *next_audit = Some(next_boundary(self.clock, every));
-        }
-        if cp_due {
-            let every = opts.checkpoint_every.unwrap_or(1);
-            let dir = opts
-                .checkpoint_dir
-                .clone()
-                .unwrap_or_else(|| std::path::PathBuf::from("."));
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| RunError::Checkpoint(CheckpointError::Io(e)))?;
-            let path = dir.join(format!("checkpoint-{:012}.dsc", self.clock));
-            let bytes = checkpoint::write_checkpoint(&path, &self.checkpoint())?;
-            self.checkpoints_written += 1;
-            self.checkpoint_bytes += bytes;
-            *next_cp = Some(next_boundary(self.clock, every));
-        }
+        Ok(())
+    }
+
+    /// Write one snapshot — a batch checkpoint or a ring entry — and
+    /// count it in the phase profile. It always audits first:
+    /// persisting a corrupted snapshot would poison every future
+    /// resume.
+    fn snapshot(&mut self, sink: &SnapshotSink) -> Result<(), RunError> {
+        self.audit()?;
+        let bytes = sink.write(&self.checkpoint())?;
+        self.checkpoints_written += 1;
+        self.checkpoint_bytes += bytes;
         Ok(())
     }
 
@@ -1859,10 +1806,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         }
     }
 
-    /// Drain leftovers, finalize metrics, and assemble the result;
-    /// with a scratch arena, hand the event heap and wait-sample
-    /// buffer back (cleared, capacity kept) for the next run.
-    fn finish(mut self, scratch: Option<&mut SimScratch>) -> RunResult {
+    /// Drain leftovers, finalize metrics, and assemble the result.
+    fn finish(mut self) -> RunResult {
         // Tasks still suspended can never run: no completions remain to
         // free capacity. Count them as discarded.
         let mut leftovers = Vec::new();
@@ -1906,21 +1851,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         metrics.domain_downtime = self.fault.domain_downtime(self.clock);
         metrics.mean_time_to_recover = self.fault.mean_time_to_recover();
         let report = Report::new(self.params.clone(), metrics.clone());
-        // Capture the profile before the scratch steal below clears the
-        // event queue (which would skew the popped-events counter).
-        let profile = self.phase_profile();
-        if let Some(scratch) = scratch {
-            self.events.clear();
-            scratch.events = self.events;
-            let mut samples = std::mem::take(&mut self.stats.wait_samples);
-            samples.clear();
-            scratch.wait_samples = samples;
-        }
         RunResult {
             metrics,
             report,
+            profile: self.phase_profile(),
             tasks: self.tasks.into_vec(),
-            profile,
         }
     }
 }
@@ -2008,6 +1943,14 @@ mod tests {
         p
     }
 
+    /// Default options on the tick-stepped loop.
+    fn tick_stepped() -> RunOptions {
+        RunOptions {
+            driver: Driver::TickStepped,
+            ..RunOptions::default()
+        }
+    }
+
     #[test]
     fn run_completes_all_placeable_tasks() {
         let sim = Simulation::new(small_params(), FixedSource, GreedyPolicy).unwrap();
@@ -2031,7 +1974,8 @@ mod tests {
             .run();
         let b = Simulation::new(small_params(), FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped();
+            .run_with(&tick_stepped())
+            .unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.tasks, b.tasks);
     }
@@ -2270,7 +2214,8 @@ mod tests {
             .run();
         let b = Simulation::new(p, FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped();
+            .run_with(&tick_stepped())
+            .unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.tasks, b.tasks);
     }
@@ -2398,7 +2343,8 @@ mod tests {
         // Both drivers agree under combined chaos.
         let b = Simulation::new(p, FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped();
+            .run_with(&tick_stepped())
+            .unwrap();
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.tasks, b.tasks);
     }
@@ -2620,71 +2566,33 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_byte_identical() {
-        // A run whose buffers came from a dirty arena (capacity and
-        // leftovers from a different workload) must match a fresh run
-        // bit for bit.
-        let p = fault_params();
-        let base = Simulation::new(p.clone(), FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        let mut scratch = SimScratch::new();
-        let mut warm_params = fault_params();
-        warm_params.seed = 999;
-        warm_params.total_tasks = 60;
-        let warm =
-            Simulation::new_with_scratch(warm_params, FixedSource, GreedyPolicy, &mut scratch)
-                .unwrap()
-                .run_with_scratch(&RunOptions::default(), &mut scratch)
-                .unwrap();
-        scratch.reclaim_tasks(warm.tasks);
-        let reused = Simulation::new_with_scratch(p, FixedSource, GreedyPolicy, &mut scratch)
-            .unwrap()
-            .run_with_scratch(&RunOptions::default(), &mut scratch)
-            .unwrap();
-        assert_eq!(base.metrics, reused.metrics);
-        assert_eq!(base.tasks, reused.tasks);
-        assert_eq!(base.report.to_xml(), reused.report.to_xml());
-    }
-
-    #[test]
     fn presized_event_heap_checkpoints_identically() {
-        // Heap capacity (pre-sizing in new, restoration in resume) must
-        // be invisible in checkpoint bytes: a fresh sim and a
-        // scratch-built sim driven to the same clock serialize the same.
+        // Heap capacity must be invisible in checkpoint bytes. A fresh
+        // sim pre-sizes its heap in `new`; a resumed one starts from a
+        // heap deserialized to exactly the pending entries, which
+        // `resume` re-reserves. The same state must serialize the same
+        // either way.
         let p = fault_params();
         let mut fresh = Simulation::new(p.clone(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut fresh, 200);
-        let mut scratch = SimScratch::new();
-        let mut warm_params = fault_params();
-        warm_params.seed = 999;
-        let warm =
-            Simulation::new_with_scratch(warm_params, FixedSource, GreedyPolicy, &mut scratch)
-                .unwrap()
-                .run_with_scratch(&RunOptions::default(), &mut scratch)
-                .unwrap();
-        scratch.reclaim_tasks(warm.tasks);
-        let mut reused =
-            Simulation::new_with_scratch(p, FixedSource, GreedyPolicy, &mut scratch).unwrap();
-        drive_until(&mut reused, 200);
-        let dir = temp_dir("scratch-cp");
-        let (pa, pb) = (dir.join("fresh.dsc"), dir.join("scratch.dsc"));
+        let dir = temp_dir("presized-cp");
+        let (pa, pb) = (dir.join("fresh.dsc"), dir.join("resumed.dsc"));
         write_checkpoint(&pa, &fresh.checkpoint()).unwrap();
-        write_checkpoint(&pb, &reused.checkpoint()).unwrap();
+        let resumed =
+            Simulation::resume(read_checkpoint(&pa).unwrap(), FixedSource, GreedyPolicy).unwrap();
+        assert!(
+            resumed.events.capacity() >= expected_pending_events(&p),
+            "resume must restore the pre-sized headroom"
+        );
+        write_checkpoint(&pb, &resumed.checkpoint()).unwrap();
         assert_eq!(
             std::fs::read(&pa).unwrap(),
             std::fs::read(&pb).unwrap(),
-            "scratch reuse leaked into checkpoint bytes"
+            "heap capacity leaked into checkpoint bytes"
         );
-        // And a resume from that checkpoint still reconverges.
-        let cp = read_checkpoint(&pb).unwrap();
-        let resumed = Simulation::resume(cp, FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        let base = Simulation::new(fault_params(), FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        assert_eq!(base.metrics, resumed.metrics);
+        // And the resumed run still reconverges.
+        let base = Simulation::new(p, FixedSource, GreedyPolicy).unwrap().run();
+        assert_eq!(base.metrics, resumed.run().metrics);
     }
 
     #[test]
@@ -2710,62 +2618,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_checkpoint_resumes_byte_identically() {
-        // A version-1 file (legacy JSON task array) and the version-2
-        // compact file of the same snapshot must restore the same state
-        // and replay to byte-identical reports.
-        let p = fault_params();
-        let base = Simulation::new(p.clone(), FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        let stop = base.metrics.total_simulation_time / 2;
-        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
-        drive_until(&mut sim, stop);
-        assert!(!sim.tasks.is_empty(), "snapshot must carry tasks");
-        let dir = temp_dir("v1-compat");
-        let v2 = dir.join("mid.dsc");
-        let v1 = dir.join("mid-v1.dsc");
-        let snapshot = sim.checkpoint();
-        write_checkpoint(&v2, &snapshot).unwrap();
-        crate::checkpoint::write_checkpoint_compat_v1(&v1, &snapshot).unwrap();
-
-        let v2_raw = std::fs::read(&v2).unwrap();
-        let v1_raw = std::fs::read(&v1).unwrap();
-        assert!(
-            v1_raw.starts_with(b"DREAMSIM-CHECKPOINT 1 "),
-            "compat file must carry the version-1 header"
-        );
-        assert!(
-            v2_raw.starts_with(b"DREAMSIM-CHECKPOINT 2 "),
-            "current files must carry the version-2 header"
-        );
-        assert!(
-            v1_raw.len() > v2_raw.len(),
-            "the compact form should be smaller than the legacy array \
-             (v1 = {}, v2 = {})",
-            v1_raw.len(),
-            v2_raw.len()
-        );
-
-        let from_v2 = Simulation::resume(read_checkpoint(&v2).unwrap(), FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        let from_v1 = Simulation::resume(read_checkpoint(&v1).unwrap(), FixedSource, GreedyPolicy)
-            .unwrap()
-            .run();
-        assert_eq!(base.metrics, from_v1.metrics);
-        assert_eq!(from_v2.metrics, from_v1.metrics);
-        assert_eq!(from_v2.tasks, from_v1.tasks);
-        assert_eq!(from_v2.report.to_xml(), from_v1.report.to_xml());
-        assert_eq!(base.report.to_xml(), from_v1.report.to_xml());
-    }
-
-    #[test]
     fn checkpoint_resume_is_bit_identical_tick_stepped() {
         let p = fault_params();
         let base = Simulation::new(p.clone(), FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped();
+            .run_with(&tick_stepped())
+            .unwrap();
         let stop = base.metrics.total_simulation_time / 2;
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, stop);
@@ -2776,7 +2634,8 @@ mod tests {
         let cp = read_checkpoint(&path).unwrap();
         let resumed = Simulation::resume(cp, FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped();
+            .run_with(&tick_stepped())
+            .unwrap();
         assert_eq!(base.metrics, resumed.metrics);
         assert_eq!(base.tasks, resumed.tasks);
         assert_eq!(base.report.to_xml(), resumed.report.to_xml());
@@ -2834,7 +2693,8 @@ mod tests {
         let p = fault_params();
         let d_ev = temp_dir("periodic-ev");
         let d_ts = temp_dir("periodic-ts");
-        let opts = |dir: &std::path::Path| RunOptions {
+        let opts = |driver: Driver, dir: &std::path::Path| RunOptions {
+            driver,
             checkpoint_every: Some(200),
             checkpoint_dir: Some(dir.to_path_buf()),
             audit: true,
@@ -2842,11 +2702,11 @@ mod tests {
         };
         let a = Simulation::new(p.clone(), FixedSource, GreedyPolicy)
             .unwrap()
-            .run_with(&opts(&d_ev))
+            .run_with(&opts(Driver::Event, &d_ev))
             .unwrap();
         let b = Simulation::new(p, FixedSource, GreedyPolicy)
             .unwrap()
-            .run_tick_stepped_with(&opts(&d_ts))
+            .run_with(&opts(Driver::TickStepped, &d_ts))
             .unwrap();
         assert_eq!(a.metrics, b.metrics);
         let names = |d: &std::path::Path| {
@@ -2882,8 +2742,8 @@ mod tests {
             .run_with(&RunOptions {
                 checkpoint_every: Some(300),
                 checkpoint_dir: Some(dir.clone()),
-                audit: false,
                 audit_every: Some(100),
+                ..RunOptions::default()
             })
             .unwrap();
         let mut names: Vec<String> = std::fs::read_dir(&dir)
@@ -3180,7 +3040,8 @@ mod tests {
         // the wrong shape: must fail at JSON decoding, not load.
         let payload = br#"{"not":"a checkpoint"}"#;
         let forged = format!(
-            "DREAMSIM-CHECKPOINT 1 {:08x}\n{}",
+            "DREAMSIM-CHECKPOINT {} {:08x}\n{}",
+            crate::checkpoint::FORMAT_VERSION,
             crate::checkpoint::crc32(payload),
             std::str::from_utf8(payload).unwrap()
         );
@@ -3301,11 +3162,25 @@ mod tests {
         assert_eq!(out.recovery.scanned, 0);
         assert!(!out.killed);
         assert_eq!(out.final_clock, 400);
-        assert!(out.result.is_some());
         // The graceful drain snapshots the horizon state.
         let entries = crate::ring::scan_ring(&dir).unwrap();
-        assert_eq!(entries.last().unwrap().clock, 400);
+        let clocks: Vec<Ticks> = entries.iter().map(|e| e.clock).collect();
+        assert_eq!(clocks, vec![100, 200, 300, 400], "retention keeps all four");
+        // The phase profile counts every ring write, the final drain
+        // included, and the bytes each write reported — the file size.
+        let profile = out.result.unwrap().profile;
+        assert_eq!(profile.checkpoints_written, entries.len() as u64);
+        let sizes: u64 = entries
+            .iter()
+            .map(|e| std::fs::metadata(&e.path).unwrap().len())
+            .sum();
+        assert_eq!(profile.checkpoint_bytes, sizes);
+        let copy_dir = service_dir("fresh-copy");
+        let newest = read_checkpoint(&entries[3].path).unwrap();
+        let written = CheckpointRing::new(&copy_dir, 1).write(&newest).unwrap();
+        assert_eq!(written, std::fs::metadata(&entries[3].path).unwrap().len());
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&copy_dir);
     }
 
     #[test]

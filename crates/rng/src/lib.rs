@@ -29,9 +29,10 @@
 //!   parameters use, e.g. node areas in `[1000..4000]`).
 //! * [`discrete`] — weighted discrete sampling via Vose's alias method.
 //!
-//! The simulator proper depends only on this crate for randomness; the
-//! external `rand` crate is used exclusively in this crate's test suite as
-//! an independent statistical cross-check.
+//! The simulator proper depends only on this crate for randomness. The
+//! independent statistical cross-check in the test suite (Box–Muller over
+//! a splitmix64 stream, against the Ziggurat normal) is written inline,
+//! so no external generator crate is involved.
 //!
 //! ## Determinism
 //!

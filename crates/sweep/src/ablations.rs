@@ -2,7 +2,7 @@
 //! paper makes but does not isolate.
 
 use crate::runner::{run_batch, run_point, PolicyConfig, SweepPoint};
-use dreamsim_engine::{Metrics, SimParams, Simulation};
+use dreamsim_engine::{Driver, Metrics, RunOptions, SimParams, Simulation};
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim_workload::SyntheticSource;
 
@@ -79,7 +79,14 @@ pub fn driver_comparison(base: &SimParams) -> (Metrics, Metrics) {
         .expect("ablation parameters must validate")
     };
     let event = build().run();
-    let ticked = build().run_tick_stepped();
+    let ticked = build()
+        .run_with(&RunOptions {
+            driver: Driver::TickStepped,
+            ..RunOptions::default()
+        })
+        // INVARIANT: RunError only arises from checkpoint I/O or a
+        // failed audit; these options enable neither.
+        .expect("a run without checkpoints or audits cannot fail");
     (event.metrics, ticked.metrics)
 }
 

@@ -17,8 +17,8 @@
 //!   (DESIGN.md §14): declarative failure-domain/overload scenarios run
 //!   under continuous audit, each with a kill-and-resume drill.
 //! * [`parallel`] — the deterministic hand-rolled worker pool behind
-//!   `--jobs`: index-ordered merge, per-worker scratch arenas, LPT
-//!   claim order (DESIGN.md §13).
+//!   `--jobs`: index-ordered merge and LPT claim order (DESIGN.md §13).
+//!   Each point builds its own simulation; workers share nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,5 @@ pub use chaos::{
     ChaosError, ChaosScenario, DrillResult, ServiceDrillReport, BUILTIN_CAMPAIGN,
 };
 pub use figures::{ExperimentGrid, Figure, FigureSeries};
-pub use parallel::{cost_descending_order, effective_jobs, run_indexed, run_ordered};
-pub use runner::{
-    replicate, run_batch, run_point, run_point_with_scratch, PolicyConfig, Replicated, SweepPoint,
-};
+pub use parallel::{cost_descending_order, effective_jobs, run_ordered};
+pub use runner::{replicate, run_batch, run_point, PolicyConfig, Replicated, SweepPoint};

@@ -9,11 +9,8 @@
 //!
 //! 1. Every item is a pure function of its own inputs: a sweep point
 //!    carries its own derived seed, and the worker builds a fresh
-//!    `Simulation` (own RNG, own store) per item. No state is shared
-//!    between items except the per-worker scratch arena, whose buffer
-//!    *capacity* is the only thing that survives an item — and capacity
-//!    is unobservable in reports and checkpoint bytes (pinned by engine
-//!    tests).
+//!    `Simulation` (own RNG, own store, own buffers) per item. Nothing
+//!    survives an item, so nothing is shared between items.
 //! 2. Workers claim items from an atomic counter, so *which* worker
 //!    runs an item and *when* is scheduling-dependent — but each result
 //!    is written into the slot of its original index, and the merged
@@ -51,13 +48,11 @@ pub fn cost_descending_order(costs: &[u64]) -> Vec<usize> {
     order
 }
 
-/// Run `work(state, i)` for every index `i` in `order` (a permutation
-/// of `0..order.len()`), fanned across `jobs` workers, and return the
+/// Run `work(i)` for every index `i` in `order` (a permutation of
+/// `0..order.len()`), fanned across `jobs` workers, and return the
 /// results **indexed by `i` in ascending order** regardless of claim
 /// order, worker assignment, or thread count.
 ///
-/// Each worker owns one `state` built by `init` — a scratch arena,
-/// typically — that is reused across every item the worker claims.
 /// Results are buffered worker-locally and flushed into their slots
 /// under a single mutex when the worker drains, so the lock is taken
 /// once per worker, not once per item.
@@ -65,11 +60,10 @@ pub fn cost_descending_order(costs: &[u64]) -> Vec<usize> {
 /// # Panics
 /// Panics if `order` is not a permutation of `0..order.len()` (a slot
 /// would be left unfilled or written twice), or if a worker panics.
-pub fn run_ordered<S, T: Send>(
+pub fn run_ordered<T: Send>(
     order: &[usize],
     jobs: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
+    work: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let n = order.len();
     if n == 0 {
@@ -80,10 +74,9 @@ pub fn run_ordered<S, T: Send>(
     if jobs == 1 {
         // Serial fast path: same claim order, same merge order, no
         // threads — the baseline the invariance tests compare against.
-        let mut state = init();
         for &i in order {
             assert!(slots[i].is_none(), "claim order visits index {i} twice");
-            slots[i] = Some(work(&mut state, i));
+            slots[i] = Some(work(i));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -91,7 +84,6 @@ pub fn run_ordered<S, T: Send>(
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
@@ -99,7 +91,7 @@ pub fn run_ordered<S, T: Send>(
                             break;
                         }
                         let i = order[k];
-                        local.push((i, work(&mut state, i)));
+                        local.push((i, work(i)));
                     }
                     // INVARIANT: the mutex is poisoned only if a worker
                     // panicked, which already aborts the batch.
@@ -123,25 +115,15 @@ pub fn run_ordered<S, T: Send>(
         .collect()
 }
 
-/// [`run_ordered`] with the identity claim order `0..count`.
-pub fn run_indexed<S, T: Send>(
-    count: usize,
-    jobs: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T> {
-    let order: Vec<usize> = (0..count).collect();
-    run_ordered(&order, jobs, init, work)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn results_come_back_in_index_order() {
+        let order: Vec<usize> = (0..10).collect();
         for jobs in [1, 2, 8] {
-            let out = run_indexed(10, jobs, || (), |(), i| i * i);
+            let out = run_ordered(&order, jobs, |i| i * i);
             assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>(), "-j{jobs}");
         }
     }
@@ -152,44 +134,21 @@ mod tests {
         let order = cost_descending_order(&costs);
         assert_eq!(order, vec![1, 3, 4, 0, 2, 5], "LPT with index tiebreak");
         for jobs in [1, 3] {
-            let out = run_ordered(&order, jobs, || (), |(), i| costs[i]);
+            let out = run_ordered(&order, jobs, |i| costs[i]);
             assert_eq!(out, costs, "-j{jobs}");
         }
     }
 
     #[test]
-    fn worker_state_is_reused_within_a_worker() {
-        use std::sync::atomic::AtomicUsize;
-        static INITS: AtomicUsize = AtomicUsize::new(0);
-        let out = run_indexed(
-            16,
-            2,
-            || {
-                INITS.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |seen, i| {
-                *seen += 1;
-                i
-            },
-        );
-        assert_eq!(out.len(), 16);
-        assert!(
-            INITS.load(Ordering::Relaxed) <= 2,
-            "one arena per worker, not per item"
-        );
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<u32> = run_indexed(0, 4, || (), |(), _| 0);
+        let out: Vec<u32> = run_ordered(&[], 4, |_| 0);
         assert!(out.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "visits index 0 twice")]
     fn duplicate_claim_order_is_rejected() {
-        let _ = run_ordered(&[0, 0, 1], 1, || (), |(), i| i);
+        let _ = run_ordered(&[0, 0, 1], 1, |i| i);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! produce identical reports — pinned by the determinism tests.
 
 use crate::parallel::{cost_descending_order, effective_jobs, run_ordered};
-use dreamsim_engine::{
-    Report, RunOptions, SearchBackend, SimParams, SimScratch, Simulation, StatsBackend,
-};
+use dreamsim_engine::{Report, SearchBackend, SimParams, Simulation, StatsBackend};
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim_workload::SyntheticSource;
 
@@ -101,33 +99,15 @@ impl SweepPoint {
 /// programmer input, not user input.
 #[must_use]
 pub fn run_point(point: &SweepPoint) -> Report {
-    run_point_with_scratch(point, &mut SimScratch::new())
-}
-
-/// [`run_point`], recycling a [`SimScratch`] arena so back-to-back
-/// points on the same worker reuse the event heap, wait-sample, and
-/// task-table allocations. The report is identical to [`run_point`]'s
-/// (capacity is unobservable; pinned by engine and sweep tests).
-///
-/// # Panics
-/// Same contract as [`run_point`].
-#[must_use]
-pub fn run_point_with_scratch(point: &SweepPoint, scratch: &mut SimScratch) -> Report {
     let source = SyntheticSource::from_params(&point.params);
-    let sim =
-        Simulation::new_with_scratch(point.params.clone(), source, point.policy.build(), scratch)
-            // INVARIANT: sweep declarations are programmer input (documented
-            // panic above), validated once per point.
-            .expect("sweep point parameters must validate")
-            .with_search_backend(point.search)
-            .with_stats_backend(point.stats);
-    let result = sim
-        .run_with_scratch(&RunOptions::default(), scratch)
-        // INVARIANT: RunError only arises from checkpoint I/O or a
-        // failed audit; default options enable neither.
-        .expect("a run without checkpoints or audits cannot fail");
-    scratch.reclaim_tasks(result.tasks);
-    result.report
+    Simulation::new(point.params.clone(), source, point.policy.build())
+        // INVARIANT: sweep declarations are programmer input (documented
+        // panic above), validated once per point.
+        .expect("sweep point parameters must validate")
+        .with_search_backend(point.search)
+        .with_stats_backend(point.stats)
+        .run()
+        .report
 }
 
 /// Run a batch across `jobs` OS threads (clamped to the batch size;
@@ -147,9 +127,7 @@ pub fn run_batch(points: &[SweepPoint], jobs: usize) -> Vec<Report> {
         .map(|p| (p.params.total_tasks as u64).saturating_mul(p.params.total_nodes as u64))
         .collect();
     let order = cost_descending_order(&costs);
-    run_ordered(&order, jobs, SimScratch::new, |scratch, i| {
-        run_point_with_scratch(&points[i], scratch)
-    })
+    run_ordered(&order, jobs, |i| run_point(&points[i]))
 }
 
 /// Summary of one metric over seed replications.

@@ -82,8 +82,7 @@ fn resume_mid_grid_point_matches_parallel_batch_result() {
         .run_with(&RunOptions {
             checkpoint_every: Some(mid.max(1)),
             checkpoint_dir: Some(dir.clone()),
-            audit: false,
-            audit_every: None,
+            ..RunOptions::default()
         })
         .unwrap();
     let mut names: Vec<String> = std::fs::read_dir(&dir)
@@ -134,9 +133,9 @@ proptest! {
     ) {
         let order = cost_descending_order(&costs);
         let serial: Vec<(usize, u64)> =
-            run_ordered(&order, 1, || (), |(), i| (i, costs[i]));
+            run_ordered(&order, 1, |i| (i, costs[i]));
         let parallel: Vec<(usize, u64)> =
-            run_ordered(&order, jobs, || (), |(), i| (i, costs[i]));
+            run_ordered(&order, jobs, |i| (i, costs[i]));
         prop_assert_eq!(&serial, &parallel);
         let indices: Vec<usize> = parallel.iter().map(|&(i, _)| i).collect();
         let expected: Vec<usize> = (0..costs.len()).collect();

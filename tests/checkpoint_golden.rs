@@ -6,15 +6,16 @@
 //! these tests pin the length and CRC-32 of real `write_checkpoint`
 //! output for fixed-seed states that between them reach every
 //! serialized shape: fault injection, correlated failure domains,
-//! contiguous strips (experiment A5), sketch statistics, a mid-window
-//! `serve` snapshot, and the version-1 compatibility writer.
+//! contiguous strips (experiment A5), sketch statistics, and a
+//! mid-window `serve` snapshot. A last test pins that a header of the
+//! retired version 1 is refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple. On a mismatch the message
 //! prints the actual triple.
 
 use dreamsim::engine::{
-    read_checkpoint, serve, write_checkpoint_compat_v1, AdmissionPolicy, ArrivalDistribution,
+    read_checkpoint, serve, AdmissionPolicy, ArrivalDistribution, CheckpointError,
     DomainOutageKind, DomainParams, PlacementModel, ReconfigMode, RunOptions, ScriptedOutage,
     ServiceOptions, ServiceParams, SimParams, Simulation, StatsBackend,
 };
@@ -30,7 +31,6 @@ const CHAOS_DOMAINS: Golden = (6, 168_693, 0x8CF1_A5C8);
 const CONTIGUOUS: Golden = (2, 54_671, 0x81EC_47E8);
 const SKETCH: Golden = (1, 158_743, 0x03E1_121F);
 const SERVE_MID_WINDOW: Golden = (10, 348_998, 0xF1ED_7FC1);
-const COMPAT_V1: Golden = (1, 114_674, 0xD6B7_6B99);
 
 /// Bitwise CRC-32 (IEEE, reflected), written independently of the
 /// engine's so the goldens do not trust the code they check.
@@ -195,15 +195,22 @@ fn mid_window_serve_snapshots_match_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Version 1 is retired: a real checkpoint whose header is rewritten
+/// to version 1, payload and CRC untouched, is refused with a typed
+/// version error before its payload is decoded.
 #[test]
-fn compat_v1_writer_matches_golden() {
+fn version_1_header_is_rejected() {
     let dir = run_batch("v1", &fault_params(), StatsBackend::Exact, 5_000);
     let files = checkpoint_files(&dir);
-    let mid = read_checkpoint(&files[files.len() / 2]).unwrap();
-    let out = fresh_dir("v1-out");
-    let legacy = out.join("legacy.dsc");
-    write_checkpoint_compat_v1(&legacy, &mid).unwrap();
-    check("compat v1", &[legacy], COMPAT_V1);
+    let raw = std::fs::read(&files[files.len() / 2]).unwrap();
+    let rest = raw
+        .strip_prefix(b"DREAMSIM-CHECKPOINT 2 ".as_slice())
+        .expect("checkpoints carry a version-2 header");
+    let v1 = dir.join("v1.dsc");
+    std::fs::write(&v1, [b"DREAMSIM-CHECKPOINT 1 ".as_slice(), rest].concat()).unwrap();
+    match read_checkpoint(&v1) {
+        Err(CheckpointError::Version { found: 1 }) => {}
+        other => panic!("expected a version-1 rejection, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&out).ok();
 }

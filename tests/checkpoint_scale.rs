@@ -65,13 +65,11 @@ fn field_size(checkpoint: &[u8], field: &str) -> usize {
 
 /// The compact columnar task table (checkpoint format v2, DESIGN.md
 /// §18) must hold a pinned byte budget as the ladder climbs 6k → 24k
-/// tasks, and must beat the legacy JSON array form of the *same
-/// snapshot* by at least 4×. The budget is generous (40 bytes per task,
-/// base64 included; observed ≈20) so it only trips on a real encoding
-/// regression, not on workload drift.
+/// tasks. The budget is generous (40 bytes per task, base64 included;
+/// observed ≈20) so it only trips on a real encoding regression, not on
+/// workload drift.
 #[test]
-fn compact_task_table_meets_byte_budget_and_beats_legacy() {
-    use dreamsim::engine::{read_checkpoint, write_checkpoint_compat_v1};
+fn compact_task_table_meets_byte_budget() {
     let rungs = [6_000usize, 24_000];
     let mut compact_sizes = Vec::new();
     for (i, &tasks) in rungs.iter().enumerate() {
@@ -89,22 +87,6 @@ fn compact_task_table_meets_byte_budget_and_beats_legacy() {
              ({} per task, budget 40)",
             compact / tasks
         );
-        // Re-emit the same snapshot in the legacy v1 layout and compare.
-        let copy = dir.join("copy.dsc");
-        std::fs::write(&copy, &cp_bytes).unwrap();
-        let cp = read_checkpoint(&copy).unwrap();
-        let legacy_path = dir.join("legacy.dsc");
-        write_checkpoint_compat_v1(&legacy_path, &cp).unwrap();
-        let legacy = field_size(&std::fs::read(&legacy_path).unwrap(), "tasks");
-        assert!(
-            legacy >= compact * 4,
-            "n={tasks}: compact form ({compact} bytes) must be >= 4x smaller \
-             than the legacy array ({legacy} bytes)"
-        );
-        // And the legacy file must still load — it is the v1 compat
-        // surface this build promises to keep reading.
-        let reloaded = read_checkpoint(&legacy_path).unwrap();
-        assert_eq!(reloaded.clock(), cp.clock());
         compact_sizes.push(compact);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,7 +2,7 @@
 //! sweeps are independent of thread count, and the event-driven and
 //! tick-stepped drivers are observationally equivalent.
 
-use dreamsim::engine::{ReconfigMode, SimParams, Simulation};
+use dreamsim::engine::{Driver, ReconfigMode, RunOptions, SimParams, Simulation};
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::sweep::runner::{run_batch, run_point, SweepPoint};
 use dreamsim::workload::SyntheticSource;
@@ -11,6 +11,14 @@ fn params(seed: u64) -> SimParams {
     let mut p = SimParams::paper(30, 300, ReconfigMode::Partial);
     p.seed = seed;
     p
+}
+
+/// Default options on the tick-stepped loop.
+fn tick_stepped() -> RunOptions {
+    RunOptions {
+        driver: Driver::TickStepped,
+        ..RunOptions::default()
+    }
 }
 
 #[test]
@@ -63,7 +71,7 @@ fn event_driven_equals_tick_stepped_across_modes_and_seeds() {
                 .unwrap()
             };
             let ev = build().run();
-            let tick = build().run_tick_stepped();
+            let tick = build().run_with(&tick_stepped()).unwrap();
             assert_eq!(ev.metrics, tick.metrics, "{mode} seed {seed}");
             assert_eq!(ev.tasks, tick.tasks, "{mode} seed {seed}");
         }
@@ -162,7 +170,7 @@ fn fault_runs_agree_across_drivers() {
         .unwrap()
     };
     let ev = build().run();
-    let tick = build().run_tick_stepped();
+    let tick = build().run_with(&tick_stepped()).unwrap();
     assert_eq!(ev.metrics, tick.metrics);
     assert_eq!(ev.tasks, tick.tasks);
     assert!(

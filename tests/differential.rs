@@ -15,8 +15,8 @@
 //! run's report.
 
 use dreamsim::engine::{
-    read_checkpoint, ReconfigMode, RunOptions, RunResult, SearchBackend, SimParams, Simulation,
-    StatsBackend,
+    read_checkpoint, Driver, ReconfigMode, RunOptions, RunResult, SearchBackend, SimParams,
+    Simulation, StatsBackend,
 };
 use dreamsim::sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim::workload::SyntheticSource;
@@ -185,16 +185,6 @@ fn resume_mid_run_and_switch_backend() {
     }
 }
 
-/// Which simulation driver a differential cell runs under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Driver {
-    /// Event-driven clock (the default).
-    Event,
-    /// Literal tick-by-tick clock (ablation A4); probes the queue with
-    /// one `pop_due` miss per idle tick.
-    Tick,
-}
-
 /// Run one cell under an explicit stats backend and driver.
 fn run_cell_driven(
     p: &SimParams,
@@ -204,21 +194,19 @@ fn run_cell_driven(
     checkpoint_dir: Option<&Path>,
 ) -> RunResult {
     let opts = RunOptions {
+        driver,
         checkpoint_every: checkpoint_dir.map(|_| 5_000),
         checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
         ..RunOptions::default()
     };
-    let sim = Simulation::new(
+    Simulation::new(
         p.clone(),
         SyntheticSource::from_params(p),
         CaseStudyScheduler::with_strategy(strategy),
     )
     .unwrap()
-    .with_stats_backend(stats);
-    match driver {
-        Driver::Event => sim.run_with(&opts),
-        Driver::Tick => sim.run_tick_stepped_with(&opts),
-    }
+    .with_stats_backend(stats)
+    .run_with(&opts)
     .unwrap()
 }
 
@@ -245,7 +233,7 @@ fn driver_grid_reports_and_checkpoints_byte_identical() {
                 &p,
                 strategy,
                 StatsBackend::Exact,
-                Driver::Tick,
+                Driver::TickStepped,
                 Some(&tick_dir),
             );
             assert_runs_identical(&cell, &event, &event_dir, &tick, &tick_dir);
@@ -261,7 +249,7 @@ fn driver_grid_reports_and_checkpoints_byte_identical() {
 #[test]
 fn stats_backend_reports_byte_identical_below_exact_window() {
     for strategy in STRATEGIES {
-        for driver in [Driver::Event, Driver::Tick] {
+        for driver in [Driver::Event, Driver::TickStepped] {
             for faults in [false, true] {
                 let cell = format!("{strategy:?}/{driver:?}/faults={faults}");
                 let p = params(ReconfigMode::Partial, faults, 0x57A7);
@@ -300,19 +288,19 @@ fn resume_mid_run_with_sketch_stats() {
     let files = checkpoint_files(&dir);
     assert!(files.len() >= 2, "need a mid-run checkpoint to resume");
     let mid = &files[files.len() / 2].0;
-    for driver in [Driver::Event, Driver::Tick] {
+    for driver in [Driver::Event, Driver::TickStepped] {
         let cp = read_checkpoint(&dir.join(mid)).unwrap();
-        let sim = Simulation::resume(
+        let resumed = Simulation::resume(
             cp,
             SyntheticSource::from_params(&p),
             CaseStudyScheduler::new(),
         )
         .unwrap()
-        .with_stats_backend(StatsBackend::Sketch);
-        let resumed = match driver {
-            Driver::Event => sim.run_with(&RunOptions::default()),
-            Driver::Tick => sim.run_tick_stepped_with(&RunOptions::default()),
-        }
+        .with_stats_backend(StatsBackend::Sketch)
+        .run_with(&RunOptions {
+            driver,
+            ..RunOptions::default()
+        })
         .unwrap();
         assert_eq!(
             resumed.report.to_xml(),

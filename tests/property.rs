@@ -2,7 +2,7 @@
 //! workloads must never violate the simulator's global invariants.
 
 use dreamsim::engine::{
-    read_checkpoint, ReconfigMode, RunOptions, SearchBackend, SimParams, Simulation,
+    read_checkpoint, Driver, ReconfigMode, RunOptions, SearchBackend, SimParams, Simulation,
 };
 use dreamsim::model::PreferredConfig;
 use dreamsim::sched::CaseStudyScheduler;
@@ -71,7 +71,9 @@ proptest! {
             CaseStudyScheduler::new(),
         ).unwrap();
         let ev = build().run();
-        let tick = build().run_tick_stepped();
+        let tick = build()
+            .run_with(&RunOptions { driver: Driver::TickStepped, ..RunOptions::default() })
+            .unwrap();
         prop_assert_eq!(ev.metrics, tick.metrics);
         prop_assert_eq!(ev.tasks, tick.tasks);
     }
