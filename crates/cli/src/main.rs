@@ -26,8 +26,8 @@ mod args;
 use args::{ArgError, Args};
 use dreamsim_engine::{
     read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
-    DomainParams, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage, SearchBackend,
-    SimParams, Simulation, StatsBackend,
+    DomainParams, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage, SimParams,
+    Simulation, StatsBackend,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
@@ -57,12 +57,11 @@ USAGE:
                [--swf FILE [--ticks-per-second N] [--max-jobs N]]
                [--checkpoint-every TICKS] [--checkpoint-dir DIR]
                [--audit] [--audit-every TICKS] [--resume-from FILE]
-               [--search auto|linear|indexed] [--stats exact|sketch]
+               [--stats exact|sketch]
                [--report table|xml|json|csv] [--out FILE]
   dreamsim figures [--fig 6a|6b|7a|7b|8a|8b|9a|9b|10|all]
                    [--max-tasks N | --tasks N1,N2,...]
                    [--jobs N] [--seed S] [--out-dir DIR]
-                   [--search auto|linear|indexed]
   dreamsim ablations [--which a1|a2|a3|a4|a5|all] [--nodes N] [--tasks N]
                      [--mode full|partial] [--seed S] [--jobs N]
   dreamsim chaos [--script FILE] [--no-drill] [--audit-every TICKS]
@@ -76,7 +75,7 @@ USAGE:
                  [--ring-dir DIR] [--ring-every TICKS] [--ring-retain N]
                  [--audit-every TICKS] [--stall-window TICKS]
                  [--max-restarts N] [--no-watchdog] [--kill-at TICK]
-                 [--recovery-report FILE] [--search auto|linear|indexed]
+                 [--recovery-report FILE]
                  [--report table|xml|json|csv] [--out FILE]
   dreamsim trace --out FILE [--tasks N] [--seed S]
   dreamsim lint [--root DIR] [--format text|json|sarif] [--out FILE]
@@ -145,16 +144,6 @@ re-supply the same --replay/--swf file. --audit cross-checks the internal
 state invariants after every dispatched event (and always at checkpoint
 boundaries); --audit-every N audits on a period instead.
 
-Search backends: --search selects how the store answers placement
-searches. linear is the paper's scan; indexed answers the same queries
-from ordered indexes in O(log n) wall-clock time while charging the
-paper's exact step counts, so reports, figures, and checkpoints are
-byte-identical under both (the differential test suite proves it).
-auto (default) picks per run from the node count: linear below 200
-nodes, indexed at or above.
---search also applies to --resume-from: checkpoints never store the
-backend, and the index is rebuilt from the restored state.
-
 Statistics backends: --stats selects wait-time statistics. exact
 (default) stores every wait sample; sketch replaces the unbounded sample
 vector with a fixed-size integer quantile sketch whose percentiles match
@@ -185,13 +174,13 @@ const PARAM_FLAGS: (&str, &str) = (
 const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
     ("run", true,
      "policy replay swf ticks-per-second max-jobs checkpoint-every checkpoint-dir audit-every \
-      resume-from search stats report out", "audit"),
-    ("figures", false, "fig max-tasks tasks jobs threads seed out-dir search", ""),
+      resume-from stats report out", "audit"),
+    ("figures", false, "fig max-tasks tasks jobs threads seed out-dir", ""),
     ("ablations", false, "which nodes tasks mode seed jobs threads", ""),
     ("chaos", false, "script audit-every work-dir report out", "no-drill"),
     ("serve", true,
      "policy horizon day-length amplitude window window-retain ring-dir ring-every ring-retain \
-      audit-every stall-window max-restarts kill-at recovery-report search report out",
+      audit-every stall-window max-restarts kill-at recovery-report report out",
      "no-watchdog"),
     ("trace", false, "out tasks seed", ""),
     ("lint", false, "root format out", "list-rules"),
@@ -262,15 +251,6 @@ fn parse_mode(s: &str) -> Result<ReconfigMode, ArgError> {
             "--mode must be full or partial, got {s:?}"
         ))),
     }
-}
-
-fn parse_search(args: &Args) -> Result<SearchBackend, ArgError> {
-    let s = args.get("search", "auto");
-    SearchBackend::parse(s).ok_or_else(|| {
-        ArgError(format!(
-            "--search must be auto, linear, or indexed, got {s:?}"
-        ))
-    })
 }
 
 fn parse_stats(args: &Args) -> Result<StatsBackend, ArgError> {
@@ -571,41 +551,15 @@ fn trace_from_args(args: &Args, num_configs: usize) -> Result<TraceSource, ArgEr
     }
 }
 
-/// The derived-state backends `run` can select: checkpoints store
-/// neither selection, so they are re-applied identically to fresh and
-/// resumed simulations.
-#[derive(Clone, Copy)]
-struct Backends {
-    search: SearchBackend,
-    stats: StatsBackend,
-}
-
-impl Backends {
-    fn from_args(args: &Args) -> Result<Self, ArgError> {
-        Ok(Self {
-            search: parse_search(args)?,
-            stats: parse_stats(args)?,
-        })
-    }
-
-    fn apply<S, P>(self, sim: Simulation<S, P>) -> Simulation<S, P>
-    where
-        S: dreamsim_engine::TaskSource,
-        P: dreamsim_engine::SchedulePolicy,
-    {
-        sim.with_search_backend(self.search)
-            .with_stats_backend(self.stats)
-    }
-}
-
 /// `run --resume-from FILE`: restore a checkpoint and continue. The
 /// simulation parameters (and for synthetic workloads the entire task
 /// stream) come from the checkpoint itself; trace/SWF runs re-supply the
-/// same workload file, which the restored cursor fast-forwards.
+/// same workload file, which the restored cursor fast-forwards. The
+/// `--stats` backend applies to the restored simulation too.
 fn resume_run(
     args: &Args,
     run_opts: &RunOptions,
-    backends: Backends,
+    stats: StatsBackend,
 ) -> Result<RunResult, ArgError> {
     let path = args.get("resume-from", "");
     let cp = read_checkpoint(Path::new(path))
@@ -632,11 +586,9 @@ fn resume_run(
     let result = match cp.source_kind() {
         "synthetic" => {
             let source = SyntheticSource::from_params(cp.params());
-            backends
-                .apply(
-                    Simulation::resume(cp, source, policy)
-                        .map_err(|e| ArgError(format!("restoring {path}: {e}")))?,
-                )
+            Simulation::resume(cp, source, policy)
+                .map_err(|e| ArgError(format!("restoring {path}: {e}")))?
+                .with_stats_backend(stats)
                 .run_with(run_opts)
         }
         "trace" => {
@@ -647,11 +599,9 @@ fn resume_run(
                 ));
             }
             let source = trace_from_args(args, cp.params().total_configs)?;
-            backends
-                .apply(
-                    Simulation::resume(cp, source, policy)
-                        .map_err(|e| ArgError(format!("restoring {path}: {e}")))?,
-                )
+            Simulation::resume(cp, source, policy)
+                .map_err(|e| ArgError(format!("restoring {path}: {e}")))?
+                .with_stats_backend(stats)
                 .run_with(run_opts)
         }
         "open" => {
@@ -672,9 +622,9 @@ fn resume_run(
 
 fn cmd_run(args: &Args) -> Result<(), ArgError> {
     let run_opts = run_options_from_args(args)?;
-    let backends = Backends::from_args(args)?;
+    let stats = parse_stats(args)?;
     let result: RunResult = if args.has("resume-from") {
-        resume_run(args, &run_opts, backends)?
+        resume_run(args, &run_opts, stats)?
     } else {
         let params = params_from_args(args)?;
         let strategy = parse_strategy(args.get("policy", "best-fit"))?;
@@ -684,16 +634,16 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
             let mut p = params;
             // Replay exactly the trace, whatever --tasks said.
             p.total_tasks = source.len();
-            backends
-                .apply(Simulation::new(p, source, policy).map_err(|e| ArgError(e.to_string()))?)
+            Simulation::new(p, source, policy)
+                .map_err(|e| ArgError(e.to_string()))?
+                .with_stats_backend(stats)
                 .run_with(&run_opts)
                 .map_err(|e| ArgError(e.to_string()))?
         } else {
             let source = SyntheticSource::from_params(&params);
-            backends
-                .apply(
-                    Simulation::new(params, source, policy).map_err(|e| ArgError(e.to_string()))?,
-                )
+            Simulation::new(params, source, policy)
+                .map_err(|e| ArgError(e.to_string()))?
+                .with_stats_backend(stats)
                 .run_with(&run_opts)
                 .map_err(|e| ArgError(e.to_string()))?
         }
@@ -765,7 +715,6 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     if args.has("kill-at") {
         opts.stop_at = Some(args.get_num("kill-at", 0u64)?);
     }
-    opts.search = Some(parse_search(args)?);
 
     let strategy = parse_strategy(args.get("policy", "best-fit"))?;
     let outcome = serve(
@@ -851,13 +800,7 @@ fn cmd_figures(args: &Args) -> Result<(), ArgError> {
             jobs.to_string()
         }
     );
-    let grid = ExperimentGrid::run_with_backend(
-        &node_counts,
-        &task_counts,
-        seed,
-        jobs,
-        parse_search(args)?,
-    );
+    let grid = ExperimentGrid::run(&node_counts, &task_counts, seed, jobs);
     let out_dir = args.get("out-dir", "");
     for fig in figs {
         let series = grid.figure(fig);

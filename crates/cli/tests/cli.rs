@@ -261,27 +261,6 @@ fn checkpoint_resume_reproduces_fault_run_byte_for_byte() {
 }
 
 #[test]
-fn search_auto_accepted_and_report_matches_explicit_backends() {
-    let run = |search: &str| {
-        run_ok(&[
-            "run", "--nodes", "20", "--tasks", "100", "--seed", "3", "--search", search,
-            "--report", "csv",
-        ])
-    };
-    let auto = run("auto");
-    assert_eq!(auto, run("linear"), "auto vs linear");
-    assert_eq!(auto, run("indexed"), "auto vs indexed");
-    let bad = dreamsim()
-        .args(["run", "--search", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success());
-    assert!(
-        String::from_utf8_lossy(&bad.stderr).contains("--search must be auto, linear, or indexed")
-    );
-}
-
-#[test]
 fn figures_output_invariant_across_jobs() {
     let base = std::env::temp_dir().join(format!("dreamsim-figs-jobs-{}", std::process::id()));
     let csv_at = |jobs: &str| {
@@ -339,6 +318,7 @@ fn unknown_flags_are_rejected_before_any_work() {
             "run --nodes 20 --tasks 100 --event-queue calendar",
             "--event-queue",
         ),
+        ("run --nodes 20 --tasks 100 --search linear", "--search"),
         ("trace --tasks 20 --sead 5", "--sead"),
         ("serve --horizon 500 --kill-att 200", "--kill-att"),
     ] {
@@ -361,6 +341,44 @@ fn unknown_flags_are_rejected_before_any_work() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tick_parameters_near_u64_max_are_typed_errors_not_panics() {
+    // Each of these, if accepted, overflows a `clock + delay` sum in the
+    // engine: a panic under overflow checks, a wrapped clock otherwise.
+    let m = u64::MAX.to_string();
+    let outages = format!("0:{m}:{m}");
+    for (flags, name) in [
+        (
+            vec!["--suspension-deadline", &m],
+            "faults.suspension_deadline",
+        ),
+        (vec!["--mttf", &m], "faults.node_mttf"),
+        (vec!["--mttf", "1", "--mttr", &m], "node_mttr"),
+        (vec!["--mtbf", "1", "--mttr", &m], "node_mttr"),
+        (
+            vec!["--domains", "5", "--domain-mttf", "1", "--domain-mttr", &m],
+            "domains.mttr",
+        ),
+        (
+            vec!["--domains", "5", "--outages", &outages],
+            "domains.scripted.at",
+        ),
+    ] {
+        let out = dreamsim()
+            .args(["run", "--nodes", "5", "--tasks", "20"])
+            .args(&flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("parameter {name}: {m} ticks exceeds the ceiling")),
+            "{flags:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`check`] cross-validates every piece of live simulator state against
 //! every other: the resource store's intrusive idle/busy lists against
-//! node slot flags (plus, under the indexed search backend, the live
-//! search index against a from-scratch rebuild — see DESIGN.md §11),
+//! node slot flags (plus the live search index against a from-scratch
+//! rebuild — see DESIGN.md §11),
 //! per-slot area against the configuration table, the task table against
 //! slot occupancy, pending events against the tasks and nodes they
 //! target, and the suspension queue against task states.

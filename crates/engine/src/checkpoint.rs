@@ -16,11 +16,8 @@
 //! beyond a cursor and an identity label — sources declare a replay
 //! cursor via [`TaskSource`](crate::TaskSource) hooks, and stateless
 //! policies are rebuilt from their label — and the store's search
-//! backend/index selection: search backends are byte-equivalent by
-//! construction (DESIGN.md §11), so the index is derived state. A
-//! resumed run starts on the default (linear) backend and re-selects
-//! with [`Simulation::with_search_backend`](crate::Simulation::with_search_backend),
-//! which rebuilds the index from the restored store.
+//! index, which is derived state (DESIGN.md §11): deserializing the
+//! store rebuilds it from the restored node table and lists.
 //!
 //! ## File format
 //!

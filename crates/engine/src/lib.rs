@@ -47,7 +47,6 @@ pub use audit::AuditError;
 pub use checkpoint::{
     read_checkpoint, write_checkpoint, Checkpoint, CheckpointError, FORMAT_VERSION,
 };
-pub use dreamsim_model::SearchBackend;
 pub use event::{Event, EventQueue};
 pub use fault::FaultModel;
 pub use monitor::{NullObserver, Observer, RecordingMonitor};
@@ -65,7 +64,8 @@ pub use service::{
 };
 pub use sim::{
     Decision, DiscardReason, Driver, PlacePhase, Placement, Resume, RunError, RunOptions,
-    RunResult, SchedCtx, SchedulePolicy, Simulation, SourceYield, TaskSource, TaskSpec, TaskTable,
+    RunResult, SchedCtx, SchedulePolicy, SearchBackend, Simulation, SourceYield, TaskSource,
+    TaskSpec, TaskTable,
 };
 pub use stats::{
     Metrics, PhaseCounts, PhaseKind, Stats, StatsBackend, WaitSketch, WindowBucket, WindowStats,

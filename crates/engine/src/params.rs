@@ -314,6 +314,17 @@ impl Default for ServiceParams {
     }
 }
 
+/// The largest value a tick-valued parameter may take: 2^32 ticks, about
+/// 43 000 times Table II's longest task.
+///
+/// Every delay the engine adds to its clock is a tick parameter, a sum
+/// of three of them (configuration, network and execution time), or an
+/// exponential draw from one, which stays below 45 times its mean. So
+/// one delay is below 2^38, and the engine's `clock + delay` sums (the
+/// `// BOUND:` notes, DESIGN.md §14.4) cannot reach 2^64 until the
+/// clock has absorbed more than 2^25 such delays in a row.
+pub const MAX_TICKS: u64 = 1 << 32;
+
 /// Parameter validation error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ParamsError {
@@ -363,6 +374,13 @@ pub enum ParamsError {
         /// Configured domain count.
         count: usize,
     },
+    /// A tick-valued parameter exceeds [`MAX_TICKS`].
+    TicksTooLarge {
+        /// Which parameter.
+        name: &'static str,
+        /// Value given.
+        value: u64,
+    },
 }
 
 impl std::fmt::Display for ParamsError {
@@ -407,6 +425,10 @@ impl std::fmt::Display for ParamsError {
                      {count} domain(s) are configured"
                 )
             }
+            ParamsError::TicksTooLarge { name, value } => write!(
+                f,
+                "parameter {name}: {value} ticks exceeds the ceiling of {MAX_TICKS} ticks"
+            ),
         }
     }
 }
@@ -692,6 +714,9 @@ impl SimParams {
         if self.config_area.lo > self.node_area.hi {
             return Err(ParamsError::ConfigsNeverFit);
         }
+        if let Some((name, value)) = self.tick_params().find(|&(_, v)| v > MAX_TICKS) {
+            return Err(ParamsError::TicksTooLarge { name, value });
+        }
         self.faults.validate()?;
         if self.node_mtbf.is_some() && self.faults.node_mttf.is_some() {
             return Err(ParamsError::ConflictingFailureModels);
@@ -758,6 +783,42 @@ impl SimParams {
         }
         Ok(())
     }
+
+    /// Every tick-valued parameter that is set, by name.
+    fn tick_params(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let f = &self.faults;
+        let fixed = [
+            ("next_task_max_interval", Some(self.next_task_max_interval)),
+            ("task_time", Some(self.task_time.hi)),
+            ("config_time", Some(self.config_time.hi)),
+            ("network_delay", Some(self.network_delay.hi)),
+            ("node_mtbf", self.node_mtbf),
+            ("node_mttr", Some(self.node_mttr)),
+            ("faults.node_mttf", f.node_mttf),
+            ("faults.node_mttr", Some(f.node_mttr)),
+            ("faults.retry_backoff_base", Some(f.retry_backoff_base)),
+            ("faults.retry_backoff_cap", Some(f.retry_backoff_cap)),
+            ("faults.suspension_deadline", f.suspension_deadline),
+            ("domains.mttf", self.domains.as_ref().and_then(|d| d.mttf)),
+            ("domains.mttr", self.domains.as_ref().map(|d| d.mttr)),
+            ("burst.start", self.burst.map(|b| b.start)),
+            ("burst.end", self.burst.map(|b| b.end)),
+            ("burst.interval", self.burst.map(|b| b.interval)),
+            ("service.horizon", self.service.map(|s| s.horizon)),
+            ("service.day_length", self.service.map(|s| s.day_length)),
+            ("service.window", self.service.map(|s| s.window)),
+        ];
+        let scripted = self.domains.iter().flat_map(|d| &d.scripted).flat_map(|s| {
+            [
+                ("domains.scripted.at", s.at),
+                ("domains.scripted.duration", s.duration),
+            ]
+        });
+        fixed
+            .into_iter()
+            .filter_map(|(name, value)| value.map(|v| (name, v)))
+            .chain(scripted)
+    }
 }
 
 #[cfg(test)]
@@ -778,6 +839,51 @@ mod tests {
         assert_eq!(p.max_sus_retries, None);
         assert!(p.node_mtbf.is_none());
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn tick_parameters_above_the_ceiling_are_rejected() {
+        type Set = fn(&mut SimParams, u64);
+        let over = MAX_TICKS + 1;
+        let cases: [(&str, Set); 5] = [
+            ("task_time", |p, v| p.task_time = Range::new(100, v)),
+            ("faults.suspension_deadline", |p, v| {
+                p.faults.suspension_deadline = Some(v);
+            }),
+            ("burst.end", |p, v| {
+                p.burst = Some(BurstWindow {
+                    start: 0,
+                    end: v,
+                    interval: 1,
+                });
+            }),
+            ("service.horizon", |p, v| {
+                p.service = Some(ServiceParams {
+                    horizon: v,
+                    ..ServiceParams::default()
+                });
+            }),
+            ("domains.scripted.duration", |p, v| {
+                p.domains = Some(DomainParams {
+                    scripted: vec![ScriptedOutage {
+                        domain: 0,
+                        at: 1,
+                        duration: v,
+                    }],
+                    ..DomainParams::default()
+                });
+            }),
+        ];
+        for (name, set) in cases {
+            let mut p = SimParams::default();
+            set(&mut p, MAX_TICKS);
+            assert_eq!(p.validate(), Ok(()), "{name} at the ceiling");
+            set(&mut p, over);
+            assert_eq!(
+                p.validate(),
+                Err(ParamsError::TicksTooLarge { name, value: over })
+            );
+        }
     }
 
     #[test]

@@ -357,9 +357,9 @@ pub struct ServiceOptions {
     pub watchdog: Option<WatchdogParams>,
     /// Deterministic kill switch for crash drills.
     pub stop_at: Option<Ticks>,
-    /// Search backend override applied to fresh and resumed
-    /// simulations alike.
-    pub search: Option<dreamsim_model::SearchBackend>,
+    /// Ignored. Kept only so that `benchmark/`, which sets it, still
+    /// compiles; the store always answers through its search index.
+    pub search: Option<crate::sim::SearchBackend>,
 }
 
 impl ServiceOptions {
@@ -509,19 +509,11 @@ where
         path: opts.ring_dir.clone(),
         error,
     })?;
-    let apply_search = |sim: Simulation<S, P>| match opts.search {
-        Some(backend) => sim.with_search_backend(backend),
-        None => sim,
-    };
     let build_fresh = || -> Result<Simulation<S, P>, ServiceError> {
         Simulation::new(params.clone(), make_source(params), make_policy())
-            .map(apply_search)
             .map_err(ServiceError::Params)
     };
-    let recover = || -> Result<(Option<Simulation<S, P>>, RecoveryReport), ServiceError> {
-        let (sim, report) = recover_from_ring(&opts.ring_dir, params, &make_source, &make_policy)?;
-        Ok((sim.map(apply_search), report))
-    };
+    let recover = || recover_from_ring(&opts.ring_dir, params, &make_source, &make_policy);
 
     let (recovered, recovery) = recover()?;
     let mut sim = match recovered {

@@ -367,6 +367,15 @@ pub trait SchedulePolicy {
     }
 }
 
+/// Kept only so that `benchmark/`, which names it, still compiles: it
+/// selects nothing, and [`Simulation::with_search_backend`] ignores it.
+/// The store always answers through its search index (DESIGN.md §11).
+#[derive(Clone, Copy, Debug)]
+pub enum SearchBackend {
+    /// The only value.
+    Auto,
+}
+
 /// Which time loop a batch run uses ([`RunOptions::driver`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Driver {
@@ -802,16 +811,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         self
     }
 
-    /// Select the store's search backend (CLI `--search`). Both
-    /// backends produce byte-identical reports, figures, and
-    /// checkpoints — they differ only in wall-clock speed (DESIGN.md
-    /// §11). Works on fresh *and* resumed simulations: checkpoints
-    /// never carry the index, so this is also how a resumed run
-    /// re-selects the indexed backend (the index is rebuilt from the
-    /// restored store).
+    /// Returns `self` unchanged. Kept only so that `benchmark/`, which
+    /// calls it, still compiles; the store always answers through its
+    /// search index (DESIGN.md §11).
     #[must_use]
-    pub fn with_search_backend(mut self, backend: dreamsim_model::SearchBackend) -> Self {
-        self.resources.set_search_backend(backend);
+    pub fn with_search_backend(self, _backend: SearchBackend) -> Self {
         self
     }
 

@@ -162,9 +162,8 @@ impl WindowStats {
 /// ([`WaitSketch::MAX_REL_ERROR_DENOM`]), which is what makes
 /// million-task scale-ladder runs feasible.
 ///
-/// Like `SearchBackend` the selection itself is derived state, but
-/// unlike it the sketch's *contents* are real state and ride inside
-/// checkpoints ([`Stats::sketch`]); a resumed run continues
+/// The selection itself is derived state, but the sketch's *contents*
+/// are real state and ride inside checkpoints ([`Stats::sketch`]); a resumed run continues
 /// accumulating into the restored sketch. Switching a
 /// collapsed sketch back to `Exact` is impossible (the individual
 /// samples are gone) and is deliberately a no-op.

@@ -1,8 +1,8 @@
 //! # dreamsim-lint — the determinism lint engine
 //!
 //! Every headline property of this workspace — byte-identical
-//! checkpoint resume, the linear-vs-indexed differential proof, seeded
-//! figure sweeps — rests on the simulator being strictly deterministic.
+//! checkpoint resume, the engine's agreement with the executable paper
+//! spec, seeded figure sweeps — rests on the simulator being strictly deterministic.
 //! This crate enforces that property at the *source* level with a small
 //! hand-rolled Rust lexer (comments, strings, raw strings, char
 //! literals, and `#[cfg(test)]` regions are classified correctly; no

@@ -2,7 +2,8 @@
 //!
 //! Every rule guards one hazard class that can silently break the
 //! simulator's bit-identical guarantees (checkpoint resume, the
-//! linear-vs-indexed differential proof, seeded figure sweeps):
+//! engine's agreement with the executable paper spec, seeded figure
+//! sweeps):
 //!
 //! | id | hazard |
 //! |----|--------|

@@ -59,7 +59,7 @@ pub use contiguous::{GapFit, Strip};
 pub use ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
 pub use lists::ConfigLists;
 pub use node::{Node, NodeState, Slot};
-pub use search::{IndexSnapshot, SearchBackend, SearchIndex, AUTO_INDEXED_MIN_NODES};
+pub use search::{IndexSnapshot, SearchIndex};
 pub use soa::{NodeRef, NodeStore, Nodes, SlotView};
 pub use steps::StepCounter;
 pub use store::{Demand, ResourceManager};

@@ -1,18 +1,18 @@
-//! Pluggable scheduler-search backends (DESIGN.md §11).
+//! The ordered search index behind the paper's cost model (DESIGN.md
+//! §11).
 //!
 //! The paper concedes that "currently, a simple linear search is
 //! employed" for every placement query, and the step-count metrics of
 //! Table I are *defined* by those linear walks. This module decouples
 //! the **model cost** (scheduling steps charged per search, which feed
 //! the figures and reports) from the **wall-clock cost** (how long the
-//! simulator actually takes to answer the query):
-//!
-//! * [`SearchBackend::Linear`] — the paper-faithful scans, default.
-//! * [`SearchBackend::Indexed`] — ordered indexes that answer the same
-//!   queries in `O(log n)` wall-clock time while still charging the
-//!   linear backend's exact step counts, so every report, figure
-//!   series, and checkpoint stays **byte-identical** between backends
-//!   (proven by the differential harness in `tests/differential.rs`).
+//! simulator actually takes to answer the query): [`SearchIndex`]
+//! answers the store's searches in `O(log n)` wall-clock time, and
+//! [`ResourceManager`](crate::store::ResourceManager) charges the exact
+//! step counts the paper's linear walk would have charged. The
+//! executable paper spec in `tests/paper_spec.rs` replays every run
+//! with plain linear scans and checks placements, Table I metrics and
+//! both step counters against the engine.
 //!
 //! ## Index structures
 //!
@@ -29,39 +29,35 @@
 //!
 //! ## Tie-break fidelity
 //!
-//! The linear `find_best_idle` walks the idle list head→tail and keeps
+//! The paper's best-fit walk visits the idle list head→tail and keeps
 //! the *first* entry of minimal available area; the head is the most
 //! recently pushed entry, so among equals the **largest push sequence**
 //! wins. Keying the idle index by `(area, Reverse(seq))` makes
 //! `BTreeMap::first_key_value` return exactly that entry. Dually,
-//! `find_worst_idle` keeps the first entry of maximal area, recovered
-//! by ranging into the maximal-area group from `Reverse(u64::MAX)`.
+//! worst fit keeps the first entry of maximal area, recovered by
+//! ranging into the maximal-area group from `Reverse(u64::MAX)`.
 //!
-//! ## What stays linear under both backends
+//! ## What the index does not answer
 //!
 //! `find_first_idle` (the list head is already O(1)), `collect_idle`
 //! (must return entries in list order for the random policy's RNG
 //! stream), `find_any_idle_node` (Algorithm 1's per-slot accumulation
 //! with early exit), and `busy_candidate_exists` (its step charge
 //! equals the position of the first match, which no order-preserving
-//! index can reproduce without doing the scan). Algorithm 1 is different:
-//! only the succeeding node's slot position needs the walk, and every
-//! node before it is charged its live-slot count. Both backends share
-//! the busy-area shortcut that skips the walk on nodes that cannot
-//! succeed (DESIGN.md §4). These are documented in DESIGN.md §11; the
-//! differential harness covers them anyway because both backends share
-//! the same code paths for them.
+//! index can reproduce without doing the scan) walk the lists and the
+//! node table directly. Algorithm 1 skips the walk on nodes that cannot
+//! succeed, using the busy-area column (DESIGN.md §4).
 //!
 //! ## Consistency
 //!
-//! [`ResourceManager`](crate::store::ResourceManager) keeps the index
-//! incrementally in sync from every mutation path (configure,
+//! [`ResourceManager`](crate::store::ResourceManager) builds the index
+//! with the store, rebuilds it when a store is deserialized, and keeps
+//! it incrementally in sync from every mutation path (configure,
 //! assign/release, evict, fail/repair). `check_invariants` — and hence
 //! the engine auditor — cross-checks the live index against a
 //! from-scratch [`SearchIndex::rebuild`] via [`IndexSnapshot`]
 //! equality, which pins membership, keys, *and* tie-break order.
-//! Checkpoints never serialize the index (`#[serde(skip)]`); a resumed
-//! run rebuilds it when the backend is re-selected.
+//! Checkpoints never serialize the index.
 
 use crate::config::Config;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId};
@@ -69,88 +65,6 @@ use crate::lists::{ConfigLists, ListKind};
 use crate::soa::NodeStore;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Which implementation answers the store's placement searches.
-///
-/// Both concrete backends charge identical
-/// [`StepCounter`](crate::StepCounter) costs and return identical
-/// results; they differ only in wall-clock time. Selected per run (CLI
-/// `--search`); never serialized into reports or checkpoints.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SearchBackend {
-    /// The paper's linear scans (default).
-    #[default]
-    Linear,
-    /// Ordered-index lookups with linear-equivalent step charging.
-    Indexed,
-    /// Pick [`Linear`](Self::Linear) or [`Indexed`](Self::Indexed) per
-    /// run from the node count (see [`Self::resolve`]). The store
-    /// resolves this to a concrete backend at selection time, so `Auto`
-    /// never answers a query itself.
-    Auto,
-}
-
-/// Node count at which [`SearchBackend::Auto`] switches from linear to
-/// indexed searches.
-///
-/// The indexed backend's per-query win grows with the node count, but
-/// it pays a roughly constant index-maintenance cost on every store
-/// mutation. The threshold dates from an end-to-end measurement on one
-/// hardware thread, which put the break-even at ≈200 nodes
-/// (indexed-over-linear speedup 0.86–0.89× at 100 nodes, 0.98–1.04× at
-/// 200). Re-measured on two hardware threads after suspension rescans
-/// became cheap, there is no break-even at 100–200 nodes: over nine
-/// passes the median end-to-end speedups were 1.05–1.09× at 100 nodes
-/// and 1.00–1.02× at 200, each within its passes' spread. DESIGN.md
-/// §11.4 has whole-run times at 1k–100k nodes.
-pub const AUTO_INDEXED_MIN_NODES: usize = 200;
-
-impl SearchBackend {
-    /// Parse a CLI spelling (`"linear"` / `"indexed"` / `"auto"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "linear" => Some(SearchBackend::Linear),
-            "indexed" => Some(SearchBackend::Indexed),
-            "auto" => Some(SearchBackend::Auto),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SearchBackend::Linear => "linear",
-            SearchBackend::Indexed => "indexed",
-            SearchBackend::Auto => "auto",
-        }
-    }
-
-    /// Resolve to a concrete backend for a store of `total_nodes`
-    /// nodes: `Auto` picks by [`AUTO_INDEXED_MIN_NODES`]; the explicit
-    /// backends return themselves. Backend choice never changes
-    /// results, so this affects wall-clock time only.
-    #[must_use]
-    pub fn resolve(self, total_nodes: usize) -> SearchBackend {
-        match self {
-            SearchBackend::Auto => {
-                if total_nodes >= AUTO_INDEXED_MIN_NODES {
-                    SearchBackend::Indexed
-                } else {
-                    SearchBackend::Linear
-                }
-            }
-            concrete => concrete,
-        }
-    }
-}
-
-impl std::fmt::Display for SearchBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Key of one idle-index entry: the holding node's available area plus
 /// a reversed push-sequence number (larger `seq` = pushed more
@@ -214,7 +128,7 @@ impl NodeIndexState {
 /// incrementally, one rebuilt from scratch — produce **equal**
 /// snapshots: the idle component lists entries in key order, so
 /// equality pins not just membership but the LIFO tie-break order the
-/// linear backend would use. Property tests compare these after every
+/// paper's list walk would use. Property tests compare these after every
 /// mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexSnapshot {
@@ -230,11 +144,10 @@ pub struct IndexSnapshot {
     pub configs_by_area: Vec<(Area, ConfigId)>,
 }
 
-/// The ordered indexes backing [`SearchBackend::Indexed`].
+/// The ordered indexes that answer the store's placement searches.
 ///
 /// Owned by [`ResourceManager`](crate::store::ResourceManager), which
-/// drives all updates; empty (and unused) while the backend is
-/// [`SearchBackend::Linear`].
+/// drives all updates.
 #[derive(Clone, Debug, Default)]
 pub struct SearchIndex {
     /// `(ReqArea, ConfigId)` sorted ascending; immutable per rebuild.
@@ -313,11 +226,6 @@ impl SearchIndex {
             idx.seq_next += len;
         }
         idx
-    }
-
-    /// Drop all index contents (switching back to the linear backend).
-    pub(crate) fn clear(&mut self) {
-        *self = Self::default();
     }
 
     fn set_mut(&mut self, kind: SetKind) -> &mut BTreeSet<(Area, NodeId)> {
@@ -422,7 +330,7 @@ impl SearchIndex {
 
     // ------------------------------------------------------------------
     // Queries (used by ResourceManager's dispatch; step charging is the
-    // caller's responsibility so model cost stays backend-independent).
+    // caller's responsibility, so the model cost stays the paper's).
     // ------------------------------------------------------------------
 
     /// Number of idle instances of `config` (equals the idle list
@@ -533,36 +441,6 @@ impl IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_parse_round_trips() {
-        for b in [
-            SearchBackend::Linear,
-            SearchBackend::Indexed,
-            SearchBackend::Auto,
-        ] {
-            assert_eq!(SearchBackend::parse(b.label()), Some(b));
-            assert_eq!(b.to_string(), b.label());
-        }
-        assert_eq!(SearchBackend::parse("btree"), None);
-        assert_eq!(SearchBackend::default(), SearchBackend::Linear);
-    }
-
-    #[test]
-    fn auto_resolves_by_node_count() {
-        assert_eq!(
-            SearchBackend::Auto.resolve(AUTO_INDEXED_MIN_NODES - 1),
-            SearchBackend::Linear
-        );
-        assert_eq!(
-            SearchBackend::Auto.resolve(AUTO_INDEXED_MIN_NODES),
-            SearchBackend::Indexed
-        );
-        assert_eq!(SearchBackend::Auto.resolve(10_000), SearchBackend::Indexed);
-        // Explicit backends are fixed points of resolution.
-        assert_eq!(SearchBackend::Linear.resolve(10_000), SearchBackend::Linear);
-        assert_eq!(SearchBackend::Indexed.resolve(1), SearchBackend::Indexed);
-    }
 
     #[test]
     fn empty_index_answers_nothing() {

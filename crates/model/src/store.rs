@@ -8,16 +8,16 @@
 //! own work). The sum of the two is the paper's *total scheduler
 //! workload*.
 //!
-//! Searches can be answered by either of two [`SearchBackend`]s: the
-//! paper's linear scans (default) or ordered indexes
-//! ([`crate::search`]). The backend changes wall-clock cost only — both
-//! backends return the same results **and charge the same steps**, so
-//! reports and checkpoints are backend-independent (DESIGN.md §11).
+//! Searches are answered from an ordered [`SearchIndex`]
+//! ([`crate::search`]) that returns what the paper's linear scans
+//! return **and charges the steps those scans charge**, so the model
+//! cost is the paper's while the wall-clock cost is logarithmic
+//! (DESIGN.md §11).
 //!
 //! Node state lives in a struct-of-arrays [`NodeStore`] (DESIGN.md §18):
-//! the linear node-table scans below stride over the one or two dense
-//! columns they filter on (`down`, `available_area`, `total_area`)
-//! instead of ~130-byte `Node` structs. Serialization still goes through
+//! the node-table scans below stride over the one or two dense columns
+//! they filter on (`down`, `state`, `total_area`) instead of ~130-byte
+//! `Node` structs. Serialization still goes through
 //! the AoS mirror, so checkpoints are byte-identical to the seed layout.
 
 use crate::caps::Capabilities;
@@ -25,7 +25,7 @@ use crate::config::Config;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
 use crate::lists::{ConfigLists, ListKind};
 use crate::node::{Node, NodeError, NodeState};
-use crate::search::{IndexSnapshot, SearchBackend, SearchIndex};
+use crate::search::{IndexSnapshot, SearchIndex};
 use crate::soa::{NodeRef, NodeStore, Nodes};
 use crate::steps::{StepCounter, StepKind};
 use crate::task::PreferredConfig;
@@ -70,26 +70,16 @@ impl Demand {
 }
 
 /// Owner of all resource state for one simulation run.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct ResourceManager {
     nodes: NodeStore,
     configs: Vec<Config>,
     lists: ConfigLists,
-    /// Active search backend. Run-scoped and deliberately **not**
-    /// serialized: checkpoints are backend-independent, and a restored
-    /// store starts on the default (linear) backend until
-    /// [`set_search_backend`](Self::set_search_backend) re-selects one.
-    // REBUILD: resume restores the default (linear) backend; the run
-    // options re-select via `set_search_backend`, which never touches
-    // serialized state — so the skip cannot desynchronize a checkpoint.
-    #[serde(skip)]
-    backend: SearchBackend,
-    /// The ordered indexes backing [`SearchBackend::Indexed`]; empty
-    /// (and ignored) under the linear backend. Rebuilt from the node
-    /// table and lists whenever the indexed backend is (re-)selected.
-    // REBUILD: derived state only — `set_search_backend(Indexed)` calls
+    /// The ordered indexes that answer placement searches, derived from
+    /// the node table and lists.
+    // REBUILD: derived state only — deserialization calls
     // `SearchIndex::rebuild` from the restored nodes/lists, and the
-    // auditor pins live-vs-rebuilt snapshot equality after resume.
+    // restore audit pins live-vs-rebuilt snapshot equality.
     #[serde(skip)]
     index: SearchIndex,
     /// Monotone count of store mutation operations (configure, evict,
@@ -113,56 +103,24 @@ impl ResourceManager {
         for (i, c) in configs.iter().enumerate() {
             assert_eq!(c.id.index(), i, "config ids must be dense and ordered");
         }
+        // `from_nodes` asserts dense, ordered node ids.
+        let nodes = NodeStore::from_nodes(nodes);
         let lists = ConfigLists::new(configs.len());
+        let index = SearchIndex::rebuild(&nodes, &configs, &lists);
         Self {
-            // `from_nodes` asserts dense, ordered node ids.
-            nodes: NodeStore::from_nodes(nodes),
+            nodes,
             configs,
             lists,
-            backend: SearchBackend::default(),
-            index: SearchIndex::default(),
+            index,
             mutation_ops: 0,
         }
     }
 
-    /// The backend currently answering placement searches.
+    /// Snapshot of the live search index. Property tests compare this
+    /// against [`rebuilt_index_snapshot`](Self::rebuilt_index_snapshot).
     #[must_use]
-    pub fn search_backend(&self) -> SearchBackend {
-        self.backend
-    }
-
-    /// Select the search backend. [`SearchBackend::Auto`] is resolved
-    /// to a concrete backend from this store's node count
-    /// ([`SearchBackend::resolve`]), so the stored backend — and
-    /// [`search_backend`](Self::search_backend) — is always `Linear` or
-    /// `Indexed`. Selecting the indexed backend (re-)builds the ordered
-    /// indexes from the current node table and lists — this is also the
-    /// restore path after a checkpoint resume, since the index is never
-    /// serialized. Selecting the linear backend drops them. Idempotent
-    /// and safe at any point in a run; switching backends never changes
-    /// step counters, search results, or serialized state.
-    pub fn set_search_backend(&mut self, backend: SearchBackend) {
-        let backend = backend.resolve(self.nodes.len());
-        self.backend = backend;
-        if backend == SearchBackend::Indexed {
-            self.index = SearchIndex::rebuild(&self.nodes, &self.configs, &self.lists);
-        } else {
-            self.index.clear();
-        }
-    }
-
-    /// Snapshot of the live search index, or `None` under the linear
-    /// backend. Property tests compare this against
-    /// [`rebuilt_index_snapshot`](Self::rebuilt_index_snapshot).
-    #[must_use]
-    pub fn search_index_snapshot(&self) -> Option<IndexSnapshot> {
-        // `self.backend` is always concrete (`set_search_backend`
-        // resolves `Auto` before storing), so this is a two-way branch.
-        if self.backend == SearchBackend::Indexed {
-            Some(self.index.snapshot())
-        } else {
-            None
-        }
+    pub fn search_index_snapshot(&self) -> IndexSnapshot {
+        self.index.snapshot()
     }
 
     /// Snapshot of a from-scratch index rebuild off the current store
@@ -286,28 +244,13 @@ impl ResourceManager {
         steps: &mut StepCounter,
     ) -> Option<ConfigId> {
         match pref {
-            PreferredConfig::Known(id) => {
-                if self.backend == SearchBackend::Indexed {
-                    // Config ids are dense and ordered (checked at
-                    // construction), so the linear scan reaches `id`
-                    // after exactly `index + 1` probes, or exhausts the
-                    // list if the id is out of range.
-                    if id.index() < self.configs.len() {
-                        steps.charge(StepKind::Scheduling, id.index() as u64 + 1);
-                        return Some(id);
-                    }
-                    steps.charge(StepKind::Scheduling, self.configs.len() as u64);
-                    return None;
-                }
-                for c in &self.configs {
-                    steps.tick(StepKind::Scheduling);
-                    if c.id == id {
-                        return Some(id);
-                    }
-                }
-                None
+            // Config ids are dense and ordered (checked at construction),
+            // so the scan reaches `id` after exactly `index + 1` probes.
+            PreferredConfig::Known(id) if id.index() < self.configs.len() => {
+                steps.charge(StepKind::Scheduling, id.index() as u64 + 1);
+                Some(id)
             }
-            PreferredConfig::Phantom { .. } => {
+            PreferredConfig::Known(_) | PreferredConfig::Phantom { .. } => {
                 steps.charge(StepKind::Scheduling, self.configs.len() as u64);
                 None
             }
@@ -322,53 +265,26 @@ impl ResourceManager {
         needed_area: Area,
         steps: &mut StepCounter,
     ) -> Option<ConfigId> {
-        if self.backend == SearchBackend::Indexed {
-            steps.charge(StepKind::Scheduling, self.configs.len() as u64);
-            return self.index.closest_config(needed_area);
-        }
-        let mut best: Option<(Area, ConfigId)> = None;
-        for c in &self.configs {
-            steps.tick(StepKind::Scheduling);
-            if c.req_area > needed_area {
-                let cand = (c.req_area, c.id);
-                best = Some(match best {
-                    None => cand,
-                    Some(b) if cand < b => cand,
-                    Some(b) => b,
-                });
-            }
-        }
-        best.map(|(_, id)| id)
+        // The scan visits the whole table.
+        steps.charge(StepKind::Scheduling, self.configs.len() as u64);
+        self.index.closest_config(needed_area)
     }
 
     /// `FindBestNode()`: among idle instances of `config`, the node with
     /// minimum `AvailableArea` (best fit — "so that the nodes with larger
     /// AvailableArea are utilized for later re-configurations").
     pub fn find_best_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Option<EntryRef> {
-        if self.backend == SearchBackend::Indexed {
-            // The linear walk visits every list entry; charge the same.
-            steps.charge(StepKind::Scheduling, self.index.idle_len(config) as u64);
-            return self.index.best_idle(config);
-        }
-        let mut best: Option<(Area, EntryRef)> = None;
-        for e in self.lists.iter(&self.nodes, ListKind::Idle, config) {
-            steps.tick(StepKind::Scheduling);
-            let avail = self.nodes.available_area(e.node.index());
-            if best.is_none_or(|(a, _)| avail < a) {
-                best = Some((avail, e));
-            }
-        }
-        best.map(|(_, e)| e)
+        // The walk visits every list entry; charge the same.
+        steps.charge(StepKind::Scheduling, self.index.idle_len(config) as u64);
+        self.index.best_idle(config)
     }
 
     /// First idle instance of `config` in list order (first fit), for the
-    /// policy-ablation schedulers.
+    /// policy ablation.
     ///
-    /// Identical under both backends: the intrusive list head is already
-    /// O(1), so the indexed backend has nothing to accelerate. A probe
-    /// of an **empty** list charges zero scheduling steps (there is no
-    /// entry to examine) — pinned by a unit test so the backends cannot
-    /// drift apart on step accounting.
+    /// Answered from the intrusive list, whose head is already O(1). A
+    /// probe of an **empty** list charges zero scheduling steps (there
+    /// is no entry to examine), pinned by a unit test.
     pub fn find_first_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Option<EntryRef> {
         let e = self.lists.iter(&self.nodes, ListKind::Idle, config).next();
         if e.is_some() {
@@ -380,28 +296,17 @@ impl ResourceManager {
     /// Among idle instances of `config`, the node with **maximum**
     /// available area (worst fit), for the policy ablation.
     pub fn find_worst_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Option<EntryRef> {
-        if self.backend == SearchBackend::Indexed {
-            steps.charge(StepKind::Scheduling, self.index.idle_len(config) as u64);
-            return self.index.worst_idle(config);
-        }
-        let mut best: Option<(Area, EntryRef)> = None;
-        for e in self.lists.iter(&self.nodes, ListKind::Idle, config) {
-            steps.tick(StepKind::Scheduling);
-            let avail = self.nodes.available_area(e.node.index());
-            if best.is_none_or(|(a, _)| avail > a) {
-                best = Some((avail, e));
-            }
-        }
-        best.map(|(_, e)| e)
+        steps.charge(StepKind::Scheduling, self.index.idle_len(config) as u64);
+        self.index.worst_idle(config)
     }
 
     /// All idle instances of `config`, charging one scheduling step per
     /// visited entry (random-choice policy support).
     ///
-    /// Identical under both backends: the caller (the random policy)
-    /// indexes into the returned vector with an RNG draw, so the
-    /// **list order** of the result is semantically significant and must
-    /// not depend on the backend. An empty list charges zero steps.
+    /// Walks the intrusive list: the caller (the random policy) indexes
+    /// into the returned vector with an RNG draw, so the **list order**
+    /// of the result is semantically significant. An empty list charges
+    /// zero steps.
     pub fn collect_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Vec<EntryRef> {
         let v: Vec<EntryRef> = self
             .lists
@@ -418,36 +323,18 @@ impl ResourceManager {
     }
 
     /// Best **blank** node for the demanded area/capabilities: minimal
-    /// `TotalArea` among eligible blank nodes (scans the node table; the
-    /// paper keeps no blank list).
+    /// `TotalArea` among eligible blank nodes. The paper keeps no blank
+    /// list, so it scans the node table.
     pub fn find_best_blank(&self, demand: Demand, steps: &mut StepCounter) -> Option<NodeId> {
-        if self.backend == SearchBackend::Indexed {
-            // Charge the full table scan the linear backend performs,
-            // then answer from the blank index: candidates arrive in
-            // ascending (TotalArea, NodeId) order — exactly the linear
-            // scan's preference — so the first one passing the
-            // capability and placement filters is the linear pick.
-            steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
-            return self.index.blank_candidates(demand.area).find(|&id| {
-                let i = id.index();
-                self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
-            });
-        }
-        let mut best: Option<(Area, NodeId)> = None;
-        for i in 0..self.nodes.len() {
-            steps.tick(StepKind::Scheduling);
-            if !self.nodes.is_down(i)
-                && self.nodes.is_blank(i)
-                && self.caps_ok_at(i, demand)
-                && self.nodes.can_host(i, demand.area)
-            {
-                let cand = (self.nodes.total_area(i), NodeId::from_index(i));
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
+        // Charge the full table scan, then answer from the blank index:
+        // candidates arrive in ascending (TotalArea, NodeId) order —
+        // exactly the scan's preference — so the first one passing the
+        // capability and placement filters is the scan's pick.
+        steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
+        self.index.blank_candidates(demand.area).find(|&id| {
+            let i = id.index();
+            self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
+        })
     }
 
     /// Best **partially blank** node: already holds ≥ 1 configuration and
@@ -459,28 +346,11 @@ impl ResourceManager {
         demand: Demand,
         steps: &mut StepCounter,
     ) -> Option<NodeId> {
-        if self.backend == SearchBackend::Indexed {
-            steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
-            return self.index.partial_candidates(demand.area).find(|&id| {
-                let i = id.index();
-                self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
-            });
-        }
-        let mut best: Option<(Area, NodeId)> = None;
-        for i in 0..self.nodes.len() {
-            steps.tick(StepKind::Scheduling);
-            if !self.nodes.is_down(i)
-                && !self.nodes.is_blank(i)
-                && self.caps_ok_at(i, demand)
-                && self.nodes.can_host(i, demand.area)
-            {
-                let cand = (self.nodes.available_area(i), NodeId::from_index(i));
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best.map(|(_, id)| id)
+        steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
+        self.index.partial_candidates(demand.area).find(|&id| {
+            let i = id.index();
+            self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
+        })
     }
 
     /// Algorithm 1, `FindAnyIdleNode`: scan nodes accumulating
@@ -491,11 +361,11 @@ impl ResourceManager {
     /// `SearchLength` and `TotalSimWorkLoad`; scheduling steps fold into
     /// the workload total by definition here).
     ///
-    /// Identical under both backends. Only the succeeding node's charge
-    /// needs the walk (its slot position); every node before it is
-    /// charged its live-slot count, and a node whose idle slots cannot
-    /// cover the demand is answered from the busy-area column without
-    /// walking ([`NodeStore::reclaim_idle`], DESIGN.md §4).
+    /// Only the succeeding node's charge needs the walk (its slot
+    /// position); every node before it is charged its live-slot count,
+    /// and a node whose idle slots cannot cover the demand is answered
+    /// from the busy-area column without walking
+    /// ([`NodeStore::reclaim_idle`], DESIGN.md §4).
     pub fn find_any_idle_node(
         &self,
         demand: Demand,
@@ -518,9 +388,9 @@ impl ResourceManager {
     /// node have `TotalArea ≥ req_area`, so that suspending the task and
     /// waiting for that node is worthwhile?
     ///
-    /// Identical under both backends: the early-exit scan charges
-    /// exactly the position of the first match, a quantity only the scan
-    /// itself can produce (DESIGN.md §11).
+    /// A scan, not an index lookup: the early-exit scan charges exactly
+    /// the position of the first match, a quantity only the scan itself
+    /// can produce (DESIGN.md §11).
     pub fn busy_candidate_exists(&self, demand: Demand, steps: &mut StepCounter) -> bool {
         for i in 0..self.nodes.len() {
             steps.tick(StepKind::Scheduling);
@@ -554,10 +424,8 @@ impl ResourceManager {
         let entry = EntryRef::new(node, slot);
         self.lists
             .push(&mut self.nodes, ListKind::Idle, config, entry, steps);
-        if self.backend == SearchBackend::Indexed {
-            self.index.refresh_node(&self.nodes, node);
-            self.index.add_entry(&self.nodes, entry, config);
-        }
+        self.index.refresh_node(&self.nodes, node);
+        self.index.add_entry(&self.nodes, entry, config);
         Ok(entry)
     }
 
@@ -591,15 +459,11 @@ impl ResourceManager {
                 removed,
                 "idle slot {entry} missing from idle list of {config}"
             );
-            if self.backend == SearchBackend::Indexed {
-                self.index.remove_entry(node, idx);
-            }
+            self.index.remove_entry(node, idx);
             self.nodes.evict_slot(node.index(), idx)?;
             // BOUND: one tick per successful mutation; u64 cannot wrap.
             self.mutation_ops += 1;
-            if self.backend == SearchBackend::Indexed {
-                self.index.refresh_node(&self.nodes, node);
-            }
+            self.index.refresh_node(&self.nodes, node);
         }
         Ok(())
     }
@@ -626,10 +490,8 @@ impl ResourceManager {
             .lists
             .remove(&mut self.nodes, ListKind::Idle, config, entry, steps);
         assert!(removed, "assigning {entry}: not on idle list of {config}");
-        if self.backend == SearchBackend::Indexed {
-            // Assignment changes no areas, only list membership.
-            self.index.remove_entry(entry.node, entry.slot);
-        }
+        // Assignment changes no areas, only list membership.
+        self.index.remove_entry(entry.node, entry.slot);
         self.nodes.add_task(entry.node.index(), entry.slot, task)?;
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
@@ -665,11 +527,9 @@ impl ResourceManager {
         self.mutation_ops += 1;
         self.lists
             .push(&mut self.nodes, ListKind::Idle, config, entry, steps);
-        if self.backend == SearchBackend::Indexed {
-            // Release changes no area, blank or down status, so the
-            // node's index registration is already current.
-            self.index.add_entry(&self.nodes, entry, config);
-        }
+        // Release changes no area, blank or down status, so the node's
+        // index registration is already current.
+        self.index.add_entry(&self.nodes, entry, config);
         Ok(task)
     }
 
@@ -723,11 +583,9 @@ impl ResourceManager {
         self.nodes.set_down(i, true);
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        if self.backend == SearchBackend::Indexed {
-            // The loop above did not re-key per slot; purge uses the
-            // recorded keys and drops the node's set registration.
-            self.index.purge_node(&self.nodes, node);
-        }
+        // The loop above did not re-key per slot; purge uses the
+        // recorded keys and drops the node's set registration.
+        self.index.purge_node(&self.nodes, node);
         killed
     }
 
@@ -736,9 +594,7 @@ impl ResourceManager {
         self.nodes.set_down(node.index(), false);
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        if self.backend == SearchBackend::Indexed {
-            self.index.refresh_node(&self.nodes, node);
-        }
+        self.index.refresh_node(&self.nodes, node);
     }
 
     // ------------------------------------------------------------------
@@ -782,10 +638,24 @@ impl ResourceManager {
     ///    its config when vacant, the busy list when running a task;
     /// 3. the lists contain no duplicates, no dangling entries, and no
     ///    entries of the wrong configuration;
-    /// 4. under [`SearchBackend::Indexed`], the incrementally maintained
-    ///    index matches a from-scratch rebuild — membership, keys, and
-    ///    tie-break order ([`IndexSnapshot`] equality).
+    /// 4. the incrementally maintained search index matches a
+    ///    from-scratch rebuild — membership, keys, and tie-break order
+    ///    ([`IndexSnapshot`] equality).
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.check_structure()?;
+        if let Some(divergence) = self
+            .index
+            .snapshot()
+            .first_divergence(&self.rebuilt_index_snapshot())
+        {
+            return Err(format!("search index out of sync: {divergence}"));
+        }
+        Ok(())
+    }
+
+    /// Checks 1–3 of [`check_invariants`](Self::check_invariants): the
+    /// node table and lists alone, without the index derived from them.
+    fn check_structure(&self) -> Result<(), String> {
         for i in 0..self.nodes.len() {
             if !self.nodes.area_invariant_holds(i) {
                 return Err(format!(
@@ -829,16 +699,33 @@ impl ResourceManager {
                 listed.len()
             ));
         }
-        if self.backend == SearchBackend::Indexed {
-            if let Some(divergence) = self
-                .index
-                .snapshot()
-                .first_divergence(&self.rebuilt_index_snapshot())
-            {
-                return Err(format!("search index out of sync: {divergence}"));
-            }
-        }
         Ok(())
+    }
+}
+
+/// Deserialization rebuilds the search index, which checkpoints never
+/// carry. A store whose lists are corrupted keeps an empty index
+/// instead: the rebuild would walk the corrupted lists, while
+/// [`ResourceManager::check_invariants`], which a restore runs next,
+/// reports the corruption as an error.
+impl serde::Deserialize for ResourceManager {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let field = |name: &str| {
+            value.get(name).ok_or_else(|| {
+                serde::Error::custom(format!("ResourceManager: missing field {name}"))
+            })
+        };
+        let mut rm = Self {
+            nodes: serde::Deserialize::from_value(field("nodes")?)?,
+            configs: serde::Deserialize::from_value(field("configs")?)?,
+            lists: serde::Deserialize::from_value(field("lists")?)?,
+            index: SearchIndex::default(),
+            mutation_ops: 0,
+        };
+        if rm.check_structure().is_ok() {
+            rm.index = SearchIndex::rebuild(&rm.nodes, &rm.configs, &rm.lists);
+        }
+        Ok(rm)
     }
 }
 
@@ -1123,197 +1010,59 @@ mod tests {
     }
 
     #[test]
-    fn empty_probe_charges_zero_steps_under_both_backends() {
-        // Satellite: `find_first_idle` and `collect_idle` on an empty
-        // idle list examine no entries, so they must charge exactly
-        // zero scheduling steps — under both backends. Pinned so a
-        // future backend cannot silently diverge on the empty case.
-        for backend in [SearchBackend::Linear, SearchBackend::Indexed] {
-            let mut rm = make(&[(0, 400)], &[1000]);
-            rm.set_search_backend(backend);
-            let mut s = StepCounter::new();
-            assert_eq!(rm.find_first_idle(ConfigId(0), &mut s), None);
-            assert!(rm.collect_idle(ConfigId(0), &mut s).is_empty());
-            assert_eq!(rm.find_best_idle(ConfigId(0), &mut s), None);
-            assert_eq!(rm.find_worst_idle(ConfigId(0), &mut s), None);
-            assert_eq!(s.scheduling, 0, "{backend}: empty probes must be free");
-            assert_eq!(s.housekeeping, 0);
-        }
+    fn empty_probe_charges_zero_steps() {
+        // `find_first_idle` and `collect_idle` on an empty idle list
+        // examine no entries, so they must charge exactly zero
+        // scheduling steps; so must the index-answered best and worst
+        // fit, whose walk would visit nothing.
+        let rm = make(&[(0, 400)], &[1000]);
+        let mut s = StepCounter::new();
+        assert_eq!(rm.find_first_idle(ConfigId(0), &mut s), None);
+        assert!(rm.collect_idle(ConfigId(0), &mut s).is_empty());
+        assert_eq!(rm.find_best_idle(ConfigId(0), &mut s), None);
+        assert_eq!(rm.find_worst_idle(ConfigId(0), &mut s), None);
+        assert_eq!(s.scheduling, 0, "empty probes must be free");
+        assert_eq!(s.housekeeping, 0);
     }
 
     #[test]
-    fn indexed_backend_matches_linear_results_and_steps() {
-        let configs = &[(0, 300), (1, 500), (2, 700)];
-        let areas = &[4000, 2000, 3000, 800, 2000];
-        let mut lin = make(configs, areas);
-        let mut idx = make(configs, areas);
-        idx.set_search_backend(SearchBackend::Indexed);
-        let mut sl = StepCounter::new();
-        let mut si = StepCounter::new();
-        // Drive both stores through the same mutation sequence,
-        // comparing every search and both counters at each step.
-        let check = |lin: &ResourceManager,
-                     idx: &ResourceManager,
-                     sl: &mut StepCounter,
-                     si: &mut StepCounter| {
-            for pref in [
-                PreferredConfig::Known(ConfigId(1)),
-                PreferredConfig::Known(ConfigId(2)),
-                PreferredConfig::Phantom { area: 400 },
-            ] {
-                assert_eq!(
-                    lin.find_preferred_config(pref, sl),
-                    idx.find_preferred_config(pref, si)
-                );
-            }
-            for a in [0, 299, 300, 500, 699, 700] {
-                assert_eq!(
-                    lin.find_closest_config(a, sl),
-                    idx.find_closest_config(a, si)
-                );
-                assert_eq!(
-                    lin.find_best_blank(Demand::area(a), sl),
-                    idx.find_best_blank(Demand::area(a), si)
-                );
-                assert_eq!(
-                    lin.find_best_partially_blank(Demand::area(a), sl),
-                    idx.find_best_partially_blank(Demand::area(a), si)
-                );
-            }
-            for c in 0..3 {
-                assert_eq!(
-                    lin.find_best_idle(ConfigId(c), sl),
-                    idx.find_best_idle(ConfigId(c), si)
-                );
-                assert_eq!(
-                    lin.find_worst_idle(ConfigId(c), sl),
-                    idx.find_worst_idle(ConfigId(c), si)
-                );
-                assert_eq!(
-                    lin.find_first_idle(ConfigId(c), sl),
-                    idx.find_first_idle(ConfigId(c), si)
-                );
-                assert_eq!(
-                    lin.collect_idle(ConfigId(c), sl),
-                    idx.collect_idle(ConfigId(c), si)
-                );
-            }
-            assert_eq!(sl.scheduling, si.scheduling, "scheduling steps diverged");
-            assert_eq!(
-                sl.housekeeping, si.housekeeping,
-                "housekeeping steps diverged"
-            );
-            lin.check_invariants().unwrap();
-            idx.check_invariants().unwrap();
-            if idx.search_backend() == SearchBackend::Indexed {
-                assert_eq!(
-                    idx.search_index_snapshot(),
-                    Some(idx.rebuilt_index_snapshot())
-                );
-            }
-        };
-        check(&lin, &idx, &mut sl, &mut si);
-        let mut entries = Vec::new();
-        for (n, c) in [(0, 0), (1, 0), (2, 0), (0, 1), (4, 2), (2, 1)] {
-            let el = lin.configure_slot(NodeId(n), ConfigId(c), &mut sl).unwrap();
-            let ei = idx.configure_slot(NodeId(n), ConfigId(c), &mut si).unwrap();
-            assert_eq!(el, ei);
-            entries.push(el);
-            check(&lin, &idx, &mut sl, &mut si);
-        }
-        // Assign, release, evict, fail, repair — same on both.
-        lin.assign_task(entries[1], TaskId(0), &mut sl).unwrap();
-        idx.assign_task(entries[1], TaskId(0), &mut si).unwrap();
-        check(&lin, &idx, &mut sl, &mut si);
-        assert_eq!(
-            lin.release_task(entries[1], &mut sl).unwrap(),
-            idx.release_task(entries[1], &mut si).unwrap()
-        );
-        check(&lin, &idx, &mut sl, &mut si);
-        lin.evict_idle_slots(NodeId(0), &[entries[3].slot], &mut sl)
-            .unwrap();
-        idx.evict_idle_slots(NodeId(0), &[entries[3].slot], &mut si)
-            .unwrap();
-        check(&lin, &idx, &mut sl, &mut si);
-        assert_eq!(
-            lin.fail_node(NodeId(2), &mut sl),
-            idx.fail_node(NodeId(2), &mut si)
-        );
-        check(&lin, &idx, &mut sl, &mut si);
-        lin.repair_node(NodeId(2));
-        idx.repair_node(NodeId(2));
-        check(&lin, &idx, &mut sl, &mut si);
-        // Switching the indexed store back to linear is lossless.
-        idx.set_search_backend(SearchBackend::Linear);
-        assert_eq!(idx.search_index_snapshot(), None);
-        check(&lin, &idx, &mut sl, &mut si);
-    }
-
-    #[test]
-    fn indexed_worst_fit_breaks_ties_like_the_list_walk() {
-        // Three idle instances on equal-area nodes: the linear walk
+    fn fit_ties_go_to_the_newest_idle_entry() {
+        // Three idle instances on equal-area nodes: the paper's walk
         // keeps the *first* entry it sees, i.e. the most recently
         // pushed one (LIFO head). The index must pick the same entry.
-        let configs = &[(0, 400)];
-        let areas = &[1000, 1000, 1000];
-        let mut lin = make(configs, areas);
-        let mut idx = make(configs, areas);
-        idx.set_search_backend(SearchBackend::Indexed);
+        let mut rm = make(&[(0, 400)], &[1000, 1000, 1000]);
         let mut s = StepCounter::new();
         for n in 0..3 {
-            lin.configure_slot(NodeId(n), ConfigId(0), &mut s).unwrap();
-            idx.configure_slot(NodeId(n), ConfigId(0), &mut s).unwrap();
+            rm.configure_slot(NodeId(n), ConfigId(0), &mut s).unwrap();
         }
-        let wl = lin.find_worst_idle(ConfigId(0), &mut s).unwrap();
-        let wi = idx.find_worst_idle(ConfigId(0), &mut s).unwrap();
-        assert_eq!(wl, wi);
-        assert_eq!(wl.node, NodeId(2), "head of the LIFO list wins ties");
-        let bl = lin.find_best_idle(ConfigId(0), &mut s).unwrap();
-        let bi = idx.find_best_idle(ConfigId(0), &mut s).unwrap();
-        assert_eq!(bl, bi);
-        assert_eq!(bl.node, NodeId(2));
+        let head = rm.find_first_idle(ConfigId(0), &mut s).unwrap();
+        assert_eq!(head.node, NodeId(2), "the LIFO head");
+        assert_eq!(rm.find_worst_idle(ConfigId(0), &mut s), Some(head));
+        assert_eq!(rm.find_best_idle(ConfigId(0), &mut s), Some(head));
     }
 
     #[test]
-    fn rebuild_on_reselect_restores_a_consistent_index() {
-        // Simulates the checkpoint-resume path: mutate under Linear
-        // (as a deserialized store would be), then select Indexed and
-        // verify the rebuilt index is immediately consistent.
-        let mut rm = make(&[(0, 400), (1, 600)], &[2000, 1500]);
+    fn deserialized_store_rebuilds_its_index() {
+        // Checkpoints never carry the index: a store read back must
+        // answer exactly like the one written.
+        let mut rm = make(&[(0, 400), (1, 600)], &[2000, 1500, 1500]);
         let mut s = StepCounter::new();
         let e = rm.configure_slot(NodeId(0), ConfigId(0), &mut s).unwrap();
         rm.configure_slot(NodeId(1), ConfigId(1), &mut s).unwrap();
+        rm.configure_slot(NodeId(2), ConfigId(1), &mut s).unwrap();
         rm.assign_task(e, TaskId(1), &mut s).unwrap();
-        assert_eq!(rm.search_index_snapshot(), None);
-        rm.set_search_backend(SearchBackend::Indexed);
-        assert_eq!(rm.search_backend(), SearchBackend::Indexed);
-        rm.check_invariants().unwrap();
+        let json = serde_json::to_string(&rm).unwrap();
+        let back: ResourceManager = serde_json::from_str(&json).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(back.search_index_snapshot(), rm.search_index_snapshot());
+        let demand = Demand::area(500);
         assert_eq!(
-            rm.search_index_snapshot(),
-            Some(rm.rebuilt_index_snapshot())
+            back.find_best_idle(ConfigId(1), &mut s),
+            rm.find_best_idle(ConfigId(1), &mut s)
         );
-    }
-
-    #[test]
-    fn auto_backend_is_resolved_before_it_is_stored() {
-        // Below the threshold auto selects linear (no index to keep in
-        // sync); the stored backend is always concrete, never `Auto`.
-        let mut rm = make(&[(0, 400), (1, 600)], &[2000, 1500]);
-        rm.set_search_backend(SearchBackend::Auto);
-        assert_eq!(rm.search_backend(), SearchBackend::Linear);
-        assert_eq!(rm.search_index_snapshot(), None);
-        // A store at/above AUTO_INDEXED_MIN_NODES resolves to indexed
-        // and builds a consistent index on selection.
-        let areas: Vec<u64> = (0..crate::AUTO_INDEXED_MIN_NODES as u64)
-            .map(|i| 1000 + i)
-            .collect();
-        let mut big = make(&[(0, 400)], &areas);
-        big.set_search_backend(SearchBackend::Auto);
-        assert_eq!(big.search_backend(), SearchBackend::Indexed);
-        big.check_invariants().unwrap();
         assert_eq!(
-            big.search_index_snapshot(),
-            Some(big.rebuilt_index_snapshot())
+            back.find_best_partially_blank(demand, &mut s),
+            rm.find_best_partially_blank(demand, &mut s)
         );
     }
 

@@ -2,9 +2,10 @@
 //! operation sequences must never violate the structural invariants
 //! (Eq. 4 area accounting, idle/busy list partition, no leaks).
 
+use dreamsim_model::lists::ListKind;
 use dreamsim_model::{
-    Capabilities, Capability, Config, ConfigId, Demand, EntryRef, GapFit, Node, NodeId,
-    ResourceManager, SearchBackend, StepCounter, TaskId,
+    Capabilities, Capability, Config, ConfigId, Demand, EntryRef, GapFit, Node, NodeId, NodeState,
+    PreferredConfig, ResourceManager, StepCounter, TaskId,
 };
 use proptest::prelude::*;
 
@@ -98,6 +99,97 @@ fn reference_any_idle_node(
     (None, steps)
 }
 
+/// `FindPreferredConfig` as a plain scan of the configuration table:
+/// the answer and the steps it charges.
+fn reference_preferred_config(
+    rm: &ResourceManager,
+    pref: PreferredConfig,
+) -> (Option<ConfigId>, u64) {
+    let mut steps = 0;
+    for c in rm.configs() {
+        steps += 1;
+        if pref == PreferredConfig::Known(c.id) {
+            return (Some(c.id), steps);
+        }
+    }
+    (None, steps)
+}
+
+/// `FindClosestConfig` as a plain scan: the smallest configuration
+/// strictly larger than `area`, lowest id first.
+fn reference_closest_config(rm: &ResourceManager, area: u64) -> (Option<ConfigId>, u64) {
+    let mut best: Option<&Config> = None;
+    for c in rm.configs() {
+        if c.req_area > area && best.is_none_or(|b| c.req_area < b.req_area) {
+            best = Some(c);
+        }
+    }
+    (best.map(|c| c.id), rm.configs().len() as u64)
+}
+
+/// The idle list of `config`, head first.
+fn idle_list(rm: &ResourceManager, config: ConfigId) -> Vec<EntryRef> {
+    rm.lists()
+        .iter(rm.node_store(), ListKind::Idle, config)
+        .collect()
+}
+
+/// Best fit (or worst fit) as a walk of the idle list from its head,
+/// keeping the first entry with the strictly smallest (largest)
+/// available area.
+fn reference_fit(rm: &ResourceManager, config: ConfigId, worst: bool) -> (Option<EntryRef>, u64) {
+    let list = idle_list(rm, config);
+    let mut best: Option<(u64, EntryRef)> = None;
+    for &e in &list {
+        let avail = rm.node(e.node).available_area();
+        let better = match best {
+            None => true,
+            Some((b, _)) if worst => avail > b,
+            Some((b, _)) => avail < b,
+        };
+        if better {
+            best = Some((avail, e));
+        }
+    }
+    (best.map(|(_, e)| e), list.len() as u64)
+}
+
+/// The configuration (blank) or partial-configuration (configured)
+/// phase as a scan of the node table: the eligible node with the
+/// smallest `TotalArea` (blank) or `AvailableArea` (configured).
+fn reference_best_node(rm: &ResourceManager, demand: Demand, blank: bool) -> (Option<NodeId>, u64) {
+    let mut best: Option<(u64, NodeId)> = None;
+    for n in rm.nodes() {
+        if !n.down && n.is_blank() == blank && demand.caps_ok(n) && n.can_host(demand.area) {
+            let key = if blank {
+                n.total_area
+            } else {
+                n.available_area()
+            };
+            if best.is_none_or(|(b, _)| key < b) {
+                best = Some((key, n.id));
+            }
+        }
+    }
+    (best.map(|(_, id)| id), rm.num_nodes() as u64)
+}
+
+/// "Query busy list for potential candidate" as an early-exit scan.
+fn reference_busy_candidate(rm: &ResourceManager, demand: Demand) -> (bool, u64) {
+    let mut steps = 0;
+    for n in rm.nodes() {
+        steps += 1;
+        if !n.down
+            && n.state() == NodeState::Busy
+            && demand.caps_ok(n)
+            && n.total_area >= demand.area
+        {
+            return (true, steps);
+        }
+    }
+    (false, steps)
+}
+
 fn idle_entries(rm: &ResourceManager) -> Vec<EntryRef> {
     rm.nodes()
         .iter()
@@ -120,9 +212,7 @@ fn busy_entries(rm: &ResourceManager) -> Vec<EntryRef> {
         .collect()
 }
 
-/// Apply one abstract op to a store. Both stores in the differential
-/// test receive the identical sequence, so index-based entry picks
-/// resolve to the same slots on each side.
+/// Apply one abstract op to a store.
 fn apply(
     rm: &mut ResourceManager,
     op: &Op,
@@ -290,74 +380,74 @@ proptest! {
     }
 
     /// The incremental index equals a from-scratch rebuild after every
-    /// single mutation, every query answers exactly like the linear
-    /// walk, and both backends charge identical model step counts.
+    /// single mutation, and every search answers exactly like the plain
+    /// scan of the paper and charges the steps that scan charges — on
+    /// stores mixing scalar and strip nodes, with and without a DSP
+    /// capability demand, through failures and repairs.
     #[test]
-    fn indexed_backend_tracks_linear_through_arbitrary_ops(
+    fn index_answers_like_the_plain_scans_through_arbitrary_ops(
         nodes in 1usize..12,
         configs in 1usize..8,
+        strips in any::<u16>(),
+        dsp in any::<u16>(),
         ops in prop::collection::vec(arb_op(), 1..120),
-        probe_cfg in 0usize..8,
+        probe_cfg in 0usize..9,
         probe_area in 1u64..4_000,
     ) {
-        let mut lin = build(nodes, configs);
-        let mut idx = build(nodes, configs);
-        idx.set_search_backend(SearchBackend::Indexed);
-        let mut lin_steps = StepCounter::new();
-        let mut idx_steps = StepCounter::new();
-        let mut lin_task = 0u32;
-        let mut idx_task = 0u32;
-        let probe = ConfigId::from_index(probe_cfg % configs);
-        let demand = Demand::area(probe_area);
+        let mut rm = build_mixed(nodes, configs, strips, dsp);
+        let mut steps = StepCounter::new();
+        let mut next_task = 0u32;
+        // One past the table: a known id the table does not hold.
+        let probe = ConfigId::from_index(probe_cfg % (configs + 1));
+        let mut dsp_caps = Capabilities::none();
+        dsp_caps.insert(Capability::DspSlices);
         for op in &ops {
-            apply(&mut lin, op, &mut lin_steps, &mut lin_task, nodes, configs);
-            apply(&mut idx, op, &mut idx_steps, &mut idx_task, nodes, configs);
-            // Structural health first: list/area invariants on both
-            // sides, and the live index vs a from-scratch rebuild
-            // (membership *and* tie-break order, via IndexSnapshot).
-            if let Err(e) = lin.check_invariants() {
-                prop_assert!(false, "linear invariant after {op:?}: {e}");
+            apply(&mut rm, op, &mut steps, &mut next_task, nodes, configs);
+            // Structural health first: list/area invariants, and the
+            // live index vs a from-scratch rebuild (membership *and*
+            // tie-break order, via IndexSnapshot).
+            if let Err(e) = rm.check_invariants() {
+                prop_assert!(false, "invariant violated after {op:?}: {e}");
             }
-            if let Err(e) = idx.check_invariants() {
-                prop_assert!(false, "indexed invariant after {op:?}: {e}");
+            prop_assert_eq!(rm.search_index_snapshot(), rm.rebuilt_index_snapshot(),
+                "index != rebuild after {:?}", op);
+            // Each search against its reference, answer and steps.
+            macro_rules! same {
+                ($got:expr, $want:expr, $what:expr) => {{
+                    let (want, want_steps) = $want;
+                    let before = steps.scheduling;
+                    let got = $got;
+                    prop_assert_eq!(&got, &want, "{} after {:?}", $what, op);
+                    prop_assert_eq!(steps.scheduling - before, want_steps,
+                        "steps of {} after {:?}", $what, op);
+                }};
             }
-            let live = idx.search_index_snapshot();
-            let rebuilt = idx.rebuilt_index_snapshot();
-            prop_assert_eq!(live, Some(rebuilt), "index != rebuild after {:?}", op);
-            // Every search path answers identically and charges the
-            // same model steps.
-            prop_assert_eq!(
-                lin.find_closest_config(probe_area, &mut lin_steps),
-                idx.find_closest_config(probe_area, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.find_best_idle(probe, &mut lin_steps),
-                idx.find_best_idle(probe, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.find_worst_idle(probe, &mut lin_steps),
-                idx.find_worst_idle(probe, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.find_first_idle(probe, &mut lin_steps),
-                idx.find_first_idle(probe, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.find_best_blank(demand, &mut lin_steps),
-                idx.find_best_blank(demand, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.find_best_partially_blank(demand, &mut lin_steps),
-                idx.find_best_partially_blank(demand, &mut idx_steps)
-            );
-            prop_assert_eq!(
-                lin.busy_candidate_exists(demand, &mut lin_steps),
-                idx.busy_candidate_exists(demand, &mut idx_steps)
-            );
-            prop_assert_eq!(lin_steps.scheduling, idx_steps.scheduling,
-                "scheduling steps diverged after {:?}", op);
-            prop_assert_eq!(lin_steps.housekeeping, idx_steps.housekeeping,
-                "housekeeping steps diverged after {:?}", op);
+            for pref in [PreferredConfig::Known(probe), PreferredConfig::Phantom { area: probe_area }] {
+                same!(rm.find_preferred_config(pref, &mut steps),
+                    reference_preferred_config(&rm, pref), "preferred config");
+            }
+            same!(rm.find_closest_config(probe_area, &mut steps),
+                reference_closest_config(&rm, probe_area), "closest config");
+            if probe.index() < configs {
+                same!(rm.find_best_idle(probe, &mut steps),
+                    reference_fit(&rm, probe, false), "best fit");
+                same!(rm.find_worst_idle(probe, &mut steps),
+                    reference_fit(&rm, probe, true), "worst fit");
+                let list = idle_list(&rm, probe);
+                same!(rm.find_first_idle(probe, &mut steps),
+                    (list.first().copied(), u64::from(!list.is_empty())), "first fit");
+                same!(rm.collect_idle(probe, &mut steps),
+                    (list.clone(), list.len() as u64), "collect idle");
+            }
+            for caps in [Capabilities::none(), dsp_caps] {
+                let demand = Demand { area: probe_area, caps };
+                same!(rm.find_best_blank(demand, &mut steps),
+                    reference_best_node(&rm, demand, true), "best blank");
+                same!(rm.find_best_partially_blank(demand, &mut steps),
+                    reference_best_node(&rm, demand, false), "best partially blank");
+                same!(rm.busy_candidate_exists(demand, &mut steps),
+                    reference_busy_candidate(&rm, demand), "busy candidate");
+            }
         }
     }
 
@@ -374,14 +464,10 @@ proptest! {
         configs in 1usize..8,
         strips in any::<u16>(),
         dsp in any::<u16>(),
-        indexed in any::<bool>(),
         ops in prop::collection::vec(arb_op(), 1..120),
         probe_area in 1u64..4_000,
     ) {
         let mut rm = build_mixed(nodes, configs, strips, dsp);
-        if indexed {
-            rm.set_search_backend(SearchBackend::Indexed);
-        }
         let mut steps = StepCounter::new();
         let mut next_task = 0u32;
         let mut dsp_caps = Capabilities::none();

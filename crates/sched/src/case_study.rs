@@ -535,3 +535,15 @@ impl PlanView<'_> {
         evict.map(Plan::Reconfigure)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn strategy_labels() {
+        assert_eq!(AllocationStrategy::BestFit.label(), "best-fit");
+        assert_eq!(AllocationStrategy::LeastLoaded.label(), "least-loaded");
+        assert_eq!(AllocationStrategy::default(), AllocationStrategy::BestFit);
+    }
+}

@@ -16,8 +16,8 @@
 //!   configuration → re-configuration* (the two partial phases collapse:
 //!   a node is only ever reconfigured whole).
 //!
-//! [`policies`] adds simpler allocation strategies (first-fit, worst-fit,
-//! random) as drop-in variants for the policy ablation, and
+//! [`AllocationStrategy`] swaps the allocation phase's pick (first fit,
+//! worst fit, random, least loaded) for the policy ablation, and
 //! [`balancer`] implements the load-balancing module the paper lists as
 //! future work.
 
@@ -26,8 +26,6 @@
 
 pub mod balancer;
 pub mod case_study;
-pub mod policies;
 
 pub use balancer::{LoadBalancer, LoadReport};
 pub use case_study::{AllocationStrategy, CaseStudyScheduler};
-pub use policies::{FirstFitScheduler, RandomScheduler, WorstFitScheduler};

@@ -18,7 +18,7 @@
 //! (node count × mode × task count) — and extracts every figure from it.
 
 use crate::runner::{run_batch, SweepPoint};
-use dreamsim_engine::{Metrics, ReconfigMode, SearchBackend, SimParams};
+use dreamsim_engine::{Metrics, ReconfigMode, SimParams};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -195,28 +195,9 @@ impl ExperimentGrid {
     /// Run the grid: `node_counts × {full, partial} × task_counts`,
     /// on `threads` threads. Every cell runs the Table II defaults with
     /// a seed derived from `seed` so cells are independent but
-    /// reproducible. Each cell picks its search backend automatically
-    /// ([`SearchBackend::Auto`]): linear below the break-even node
-    /// count, indexed above it — byte-equivalent either way, so the
-    /// grid's metrics never depend on the choice.
+    /// reproducible. Pinned by the seed-golden figures test.
     #[must_use]
     pub fn run(node_counts: &[usize], task_counts: &[usize], seed: u64, threads: usize) -> Self {
-        Self::run_with_backend(node_counts, task_counts, seed, threads, SearchBackend::Auto)
-    }
-
-    /// [`run`](Self::run) with an explicit search backend. Backends are
-    /// byte-equivalent (DESIGN.md §11), so the grid's metrics — and
-    /// every figure extracted from them — are identical under both; the
-    /// indexed backend only regenerates them faster. Pinned by the
-    /// seed-golden figures test.
-    #[must_use]
-    pub fn run_with_backend(
-        node_counts: &[usize],
-        task_counts: &[usize],
-        seed: u64,
-        threads: usize,
-        search: SearchBackend,
-    ) -> Self {
         let cells = node_counts.len() * 2 * task_counts.len();
         let mut points = Vec::with_capacity(cells);
         let mut keys = Vec::with_capacity(cells);
@@ -230,10 +211,10 @@ impl ExperimentGrid {
                     params.seed =
                         dreamsim_rng::derive_stream(seed, (nodes as u64) << 32 | tasks as u64);
                     keys.push((nodes, mode.label(), tasks));
-                    points.push(
-                        SweepPoint::new(format!("n{nodes}-{}-t{tasks}", mode.label()), params)
-                            .with_search(search),
-                    );
+                    points.push(SweepPoint::new(
+                        format!("n{nodes}-{}-t{tasks}", mode.label()),
+                        params,
+                    ));
                 }
             }
         }

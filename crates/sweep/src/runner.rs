@@ -6,7 +6,7 @@
 //! produce identical reports — pinned by the determinism tests.
 
 use crate::parallel::{cost_descending_order, effective_jobs, run_ordered};
-use dreamsim_engine::{Report, SearchBackend, SimParams, Simulation, StatsBackend};
+use dreamsim_engine::{Report, SimParams, Simulation, StatsBackend};
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim_workload::SyntheticSource;
 
@@ -42,10 +42,6 @@ pub struct SweepPoint {
     pub params: SimParams,
     /// Policy configuration.
     pub policy: PolicyConfig,
-    /// Search backend the store uses. Backends are byte-equivalent
-    /// (DESIGN.md §11), so this changes wall-clock speed only, never the
-    /// report — which is why it lives outside [`SimParams`].
-    pub search: SearchBackend,
     /// Waiting-time statistics backend. Byte-equivalent up to the
     /// sketch's exact window, error-bounded beyond (DESIGN.md §16).
     pub stats: StatsBackend,
@@ -53,19 +49,12 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// A paper-faithful point with the given label and parameters.
-    ///
-    /// The search backend defaults to [`SearchBackend::Auto`], which
-    /// resolves to linear or indexed per point from its node count
-    /// (DESIGN.md §11) — byte-equivalent either way, so only speed
-    /// changes. [`with_search`](Self::with_search) picks one
-    /// explicitly.
     #[must_use]
     pub fn new(label: impl Into<String>, params: SimParams) -> Self {
         Self {
             label: label.into(),
             params,
             policy: PolicyConfig::paper(),
-            search: SearchBackend::Auto,
             stats: StatsBackend::Exact,
         }
     }
@@ -74,13 +63,6 @@ impl SweepPoint {
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyConfig) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style search-backend override.
-    #[must_use]
-    pub fn with_search(mut self, search: SearchBackend) -> Self {
-        self.search = search;
         self
     }
 
@@ -104,7 +86,6 @@ pub fn run_point(point: &SweepPoint) -> Report {
         // INVARIANT: sweep declarations are programmer input (documented
         // panic above), validated once per point.
         .expect("sweep point parameters must validate")
-        .with_search_backend(point.search)
         .with_stats_backend(point.stats)
         .run()
         .report
@@ -269,15 +250,6 @@ mod tests {
         assert_eq!(rep.std_dev, 0.0);
         assert_eq!(rep.ci95_half_width, 0.0);
         assert_eq!(rep.mean, rep.samples[0]);
-    }
-
-    #[test]
-    fn indexed_backend_point_reports_identically() {
-        let point = small(9, ReconfigMode::Partial);
-        let lin = run_point(&point);
-        let idx = run_point(&point.clone().with_search(SearchBackend::Indexed));
-        assert_eq!(lin.metrics, idx.metrics, "backends must be equivalent");
-        assert_eq!(lin.to_xml(), idx.to_xml());
     }
 
     #[test]

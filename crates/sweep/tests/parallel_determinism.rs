@@ -3,13 +3,9 @@
 //! out **byte-identical** at `-j1`, `-j2`, and `-j8` — with fault
 //! injection on, and when a point is checkpointed mid-run and resumed.
 
-use dreamsim_engine::{
-    read_checkpoint, ReconfigMode, RunOptions, SearchBackend, SimParams, Simulation,
-};
+use dreamsim_engine::{read_checkpoint, ReconfigMode, RunOptions, SimParams, Simulation};
 use dreamsim_sched::CaseStudyScheduler;
-use dreamsim_sweep::{
-    cost_descending_order, run_batch, run_ordered, run_point, ExperimentGrid, SweepPoint,
-};
+use dreamsim_sweep::{cost_descending_order, run_batch, run_ordered, ExperimentGrid, SweepPoint};
 use dreamsim_workload::SyntheticSource;
 use proptest::prelude::*;
 
@@ -98,27 +94,6 @@ fn resume_mid_grid_point_matches_parallel_batch_result() {
 
     assert_eq!(batch.to_xml(), full.report.to_xml(), "batch vs standalone");
     assert_eq!(batch.to_xml(), resumed.report.to_xml(), "batch vs resumed");
-}
-
-#[test]
-fn auto_backend_matches_both_explicit_reports_byte_for_byte() {
-    // Auto resolves to linear at 100 nodes and indexed at 200
-    // (AUTO_INDEXED_MIN_NODES); either way its report must equal both
-    // explicit backends' reports byte for byte — so in particular it
-    // matches the faster one.
-    for nodes in [100usize, 200] {
-        let mut p = SimParams::paper(nodes, 300, ReconfigMode::Partial);
-        p.seed = 42;
-        let auto = run_point(&SweepPoint::new("auto", p.clone()));
-        let lin = run_point(&SweepPoint::new("lin", p.clone()).with_search(SearchBackend::Linear));
-        let idx = run_point(&SweepPoint::new("idx", p).with_search(SearchBackend::Indexed));
-        assert_eq!(auto.to_xml(), lin.to_xml(), "{nodes} nodes: auto vs linear");
-        assert_eq!(
-            auto.to_xml(),
-            idx.to_xml(),
-            "{nodes} nodes: auto vs indexed"
-        );
-    }
 }
 
 proptest! {

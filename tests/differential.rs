@@ -1,10 +1,11 @@
-//! Differential equivalence suite for the derived-state backends.
+//! Differential equivalence suite for the drivers and the derived-state
+//! backends.
 //!
-//! Search backends (DESIGN.md §11): every policy × reconfiguration mode
-//! × fault-injection cell must produce **byte-identical** reports and
-//! checkpoints under the linear and indexed backends, and a run may
-//! switch backends at any checkpoint boundary without perturbing
-//! anything.
+//! Checkpoints (DESIGN.md §10–11): a run resumed from a mid-run
+//! checkpoint, whose search index is rebuilt on load, finishes with the
+//! uninterrupted run's exact report, and the auditor accepts the live
+//! index after every event. (The paper-faithful reference for the
+//! index's answers is the executable spec in `tests/paper_spec.rs`.)
 //!
 //! Drivers: the event-driven and tick-stepped drivers must agree byte
 //! for byte — reports *and* checkpoints — across policies × fault-on/off.
@@ -15,8 +16,8 @@
 //! run's report.
 
 use dreamsim::engine::{
-    read_checkpoint, Driver, ReconfigMode, RunOptions, RunResult, SearchBackend, SimParams,
-    Simulation, StatsBackend,
+    read_checkpoint, Driver, ReconfigMode, RunOptions, RunResult, SimParams, Simulation,
+    StatsBackend,
 };
 use dreamsim::sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim::workload::SyntheticSource;
@@ -57,28 +58,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-fn run_cell(
-    p: &SimParams,
-    strategy: AllocationStrategy,
-    backend: SearchBackend,
-    checkpoint_dir: Option<&Path>,
-) -> RunResult {
-    let opts = RunOptions {
-        checkpoint_every: checkpoint_dir.map(|_| 5_000),
-        checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
-        ..RunOptions::default()
-    };
-    Simulation::new(
-        p.clone(),
-        SyntheticSource::from_params(p),
-        CaseStudyScheduler::with_strategy(strategy),
-    )
-    .unwrap()
-    .with_search_backend(backend)
-    .run_with(&opts)
-    .unwrap()
 }
 
 /// Sorted checkpoint file names and their raw bytes.
@@ -126,63 +105,44 @@ fn assert_runs_identical(cell: &str, a: &RunResult, a_dir: &Path, b: &RunResult,
     }
 }
 
-/// The tentpole guarantee: every policy × mode × fault cell is
-/// byte-identical across backends — reports (XML and JSON) *and* every
-/// mid-run checkpoint file written along the way.
-#[test]
-fn full_grid_reports_and_checkpoints_byte_identical() {
-    for strategy in STRATEGIES {
-        for mode in [ReconfigMode::Full, ReconfigMode::Partial] {
-            for faults in [false, true] {
-                let cell = format!("{strategy:?}/{mode:?}/faults={faults}");
-                let p = params(mode, faults, 0xD1FF);
-                let lin_dir = fresh_dir("lin");
-                let idx_dir = fresh_dir("idx");
-                let lin = run_cell(&p, strategy, SearchBackend::Linear, Some(&lin_dir));
-                let idx = run_cell(&p, strategy, SearchBackend::Indexed, Some(&idx_dir));
-                assert_runs_identical(&cell, &lin, &lin_dir, &idx, &idx_dir);
-                std::fs::remove_dir_all(&lin_dir).ok();
-                std::fs::remove_dir_all(&idx_dir).ok();
-            }
-        }
-    }
-}
-
-/// Resume-mid-run-then-switch-backend: a checkpoint taken under one
-/// backend can be resumed under the other (in both directions), and
-/// every combination finishes with the uninterrupted run's exact
+/// Resume mid-run: a middle checkpoint, whose store rebuilds its
+/// search index on load, finishes with the uninterrupted run's exact
 /// report.
 #[test]
-fn resume_mid_run_and_switch_backend() {
+fn resume_mid_run_matches_the_uninterrupted_run() {
     let p = params(ReconfigMode::Partial, true, 0x5EED5);
-    let reference = run_cell(&p, AllocationStrategy::BestFit, SearchBackend::Linear, None);
-    for writer in [SearchBackend::Linear, SearchBackend::Indexed] {
-        let dir = fresh_dir("switch");
-        let _ = run_cell(&p, AllocationStrategy::BestFit, writer, Some(&dir));
-        let files = checkpoint_files(&dir);
-        assert!(files.len() >= 2, "need a mid-run checkpoint to switch at");
-        // A middle checkpoint, not the last one: real work remains.
-        let mid = &files[files.len() / 2].0;
-        for resumer in [SearchBackend::Linear, SearchBackend::Indexed] {
-            let cp = read_checkpoint(&dir.join(mid)).unwrap();
-            let resumed = Simulation::resume(
-                cp,
-                SyntheticSource::from_params(&p),
-                CaseStudyScheduler::new(),
-            )
-            .unwrap()
-            .with_search_backend(resumer)
-            .run_with(&RunOptions::default())
-            .unwrap();
-            assert_eq!(
-                resumed.report.to_xml(),
-                reference.report.to_xml(),
-                "wrote under {writer}, resumed {mid} under {resumer}"
-            );
-            assert_eq!(resumed.metrics, reference.metrics);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let run = |dir| {
+        run_cell_driven(
+            &p,
+            AllocationStrategy::BestFit,
+            StatsBackend::Exact,
+            Driver::Event,
+            dir,
+        )
+    };
+    let reference = run(None);
+    let dir = fresh_dir("resume");
+    let _ = run(Some(&dir));
+    let files = checkpoint_files(&dir);
+    assert!(files.len() >= 2, "need a mid-run checkpoint to resume");
+    // A middle checkpoint, not the last one: real work remains.
+    let mid = &files[files.len() / 2].0;
+    let cp = read_checkpoint(&dir.join(mid)).unwrap();
+    let resumed = Simulation::resume(
+        cp,
+        SyntheticSource::from_params(&p),
+        CaseStudyScheduler::new(),
+    )
+    .unwrap()
+    .run_with(&RunOptions::default())
+    .unwrap();
+    assert_eq!(
+        resumed.report.to_xml(),
+        reference.report.to_xml(),
+        "resumed {mid}"
+    );
+    assert_eq!(resumed.metrics, reference.metrics);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Run one cell under an explicit stats backend and driver.
@@ -273,7 +233,7 @@ fn stats_backend_reports_byte_identical_below_exact_window() {
 
 /// A mid-run checkpoint taken with sketch stats on resumes, under
 /// either driver, to the uninterrupted run's exact report — the sketch
-/// analogue of [`resume_mid_run_and_switch_backend`].
+/// analogue of [`resume_mid_run_matches_the_uninterrupted_run`].
 #[test]
 fn resume_mid_run_with_sketch_stats() {
     let p = params(ReconfigMode::Partial, true, 0xCA15);
@@ -333,7 +293,7 @@ fn parallel_batch_invariant_across_jobs_with_sketch_stats() {
     assert_eq!(serial, xmls(4), "sketch-stats batch diverged at -j4");
 }
 
-/// The continuous auditor accepts the indexed backend after **every**
+/// The continuous auditor accepts the search index after **every**
 /// dispatched event — including fault, retry, and eviction paths — so
 /// the incremental index hooks are validated at event granularity, not
 /// just at run end.
@@ -351,7 +311,6 @@ fn audit_every_event_passes_under_indexed_backend() {
             CaseStudyScheduler::new(),
         )
         .unwrap()
-        .with_search_backend(SearchBackend::Indexed)
         .run_with(&opts)
         .unwrap();
         assert!(

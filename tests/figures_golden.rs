@@ -1,21 +1,19 @@
 //! Seed-golden figures test: pins the `dreamsim figures` series for the
 //! 100/200-node × 500/1000/2000-task grid at the CLI's default seed
-//! (2012), and proves the indexed search backend regenerates every
-//! figure byte-for-byte identically to the paper-faithful linear walk.
+//! (2012).
 //!
 //! If an intentional model change shifts these numbers, regenerate the
 //! constants with `cargo test --test figures_golden -- --nocapture`
 //! (each failing assert prints the actual CSV).
 
-use dreamsim::engine::SearchBackend;
 use dreamsim::sweep::{ExperimentGrid, Figure};
 
 const NODES: [usize; 2] = [100, 200];
 const TASKS: [usize; 3] = [500, 1_000, 2_000];
 const SEED: u64 = 2012; // `dreamsim figures` default
 
-fn grid(backend: SearchBackend) -> ExperimentGrid {
-    ExperimentGrid::run_with_backend(&NODES, &TASKS, SEED, 4, backend)
+fn grid() -> ExperimentGrid {
+    ExperimentGrid::run(&NODES, &TASKS, SEED, 4)
 }
 
 /// Expected `FigureSeries::to_csv` output per figure, in paper order.
@@ -90,7 +88,7 @@ const GOLDEN: [(&str, &str); 9] = [
 #[test]
 #[ignore = "regeneration helper, not a check"]
 fn dump_golden() {
-    let g = grid(SearchBackend::Linear);
+    let g = grid();
     for (id, _) in GOLDEN {
         let csv = g.figure(Figure::parse(id).unwrap()).to_csv();
         println!("--- figure {id} ---\n{csv}");
@@ -98,17 +96,15 @@ fn dump_golden() {
 }
 
 #[test]
-fn figures_grid_matches_golden_series_under_both_backends() {
-    for backend in [SearchBackend::Linear, SearchBackend::Indexed] {
-        let g = grid(backend);
-        for (id, want) in GOLDEN {
-            let fig = Figure::parse(id).unwrap();
-            let got = g.figure(fig).to_csv();
-            assert_eq!(
-                got, want,
-                "{backend} backend, figure {id}: series drifted from the \
-                 seed-{SEED} golden values.\nactual CSV:\n{got}"
-            );
-        }
+fn figures_grid_matches_golden_series() {
+    let g = grid();
+    for (id, want) in GOLDEN {
+        let fig = Figure::parse(id).unwrap();
+        let got = g.figure(fig).to_csv();
+        assert_eq!(
+            got, want,
+            "figure {id}: series drifted from the seed-{SEED} golden \
+             values.\nactual CSV:\n{got}"
+        );
     }
 }

@@ -16,7 +16,7 @@
 //! (each failing assert shows the actual profile) and say why in the
 //! change that updates them.
 
-use dreamsim::engine::{PhaseProfile, SearchBackend, StatsBackend};
+use dreamsim::engine::{PhaseProfile, StatsBackend};
 use dreamsim::rng::derive_stream;
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::SyntheticSource;
@@ -33,7 +33,6 @@ fn profile(nodes: usize, stats: StatsBackend) -> PhaseProfile {
     let source = SyntheticSource::from_params(&params);
     Simulation::new(params, source, CaseStudyScheduler::new())
         .expect("paper parameters validate")
-        .with_search_backend(SearchBackend::Auto)
         .with_stats_backend(stats)
         .run()
         .profile
