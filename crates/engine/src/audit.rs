@@ -1,8 +1,8 @@
 //! Continuous state-invariant auditor.
 //!
 //! [`check`] cross-validates every piece of live simulator state against
-//! every other: the resource store's intrusive idle/busy lists against
-//! node slot flags (plus the live search index against a from-scratch
+//! every other: the resource store's idle/busy lists against node slot
+//! flags (plus the live search index against a from-scratch
 //! rebuild — see DESIGN.md §11),
 //! per-slot area against the configuration table, the task table against
 //! slot occupancy, pending events against the tasks and nodes they
@@ -30,9 +30,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// corruption.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditError {
-    /// The resource store's own cross-structure invariants failed
-    /// (intrusive-list reachability, acyclicity, membership, Eq. 4 area
-    /// accounting). Carries the store's walk trace.
+    /// The resource store's own cross-structure invariants failed (list
+    /// membership and uniqueness, Eq. 4 area accounting, the search
+    /// index against a rebuild). Carries the store's walk trace.
     Store {
         /// Diagnostic from [`ResourceManager::check_invariants`],
         /// including the list-walk trace of the offending entry.
@@ -112,8 +112,8 @@ impl std::error::Error for AuditError {}
 /// found.
 ///
 /// The five check groups, in order:
-/// 1. store internals — intrusive-list reachability/acyclicity/membership
-///    and Eq. 4 area accounting ([`ResourceManager::check_invariants`]);
+/// 1. store internals — list membership and uniqueness and Eq. 4 area
+///    accounting ([`ResourceManager::check_invariants`]);
 /// 2. slot areas — every live slot's `area` matches its configuration's
 ///    `req_area` and its config id is in range;
 /// 3. task ⇔ slot bijection — slots hold exactly the `Running` tasks,

@@ -1225,8 +1225,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         }
         if self
             .resources
-            .node(entry.node)
-            .slot(entry.slot)
+            .node_store()
+            .slot(entry.node.index(), entry.slot)
             .is_none_or(|s| s.task != Some(task))
         {
             return;
@@ -1490,8 +1490,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         }
         if self
             .resources
-            .node(entry.node)
-            .slot(entry.slot)
+            .node_store()
+            .slot(entry.node.index(), entry.slot)
             .is_none_or(|s| s.task != Some(task))
         {
             return;
@@ -1686,8 +1686,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             return;
         }
         let fails_midrun = self.fault.task_attempt_fails();
-        let tcomm = self.resources.node(p.entry.node).network_delay;
-        let wasted_after = self.resources.node(p.entry.node).available_area();
+        let store = self.resources.node_store();
+        let tcomm = store.network_delay(p.entry.node.index());
+        let wasted_after = store.available_area(p.entry.node.index());
         let (wait, completion) = {
             let t = self.tasks.get_mut(p.task);
             t.start_time = Some(self.clock);
@@ -3079,6 +3080,149 @@ mod tests {
         match sim.audit() {
             Err(AuditError::Store { .. } | AuditError::TaskSlot { .. }) => {}
             other => panic!("expected a bijection violation, got {other:?}"),
+        }
+    }
+
+    /// The value at `path` in a JSON document; numeric segments index
+    /// arrays.
+    fn at<'a>(mut v: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
+        for seg in path {
+            v = match v {
+                serde::Value::Object(fields) => {
+                    let found = fields.iter_mut().find(|(k, _)| k == seg);
+                    &mut found.unwrap_or_else(|| panic!("no member {seg}")).1
+                }
+                serde::Value::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
+                other => panic!("{seg}: not a container: {other:?}"),
+            };
+        }
+        v
+    }
+
+    #[test]
+    fn malformed_list_fields_are_typed_checkpoint_errors() {
+        // CRC-valid checkpoints whose list heads, slot links, free slots
+        // or configuration ids do not describe a store: each must come
+        // back as a typed error, never a panic.
+        let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        let dir = temp_dir("malformed-lists");
+        let path = dir.join("case.dsc");
+        write_checkpoint(&path, &sim.checkpoint()).unwrap();
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let good: serde::Value = serde_json::from_str(raw.split_once('\n').unwrap().1).unwrap();
+        let load = |payload: &serde::Value| {
+            let payload = serde_json::to_string(payload).unwrap();
+            let header = format!(
+                "DREAMSIM-CHECKPOINT {} {:08x}\n",
+                checkpoint::FORMAT_VERSION,
+                checkpoint::crc32(payload.as_bytes())
+            );
+            std::fs::write(&path, header + &payload).unwrap();
+            read_checkpoint(&path)
+                .and_then(|cp| Simulation::resume(cp, FixedSource, GreedyPolicy).map(|_| ()))
+        };
+        assert!(load(&good).is_ok(), "the untouched payload must load");
+        assert!(good["resources"]["configs"].as_array().unwrap().len() > 3);
+        let edited = |edit: &dyn Fn(&mut serde::Value)| {
+            let mut v = good.clone();
+            edit(&mut v);
+            v
+        };
+        let entry = |node: u64, slot: u64| {
+            serde::Value::Object(vec![
+                ("node".into(), serde::Value::Number(serde::Number::U(node))),
+                ("slot".into(), serde::Value::Number(serde::Number::U(slot))),
+            ])
+        };
+        // The first list with an entry, and its head slot.
+        let (list, config) = ["idle_head", "busy_head"]
+            .into_iter()
+            .find_map(|list| {
+                let heads = good["resources"]["lists"][list].as_array()?;
+                Some((list, heads.iter().position(|h| !h.is_null())?))
+            })
+            .expect("a non-empty list");
+        let head = &good["resources"]["lists"][list][config];
+        let (node, slot) = (
+            head["node"].as_u64().unwrap(),
+            head["slot"].as_u64().unwrap(),
+        );
+        let (c, n, s) = (config.to_string(), node.to_string(), slot.to_string());
+        let head_path = ["resources", "lists", list, c.as_str()];
+        let link_path = [
+            "resources",
+            "nodes",
+            n.as_str(),
+            "slots",
+            s.as_str(),
+            "link",
+        ];
+        let resize_heads = |list: &'static str, len: usize| {
+            move |v: &mut serde::Value| {
+                if let serde::Value::Array(heads) = at(v, &["resources", "lists", list]) {
+                    heads.resize(len, serde::Value::Null);
+                }
+            }
+        };
+        let number = |n: u64| serde::Value::Number(serde::Number::U(n));
+        let free_path = ["resources", "nodes", n.as_str(), "free"];
+        let configs = good["resources"]["configs"].as_array().unwrap().len();
+        let decode_errors = [
+            (
+                "idle_head cut to 3 entries",
+                edited(&resize_heads("idle_head", 3)),
+            ),
+            (
+                "busy_head with one entry too many",
+                edited(&resize_heads("busy_head", configs + 1)),
+            ),
+            (
+                "a head naming node 999999",
+                edited(&|v| *at(v, &head_path) = entry(999_999, 0)),
+            ),
+            (
+                "a head naming slot 99 of its node",
+                edited(&|v| *at(v, &head_path) = entry(node, 99)),
+            ),
+            (
+                "a link naming node 888888",
+                edited(&|v| *at(v, &link_path) = entry(888_888, 0)),
+            ),
+            (
+                "a free entry naming slot 99",
+                edited(&|v| *at(v, &free_path) = serde::Value::Array(vec![number(99)])),
+            ),
+            (
+                "a free entry naming a live slot",
+                edited(&|v| *at(v, &free_path) = serde::Value::Array(vec![number(slot)])),
+            ),
+            (
+                "a hole listed twice as free",
+                edited(&|v| {
+                    *at(v, &["resources", "nodes", &n, "slots", &s]) = serde::Value::Null;
+                    *at(v, &free_path) = serde::Value::Array(vec![number(slot); 2]);
+                }),
+            ),
+            (
+                "a configuration id out of range",
+                edited(&|v| *at(v, &["resources", "configs", "0", "id"]) = number(999)),
+            ),
+        ];
+        for (what, payload) in &decode_errors {
+            let result = load(payload);
+            assert!(
+                matches!(result, Err(CheckpointError::Format(_))),
+                "{what}: expected a decode error, got {:?}",
+                result.err()
+            );
+        }
+        // A slot linked to itself decodes; the restore audit rejects it.
+        match load(&edited(&|v| *at(v, &link_path) = entry(node, slot))) {
+            Err(CheckpointError::State(msg)) => {
+                assert!(msg.contains("more than one list"), "got: {msg}");
+            }
+            other => panic!("self-linked slot: expected an audit error, got {other:?}"),
         }
     }
 

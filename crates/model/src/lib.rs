@@ -17,9 +17,10 @@
 //!   wants a particular processor configuration ([`task::Task`]).
 //!
 //! Section IV.B's dynamic structures are reproduced in [`lists`] (the
-//! per-configuration idle/busy linked lists headed by `Idle_start` /
-//! `Busy_start` and threaded through `Inext`/`Bnext` pointers) and
-//! [`suspension`] (the suspension queue). [`store::ResourceManager`] ties
+//! per-configuration idle/busy lists headed by `Idle_start` /
+//! `Busy_start`, one vector each, whose checkpoint form threads them
+//! through `Inext`/`Bnext` links) and [`suspension`] (the suspension
+//! queue). [`store::ResourceManager`] ties
 //! everything together and is the single mutation point, so the area and
 //! list invariants can be checked in one place
 //! ([`store::ResourceManager::check_invariants`]).
@@ -30,7 +31,7 @@
 //! Table I).
 //!
 //! One deliberate generalization over Fig. 3 is documented in DESIGN.md:
-//! idle/busy list links live **per (node, slot)** rather than per node,
+//! idle/busy list entries are **per (node, slot)** rather than per node,
 //! because a partially reconfigured node can be idle in one
 //! configuration's list and busy in another's at the same time. With one
 //! slot per node (full reconfiguration) the structure degenerates to the

@@ -1,34 +1,27 @@
-//! Per-configuration idle and busy linked lists (Fig. 3).
+//! Per-configuration idle and busy lists (Fig. 3).
 //!
-//! Each configuration keeps two singly-linked lists threaded through the
-//! `link` field of the node slots it is instantiated in: the list of
-//! *idle* instances (head: the paper's `Idle_start`) and the list of
-//! *busy* instances (`Busy_start`). The paper motivates them as the way
-//! to "ease up the search effort needed to get the state information of a
-//! certain node" when the node count is large.
+//! Each configuration keeps two lists of the node slots it is
+//! instantiated in: the list of *idle* instances (head: the paper's
+//! `Idle_start`) and the list of *busy* instances (`Busy_start`). The
+//! paper motivates them as the way to "ease up the search effort needed
+//! to get the state information of a certain node" when the node count
+//! is large.
 //!
-//! Faithful to the original design, the lists are singly linked, so
-//! removing an arbitrary entry requires a traversal from the head — and
-//! those traversals are exactly the housekeeping component of the *total
-//! scheduler workload* metric. Every visited link charges one
-//! housekeeping step.
+//! The paper's lists are singly linked, so removing an arbitrary entry
+//! requires a traversal from the head — and those traversals are exactly
+//! the housekeeping component of the *total scheduler workload* metric.
+//! Here each list is one contiguous vector, oldest entry first and head
+//! last. A push appends; a removal scans from the head end, visiting
+//! entries in exactly the head-first link order and charging one
+//! housekeeping step per visited entry, the same charge as the link walk.
 //!
-//! Since the SoA refactor (DESIGN.md §18) the links are threaded through
-//! the flat `slot_link` column of [`NodeStore`], so a list splice touches
-//! one dense cell per visited entry instead of a whole `Node` struct.
-//!
-//! Each list additionally keeps a contiguous *shadow* mirror (oldest
-//! entry first, head last). Removal locates the entry and its
-//! predecessor by scanning the shadow back-to-front — the same visit
-//! order and the same one-housekeeping-step-per-visit charge as the
-//! link walk, but over a few contiguous cache lines instead of a
-//! pointer chase across the whole slot arena. The intrusive links stay
-//! fully maintained (iteration and serialization are unchanged); the
-//! shadow is derived state, skipped by serde and rebuilt from the links
-//! on first use after deserialization.
+//! The `Inext`/`Bnext` links exist only in the checkpoint form: the
+//! [`ResourceManager`](crate::store::ResourceManager) serializer derives
+//! each slot's link from the vectors, and its deserializer rebuilds the
+//! vectors by walking each head's links (`ConfigLists::from_links`).
 
 use crate::ids::{ConfigId, EntryRef};
-use crate::soa::NodeStore;
+use crate::node::Node;
 use crate::steps::{StepCounter, StepKind};
 
 /// Which of the two lists an operation targets.
@@ -40,41 +33,22 @@ pub enum ListKind {
     Busy,
 }
 
-/// Heads of the idle/busy lists for every configuration.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// The idle/busy lists of every configuration.
+#[derive(Clone, Debug)]
 pub struct ConfigLists {
+    /// Per configuration, oldest entry first: the head is the last element.
+    idle: Vec<Vec<EntryRef>>,
+    /// Busy lists, laid out like `idle`.
+    busy: Vec<Vec<EntryRef>>,
+}
+
+/// The checkpoint form of [`ConfigLists`]: the head of every list. The
+/// rest of each list is threaded through the `link` field of the
+/// checkpoint's slots.
+#[derive(serde::Serialize, serde::Deserialize)]
+pub(crate) struct ListHeads {
     idle_head: Vec<Option<EntryRef>>,
     busy_head: Vec<Option<EntryRef>>,
-    /// Contiguous mirror of each idle list, oldest first (head is the
-    /// last element). Derived from the intrusive links; never
-    /// serialized, rebuilt lazily after deserialization.
-    // REBUILD: derived acceleration state — `ensure_shadows` rebuilds
-    // the mirrors from the serialized heads and slot links on the first
-    // `push`/`remove` after a resume, before any list is mutated.
-    #[serde(skip)]
-    idle_shadow: Vec<Vec<EntryRef>>,
-    /// Busy-list mirror; see `idle_shadow`.
-    // REBUILD: same story as `idle_shadow` — rebuilt by
-    // `ensure_shadows` before the first mutation after a resume.
-    #[serde(skip)]
-    busy_shadow: Vec<Vec<EntryRef>>,
-}
-
-// The shadows are derived acceleration state: two lists are equal iff
-// their serialized shape (the heads, plus the links in the node store)
-// is — exactly the equality the pre-shadow derive expressed.
-impl PartialEq for ConfigLists {
-    fn eq(&self, other: &Self) -> bool {
-        self.idle_head == other.idle_head && self.busy_head == other.busy_head
-    }
-}
-
-impl Eq for ConfigLists {}
-
-impl Default for ConfigLists {
-    fn default() -> Self {
-        Self::new(0)
-    }
 }
 
 impl ConfigLists {
@@ -82,345 +56,269 @@ impl ConfigLists {
     #[must_use]
     pub fn new(num_configs: usize) -> Self {
         Self {
-            idle_head: vec![None; num_configs],
-            busy_head: vec![None; num_configs],
-            idle_shadow: vec![Vec::new(); num_configs],
-            busy_shadow: vec![Vec::new(); num_configs],
+            idle: vec![Vec::new(); num_configs],
+            busy: vec![Vec::new(); num_configs],
         }
-    }
-
-    /// Rebuild the shadow mirrors from the intrusive links if they are
-    /// missing (the `serde(skip)` default after deserialization). A
-    /// populated shadow is maintained incrementally by `push`/`remove`
-    /// and never drifts, so the rebuild triggers at most once per
-    /// restored store.
-    fn ensure_shadows(&mut self, nodes: &NodeStore) {
-        if self.idle_shadow.len() == self.idle_head.len()
-            && self.busy_shadow.len() == self.busy_head.len()
-        {
-            return;
-        }
-        let walk = |heads: &[Option<EntryRef>]| -> Vec<Vec<EntryRef>> {
-            heads
-                .iter()
-                .map(|&head| {
-                    let mut chain: Vec<EntryRef> = ListIter { nodes, cur: head }.collect();
-                    // The walk is head-first (newest first); the shadow
-                    // stores oldest first.
-                    chain.reverse();
-                    chain
-                })
-                .collect()
-        };
-        self.idle_shadow = walk(&self.idle_head);
-        self.busy_shadow = walk(&self.busy_head);
     }
 
     /// Number of configurations covered.
     #[must_use]
     pub fn num_configs(&self) -> usize {
-        self.idle_head.len()
+        self.idle.len()
     }
 
-    fn head(&self, kind: ListKind, config: ConfigId) -> Option<EntryRef> {
+    fn list(&self, kind: ListKind, config: ConfigId) -> &Vec<EntryRef> {
         match kind {
-            ListKind::Idle => self.idle_head[config.index()],
-            ListKind::Busy => self.busy_head[config.index()],
+            ListKind::Idle => &self.idle[config.index()],
+            ListKind::Busy => &self.busy[config.index()],
         }
     }
 
-    fn head_mut(&mut self, kind: ListKind, config: ConfigId) -> &mut Option<EntryRef> {
+    fn list_mut(&mut self, kind: ListKind, config: ConfigId) -> &mut Vec<EntryRef> {
         match kind {
-            ListKind::Idle => &mut self.idle_head[config.index()],
-            ListKind::Busy => &mut self.busy_head[config.index()],
+            ListKind::Idle => &mut self.idle[config.index()],
+            ListKind::Busy => &mut self.busy[config.index()],
         }
     }
 
-    fn shadow_mut(&mut self, kind: ListKind, config: ConfigId) -> &mut Vec<EntryRef> {
-        match kind {
-            ListKind::Idle => &mut self.idle_shadow[config.index()],
-            ListKind::Busy => &mut self.busy_shadow[config.index()],
-        }
-    }
-
-    /// Push `entry` at the front of the `kind` list of `config`.
-    /// O(1); charges one housekeeping step (the head update).
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the slot is not live or belongs to a
-    /// different configuration.
+    /// Push `entry` at the head of the `kind` list of `config`. O(1);
+    /// charges one housekeeping step (the head update).
     pub fn push(
         &mut self,
-        nodes: &mut NodeStore,
         kind: ListKind,
         config: ConfigId,
         entry: EntryRef,
         steps: &mut StepCounter,
     ) {
-        debug_assert_eq!(
-            nodes.slot(entry.node.index(), entry.slot).map(|s| s.config),
-            Some(config),
-            "entry {entry} is not a live slot of {config}"
-        );
-        self.ensure_shadows(nodes);
-        let old_head = *self.head_mut(kind, config);
-        // INVARIANT: the debug_assert above pins `entry` to a live slot
-        // of `config`; the auditor cross-checks lists ⇔ slot flags on
-        // every audited event.
-        let linked = nodes.set_slot_link(entry.node.index(), entry.slot, old_head);
-        debug_assert!(linked, "entry {entry} is not a live slot");
-        *self.head_mut(kind, config) = Some(entry);
-        self.shadow_mut(kind, config).push(entry);
+        self.list_mut(kind, config).push(entry);
         steps.tick(StepKind::Housekeeping);
     }
 
     /// Remove `entry` from the `kind` list of `config`. Visits entries
-    /// in head-first list order (via the shadow mirror), charging one
-    /// housekeeping step per entry visited — the same charge the
-    /// link-walk of the singly-linked design incurs. Returns `false`
-    /// if the entry was not on the list.
+    /// head first, charging one housekeeping step per entry visited —
+    /// the charge of the singly-linked walk. Returns `false` if the
+    /// entry was not on the list.
     pub fn remove(
         &mut self,
-        nodes: &mut NodeStore,
         kind: ListKind,
         config: ConfigId,
         entry: EntryRef,
         steps: &mut StepCounter,
     ) -> bool {
-        self.ensure_shadows(nodes);
-        let shadow = self.shadow_mut(kind, config);
-        let len = shadow.len();
-        // Back-to-front over the shadow is head-first in list order.
-        let mut found = None;
-        for i in (0..len).rev() {
+        let list = self.list_mut(kind, config);
+        for i in (0..list.len()).rev() {
             steps.tick(StepKind::Housekeeping);
-            if shadow[i] == entry {
-                found = Some(i);
-                break;
+            if list[i] == entry {
+                list.remove(i);
+                return true;
             }
         }
-        let Some(i) = found else {
-            return false;
-        };
-        // List position p maps to shadow index len - p: the successor
-        // (toward the tail) sits at i - 1, the predecessor at i + 1.
-        let next = if i > 0 { Some(shadow[i - 1]) } else { None };
-        let prev = shadow.get(i + 1).copied();
-        shadow.remove(i);
-        match prev {
-            None => *self.head_mut(kind, config) = next,
-            Some(p) => {
-                // INVARIANT: the shadow mirrors the live list, so the
-                // predecessor is a live slot of the same config.
-                let relinked = nodes.set_slot_link(p.node.index(), p.slot, next);
-                debug_assert!(relinked, "live predecessor");
-            }
-        }
-        nodes.set_slot_link(entry.node.index(), entry.slot, None);
-        true
+        false
     }
 
     /// Iterate the entries of the `kind` list of `config`, head first.
     /// Does **not** charge steps itself — callers charge per visited
     /// entry with the step kind appropriate to their activity
     /// (scheduling search vs housekeeping).
-    pub fn iter<'a>(
-        &'a self,
-        nodes: &'a NodeStore,
-        kind: ListKind,
-        config: ConfigId,
-    ) -> ListIter<'a> {
-        ListIter {
-            nodes,
-            cur: self.head(kind, config),
-        }
+    pub fn iter(&self, kind: ListKind, config: ConfigId) -> impl Iterator<Item = EntryRef> + '_ {
+        self.list(kind, config).iter().rev().copied()
     }
 
-    /// Length of the `kind` list of `config` (test/diagnostic helper;
-    /// charges no steps).
+    /// Length of the `kind` list of `config` (charges no steps).
     #[must_use]
-    pub fn len(&self, nodes: &NodeStore, kind: ListKind, config: ConfigId) -> usize {
-        self.iter(nodes, kind, config).count()
+    pub fn len(&self, kind: ListKind, config: ConfigId) -> usize {
+        self.list(kind, config).len()
     }
 
     /// Whether the `kind` list of `config` is empty.
     #[must_use]
     pub fn is_empty(&self, kind: ListKind, config: ConfigId) -> bool {
-        self.head(kind, config).is_none()
+        self.list(kind, config).is_empty()
     }
-}
 
-/// Iterator over a configuration's idle or busy list.
-pub struct ListIter<'a> {
-    nodes: &'a NodeStore,
-    cur: Option<EntryRef>,
-}
+    /// Every list, oldest entry first: in the checkpoint form each entry
+    /// links to the one before it in its slice.
+    pub(crate) fn vectors(&self) -> impl Iterator<Item = &[EntryRef]> {
+        self.idle.iter().chain(&self.busy).map(Vec::as_slice)
+    }
 
-impl Iterator for ListIter<'_> {
-    type Item = EntryRef;
+    /// The head of every list (the checkpoint form).
+    pub(crate) fn heads(&self) -> ListHeads {
+        let heads = |lists: &[Vec<EntryRef>]| lists.iter().map(|l| l.last().copied()).collect();
+        ListHeads {
+            idle_head: heads(&self.idle),
+            busy_head: heads(&self.busy),
+        }
+    }
 
-    fn next(&mut self) -> Option<EntryRef> {
-        let c = self.cur?;
-        self.cur = self.nodes.slot_link(c.node.index(), c.slot);
-        Some(c)
+    /// Rebuild the lists from the checkpoint form: `heads`, and the slot
+    /// links of `nodes`. There must be one head per configuration per
+    /// list, and every head and link must name a slot of the node table.
+    /// A chain longer than the slot table repeats an entry; the walk
+    /// stops there and leaves the repeat to the audit.
+    pub(crate) fn from_links(
+        nodes: &[Node],
+        heads: ListHeads,
+        num_configs: usize,
+    ) -> Result<Self, String> {
+        let bound: usize = nodes.iter().map(|n| n.slots.len()).sum();
+        let walk = |heads: Vec<Option<EntryRef>>, name: &str| {
+            if heads.len() != num_configs {
+                return Err(format!(
+                    "{name} has {} heads for {num_configs} configurations",
+                    heads.len()
+                ));
+            }
+            heads
+                .into_iter()
+                .map(|mut cur| {
+                    let mut chain = Vec::new();
+                    while let Some(e) = cur {
+                        let slot = nodes
+                            .get(e.node.index())
+                            // BOUND: u32 slot index; usize is at least as wide.
+                            .and_then(|n| n.slots.get(e.slot as usize))
+                            .ok_or_else(|| format!("{name}: entry {e} names no slot"))?;
+                        chain.push(e);
+                        if chain.len() > bound {
+                            break;
+                        }
+                        cur = slot.as_ref().and_then(|s| s.link);
+                    }
+                    chain.reverse();
+                    Ok(chain)
+                })
+                .collect()
+        };
+        Ok(Self {
+            idle: walk(heads.idle_head, "idle_head")?,
+            busy: walk(heads.busy_head, "busy_head")?,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::ids::NodeId;
-    use crate::node::Node;
 
-    fn setup(n_nodes: usize) -> (NodeStore, ConfigLists, Config) {
-        let nodes = NodeStore::from_nodes(
-            (0..n_nodes)
-                .map(|i| Node::new(NodeId::from_index(i), 4000, 1))
-                .collect(),
-        );
-        let lists = ConfigLists::new(4);
-        let cfg = Config::new(ConfigId(2), 500, 10);
-        (nodes, lists, cfg)
+    const CFG: ConfigId = ConfigId(2);
+
+    fn setup(n_nodes: u32) -> (ConfigLists, Vec<EntryRef>) {
+        let entries = (0..n_nodes).map(|i| EntryRef::new(NodeId(i), 0)).collect();
+        (ConfigLists::new(4), entries)
     }
 
-    fn instantiate(nodes: &mut NodeStore, cfg: &Config, node: usize) -> EntryRef {
-        let slot = nodes.send_bitstream(node, cfg).unwrap();
-        EntryRef::new(NodeId::from_index(node), slot)
+    fn order(lists: &ConfigLists, kind: ListKind, config: ConfigId) -> Vec<EntryRef> {
+        lists.iter(kind, config).collect()
     }
 
     #[test]
     fn push_builds_lifo_order() {
-        let (mut nodes, mut lists, cfg) = setup(3);
+        let (mut lists, entries) = setup(3);
         let mut steps = StepCounter::new();
-        let entries: Vec<EntryRef> = (0..3).map(|i| instantiate(&mut nodes, &cfg, i)).collect();
         for &e in &entries {
-            lists.push(&mut nodes, ListKind::Idle, cfg.id, e, &mut steps);
+            lists.push(ListKind::Idle, CFG, e, &mut steps);
         }
-        let order: Vec<EntryRef> = lists.iter(&nodes, ListKind::Idle, cfg.id).collect();
-        assert_eq!(order, vec![entries[2], entries[1], entries[0]]);
+        assert_eq!(
+            order(&lists, ListKind::Idle, CFG),
+            vec![entries[2], entries[1], entries[0]]
+        );
         assert_eq!(steps.housekeeping, 3);
-        assert_eq!(lists.len(&nodes, ListKind::Idle, cfg.id), 3);
-        assert!(lists.is_empty(ListKind::Busy, cfg.id));
+        assert_eq!(lists.len(ListKind::Idle, CFG), 3);
+        assert!(lists.is_empty(ListKind::Busy, CFG));
     }
 
     #[test]
     fn remove_head_is_one_step() {
-        let (mut nodes, mut lists, cfg) = setup(2);
+        let (mut lists, e) = setup(2);
         let mut steps = StepCounter::new();
-        let a = instantiate(&mut nodes, &cfg, 0);
-        let b = instantiate(&mut nodes, &cfg, 1);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, a, &mut steps);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, b, &mut steps);
+        lists.push(ListKind::Idle, CFG, e[0], &mut steps);
+        lists.push(ListKind::Idle, CFG, e[1], &mut steps);
         let before = steps.housekeeping;
-        assert!(lists.remove(&mut nodes, ListKind::Idle, cfg.id, b, &mut steps));
+        assert!(lists.remove(ListKind::Idle, CFG, e[1], &mut steps));
         assert_eq!(steps.housekeeping - before, 1, "head removal is one step");
-        let order: Vec<EntryRef> = lists.iter(&nodes, ListKind::Idle, cfg.id).collect();
-        assert_eq!(order, vec![a]);
+        assert_eq!(order(&lists, ListKind::Idle, CFG), vec![e[0]]);
     }
 
     #[test]
     fn remove_tail_traverses_whole_list() {
-        let (mut nodes, mut lists, cfg) = setup(5);
+        let (mut lists, entries) = setup(5);
         let mut steps = StepCounter::new();
-        let entries: Vec<EntryRef> = (0..5).map(|i| instantiate(&mut nodes, &cfg, i)).collect();
         for &e in &entries {
-            lists.push(&mut nodes, ListKind::Idle, cfg.id, e, &mut steps);
+            lists.push(ListKind::Idle, CFG, e, &mut steps);
         }
         let before = steps.housekeeping;
         // entries[0] is at the tail after LIFO pushes.
-        assert!(lists.remove(&mut nodes, ListKind::Idle, cfg.id, entries[0], &mut steps));
+        assert!(lists.remove(ListKind::Idle, CFG, entries[0], &mut steps));
         assert_eq!(
             steps.housekeeping - before,
             5,
             "tail removal walks all links"
         );
-        assert_eq!(lists.len(&nodes, ListKind::Idle, cfg.id), 4);
+        assert_eq!(lists.len(ListKind::Idle, CFG), 4);
     }
 
     #[test]
     fn remove_middle_relinks_correctly() {
-        let (mut nodes, mut lists, cfg) = setup(3);
+        let (mut lists, e) = setup(3);
         let mut steps = StepCounter::new();
-        let e: Vec<EntryRef> = (0..3).map(|i| instantiate(&mut nodes, &cfg, i)).collect();
         for &x in &e {
-            lists.push(&mut nodes, ListKind::Idle, cfg.id, x, &mut steps);
+            lists.push(ListKind::Idle, CFG, x, &mut steps);
         }
-        assert!(lists.remove(&mut nodes, ListKind::Idle, cfg.id, e[1], &mut steps));
-        let order: Vec<EntryRef> = lists.iter(&nodes, ListKind::Idle, cfg.id).collect();
-        assert_eq!(order, vec![e[2], e[0]]);
-        // Removed entry's link is cleared so it can join another list.
-        assert_eq!(nodes.slot(1, e[1].slot).unwrap().link, None);
+        assert!(lists.remove(ListKind::Idle, CFG, e[1], &mut steps));
+        assert_eq!(order(&lists, ListKind::Idle, CFG), vec![e[2], e[0]]);
     }
 
     #[test]
     fn remove_missing_entry_returns_false_after_full_scan() {
-        let (mut nodes, mut lists, cfg) = setup(3);
+        let (mut lists, e) = setup(3);
         let mut steps = StepCounter::new();
-        let a = instantiate(&mut nodes, &cfg, 0);
-        let b = instantiate(&mut nodes, &cfg, 1);
-        let ghost = instantiate(&mut nodes, &cfg, 2);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, a, &mut steps);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, b, &mut steps);
+        lists.push(ListKind::Idle, CFG, e[0], &mut steps);
+        lists.push(ListKind::Idle, CFG, e[1], &mut steps);
         let before = steps.housekeeping;
-        assert!(!lists.remove(&mut nodes, ListKind::Idle, cfg.id, ghost, &mut steps));
+        assert!(!lists.remove(ListKind::Idle, CFG, e[2], &mut steps));
         assert_eq!(steps.housekeeping - before, 2);
-        assert_eq!(lists.len(&nodes, ListKind::Idle, cfg.id), 2);
+        assert_eq!(lists.len(ListKind::Idle, CFG), 2);
     }
 
     #[test]
     fn entry_moves_between_idle_and_busy_lists() {
-        let (mut nodes, mut lists, cfg) = setup(1);
+        let (mut lists, e) = setup(1);
         let mut steps = StepCounter::new();
-        let e = instantiate(&mut nodes, &cfg, 0);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, e, &mut steps);
-        assert!(lists.remove(&mut nodes, ListKind::Idle, cfg.id, e, &mut steps));
-        lists.push(&mut nodes, ListKind::Busy, cfg.id, e, &mut steps);
-        assert!(lists.is_empty(ListKind::Idle, cfg.id));
-        assert_eq!(
-            lists
-                .iter(&nodes, ListKind::Busy, cfg.id)
-                .collect::<Vec<_>>(),
-            vec![e]
-        );
+        lists.push(ListKind::Idle, CFG, e[0], &mut steps);
+        assert!(lists.remove(ListKind::Idle, CFG, e[0], &mut steps));
+        lists.push(ListKind::Busy, CFG, e[0], &mut steps);
+        assert!(lists.is_empty(ListKind::Idle, CFG));
+        assert_eq!(order(&lists, ListKind::Busy, CFG), vec![e[0]]);
     }
 
     #[test]
     fn independent_lists_per_config() {
-        let (mut nodes, mut lists, _) = setup(2);
+        let (mut lists, e) = setup(2);
         let mut steps = StepCounter::new();
-        let c0 = Config::new(ConfigId(0), 300, 10);
-        let c1 = Config::new(ConfigId(1), 300, 10);
-        let e0 = instantiate(&mut nodes, &c0, 0);
-        let e1 = instantiate(&mut nodes, &c1, 1);
-        lists.push(&mut nodes, ListKind::Idle, c0.id, e0, &mut steps);
-        lists.push(&mut nodes, ListKind::Idle, c1.id, e1, &mut steps);
-        assert_eq!(lists.len(&nodes, ListKind::Idle, c0.id), 1);
-        assert_eq!(lists.len(&nodes, ListKind::Idle, c1.id), 1);
-        assert!(lists.remove(&mut nodes, ListKind::Idle, c0.id, e0, &mut steps));
-        assert_eq!(lists.len(&nodes, ListKind::Idle, c1.id), 1);
+        let (c0, c1) = (ConfigId(0), ConfigId(1));
+        lists.push(ListKind::Idle, c0, e[0], &mut steps);
+        lists.push(ListKind::Idle, c1, e[1], &mut steps);
+        assert_eq!(lists.len(ListKind::Idle, c0), 1);
+        assert_eq!(lists.len(ListKind::Idle, c1), 1);
+        assert!(lists.remove(ListKind::Idle, c0, e[0], &mut steps));
+        assert_eq!(lists.len(ListKind::Idle, c1), 1);
     }
 
     #[test]
     fn same_node_two_slots_both_listed() {
         // Partial reconfiguration: one node appears twice in the same
         // config's list through different slots — the generalization the
-        // per-slot links exist for.
-        let (mut nodes, mut lists, cfg) = setup(1);
+        // per-slot entries exist for.
+        let mut lists = ConfigLists::new(4);
         let mut steps = StepCounter::new();
-        let s0 = nodes.send_bitstream(0, &cfg).unwrap();
-        let s1 = nodes.send_bitstream(0, &cfg).unwrap();
-        let e0 = EntryRef::new(NodeId(0), s0);
-        let e1 = EntryRef::new(NodeId(0), s1);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, e0, &mut steps);
-        lists.push(&mut nodes, ListKind::Idle, cfg.id, e1, &mut steps);
-        assert_eq!(lists.len(&nodes, ListKind::Idle, cfg.id), 2);
-        assert!(lists.remove(&mut nodes, ListKind::Idle, cfg.id, e0, &mut steps));
-        assert_eq!(
-            lists
-                .iter(&nodes, ListKind::Idle, cfg.id)
-                .collect::<Vec<_>>(),
-            vec![e1]
-        );
+        let e0 = EntryRef::new(NodeId(0), 0);
+        let e1 = EntryRef::new(NodeId(0), 1);
+        lists.push(ListKind::Idle, CFG, e0, &mut steps);
+        lists.push(ListKind::Idle, CFG, e1, &mut steps);
+        assert_eq!(lists.len(ListKind::Idle, CFG), 2);
+        assert!(lists.remove(ListKind::Idle, CFG, e0, &mut steps));
+        assert_eq!(order(&lists, ListKind::Idle, CFG), vec![e1]);
     }
 }

@@ -11,8 +11,9 @@
 //! ```
 //!
 //! The node enforces that invariant locally; list membership is managed
-//! by [`crate::store::ResourceManager`], which stores the intrusive link
-//! of each slot in [`Slot::link`].
+//! by [`crate::store::ResourceManager`]. `Node` is also the checkpoint
+//! form of a node, and there [`Slot::link`] carries the idle/busy list
+//! links.
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
@@ -98,9 +99,10 @@ pub struct Slot {
     pub area: Area,
     /// The running task, or `None` when the slot is idle.
     pub task: Option<TaskId>,
-    /// Intrusive single link for the idle or busy list of `config`
-    /// (the paper's `Inext`/`Bnext`); a slot is in exactly one of the two
-    /// lists at any time, so one field serves both.
+    /// Single link for the idle or busy list of `config` (the paper's
+    /// `Inext`/`Bnext`); a slot is in exactly one of the two lists at any
+    /// time, so one field serves both. Set only in the checkpoint form,
+    /// which derives it from the lists.
     pub link: Option<EntryRef>,
 }
 

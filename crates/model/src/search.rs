@@ -24,8 +24,15 @@
 //!   up-nodes, for `FindBestNode` on blank/partially-blank phases;
 //! * per configuration, a `BTreeMap<(AvailableArea, Reverse(seq)),
 //!   EntryRef>` over the idle instances, where `seq` is a monotone
-//!   push sequence number that reproduces the intrusive idle list's
-//!   LIFO tie-breaking exactly (see below).
+//!   push sequence number that reproduces the idle list's LIFO
+//!   tie-breaking exactly (see below).
+//!
+//! The index keeps no per-node state. An idle entry's push sequence
+//! lives in its slot record ([`NodeStore`]), and a node's keys (its
+//! blank/partial registration and its available area) are functions of
+//! the node's record: a mutation reads them before changing the node
+//! and hands them to the refresh, which moves the node's entries from
+//! the old keys to the new ones.
 //!
 //! ## Tie-break fidelity
 //!
@@ -46,14 +53,15 @@
 //! equals the position of the first match, which no order-preserving
 //! index can reproduce without doing the scan) walk the lists and the
 //! node table directly. Algorithm 1 skips the walk on nodes that cannot
-//! succeed, using the busy-area column (DESIGN.md §4).
+//! succeed, using the node record's busy area (DESIGN.md §4).
 //!
 //! ## Consistency
 //!
 //! [`ResourceManager`](crate::store::ResourceManager) builds the index
-//! with the store, rebuilds it when a store is deserialized, and keeps
-//! it incrementally in sync from every mutation path (configure,
-//! assign/release, evict, fail/repair). `check_invariants` — and hence
+//! with the store, rebuilds it (and re-stamps the slot records' push
+//! sequences) when a store is deserialized, and keeps it incrementally
+//! in sync from every mutation path (configure, assign/release, evict,
+//! fail/repair). `check_invariants` — and hence
 //! the engine auditor — cross-checks the live index against a
 //! from-scratch [`SearchIndex::rebuild`] via [`IndexSnapshot`]
 //! equality, which pins membership, keys, *and* tie-break order.
@@ -68,7 +76,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Key of one idle-index entry: the holding node's available area plus
 /// a reversed push-sequence number (larger `seq` = pushed more
-/// recently = nearer the intrusive list's head).
+/// recently = nearer the list's head).
 type IdleKey = (Area, Reverse<u64>);
 
 /// Which of the two node sets a node is currently registered in.
@@ -80,44 +88,30 @@ enum SetKind {
     Partial,
 }
 
-/// Per-node bookkeeping so incremental updates can find and re-key the
-/// node's index entries without scanning.
-#[derive(Clone, Debug, Default)]
-struct NodeIndexState {
-    /// Which set the node is registered in, with the key area used
-    /// (`None` while the node is down).
-    set_key: Option<(SetKind, Area)>,
-    /// The available area under which this node's idle entries are
-    /// currently keyed in the per-config idle maps.
-    keyed_avail: Area,
-    /// Idle entries of this node as `(slot, config, push sequence)`,
-    /// sorted by slot so every traversal (re-keying on area change)
-    /// visits slots in a defined order. A sorted `Vec` rather than a
-    /// `BTreeMap`: nodes hold a handful of slots, and these entries are
-    /// touched on every store mutation — a tree node allocation per
-    /// touched node was measurably the wrong trade.
-    slots: Vec<(u32, ConfigId, u64)>,
+/// A node's registration in the index, as a function of its store
+/// state: the blank/partial set it belongs in with that set's key
+/// (`None` while the node is down), and the available area its idle
+/// entries are keyed under. A mutation reads it before changing the
+/// node and hands it to [`SearchIndex::refresh_node`] afterwards.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct NodeKey {
+    set: Option<(SetKind, Area)>,
+    pub(crate) avail: Area,
 }
 
-impl NodeIndexState {
-    /// Insert `(slot, config, seq)` keeping the slot order.
-    fn insert_slot(&mut self, slot: u32, config: ConfigId, seq: u64) {
-        let pos = self.slots.partition_point(|&(s, _, _)| s < slot);
-        debug_assert!(
-            self.slots.get(pos).is_none_or(|&(s, _, _)| s != slot),
-            "slot {slot} double-indexed"
-        );
-        self.slots.insert(pos, (slot, config, seq));
-    }
-
-    /// Remove the entry for `slot`, returning its `(config, seq)`.
-    fn remove_slot(&mut self, slot: u32) -> Option<(ConfigId, u64)> {
-        match self.slots.binary_search_by_key(&slot, |&(s, _, _)| s) {
-            Ok(pos) => {
-                let (_, config, seq) = self.slots.remove(pos);
-                Some((config, seq))
-            }
-            Err(_) => None,
+impl NodeKey {
+    /// The registration node `i` has in an index in sync with `nodes`.
+    pub(crate) fn of(nodes: &NodeStore, i: usize) -> Self {
+        let set = if nodes.is_down(i) {
+            None
+        } else if nodes.is_blank(i) {
+            Some((SetKind::Blank, nodes.total_area(i)))
+        } else {
+            Some((SetKind::Partial, nodes.available_area(i)))
+        };
+        Self {
+            set,
+            avail: nodes.available_area(i),
         }
     }
 }
@@ -157,10 +151,10 @@ pub struct SearchIndex {
     /// Partially-blank up-nodes keyed by `(AvailableArea, NodeId)`.
     partial: BTreeSet<(Area, NodeId)>,
     /// Per configuration: idle instances keyed by
-    /// `(AvailableArea, Reverse(push_seq))`.
+    /// `(AvailableArea, Reverse(push_seq))`. Each entry's push sequence
+    /// is also stored in its slot record, so that a mutation can find
+    /// the entry from the slot.
     idle: Vec<BTreeMap<IdleKey, EntryRef>>,
-    /// Per-node registration bookkeeping.
-    node_state: Vec<NodeIndexState>,
     /// Next push sequence number (monotone; never reused).
     seq_next: u64,
 }
@@ -171,7 +165,8 @@ impl SearchIndex {
     /// Idle entries get push sequences assigned in list order (head =
     /// largest), so a rebuilt index reproduces the live index's
     /// tie-break order exactly — the property the incremental hooks are
-    /// audited against.
+    /// audited against. The slot records keep their sequences; a store
+    /// that adopts the rebuild writes them with `stamp`.
     #[must_use]
     pub fn rebuild(nodes: &NodeStore, configs: &[Config], lists: &ConfigLists) -> Self {
         let mut configs_by_area: Vec<(Area, ConfigId)> =
@@ -184,13 +179,6 @@ impl SearchIndex {
             blank: BTreeSet::new(),
             partial: BTreeSet::new(),
             idle: vec![BTreeMap::new(); configs.len()],
-            node_state: (0..nodes.len())
-                .map(|i| NodeIndexState {
-                    set_key: None,
-                    keyed_avail: nodes.available_area(i),
-                    slots: Vec::new(),
-                })
-                .collect(),
             seq_next: 0,
         };
         // Bulk-build the blank/partial sets: collect the keys into flat
@@ -200,9 +188,7 @@ impl SearchIndex {
         let mut blank_keys: Vec<(Area, NodeId)> = Vec::new();
         let mut partial_keys: Vec<(Area, NodeId)> = Vec::new();
         for i in 0..nodes.len() {
-            let desired = idx.desired_set_key(nodes, i);
-            idx.node_state[i].set_key = desired;
-            match desired {
+            match NodeKey::of(nodes, i).set {
                 Some((SetKind::Blank, area)) => blank_keys.push((area, NodeId::from_index(i))),
                 Some((SetKind::Partial, area)) => partial_keys.push((area, NodeId::from_index(i))),
                 None => {}
@@ -211,21 +197,29 @@ impl SearchIndex {
         idx.blank = blank_keys.into_iter().collect();
         idx.partial = partial_keys.into_iter().collect();
         for c in configs {
-            let entries: Vec<EntryRef> = lists.iter(nodes, ListKind::Idle, c.id).collect();
-            let len = entries.len() as u64;
-            for (pos, e) in entries.into_iter().enumerate() {
+            let len = lists.len(ListKind::Idle, c.id) as u64;
+            for (pos, e) in lists.iter(ListKind::Idle, c.id).enumerate() {
                 // Head of the list was pushed last → largest sequence.
                 // BOUND: seq_next is monotone over at most one push per
                 // list entry, far below u64 range.
                 let seq = idx.seq_next + (len - 1 - pos as u64);
                 let avail = nodes.available_area(e.node.index());
                 idx.idle[c.id.index()].insert((avail, Reverse(seq)), e);
-                idx.node_state[e.node.index()].insert_slot(e.slot, c.id, seq);
             }
             // BOUND: total pushes bounded by total idle entries.
             idx.seq_next += len;
         }
         idx
+    }
+
+    /// Write every idle entry's push sequence into its slot record, so
+    /// that `nodes` can drive this index's incremental updates.
+    pub(crate) fn stamp(&self, nodes: &mut NodeStore) {
+        for map in &self.idle {
+            for (&(_, Reverse(seq)), &e) in map {
+                nodes.set_seq(e, seq);
+            }
+        }
     }
 
     fn set_mut(&mut self, kind: SetKind) -> &mut BTreeSet<(Area, NodeId)> {
@@ -235,97 +229,64 @@ impl SearchIndex {
         }
     }
 
-    /// The set registration node `i` should currently have.
-    fn desired_set_key(&self, nodes: &NodeStore, i: usize) -> Option<(SetKind, Area)> {
-        if nodes.is_down(i) {
-            None
-        } else if nodes.is_blank(i) {
-            Some((SetKind::Blank, nodes.total_area(i)))
-        } else {
-            Some((SetKind::Partial, nodes.available_area(i)))
-        }
-    }
-
-    /// Re-register `node` after any mutation that may have changed its
-    /// blank/partial/down status or its available area: fixes its set
-    /// membership and re-keys its idle entries under the new available
-    /// area.
-    pub(crate) fn refresh_node(&mut self, nodes: &NodeStore, node: NodeId) {
+    /// Re-register `node` after a mutation that may have changed its
+    /// blank/partial/down status or its available area. `before` is the
+    /// node's key read before the mutation: the set entry moves to the
+    /// new key, and every indexed idle entry of the node moves to the
+    /// new available area.
+    pub(crate) fn refresh_node(&mut self, nodes: &NodeStore, node: NodeId, before: NodeKey) {
         let i = node.index();
-        let desired = self.desired_set_key(nodes, i);
-        let current = self.node_state[i].set_key;
-        if current != desired {
-            if let Some((kind, area)) = current {
+        let after = NodeKey::of(nodes, i);
+        if before.set != after.set {
+            if let Some((kind, area)) = before.set {
                 self.set_mut(kind).remove(&(area, node));
             }
-            if let Some((kind, area)) = desired {
+            if let Some((kind, area)) = after.set {
                 self.set_mut(kind).insert((area, node));
             }
-            self.node_state[i].set_key = desired;
         }
-        let avail = nodes.available_area(i);
-        let old = self.node_state[i].keyed_avail;
-        if old != avail {
+        if before.avail != after.avail {
             // Move every idle entry of this node to its new area key,
             // in slot order (the moves commute, but an ordered walk
-            // keeps even the intermediate states deterministic). The
-            // disjoint field borrows let this walk the slot vector in
-            // place, with no scratch allocation.
-            let (node_state, idle) = (&mut self.node_state, &mut self.idle);
-            for &(_, config, seq) in &node_state[i].slots {
-                let map = &mut idle[config.index()];
-                if let Some(e) = map.remove(&(old, Reverse(seq))) {
-                    map.insert((avail, Reverse(seq)), e);
+            // keeps even the intermediate states deterministic).
+            for (_, cell) in nodes.cells_of(i).filter(|(_, c)| c.task.is_none()) {
+                let map = &mut self.idle[cell.config.index()];
+                if let Some(e) = map.remove(&(before.avail, Reverse(cell.seq))) {
+                    map.insert((after.avail, Reverse(cell.seq)), e);
                 } else {
                     debug_assert!(false, "idle entry of {node} missing during re-key");
                 }
             }
-            node_state[i].keyed_avail = avail;
         }
     }
 
-    /// Register a freshly idle slot (configure or task release). Call
-    /// [`refresh_node`](Self::refresh_node) first so the node's keyed
-    /// area is current.
-    pub(crate) fn add_entry(&mut self, nodes: &NodeStore, entry: EntryRef, config: ConfigId) {
-        let i = entry.node.index();
-        let avail = nodes.available_area(i);
-        debug_assert_eq!(
-            self.node_state[i].keyed_avail, avail,
-            "add_entry requires a refreshed node"
-        );
+    /// Register a freshly idle slot (configure or task release) under
+    /// the available area `avail`, recording its push sequence in the
+    /// slot record.
+    pub(crate) fn add_entry(
+        &mut self,
+        nodes: &mut NodeStore,
+        entry: EntryRef,
+        config: ConfigId,
+        avail: Area,
+    ) {
         let seq = self.seq_next;
         self.seq_next += 1;
+        nodes.set_seq(entry, seq);
         self.idle[config.index()].insert((avail, Reverse(seq)), entry);
-        self.node_state[i].insert_slot(entry.slot, config, seq);
     }
 
-    /// Drop one idle entry (task assignment or eviction). Must run
-    /// *before* the mutation changes the node's available area.
-    pub(crate) fn remove_entry(&mut self, node: NodeId, slot: u32) {
-        let i = node.index();
-        if let Some((config, seq)) = self.node_state[i].remove_slot(slot) {
-            let keyed = self.node_state[i].keyed_avail;
-            let removed = self.idle[config.index()].remove(&(keyed, Reverse(seq)));
-            debug_assert!(removed.is_some(), "idle entry {node}#{slot} not indexed");
-        } else {
-            debug_assert!(false, "removing unindexed entry {node}#{slot}");
-        }
-    }
-
-    /// Drop every trace of `node` (node failure): its idle entries and
-    /// its blank/partial registration.
-    pub(crate) fn purge_node(&mut self, nodes: &NodeStore, node: NodeId) {
-        let i = node.index();
-        let keyed = self.node_state[i].keyed_avail;
-        let (node_state, idle) = (&mut self.node_state, &mut self.idle);
-        for (_, config, seq) in node_state[i].slots.drain(..) {
-            idle[config.index()].remove(&(keyed, Reverse(seq)));
-        }
-        if let Some((kind, area)) = self.node_state[i].set_key.take() {
-            self.set_mut(kind).remove(&(area, node));
-        }
-        self.node_state[i].keyed_avail = nodes.available_area(i);
+    /// Drop one idle entry (task assignment, eviction or node failure).
+    /// Must run *before* the mutation changes the node's available
+    /// area, under which the entry is keyed.
+    pub(crate) fn remove_entry(&mut self, nodes: &NodeStore, entry: EntryRef) {
+        let Some(cell) = nodes.cell(entry) else {
+            debug_assert!(false, "removing unindexed entry {entry}");
+            return;
+        };
+        let key = (nodes.available_area(entry.node.index()), Reverse(cell.seq));
+        let removed = self.idle[cell.config.index()].remove(&key);
+        debug_assert!(removed.is_some(), "idle entry {entry} not indexed");
     }
 
     // ------------------------------------------------------------------

@@ -1,41 +1,45 @@
-//! Struct-of-arrays node/slot storage (DESIGN.md §18).
+//! Node/slot storage (DESIGN.md §18.1).
 //!
 //! [`NodeStore`] holds the same state as a `Vec<Node>` — the paper's
-//! node table — but split into parallel columns: one dense `Vec` per
-//! node scalar (`available_area`, `down`, `caps`, …) plus one flat,
-//! globally shared arena per slot field (`config`, `area`, `task`,
-//! `link`). The hot paths this layout exists for:
+//! node table — laid out for the per-event path, so that an assignment
+//! or a release touches one node record and one slot record:
 //!
-//! * **placement searches** (`FindBestNode` over blank/partially-blank
-//!   nodes, `busy_candidate_exists`) stride over 1–3 dense columns
-//!   instead of ~130-byte `Node` structs, so a 100k-node scan touches
-//!   an order of magnitude fewer cache lines;
-//! * **store mutations** (place/evict/complete) and the intrusive
-//!   idle/busy list splices touch single cells of the slot columns;
-//! * the incremental `SearchIndex` sync reads only the columns it keys.
+//! * **one record per node** (`NodeCell`, one 64-byte cache line): the
+//!   slab bookkeeping, the total, available and busy areas, the live and
+//!   running counts, the network delay and the `down` flag — every
+//!   per-node field a slot lookup, a placement or a completion reads.
+//!   The fields assignment and release never read (`family`, `caps`,
+//!   `reconfig_count`, `strip`, `gap_fit`) stay separate columns;
+//! * **one record per slot** (`SlotCell`) in a flat arena shared by all
+//!   nodes: the configuration, its area, the running task, the search
+//!   index's push sequence, and the free-stack link and live flag.
+//!
+//! Node scans (the placement filters, Algorithm 1,
+//! `busy_candidate_exists`) stride over the node records, 64 bytes a
+//! node.
 //!
 //! ## Slot arena
 //!
-//! Each node owns a contiguous *slab* `[base, base + cap)` of the slot
-//! columns; slot index `s` of node `n` (the `EntryRef.slot` the
-//! intrusive lists link) lives at flat index `base[n] + s`, so
-//! `EntryRef`s stay stable across slab growth. A slab that outgrows its
-//! capacity is bump-relocated to the end of the arena with doubled
-//! capacity (the old region is abandoned — bounded by the doubling to
-//! under half the arena, and typical slot counts are 1–4). Free slot
-//! indices are kept on an intrusive per-node LIFO stack threaded
-//! through [`NodeStore::free_next`], reproducing the AoS store's
-//! `free.last()` reuse order **exactly** — slot-index reuse is
-//! observable in reports and checkpoints.
+//! Each node owns a contiguous *slab* `[base, base + cap)` of the arena;
+//! slot index `s` of node `n` (the `EntryRef.slot` the idle/busy lists
+//! hold) lives at flat index `base + s`, so `EntryRef`s stay stable
+//! across slab growth. A slab that outgrows its capacity is
+//! bump-relocated to the end of the arena with doubled capacity (the old
+//! region is abandoned — bounded by the doubling to under half the
+//! arena, and typical slot counts are 1–4). Free slot indices are kept
+//! on an intrusive per-node LIFO stack threaded through the slot
+//! records, reproducing the AoS store's `free.last()` reuse order
+//! **exactly** — slot-index reuse is observable in reports and
+//! checkpoints.
 //!
-//! ## Serialization
+//! ## Checkpoint form
 //!
-//! Checkpoint bytes must not depend on the memory layout, so
-//! `NodeStore` serializes as the legacy `Vec<Node>` form, streaming one
-//! materialized `Node` at a time through its derived serde —
-//! byte-identical to the seed store by construction, pinned by the
-//! round-trip tests below, the differential battery and the checkpoint
-//! goldens.
+//! Checkpoint bytes must not depend on the memory layout, so the store
+//! is written as the legacy `Node` form, one node at a time
+//! (`NodeStore::to_node`), and read back through
+//! [`NodeStore::from_nodes`]. The `Inext`/`Bnext` links of that form
+//! are derived from the idle/busy lists by the
+//! [`ResourceManager`](crate::store::ResourceManager) serializer.
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
@@ -46,56 +50,83 @@ use crate::node::{Node, NodeError, NodeState, Slot};
 /// Sentinel terminating a per-node free-slot stack.
 const NIL: u32 = u32::MAX;
 
-/// Struct-of-arrays storage for the node table and its slot slabs.
-///
-/// All per-node vectors have one entry per node (indexed by
-/// `NodeId::index()`); all `slot_*` vectors share the flat slot arena.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The node records, the remaining per-node columns, and the slot
+/// arena. Every per-node vector has one entry per node, indexed by
+/// `NodeId::index()`.
+#[derive(Clone, Debug, Default)]
 pub struct NodeStore {
-    // ---- per-node columns ----
-    total_area: Vec<Area>,
-    available_area: Vec<Area>,
+    records: Vec<NodeCell>,
     family: Vec<DeviceFamily>,
     caps: Vec<Capabilities>,
-    network_delay: Vec<Ticks>,
     reconfig_count: Vec<u64>,
-    down: Vec<bool>,
     strip: Vec<Option<Strip>>,
     gap_fit: Vec<GapFit>,
-    occupancy: Vec<Occupancy>,
-    // ---- per-node slab bookkeeping ----
-    /// First flat arena index of the node's slab.
-    base: Vec<usize>,
-    /// Slab capacity in slots (cells reserved in the arena).
-    cap: Vec<u32>,
-    /// Logical slab length: mirrors the AoS `slots.len()`, counting
-    /// live slots *and* free holes, so slot-index assignment (and
-    /// therefore every downstream tie-break) matches the AoS store.
-    slab_len: Vec<u32>,
-    /// Top of the node's intrusive free-slot stack (`NIL` = empty).
-    free_head: Vec<u32>,
-    // ---- flat slot arena columns ----
-    slot_config: Vec<ConfigId>,
-    slot_area: Vec<Area>,
-    slot_task: Vec<Option<TaskId>>,
-    slot_link: Vec<Option<EntryRef>>,
-    slot_live: Vec<bool>,
-    /// Next node-relative slot index on the free stack (valid only
-    /// while the cell is dead).
-    free_next: Vec<u32>,
+    /// The flat slot arena; node `i`'s slab starts at `records[i].base`.
+    cells: Vec<SlotCell>,
 }
 
-/// Per-node slot counts and busy area, side by side so that assignment
-/// and release update one 16-byte cell (DESIGN.md §18.1).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Occupancy {
-    /// Sum of the occupied slots' areas; derived, not serialized.
-    busy_area: Area,
+/// The per-node fields every slot lookup, placement and completion
+/// reads, in one cache line (DESIGN.md §18.1).
+#[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
+struct NodeCell {
+    /// First flat arena index of the node's slab.
+    base: usize,
+    /// Slab capacity in slots (cells reserved in the arena).
+    cap: u32,
+    /// Logical slab length: mirrors the AoS `slots.len()`, counting live
+    /// slots *and* free holes, so slot-index assignment (and therefore
+    /// every downstream tie-break) matches the AoS store.
+    slab_len: u32,
+    /// Top of the node's intrusive free-slot stack (`NIL` = empty).
+    free_head: u32,
     live: u32,
     running: u32,
+    down: bool,
+    total_area: Area,
+    available_area: Area,
+    /// Sum of the occupied slots' areas; derived, not serialized.
+    busy_area: Area,
+    network_delay: Ticks,
 }
 
-/// Copy of one live slot's fields (the SoA replacement for `&Slot`).
+const _: () = assert!(std::mem::size_of::<NodeCell>() == 64);
+
+/// One slot of the arena: a config-task pair and its bookkeeping.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SlotCell {
+    pub(crate) config: ConfigId,
+    /// Next node-relative slot index on the free stack (valid only while
+    /// the cell is dead).
+    free_next: u32,
+    pub(crate) area: Area,
+    pub(crate) task: Option<TaskId>,
+    /// Push sequence of the slot's entry in the search index's idle map
+    /// (meaningful only while the slot is idle).
+    pub(crate) seq: u64,
+    live: bool,
+}
+
+impl SlotCell {
+    const DEAD: Self = Self {
+        config: ConfigId(0),
+        free_next: NIL,
+        area: 0,
+        task: None,
+        seq: 0,
+        live: false,
+    };
+
+    fn view(&self) -> SlotView {
+        SlotView {
+            config: self.config,
+            area: self.area,
+            task: self.task,
+        }
+    }
+}
+
+/// Copy of one live slot's fields (the store's replacement for `&Slot`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotView {
     /// The instantiated configuration.
@@ -104,153 +135,128 @@ pub struct SlotView {
     pub area: Area,
     /// The running task, or `None` when the slot is idle.
     pub task: Option<TaskId>,
-    /// Intrusive idle/busy list link.
-    pub link: Option<EntryRef>,
 }
 
 impl NodeStore {
-    /// Build the columnar store from the AoS node table. Node ids must
-    /// be the dense sequence `0..len` in order.
+    /// Build the store from the AoS node table. Node ids must be the
+    /// dense sequence `0..len` in order, and every `free` entry must
+    /// name a distinct hole of its node's slab.
     ///
     /// # Panics
-    /// Panics if node ids are not dense and ordered.
+    /// Panics if node ids are not dense and ordered, or if a `free`
+    /// entry lies outside its node's slab.
     #[must_use]
     pub fn from_nodes(nodes: Vec<Node>) -> Self {
-        let mut st = Self::default();
         let count = nodes.len();
-        st.total_area.reserve(count);
-        st.available_area.reserve(count);
-        st.family.reserve(count);
-        st.caps.reserve(count);
-        st.network_delay.reserve(count);
-        st.reconfig_count.reserve(count);
-        st.down.reserve(count);
-        st.strip.reserve(count);
-        st.gap_fit.reserve(count);
-        st.occupancy.reserve(count);
-        st.base.reserve(count);
-        st.cap.reserve(count);
-        st.slab_len.reserve(count);
-        st.free_head.reserve(count);
-        let slot_total: usize = nodes.iter().map(|n| n.slots.len()).sum();
-        st.slot_config.reserve(slot_total);
-        st.slot_area.reserve(slot_total);
-        st.slot_task.reserve(slot_total);
-        st.slot_link.reserve(slot_total);
-        st.slot_live.reserve(slot_total);
-        st.free_next.reserve(slot_total);
+        let mut st = Self {
+            records: Vec::with_capacity(count),
+            family: Vec::with_capacity(count),
+            caps: Vec::with_capacity(count),
+            reconfig_count: Vec::with_capacity(count),
+            strip: Vec::with_capacity(count),
+            gap_fit: Vec::with_capacity(count),
+            cells: Vec::with_capacity(nodes.iter().map(|n| n.slots.len()).sum()),
+        };
         for (i, n) in nodes.into_iter().enumerate() {
             assert_eq!(n.id.index(), i, "node ids must be dense and ordered");
-            st.total_area.push(n.total_area);
-            st.available_area.push(n.available_area);
-            st.family.push(n.family);
-            st.caps.push(n.caps);
-            st.network_delay.push(n.network_delay);
-            st.reconfig_count.push(n.reconfig_count);
-            st.down.push(n.down);
-            st.strip.push(n.strip);
-            st.gap_fit.push(n.gap_fit);
-            st.occupancy.push(Occupancy {
-                busy_area: n
-                    .slots
-                    .iter()
-                    .flatten()
-                    .filter(|s| s.task.is_some())
-                    .map(|s| s.area)
-                    .sum(),
-                live: n.live,
-                running: n.running,
-            });
-            let base = st.slot_config.len();
+            let base = st.cells.len();
             // BOUND: slab length is the AoS slots.len(), bounded by u32 slot ids.
             let slab_len = n.slots.len() as u32;
-            st.base.push(base);
-            st.cap.push(slab_len);
-            st.slab_len.push(slab_len);
-            for cell in n.slots {
-                match cell {
+            let mut busy_area = 0;
+            for s in n.slots {
+                st.cells.push(match s {
                     Some(s) => {
-                        st.slot_config.push(s.config);
-                        st.slot_area.push(s.area);
-                        st.slot_task.push(s.task);
-                        st.slot_link.push(s.link);
-                        st.slot_live.push(true);
-                        st.free_next.push(NIL);
+                        if s.task.is_some() {
+                            // BOUND: busy slot areas sum to at most total_area by Eq. 4.
+                            busy_area += s.area;
+                        }
+                        SlotCell {
+                            config: s.config,
+                            area: s.area,
+                            task: s.task,
+                            live: true,
+                            ..SlotCell::DEAD
+                        }
                     }
-                    None => {
-                        st.slot_config.push(ConfigId(0));
-                        st.slot_area.push(0);
-                        st.slot_task.push(None);
-                        st.slot_link.push(None);
-                        st.slot_live.push(false);
-                        st.free_next.push(NIL);
-                    }
-                }
+                    None => SlotCell::DEAD,
+                });
             }
             // Rebuild the free stack so its pop order matches the AoS
             // `free.last()` order: pushing in Vec order leaves the
             // Vec's last element on top.
-            let mut head = NIL;
+            let mut free_head = NIL;
             for idx in n.free {
                 // BOUND: idx < slab_len (a hole of this node's slab), so
                 // base + idx stays inside the slab.
-                st.free_next[base + idx as usize] = head;
-                head = idx;
+                st.cells[base + idx as usize].free_next = free_head;
+                free_head = idx;
             }
-            st.free_head.push(head);
+            st.records.push(NodeCell {
+                base,
+                cap: slab_len,
+                slab_len,
+                free_head,
+                live: n.live,
+                running: n.running,
+                down: n.down,
+                total_area: n.total_area,
+                available_area: n.available_area,
+                busy_area,
+                network_delay: n.network_delay,
+            });
+            st.family.push(n.family);
+            st.caps.push(n.caps);
+            st.reconfig_count.push(n.reconfig_count);
+            st.strip.push(n.strip);
+            st.gap_fit.push(n.gap_fit);
         }
         st
     }
 
-    /// Materialize the legacy AoS node table.
-    #[must_use]
-    pub fn to_nodes(&self) -> Vec<Node> {
-        (0..self.len()).map(|i| self.to_node(i)).collect()
-    }
-
-    /// Materialize node `i` in the legacy AoS form (the serialization
-    /// form, built one node at a time).
-    fn to_node(&self, i: usize) -> Node {
-        let base = self.base[i];
+    /// Node `i` in the legacy AoS form, the checkpoint form. `links[f]`
+    /// is the list link of the slot at flat arena index `f`
+    /// ([`flat`](Self::flat)), so `links` spans the whole arena.
+    pub(crate) fn to_node(&self, i: usize, links: &[Option<EntryRef>]) -> Node {
+        let r = &self.records[i];
         // BOUND: slab_len is a u32 slot count; usize is at least as wide.
-        let slab = self.slab_len[i] as usize;
-        let slots: Vec<Option<Slot>> = (0..slab)
-            .map(|s| {
-                let f = base + s;
-                self.slot_live[f].then(|| Slot {
-                    config: self.slot_config[f],
-                    area: self.slot_area[f],
-                    task: self.slot_task[f],
-                    link: self.slot_link[f],
+        let slab = &self.cells[r.base..r.base + r.slab_len as usize];
+        let slots = slab
+            .iter()
+            .zip(&links[r.base..])
+            .map(|(c, &link)| {
+                c.live.then_some(Slot {
+                    config: c.config,
+                    area: c.area,
+                    task: c.task,
+                    link,
                 })
             })
             .collect();
         // The intrusive stack walks top→bottom; the AoS `free` Vec
         // stores bottom→top (push order), so reverse.
         let mut free = Vec::new();
-        let mut cur = self.free_head[i];
+        let mut cur = r.free_head;
         while cur != NIL {
             free.push(cur);
-            // BOUND: cur < slab_len (free-stack entries are holes of
-            // this slab), so base + cur stays inside the slab.
-            cur = self.free_next[base + cur as usize];
+            // BOUND: cur < slab_len (free-stack entries are holes of this slab).
+            cur = slab[cur as usize].free_next;
         }
         free.reverse();
         Node {
             id: NodeId::from_index(i),
-            total_area: self.total_area[i],
-            available_area: self.available_area[i],
+            total_area: r.total_area,
+            available_area: r.available_area,
             family: self.family[i],
             caps: self.caps[i],
-            network_delay: self.network_delay[i],
+            network_delay: r.network_delay,
             reconfig_count: self.reconfig_count[i],
-            down: self.down[i],
+            down: r.down,
             strip: self.strip[i].clone(),
             gap_fit: self.gap_fit[i],
             slots,
             free,
-            live: self.occupancy[i].live,
-            running: self.occupancy[i].running,
+            live: r.live,
+            running: r.running,
         }
     }
 
@@ -258,14 +264,19 @@ impl NodeStore {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.total_area.len()
+        self.records.len()
     }
 
     /// Whether the store holds no nodes.
     #[inline]
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.total_area.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Length of the flat slot arena, abandoned regions included.
+    pub(crate) fn arena_len(&self) -> usize {
+        self.cells.len()
     }
 
     /// Read proxy for node `id`.
@@ -276,16 +287,17 @@ impl NodeStore {
     #[must_use]
     pub fn node(&self, id: NodeId) -> NodeRef<'_> {
         let i = id.index();
+        let r = &self.records[i];
         NodeRef {
             store: self,
             idx: i,
             id,
-            total_area: self.total_area[i],
+            total_area: r.total_area,
             family: self.family[i],
             caps: self.caps[i],
-            network_delay: self.network_delay[i],
+            network_delay: r.network_delay,
             reconfig_count: self.reconfig_count[i],
-            down: self.down[i],
+            down: r.down,
         }
     }
 
@@ -298,27 +310,34 @@ impl NodeStore {
         }
     }
 
-    // ---- column accessors used by the hot search/list paths ----
+    // ---- per-node accessors used by the hot search and event paths ----
 
     /// `AvailableArea` of node `i` (Eq. 4).
     #[inline]
     #[must_use]
     pub fn available_area(&self, i: usize) -> Area {
-        self.available_area[i]
+        self.records[i].available_area
     }
 
     /// `TotalArea` of node `i`.
     #[inline]
     #[must_use]
     pub fn total_area(&self, i: usize) -> Area {
-        self.total_area[i]
+        self.records[i].total_area
+    }
+
+    /// One-way RMS↔node delay of node `i` (`NetworkDelay`).
+    #[inline]
+    #[must_use]
+    pub fn network_delay(&self, i: usize) -> Ticks {
+        self.records[i].network_delay
     }
 
     /// Whether node `i` is failed/offline.
     #[inline]
     #[must_use]
     pub fn is_down(&self, i: usize) -> bool {
-        self.down[i]
+        self.records[i].down
     }
 
     /// Capabilities of node `i`.
@@ -332,21 +351,21 @@ impl NodeStore {
     #[inline]
     #[must_use]
     pub fn is_blank(&self, i: usize) -> bool {
-        self.occupancy[i].live == 0
+        self.records[i].live == 0
     }
 
     /// Number of live slots on node `i`.
     #[inline]
     #[must_use]
     pub fn live_count(&self, i: usize) -> u32 {
-        self.occupancy[i].live
+        self.records[i].live
     }
 
     /// Number of running tasks on node `i`.
     #[inline]
     #[must_use]
     pub fn running_count(&self, i: usize) -> u32 {
-        self.occupancy[i].running
+        self.records[i].running
     }
 
     /// Reconfigurations performed on node `i`.
@@ -359,9 +378,10 @@ impl NodeStore {
     /// Coarse state of node `i` (the paper's `state` field).
     #[must_use]
     pub fn state(&self, i: usize) -> NodeState {
-        if self.occupancy[i].running > 0 {
+        let r = &self.records[i];
+        if r.running > 0 {
             NodeState::Busy
-        } else if self.occupancy[i].live > 0 {
+        } else if r.live > 0 {
             NodeState::Idle
         } else {
             NodeState::Blank
@@ -372,7 +392,7 @@ impl NodeStore {
     /// now? (Scalar check; gap check under contiguous placement.)
     #[must_use]
     pub fn can_host(&self, i: usize, area: Area) -> bool {
-        if area > self.available_area[i] {
+        if area > self.records[i].available_area {
             return false;
         }
         match &self.strip[i] {
@@ -399,23 +419,23 @@ impl NodeStore {
     #[inline]
     #[must_use]
     pub fn reclaim_idle(&self, i: usize, area: Area) -> (Option<Vec<u32>>, u32) {
-        let occ = self.occupancy[i];
-        if occ.running == occ.live || self.total_area[i].saturating_sub(occ.busy_area) < area {
-            return (None, occ.live);
+        let r = &self.records[i];
+        if r.running == r.live || r.total_area.saturating_sub(r.busy_area) < area {
+            return (None, r.live);
         }
         self.walk_idle(i, area)
     }
 
     /// Out of line, so that node scans inline only the early test.
     fn walk_idle(&self, i: usize, area: Area) -> (Option<Vec<u32>>, u32) {
-        let mut accum = self.available_area[i];
+        let mut accum = self.records[i].available_area;
         let mut evict = Vec::new();
         let mut visited = 0;
-        for (idx, slot) in self.slots(i) {
+        for (idx, cell) in self.cells_of(i) {
             visited += 1;
-            if slot.task.is_none() {
+            if cell.task.is_none() {
                 // BOUND: accumulates slot areas of one node, at most its total_area.
-                accum += slot.area;
+                accum += cell.area;
                 evict.push(idx);
                 if accum >= area && self.can_host_after_evicting(i, area, &evict) {
                     return (Some(evict), visited);
@@ -427,13 +447,29 @@ impl NodeStore {
 
     /// Flat arena index of slot `slot` of node `i`, if live.
     #[inline]
-    fn flat(&self, i: usize, slot: u32) -> Option<usize> {
-        if slot < self.slab_len[i] {
+    pub(crate) fn flat(&self, i: usize, slot: u32) -> Option<usize> {
+        let r = &self.records[i];
+        if slot < r.slab_len {
             // BOUND: slot < slab_len, so base + slot stays inside the node's slab.
-            let f = self.base[i] + slot as usize;
-            self.slot_live[f].then_some(f)
+            let f = r.base + slot as usize;
+            self.cells[f].live.then_some(f)
         } else {
             None
+        }
+    }
+
+    /// Record of a live slot.
+    #[inline]
+    pub(crate) fn cell(&self, entry: EntryRef) -> Option<&SlotCell> {
+        self.flat(entry.node.index(), entry.slot)
+            .map(|f| &self.cells[f])
+    }
+
+    /// Record the search index's push sequence on a live slot.
+    pub(crate) fn set_seq(&mut self, entry: EntryRef, seq: u64) {
+        match self.flat(entry.node.index(), entry.slot) {
+            Some(f) => self.cells[f].seq = seq,
+            None => debug_assert!(false, "indexing dead slot {entry}"),
         }
     }
 
@@ -441,53 +477,25 @@ impl NodeStore {
     #[inline]
     #[must_use]
     pub fn slot(&self, i: usize, slot: u32) -> Option<SlotView> {
-        self.flat(i, slot).map(|f| SlotView {
-            config: self.slot_config[f],
-            area: self.slot_area[f],
-            task: self.slot_task[f],
-            link: self.slot_link[f],
-        })
+        self.flat(i, slot).map(|f| self.cells[f].view())
     }
 
-    /// Intrusive list link of a live slot (`None` also for dead slots).
-    #[inline]
-    #[must_use]
-    pub fn slot_link(&self, i: usize, slot: u32) -> Option<EntryRef> {
-        self.flat(i, slot).and_then(|f| self.slot_link[f])
-    }
-
-    /// Set the intrusive list link of a live slot. Returns `false`
-    /// (changing nothing) if the slot is not live.
-    pub fn set_slot_link(&mut self, i: usize, slot: u32, link: Option<EntryRef>) -> bool {
-        match self.flat(i, slot) {
-            Some(f) => {
-                self.slot_link[f] = link;
-                true
-            }
-            None => false,
-        }
+    /// The live slot records of node `i` as `(slot_index, record)`, in
+    /// slab order.
+    pub(crate) fn cells_of(&self, i: usize) -> impl Iterator<Item = (u32, &SlotCell)> + '_ {
+        let r = &self.records[i];
+        // BOUND: slab_len is a u32 slot count; usize is at least as wide.
+        self.cells[r.base..r.base + r.slab_len as usize]
+            .iter()
+            .zip(0u32..)
+            .filter_map(|(c, s)| c.live.then_some((s, c)))
     }
 
     /// Iterate the live slots of node `i` as `(slot_index, view)` in
     /// slab order (the traversal order of Fig. 3's config-task-pair
     /// list).
     pub fn slots(&self, i: usize) -> impl Iterator<Item = (u32, SlotView)> + '_ {
-        let base = self.base[i];
-        (0..self.slab_len[i]).filter_map(move |s| {
-            // BOUND: s < slab_len, so base + s stays inside the node's slab.
-            let f = base + s as usize;
-            self.slot_live[f].then(|| {
-                (
-                    s,
-                    SlotView {
-                        config: self.slot_config[f],
-                        area: self.slot_area[f],
-                        task: self.slot_task[f],
-                        link: self.slot_link[f],
-                    },
-                )
-            })
-        })
+        self.cells_of(i).map(|(s, c)| (s, c.view()))
     }
 
     // ---- mutations (node-local; list maintenance is the caller's) ----
@@ -496,57 +504,43 @@ impl NodeStore {
     /// the slab with doubled capacity when full. Relocation preserves
     /// node-relative slot indices (and therefore every `EntryRef`).
     fn ensure_slot_room(&mut self, i: usize) {
-        if self.slab_len[i] < self.cap[i] {
+        let r = &mut self.records[i];
+        if r.slab_len < r.cap {
             return;
         }
-        let old_base = self.base[i];
         // BOUND: slab_len is a u32 slot count; usize is at least as wide.
-        let old_len = self.slab_len[i] as usize;
-        let new_cap = (self.cap[i].max(1) * 2).max(2);
-        let new_base = self.slot_config.len();
+        let old = r.base..r.base + r.slab_len as usize;
+        let new_cap = (r.cap.max(1) * 2).max(2);
+        r.base = self.cells.len();
+        r.cap = new_cap;
+        self.cells.extend_from_within(old.clone());
         // BOUND: new_cap is a doubled u32 slot count; usize is at least as wide.
-        for s in 0..new_cap as usize {
-            if s < old_len {
-                let f = old_base + s;
-                self.slot_config.push(self.slot_config[f]);
-                self.slot_area.push(self.slot_area[f]);
-                self.slot_task.push(self.slot_task[f]);
-                self.slot_link.push(self.slot_link[f]);
-                self.slot_live.push(self.slot_live[f]);
-                self.free_next.push(self.free_next[f]);
-                // Neutralize the abandoned cell so stale state can
-                // never read as live.
-                self.slot_live[f] = false;
-            } else {
-                self.slot_config.push(ConfigId(0));
-                self.slot_area.push(0);
-                self.slot_task.push(None);
-                self.slot_link.push(None);
-                self.slot_live.push(false);
-                self.free_next.push(NIL);
-            }
+        self.cells.resize(r.base + new_cap as usize, SlotCell::DEAD);
+        // Neutralize the abandoned cells so stale state can never read
+        // as live.
+        for c in &mut self.cells[old] {
+            c.live = false;
         }
-        self.base[i] = new_base;
-        self.cap[i] = new_cap;
     }
 
     /// `SendBitstream()`: instantiate `config` in free area of node `i`.
     /// Identical semantics (including slot-index reuse order) to
     /// [`Node::send_bitstream`].
     pub fn send_bitstream(&mut self, i: usize, config: &Config) -> Result<u32, NodeError> {
-        if config.req_area > self.available_area[i] {
+        let available = self.records[i].available_area;
+        if config.req_area > available {
             return Err(NodeError::InsufficientArea {
                 needed: config.req_area,
-                available: self.available_area[i],
+                available,
             });
         }
         // Reserve the slot index first so the strip region can be keyed
         // by it; nothing is committed until every check passes.
-        let reuse = self.free_head[i];
+        let reuse = self.records[i].free_head;
         let idx = if reuse != NIL {
             reuse
         } else {
-            self.slab_len[i]
+            self.records[i].slab_len
         };
         if let Some(strip) = &mut self.strip[i] {
             if strip.place(config.req_area, idx, self.gap_fit[i]).is_none() {
@@ -556,28 +550,27 @@ impl NodeStore {
                 });
             }
         }
-        self.available_area[i] -= config.req_area;
         self.reconfig_count[i] += 1;
-        self.occupancy[i].live += 1;
-        if reuse != NIL {
-            // BOUND: reuse < slab_len, so base + reuse stays inside the slab.
-            let f = self.base[i] + reuse as usize;
-            self.free_head[i] = self.free_next[f];
-            self.free_next[f] = NIL;
-            self.slot_live[f] = true;
-        } else {
+        if reuse == NIL {
             self.ensure_slot_room(i);
-            // BOUND: idx == slab_len < cap after ensure_slot_room.
-            let f = self.base[i] + idx as usize;
-            self.slab_len[i] += 1;
-            self.slot_live[f] = true;
         }
-        // BOUND: idx is a valid slot of node i by the two branches above.
-        let f = self.base[i] + idx as usize;
-        self.slot_config[f] = config.id;
-        self.slot_area[f] = config.req_area;
-        self.slot_task[f] = None;
-        self.slot_link[f] = None;
+        let r = &mut self.records[i];
+        r.available_area -= config.req_area;
+        r.live += 1;
+        // BOUND: idx is a hole of the slab or its length, below cap after
+        // ensure_slot_room, so base + idx stays inside the slab.
+        let f = r.base + idx as usize;
+        if reuse != NIL {
+            r.free_head = self.cells[f].free_next;
+        } else {
+            r.slab_len += 1;
+        }
+        self.cells[f] = SlotCell {
+            config: config.id,
+            area: config.req_area,
+            live: true,
+            ..SlotCell::DEAD
+        };
         Ok(idx)
     }
 
@@ -587,23 +580,23 @@ impl NodeStore {
         let Some(f) = self.flat(i, idx) else {
             return Err(NodeError::NoSuchSlot(idx));
         };
-        if self.slot_task[f].is_some() {
+        let cell = &mut self.cells[f];
+        if cell.task.is_some() {
             return Err(NodeError::SlotBusyOrVacant(idx));
         }
-        let config = self.slot_config[f];
+        let r = &mut self.records[i];
+        cell.live = false;
+        cell.free_next = r.free_head;
+        r.free_head = idx;
+        r.live -= 1;
         // BOUND: slot areas sum to at most total_area by the Eq. 4 invariant.
-        self.available_area[i] += self.slot_area[f];
-        self.slot_live[f] = false;
-        self.slot_link[f] = None;
-        self.free_next[f] = self.free_head[i];
-        self.free_head[i] = idx;
-        self.occupancy[i].live -= 1;
+        r.available_area += cell.area;
+        debug_assert!(r.available_area <= r.total_area);
         if let Some(strip) = &mut self.strip[i] {
             let freed = strip.free_slot(idx);
             debug_assert!(freed, "strip region missing for slot {idx}");
         }
-        debug_assert!(self.available_area[i] <= self.total_area[i]);
-        Ok(config)
+        Ok(cell.config)
     }
 
     /// `AddTaskToNode()`: start `task` on slot `idx` of node `i`.
@@ -611,13 +604,15 @@ impl NodeStore {
         let Some(f) = self.flat(i, idx) else {
             return Err(NodeError::NoSuchSlot(idx));
         };
-        if self.slot_task[f].is_some() {
+        let cell = &mut self.cells[f];
+        if cell.task.is_some() {
             return Err(NodeError::SlotOccupied(idx));
         }
-        self.slot_task[f] = Some(task);
-        self.occupancy[i].running += 1;
+        cell.task = Some(task);
+        let r = &mut self.records[i];
+        r.running += 1;
         // BOUND: busy slot areas sum to at most total_area by Eq. 4.
-        self.occupancy[i].busy_area += self.slot_area[f];
+        r.busy_area += cell.area;
         Ok(())
     }
 
@@ -627,45 +622,45 @@ impl NodeStore {
         let Some(f) = self.flat(i, idx) else {
             return Err(NodeError::NoSuchSlot(idx));
         };
-        let task = self.slot_task[f]
-            .take()
-            .ok_or(NodeError::SlotBusyOrVacant(idx))?;
-        self.occupancy[i].running -= 1;
-        self.occupancy[i].busy_area -= self.slot_area[f];
+        let cell = &mut self.cells[f];
+        let task = cell.task.take().ok_or(NodeError::SlotBusyOrVacant(idx))?;
+        let r = &mut self.records[i];
+        r.running -= 1;
+        r.busy_area -= cell.area;
         Ok(task)
     }
 
     /// Mark node `i` failed/offline (or back up).
     pub fn set_down(&mut self, i: usize, down: bool) {
-        self.down[i] = down;
+        self.records[i].down = down;
     }
 
     /// Recompute Eq. 4, the slot counts and the busy area of node `i` from
     /// scratch; used by `ResourceManager::check_invariants` and proptests.
     #[must_use]
     pub fn area_invariant_holds(&self, i: usize) -> bool {
-        let occ = self.occupancy[i];
-        let used: Area = self.slots(i).map(|(_, s)| s.area).sum();
+        let r = &self.records[i];
+        let used: Area = self.cells_of(i).map(|(_, c)| c.area).sum();
         let busy: Vec<Area> = self
-            .slots(i)
-            .filter_map(|(_, s)| s.task.map(|_| s.area))
+            .cells_of(i)
+            .filter_map(|(_, c)| c.task.map(|_| c.area))
             .collect();
         let strip_ok = match &self.strip[i] {
             Some(s) => {
                 s.is_consistent()
-                    && s.total_free() == self.available_area[i]
+                    && s.total_free() == r.available_area
                     // BOUND: live is a small per-node slot count.
-                    && s.placed_count() == occ.live as usize
+                    && s.placed_count() == r.live as usize
             }
             None => true,
         };
         // BOUND: used + available re-checks Eq. 4; both are at most total_area.
-        used + self.available_area[i] == self.total_area[i]
+        used + r.available_area == r.total_area
             // BOUND: live is a small per-node slot count.
-            && self.slots(i).count() == occ.live as usize
+            && self.cells_of(i).count() == r.live as usize
             // BOUND: running is a small per-node slot count.
-            && busy.len() == occ.running as usize
-            && busy.iter().sum::<Area>() == occ.busy_area
+            && busy.len() == r.running as usize
+            && busy.iter().sum::<Area>() == r.busy_area
             && strip_ok
     }
 
@@ -678,13 +673,13 @@ impl NodeStore {
         // INVARIANT: test-only hook; callers pass a slot they just
         // observed live, and a panic in a test is the desired failure.
         let f = self.flat(i, idx).expect("live slot");
-        self.slot_area[f] = area;
+        self.cells[f].area = area;
     }
 
     /// Overwrite a node's `TotalArea` without rebalancing. Test-only.
     #[doc(hidden)]
     pub fn debug_set_total_area(&mut self, i: usize, area: Area) {
-        self.total_area[i] = area;
+        self.records[i].total_area = area;
     }
 
     /// Overwrite a live slot's task **without** list maintenance or
@@ -694,32 +689,7 @@ impl NodeStore {
         // INVARIANT: test-only hook; callers pass a slot they just
         // observed live, and a panic in a test is the desired failure.
         let f = self.flat(i, idx).expect("live slot");
-        self.slot_task[f] = task;
-    }
-}
-
-impl serde::Serialize for NodeStore {
-    fn write_json(&self, out: &mut String) {
-        // Serialize through the legacy AoS form, one node at a time, so
-        // checkpoint bytes are identical to the seed layout (pinned by
-        // round-trip tests, the differential battery and the checkpoint
-        // goldens) without materializing the whole table.
-        serde::write_seq(out, (0..self.len()).map(|i| self.to_node(i)));
-    }
-}
-
-impl serde::Deserialize for NodeStore {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let nodes: Vec<Node> = serde::Deserialize::from_value(value)?;
-        for (i, n) in nodes.iter().enumerate() {
-            if n.id.index() != i {
-                return Err(serde::Error::custom(format!(
-                    "NodeStore: node ids must be dense and ordered (found {} at {i})",
-                    n.id
-                )));
-            }
-        }
-        Ok(Self::from_nodes(nodes))
+        self.cells[f].task = task;
     }
 }
 
@@ -899,20 +869,26 @@ mod tests {
         Config::new(ConfigId(id), area, 10)
     }
 
-    fn aos(total: Area) -> Node {
+    fn blank(total: Area) -> Node {
         Node::new(NodeId(0), total, 5)
     }
 
     fn soa(total: Area) -> NodeStore {
-        NodeStore::from_nodes(vec![aos(total)])
+        NodeStore::from_nodes(vec![blank(total)])
     }
 
-    /// Drive an AoS node and a SoA store through the same mutation
+    /// The store's checkpoint form, without list links.
+    fn aos(st: &NodeStore) -> Vec<Node> {
+        let links = vec![None; st.arena_len()];
+        (0..st.len()).map(|i| st.to_node(i, &links)).collect()
+    }
+
+    /// Drive an AoS node and a store through the same mutation
     /// script, comparing results and the serialized mirror at every
-    /// step — the SoA layout must be observationally identical.
+    /// step — the store's layout must be observationally identical.
     #[test]
     fn mirror_script_matches_aos_node_exactly() {
-        let mut n = aos(2000);
+        let mut n = blank(2000);
         let mut st = soa(2000);
         let script: Vec<(u32, Area)> = vec![(1, 600), (2, 300), (3, 500), (4, 100)];
         let mut slots = Vec::new();
@@ -923,7 +899,7 @@ mod tests {
             if let Ok(s) = a {
                 slots.push(s);
             }
-            assert_eq!(st.to_nodes(), vec![n.clone()]);
+            assert_eq!(aos(&st), vec![n.clone()]);
         }
         // Evict the middle two, then reconfigure: index reuse must
         // follow the same LIFO order.
@@ -932,7 +908,7 @@ mod tests {
                 n.evict_slot(s).map(|c| c.0),
                 st.evict_slot(0, s).map(|c| c.0)
             );
-            assert_eq!(st.to_nodes(), vec![n.clone()]);
+            assert_eq!(aos(&st), vec![n.clone()]);
         }
         let ra = n.send_bitstream(&cfg(9, 50)).unwrap();
         let rb = st.send_bitstream(0, &cfg(9, 50)).unwrap();
@@ -943,9 +919,9 @@ mod tests {
             n.add_task(slots[0], TaskId(7)),
             st.add_task(0, slots[0], TaskId(7))
         );
-        assert_eq!(st.to_nodes(), vec![n.clone()]);
+        assert_eq!(aos(&st), vec![n.clone()]);
         assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
-        assert_eq!(st.to_nodes(), vec![n.clone()]);
+        assert_eq!(aos(&st), vec![n.clone()]);
         // Error paths agree too.
         assert_eq!(n.evict_slot(99), st.evict_slot(0, 99));
         assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
@@ -987,11 +963,13 @@ mod tests {
         nodes[2].add_task(0, TaskId(3)).unwrap();
         let legacy_json = serde_json::to_string(&nodes).unwrap();
         let st = NodeStore::from_nodes(nodes.clone());
-        let soa_json = serde_json::to_string(&st).unwrap();
-        assert_eq!(legacy_json, soa_json, "SoA serde must mirror Vec<Node>");
-        let back: NodeStore = serde_json::from_str(&soa_json).unwrap();
-        assert_eq!(back, st);
-        assert_eq!(back.to_nodes(), nodes);
+        let soa_json = serde_json::to_string(&aos(&st)).unwrap();
+        assert_eq!(
+            legacy_json, soa_json,
+            "the checkpoint form must mirror Vec<Node>"
+        );
+        let back: Vec<Node> = serde_json::from_str(&soa_json).unwrap();
+        assert_eq!(aos(&NodeStore::from_nodes(back)), nodes);
     }
 
     #[test]
@@ -1011,7 +989,7 @@ mod tests {
             n.send_bitstream(&cfg(5, 350)),
             st.send_bitstream(0, &cfg(5, 350))
         );
-        assert_eq!(st.to_nodes(), vec![n.clone()]);
+        assert_eq!(aos(&st), vec![n.clone()]);
         assert!(st.node(NodeId(0)).is_contiguous());
         assert_eq!(st.node(NodeId(0)).fragmentation(), n.fragmentation());
     }

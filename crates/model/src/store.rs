@@ -14,18 +14,18 @@
 //! cost is the paper's while the wall-clock cost is logarithmic
 //! (DESIGN.md §11).
 //!
-//! Node state lives in a struct-of-arrays [`NodeStore`] (DESIGN.md §18):
-//! the node-table scans below stride over the one or two dense columns
-//! they filter on (`down`, `state`, `total_area`) instead of ~130-byte
-//! `Node` structs. Serialization still goes through
-//! the AoS mirror, so checkpoints are byte-identical to the seed layout.
+//! Node state lives in a [`NodeStore`] (DESIGN.md §18.1): one 64-byte
+//! record per node and one record per slot, so a mutation touches one
+//! node record, one slot record and one list vector. Serialization
+//! still goes through the AoS mirror, with the list links derived from
+//! the vectors, so checkpoints are byte-identical to the seed layout.
 
 use crate::caps::Capabilities;
 use crate::config::Config;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
-use crate::lists::{ConfigLists, ListKind};
+use crate::lists::{ConfigLists, ListHeads, ListKind};
 use crate::node::{Node, NodeError, NodeState};
-use crate::search::{IndexSnapshot, SearchIndex};
+use crate::search::{IndexSnapshot, NodeKey, SearchIndex};
 use crate::soa::{NodeRef, NodeStore, Nodes};
 use crate::steps::{StepCounter, StepKind};
 use crate::task::PreferredConfig;
@@ -70,7 +70,11 @@ impl Demand {
 }
 
 /// Owner of all resource state for one simulation run.
-#[derive(Clone, Debug, serde::Serialize)]
+///
+/// Serialized by hand in the checkpoint form `{nodes, configs, lists}`:
+/// the node table as legacy `Node`s whose slots carry the lists'
+/// `Inext`/`Bnext` links, and the head of every list.
+#[derive(Clone, Debug)]
 pub struct ResourceManager {
     nodes: NodeStore,
     configs: Vec<Config>,
@@ -80,7 +84,6 @@ pub struct ResourceManager {
     // REBUILD: derived state only — deserialization calls
     // `SearchIndex::rebuild` from the restored nodes/lists, and the
     // restore audit pins live-vs-rebuilt snapshot equality.
-    #[serde(skip)]
     index: SearchIndex,
     /// Monotone count of store mutation operations (configure, evict,
     /// assign, release, fail, repair) — the phase profiler's
@@ -88,7 +91,6 @@ pub struct ResourceManager {
     /// simulated schedule, never by wall-clock.
     // REBUILD: diagnostics only — a resumed run restarts the profile
     // window at zero; no simulated state depends on this counter.
-    #[serde(skip)]
     mutation_ops: u64,
 }
 
@@ -175,7 +177,7 @@ impl ResourceManager {
     /// Corrupt a live slot's denormalized `area` **bypassing area
     /// accounting**. Exists solely so tests (e.g. the invariant
     /// auditor's) can damage store state on purpose; production code
-    /// must go through the mutation API, which keeps the intrusive
+    /// must go through the mutation API, which keeps the idle/busy
     /// lists and area sums consistent.
     ///
     /// # Panics
@@ -282,11 +284,11 @@ impl ResourceManager {
     /// First idle instance of `config` in list order (first fit), for the
     /// policy ablation.
     ///
-    /// Answered from the intrusive list, whose head is already O(1). A
+    /// Answered from the idle list, whose head is already O(1). A
     /// probe of an **empty** list charges zero scheduling steps (there
     /// is no entry to examine), pinned by a unit test.
     pub fn find_first_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Option<EntryRef> {
-        let e = self.lists.iter(&self.nodes, ListKind::Idle, config).next();
+        let e = self.lists.iter(ListKind::Idle, config).next();
         if e.is_some() {
             steps.tick(StepKind::Scheduling);
         }
@@ -303,15 +305,12 @@ impl ResourceManager {
     /// All idle instances of `config`, charging one scheduling step per
     /// visited entry (random-choice policy support).
     ///
-    /// Walks the intrusive list: the caller (the random policy) indexes
+    /// Walks the idle list: the caller (the random policy) indexes
     /// into the returned vector with an RNG draw, so the **list order**
     /// of the result is semantically significant. An empty list charges
     /// zero steps.
     pub fn collect_idle(&self, config: ConfigId, steps: &mut StepCounter) -> Vec<EntryRef> {
-        let v: Vec<EntryRef> = self
-            .lists
-            .iter(&self.nodes, ListKind::Idle, config)
-            .collect();
+        let v: Vec<EntryRef> = self.lists.iter(ListKind::Idle, config).collect();
         steps.charge(StepKind::Scheduling, v.len() as u64);
         v
     }
@@ -364,7 +363,7 @@ impl ResourceManager {
     /// Only the succeeding node's charge needs the walk (its slot
     /// position); every node before it is charged its live-slot count,
     /// and a node whose idle slots cannot cover the demand is answered
-    /// from the busy-area column without walking
+    /// from the node record's busy area without walking
     /// ([`NodeStore::reclaim_idle`], DESIGN.md §4).
     pub fn find_any_idle_node(
         &self,
@@ -417,15 +416,19 @@ impl ResourceManager {
         config: ConfigId,
         steps: &mut StepCounter,
     ) -> Result<EntryRef, NodeError> {
-        let cfg = self.configs[config.index()].clone();
-        let slot = self.nodes.send_bitstream(node.index(), &cfg)?;
+        let before = NodeKey::of(&self.nodes, node.index());
+        let slot = self
+            .nodes
+            .send_bitstream(node.index(), &self.configs[config.index()])?;
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
         let entry = EntryRef::new(node, slot);
-        self.lists
-            .push(&mut self.nodes, ListKind::Idle, config, entry, steps);
-        self.index.refresh_node(&self.nodes, node);
-        self.index.add_entry(&self.nodes, entry, config);
+        self.lists.push(ListKind::Idle, config, entry, steps);
+        // Index the new entry under the node's old key, so that the
+        // refresh re-keys it with the node's other idle entries.
+        self.index
+            .add_entry(&mut self.nodes, entry, config, before.avail);
+        self.index.refresh_node(&self.nodes, node, before);
         Ok(entry)
     }
 
@@ -436,7 +439,7 @@ impl ResourceManager {
     /// # Panics
     ///
     /// Panics if a named slot is live but missing from its idle list —
-    /// that would mean the intrusive lists and the slot slab disagree,
+    /// that would mean the lists and the slot slab disagree,
     /// i.e. the store was corrupted earlier, and failing fast beats
     /// scheduling on inconsistent state.
     pub fn evict_idle_slots(
@@ -452,18 +455,17 @@ impl ResourceManager {
                 .ok_or(NodeError::NoSuchSlot(idx))?
                 .config;
             let entry = EntryRef::new(node, idx);
-            let removed = self
-                .lists
-                .remove(&mut self.nodes, ListKind::Idle, config, entry, steps);
+            let removed = self.lists.remove(ListKind::Idle, config, entry, steps);
             assert!(
                 removed,
                 "idle slot {entry} missing from idle list of {config}"
             );
-            self.index.remove_entry(node, idx);
+            let before = NodeKey::of(&self.nodes, node.index());
+            self.index.remove_entry(&self.nodes, entry);
             self.nodes.evict_slot(node.index(), idx)?;
             // BOUND: one tick per successful mutation; u64 cannot wrap.
             self.mutation_ops += 1;
-            self.index.refresh_node(&self.nodes, node);
+            self.index.refresh_node(&self.nodes, node, before);
         }
         Ok(())
     }
@@ -486,17 +488,14 @@ impl ResourceManager {
             .slot(entry.node.index(), entry.slot)
             .ok_or(NodeError::NoSuchSlot(entry.slot))?
             .config;
-        let removed = self
-            .lists
-            .remove(&mut self.nodes, ListKind::Idle, config, entry, steps);
+        let removed = self.lists.remove(ListKind::Idle, config, entry, steps);
         assert!(removed, "assigning {entry}: not on idle list of {config}");
         // Assignment changes no areas, only list membership.
-        self.index.remove_entry(entry.node, entry.slot);
+        self.index.remove_entry(&self.nodes, entry);
         self.nodes.add_task(entry.node.index(), entry.slot, task)?;
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        self.lists
-            .push(&mut self.nodes, ListKind::Busy, config, entry, steps);
+        self.lists.push(ListKind::Busy, config, entry, steps);
         Ok(())
     }
 
@@ -518,18 +517,16 @@ impl ResourceManager {
             .slot(entry.node.index(), entry.slot)
             .ok_or(NodeError::NoSuchSlot(entry.slot))?
             .config;
-        let removed = self
-            .lists
-            .remove(&mut self.nodes, ListKind::Busy, config, entry, steps);
+        let removed = self.lists.remove(ListKind::Busy, config, entry, steps);
         assert!(removed, "releasing {entry}: not on busy list of {config}");
         let task = self.nodes.remove_task(entry.node.index(), entry.slot)?;
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        self.lists
-            .push(&mut self.nodes, ListKind::Idle, config, entry, steps);
+        self.lists.push(ListKind::Idle, config, entry, steps);
         // Release changes no area, blank or down status, so the node's
         // index registration is already current.
-        self.index.add_entry(&self.nodes, entry, config);
+        let avail = self.nodes.available_area(entry.node.index());
+        self.index.add_entry(&mut self.nodes, entry, config, avail);
         Ok(task)
     }
 
@@ -551,18 +548,25 @@ impl ResourceManager {
     /// the failure path refuses to paper over them.
     pub fn fail_node(&mut self, node: NodeId, steps: &mut StepCounter) -> Vec<TaskId> {
         let i = node.index();
+        let before = NodeKey::of(&self.nodes, i);
         let entries: Vec<(u32, ConfigId, bool)> = self
             .nodes
             .slots(i)
             .map(|(idx, s)| (idx, s.config, s.task.is_some()))
             .collect();
+        // Drop the idle entries from the index while the node's available
+        // area still keys them.
+        for &(idx, _, busy) in &entries {
+            if !busy {
+                self.index
+                    .remove_entry(&self.nodes, EntryRef::new(node, idx));
+            }
+        }
         let mut killed = Vec::new();
         for &(idx, config, busy) in &entries {
             let entry = EntryRef::new(node, idx);
             let kind = if busy { ListKind::Busy } else { ListKind::Idle };
-            let removed = self
-                .lists
-                .remove(&mut self.nodes, kind, config, entry, steps);
+            let removed = self.lists.remove(kind, config, entry, steps);
             assert!(removed, "failing {entry}: missing from {kind:?} list");
             if busy {
                 // `busy` was read from this very slot moments ago, so a
@@ -583,18 +587,17 @@ impl ResourceManager {
         self.nodes.set_down(i, true);
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        // The loop above did not re-key per slot; purge uses the
-        // recorded keys and drops the node's set registration.
-        self.index.purge_node(&self.nodes, node);
+        self.index.refresh_node(&self.nodes, node, before);
         killed
     }
 
     /// Bring a failed node back online, blank.
     pub fn repair_node(&mut self, node: NodeId) {
+        let before = NodeKey::of(&self.nodes, node.index());
         self.nodes.set_down(node.index(), false);
         // BOUND: one tick per successful mutation; u64 cannot wrap.
         self.mutation_ops += 1;
-        self.index.refresh_node(&self.nodes, node);
+        self.index.refresh_node(&self.nodes, node, before);
     }
 
     // ------------------------------------------------------------------
@@ -667,12 +670,7 @@ impl ResourceManager {
         let mut listed: BTreeSet<EntryRef> = BTreeSet::new();
         for c in &self.configs {
             for (kind, want_busy) in [(ListKind::Idle, false), (ListKind::Busy, true)] {
-                let mut visited = 0usize;
-                for e in self.lists.iter(&self.nodes, kind, c.id) {
-                    visited += 1;
-                    if visited > self.nodes.len() * 64 {
-                        return Err(format!("{}: {kind:?} list appears cyclic", c.id));
-                    }
+                for e in self.lists.iter(kind, c.id) {
                     let slot = self
                         .nodes
                         .slot(e.node.index(), e.slot)
@@ -703,11 +701,39 @@ impl ResourceManager {
     }
 }
 
-/// Deserialization rebuilds the search index, which checkpoints never
-/// carry. A store whose lists are corrupted keeps an empty index
-/// instead: the rebuild would walk the corrupted lists, while
+impl serde::Serialize for ResourceManager {
+    fn write_json(&self, out: &mut String) {
+        // Derive the `Inext`/`Bnext` links in one pass: every list entry
+        // links to the next older one, the oldest to nothing.
+        let mut links = vec![None; self.nodes.arena_len()];
+        for list in self.lists.vectors() {
+            for pair in list.windows(2) {
+                let e = pair[1];
+                if let Some(f) = self.nodes.flat(e.node.index(), e.slot) {
+                    links[f] = Some(pair[0]);
+                }
+            }
+        }
+        out.push_str("{\"nodes\":");
+        serde::write_seq(
+            out,
+            (0..self.nodes.len()).map(|i| self.nodes.to_node(i, &links)),
+        );
+        out.push_str(",\"configs\":");
+        serde::Serialize::write_json(&self.configs, out);
+        out.push_str(",\"lists\":");
+        serde::Serialize::write_json(&self.lists.heads(), out);
+        out.push('}');
+    }
+}
+
+/// Deserialization rebuilds the lists from their heads and slot links,
+/// and the search index, which checkpoints never carry. A node table,
+/// configuration table or list that cannot be read back without
+/// panicking is a decode error; a readable but inconsistent store keeps
+/// an empty index instead, so that
 /// [`ResourceManager::check_invariants`], which a restore runs next,
-/// reports the corruption as an error.
+/// reports the corruption rather than the rebuild walking it.
 impl serde::Deserialize for ResourceManager {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let field = |name: &str| {
@@ -715,15 +741,45 @@ impl serde::Deserialize for ResourceManager {
                 serde::Error::custom(format!("ResourceManager: missing field {name}"))
             })
         };
+        let nodes: Vec<Node> = serde::Deserialize::from_value(field("nodes")?)?;
+        let configs: Vec<Config> = serde::Deserialize::from_value(field("configs")?)?;
+        let heads: ListHeads = serde::Deserialize::from_value(field("lists")?)?;
+        let invalid = |msg: String| serde::Error::custom(format!("ResourceManager: {msg}"));
+        for (i, n) in nodes.iter().enumerate() {
+            if n.id.index() != i {
+                return Err(invalid(format!(
+                    "node ids must be dense and ordered (found {} at {i})",
+                    n.id
+                )));
+            }
+            // A free entry that is not a hole, or a repeated one, would
+            // hand out a live slot index again.
+            let mut seen = vec![false; n.slots.len()];
+            for &s in &n.free {
+                // BOUND: u32 slot index; usize is at least as wide.
+                let i = s as usize;
+                if !matches!(n.slots.get(i), Some(None)) || std::mem::replace(&mut seen[i], true) {
+                    return Err(invalid(format!("{} lists slot {s} as free", n.id)));
+                }
+            }
+        }
+        if let Some((i, c)) = configs.iter().enumerate().find(|(i, c)| c.id.index() != *i) {
+            return Err(invalid(format!(
+                "config ids must be dense and ordered (found {} at {i})",
+                c.id
+            )));
+        }
+        let lists = ConfigLists::from_links(&nodes, heads, configs.len()).map_err(invalid)?;
         let mut rm = Self {
-            nodes: serde::Deserialize::from_value(field("nodes")?)?,
-            configs: serde::Deserialize::from_value(field("configs")?)?,
-            lists: serde::Deserialize::from_value(field("lists")?)?,
+            nodes: NodeStore::from_nodes(nodes),
+            configs,
+            lists,
             index: SearchIndex::default(),
             mutation_ops: 0,
         };
         if rm.check_structure().is_ok() {
             rm.index = SearchIndex::rebuild(&rm.nodes, &rm.configs, &rm.lists);
+            rm.index.stamp(&mut rm.nodes);
         }
         Ok(rm)
     }
@@ -1080,7 +1136,7 @@ mod tests {
     #[test]
     fn invariant_checker_catches_a_stale_busy_area() {
         // Grow a busy slot's area and the node's total area together:
-        // Eq. 4 still balances, but the busy-area column no longer
+        // Eq. 4 still balances, but the node's busy area no longer
         // matches the slots.
         let mut rm = make(&[(0, 400)], &[1000]);
         let mut s = StepCounter::new();
