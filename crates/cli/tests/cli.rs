@@ -382,6 +382,53 @@ fn tick_parameters_near_u64_max_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn trace_and_swf_tick_values_are_typed_errors_not_panics() {
+    // A zero tick rate panicked on an assertion; a trace value near
+    // `u64::MAX` wrapped the engine's arrival or completion sum and the
+    // run exited 0 with a garbled report.
+    let dir = std::env::temp_dir().join(format!("dreamsim-trace-ticks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let swf = dir.join("s.swf");
+    std::fs::write(&swf, "1 0 -1 120 4 -1 -1 8 -1 -1 1 1 1 -1 -1 -1 -1 -1\n").unwrap();
+    let m = u64::MAX;
+    let mut probes = vec![(
+        vec!["--swf", swf.to_str().unwrap(), "--ticks-per-second", "0"],
+        "SWF options: ticks_per_second must be nonzero".to_string(),
+    )];
+    let traces = [
+        (format!("{m} 5000 c7 0\n"), "interarrival"),
+        (format!("12 {m} c7 0\n"), "required_time"),
+    ];
+    let paths: Vec<_> = traces
+        .iter()
+        .enumerate()
+        .map(|(i, (text, _))| {
+            let path = dir.join(format!("t{i}.trace"));
+            std::fs::write(&path, text).unwrap();
+            path
+        })
+        .collect();
+    for (path, (_, field)) in paths.iter().zip(&traces) {
+        probes.push((
+            vec!["--replay", path.to_str().unwrap()],
+            format!("trace line 1: {field} {m} exceeds the ceiling"),
+        ));
+    }
+    for (flags, want) in probes {
+        let out = dreamsim()
+            .args(["run", "--nodes", "5"])
+            .args(&flags)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {stderr}");
+        assert!(stderr.contains(&want), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_from_missing_path_is_a_typed_error_not_a_panic() {
     let missing = "/no/such/dir/checkpoint-000000001000.dsc";
     let out = dreamsim()

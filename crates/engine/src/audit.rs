@@ -149,13 +149,14 @@ fn check_store(resources: &ResourceManager) -> Result<(), AuditError> {
 }
 
 fn check_slot_areas(resources: &ResourceManager) -> Result<(), AuditError> {
-    for n in resources.nodes() {
-        for (idx, slot) in n.slots() {
+    let nodes = resources.node_store();
+    for i in 0..nodes.len() {
+        let node = NodeId::from_index(i);
+        for (idx, slot) in nodes.slots(i) {
             if slot.config.index() >= resources.num_configs() {
                 return Err(AuditError::Store {
                     detail: format!(
-                        "{} slot {idx} holds out-of-range {} (have {} configs)",
-                        n.id,
+                        "{node} slot {idx} holds out-of-range {} (have {} configs)",
                         slot.config,
                         resources.num_configs()
                     ),
@@ -164,7 +165,7 @@ fn check_slot_areas(resources: &ResourceManager) -> Result<(), AuditError> {
             let config_area = resources.config(slot.config).req_area;
             if slot.area != config_area {
                 return Err(AuditError::SlotArea {
-                    node: n.id,
+                    node,
                     slot: idx,
                     config: slot.config,
                     slot_area: slot.area,
@@ -181,10 +182,11 @@ fn check_task_slot_bijection(
     tasks: &TaskTable,
 ) -> Result<(), AuditError> {
     let mut placed: BTreeMap<TaskId, EntryRef> = BTreeMap::new();
-    for n in resources.nodes() {
-        for (idx, slot) in n.slots() {
+    let nodes = resources.node_store();
+    for i in 0..nodes.len() {
+        for (idx, slot) in nodes.slots(i) {
             let Some(task) = slot.task else { continue };
-            let entry = EntryRef::new(n.id, idx);
+            let entry = EntryRef::new(NodeId::from_index(i), idx);
             if task.index() >= tasks.len() {
                 return Err(AuditError::TaskSlot {
                     task,
@@ -277,8 +279,8 @@ fn check_event_targets(
                 let current = t.state == TaskState::Running && t.start_time == Some(started_at);
                 if current
                     && resources
-                        .node(entry.node)
-                        .slot(entry.slot)
+                        .node_store()
+                        .slot(entry.node.index(), entry.slot)
                         .is_none_or(|s| s.task != Some(task))
                 {
                     return Err(AuditError::EventTarget {

@@ -166,13 +166,12 @@ impl Observer for RecordingMonitor {
             }
         }
         self.last_sample = Some(now);
-        let total = resources.num_nodes().max(1) as f64;
-        let busy = resources
-            .nodes()
-            .iter()
-            .filter(|n| n.state() == NodeState::Busy)
+        let nodes = resources.node_store();
+        let total = nodes.len().max(1) as f64;
+        let busy = (0..nodes.len())
+            .filter(|&i| nodes.state(i) == NodeState::Busy)
             .count() as f64;
-        let blank = resources.nodes().iter().filter(|n| n.is_blank()).count() as f64;
+        let blank = (0..nodes.len()).filter(|&i| nodes.is_blank(i)).count() as f64;
         self.samples.push(UtilizationSample {
             time: now,
             busy_fraction: busy / total,

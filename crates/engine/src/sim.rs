@@ -762,7 +762,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             events: self.events.clone(),
             suspension: self.suspension.clone(),
             steps: self.steps,
-            stats: self.stats.clone(),
+            stats: self.stats.clone_without_samples(),
             wait_samples: self.stats.wait_samples.clone(),
             rng: self.rng.clone(),
             fault: self.fault.clone(),
@@ -1131,6 +1131,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // Arrivals are monotone: dependency-gated tasks released at the
         // current time chain from `now` rather than the (earlier) last
         // scheduled arrival.
+        // BOUND: a synthetic draw stays below 2^38 and a trace/SWF interarrival is capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
         let arrival = self.last_arrival.max(self.clock) + spec.interarrival;
         self.last_arrival = arrival;
         let id = TaskId::from_index(self.tasks.len());
@@ -1199,6 +1200,13 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             obs.on_arrival(self.clock, self.tasks.get(task));
             obs.on_snapshot(self.clock, &self.resources, self.suspension.len());
         }
+        self.schedule(task);
+        // Chain the next arrival.
+        self.poll_source();
+    }
+
+    /// Ask the policy to place `task`, then enact its decision.
+    fn schedule(&mut self, task: TaskId) {
         let (mut ctx, policy) = self.ctx_and_policy();
         let decision = policy.schedule(&mut ctx, task);
         match decision {
@@ -1206,22 +1214,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             Decision::Suspended => self.enact_suspension(task),
             Decision::Discarded(reason) => self.enact_discard(task, reason),
         }
-        // Chain the next arrival.
-        self.poll_source();
     }
 
-    fn handle_completion(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) {
-        // Stale event: the task was killed by a node failure after this
-        // completion was scheduled (its slot was evicted and possibly
-        // reused by another placement, and the task itself possibly
-        // resubmitted and re-placed). The event is current only if the
-        // task is still running the run that scheduled it — same start
-        // time — on the same slot.
-        {
-            let t = self.tasks.get(task);
-            if t.state != TaskState::Running || t.start_time != Some(started_at) {
-                return;
-            }
+    /// Free `entry` of `task` if the event naming them is current: the
+    /// task still runs the run that started at `started_at`, on that
+    /// slot. A stale event — the task was killed by a node failure after
+    /// the event was scheduled, its slot evicted and possibly reused by
+    /// another placement, and the task itself possibly resubmitted and
+    /// re-placed — changes nothing and returns `false`.
+    fn release_current_run(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) -> bool {
+        let t = self.tasks.get(task);
+        if t.state != TaskState::Running || t.start_time != Some(started_at) {
+            return false;
         }
         if self
             .resources
@@ -1229,7 +1233,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             .slot(entry.node.index(), entry.slot)
             .is_none_or(|s| s.task != Some(task))
         {
-            return;
+            return false;
         }
         let released = self
             .resources
@@ -1237,8 +1241,24 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             // INVARIANT: the staleness guard above verified the slot is
             // live and still holds `task`; the auditor pins the same
             // task ⇔ slot bijection on every audited event.
-            .expect("completion event for a live busy slot");
-        assert_eq!(released, task, "completion event / slot task mismatch");
+            .expect("current run event for a live busy slot");
+        assert_eq!(released, task, "current run event / slot task mismatch");
+        true
+    }
+
+    /// Whether simulation work remains: arrivals still pending or tasks
+    /// not yet terminal. The failure, repair and domain chains re-arm
+    /// only while it does; gating on queue emptiness would self-sustain
+    /// forever, since each chain's own next event would count as work.
+    fn work_remains(&self) -> bool {
+        let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
+        self.created < self.params.total_tasks || unfinished
+    }
+
+    fn handle_completion(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) {
+        if !self.release_current_run(task, entry, started_at) {
+            return;
+        }
         {
             let t = self.tasks.get_mut(task);
             t.completion_time = Some(self.clock);
@@ -1262,7 +1282,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     fn handle_failure(&mut self, node: NodeId) {
-        if !self.resources.node(node).down {
+        if !self.resources.node_store().is_down(node.index()) {
             let killed = self.resources.fail_node(node, &mut self.steps);
             self.stats.node_failures += 1;
             self.fault.mark_down(node, self.clock);
@@ -1284,27 +1304,19 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 self.clock + self.draw_failure_delay(mttr)
             };
             self.events.push(repair_at, Event::NodeRepair { node });
-        } else if self.fault.mttf_active() {
-            // The node is already down — a domain outage beat this
-            // node's own failure process to it. Re-arm the per-node
-            // chain (normally done by the repair event) so the process
-            // survives the outage; unreachable without domains, where
-            // each node has exactly one pending failure-or-repair event.
-            let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
-            if self.created < self.params.total_tasks || unfinished {
-                let delay = self.fault.draw_ttf();
-                self.events
-                    // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                    .push(self.clock + delay, Event::NodeFailure { node });
-            }
+        } else {
+            // The node is already down. Under the per-node fault model a
+            // domain outage beat this node's own failure process to it:
+            // re-arm the chain (normally done by the repair event) so
+            // the process survives the outage. Without domains each node
+            // has exactly one pending failure-or-repair event, so only
+            // the legacy global process (which re-arms nothing here)
+            // reaches this branch.
+            self.rearm_node_chain(node);
         }
-        // Chain the next failure only while simulation work remains:
-        // arrivals still pending or tasks not yet terminal. (Gating on
-        // queue emptiness would self-sustain forever — the repair event
-        // this failure just scheduled would count as "work".)
+        // Chain the next failure only while simulation work remains.
         if let Some(mtbf) = self.params.node_mtbf {
-            let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
-            if self.created < self.params.total_tasks || unfinished {
+            if self.work_remains() {
                 let delay = self.draw_failure_delay(mtbf);
                 let victim = NodeId::from_index(self.rng.index(self.params.total_nodes));
                 self.events
@@ -1320,20 +1332,21 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         for obs in &mut self.observers {
             obs.on_node_repair(self.clock, node);
         }
-        // Re-arm this node's failure process while simulation work
-        // remains (same gating as the legacy chain in handle_failure).
-        if self.fault.mttf_active() {
-            let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
-            if self.created < self.params.total_tasks || unfinished {
-                let delay = self.fault.draw_ttf();
-                self.events
-                    // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                    .push(self.clock + delay, Event::NodeFailure { node });
-            }
-        }
+        self.rearm_node_chain(node);
         let (mut ctx, policy) = self.ctx_and_policy();
         let resumes = policy.on_node_repaired(&mut ctx, node);
         self.enact_resumes(resumes);
+    }
+
+    /// Schedule `node`'s next failure under the per-node fault model
+    /// while simulation work remains.
+    fn rearm_node_chain(&mut self, node: NodeId) {
+        if self.fault.mttf_active() && self.work_remains() {
+            let delay = self.fault.draw_ttf();
+            self.events
+                // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
+                .push(self.clock + delay, Event::NodeFailure { node });
+        }
     }
 
     /// A correlated domain outage fired: every member node still up goes
@@ -1360,7 +1373,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             let node = NodeId::from_index(i);
             // Nodes already down for their own reasons keep their own
             // repair schedule and are not claimed by this outage.
-            if self.resources.node(node).down {
+            if self.resources.node_store().is_down(i) {
                 continue;
             }
             let killed = self.resources.fail_node(node, &mut self.steps);
@@ -1376,33 +1389,24 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         for obs in &mut self.observers {
             obs.on_domain_outage(self.clock, domain);
         }
-        match kind {
-            DomainOutageKind::Fail => {
-                for t in evicted {
-                    self.stats.failure_killed += 1;
-                    self.resubmit_or_discard(t, DiscardReason::NodeFailed);
+        if kind == DomainOutageKind::Partition && self.params.suspension_enabled {
+            for t in evicted {
+                {
+                    let task = self.tasks.get_mut(t);
+                    task.state = TaskState::Created;
+                    task.start_time = None;
+                    task.assigned_config = None;
                 }
+                self.suspension.push(t, &mut self.steps);
+                self.enact_suspension(t);
             }
-            DomainOutageKind::Partition if !self.params.suspension_enabled => {
-                // Without a suspension queue (ablation A3) partitioned
-                // tasks have nowhere to wait; they follow the failure
-                // path instead.
-                for t in evicted {
-                    self.stats.failure_killed += 1;
-                    self.resubmit_or_discard(t, DiscardReason::NodeFailed);
-                }
-            }
-            DomainOutageKind::Partition => {
-                for t in evicted {
-                    {
-                        let task = self.tasks.get_mut(t);
-                        task.state = TaskState::Created;
-                        task.start_time = None;
-                        task.assigned_config = None;
-                    }
-                    self.suspension.push(t, &mut self.steps);
-                    self.enact_suspension(t);
-                }
+        } else {
+            // A failed domain kills its tasks. Without a suspension queue
+            // (ablation A3) partitioned tasks have nowhere to wait, so
+            // they follow the failure path too.
+            for t in evicted {
+                self.stats.failure_killed += 1;
+                self.resubmit_or_discard(t, DiscardReason::NodeFailed);
             }
         }
         let restore_at = match duration {
@@ -1440,13 +1444,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     /// Schedule the next stochastic outage for `domain` while simulation
-    /// work remains (same gating as the node-failure chains).
+    /// work remains.
     fn rearm_domain_chain(&mut self, domain: u32) {
-        if !self.fault.domain_mttf_active() {
-            return;
-        }
-        let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
-        if self.created < self.params.total_tasks || unfinished {
+        if self.fault.domain_mttf_active() && self.work_remains() {
             let delay = self.fault.draw_domain_ttf();
             self.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
@@ -1468,42 +1468,16 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         if self.tasks.get(task).state != TaskState::Created {
             return;
         }
-        let (mut ctx, policy) = self.ctx_and_policy();
-        let decision = policy.schedule(&mut ctx, task);
-        match decision {
-            Decision::Placed(p) => self.enact_placement(p, false),
-            Decision::Suspended => self.enact_suspension(task),
-            Decision::Discarded(reason) => self.enact_discard(task, reason),
-        }
+        self.schedule(task);
     }
 
     /// A running task failed mid-execution: free its slot, then let
     /// suspended tasks claim the capacity before resubmitting the failed
     /// task itself (they waited longer).
     fn handle_task_failed(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) {
-        // Stale-event guards mirror handle_completion.
-        {
-            let t = self.tasks.get(task);
-            if t.state != TaskState::Running || t.start_time != Some(started_at) {
-                return;
-            }
-        }
-        if self
-            .resources
-            .node_store()
-            .slot(entry.node.index(), entry.slot)
-            .is_none_or(|s| s.task != Some(task))
-        {
+        if !self.release_current_run(task, entry, started_at) {
             return;
         }
-        let released = self
-            .resources
-            .release_task(entry, &mut self.steps)
-            // INVARIANT: the staleness guard above verified the slot is
-            // live and still holds `task`; the auditor pins the same
-            // task ⇔ slot bijection on every audited event.
-            .expect("failure event for a live busy slot");
-        assert_eq!(released, task, "failure event / slot task mismatch");
         self.stats.task_failures += 1;
         {
             let t = self.tasks.get_mut(task);
@@ -1555,13 +1529,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         for obs in &mut self.observers {
             obs.on_resubmit(self.clock, self.tasks.get(task), attempt);
         }
-        let (mut ctx, policy) = self.ctx_and_policy();
-        let decision = policy.schedule(&mut ctx, task);
-        match decision {
-            Decision::Placed(p) => self.enact_placement(p, false),
-            Decision::Suspended => self.enact_suspension(task),
-            Decision::Discarded(r) => self.enact_discard(task, r),
-        }
+        self.schedule(task);
     }
 
     /// Mark `task` suspended (the policy already queued it) and arm the
@@ -1698,7 +1666,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 t.sus_retry += 1;
             }
             let wait = (self.clock - t.create_time) + tcomm + p.config_time;
-            // BOUND: waiting/completion times are sums of validated Table II ranges; far below 2^64.
+            // BOUND: each term is a validated tick parameter or a trace/SWF time capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
             let completion = self.clock + p.config_time + tcomm + t.required_time;
             (wait, completion)
         };
@@ -1826,16 +1794,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             self.enact_discard(t, DiscardReason::SuspensionDrain);
         }
         debug_assert!(self.resources.check_invariants().is_ok());
-        let configured: Vec<dreamsim_model::NodeRef<'_>> = self
-            .resources
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_blank())
-            .collect();
-        let mean_fragmentation_end = if configured.is_empty() {
+        // One pass in node order; `Sum` keeps the summation order.
+        let nodes = self.resources.node_store();
+        let mut configured = 0usize;
+        let fragmentation: f64 = (0..nodes.len())
+            .filter(|&i| !nodes.is_blank(i))
+            .inspect(|_| configured += 1)
+            .map(|i| nodes.fragmentation(i))
+            .sum();
+        let mean_fragmentation_end = if configured == 0 {
             0.0
         } else {
-            configured.iter().map(|n| n.fragmentation()).sum::<f64>() / configured.len() as f64
+            fragmentation / configured as f64
         };
         let mut metrics = self.stats.finalize(
             &self.params,
@@ -2115,14 +2085,13 @@ mod tests {
             sim.clock = t;
             sim.dispatch(ev);
             sim.resources.check_invariants().unwrap();
-            for n in sim.resources.nodes() {
-                if n.down {
-                    saw_failure = true;
-                    // A failed node was stripped of every slot, so the
-                    // list invariant above guarantees no idle/busy list
-                    // can still reference it.
-                    assert_eq!(n.configured_count(), 0, "{} still holds slots", n.id);
-                }
+            let nodes = sim.resources.node_store();
+            for i in (0..nodes.len()).filter(|&i| nodes.is_down(i)) {
+                saw_failure = true;
+                // A failed node was stripped of every slot, so the list
+                // invariant above guarantees no idle/busy list can still
+                // reference it.
+                assert_eq!(nodes.live_count(i), 0, "node {i} still holds slots");
             }
         }
         assert!(saw_failure, "test should exercise at least one failure");
@@ -2498,6 +2467,7 @@ mod tests {
 
     use crate::audit::AuditError;
     use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
+    use dreamsim_model::SlotView;
 
     /// Parameters with every fault mechanism active, so checkpoints must
     /// carry retry counters, staleness stamps, per-node down-since
@@ -2541,16 +2511,30 @@ mod tests {
         panic!("run drained without reaching the probed state");
     }
 
-    /// First slot currently idle (configured, no task), after driving to
-    /// such a state.
-    fn drive_to_idle_slot(sim: &mut Simulation<FixedSource, GreedyPolicy>) -> (NodeId, u32) {
-        drive_find(sim, |s| {
-            s.resources.nodes().iter().find_map(|n| {
-                n.slots()
-                    .find(|(_, slot)| slot.task.is_none())
-                    .map(|(i, _)| (n.id, i))
-            })
+    /// The first `Some` that `f` yields over the live slots, in node
+    /// then slab order.
+    fn find_slot<T>(
+        sim: &Simulation<FixedSource, GreedyPolicy>,
+        mut f: impl FnMut(NodeId, u32, SlotView) -> Option<T>,
+    ) -> Option<T> {
+        let nodes = sim.resources.node_store();
+        (0..nodes.len()).find_map(|i| {
+            nodes
+                .slots(i)
+                .find_map(|(slot, view)| f(NodeId::from_index(i), slot, view))
         })
+    }
+
+    /// The first idle slot (configured, no task).
+    fn idle_slot(sim: &Simulation<FixedSource, GreedyPolicy>) -> Option<(NodeId, u32)> {
+        find_slot(sim, |node, slot, view| {
+            view.task.is_none().then_some((node, slot))
+        })
+    }
+
+    /// First slot currently idle, after driving to such a state.
+    fn drive_to_idle_slot(sim: &mut Simulation<FixedSource, GreedyPolicy>) -> (NodeId, u32) {
+        drive_find(sim, idle_slot)
     }
 
     /// Drive `sim` event-by-event until its clock reaches `stop`,
@@ -2598,6 +2582,27 @@ mod tests {
         // And the resumed run still reconverges.
         let base = Simulation::new(p, FixedSource, GreedyPolicy).unwrap().run();
         assert_eq!(base.metrics, resumed.run().metrics);
+    }
+
+    /// The wait samples travel once, beside the stats, and a resume
+    /// writes them back: the percentiles are the uninterrupted run's.
+    #[test]
+    fn checkpoint_carries_wait_samples_once() {
+        let p = fault_params();
+        let base = Simulation::new(p.clone(), FixedSource, GreedyPolicy)
+            .unwrap()
+            .run();
+        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
+        drive_until(&mut sim, base.metrics.total_simulation_time / 2);
+        let cp = sim.checkpoint();
+        assert!(!cp.wait_samples.is_empty(), "tasks waited before the cut");
+        assert_eq!(cp.wait_samples, sim.stats.wait_samples);
+        assert!(cp.stats.wait_samples.is_empty(), "samples copied twice");
+        let resumed = Simulation::resume(cp, FixedSource, GreedyPolicy)
+            .unwrap()
+            .run();
+        let percentiles = |m: &Metrics| (m.wait_p50, m.wait_p95, m.wait_p99);
+        assert_eq!(percentiles(&resumed.metrics), percentiles(&base.metrics));
     }
 
     #[test]
@@ -2793,8 +2798,9 @@ mod tests {
         // store's busy-area check would catch it first.)
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         let (victim, slot) = drive_to_idle_slot(&mut sim);
-        let area = sim.resources.node(victim).slot(slot).unwrap().area;
-        let total = sim.resources.node(victim).total_area;
+        let nodes = sim.resources.node_store();
+        let area = nodes.slot(victim.index(), slot).unwrap().area;
+        let total = nodes.total_area(victim.index());
         sim.resources.debug_set_slot_area(victim, slot, area + 1);
         sim.resources.debug_set_total_area(victim, total + 1);
         assert!(
@@ -3063,17 +3069,8 @@ mod tests {
         // task id claimed by a second slot on another node.
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         let (running, spare) = drive_find(&mut sim, |s| {
-            let running = s
-                .resources
-                .nodes()
-                .iter()
-                .find_map(|n| n.slots().find_map(|(_, sl)| sl.task))?;
-            let spare = s.resources.nodes().iter().find_map(|n| {
-                n.slots()
-                    .find(|(_, sl)| sl.task.is_none())
-                    .map(|(i, _)| (n.id, i))
-            })?;
-            Some((running, spare))
+            let running = find_slot(s, |_, _, view| view.task)?;
+            Some((running, idle_slot(s)?))
         });
         sim.resources
             .debug_set_slot_task(spare.0, spare.1, Some(running));

@@ -526,6 +526,18 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// A copy without [`wait_samples`](Self::wait_samples), for a
+    /// checkpoint: serde skips them here, and the checkpoint carries its
+    /// one copy beside.
+    pub(crate) fn clone_without_samples(&self) -> Self {
+        Self {
+            wait_samples: Vec::new(),
+            sketch: self.sketch.clone(),
+            window: self.window.clone(),
+            ..*self
+        }
+    }
+
     /// Record a task arrival.
     pub fn record_arrival(&mut self) {
         self.generated += 1;

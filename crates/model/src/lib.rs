@@ -23,7 +23,10 @@
 //! queue). [`store::ResourceManager`] ties
 //! everything together and is the single mutation point, so the area and
 //! list invariants can be checked in one place
-//! ([`store::ResourceManager::check_invariants`]).
+//! ([`store::ResourceManager::check_invariants`]). Runtime node state is
+//! read through one API, the index accessors of [`soa::NodeStore`]
+//! (`rm.node_store().available_area(i)`, `.is_down(i)`, `.slots(i)`, …);
+//! [`node::Node`] is the checkpoint form of one node.
 //!
 //! Every traversal of a list or scan of the node table is charged to a
 //! [`steps::StepCounter`], reproducing the paper's two step metrics
@@ -61,7 +64,7 @@ pub use ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
 pub use lists::ConfigLists;
 pub use node::{Node, NodeState, Slot};
 pub use search::{IndexSnapshot, SearchIndex};
-pub use soa::{NodeRef, NodeStore, Nodes, SlotView};
+pub use soa::{NodeStore, SlotView};
 pub use steps::StepCounter;
 pub use store::{Demand, ResourceManager};
 pub use suspension::SuspensionQueue;

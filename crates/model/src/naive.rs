@@ -13,7 +13,7 @@
 //! to a different slot of the same quality, since scan order differs from
 //! list order); the equivalence tests below pin that contract.
 
-use crate::ids::{Area, ConfigId, EntryRef};
+use crate::ids::{Area, ConfigId, EntryRef, NodeId};
 use crate::steps::{StepCounter, StepKind};
 use crate::store::ResourceManager;
 
@@ -23,12 +23,16 @@ pub fn find_best_idle_naive(
     config: ConfigId,
     steps: &mut StepCounter,
 ) -> Option<EntryRef> {
+    let nodes = rm.node_store();
     let mut best: Option<(Area, EntryRef)> = None;
-    for n in rm.nodes() {
-        for (idx, slot) in n.slots() {
+    for i in 0..nodes.len() {
+        for (idx, slot) in nodes.slots(i) {
             steps.tick(StepKind::Scheduling);
             if slot.config == config && slot.task.is_none() {
-                let cand = (n.available_area(), EntryRef::new(n.id, idx));
+                let cand = (
+                    nodes.available_area(i),
+                    EntryRef::new(NodeId::from_index(i), idx),
+                );
                 if best.is_none_or(|(a, _)| cand.0 < a) {
                     best = Some(cand);
                 }
@@ -44,8 +48,9 @@ pub fn busy_instance_exists_naive(
     config: ConfigId,
     steps: &mut StepCounter,
 ) -> bool {
-    for n in rm.nodes() {
-        for (_, slot) in n.slots() {
+    let nodes = rm.node_store();
+    for i in 0..nodes.len() {
+        for (_, slot) in nodes.slots(i) {
             steps.tick(StepKind::Scheduling);
             if slot.config == config && slot.task.is_some() {
                 return true;
@@ -59,7 +64,7 @@ pub fn busy_instance_exists_naive(
 mod tests {
     use super::*;
     use crate::config::Config;
-    use crate::ids::{NodeId, TaskId};
+    use crate::ids::TaskId;
     use crate::node::Node;
 
     fn setup() -> (ResourceManager, StepCounter) {

@@ -18,6 +18,18 @@
 //! `busy_candidate_exists`) stride over the node records, 64 bytes a
 //! node.
 //!
+//! ## Read API
+//!
+//! The store is the one read surface for runtime node state. Every
+//! reader — the searches, the scheduler, the engine handlers, the
+//! auditor and the tests — asks it by node index (`NodeId::index()`):
+//! [`available_area`](NodeStore::available_area),
+//! [`is_down`](NodeStore::is_down), [`state`](NodeStore::state),
+//! [`slots`](NodeStore::slots), [`fragmentation`](NodeStore::fragmentation)
+//! and the rest. Each answer reads only the record or column it needs;
+//! nothing assembles a per-node view. [`Node`] remains the checkpoint
+//! form and the reference the mirror tests below hold the store to.
+//!
 //! ## Slot arena
 //!
 //! Each node owns a contiguous *slab* `[base, base + cap)` of the arena;
@@ -279,38 +291,7 @@ impl NodeStore {
         self.cells.len()
     }
 
-    /// Read proxy for node `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
-        let i = id.index();
-        let r = &self.records[i];
-        NodeRef {
-            store: self,
-            idx: i,
-            id,
-            total_area: r.total_area,
-            family: self.family[i],
-            caps: self.caps[i],
-            network_delay: r.network_delay,
-            reconfig_count: self.reconfig_count[i],
-            down: r.down,
-        }
-    }
-
-    /// Iterate all nodes in id order as [`NodeRef`]s.
-    #[must_use]
-    pub fn iter(&self) -> Nodes<'_> {
-        Nodes {
-            store: self,
-            range: 0..self.len(),
-        }
-    }
-
-    // ---- per-node accessors used by the hot search and event paths ----
+    // ---- per-node read accessors ----
 
     /// `AvailableArea` of node `i` (Eq. 4).
     #[inline]
@@ -409,6 +390,20 @@ impl NodeStore {
             Some(s) => s.can_fit_after_removing(area, evict),
             None => true,
         }
+    }
+
+    /// Whether node `i` places configurations contiguously (experiment
+    /// A5).
+    #[must_use]
+    pub fn is_contiguous(&self, i: usize) -> bool {
+        self.strip[i].is_some()
+    }
+
+    /// External fragmentation of node `i` in `[0, 1]` (0 under the
+    /// scalar model).
+    #[must_use]
+    pub fn fragmentation(&self, i: usize) -> f64 {
+        self.strip[i].as_ref().map_or(0.0, Strip::fragmentation)
     }
 
     /// Algorithm 1's walk over node `i`: the idle slots to evict, in slab
@@ -693,174 +688,6 @@ impl NodeStore {
     }
 }
 
-/// Read-only proxy for one node of a [`NodeStore`].
-///
-/// Scalar fields the AoS `Node` exposed publicly are copied into the
-/// proxy at construction so existing call sites (`n.down`,
-/// `n.total_area`, `n.network_delay`, …) read them as fields; slot and
-/// strip state is answered through the store reference.
-#[derive(Clone, Copy)]
-pub struct NodeRef<'a> {
-    store: &'a NodeStore,
-    idx: usize,
-    /// Node identifier (`NodeNo`).
-    pub id: NodeId,
-    /// Total reconfigurable area (`TotalArea`).
-    pub total_area: Area,
-    /// Device family (`family`).
-    pub family: DeviceFamily,
-    /// Hardware capabilities (`caps`).
-    pub caps: Capabilities,
-    /// One-way RMS↔node delay in timeticks (`NetworkDelay`).
-    pub network_delay: Ticks,
-    /// Number of (re)configurations performed on this node.
-    pub reconfig_count: u64,
-    /// Whether the node is failed/offline.
-    pub down: bool,
-}
-
-impl std::fmt::Debug for NodeRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeRef")
-            .field("id", &self.id)
-            .field("total_area", &self.total_area)
-            .field("available_area", &self.available_area())
-            .field("down", &self.down)
-            .field("live", &self.store.live_count(self.idx))
-            .field("running", &self.store.running_count(self.idx))
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> NodeRef<'a> {
-    /// Remaining free reconfigurable area (Eq. 4).
-    #[inline]
-    #[must_use]
-    pub fn available_area(self) -> Area {
-        self.store.available_area(self.idx)
-    }
-
-    /// Number of instantiated configurations.
-    #[inline]
-    #[must_use]
-    pub fn configured_count(self) -> usize {
-        // BOUND: live is a small per-node slot count.
-        self.store.live_count(self.idx) as usize
-    }
-
-    /// Number of running tasks.
-    #[inline]
-    #[must_use]
-    pub fn running_count(self) -> usize {
-        // BOUND: running is a small per-node slot count.
-        self.store.running_count(self.idx) as usize
-    }
-
-    /// Whether the node has no configurations at all.
-    #[inline]
-    #[must_use]
-    pub fn is_blank(self) -> bool {
-        self.store.is_blank(self.idx)
-    }
-
-    /// Coarse state per the paper's `state` field.
-    #[must_use]
-    pub fn state(self) -> NodeState {
-        self.store.state(self.idx)
-    }
-
-    /// Whether contiguous placement is active.
-    #[must_use]
-    pub fn is_contiguous(self) -> bool {
-        self.store.strip[self.idx].is_some()
-    }
-
-    /// Can a configuration of `area` be instantiated right now?
-    #[must_use]
-    pub fn can_host(self, area: Area) -> bool {
-        self.store.can_host(self.idx, area)
-    }
-
-    /// Could a configuration of `area` fit after evicting the given
-    /// idle slots?
-    #[must_use]
-    pub fn can_host_after_evicting(self, area: Area, evict: &[u32]) -> bool {
-        self.store.can_host_after_evicting(self.idx, area, evict)
-    }
-
-    /// External fragmentation in `[0, 1]` (0 under the scalar model).
-    #[must_use]
-    pub fn fragmentation(self) -> f64 {
-        self.store.strip[self.idx]
-            .as_ref()
-            .map_or(0.0, Strip::fragmentation)
-    }
-
-    /// Copy of a live slot's fields.
-    #[inline]
-    #[must_use]
-    pub fn slot(self, idx: u32) -> Option<SlotView> {
-        self.store.slot(self.idx, idx)
-    }
-
-    /// Iterate live slots as `(slot_index, view)` in slab order.
-    pub fn slots(self) -> impl Iterator<Item = (u32, SlotView)> + 'a {
-        self.store.slots(self.idx)
-    }
-
-    /// Recompute the Eq. 4 invariant from scratch.
-    #[must_use]
-    pub fn area_invariant_holds(self) -> bool {
-        self.store.area_invariant_holds(self.idx)
-    }
-}
-
-/// Iterator over all nodes of a [`NodeStore`] as [`NodeRef`]s.
-///
-/// Also usable as a collection proxy: call sites that held the old
-/// `&[Node]` slice keep working through [`Nodes::iter`] and
-/// [`Nodes::len`].
-#[derive(Clone)]
-pub struct Nodes<'a> {
-    store: &'a NodeStore,
-    range: std::ops::Range<usize>,
-}
-
-impl<'a> Nodes<'a> {
-    /// A fresh iterator over the same nodes (slice-compat shim).
-    #[must_use]
-    pub fn iter(&self) -> Nodes<'a> {
-        self.clone()
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether there are no nodes.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
-    }
-}
-
-impl<'a> Iterator for Nodes<'a> {
-    type Item = NodeRef<'a>;
-
-    fn next(&mut self) -> Option<NodeRef<'a>> {
-        let i = self.range.next()?;
-        Some(self.store.node(NodeId::from_index(i)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.range.size_hint()
-    }
-}
-
-impl ExactSizeIterator for Nodes<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -883,13 +710,46 @@ mod tests {
         (0..st.len()).map(|i| st.to_node(i, &links)).collect()
     }
 
+    /// The store's node 0 answers every read the `Node` reference
+    /// answers, and serializes to it.
+    fn assert_mirrors(st: &NodeStore, n: &Node) {
+        assert_eq!(aos(st), vec![n.clone()]);
+        assert_eq!(st.total_area(0), n.total_area);
+        assert_eq!(st.available_area(0), n.available_area());
+        assert_eq!(st.network_delay(0), n.network_delay);
+        assert_eq!(st.caps(0), n.caps);
+        assert_eq!(st.is_down(0), n.down);
+        assert_eq!(st.reconfig_count(0), n.reconfig_count);
+        assert_eq!(st.state(0), n.state());
+        assert_eq!(st.is_blank(0), n.is_blank());
+        assert_eq!(st.live_count(0) as usize, n.configured_count());
+        assert_eq!(st.running_count(0) as usize, n.running_count());
+        let want: Vec<(u32, SlotView)> = n
+            .slots()
+            .map(|(i, s)| {
+                let view = SlotView {
+                    config: s.config,
+                    area: s.area,
+                    task: s.task,
+                };
+                (i, view)
+            })
+            .collect();
+        assert_eq!(st.slots(0).collect::<Vec<_>>(), want);
+        for &(i, view) in &want {
+            assert_eq!(st.slot(0, i), Some(view));
+        }
+    }
+
     /// Drive an AoS node and a store through the same mutation
-    /// script, comparing results and the serialized mirror at every
-    /// step — the store's layout must be observationally identical.
+    /// script, comparing results, every read accessor and the
+    /// serialized mirror at every step — the store's layout must be
+    /// observationally identical.
     #[test]
     fn mirror_script_matches_aos_node_exactly() {
         let mut n = blank(2000);
         let mut st = soa(2000);
+        assert_mirrors(&st, &n);
         let script: Vec<(u32, Area)> = vec![(1, 600), (2, 300), (3, 500), (4, 100)];
         let mut slots = Vec::new();
         for &(id, area) in &script {
@@ -899,7 +759,7 @@ mod tests {
             if let Ok(s) = a {
                 slots.push(s);
             }
-            assert_eq!(aos(&st), vec![n.clone()]);
+            assert_mirrors(&st, &n);
         }
         // Evict the middle two, then reconfigure: index reuse must
         // follow the same LIFO order.
@@ -908,20 +768,26 @@ mod tests {
                 n.evict_slot(s).map(|c| c.0),
                 st.evict_slot(0, s).map(|c| c.0)
             );
-            assert_eq!(aos(&st), vec![n.clone()]);
+            assert_mirrors(&st, &n);
         }
         let ra = n.send_bitstream(&cfg(9, 50)).unwrap();
         let rb = st.send_bitstream(0, &cfg(9, 50)).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(ra, slots[2], "LIFO reuse takes the most recent hole");
+        assert_mirrors(&st, &n);
         // Task lifecycle.
         assert_eq!(
             n.add_task(slots[0], TaskId(7)),
             st.add_task(0, slots[0], TaskId(7))
         );
-        assert_eq!(aos(&st), vec![n.clone()]);
+        assert_mirrors(&st, &n);
+        assert_eq!(st.state(0), NodeState::Busy);
         assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
-        assert_eq!(aos(&st), vec![n.clone()]);
+        assert_mirrors(&st, &n);
+        assert_eq!(st.state(0), NodeState::Idle);
+        st.set_down(0, true);
+        n.down = true;
+        assert_mirrors(&st, &n);
         // Error paths agree too.
         assert_eq!(n.evict_slot(99), st.evict_slot(0, 99));
         assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
@@ -990,28 +856,20 @@ mod tests {
             st.send_bitstream(0, &cfg(5, 350))
         );
         assert_eq!(aos(&st), vec![n.clone()]);
-        assert!(st.node(NodeId(0)).is_contiguous());
-        assert_eq!(st.node(NodeId(0)).fragmentation(), n.fragmentation());
-    }
-
-    #[test]
-    fn node_ref_exposes_aos_surface() {
-        let mut st = soa(2000);
-        st.send_bitstream(0, &cfg(1, 600)).unwrap();
-        let n = st.node(NodeId(0));
-        assert_eq!(n.id, NodeId(0));
-        assert_eq!(n.total_area, 2000);
-        assert_eq!(n.available_area(), 1400);
-        assert_eq!(n.network_delay, 5);
-        assert!(!n.down);
-        assert_eq!(n.reconfig_count, 1);
-        assert_eq!(n.configured_count(), 1);
-        assert_eq!(n.state(), NodeState::Idle);
-        assert!(!n.is_blank());
-        let views: Vec<(u32, SlotView)> = n.slots().collect();
-        assert_eq!(views.len(), 1);
-        assert_eq!(views[0].1.config, ConfigId(1));
-        assert_eq!(st.iter().len(), 1);
-        assert_eq!(st.iter().iter().count(), 1);
+        assert!(st.is_contiguous(0));
+        assert_eq!(st.is_contiguous(0), n.is_contiguous());
+        assert_eq!(st.fragmentation(0).to_bits(), n.fragmentation().to_bits());
+        // A narrow module in the middle gap, then the first region
+        // freed: two separate gaps, so fragmentation is positive.
+        assert_eq!(
+            n.send_bitstream(&cfg(6, 100)),
+            st.send_bitstream(0, &cfg(6, 100))
+        );
+        assert_eq!(n.evict_slot(0), st.evict_slot(0, 0));
+        assert_eq!(aos(&st), vec![n.clone()]);
+        assert!(n.fragmentation() > 0.0);
+        assert_eq!(st.fragmentation(0).to_bits(), n.fragmentation().to_bits());
+        assert!(!soa(1000).is_contiguous(0));
+        assert_eq!(soa(1000).fragmentation(0).to_bits(), 0.0f64.to_bits());
     }
 }

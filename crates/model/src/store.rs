@@ -16,7 +16,10 @@
 //!
 //! Node state lives in a [`NodeStore`] (DESIGN.md §18.1): one 64-byte
 //! record per node and one record per slot, so a mutation touches one
-//! node record, one slot record and one list vector. Serialization
+//! node record, one slot record and one list vector. Readers outside
+//! the manager borrow it through
+//! [`ResourceManager::node_store`] and ask its index accessors; the
+//! manager adds no read path of its own. Serialization
 //! still goes through the AoS mirror, with the list links derived from
 //! the vectors, so checkpoints are byte-identical to the seed layout.
 
@@ -26,7 +29,7 @@ use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
 use crate::lists::{ConfigLists, ListHeads, ListKind};
 use crate::node::{Node, NodeError, NodeState};
 use crate::search::{IndexSnapshot, NodeKey, SearchIndex};
-use crate::soa::{NodeRef, NodeStore, Nodes};
+use crate::soa::NodeStore;
 use crate::steps::{StepCounter, StepKind};
 use crate::task::PreferredConfig;
 use std::collections::BTreeSet;
@@ -62,10 +65,11 @@ impl Demand {
         }
     }
 
-    /// Whether `node` offers the required capabilities.
+    /// Whether a node offering `caps` meets the required capabilities.
+    #[inline]
     #[must_use]
-    pub fn caps_ok(&self, node: NodeRef<'_>) -> bool {
-        node.caps.is_superset_of(self.caps)
+    pub fn caps_ok(&self, caps: Capabilities) -> bool {
+        caps.is_superset_of(self.caps)
     }
 }
 
@@ -151,24 +155,8 @@ impl ResourceManager {
         self.mutation_ops
     }
 
-    /// Read proxy for a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range. Node ids are dense (checked at
-    /// construction), so any id produced by this store is valid.
-    #[must_use]
-    pub fn node(&self, id: NodeId) -> NodeRef<'_> {
-        self.nodes.node(id)
-    }
-
-    /// All nodes, in id order.
-    #[must_use]
-    pub fn nodes(&self) -> Nodes<'_> {
-        self.nodes.iter()
-    }
-
-    /// The underlying columnar store (read-only).
+    /// The node table (read-only): every read of runtime node state
+    /// goes through its index accessors.
     #[must_use]
     pub fn node_store(&self) -> &NodeStore {
         &self.nodes
@@ -315,12 +303,6 @@ impl ResourceManager {
         v
     }
 
-    /// Whether node `i` satisfies `demand`'s capability requirement.
-    #[inline]
-    fn caps_ok_at(&self, i: usize, demand: Demand) -> bool {
-        self.nodes.caps(i).is_superset_of(demand.caps)
-    }
-
     /// Best **blank** node for the demanded area/capabilities: minimal
     /// `TotalArea` among eligible blank nodes. The paper keeps no blank
     /// list, so it scans the node table.
@@ -332,7 +314,7 @@ impl ResourceManager {
         steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
         self.index.blank_candidates(demand.area).find(|&id| {
             let i = id.index();
-            self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
+            demand.caps_ok(self.nodes.caps(i)) && self.nodes.can_host(i, demand.area)
         })
     }
 
@@ -348,7 +330,7 @@ impl ResourceManager {
         steps.charge(StepKind::Scheduling, self.nodes.len() as u64);
         self.index.partial_candidates(demand.area).find(|&id| {
             let i = id.index();
-            self.caps_ok_at(i, demand) && self.nodes.can_host(i, demand.area)
+            demand.caps_ok(self.nodes.caps(i)) && self.nodes.can_host(i, demand.area)
         })
     }
 
@@ -371,7 +353,7 @@ impl ResourceManager {
         steps: &mut StepCounter,
     ) -> Option<(NodeId, Vec<u32>)> {
         for i in 0..self.nodes.len() {
-            if self.nodes.is_down(i) || !self.caps_ok_at(i, demand) {
+            if self.nodes.is_down(i) || !demand.caps_ok(self.nodes.caps(i)) {
                 continue;
             }
             let (evict, visited) = self.nodes.reclaim_idle(i, demand.area);
@@ -395,7 +377,7 @@ impl ResourceManager {
             steps.tick(StepKind::Scheduling);
             if !self.nodes.is_down(i)
                 && self.nodes.state(i) == NodeState::Busy
-                && self.caps_ok_at(i, demand)
+                && demand.caps_ok(self.nodes.caps(i))
                 && self.nodes.total_area(i) >= demand.area
             {
                 return true;
@@ -864,7 +846,7 @@ mod tests {
         rm.assign_task(e, TaskId(5), &mut s).unwrap();
         rm.check_invariants().unwrap();
         assert!(rm.find_best_idle(ConfigId(0), &mut s).is_none());
-        assert_eq!(rm.node(NodeId(0)).state(), NodeState::Busy);
+        assert_eq!(rm.node_store().state(0), NodeState::Busy);
         let t = rm.release_task(e, &mut s).unwrap();
         assert_eq!(t, TaskId(5));
         rm.check_invariants().unwrap();
@@ -948,7 +930,7 @@ mod tests {
         // at its second slot.
         configure(&mut rm, 2, 0, false);
         configure(&mut rm, 2, 1, false);
-        let live = |n: u32| rm.node(NodeId(n)).configured_count() as u64;
+        let live = |n: usize| u64::from(rm.node_store().live_count(n));
         let before = s.scheduling;
         let (node, evict) = rm.find_any_idle_node(Demand::area(1200), &mut s).unwrap();
         assert_eq!((node, evict), (NodeId(2), vec![0, 1]));
@@ -963,8 +945,8 @@ mod tests {
         rm.configure_slot(NodeId(0), ConfigId(1), &mut s).unwrap();
         let (node, evict) = rm.find_any_idle_node(Demand::area(1100), &mut s).unwrap();
         rm.evict_idle_slots(node, &evict, &mut s).unwrap();
-        assert_eq!(rm.node(node).available_area(), 1200);
-        assert!(rm.node(node).is_blank());
+        assert_eq!(rm.node_store().available_area(node.index()), 1200);
+        assert!(rm.node_store().is_blank(node.index()));
         rm.check_invariants().unwrap();
     }
 
@@ -1039,8 +1021,8 @@ mod tests {
         rm.assign_task(e, TaskId(3), &mut s).unwrap();
         let killed = rm.fail_node(NodeId(0), &mut s);
         assert_eq!(killed, vec![TaskId(3)]);
-        assert!(rm.node(NodeId(0)).is_blank());
-        assert!(rm.node(NodeId(0)).down);
+        assert!(rm.node_store().is_blank(0));
+        assert!(rm.node_store().is_down(0));
         rm.check_invariants().unwrap();
         // Down node invisible to searches even though blank.
         assert_eq!(

@@ -72,26 +72,27 @@ fn build_mixed(nodes: usize, configs: usize, strips: u16, dsp: u16) -> ResourceM
 }
 
 /// Algorithm 1 as a plain walk over every slot of every node, against
-/// the public `NodeRef` API: the answer and the scheduling steps it
-/// charges (one per visited slot).
+/// the public `NodeStore` read API: the answer and the scheduling steps
+/// it charges (one per visited slot).
 fn reference_any_idle_node(
     rm: &ResourceManager,
     demand: Demand,
 ) -> (Option<(NodeId, Vec<u32>)>, u64) {
+    let nodes = rm.node_store();
     let mut steps = 0;
-    for n in rm.nodes() {
-        if n.down || !demand.caps_ok(n) {
+    for i in 0..nodes.len() {
+        if nodes.is_down(i) || !demand.caps_ok(nodes.caps(i)) {
             continue;
         }
-        let mut accum = n.available_area();
+        let mut accum = nodes.available_area(i);
         let mut evict = Vec::new();
-        for (idx, slot) in n.slots() {
+        for (idx, slot) in nodes.slots(i) {
             steps += 1;
             if slot.task.is_none() {
                 accum += slot.area;
                 evict.push(idx);
-                if accum >= demand.area && n.can_host_after_evicting(demand.area, &evict) {
-                    return (Some((n.id, evict)), steps);
+                if accum >= demand.area && nodes.can_host_after_evicting(i, demand.area, &evict) {
+                    return (Some((NodeId::from_index(i), evict)), steps);
                 }
             }
         }
@@ -139,7 +140,7 @@ fn reference_fit(rm: &ResourceManager, config: ConfigId, worst: bool) -> (Option
     let list = idle_list(rm, config);
     let mut best: Option<(u64, EntryRef)> = None;
     for &e in &list {
-        let avail = rm.node(e.node).available_area();
+        let avail = rm.node_store().available_area(e.node.index());
         let better = match best {
             None => true,
             Some((b, _)) if worst => avail > b,
@@ -156,16 +157,21 @@ fn reference_fit(rm: &ResourceManager, config: ConfigId, worst: bool) -> (Option
 /// phase as a scan of the node table: the eligible node with the
 /// smallest `TotalArea` (blank) or `AvailableArea` (configured).
 fn reference_best_node(rm: &ResourceManager, demand: Demand, blank: bool) -> (Option<NodeId>, u64) {
+    let nodes = rm.node_store();
     let mut best: Option<(u64, NodeId)> = None;
-    for n in rm.nodes() {
-        if !n.down && n.is_blank() == blank && demand.caps_ok(n) && n.can_host(demand.area) {
+    for i in 0..nodes.len() {
+        if !nodes.is_down(i)
+            && nodes.is_blank(i) == blank
+            && demand.caps_ok(nodes.caps(i))
+            && nodes.can_host(i, demand.area)
+        {
             let key = if blank {
-                n.total_area
+                nodes.total_area(i)
             } else {
-                n.available_area()
+                nodes.available_area(i)
             };
             if best.is_none_or(|(b, _)| key < b) {
-                best = Some((key, n.id));
+                best = Some((key, NodeId::from_index(i)));
             }
         }
     }
@@ -174,13 +180,14 @@ fn reference_best_node(rm: &ResourceManager, demand: Demand, blank: bool) -> (Op
 
 /// "Query busy list for potential candidate" as an early-exit scan.
 fn reference_busy_candidate(rm: &ResourceManager, demand: Demand) -> (bool, u64) {
+    let nodes = rm.node_store();
     let mut steps = 0;
-    for n in rm.nodes() {
+    for i in 0..nodes.len() {
         steps += 1;
-        if !n.down
-            && n.state() == NodeState::Busy
-            && demand.caps_ok(n)
-            && n.total_area >= demand.area
+        if !nodes.is_down(i)
+            && nodes.state(i) == NodeState::Busy
+            && demand.caps_ok(nodes.caps(i))
+            && nodes.total_area(i) >= demand.area
         {
             return (true, steps);
         }
@@ -188,26 +195,25 @@ fn reference_busy_candidate(rm: &ResourceManager, demand: Demand) -> (bool, u64)
     (false, steps)
 }
 
-fn idle_entries(rm: &ResourceManager) -> Vec<EntryRef> {
-    rm.nodes()
-        .iter()
-        .flat_map(|n| {
-            n.slots()
-                .filter(|(_, s)| s.task.is_none())
-                .map(move |(i, _)| EntryRef::new(n.id, i))
+/// Every live slot whose occupancy is `busy`, in node then slab order.
+fn entries(rm: &ResourceManager, busy: bool) -> Vec<EntryRef> {
+    let nodes = rm.node_store();
+    (0..nodes.len())
+        .flat_map(|i| {
+            nodes
+                .slots(i)
+                .filter(move |(_, s)| s.task.is_some() == busy)
+                .map(move |(slot, _)| EntryRef::new(NodeId::from_index(i), slot))
         })
         .collect()
 }
 
+fn idle_entries(rm: &ResourceManager) -> Vec<EntryRef> {
+    entries(rm, false)
+}
+
 fn busy_entries(rm: &ResourceManager) -> Vec<EntryRef> {
-    rm.nodes()
-        .iter()
-        .flat_map(|n| {
-            n.slots()
-                .filter(|(_, s)| s.task.is_some())
-                .map(move |(i, _)| EntryRef::new(n.id, i))
-        })
-        .collect()
+    entries(rm, true)
 }
 
 /// Apply one abstract op to a store.
@@ -223,7 +229,7 @@ fn apply(
         Op::Configure { n, c } => {
             let node = NodeId::from_index(n % nodes);
             let config = ConfigId::from_index(c % configs);
-            if !rm.node(node).down {
+            if !rm.node_store().is_down(node.index()) {
                 let _ = rm.configure_slot(node, config, steps);
             }
         }
@@ -274,7 +280,7 @@ proptest! {
                 Op::Configure { n, c } => {
                     let node = NodeId::from_index(n % nodes);
                     let config = ConfigId::from_index(c % configs);
-                    if !rm.node(node).down {
+                    if !rm.node_store().is_down(node.index()) {
                         let _ = rm.configure_slot(node, config, &mut steps);
                     }
                 }
@@ -325,8 +331,8 @@ proptest! {
         let before_steps = steps;
         let r = rm.configure_slot(NodeId(0), ConfigId(0), &mut steps);
         prop_assert!(r.is_err());
-        prop_assert_eq!(rm.node(NodeId(0)).reconfig_count, 0);
-        prop_assert_eq!(rm.node(NodeId(0)).available_area(), 1_000);
+        prop_assert_eq!(rm.node_store().reconfig_count(0), 0);
+        prop_assert_eq!(rm.node_store().available_area(0), 1_000);
         prop_assert_eq!(steps.housekeeping, before_steps.housekeeping);
         rm.check_invariants().unwrap();
     }
@@ -347,7 +353,7 @@ proptest! {
             match op {
                 Op::Configure { n, c } => {
                     let node = NodeId::from_index(n % nodes);
-                    if !rm.node(node).down {
+                    if !rm.node_store().is_down(node.index()) {
                         let _ = rm.configure_slot(node, ConfigId::from_index(c % configs), &mut steps);
                     }
                 }
@@ -368,8 +374,8 @@ proptest! {
             (None, None) => {}
             (Some(a), Some(b)) => {
                 prop_assert_eq!(
-                    rm.node(a.node).available_area(),
-                    rm.node(b.node).available_area(),
+                    rm.node_store().available_area(a.node.index()),
+                    rm.node_store().available_area(b.node.index()),
                     "best-fit quality must agree"
                 );
             }
@@ -475,9 +481,10 @@ proptest! {
             if let Err(e) = rm.check_invariants() {
                 prop_assert!(false, "invariant violated after {op:?}: {e}");
             }
-            let reclaimable = rm.nodes().map(|n| {
-                let busy: u64 = n.slots().filter(|(_, s)| s.task.is_some()).map(|(_, s)| s.area).sum();
-                n.total_area - busy
+            let store = rm.node_store();
+            let reclaimable = (0..store.len()).map(|i| {
+                let busy: u64 = store.slots(i).filter(|(_, s)| s.task.is_some()).map(|(_, s)| s.area).sum();
+                store.total_area(i) - busy
             });
             for area in reclaimable.chain([probe_area]) {
                 for caps in [Capabilities::none(), dsp_caps] {
@@ -558,7 +565,7 @@ proptest! {
             match op {
                 Op::Configure { n, c } => {
                     let node = NodeId::from_index(n % nodes);
-                    if !rm.node(node).down {
+                    if !rm.node_store().is_down(node.index()) {
                         let _ = rm.configure_slot(node, ConfigId::from_index(c % configs), &mut steps);
                     }
                 }
@@ -579,11 +586,10 @@ proptest! {
                 _ => {}
             }
         }
-        let expected: u64 = rm
-            .nodes()
-            .iter()
-            .filter(|n| !n.is_blank())
-            .map(|n| n.available_area())
+        let store = rm.node_store();
+        let expected: u64 = (0..store.len())
+            .filter(|&i| !store.is_blank(i))
+            .map(|i| store.available_area(i))
             .sum();
         prop_assert_eq!(rm.wasted_area_snapshot(), expected);
     }

@@ -45,18 +45,18 @@ impl LoadBalancer {
     /// Snapshot the current load distribution.
     #[must_use]
     pub fn report(&self, rm: &ResourceManager) -> LoadReport {
-        let nodes = rm.nodes();
-        let running_per_node: Vec<usize> = nodes.iter().map(|n| n.running_count()).collect();
-        let area_utilization: Vec<f64> = nodes
-            .iter()
-            .map(|n| {
-                let used = n.total_area - n.available_area();
-                used as f64 / n.total_area as f64
+        let nodes = rm.node_store();
+        let running_per_node: Vec<usize> = (0..nodes.len())
+            .map(|i| nodes.running_count(i) as usize)
+            .collect();
+        let area_utilization: Vec<f64> = (0..nodes.len())
+            .map(|i| {
+                let used = nodes.total_area(i) - nodes.available_area(i);
+                used as f64 / nodes.total_area(i) as f64
             })
             .collect();
-        let busy = nodes
-            .iter()
-            .filter(|n| n.state() == NodeState::Busy)
+        let busy = (0..nodes.len())
+            .filter(|&i| nodes.state(i) == NodeState::Busy)
             .count();
         let busy_fraction = busy as f64 / nodes.len().max(1) as f64;
         let (mean_load, load_cv) = mean_cv(&running_per_node);

@@ -152,9 +152,9 @@ impl CaseStudyScheduler {
                 }
             }
             AllocationStrategy::LeastLoaded => {
-                let mut best: Option<(usize, EntryRef)> = None;
+                let mut best: Option<(u32, EntryRef)> = None;
                 for e in ctx.resources.collect_idle(config, ctx.steps) {
-                    let load = ctx.resources.node(e.node).running_count();
+                    let load = ctx.resources.node_store().running_count(e.node.index());
                     if best.is_none_or(|(l, _)| load < l) {
                         best = Some((load, e));
                     }
@@ -335,7 +335,11 @@ impl SchedulePolicy for CaseStudyScheduler {
                 resources,
                 mode: *mode,
             };
-            let freed_config = view.resources.node(node).slot(freed.slot).map(|s| s.config);
+            let freed_config = view
+                .resources
+                .node_store()
+                .slot(node.index(), freed.slot)
+                .map(|s| s.config);
             let mut picked = None;
             // Full mode, pass 1: exact configuration reuse.
             if *mode == ReconfigMode::Full {
@@ -464,7 +468,8 @@ impl SchedulePolicy for CaseStudyScheduler {
         // A repaired node is blank: offer it to the earliest suspended
         // task that fits its total area.
         let mut out = Vec::new();
-        let total = ctx.resources.node(node).total_area;
+        let total = ctx.resources.node_store().total_area(node.index());
+        let caps = ctx.resources.node_store().caps(node.index());
         let mut chosen: Option<TaskId> = None;
         {
             let SchedCtx {
@@ -479,7 +484,7 @@ impl SchedulePolicy for CaseStudyScheduler {
                     return false;
                 };
                 let cfg = resources.config(config);
-                if cfg.req_area <= total && Demand::of(cfg).caps_ok(resources.node(node)) {
+                if cfg.req_area <= total && Demand::of(cfg).caps_ok(caps) {
                     chosen = Some(tid);
                     true
                 } else {
@@ -514,24 +519,24 @@ struct PlanView<'a> {
 
 impl PlanView<'_> {
     fn plan(&self, node: NodeId, freed: EntryRef, config: ConfigId, req: Area) -> Option<Plan> {
-        let n = self.resources.node(node);
-        if n.down {
+        let (nodes, i) = (self.resources.node_store(), node.index());
+        if nodes.is_down(i) {
             return None;
         }
-        if let Some(slot) = n.slot(freed.slot) {
+        if let Some(slot) = nodes.slot(i, freed.slot) {
             if slot.config == config && slot.task.is_none() {
                 return Some(Plan::Allocate(freed));
             }
         }
         // Fresh (re)configuration requires the node to offer the
         // configuration's capabilities (always true in paper runs).
-        if !Demand::of(self.resources.config(config)).caps_ok(n) {
+        if !Demand::of(self.resources.config(config)).caps_ok(nodes.caps(i)) {
             return None;
         }
-        if self.mode == ReconfigMode::Partial && n.can_host(req) {
+        if self.mode == ReconfigMode::Partial && nodes.can_host(i, req) {
             return Some(Plan::PartialConfigure);
         }
-        let (evict, _) = self.resources.node_store().reclaim_idle(node.index(), req);
+        let (evict, _) = nodes.reclaim_idle(i, req);
         evict.map(Plan::Reconfigure)
     }
 }

@@ -191,8 +191,8 @@ fn phase_partial_configuration_packs_alongside_running_task() {
     let t = h.add_task(PreferredConfig::Known(ConfigId(1)), 700);
     let d = h.schedule(&mut policy, t);
     assert_eq!(placed_phase(&d), PhaseKind::PartialConfiguration);
-    assert_eq!(h.resources.node(NodeId(0)).configured_count(), 2);
-    assert_eq!(h.resources.node(NodeId(0)).running_count(), 2);
+    assert_eq!(h.resources.node_store().live_count(0), 2);
+    assert_eq!(h.resources.node_store().running_count(0), 2);
     h.resources.check_invariants().unwrap();
 }
 
@@ -226,8 +226,7 @@ fn phase_partial_reconfiguration_evicts_idle_regions() {
     let t = h.add_task(PreferredConfig::Known(ConfigId(2)), 1_200);
     let d = h.schedule(&mut policy, t);
     assert_eq!(placed_phase(&d), PhaseKind::PartialReconfiguration);
-    let node = h.resources.node(NodeId(0));
-    assert!(node.configured_count() >= 1);
+    assert!(h.resources.node_store().live_count(0) >= 1);
     h.resources.check_invariants().unwrap();
 }
 

@@ -1,15 +1,14 @@
 //! Open-system task generation for `dreamsim serve`.
 //!
-//! [`OpenSource`] is the service-mode sibling of
-//! [`SyntheticSource`](crate::synthetic::SyntheticSource): an unbounded
-//! stream of arrivals whose inter-arrival bound is modulated by a
-//! **diurnal load curve** — a deterministic integer triangle wave over a
-//! configurable day length — composed with the chaos layer's
-//! [`BurstWindow`]. The per-task draw *order* (inter-arrival, required
-//! time, phantom flag, preference, area) mirrors the synthetic source
-//! exactly, and with amplitude zero the modulation multiplier is the
-//! identity and is skipped entirely, so the two sources consume
-//! bit-identical RNG sequences for the same parameters.
+//! [`OpenSource`] is the service-mode sibling of [`SyntheticSource`]: an
+//! unbounded stream of arrivals whose inter-arrival bound is modulated
+//! by a **diurnal load curve** — a deterministic integer triangle wave
+//! over a configurable day length — composed with the chaos layer's
+//! burst window. Each task is the synthetic source's own Table II draw
+//! with the curve's multiplier passed in; the open source adds only the
+//! multiplier, its `"open"` kind and a yielded-task cursor. With
+//! amplitude zero the multiplier is the identity, so the two sources
+//! consume bit-identical RNG sequences for the same parameters.
 //!
 //! ## Diurnal curve
 //!
@@ -31,30 +30,17 @@
 //! self-describing (how far into the stream this snapshot is) and lets
 //! the recovery report state the resume position.
 
-use dreamsim_engine::params::{ArrivalDistribution, BurstWindow, SimParams};
-use dreamsim_engine::sim::{SourceYield, TaskSource, TaskSpec};
-use dreamsim_model::{ConfigId, PreferredConfig, Ticks};
+use crate::synthetic::SyntheticSource;
+use dreamsim_engine::params::SimParams;
+use dreamsim_engine::sim::{SourceYield, TaskSource};
+use dreamsim_model::Ticks;
 use dreamsim_rng::Rng;
 
 /// Unbounded diurnal task stream (the open-system service workload).
 #[derive(Clone, Debug)]
 pub struct OpenSource {
-    /// Upper bound of the uniform inter-arrival interval (off-peak).
-    max_interval: u64,
-    /// Arrival process.
-    arrival: ArrivalDistribution,
-    /// `t_required` bounds (inclusive).
-    time_lo: u64,
-    time_hi: u64,
-    /// Phantom-preference area bounds (inclusive; the config-area range).
-    area_lo: u64,
-    area_hi: u64,
-    /// Number of configurations preferences index into.
-    num_configs: usize,
-    /// Fraction of tasks with a phantom preference.
-    phantom_fraction: f64,
-    /// Overload burst window, composed with the diurnal curve.
-    burst: Option<BurstWindow>,
+    /// The Table II draw, burst window included.
+    base: SyntheticSource,
     /// Diurnal period in ticks; below 2 the curve is flat.
     day_length: u64,
     /// Diurnal modulation depth in permille (0 = flat).
@@ -88,15 +74,7 @@ impl OpenSource {
             .service
             .map_or((0, 0), |s| (s.day_length, s.amplitude_permille));
         Self {
-            max_interval: params.next_task_max_interval,
-            arrival: params.arrival,
-            time_lo: params.task_time.lo,
-            time_hi: params.task_time.hi,
-            area_lo: params.config_area.lo,
-            area_hi: params.config_area.hi,
-            num_configs: params.total_configs,
-            phantom_fraction: params.closest_match_fraction,
-            burst: params.burst,
+            base: SyntheticSource::from_params(params),
             day_length,
             amplitude_permille,
             yielded: 0,
@@ -114,71 +92,12 @@ impl OpenSource {
         // stays within i64 and m ∈ [100, 1900].
         (1000 + i64::from(self.amplitude_permille) * tri / 1000) as u64
     }
-
-    fn draw_interarrival(&self, now: Ticks, rng: &mut Rng) -> Ticks {
-        // Burst composition first (exactly the synthetic source's rule:
-        // inside [start, end) the bound tightens to the burst interval),
-        // then the diurnal multiplier on top. The draw count is one
-        // either way, so flat-curve, burst-free streams consume the
-        // identical RNG sequence.
-        let max_interval = match self.burst {
-            Some(b) if (b.start..b.end).contains(&now) => b.interval,
-            _ => self.max_interval,
-        };
-        let m = self.load_permille(now);
-        if m == 1000 {
-            // Identity multiplier: skip scaling entirely so the draws
-            // are bit-identical to SyntheticSource's.
-            let mean = (1.0 + max_interval as f64) / 2.0;
-            return match self.arrival {
-                ArrivalDistribution::Uniform => rng.uniform_inclusive(1, max_interval),
-                ArrivalDistribution::Poisson => rng.poisson(mean).max(1),
-                ArrivalDistribution::Exponential => {
-                    (rng.exponential_with_mean(mean).round() as u64).max(1)
-                }
-            };
-        }
-        match self.arrival {
-            ArrivalDistribution::Uniform => {
-                // Scale the bound in integer space: m > 1000 shrinks it
-                // (peak load), m < 1000 widens it.
-                let bound = ((u128::from(max_interval) * 1000 / u128::from(m)).max(1)) as u64;
-                rng.uniform_inclusive(1, bound)
-            }
-            ArrivalDistribution::Poisson => {
-                let mean = (1.0 + max_interval as f64) / 2.0 * 1000.0 / m as f64;
-                rng.poisson(mean).max(1)
-            }
-            ArrivalDistribution::Exponential => {
-                let mean = (1.0 + max_interval as f64) / 2.0 * 1000.0 / m as f64;
-                (rng.exponential_with_mean(mean).round() as u64).max(1)
-            }
-        }
-    }
 }
 
 impl TaskSource for OpenSource {
     fn next_task(&mut self, now: Ticks, rng: &mut Rng) -> SourceYield {
-        // Draw order mirrors SyntheticSource::next_task exactly.
-        let interarrival = self.draw_interarrival(now, rng);
-        let required_time = rng.uniform_inclusive(self.time_lo, self.time_hi);
-        let phantom = rng.bernoulli(self.phantom_fraction);
-        let (preferred, needed_area) = if phantom || self.num_configs == 0 {
-            let area = rng.uniform_inclusive(self.area_lo, self.area_hi);
-            (PreferredConfig::Phantom { area }, area)
-        } else {
-            let c = ConfigId::from_index(rng.index(self.num_configs));
-            (PreferredConfig::Known(c), 0)
-        };
-        let data_bytes = required_time.saturating_mul(8);
         self.yielded += 1;
-        SourceYield::Task(TaskSpec {
-            interarrival,
-            required_time,
-            preferred,
-            needed_area,
-            data_bytes,
-        })
+        SourceYield::Task(self.base.draw(now, self.load_permille(now), rng))
     }
 
     fn source_kind(&self) -> &'static str {
@@ -201,8 +120,8 @@ impl TaskSource for OpenSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic::SyntheticSource;
-    use dreamsim_engine::params::{ReconfigMode, ServiceParams};
+    use dreamsim_engine::params::{ArrivalDistribution, BurstWindow, ReconfigMode, ServiceParams};
+    use dreamsim_engine::sim::TaskSpec;
 
     fn service_params(day_length: u64, amplitude: u32) -> SimParams {
         let mut p = SimParams::paper(100, 1000, ReconfigMode::Partial);

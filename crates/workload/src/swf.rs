@@ -18,9 +18,15 @@
 //! configuration *k* — preserving the real trace's size heterogeneity
 //! while staying within the framework's configuration model. Jobs with
 //! missing (−1) run time or submit time are skipped.
+//!
+//! Every failure is an [`SwfError`], never a panic: a malformed line,
+//! zero `ticks_per_second` or `num_configs`, and a scaled inter-arrival
+//! or run time above [`MAX_TICKS`], the ceiling every tick parameter
+//! obeys so that the engine's clock sums cannot wrap (DESIGN.md §14.4).
 
+use dreamsim_engine::params::MAX_TICKS;
 use dreamsim_engine::sim::TaskSpec;
-use dreamsim_model::{ConfigId, PreferredConfig};
+use dreamsim_model::{ConfigId, PreferredConfig, Ticks};
 
 /// Import options.
 #[derive(Clone, Copy, Debug)]
@@ -47,10 +53,10 @@ impl Default for SwfOptions {
     }
 }
 
-/// SWF parse error with 1-based line number.
+/// SWF import error with 1-based line number.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SwfError {
-    /// 1-based line number.
+    /// 1-based line number, or 0 when the [`SwfOptions`] are at fault.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -58,7 +64,11 @@ pub struct SwfError {
 
 impl std::fmt::Display for SwfError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SWF line {}: {}", self.line, self.message)
+        if self.line == 0 {
+            write!(f, "SWF options: {}", self.message)
+        } else {
+            write!(f, "SWF line {}: {}", self.line, self.message)
+        }
     }
 }
 
@@ -66,6 +76,7 @@ impl std::error::Error for SwfError {}
 
 #[derive(Clone, Copy, Debug)]
 struct SwfJob {
+    line: usize,
     submit: u64,
     runtime: u64,
     procs: u64,
@@ -103,6 +114,7 @@ fn parse_jobs(text: &str, opts: &SwfOptions) -> Result<Vec<SwfJob>, SwfError> {
             continue;
         }
         jobs.push(SwfJob {
+            line,
             submit: submit as u64,
             runtime: runtime as u64,
             procs: procs.max(1) as u64,
@@ -120,11 +132,17 @@ fn parse_jobs(text: &str, opts: &SwfOptions) -> Result<Vec<SwfJob>, SwfError> {
 /// Convert SWF text into DReAMSim task specs (replayable through
 /// [`TraceSource::from_specs`](crate::trace::TraceSource::from_specs)).
 pub fn import_swf(text: &str, opts: &SwfOptions) -> Result<Vec<TaskSpec>, SwfError> {
-    assert!(opts.num_configs > 0, "num_configs must be nonzero");
-    assert!(
-        opts.ticks_per_second > 0,
-        "ticks_per_second must be nonzero"
-    );
+    for (value, name) in [
+        (opts.num_configs as u64, "num_configs"),
+        (opts.ticks_per_second, "ticks_per_second"),
+    ] {
+        if value == 0 {
+            return Err(SwfError {
+                line: 0,
+                message: format!("{name} must be nonzero"),
+            });
+        }
+    }
     let jobs = parse_jobs(text, opts)?;
     if jobs.is_empty() {
         return Ok(Vec::new());
@@ -142,14 +160,27 @@ pub fn import_swf(text: &str, opts: &SwfOptions) -> Result<Vec<TaskSpec>, SwfErr
     let mut specs = Vec::with_capacity(jobs.len());
     let mut last_submit = jobs[0].submit;
     for j in &jobs {
-        let interarrival = (j.submit - last_submit) * opts.ticks_per_second;
+        let scale = |seconds: u64, what: &str| -> Result<Ticks, SwfError> {
+            seconds
+                .checked_mul(opts.ticks_per_second)
+                .filter(|&ticks| ticks <= MAX_TICKS)
+                .ok_or_else(|| SwfError {
+                    line: j.line,
+                    message: format!(
+                        "{what} of {seconds} s at {} ticks per second exceeds the ceiling \
+                         of {MAX_TICKS} ticks",
+                        opts.ticks_per_second
+                    ),
+                })
+        };
+        let interarrival = scale(j.submit - last_submit, "inter-arrival")?;
         last_submit = j.submit;
         let config = ConfigId::from_index(bucket_of(j.procs).min(opts.num_configs - 1));
         specs.push(TaskSpec {
             // Zero gaps (the first job, and simultaneous submissions)
             // become one tick so arrivals stay strictly ordered.
             interarrival: interarrival.max(1),
-            required_time: j.runtime * opts.ticks_per_second,
+            required_time: scale(j.runtime, "run time")?,
             preferred: PreferredConfig::Known(config),
             needed_area: 0,
             data_bytes: j.procs * 1024,
@@ -245,6 +276,56 @@ mod tests {
         assert!(err.message.contains("≥11"), "{}", err.message);
         let err = import_swf("1 x -1 50 1 -1 -1 2 -1 -1 1\n", &opts()).unwrap_err();
         assert!(err.message.contains("submit time"), "{}", err.message);
+    }
+
+    #[test]
+    fn zero_options_are_errors_not_panics() {
+        let mut zero_rate = opts();
+        zero_rate.ticks_per_second = 0;
+        let mut no_configs = opts();
+        no_configs.num_configs = 0;
+        for (o, name) in [(zero_rate, "ticks_per_second"), (no_configs, "num_configs")] {
+            let err = import_swf(SAMPLE, &o).unwrap_err();
+            assert_eq!(err.line, 0);
+            assert_eq!(
+                err.to_string(),
+                format!("SWF options: {name} must be nonzero")
+            );
+        }
+    }
+
+    /// Scaled times above the ceiling, or past `u64`, are errors naming
+    /// the job's line; the ceiling itself is accepted.
+    #[test]
+    fn scaled_times_above_the_ceiling_are_errors() {
+        let job = |submit: u64, runtime: u64| {
+            format!("1 {submit} -1 {runtime} 1 -1 -1 2 -1 -1 1 1 1 -1 -1 -1 -1 -1\n")
+        };
+        let mut o = opts();
+        o.ticks_per_second = 1;
+        let max = i64::MAX as u64;
+        for (text, what, line) in [
+            (job(0, MAX_TICKS + 1), "run time", 1),
+            (job(0, 1) + &job(MAX_TICKS + 1, 1), "inter-arrival", 2),
+        ] {
+            let err = import_swf(&text, &o).unwrap_err();
+            assert_eq!(err.line, line, "{text}");
+            assert!(err.message.starts_with(what), "{}", err.message);
+            assert!(
+                err.message.contains("exceeds the ceiling"),
+                "{}",
+                err.message
+            );
+        }
+        o.ticks_per_second = 1_000;
+        let err = import_swf(&job(0, max), &o).unwrap_err();
+        assert!(err.message.starts_with("run time"), "{}", err.message);
+        let err = import_swf(&(job(0, 1) + &job(max, 1)), &o).unwrap_err();
+        assert!(err.message.starts_with("inter-arrival"), "{}", err.message);
+        o.ticks_per_second = 1;
+        let at = import_swf(&(job(0, MAX_TICKS) + &job(MAX_TICKS, 1)), &o).unwrap();
+        assert_eq!(at[0].required_time, MAX_TICKS);
+        assert_eq!(at[1].interarrival, MAX_TICKS);
     }
 
     #[test]

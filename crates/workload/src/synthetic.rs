@@ -53,29 +53,15 @@ impl SyntheticSource {
         }
     }
 
-    fn draw_interarrival(&self, now: Ticks, rng: &mut Rng) -> Ticks {
-        // Inside a configured burst window the upper bound tightens to
-        // the burst interval; the draw count is unchanged either way, so
-        // burst-free runs consume the identical RNG sequence.
-        let max_interval = match self.burst {
-            Some(b) if (b.start..b.end).contains(&now) => b.interval,
-            _ => self.max_interval,
-        };
-        let mean = (1.0 + max_interval as f64) / 2.0;
-        match self.arrival {
-            ArrivalDistribution::Uniform => rng.uniform_inclusive(1, max_interval),
-            // Mean-matched alternatives; clamped to ≥ 1 tick.
-            ArrivalDistribution::Poisson => rng.poisson(mean).max(1),
-            ArrivalDistribution::Exponential => {
-                (rng.exponential_with_mean(mean).round() as u64).max(1)
-            }
-        }
-    }
-}
-
-impl TaskSource for SyntheticSource {
-    fn next_task(&mut self, now: Ticks, rng: &mut Rng) -> SourceYield {
-        let interarrival = self.draw_interarrival(now, rng);
+    /// One Table II task at `now`: inter-arrival, required time,
+    /// phantom flag, then the preference and its area, in that draw
+    /// order. `load_permille` scales the arrival rate ([`OpenSource`]'s
+    /// diurnal multiplier): above 1000 arrivals compress, below they
+    /// stretch, and 1000 leaves the inter-arrival draw unscaled.
+    ///
+    /// [`OpenSource`]: crate::open::OpenSource
+    pub(crate) fn draw(&self, now: Ticks, load_permille: u64, rng: &mut Rng) -> TaskSpec {
+        let interarrival = self.draw_interarrival(now, load_permille, rng);
         let required_time = rng.uniform_inclusive(self.time_lo, self.time_hi);
         let phantom = rng.bernoulli(self.phantom_fraction);
         let (preferred, needed_area) = if phantom || self.num_configs == 0 {
@@ -89,13 +75,47 @@ impl TaskSource for SyntheticSource {
         };
         // Data payload: loosely proportional to compute time (bytes).
         let data_bytes = required_time.saturating_mul(8);
-        SourceYield::Task(TaskSpec {
+        TaskSpec {
             interarrival,
             required_time,
             preferred,
             needed_area,
             data_bytes,
-        })
+        }
+    }
+
+    fn draw_interarrival(&self, now: Ticks, load_permille: u64, rng: &mut Rng) -> Ticks {
+        // Inside a configured burst window the upper bound tightens to
+        // the burst interval; the draw count is unchanged either way, so
+        // burst-free runs consume the identical RNG sequence.
+        let max_interval = match self.burst {
+            Some(b) if (b.start..b.end).contains(&now) => b.interval,
+            _ => self.max_interval,
+        };
+        let mean = (1.0 + max_interval as f64) / 2.0;
+        // The identity multiplier skips the scaling, so an unmodulated
+        // stream draws bit for bit what the unscaled bound and mean do.
+        let (bound, mean) = if load_permille == 1000 {
+            (max_interval, mean)
+        } else {
+            // Scale the uniform bound in integer space.
+            let bound = (u128::from(max_interval) * 1000 / u128::from(load_permille)).max(1);
+            (bound as u64, mean * 1000.0 / load_permille as f64)
+        };
+        match self.arrival {
+            ArrivalDistribution::Uniform => rng.uniform_inclusive(1, bound),
+            // Mean-matched alternatives; clamped to ≥ 1 tick.
+            ArrivalDistribution::Poisson => rng.poisson(mean).max(1),
+            ArrivalDistribution::Exponential => {
+                (rng.exponential_with_mean(mean).round() as u64).max(1)
+            }
+        }
+    }
+}
+
+impl TaskSource for SyntheticSource {
+    fn next_task(&mut self, now: Ticks, rng: &mut Rng) -> SourceYield {
+        SourceYield::Task(self.draw(now, 1000, rng))
     }
 
     fn source_kind(&self) -> &'static str {

@@ -13,12 +13,18 @@
 //! * blank lines and `#` comments are ignored (inline comments allowed);
 //! * `pref` is `c<id>` for an in-list configuration or `p<area>` for a
 //!   phantom preference;
+//! * `interarrival` and `required_time` are at most [`MAX_TICKS`], the
+//!   ceiling every tick parameter obeys, so the engine's arrival and
+//!   completion sums cannot wrap (DESIGN.md §14.4);
 //! * fields are whitespace-separated.
+//!
+//! A malformed line is a [`ParseError`] naming the line and the field.
 //!
 //! [`TraceSource`] replays a trace; [`RecordingSource`] tees another
 //! source into a trace so synthetic runs can be captured and re-run
 //! identically (record → replay is property-tested).
 
+use dreamsim_engine::params::MAX_TICKS;
 use dreamsim_engine::sim::{SourceYield, TaskSource, TaskSpec};
 use dreamsim_model::{ConfigId, PreferredConfig, TaskId, Ticks};
 use dreamsim_rng::Rng;
@@ -82,8 +88,18 @@ pub fn parse_trace(text: &str) -> Result<Vec<TaskSpec>, ParseError> {
                 message: format!("invalid {what}: {s:?}"),
             })
         };
-        let interarrival = num(fields[0], "interarrival")?;
-        let required_time = num(fields[1], "required_time")?;
+        let ticks = |s: &str, what: &str| -> Result<Ticks, ParseError> {
+            let value = num(s, what)?;
+            if value > MAX_TICKS {
+                return Err(ParseError {
+                    line,
+                    message: format!("{what} {value} exceeds the ceiling of {MAX_TICKS} ticks"),
+                });
+            }
+            Ok(value)
+        };
+        let interarrival = ticks(fields[0], "interarrival")?;
+        let required_time = ticks(fields[1], "required_time")?;
         let pref = fields[2];
         // Split off the one-character kind tag without assuming the
         // field is ASCII (a byte-based `split_at(1)` panics on
@@ -301,6 +317,31 @@ mod tests {
 
         let err = parse_trace("5 100 c99999999999 0\n").unwrap_err();
         assert!(err.message.contains("too large"), "{}", err.message);
+    }
+
+    /// Tick fields above the ceiling would wrap the engine's arrival or
+    /// completion sum; the ceiling itself is accepted.
+    #[test]
+    fn tick_fields_above_the_ceiling_are_parse_errors() {
+        let max = u64::MAX;
+        for (text, field) in [
+            (format!("{max} 5000 c7 0\n"), "interarrival"),
+            (format!("1 1 c0 0\n12 {max} c7 0\n"), "required_time"),
+            (format!("{} 1 c0 0\n", MAX_TICKS + 1), "interarrival"),
+        ] {
+            let err = parse_trace(&text).unwrap_err();
+            assert_eq!(err.line, text.lines().count(), "{text}");
+            assert!(
+                err.message.starts_with(field) && err.message.contains("exceeds the ceiling"),
+                "{}",
+                err.message
+            );
+        }
+        let at = parse_trace(&format!("{MAX_TICKS} {MAX_TICKS} c0 0\n")).unwrap();
+        assert_eq!(
+            (at[0].interarrival, at[0].required_time),
+            (MAX_TICKS, MAX_TICKS)
+        );
     }
 
     #[test]

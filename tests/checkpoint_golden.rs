@@ -12,7 +12,9 @@
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple. On a mismatch the message
-//! prints the actual triple.
+//! prints the actual triple. The strip scenario also pins its final
+//! XML report as `(bytes, crc32)`: its end-of-run fragmentation is
+//! computed only when the run finishes, so no checkpoint holds it.
 
 use dreamsim::engine::{
     read_checkpoint, serve, AdmissionPolicy, ArrivalDistribution, CheckpointError,
@@ -29,6 +31,8 @@ type Golden = (usize, u64, u32);
 const FAULTS: Golden = (14, 572_147, 0x10DA_5E5B);
 const CHAOS_DOMAINS: Golden = (6, 168_693, 0x8CF1_A5C8);
 const CONTIGUOUS: Golden = (2, 54_671, 0x81EC_47E8);
+/// `(bytes, CRC-32)` of the strip scenario's final XML report.
+const CONTIGUOUS_REPORT: (u64, u32) = (2_112, 0x4E97_4CAD);
 const SKETCH: Golden = (1, 158_743, 0x03E1_121F);
 const SERVE_MID_WINDOW: Golden = (10, 348_998, 0xF1ED_7FC1);
 
@@ -94,15 +98,15 @@ fn batch_params(nodes: usize, tasks: usize, seed: u64) -> SimParams {
 }
 
 /// Run a batch simulation that checkpoints every `every` ticks into a
-/// fresh directory; returns the directory.
-fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> PathBuf {
+/// fresh directory; returns the directory and the final XML report.
+fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> (PathBuf, String) {
     let dir = fresh_dir(tag);
     let opts = RunOptions {
         checkpoint_every: Some(every),
         checkpoint_dir: Some(dir.clone()),
         ..RunOptions::default()
     };
-    Simulation::new(
+    let result = Simulation::new(
         p.clone(),
         SyntheticSource::from_params(p),
         CaseStudyScheduler::new(),
@@ -111,7 +115,7 @@ fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> PathB
     .with_stats_backend(stats)
     .run_with(&opts)
     .unwrap();
-    dir
+    (dir, result.report.to_xml())
 }
 
 fn fault_params() -> SimParams {
@@ -126,7 +130,7 @@ fn fault_params() -> SimParams {
 
 #[test]
 fn fault_injection_checkpoints_match_golden() {
-    let dir = run_batch("faults", &fault_params(), StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("faults", &fault_params(), StatsBackend::Exact, 5_000);
     check("faults", &checkpoint_files(&dir), FAULTS);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -147,7 +151,7 @@ fn chaos_domain_checkpoints_match_golden() {
     });
     p.suspension_cap = Some(16);
     p.admission = AdmissionPolicy::ShedOldest;
-    let dir = run_batch("chaos", &p, StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("chaos", &p, StatsBackend::Exact, 5_000);
     check("chaos domains", &checkpoint_files(&dir), CHAOS_DOMAINS);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -156,16 +160,26 @@ fn chaos_domain_checkpoints_match_golden() {
 fn contiguous_strip_checkpoints_match_golden() {
     let mut p = batch_params(16, 300, 0xA5);
     p.placement = PlacementModel::Contiguous;
-    let dir = run_batch("strips", &p, StatsBackend::Exact, 5_000);
+    let (dir, xml) = run_batch("strips", &p, StatsBackend::Exact, 5_000);
     check("contiguous strips", &checkpoint_files(&dir), CONTIGUOUS);
     std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        !xml.contains("<mean-fragmentation>0</mean-fragmentation>"),
+        "the pinned report should end with fragmented strips"
+    );
+    let actual = (xml.len() as u64, crc32(xml.as_bytes()));
+    assert_eq!(
+        actual, CONTIGUOUS_REPORT,
+        "contiguous strips: final report changed; actual (bytes, crc32) = ({}, 0x{:08X})",
+        actual.0, actual.1
+    );
 }
 
 #[test]
 fn sketch_stats_checkpoint_matches_golden() {
     // Enough completions to collapse the sketch past its exact window.
     let p = batch_params(20, 6_000, 0x5CE7C4);
-    let dir = run_batch("sketch", &p, StatsBackend::Sketch, 25_000);
+    let (dir, _) = run_batch("sketch", &p, StatsBackend::Sketch, 25_000);
     let files = checkpoint_files(&dir);
     let last = files.last().expect("the run checkpoints").clone();
     check("sketch stats", &[last], SKETCH);
@@ -200,7 +214,7 @@ fn mid_window_serve_snapshots_match_golden() {
 /// version error before its payload is decoded.
 #[test]
 fn version_1_header_is_rejected() {
-    let dir = run_batch("v1", &fault_params(), StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("v1", &fault_params(), StatsBackend::Exact, 5_000);
     let files = checkpoint_files(&dir);
     let raw = std::fs::read(&files[files.len() / 2]).unwrap();
     let rest = raw

@@ -865,11 +865,12 @@ fn check(seed: u64) -> Result<(), String> {
     };
     let platform = sim();
     let rm = platform.resources();
+    let store = rm.node_store();
     assert!(
         rm.configs()
             .iter()
             .all(|c| c.required_caps == Capabilities::none())
-            && rm.nodes().iter().all(|n| !n.is_contiguous()),
+            && (0..store.len()).all(|i| !store.is_contiguous(i)),
         "the spec covers the scalar, capability-free platform only"
     );
     let configs = rm
@@ -877,10 +878,8 @@ fn check(seed: u64) -> Result<(), String> {
         .iter()
         .map(|c| (c.req_area, c.config_time))
         .collect();
-    let nodes = rm
-        .nodes()
-        .iter()
-        .map(|n| (n.total_area, n.network_delay))
+    let nodes = (0..store.len())
+        .map(|i| (store.total_area(i), store.network_delay(i)))
         .collect();
     let journal = Rc::new(RefCell::new(Vec::new()));
     let engine = sim()
