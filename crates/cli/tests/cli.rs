@@ -429,6 +429,73 @@ fn trace_and_swf_tick_values_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
+    use dreamsim_engine::{compact, write_checkpoint, Checkpoint};
+    // A CRC-valid checkpoint whose first queued task resolves to a
+    // configuration the table does not have must fail the restore
+    // audit with a named error, not index out of bounds in a rescan.
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-badcfg-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    run_ok(&[
+        "run",
+        "--nodes",
+        "20",
+        "--tasks",
+        "600",
+        "--mode",
+        "partial",
+        "--seed",
+        "7",
+        "--checkpoint-every",
+        "400000",
+        "--checkpoint-dir",
+        dir.to_str().unwrap(),
+    ]);
+    let mut cps: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    cps.sort();
+    let raw = std::fs::read_to_string(&cps[0]).unwrap();
+    let mut v: serde_json::Value = serde_json::from_str(raw.split_once('\n').unwrap().1).unwrap();
+    let queued = v["suspension"]["queue"][0]
+        .as_u64()
+        .expect("the first checkpoint has a queued task");
+    let configs = v["resources"]["configs"].as_array().unwrap().len();
+    let packed = v["tasks"]["packed"].as_str().unwrap();
+    let mut tasks = compact::decode_tasks(&compact::from_base64(packed).unwrap()).unwrap();
+    let bad_config = dreamsim_model::ConfigId::from_index(configs);
+    tasks[usize::try_from(queued).unwrap()].resolved_config = Some(bad_config);
+    let repacked = serde_json::Value::String(compact::to_base64(&compact::encode_tasks(&tasks)));
+    let serde_json::Value::Object(fields) = &mut v else {
+        panic!("payload is an object")
+    };
+    let (_, table) = fields.iter_mut().find(|(k, _)| k == "tasks").unwrap();
+    let serde_json::Value::Object(table) = table else {
+        panic!("task table is an object")
+    };
+    table.iter_mut().find(|(k, _)| k == "packed").unwrap().1 = repacked;
+    let cp: Checkpoint = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
+    let bad = dir.join("bad-config.dsc");
+    write_checkpoint(&bad, &cp).unwrap();
+    let out = dreamsim()
+        .args(["run", "--resume-from", bad.to_str().unwrap(), "--audit"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains(&format!(
+            "TaskId({queued}) names a nonexistent configuration"
+        )) && err.contains(&bad_config.to_string()),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_from_missing_path_is_a_typed_error_not_a_panic() {
     let missing = "/no/such/dir/checkpoint-000000001000.dsc";
     let out = dreamsim()

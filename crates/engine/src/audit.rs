@@ -5,8 +5,9 @@
 //! flags (plus the live search index against a from-scratch
 //! rebuild — see DESIGN.md §11),
 //! per-slot area against the configuration table, the task table against
-//! slot occupancy, pending events against the tasks and nodes they
-//! target, and the suspension queue against task states.
+//! slot occupancy and the configuration table, pending events against
+//! the tasks and nodes they target, and the suspension queue (ids and
+//! config column) against task states and rows.
 //!
 //! The auditor runs at checkpoint boundaries (a checkpoint of corrupted
 //! state is worse than no checkpoint), under the CLI's `--audit` /
@@ -68,6 +69,14 @@ pub enum AuditError {
         /// What is wrong with the event's target.
         detail: String,
     },
+    /// A task names a configuration the configuration table does not
+    /// have.
+    TaskConfig {
+        /// Offending task.
+        task: TaskId,
+        /// Which field names which configuration.
+        detail: String,
+    },
     /// The suspension queue and the task table disagree.
     Suspension {
         /// What disagreed, including queue contents where relevant.
@@ -99,6 +108,9 @@ impl std::fmt::Display for AuditError {
                     "pending event at t={time} has an invalid target: {detail}"
                 )
             }
+            AuditError::TaskConfig { task, detail } => {
+                write!(f, "{task} names a nonexistent configuration: {detail}")
+            }
             AuditError::Suspension { detail } => {
                 write!(f, "suspension queue inconsistent: {detail}")
             }
@@ -111,21 +123,24 @@ impl std::error::Error for AuditError {}
 /// Cross-check all live simulator state. Returns the first violation
 /// found.
 ///
-/// The five check groups, in order:
+/// The six check groups, in order:
 /// 1. store internals — list membership and uniqueness and Eq. 4 area
 ///    accounting ([`ResourceManager::check_invariants`]);
 /// 2. slot areas — every live slot's `area` matches its configuration's
 ///    `req_area` and its config id is in range;
 /// 3. task ⇔ slot bijection — slots hold exactly the `Running` tasks,
 ///    each exactly once;
-/// 4. event targets — every pending event is due no earlier than `clock`
+/// 4. task configurations — every task's `resolved_config` and
+///    `assigned_config`, when set, is in range;
+/// 5. event targets — every pending event is due no earlier than `clock`
 ///    and targets in-range ids (domain events against `num_domains`, the
 ///    count of configured failure domains — 0 when domains are off, so
 ///    any pending domain event is then invalid); *current* (non-stale)
 ///    completion/failure events point at the slot actually running the
 ///    task, and current suspension timeouts point at a queued task;
-/// 5. suspension queue — queued ids are in range and `Suspended`, no
-///    duplicates, and the queue holds exactly the suspended tasks.
+/// 6. suspension queue — queued ids are in range and `Suspended`, no
+///    duplicates, the queue holds exactly the suspended tasks, and its
+///    config column holds each queued task's `resolved_config`.
 pub fn check(
     resources: &ResourceManager,
     tasks: &TaskTable,
@@ -137,6 +152,7 @@ pub fn check(
     check_store(resources)?;
     check_slot_areas(resources)?;
     check_task_slot_bijection(resources, tasks)?;
+    check_task_configs(resources, tasks)?;
     check_event_targets(resources, tasks, suspension, events, clock, num_domains)?;
     check_suspension(tasks, suspension)?;
     Ok(())
@@ -217,6 +233,24 @@ fn check_task_slot_bijection(
                 task: t.id,
                 detail: "state is Running but no slot holds it".to_string(),
             });
+        }
+    }
+    Ok(())
+}
+
+fn check_task_configs(resources: &ResourceManager, tasks: &TaskTable) -> Result<(), AuditError> {
+    let num_configs = resources.num_configs();
+    for t in tasks.iter() {
+        for (field, config) in [
+            ("resolved_config", t.resolved_config),
+            ("assigned_config", t.assigned_config),
+        ] {
+            if let Some(c) = config.filter(|c| c.index() >= num_configs) {
+                return Err(AuditError::TaskConfig {
+                    task: t.id,
+                    detail: format!("{field} is {c} (have {num_configs} configs)"),
+                });
+            }
         }
     }
     Ok(())
@@ -323,8 +357,17 @@ fn check_event_targets(
 }
 
 fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(), AuditError> {
+    if suspension.configs().len() != suspension.len() {
+        return Err(AuditError::Suspension {
+            detail: format!(
+                "config column holds {} entries but the queue holds {}",
+                suspension.configs().len(),
+                suspension.len()
+            ),
+        });
+    }
     let mut seen: BTreeSet<TaskId> = BTreeSet::new();
-    for task in suspension.iter() {
+    for (task, config) in suspension.iter().zip(suspension.configs()) {
         if task.index() >= tasks.len() {
             return Err(AuditError::Suspension {
                 detail: format!(
@@ -338,10 +381,19 @@ fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(
                 detail: format!("{task} queued more than once"),
             });
         }
-        let state = tasks.get(task).state;
-        if state != TaskState::Suspended {
+        let t = tasks.get(task);
+        if t.state != TaskState::Suspended {
             return Err(AuditError::Suspension {
-                detail: format!("queued {task} has state {state:?}, not Suspended"),
+                detail: format!("queued {task} has state {:?}, not Suspended", t.state),
+            });
+        }
+        if config != t.resolved_config {
+            return Err(AuditError::Suspension {
+                detail: format!(
+                    "config column records {config:?} for queued {task}, whose \
+                     resolved_config is {:?}",
+                    t.resolved_config
+                ),
             });
         }
     }

@@ -721,12 +721,20 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // resumed half pushes without regrowing (capacity is
         // unobservable — resumes stay byte-identical).
         events.ensure_capacity(expected_pending_events(&cp.params));
+        // The config column is derived state the checkpoint does not
+        // carry. An out-of-range queued id gets `None` here; the audit
+        // below rejects it.
+        let mut suspension = cp.suspension;
+        suspension.rebuild_configs(|t| {
+            let in_range = t.index() < cp.tasks.len();
+            in_range.then(|| cp.tasks.get(t).resolved_config).flatten()
+        });
         let sim = Self {
             params: cp.params,
             resources: cp.resources,
             tasks: cp.tasks,
             events,
-            suspension: cp.suspension,
+            suspension,
             steps: cp.steps,
             stats,
             rng: cp.rng,
@@ -1397,7 +1405,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                     task.start_time = None;
                     task.assigned_config = None;
                 }
-                self.suspension.push(t, &mut self.steps);
+                self.suspension.push(self.tasks.get(t), &mut self.steps);
                 self.enact_suspension(t);
             }
         } else {
@@ -2042,7 +2050,7 @@ mod tests {
         }
 
         fn schedule(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId) -> Decision {
-            ctx.suspension.push(task, ctx.steps);
+            ctx.suspension.push(ctx.tasks.get(task), ctx.steps);
             Decision::Suspended
         }
 
@@ -2539,7 +2547,7 @@ mod tests {
 
     /// Drive `sim` event-by-event until its clock reaches `stop`,
     /// leaving it mid-run with events still pending.
-    fn drive_until(sim: &mut Simulation<FixedSource, GreedyPolicy>, stop: Ticks) {
+    fn drive_until<P: SchedulePolicy>(sim: &mut Simulation<FixedSource, P>, stop: Ticks) {
         if !sim.primed {
             sim.prime();
             sim.primed = true;
@@ -2883,7 +2891,8 @@ mod tests {
             .find(|t| t.state != TaskState::Suspended)
             .map(|t| t.id)
             .unwrap();
-        sim.suspension.push(not_suspended, &mut sim.steps);
+        sim.suspension
+            .push(sim.tasks.get(not_suspended), &mut sim.steps);
         assert!(matches!(sim.audit(), Err(AuditError::Suspension { .. })));
     }
 
@@ -3224,6 +3233,62 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_task_configs_are_typed_checkpoint_errors() {
+        // A CRC-valid checkpoint whose task rows name a configuration
+        // the table does not have must fail the restore audit, not
+        // panic later when a rescan indexes the table with the id.
+        let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        let queued = sim.suspension.iter().next().expect("a queued task");
+        let configs = sim.resources.num_configs();
+        let dir = temp_dir("task-configs");
+        let path = dir.join("case.dsc");
+        let reload = |cp: &Checkpoint| {
+            write_checkpoint(&path, cp).unwrap();
+            let cp = read_checkpoint(&path).unwrap();
+            Simulation::resume(cp, FixedSource, AlwaysSuspendPolicy).map(|_| ())
+        };
+        assert!(reload(&sim.checkpoint()).is_ok(), "the untouched state");
+        for field in ["resolved_config", "assigned_config"] {
+            let mut cp = sim.checkpoint();
+            let task = cp.tasks.get_mut(queued);
+            let config = if field == "resolved_config" {
+                &mut task.resolved_config
+            } else {
+                &mut task.assigned_config
+            };
+            *config = Some(ConfigId::from_index(configs));
+            match reload(&cp) {
+                Err(CheckpointError::State(msg)) => assert!(
+                    msg.contains(&format!("{queued} names a nonexistent configuration"))
+                        && msg.contains(field),
+                    "{field}: got {msg}"
+                ),
+                other => panic!("{field}: expected an audit error, got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn audit_catches_config_column_drift() {
+        // The config column must hold each queued task's resolved
+        // configuration; a row rewritten behind the queue's back is a
+        // violation.
+        let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        assert!(sim.audit().is_ok());
+        let queued = sim.suspension.iter().next().expect("a queued task");
+        sim.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
+        match sim.audit() {
+            Err(AuditError::Suspension { detail }) => {
+                assert!(detail.contains("config column"), "got: {detail}");
+            }
+            other => panic!("expected a suspension audit error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn resume_audits_restored_state() {
         // A checkpoint doctored into an inconsistent state must be
         // rejected at resume, before any event is processed.
@@ -3238,7 +3303,8 @@ mod tests {
             .find(|t| t.state != TaskState::Suspended)
             .map(|t| t.id)
             .unwrap();
-        cp.suspension.push(not_suspended, &mut StepCounter::new());
+        cp.suspension
+            .push(cp.tasks.get(not_suspended), &mut StepCounter::new());
         match Simulation::resume(cp, FixedSource, GreedyPolicy).err() {
             Some(CheckpointError::State(msg)) => {
                 assert!(msg.contains("audit"), "got: {msg}");

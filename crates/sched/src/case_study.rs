@@ -30,7 +30,7 @@ use dreamsim_engine::sim::{Decision, DiscardReason, Placement, Resume, SchedCtx,
 use dreamsim_engine::{PhaseKind, ReconfigMode};
 use dreamsim_model::naive;
 use dreamsim_model::store::Demand;
-use dreamsim_model::{Area, ConfigId, EntryRef, NodeId, TaskId};
+use dreamsim_model::{ConfigId, EntryRef, NodeId, TaskId};
 
 /// How the **allocation** phase picks among idle instances of the target
 /// configuration. The paper uses best fit; the others exist for the
@@ -296,7 +296,7 @@ impl SchedulePolicy for CaseStudyScheduler {
         }
         let demand = Demand::of(ctx.resources.config(config));
         if ctx.suspension_enabled && ctx.resources.busy_candidate_exists(demand, ctx.steps) {
-            ctx.suspension.push(task, ctx.steps);
+            ctx.suspension.push(ctx.tasks.get(task), ctx.steps);
             return Decision::Suspended;
         }
         Decision::Discarded(DiscardReason::NoFeasibleNode)
@@ -319,7 +319,7 @@ impl SchedulePolicy for CaseStudyScheduler {
         // earliest queued task that fits the node at all, reconfiguring
         // regions as needed — which is exactly why the paper reports
         // higher reconfiguration counts for the partial scenario.
-        let mut chosen: Option<(TaskId, Plan)> = None;
+        let mut chosen: Option<(TaskId, (ConfigId, Plan))> = None;
         let mut over_limit: Vec<TaskId> = Vec::new();
         {
             let SchedCtx {
@@ -340,18 +340,12 @@ impl SchedulePolicy for CaseStudyScheduler {
                 .node_store()
                 .slot(node.index(), freed.slot)
                 .map(|s| s.config);
-            let mut picked = None;
             // Full mode, pass 1: exact configuration reuse.
             if *mode == ReconfigMode::Full {
                 if let Some(fc) = freed_config {
-                    picked = suspension.remove_first_match(steps, |tid| {
-                        if tasks.get(tid).resolved_config == Some(fc) {
-                            chosen = Some((tid, Plan::Allocate(freed)));
-                            true
-                        } else {
-                            false
-                        }
-                    });
+                    chosen = suspension
+                        .remove_first_match(steps, |c| c == Some(fc))
+                        .map(|tid| (tid, (fc, Plan::Allocate(freed))));
                 }
             }
             // The partial-mode scan, or full mode's pass 2 (FIFO-first
@@ -360,33 +354,27 @@ impl SchedulePolicy for CaseStudyScheduler {
             // function of the configuration alone: once it rejects a
             // configuration, every later task resolving to it is skipped.
             // Each examined entry is still charged its step.
-            if picked.is_none() {
+            if chosen.is_none() {
                 let mut rejected = vec![false; view.resources.num_configs()];
-                picked = suspension.remove_first_match(steps, |tid| {
-                    let Some(config) = tasks.get(tid).resolved_config else {
-                        return false;
-                    };
-                    if rejected[config.index()] {
-                        return false;
+                let mut accepted = None;
+                let picked = suspension.remove_first_match(steps, |c| match c {
+                    Some(config) if !rejected[config.index()] => {
+                        accepted = view
+                            .plan_or_reject(node, freed, config, &mut rejected)
+                            .map(|plan| (config, plan));
+                        accepted.is_some()
                     }
-                    let req = view.resources.config(config).req_area;
-                    if let Some(plan) = view.plan(node, freed, config, req) {
-                        chosen = Some((tid, plan));
-                        true
-                    } else {
-                        rejected[config.index()] = true;
-                        false
-                    }
+                    _ => false,
                 });
+                chosen = picked.zip(accepted);
             }
             // A fully failed rescan means every queued task was examined
             // and found unplaceable: each accrues one retry (`SusRetry`).
             // On a successful pick only a prefix was examined; those
             // retries are not charged (the task list no longer encodes
             // the prefix boundary after removal).
-            if picked.is_none() {
-                let examined: Vec<TaskId> = suspension.iter().collect();
-                for tid in examined {
+            if chosen.is_none() {
+                for tid in suspension.iter() {
                     let t = tasks.get_mut(tid);
                     t.sus_retry += 1;
                     if let Some(limit) = *max_sus_retries {
@@ -398,15 +386,7 @@ impl SchedulePolicy for CaseStudyScheduler {
             }
         }
         // Enact the chosen plan.
-        if let Some((tid, plan)) = chosen {
-            let config = ctx
-                .tasks
-                .get(tid)
-                .resolved_config
-                // INVARIANT: the scan closures above only choose a task
-                // after reading its `resolved_config`, and nothing
-                // clears that field between the scan and here.
-                .expect("plan implies config");
+        if let Some((tid, (config, plan))) = chosen {
             let ct = ctx.resources.config(config).config_time;
             let placement = match plan {
                 Plan::Allocate(entry) => {
@@ -470,32 +450,21 @@ impl SchedulePolicy for CaseStudyScheduler {
         let mut out = Vec::new();
         let total = ctx.resources.node_store().total_area(node.index());
         let caps = ctx.resources.node_store().caps(node.index());
-        let mut chosen: Option<TaskId> = None;
-        {
-            let SchedCtx {
-                resources,
-                tasks,
-                suspension,
-                steps,
-                ..
-            } = ctx;
-            suspension.remove_first_match(steps, |tid| {
-                let Some(config) = tasks.get(tid).resolved_config else {
-                    return false;
-                };
-                let cfg = resources.config(config);
-                if cfg.req_area <= total && Demand::of(cfg).caps_ok(caps) {
-                    chosen = Some(tid);
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-        if let Some(tid) = chosen {
-            // INVARIANT: the scan closure only set `chosen` after
-            // reading `resolved_config` as `Some`.
-            let config = ctx.tasks.get(tid).resolved_config.expect("checked above");
+        let resources = &*ctx.resources;
+        let mut accepted = None;
+        let picked = ctx.suspension.remove_first_match(ctx.steps, |c| {
+            let Some(config) = c else {
+                return false;
+            };
+            let cfg = resources.config(config);
+            if cfg.req_area <= total && Demand::of(cfg).caps_ok(caps) {
+                accepted = Some(config);
+                true
+            } else {
+                false
+            }
+        });
+        if let Some((tid, config)) = picked.zip(accepted) {
             let ct = ctx.resources.config(config).config_time;
             out.push(Resume::Placed(self.configure_and_assign(
                 ctx,
@@ -518,7 +487,25 @@ struct PlanView<'a> {
 }
 
 impl PlanView<'_> {
-    fn plan(&self, node: NodeId, freed: EntryRef, config: ConfigId, req: Area) -> Option<Plan> {
+    /// [`plan`](Self::plan) for `config`, marking it in `rejected` when
+    /// there is none. Out of line, so that the rescan walk's per-entry
+    /// loop inlines only its `rejected` test (DESIGN.md §4).
+    #[inline(never)]
+    fn plan_or_reject(
+        &self,
+        node: NodeId,
+        freed: EntryRef,
+        config: ConfigId,
+        rejected: &mut [bool],
+    ) -> Option<Plan> {
+        let plan = self.plan(node, freed, config);
+        if plan.is_none() {
+            rejected[config.index()] = true;
+        }
+        plan
+    }
+
+    fn plan(&self, node: NodeId, freed: EntryRef, config: ConfigId) -> Option<Plan> {
         let (nodes, i) = (self.resources.node_store(), node.index());
         if nodes.is_down(i) {
             return None;
@@ -530,9 +517,11 @@ impl PlanView<'_> {
         }
         // Fresh (re)configuration requires the node to offer the
         // configuration's capabilities (always true in paper runs).
-        if !Demand::of(self.resources.config(config)).caps_ok(nodes.caps(i)) {
+        let demand = Demand::of(self.resources.config(config));
+        if !demand.caps_ok(nodes.caps(i)) {
             return None;
         }
+        let req = demand.area;
         if self.mode == ReconfigMode::Partial && nodes.can_host(i, req) {
             return Some(Plan::PartialConfigure);
         }

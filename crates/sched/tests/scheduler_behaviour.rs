@@ -63,7 +63,7 @@ impl Harness {
         let area = self.resources.config(config).req_area;
         let t = self.add_task(PreferredConfig::Known(config), area);
         self.tasks.get_mut(t).resolved_config = Some(config);
-        self.suspension.push(t, &mut self.steps);
+        self.suspension.push(self.tasks.get(t), &mut self.steps);
         t
     }
 

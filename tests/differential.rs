@@ -105,44 +105,68 @@ fn assert_runs_identical(cell: &str, a: &RunResult, a_dir: &Path, b: &RunResult,
     }
 }
 
-/// Resume mid-run: a middle checkpoint, whose store rebuilds its
-/// search index on load, finishes with the uninterrupted run's exact
-/// report.
+/// Resume from every checkpoint of a saturated fault-injection run, in
+/// both modes: each resume, whose store rebuilds its search index and
+/// whose suspension queue rebuilds its config column on load, finishes
+/// with the uninterrupted run's exact report. Some checkpoints must hold
+/// queued tasks, so that rescans (full mode's exact-reuse pass, the
+/// partial scan, offers of repaired nodes) walk a rebuilt column.
 #[test]
 fn resume_mid_run_matches_the_uninterrupted_run() {
-    let p = params(ReconfigMode::Partial, true, 0x5EED5);
-    let run = |dir| {
-        run_cell_driven(
-            &p,
-            AllocationStrategy::BestFit,
-            StatsBackend::Exact,
-            Driver::Event,
-            dir,
-        )
-    };
-    let reference = run(None);
-    let dir = fresh_dir("resume");
-    let _ = run(Some(&dir));
-    let files = checkpoint_files(&dir);
-    assert!(files.len() >= 2, "need a mid-run checkpoint to resume");
-    // A middle checkpoint, not the last one: real work remains.
-    let mid = &files[files.len() / 2].0;
-    let cp = read_checkpoint(&dir.join(mid)).unwrap();
-    let resumed = Simulation::resume(
-        cp,
-        SyntheticSource::from_params(&p),
-        CaseStudyScheduler::new(),
-    )
-    .unwrap()
-    .run_with(&RunOptions::default())
-    .unwrap();
-    assert_eq!(
-        resumed.report.to_xml(),
-        reference.report.to_xml(),
-        "resumed {mid}"
-    );
-    assert_eq!(resumed.metrics, reference.metrics);
-    std::fs::remove_dir_all(&dir).ok();
+    for mode in [ReconfigMode::Partial, ReconfigMode::Full] {
+        let mut p = SimParams::paper(12, 150, mode);
+        p.seed = 0x5EED5;
+        p.faults.node_mttf = Some(40_000);
+        p.faults.node_mttr = 4_000;
+        let dir = fresh_dir("resume");
+        let run = |checkpoint_dir: Option<&Path>| {
+            Simulation::new(
+                p.clone(),
+                SyntheticSource::from_params(&p),
+                CaseStudyScheduler::new(),
+            )
+            .unwrap()
+            .run_with(&RunOptions {
+                checkpoint_every: checkpoint_dir.map(|_| 40_000),
+                checkpoint_dir: checkpoint_dir.map(Path::to_path_buf),
+                ..RunOptions::default()
+            })
+            .unwrap()
+        };
+        let reference = run(None);
+        let _ = run(Some(&dir));
+        let files = checkpoint_files(&dir);
+        assert!(files.len() >= 2, "{mode:?}: need mid-run checkpoints");
+        let mut with_queue = 0;
+        for (name, bytes) in &files {
+            let payload = std::str::from_utf8(bytes)
+                .unwrap()
+                .split_once('\n')
+                .unwrap()
+                .1;
+            let v: serde_json::Value = serde_json::from_str(payload).unwrap();
+            if !v["suspension"]["queue"].as_array().unwrap().is_empty() {
+                with_queue += 1;
+            }
+            let cp = read_checkpoint(&dir.join(name)).unwrap();
+            let resumed = Simulation::resume(
+                cp,
+                SyntheticSource::from_params(&p),
+                CaseStudyScheduler::new(),
+            )
+            .unwrap()
+            .run_with(&RunOptions::default())
+            .unwrap();
+            assert_eq!(
+                resumed.report.to_xml(),
+                reference.report.to_xml(),
+                "{mode:?}: resumed {name}"
+            );
+            assert_eq!(resumed.metrics, reference.metrics, "{mode:?}: {name}");
+        }
+        assert!(with_queue > 0, "{mode:?}: no checkpoint held a queued task");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Run one cell under an explicit stats backend and driver.
