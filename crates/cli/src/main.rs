@@ -8,7 +8,7 @@
 //! * `figures` — regenerate the paper's figures (6a–10) as CSV series,
 //!   with a per-figure agreement check against the paper's reported
 //!   direction.
-//! * `ablations` — run the A1–A4 ablation harnesses.
+//! * `ablations` — run the A1–A5 ablation harnesses.
 //! * `chaos` — run a chaos campaign (correlated failure-domain outages,
 //!   overload bursts) under continuous audit, with a kill-and-resume
 //!   drill per scenario.
@@ -16,8 +16,11 @@
 //!   arrivals with a diurnal load curve, a rolling checkpoint ring,
 //!   watchdog-driven auto-recovery, and sliding-window live metrics.
 //! * `trace` — generate a synthetic trace file for later replay.
-//! * `lint` — the determinism static-analysis pass (see the
-//!   `dreamsim-lint` crate); nonzero exit on unsuppressed findings.
+//!
+//! Every enum flag value is read by the `parse` of the type that owns its
+//! spelling, and a checkpoint's policy label by
+//! [`CaseStudyScheduler::from_label`]. The determinism lint has its own
+//! binary, `dreamsim-lint`.
 //!
 //! Run `dreamsim help` for usage.
 
@@ -26,8 +29,8 @@ mod args;
 use args::{ArgError, Args};
 use dreamsim_engine::{
     read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
-    DomainParams, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage, SimParams,
-    Simulation, StatsBackend,
+    DomainParams, PlacementModel, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage,
+    SimParams, Simulation, StatsBackend,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
@@ -78,8 +81,6 @@ USAGE:
                  [--recovery-report FILE]
                  [--report table|xml|json|csv] [--out FILE]
   dreamsim trace --out FILE [--tasks N] [--seed S]
-  dreamsim lint [--root DIR] [--format text|json|sarif] [--out FILE]
-                [--list-rules] [FILES...]
   dreamsim help
 
 Defaults follow Table II of the paper: 50 configs, arrival U[1..50],
@@ -183,7 +184,6 @@ const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
       audit-every stall-window max-restarts kill-at recovery-report report out",
      "no-watchdog"),
     ("trace", false, "out tasks seed", ""),
-    ("lint", false, "root format out", "list-rules"),
     ("help", false, "", "help"),
 ];
 
@@ -226,7 +226,6 @@ fn main() -> ExitCode {
         Some("chaos") => cmd_chaos(&args),
         Some("serve") => cmd_serve(&args),
         Some("trace") => cmd_trace(&args),
-        Some("lint") => cmd_lint(&args),
         Some("help") | None => {
             print!("{USAGE}");
             Ok(())
@@ -243,20 +242,23 @@ fn main() -> ExitCode {
     }
 }
 
-fn parse_mode(s: &str) -> Result<ReconfigMode, ArgError> {
-    match s {
-        "full" => Ok(ReconfigMode::Full),
-        "partial" => Ok(ReconfigMode::Partial),
-        _ => Err(ArgError(format!(
-            "--mode must be full or partial, got {s:?}"
-        ))),
-    }
-}
-
-fn parse_stats(args: &Args) -> Result<StatsBackend, ArgError> {
-    let s = args.get("stats", "exact");
-    StatsBackend::parse(s)
-        .ok_or_else(|| ArgError(format!("--stats must be exact or sketch, got {s:?}")))
+/// `--flag`'s value (or `default`), read by the `parse` of the type that
+/// owns its spelling. An unknown value is an error naming the flag, and
+/// the accepted `choices` when given.
+fn parse_flag<T>(
+    args: &Args,
+    flag: &str,
+    default: &str,
+    choices: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, ArgError> {
+    let s = args.get(flag, default);
+    parse(s).ok_or_else(|| {
+        ArgError(match choices {
+            Some(choices) => format!("--{flag} must be {choices}, got {s:?}"),
+            None => format!("unknown --{flag} {s:?}"),
+        })
+    })
 }
 
 /// Worker count for parallel sweeps: `--jobs N` (preferred), with
@@ -270,39 +272,31 @@ fn parse_jobs(args: &Args) -> Result<usize, ArgError> {
     }
 }
 
-fn parse_strategy(s: &str) -> Result<AllocationStrategy, ArgError> {
-    match s {
-        "best-fit" => Ok(AllocationStrategy::BestFit),
-        "first-fit" => Ok(AllocationStrategy::FirstFit),
-        "worst-fit" => Ok(AllocationStrategy::WorstFit),
-        "random" => Ok(AllocationStrategy::Random),
-        "least-loaded" => Ok(AllocationStrategy::LeastLoaded),
-        _ => Err(ArgError(format!("unknown --policy {s:?}"))),
-    }
+/// The scheduler `--policy` names (`run` and `serve`).
+fn policy_from_args(args: &Args) -> Result<CaseStudyScheduler, ArgError> {
+    let strategy = parse_flag(args, "policy", "best-fit", None, AllocationStrategy::parse)?;
+    Ok(CaseStudyScheduler::with_strategy(strategy))
 }
 
 fn params_from_args(args: &Args) -> Result<SimParams, ArgError> {
-    let mode = parse_mode(args.get("mode", "partial"))?;
+    let mode = parse_flag(
+        args,
+        "mode",
+        "partial",
+        Some("full or partial"),
+        ReconfigMode::parse,
+    )?;
     let mut p = SimParams::paper(
         args.get_num("nodes", 200usize)?,
         args.get_num("tasks", 10_000usize)?,
         mode,
     );
     p.seed = args.get_num("seed", 0x5EEDu64)?;
-    p.arrival = match args.get("arrival", "uniform") {
-        "uniform" => ArrivalDistribution::Uniform,
-        "poisson" => ArrivalDistribution::Poisson,
-        "exponential" => ArrivalDistribution::Exponential,
-        other => return Err(ArgError(format!("unknown --arrival {other:?}"))),
-    };
+    p.arrival = parse_flag(args, "arrival", "uniform", None, ArrivalDistribution::parse)?;
     if args.has("no-suspension") {
         p.suspension_enabled = false;
     }
-    p.placement = match args.get("placement", "scalar") {
-        "scalar" => dreamsim_engine::PlacementModel::Scalar,
-        "contiguous" => dreamsim_engine::PlacementModel::Contiguous,
-        other => return Err(ArgError(format!("unknown --placement {other:?}"))),
-    };
+    p.placement = parse_flag(args, "placement", "scalar", None, PlacementModel::parse)?;
     if args.has("mtbf") {
         p.node_mtbf = Some(args.get_num("mtbf", 0u64)?);
     }
@@ -331,30 +325,33 @@ fn params_from_args(args: &Args) -> Result<SimParams, ArgError> {
             d.mttf = Some(args.get_num("domain-mttf", 0u64)?);
         }
         d.mttr = args.get_num("domain-mttr", d.mttr)?;
-        let kind = args.get("domain-kind", "fail");
-        d.kind = DomainOutageKind::parse(kind).ok_or_else(|| {
-            ArgError(format!(
-                "--domain-kind must be fail or partition, got {kind:?}"
-            ))
-        })?;
+        d.kind = parse_flag(
+            args,
+            "domain-kind",
+            "fail",
+            Some("fail or partition"),
+            DomainOutageKind::parse,
+        )?;
         if args.has("outages") {
             d.scripted = parse_outages(args.get("outages", ""))?;
         }
         p.domains = Some(d);
-    } else if args.has("domain-mttf") || args.has("domain-mttr") || args.has("outages") {
-        return Err(ArgError(
-            "--domain-mttf/--domain-mttr/--outages require --domains N".into(),
-        ));
+    } else if let Some(flag) = ["domain-mttf", "domain-mttr", "domain-kind", "outages"]
+        .into_iter()
+        .find(|f| args.has(f))
+    {
+        return Err(ArgError(format!("--{flag} requires --domains N")));
     }
     if args.has("suspension-cap") {
         p.suspension_cap = Some(args.get_num("suspension-cap", 0usize)?);
     }
-    let admission = args.get("admission", "block");
-    p.admission = AdmissionPolicy::parse(admission).ok_or_else(|| {
-        ArgError(format!(
-            "--admission must be block, shed-oldest, or degrade-closest, got {admission:?}"
-        ))
-    })?;
+    p.admission = parse_flag(
+        args,
+        "admission",
+        "block",
+        Some("block, shed-oldest, or degrade-closest"),
+        AdmissionPolicy::parse,
+    )?;
     if args.has("burst") {
         let v = args.get_list("burst", &[])?;
         if v.len() != 3 {
@@ -572,17 +569,12 @@ fn resume_run(
     );
     // Rebuild the exact policy recorded in the checkpoint; `resume`
     // re-verifies the label so a parser drift cannot slip through.
-    let label = cp.policy_label().to_string();
-    let strategy = label
-        .strip_prefix("case-study/")
-        .filter(|rest| !rest.contains('/'))
-        .ok_or_else(|| {
-            ArgError(format!(
-                "checkpoint policy {label:?} cannot be rebuilt by the CLI"
-            ))
-        })
-        .and_then(parse_strategy)?;
-    let policy = CaseStudyScheduler::with_strategy(strategy);
+    let label = cp.policy_label();
+    let policy = CaseStudyScheduler::from_label(label).ok_or_else(|| {
+        ArgError(format!(
+            "checkpoint policy {label:?} cannot be rebuilt by the CLI"
+        ))
+    })?;
     let result = match cp.source_kind() {
         "synthetic" => {
             let source = SyntheticSource::from_params(cp.params());
@@ -622,13 +614,18 @@ fn resume_run(
 
 fn cmd_run(args: &Args) -> Result<(), ArgError> {
     let run_opts = run_options_from_args(args)?;
-    let stats = parse_stats(args)?;
+    let stats = parse_flag(
+        args,
+        "stats",
+        "exact",
+        Some("exact or sketch"),
+        StatsBackend::parse,
+    )?;
     let result: RunResult = if args.has("resume-from") {
         resume_run(args, &run_opts, stats)?
     } else {
         let params = params_from_args(args)?;
-        let strategy = parse_strategy(args.get("policy", "best-fit"))?;
-        let policy = CaseStudyScheduler::with_strategy(strategy);
+        let policy = policy_from_args(args)?;
         if args.has("swf") || args.has("replay") {
             let source = trace_from_args(args, params.total_configs)?;
             let mut p = params;
@@ -716,14 +713,9 @@ fn cmd_serve(args: &Args) -> Result<(), ArgError> {
         opts.stop_at = Some(args.get_num("kill-at", 0u64)?);
     }
 
-    let strategy = parse_strategy(args.get("policy", "best-fit"))?;
-    let outcome = serve(
-        &params,
-        OpenSource::from_params,
-        || CaseStudyScheduler::with_strategy(strategy),
-        &opts,
-    )
-    .map_err(|e| ArgError(e.to_string()))?;
+    let policy = policy_from_args(args)?;
+    let outcome = serve(&params, OpenSource::from_params, || policy.clone(), &opts)
+        .map_err(|e| ArgError(e.to_string()))?;
 
     // Recovery/watchdog summary on stderr; stdout carries the report.
     let rec = &outcome.recovery;
@@ -828,7 +820,13 @@ fn cmd_figures(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_ablations(args: &Args) -> Result<(), ArgError> {
     let which = args.get("which", "all");
-    let mode = parse_mode(args.get("mode", "partial"))?;
+    let mode = parse_flag(
+        args,
+        "mode",
+        "partial",
+        Some("full or partial"),
+        ReconfigMode::parse,
+    )?;
     let mut base = SimParams::paper(
         args.get_num("nodes", 100usize)?,
         args.get_num("tasks", 2_000usize)?,
@@ -988,51 +986,6 @@ fn cmd_chaos(args: &Args) -> Result<(), ArgError> {
     write_or_print(args.flags.get("out").map(String::as_str), &rendered)
 }
 
-/// `dreamsim lint` — the determinism static-analysis pass, sharing its
-/// engine with the standalone `dreamsim-lint` binary and the CI gate.
-fn cmd_lint(args: &Args) -> Result<(), ArgError> {
-    use dreamsim_lint as lint;
-    if args.has("list-rules") {
-        print!("{}", lint::rule_catalogue());
-        return Ok(());
-    }
-    let root = Path::new(args.get("root", "."));
-    let format: lint::Format = args.get("format", "text").parse().map_err(ArgError)?;
-    let report = if args.positionals.is_empty() {
-        lint::lint_workspace(root)
-    } else {
-        let files: Vec<std::path::PathBuf> = args
-            .positionals
-            .iter()
-            .map(std::path::PathBuf::from)
-            .collect();
-        lint::lint_files(root, &files)
-    }
-    .map_err(|e| ArgError(format!("lint scan failed: {e}")))?;
-    let rendered = lint::render(&report, format);
-    match args.flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &rendered)
-                .map_err(|e| ArgError(format!("writing {path}: {e}")))?;
-            println!(
-                "lint: {} finding(s), {} suppression(s), {} file(s) -> {path}",
-                report.findings.len(),
-                report.suppressions.len(),
-                report.files_scanned
-            );
-        }
-        None => print!("{rendered}"),
-    }
-    if report.is_clean() {
-        Ok(())
-    } else {
-        Err(ArgError(format!(
-            "lint: {} unsuppressed finding(s)",
-            report.findings.len()
-        )))
-    }
-}
-
 fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     let out = args.get("out", "");
     if out.is_empty() {
@@ -1086,7 +1039,7 @@ mod tests {
     #[test]
     fn every_usage_flag_is_accepted_with_its_arity() {
         let entries = usage_entries();
-        assert_eq!(entries.len(), 8, "one entry per subcommand");
+        assert_eq!(entries.len(), 7, "one entry per subcommand");
         for (command, text) in entries {
             let (valued, bare) = accepted_flags(&command)
                 .unwrap_or_else(|| panic!("USAGE lists unknown subcommand {command}"));

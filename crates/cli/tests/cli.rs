@@ -74,13 +74,15 @@ fn run_csv_report_matches_header() {
 #[test]
 fn unknown_subcommand_fails_with_message() {
     // The retired benchmark subcommands are unknown like any typo; the
-    // `benchmark/` crate replaces them.
+    // `benchmark/` crate replaces them, and the `dreamsim-lint` binary
+    // is the one lint front end.
     for command in [
         "bogus",
         "bench-search",
         "bench-grid",
         "bench-scale",
         "bench-profile",
+        "lint",
     ] {
         let out = dreamsim().arg(command).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "dreamsim {command}");
@@ -492,6 +494,90 @@ fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resume_rebuilds_a_naive_search_checkpoint_byte_for_byte() {
+    use dreamsim_engine::{ReconfigMode, RunOptions, SimParams, Simulation};
+    use dreamsim_sched::CaseStudyScheduler;
+    use dreamsim_workload::SyntheticSource;
+    // Ablation A2's scheduler labels its checkpoints
+    // `case-study/best-fit/naive`; no CLI flag selects it, but the CLI
+    // must still resume such a checkpoint into the same run.
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-naive-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut params = SimParams::paper(12, 150, ReconfigMode::Partial);
+    params.seed = 3;
+    let opts = RunOptions {
+        checkpoint_every: Some(20_000),
+        checkpoint_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let full = Simulation::new(
+        params.clone(),
+        SyntheticSource::from_params(&params),
+        CaseStudyScheduler::new().with_naive_search(true),
+    )
+    .unwrap()
+    .run_with(&opts)
+    .unwrap();
+    let mut cps: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    cps.sort();
+    assert!(!cps.is_empty(), "the run left no checkpoint");
+    let resumed = dir.join("resumed.xml");
+    let out = dreamsim()
+        .args(["run", "--resume-from"])
+        .arg(&cps[cps.len() / 2])
+        .args(["--report", "xml", "--out"])
+        .arg(&resumed)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("policy case-study/best-fit/naive"), "{err}");
+    assert_eq!(
+        std::fs::read_to_string(&resumed).unwrap(),
+        full.report.to_xml(),
+        "resumed report diverged"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn domain_kind_without_domains_is_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-domkind-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for command in ["run", "serve"] {
+        let out_path = dir.join(format!("{command}.out"));
+        let ring = dir.join(format!("{command}-ring"));
+        let out = dreamsim()
+            .args([command, "--nodes", "5", "--tasks", "20"])
+            .args(["--domain-kind", "partition", "--out"])
+            .arg(&out_path)
+            .args(if command == "serve" {
+                vec!["--horizon", "500", "--ring-dir", ring.to_str().unwrap()]
+            } else {
+                Vec::new()
+            })
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "dreamsim {command}: {err}");
+        assert!(
+            err.contains("--domain-kind requires --domains N"),
+            "dreamsim {command}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty() && !out_path.exists() && !ring.exists(),
+            "dreamsim {command} ran before rejecting --domain-kind"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -173,12 +173,6 @@ impl EventQueue {
         self.heap.pop().map(|s| (s.time, s.event))
     }
 
-    /// Time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Ticks> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Pop the earliest event only if it is due at or before `now`
     /// (tick-stepped driver support).
     pub fn pop_due(&mut self, now: Ticks) -> Option<(Ticks, Event)> {
@@ -311,7 +305,6 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(10, arrival(0));
         q.push(20, arrival(1));
-        assert_eq!(q.peek_time(), Some(10));
         assert!(q.pop_due(9).is_none());
         assert_eq!(q.pop_due(10).unwrap().0, 10);
         assert_eq!(q.pop_due(100).unwrap().0, 20);

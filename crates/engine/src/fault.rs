@@ -255,12 +255,6 @@ impl FaultModel {
     // Correlated failure domains (chaos layer).
     // ------------------------------------------------------------------
 
-    /// Whether failure domains are configured.
-    #[must_use]
-    pub fn domains_active(&self) -> bool {
-        self.domains.is_some()
-    }
-
     /// Number of configured failure domains (0 when disabled).
     #[must_use]
     pub fn num_domains(&self) -> usize {
@@ -588,7 +582,6 @@ mod tests {
     #[test]
     fn domain_free_model_exposes_no_domain_state() {
         let m = FaultModel::new(&SimParams::default());
-        assert!(!m.domains_active());
         assert_eq!(m.num_domains(), 0);
         assert!(!m.domain_mttf_active());
         assert!(m.scripted_outages().is_empty());

@@ -4,7 +4,7 @@
 //! monitoring module" (Section III). Observers receive every lifecycle
 //! event plus periodic resource snapshots; [`RecordingMonitor`] is the
 //! bundled implementation that collects a utilization time series and
-//! event counts, and the CLI uses it for progress output.
+//! event counts.
 
 use crate::sim::{DiscardReason, Placement};
 use dreamsim_model::{NodeId, NodeState, ResourceManager, Task, Ticks};

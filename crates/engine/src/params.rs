@@ -42,6 +42,16 @@ impl ReconfigMode {
             ReconfigMode::Partial => "partial",
         }
     }
+
+    /// Parse a [`label`](Self::label).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "full" => Some(ReconfigMode::Full),
+            "partial" => Some(ReconfigMode::Partial),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for ReconfigMode {
@@ -71,6 +81,16 @@ impl PlacementModel {
             PlacementModel::Contiguous => "contiguous",
         }
     }
+
+    /// Parse a [`label`](Self::label).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "scalar" => Some(PlacementModel::Scalar),
+            "contiguous" => Some(PlacementModel::Contiguous),
+            _ => None,
+        }
+    }
 }
 
 /// Task inter-arrival time distribution. The paper uses a uniform
@@ -86,6 +106,19 @@ pub enum ArrivalDistribution {
     Poisson,
     /// Geometric (discretized exponential) interval with the same mean.
     Exponential,
+}
+
+impl ArrivalDistribution {
+    /// Parse a CLI label: `uniform`, `poisson` or `exponential`.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "uniform" => Some(ArrivalDistribution::Uniform),
+            "poisson" => Some(ArrivalDistribution::Poisson),
+            "exponential" => Some(ArrivalDistribution::Exponential),
+            _ => None,
+        }
+    }
 }
 
 /// An inclusive integer range `[lo, hi]`, the form all Table II
@@ -663,13 +696,6 @@ impl SimParams {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style mode override.
-    #[must_use]
-    pub fn with_mode(mut self, mode: ReconfigMode) -> Self {
-        self.mode = mode;
         self
     }
 

@@ -19,8 +19,8 @@
 //! DESIGN.md §12 documents how to add a token rule; §17 documents the
 //! symbol model and the global analyses.
 //!
-//! Three front ends share this library: the standalone `dreamsim-lint`
-//! binary, the `dreamsim lint` CLI subcommand, and the blocking CI job.
+//! Two front ends share this library: the standalone `dreamsim-lint`
+//! binary and the blocking CI job, which runs that binary.
 
 pub mod engine;
 pub mod lexer;

@@ -1,17 +1,18 @@
-//! Naive full-scan query implementations, used by the data-structure
+//! Naive full-scan allocation search, used by the data-structure
 //! ablation (DESIGN.md experiment A2).
 //!
 //! The paper motivates its per-configuration linked lists by the cost of
 //! searching node state "if the total number of nodes is very large".
-//! These functions answer the same queries as
+//! [`find_best_idle_naive`] answers the same query as
 //! [`ResourceManager::find_best_idle`](crate::store::ResourceManager::find_best_idle)
-//! et al. **without** the lists, by scanning every slot of every node —
-//! charging the correspondingly larger step counts. Benchmarks compare
+//! **without** the lists, by scanning every slot of every node —
+//! charging the correspondingly larger step counts. Ablation A2 compares
 //! the two to quantify what the lists buy.
 //!
-//! Results are guaranteed to select the same node/area (ties may resolve
-//! to a different slot of the same quality, since scan order differs from
-//! list order); the equivalence tests below pin that contract.
+//! The result is guaranteed to select the same node/area (ties may
+//! resolve to a different slot of the same quality, since scan order
+//! differs from list order); the equivalence tests below pin that
+//! contract.
 
 use crate::ids::{Area, ConfigId, EntryRef, NodeId};
 use crate::steps::{StepCounter, StepKind};
@@ -40,24 +41,6 @@ pub fn find_best_idle_naive(
         }
     }
     best.map(|(_, e)| e)
-}
-
-/// Does any busy instance of `config` exist? Full scan.
-pub fn busy_instance_exists_naive(
-    rm: &ResourceManager,
-    config: ConfigId,
-    steps: &mut StepCounter,
-) -> bool {
-    let nodes = rm.node_store();
-    for i in 0..nodes.len() {
-        for (_, slot) in nodes.slots(i) {
-            steps.tick(StepKind::Scheduling);
-            if slot.config == config && slot.task.is_some() {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -114,8 +97,6 @@ mod tests {
         let e = rm.configure_slot(NodeId(0), ConfigId(0), &mut s).unwrap();
         rm.assign_task(e, TaskId(0), &mut s).unwrap();
         assert!(find_best_idle_naive(&rm, ConfigId(0), &mut s).is_none());
-        assert!(busy_instance_exists_naive(&rm, ConfigId(0), &mut s));
-        assert!(!busy_instance_exists_naive(&rm, ConfigId(1), &mut s));
     }
 
     #[test]

@@ -285,12 +285,6 @@ impl Node {
         self.slots.get(idx as usize).and_then(|s| s.as_ref())
     }
 
-    /// Mutably borrow a live slot.
-    pub fn slot_mut(&mut self, idx: u32) -> Option<&mut Slot> {
-        // BOUND: u32 index; usize is at least 32 bits on every supported target.
-        self.slots.get_mut(idx as usize).and_then(|s| s.as_mut())
-    }
-
     /// Iterate over live slots as `(slot_index, &Slot)`, in slab order
     /// (the traversal order of Fig. 3's config-task-pair list).
     pub fn slots(&self) -> impl Iterator<Item = (u32, &Slot)> {
@@ -371,26 +365,6 @@ impl Node {
                 Ok(config)
             }
         }
-    }
-
-    /// `MakeNodeBlank()`: evict every configuration and restore
-    /// `AvailableArea = TotalArea`. Fails (leaving the node untouched) if
-    /// any task is running. Returns the evicted slot indices for the
-    /// caller to unlink from the idle lists.
-    pub fn make_blank(&mut self) -> Result<Vec<u32>, NodeError> {
-        if let Some((busy, _)) = self.slots().find(|(_, s)| s.task.is_some()) {
-            return Err(NodeError::SlotBusyOrVacant(busy));
-        }
-        let live: Vec<u32> = self.slots().map(|(i, _)| i).collect();
-        for &i in &live {
-            // Every index in `live` names a live, task-free slot (the
-            // busy scan above returned early otherwise), so eviction
-            // cannot fail; propagate the typed error anyway rather than
-            // panicking mid-simulation.
-            self.evict_slot(i)?;
-        }
-        debug_assert_eq!(self.available_area, self.total_area);
-        Ok(live)
     }
 
     /// `AddTaskToNode()`: start `task` on slot `idx` (which must hold an
@@ -571,30 +545,6 @@ mod tests {
         n.evict_slot(s).unwrap();
         assert_eq!(n.evict_slot(s).unwrap_err(), NodeError::NoSuchSlot(s));
         assert_eq!(n.evict_slot(99).unwrap_err(), NodeError::NoSuchSlot(99));
-    }
-
-    #[test]
-    fn make_blank_evicts_all_idle_configs() {
-        let mut n = node(4000);
-        n.send_bitstream(&cfg(1, 500)).unwrap();
-        n.send_bitstream(&cfg(2, 700)).unwrap();
-        n.send_bitstream(&cfg(3, 900)).unwrap();
-        let evicted = n.make_blank().unwrap();
-        assert_eq!(evicted.len(), 3);
-        assert!(n.is_blank());
-        assert_eq!(n.available_area(), 4000);
-        assert!(n.area_invariant_holds());
-    }
-
-    #[test]
-    fn make_blank_refuses_while_running() {
-        let mut n = node(4000);
-        let s = n.send_bitstream(&cfg(1, 500)).unwrap();
-        n.send_bitstream(&cfg(2, 700)).unwrap();
-        n.add_task(s, TaskId(0)).unwrap();
-        assert!(n.make_blank().is_err());
-        // Nothing was evicted.
-        assert_eq!(n.configured_count(), 2);
     }
 
     #[test]

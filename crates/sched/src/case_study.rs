@@ -62,6 +62,19 @@ impl AllocationStrategy {
             AllocationStrategy::LeastLoaded => "least-loaded",
         }
     }
+
+    /// Parse a [`label`](Self::label).
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "best-fit" => Some(AllocationStrategy::BestFit),
+            "first-fit" => Some(AllocationStrategy::FirstFit),
+            "worst-fit" => Some(AllocationStrategy::WorstFit),
+            "random" => Some(AllocationStrategy::Random),
+            "least-loaded" => Some(AllocationStrategy::LeastLoaded),
+            _ => None,
+        }
+    }
 }
 
 /// The case-study scheduler.
@@ -113,6 +126,20 @@ impl CaseStudyScheduler {
     #[must_use]
     pub fn strategy(&self) -> AllocationStrategy {
         self.strategy
+    }
+
+    /// The scheduler whose [`state_label`](SchedulePolicy::state_label)
+    /// is `label` (its inverse, `/naive` suffix included); `None` for
+    /// any other string.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Self> {
+        let rest = label.strip_prefix("case-study/")?;
+        let (strategy, naive) = match rest.strip_suffix("/naive") {
+            Some(strategy) => (strategy, true),
+            None => (rest, false),
+        };
+        let strategy = AllocationStrategy::parse(strategy)?;
+        Some(Self::with_strategy(strategy).with_naive_search(naive))
     }
 
     /// Step 1: resolve the task's preferred configuration to a concrete
@@ -533,11 +560,108 @@ impl PlanView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dreamsim_engine::{
+        AdmissionPolicy, ArrivalDistribution, DomainOutageKind, PlacementModel, StatsBackend,
+    };
+
+    const STRATEGIES: [AllocationStrategy; 5] = [
+        AllocationStrategy::BestFit,
+        AllocationStrategy::FirstFit,
+        AllocationStrategy::WorstFit,
+        AllocationStrategy::Random,
+        AllocationStrategy::LeastLoaded,
+    ];
 
     #[test]
     fn strategy_labels() {
         assert_eq!(AllocationStrategy::BestFit.label(), "best-fit");
         assert_eq!(AllocationStrategy::LeastLoaded.label(), "least-loaded");
         assert_eq!(AllocationStrategy::default(), AllocationStrategy::BestFit);
+    }
+
+    /// Every enum a front end reads from text parses its own labels back,
+    /// and nothing else.
+    #[test]
+    fn every_label_parses_back_to_its_variant() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            variants: &[T],
+            label: fn(T) -> &'static str,
+            parse: fn(&str) -> Option<T>,
+        ) {
+            for &v in variants {
+                assert_eq!(parse(label(v)), Some(v), "{v:?}");
+            }
+            for unknown in ["", "bogus", "Full", "best_fit", "partial "] {
+                assert_eq!(parse(unknown), None, "{unknown:?}");
+            }
+        }
+        check(
+            &[ReconfigMode::Full, ReconfigMode::Partial],
+            ReconfigMode::label,
+            ReconfigMode::parse,
+        );
+        check(
+            &[PlacementModel::Scalar, PlacementModel::Contiguous],
+            PlacementModel::label,
+            PlacementModel::parse,
+        );
+        check(
+            &[DomainOutageKind::Fail, DomainOutageKind::Partition],
+            DomainOutageKind::label,
+            DomainOutageKind::parse,
+        );
+        check(
+            &[
+                AdmissionPolicy::Block,
+                AdmissionPolicy::ShedOldest,
+                AdmissionPolicy::DegradeClosest,
+            ],
+            AdmissionPolicy::label,
+            AdmissionPolicy::parse,
+        );
+        check(
+            &[StatsBackend::Exact, StatsBackend::Sketch],
+            StatsBackend::label,
+            StatsBackend::parse,
+        );
+        check(
+            &STRATEGIES,
+            AllocationStrategy::label,
+            AllocationStrategy::parse,
+        );
+        for (label, v) in [
+            ("uniform", ArrivalDistribution::Uniform),
+            ("poisson", ArrivalDistribution::Poisson),
+            ("exponential", ArrivalDistribution::Exponential),
+        ] {
+            assert_eq!(ArrivalDistribution::parse(label), Some(v));
+        }
+        assert_eq!(ArrivalDistribution::parse("gamma"), None);
+    }
+
+    #[test]
+    fn from_label_inverts_state_label() {
+        for strategy in STRATEGIES {
+            for naive in [false, true] {
+                let s = CaseStudyScheduler::with_strategy(strategy).with_naive_search(naive);
+                let label = s.state_label();
+                let back = CaseStudyScheduler::from_label(&label)
+                    .unwrap_or_else(|| panic!("{label:?} does not parse"));
+                assert_eq!(back.state_label(), label);
+                assert_eq!(back.strategy(), strategy);
+            }
+        }
+        for label in [
+            "",
+            "case-study",
+            "case-study/",
+            "case-study/naive",
+            "case-study/best-fit/",
+            "case-study/best-fit/naive/naive",
+            "case-study/best-fit/fast",
+            "other/best-fit",
+        ] {
+            assert!(CaseStudyScheduler::from_label(label).is_none(), "{label:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! Ablation harnesses (DESIGN.md A1–A4): quantify the design choices the
+//! Ablation harnesses (DESIGN.md A1–A5): quantify the design choices the
 //! paper makes but does not isolate.
 
-use crate::runner::{run_batch, run_point, PolicyConfig, SweepPoint};
+use crate::runner::{run_batch, run_point, SweepPoint};
 use dreamsim_engine::{Driver, Metrics, RunOptions, SimParams, Simulation};
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim_workload::SyntheticSource;
@@ -21,10 +21,8 @@ pub fn policy_comparison(base: &SimParams, threads: usize) -> Vec<(&'static str,
     let points: Vec<SweepPoint> = strategies
         .iter()
         .map(|&strategy| {
-            SweepPoint::new(strategy.label(), base.clone()).with_policy(PolicyConfig {
-                strategy,
-                naive_search: false,
-            })
+            SweepPoint::new(strategy.label(), base.clone())
+                .with_policy(CaseStudyScheduler::with_strategy(strategy))
         })
         .collect();
     let reports = run_batch(&points, threads);
@@ -42,10 +40,8 @@ pub fn policy_comparison(base: &SimParams, threads: usize) -> Vec<(&'static str,
 pub fn datastructure_comparison(base: &SimParams) -> (Metrics, Metrics) {
     let with_lists = run_point(&SweepPoint::new("lists", base.clone()));
     let naive = run_point(
-        &SweepPoint::new("naive", base.clone()).with_policy(PolicyConfig {
-            strategy: AllocationStrategy::BestFit,
-            naive_search: true,
-        }),
+        &SweepPoint::new("naive", base.clone())
+            .with_policy(CaseStudyScheduler::new().with_naive_search(true)),
     );
     (with_lists.metrics, naive.metrics)
 }

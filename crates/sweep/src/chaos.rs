@@ -21,9 +21,9 @@
 //! nodes 40                   # cluster size          (default 40)
 //! tasks 400                  # workload size         (default 400)
 //! seed 11                    # master seed           (default 42)
-//! domains 4                  # enable failure domains
+//! domains 4                  # enable failure domains (once per scenario)
 //! domain-mttf 3000           # stochastic outages (omit for scripted-only)
-//! domain-mttr 400            # mean repair time      (default 500)
+//! domain-mttr 400            # mean repair time      (default 1000)
 //! domain-kind fail           # fail | partition
 //! outage 0 500 800           # scripted: domain, start, duration
 //! node-mttf 2000             # per-node failure processes
@@ -34,13 +34,13 @@
 //! suspension-deadline 2000   # shed parked tasks after this long
 //! ```
 
-use crate::runner::PolicyConfig;
 use dreamsim_engine::{
     read_checkpoint, scan_ring, serve, AdmissionPolicy, ArrivalDistribution, BurstWindow,
     CheckpointError, DomainOutageKind, DomainParams, ReconfigMode, RunOptions, RunResult,
     ScriptedOutage, ServiceError, ServiceOptions, ServiceParams, SimParams, Simulation,
 };
 use dreamsim_model::Ticks;
+use dreamsim_sched::CaseStudyScheduler;
 use dreamsim_workload::{OpenSource, SyntheticSource};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -115,68 +115,15 @@ impl From<CheckpointError> for ChaosError {
     }
 }
 
-/// One declarative chaos scenario (see the module docs for the script
-/// syntax it parses from).
+/// One declarative chaos scenario: a name and the run it describes (see
+/// the module docs for the script syntax it parses from).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosScenario {
     /// Scenario name, carried into reports and drill directories.
     pub name: String,
-    /// Cluster size.
-    pub nodes: usize,
-    /// Workload size.
-    pub tasks: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Failure-domain configuration, if the scenario uses domains.
-    pub domains: Option<DomainParams>,
-    /// Per-node MTTF (independent of domains).
-    pub node_mttf: Option<u64>,
-    /// Per-node MTTR.
-    pub node_mttr: Option<u64>,
-    /// Overload burst window.
-    pub burst: Option<BurstWindow>,
-    /// Bounded suspension queue capacity.
-    pub suspension_cap: Option<usize>,
-    /// Admission policy enforced at that capacity.
-    pub admission: AdmissionPolicy,
-    /// Deadline after which parked tasks are shed.
-    pub suspension_deadline: Option<u64>,
-}
-
-impl ChaosScenario {
-    fn named(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            nodes: 40,
-            tasks: 400,
-            seed: 42,
-            domains: None,
-            node_mttf: None,
-            node_mttr: None,
-            burst: None,
-            suspension_cap: None,
-            admission: AdmissionPolicy::Block,
-            suspension_deadline: None,
-        }
-    }
-
-    /// Assemble full simulation parameters (paper defaults plus this
-    /// scenario's chaos overrides).
-    #[must_use]
-    pub fn params(&self) -> SimParams {
-        let mut p = SimParams::paper(self.nodes, self.tasks, ReconfigMode::Partial);
-        p.seed = self.seed;
-        p.domains = self.domains.clone();
-        p.suspension_cap = self.suspension_cap;
-        p.admission = self.admission;
-        p.burst = self.burst;
-        p.faults.node_mttf = self.node_mttf;
-        if let Some(r) = self.node_mttr {
-            p.faults.node_mttr = r;
-        }
-        p.faults.suspension_deadline = self.suspension_deadline;
-        p
-    }
+    /// Simulation parameters: Table II defaults for 40 nodes, 400 tasks,
+    /// partial mode and seed 42, overridden by the scenario's directives.
+    pub params: SimParams,
 }
 
 fn parse_err(line: usize, detail: impl Into<String>) -> ChaosError {
@@ -207,6 +154,11 @@ fn arity<'a>(
     }
 }
 
+/// The single numeric argument of directive `key`.
+fn one_num<T: std::str::FromStr>(line: usize, key: &str, args: &[&str]) -> Result<T, ChaosError> {
+    num(line, key, arity(line, key, args, 1)?[0])
+}
+
 /// Parse a campaign script into scenarios. Errors carry the offending
 /// 1-based line number.
 pub fn parse_campaign(text: &str) -> Result<Vec<ChaosScenario>, ChaosError> {
@@ -229,41 +181,47 @@ pub fn parse_campaign(text: &str) -> Result<Vec<ChaosScenario>, ChaosError> {
                     format!("duplicate scenario name {:?}", a[0]),
                 ));
             }
-            out.push(ChaosScenario::named(a[0]));
+            out.push(ChaosScenario {
+                name: a[0].to_string(),
+                params: SimParams::paper(40, 400, ReconfigMode::Partial).with_seed(42),
+            });
             continue;
         }
-        let sc = out
+        let p = &mut out
             .last_mut()
-            .ok_or_else(|| parse_err(line, format!("`{key}` before any `scenario` line")))?;
+            .ok_or_else(|| parse_err(line, format!("`{key}` before any `scenario` line")))?
+            .params;
         match key {
-            "nodes" => sc.nodes = num(line, key, arity(line, key, &args, 1)?[0])?,
-            "tasks" => sc.tasks = num(line, key, arity(line, key, &args, 1)?[0])?,
-            "seed" => sc.seed = num(line, key, arity(line, key, &args, 1)?[0])?,
+            "nodes" => p.total_nodes = one_num(line, key, &args)?,
+            "tasks" => p.total_tasks = one_num(line, key, &args)?,
+            "seed" => p.seed = one_num(line, key, &args)?,
             "domains" => {
-                let count = num(line, key, arity(line, key, &args, 1)?[0])?;
-                sc.domains = Some(DomainParams {
+                let count = one_num(line, key, &args)?;
+                // A second `domains` line would silently drop the
+                // directives that configured the first.
+                if p.domains.is_some() {
+                    return Err(parse_err(line, "`domains` given twice in one scenario"));
+                }
+                p.domains = Some(DomainParams {
                     count,
                     ..DomainParams::default()
                 });
             }
             "domain-mttf" | "domain-mttr" | "domain-kind" | "outage" => {
-                let d = sc.domains.as_mut().ok_or_else(|| {
+                let d = p.domains.as_mut().ok_or_else(|| {
                     parse_err(line, format!("`{key}` requires a preceding `domains` line"))
                 })?;
                 match key {
-                    "domain-mttf" => d.mttf = Some(num(line, key, arity(line, key, &args, 1)?[0])?),
-                    "domain-mttr" => d.mttr = num(line, key, arity(line, key, &args, 1)?[0])?,
+                    "domain-mttf" => d.mttf = Some(one_num(line, key, &args)?),
+                    "domain-mttr" => d.mttr = one_num(line, key, &args)?,
                     "domain-kind" => {
-                        d.kind = match arity(line, key, &args, 1)?[0] {
-                            "fail" => DomainOutageKind::Fail,
-                            "partition" => DomainOutageKind::Partition,
-                            other => {
-                                return Err(parse_err(
-                                    line,
-                                    format!("`domain-kind` is fail|partition, got {other:?}"),
-                                ))
-                            }
-                        }
+                        let kind = arity(line, key, &args, 1)?[0];
+                        d.kind = DomainOutageKind::parse(kind).ok_or_else(|| {
+                            parse_err(
+                                line,
+                                format!("`domain-kind` is fail|partition, got {kind:?}"),
+                            )
+                        })?;
                     }
                     _ => {
                         let a = arity(line, key, &args, 3)?;
@@ -285,22 +243,20 @@ pub fn parse_campaign(text: &str) -> Result<Vec<ChaosScenario>, ChaosError> {
                     }
                 }
             }
-            "node-mttf" => sc.node_mttf = Some(num(line, key, arity(line, key, &args, 1)?[0])?),
-            "node-mttr" => sc.node_mttr = Some(num(line, key, arity(line, key, &args, 1)?[0])?),
+            "node-mttf" => p.faults.node_mttf = Some(one_num(line, key, &args)?),
+            "node-mttr" => p.faults.node_mttr = one_num(line, key, &args)?,
             "burst" => {
                 let a = arity(line, key, &args, 3)?;
-                sc.burst = Some(BurstWindow {
+                p.burst = Some(BurstWindow {
                     start: num(line, key, a[0])?,
                     end: num(line, key, a[1])?,
                     interval: num(line, key, a[2])?,
                 });
             }
-            "suspension-cap" => {
-                sc.suspension_cap = Some(num(line, key, arity(line, key, &args, 1)?[0])?);
-            }
+            "suspension-cap" => p.suspension_cap = Some(one_num(line, key, &args)?),
             "admission" => {
                 let a = arity(line, key, &args, 1)?;
-                sc.admission = AdmissionPolicy::parse(a[0]).ok_or_else(|| {
+                p.admission = AdmissionPolicy::parse(a[0]).ok_or_else(|| {
                     parse_err(
                         line,
                         format!(
@@ -311,7 +267,7 @@ pub fn parse_campaign(text: &str) -> Result<Vec<ChaosScenario>, ChaosError> {
                 })?;
             }
             "suspension-deadline" => {
-                sc.suspension_deadline = Some(num(line, key, arity(line, key, &args, 1)?[0])?);
+                p.faults.suspension_deadline = Some(one_num(line, key, &args)?);
             }
             other => return Err(parse_err(line, format!("unknown directive `{other}`"))),
         }
@@ -466,7 +422,7 @@ impl CampaignReport {
 
 fn run_one(params: &SimParams, opts: &RunOptions) -> Result<RunResult, ChaosError> {
     let source = SyntheticSource::from_params(params);
-    Simulation::new(params.clone(), source, PolicyConfig::paper().build())
+    Simulation::new(params.clone(), source, CaseStudyScheduler::new())
         .map_err(|e| ChaosError::Run(e.to_string()))?
         .run_with(opts)
         .map_err(|e| ChaosError::Run(e.to_string()))
@@ -480,18 +436,17 @@ pub fn run_scenario(
     opts: &CampaignOptions,
     work_dir: &Path,
 ) -> Result<CampaignCase, ChaosError> {
-    let params = sc.params();
-    params
+    sc.params
         .validate()
         .map_err(|e| ChaosError::Run(format!("scenario {:?}: {e}", sc.name)))?;
     let run_opts = RunOptions {
         audit_every: opts.audit_every,
         ..RunOptions::default()
     };
-    let base = run_one(&params, &run_opts)?;
+    let base = run_one(&sc.params, &run_opts)?;
     let m = base.report.metrics.clone();
     let drill = if opts.drill {
-        Some(drill_scenario(sc, &params, &run_opts, &base, work_dir)?)
+        Some(drill_scenario(sc, &run_opts, &base, work_dir)?)
     } else {
         None
     };
@@ -517,7 +472,6 @@ pub fn run_scenario(
 /// resumed final report match the baseline byte-for-byte.
 fn drill_scenario(
     sc: &ChaosScenario,
-    params: &SimParams,
     run_opts: &RunOptions,
     base: &RunResult,
     work_dir: &Path,
@@ -532,7 +486,7 @@ fn drill_scenario(
     };
     // The "killed" process: same run, but leaving snapshots behind. Its
     // in-memory result is discarded — only the files survive the kill.
-    let _killed = run_one(params, &kill_opts)?;
+    let _killed = run_one(&sc.params, &kill_opts)?;
     let mut snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "dsc"))
@@ -547,7 +501,7 @@ fn drill_scenario(
     let cp = read_checkpoint(first)?;
     let checkpoint_at = cp.clock();
     let source = SyntheticSource::from_params(cp.params());
-    let resumed = Simulation::resume(cp, source, PolicyConfig::paper().build())?
+    let resumed = Simulation::resume(cp, source, CaseStudyScheduler::new())?
         .run_with(run_opts)
         .map_err(|e| ChaosError::Run(e.to_string()))?;
     if resumed.report.to_xml() != base.report.to_xml() {
@@ -634,7 +588,7 @@ fn serve_drill_leg(
     serve(
         params,
         OpenSource::from_params,
-        || PolicyConfig::paper().build(),
+        CaseStudyScheduler::new,
         &opts,
     )
     .map_err(|e: ServiceError| ChaosError::Run(e.to_string()))
@@ -775,23 +729,77 @@ mod tests {
         d
     }
 
+    /// CRC-32 (IEEE, bitwise), the fingerprint of a pinned parameter set.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// Assert that `text`'s scenarios parse to exactly the pinned
+    /// parameter sets, by name and by the CRC-32 of their compact JSON.
+    fn assert_params_pinned(text: &str, pins: &[(&str, u32)]) {
+        let scs = parse_campaign(text).unwrap();
+        assert_eq!(scs.len(), pins.len());
+        for (sc, &(name, crc)) in scs.iter().zip(pins) {
+            assert_eq!(sc.name, name);
+            let json = serde_json::to_string(&sc.params).unwrap();
+            assert_eq!(
+                crc32(json.as_bytes()),
+                crc,
+                "scenario {name:?} no longer yields its pinned parameters: {json}"
+            );
+        }
+    }
+
     #[test]
     fn builtin_campaign_parses() {
         let scs = parse_campaign(BUILTIN_CAMPAIGN).unwrap();
         assert_eq!(scs.len(), 3);
         assert_eq!(scs[0].name, "rack-outage");
-        let d = scs[0].domains.as_ref().unwrap();
+        let d = scs[0].params.domains.as_ref().unwrap();
         assert_eq!(d.count, 4);
         assert_eq!(d.scripted.len(), 2);
         assert_eq!(d.kind, DomainOutageKind::Fail);
-        assert_eq!(scs[1].domains.as_ref().unwrap().mttf, Some(3000));
-        assert_eq!(
-            scs[1].domains.as_ref().unwrap().kind,
-            DomainOutageKind::Partition
+        let d = scs[1].params.domains.as_ref().unwrap();
+        assert_eq!(d.mttf, Some(3000));
+        assert_eq!(d.kind, DomainOutageKind::Partition);
+        assert_eq!(scs[2].params.suspension_cap, Some(32));
+        assert_eq!(scs[2].params.admission, AdmissionPolicy::ShedOldest);
+        assert!(scs[2].params.burst.is_some());
+    }
+
+    /// A parser or Table II change that moves a built-in scenario's run
+    /// fails here, and so changes the campaign's reports.
+    #[test]
+    fn builtin_scenarios_yield_their_pinned_params() {
+        assert_params_pinned(
+            BUILTIN_CAMPAIGN,
+            &[
+                ("rack-outage", 0xDAF8_53B8),
+                ("partition-storm", 0xA6AC_F755),
+                ("overload-shed", 0xD8F6_6046),
+            ],
         );
-        assert_eq!(scs[2].suspension_cap, Some(32));
-        assert_eq!(scs[2].admission, AdmissionPolicy::ShedOldest);
-        assert!(scs[2].burst.is_some());
+    }
+
+    /// Each directive writes its own field (`node-mttr` sets only
+    /// `faults.node_mttr`), and a directive-free scenario is the
+    /// 40-node, 400-task, seed-42 partial run; pinned like the built-ins.
+    #[test]
+    fn every_directive_yields_its_pinned_params() {
+        assert_params_pinned(
+            "scenario every\nnodes 8\ntasks 40\nseed 3\ndomains 2\ndomain-mttf 500\n\
+             domain-mttr 60\ndomain-kind partition\noutage 1 10 50\nnode-mttf 2000\n\
+             node-mttr 150\nburst 0 400 2\nsuspension-cap 16\nadmission degrade-closest\n\
+             suspension-deadline 900\nscenario plain\n",
+            &[("every", 0xAC83_6EC8), ("plain", 0xD0B3_6238)],
+        );
     }
 
     #[test]
@@ -807,18 +815,30 @@ mod tests {
                 "requires a preceding `domains`",
             ),
             ("scenario a\ndomains 2\noutage 5 1 2", 3, "only 2 domain(s)"),
-            ("scenario a\ndomain-kind melt", 2, "before any"),
+            (
+                "scenario a\ndomain-kind melt",
+                2,
+                "requires a preceding `domains`",
+            ),
+            (
+                "scenario a\ndomains 2\ndomain-kind melt",
+                3,
+                "`domain-kind` is fail|partition, got \"melt\"",
+            ),
             ("scenario a\nadmission lru", 2, "admission"),
             ("scenario a\nscenario a", 2, "duplicate scenario"),
+            (
+                "scenario a\nnodes 8\ntasks 40\ndomains 4\ndomain-mttf 500\n\
+                 outage 3 10 50\ndomains 2",
+                7,
+                "`domains` given twice",
+            ),
         ];
         for (text, line, needle) in cases {
             match parse_campaign(text) {
                 Err(ChaosError::Parse { line: l, detail }) => {
                     assert_eq!(l, line, "line number for {text:?}");
-                    assert!(
-                        detail.contains(needle) || text.contains("domain-kind"),
-                        "{text:?} -> {detail:?}"
-                    );
+                    assert!(detail.contains(needle), "{text:?} -> {detail:?}");
                 }
                 other => panic!("{text:?} should fail to parse, got {other:?}"),
             }
@@ -829,13 +849,13 @@ mod tests {
     fn comments_and_blank_lines_are_ignored() {
         let scs = parse_campaign("# header\n\nscenario x # trailing\n  nodes 8  # note\n").unwrap();
         assert_eq!(scs.len(), 1);
-        assert_eq!(scs[0].nodes, 8);
+        assert_eq!(scs[0].params.total_nodes, 8);
     }
 
     #[test]
     fn scenario_defaults_are_chaos_free() {
         let scs = parse_campaign("scenario plain\n").unwrap();
-        let p = scs[0].params();
+        let p = &scs[0].params;
         assert!(p.domains.is_none());
         assert!(p.burst.is_none());
         assert!(p.suspension_cap.is_none());

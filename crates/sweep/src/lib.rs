@@ -4,18 +4,20 @@
 //! parameter sweeps and regeneration of every figure in the paper.
 //!
 //! * [`runner`] — run one simulation from a declarative [`SweepPoint`]
-//!   (parameters + policy choice), or a whole batch across OS threads
+//!   (parameters + scheduler), or a whole batch across OS threads
 //!   with order-independent, seed-deterministic results.
 //! * [`figures`] — the paper's figure definitions (Fig. 6a–10): which
 //!   node count, which Table I metric, and which direction the paper
 //!   reports partial vs full reconfiguration to win. One
 //!   [`ExperimentGrid`] run yields every figure, because the figures all
 //!   read different metrics off the same (nodes × mode × tasks) runs.
-//! * [`ablations`] — the DESIGN.md A1–A4 ablation harnesses (allocation
-//!   strategy, data structures, suspension queue, driver equivalence).
+//! * [`ablations`] — the DESIGN.md A1–A5 ablation harnesses (allocation
+//!   strategy, data structures, suspension queue, driver equivalence,
+//!   placement model).
 //! * [`chaos`] — the chaos campaign harness behind `dreamsim chaos`
-//!   (DESIGN.md §14): declarative failure-domain/overload scenarios run
-//!   under continuous audit, each with a kill-and-resume drill.
+//!   (DESIGN.md §14): declarative failure-domain/overload scenarios
+//!   (a name and a [`SimParams`](dreamsim_engine::SimParams)) run under
+//!   continuous audit, each with a kill-and-resume drill.
 //! * [`parallel`] — the deterministic hand-rolled worker pool behind
 //!   `--jobs`: index-ordered merge and LPT claim order (DESIGN.md §13).
 //!   Each point builds its own simulation; workers share nothing.
@@ -35,4 +37,4 @@ pub use chaos::{
 };
 pub use figures::{ExperimentGrid, Figure, FigureSeries};
 pub use parallel::{cost_descending_order, effective_jobs, run_ordered};
-pub use runner::{replicate, run_batch, run_point, PolicyConfig, Replicated, SweepPoint};
+pub use runner::{replicate, run_batch, run_point, Replicated, SweepPoint};

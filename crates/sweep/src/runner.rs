@@ -1,47 +1,25 @@
 //! Declarative simulation runs and the parallel batch runner.
 //!
-//! Every run is fully described by a [`SweepPoint`] (parameters + policy
-//! configuration); running it is a pure function of that description, so
+//! Every run is fully described by a [`SweepPoint`] (parameters +
+//! scheduler); running it is a pure function of that description, so
 //! batches can execute on any number of threads in any order and still
 //! produce identical reports — pinned by the determinism tests.
 
 use crate::parallel::{cost_descending_order, effective_jobs, run_ordered};
 use dreamsim_engine::{Report, SimParams, Simulation, StatsBackend};
-use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
+use dreamsim_sched::CaseStudyScheduler;
 use dreamsim_workload::SyntheticSource;
 
-/// Which scheduling policy a run uses (a value-level description, so
-/// sweeps can be declared as data).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PolicyConfig {
-    /// Allocation-phase strategy (paper: best fit).
-    pub strategy: AllocationStrategy,
-    /// Use naive full-scan searches instead of the idle/busy lists
-    /// (ablation A2).
-    pub naive_search: bool,
-}
-
-impl PolicyConfig {
-    /// The paper-faithful configuration.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn build(self) -> CaseStudyScheduler {
-        CaseStudyScheduler::with_strategy(self.strategy).with_naive_search(self.naive_search)
-    }
-}
-
-/// One point of a sweep: a label, full parameters, and the policy.
+/// One point of a sweep: a label, full parameters, and the scheduler.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Free-form label carried into outputs.
     pub label: String,
     /// Simulation parameters.
     pub params: SimParams,
-    /// Policy configuration.
-    pub policy: PolicyConfig,
+    /// The scheduler each run of this point starts from (cloned, so the
+    /// point stays reusable).
+    pub policy: CaseStudyScheduler,
     /// Waiting-time statistics backend. Byte-equivalent up to the
     /// sketch's exact window, error-bounded beyond (DESIGN.md §16).
     pub stats: StatsBackend,
@@ -54,14 +32,14 @@ impl SweepPoint {
         Self {
             label: label.into(),
             params,
-            policy: PolicyConfig::paper(),
+            policy: CaseStudyScheduler::new(),
             stats: StatsBackend::Exact,
         }
     }
 
-    /// Builder-style policy override.
+    /// Builder-style scheduler override.
     #[must_use]
-    pub fn with_policy(mut self, policy: PolicyConfig) -> Self {
+    pub fn with_policy(mut self, policy: CaseStudyScheduler) -> Self {
         self.policy = policy;
         self
     }
@@ -82,7 +60,7 @@ impl SweepPoint {
 #[must_use]
 pub fn run_point(point: &SweepPoint) -> Report {
     let source = SyntheticSource::from_params(&point.params);
-    Simulation::new(point.params.clone(), source, point.policy.build())
+    Simulation::new(point.params.clone(), source, point.policy.clone())
         // INVARIANT: sweep declarations are programmer input (documented
         // panic above), validated once per point.
         .expect("sweep point parameters must validate")
@@ -264,15 +242,5 @@ mod tests {
             "stats backends must be equivalent"
         );
         assert_eq!(base.to_xml(), sk.to_xml());
-    }
-
-    #[test]
-    fn policy_config_builds_requested_strategy() {
-        let p = PolicyConfig {
-            strategy: AllocationStrategy::WorstFit,
-            naive_search: true,
-        };
-        let s = p.build();
-        assert_eq!(s.strategy(), AllocationStrategy::WorstFit);
     }
 }

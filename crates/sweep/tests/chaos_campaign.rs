@@ -42,7 +42,7 @@ fn builtin_campaign_runs_audited_with_drills() {
     for (c, sc) in report.cases.iter().zip(&scenarios) {
         assert_eq!(
             c.completed + c.discarded,
-            sc.tasks as u64,
+            sc.params.total_tasks as u64,
             "{}: workload conserved",
             c.name
         );
