@@ -5,16 +5,18 @@
 //! `#[derive(Serialize, Deserialize)]` on plain structs and enums (with
 //! `#[serde(skip)]`/`#[serde(default)]` on fields).
 //!
-//! The two directions are deliberately asymmetric:
-//! * **Serialization streams.** [`Serialize::write_json`] appends compact
-//!   JSON straight to an output `String` — no intermediate tree, no
-//!   per-field allocation — because checkpoints serialize megabytes on
-//!   the hot path.
-//! * **Deserialization goes through a tree.** The companion
-//!   `serde_json` shim parses text into an owned [`Value`], and
-//!   [`Deserialize::from_value`] rebuilds the type from it. Loading is
-//!   cold (once per resume), and the tree keeps the generated code and
-//!   the hand-written legacy-format fallbacks simple.
+//! Both directions stream, with no intermediate tree:
+//! * **Serialization.** [`Serialize::write_json`] appends compact JSON
+//!   straight to an output `String`, with no per-field allocation.
+//! * **Deserialization.** [`Deserialize::read_json`] reads the type
+//!   straight from a [`Reader`], a pull parser over the JSON bytes: a
+//!   struct walks its object's keys in any order and reads each value
+//!   into its field, and a string field borrows from the input until
+//!   it is stored. A checkpoint then decodes in about its own size,
+//!   where a parsed [`Value`] tree took about twelve times its payload.
+//!
+//! [`Value`] remains as one more `Deserialize` type, for documents
+//! whose shape is not a Rust type (tests, benchmark reports).
 //!
 //! Supported shapes (everything the workspace derives):
 //! * structs with named fields,
@@ -24,7 +26,9 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+mod read;
 mod value;
+pub use read::{Map, Reader, Seq};
 pub use value::{Number, Value};
 
 /// Serialization/deserialization error (message-only, like
@@ -56,16 +60,10 @@ pub trait Serialize {
     fn write_json(&self, out: &mut String);
 }
 
-/// A type that can rebuild itself from a [`Value`] tree.
+/// A type that can read itself from JSON.
 pub trait Deserialize: Sized {
-    /// Rebuild from the intermediate value tree.
-    fn from_value(value: &Value) -> Result<Self, Error>;
-}
-
-/// Field lookup helper used by the generated `Deserialize` impls.
-#[doc(hidden)]
-pub fn __find<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    /// Read one value of this type from `r`, leaving `r` just past it.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 /// Append `items` to `out` as a JSON array.
@@ -146,13 +144,8 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value.as_u64().ok_or_else(|| {
-                    Error::custom(format!(
-                        "expected unsigned integer, got {}",
-                        value.kind()
-                    ))
-                })?;
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.u64()?;
                 <$t>::try_from(n).map_err(|_| {
                     Error::custom(format!("integer {n} out of range for {}", stringify!($t)))
                 })
@@ -170,10 +163,8 @@ macro_rules! impl_signed {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, Error> {
-                let n = value.as_i64().ok_or_else(|| {
-                    Error::custom(format!("expected integer, got {}", value.kind()))
-                })?;
+            fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let n = r.i64()?;
                 <$t>::try_from(n).map_err(|_| {
                     Error::custom(format!("integer {n} out of range for {}", stringify!($t)))
                 })
@@ -198,16 +189,12 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Number(n) => Ok(n.as_f64()),
-            // Real serde_json writes non-finite floats as `null`.
-            Value::Null => Ok(f64::NAN),
-            other => Err(Error::custom(format!(
-                "expected number, got {}",
-                other.kind()
-            ))),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        // Real serde_json writes non-finite floats as `null`.
+        if r.null()? {
+            return Ok(f64::NAN);
         }
+        r.number().map(|n| n.as_f64())
     }
 }
 
@@ -218,8 +205,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        f64::from_value(value).map(|v| v as f32)
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        f64::read_json(r).map(|v| v as f32)
     }
 }
 
@@ -230,10 +217,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_bool()
-            .ok_or_else(|| Error::custom(format!("expected bool, got {}", value.kind())))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
@@ -244,11 +229,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| Error::custom(format!("expected string, got {}", value.kind())))
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(std::borrow::Cow::into_owned)
     }
 }
 
@@ -274,10 +256,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
 }
@@ -289,14 +272,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, got {}",
-                other.kind()
-            ))),
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        let mut seq = r.seq()?;
+        while seq.next(r)? {
+            items.push(T::read_json(r)?);
         }
+        Ok(items)
     }
 }
 
@@ -307,14 +289,8 @@ impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
 }
 
 impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, got {}",
-                other.kind()
-            ))),
-        }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Vec::read_json(r).map(Self::from)
     }
 }
 
@@ -360,11 +336,5 @@ impl Serialize for Value {
                 out.push('}');
             }
         }
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
     }
 }

@@ -1,5 +1,8 @@
 //! The owned JSON-like value tree shared by the `serde` and
-//! `serde_json` shims.
+//! `serde_json` shims: a `Deserialize` type for documents whose shape is
+//! not a Rust type.
+
+use crate::{Deserialize, Error, Reader};
 
 /// A JSON number, kept in its original width so integer round-trips are
 /// bit-exact (floats use Rust's shortest round-trippable formatting).
@@ -21,6 +24,27 @@ impl Number {
             Number::U(v) => v as f64,
             Number::I(v) => v as f64,
             Number::F(v) => v,
+        }
+    }
+
+    /// This number as `u64`, if it is a non-negative integer (`-0`
+    /// included).
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Number::U(v) => Some(v),
+            Number::I(v) => u64::try_from(v).ok(),
+            Number::F(_) => None,
+        }
+    }
+
+    /// This number as `i64`, if it is an integer in range.
+    #[must_use]
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Number::U(v) => i64::try_from(v).ok(),
+            Number::I(v) => Some(v),
+            Number::F(_) => None,
         }
     }
 }
@@ -46,19 +70,6 @@ pub enum Value {
 static NULL: Value = Value::Null;
 
 impl Value {
-    /// Human-readable kind name for error messages.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// `true` if this is `Value::Null`.
     #[must_use]
     pub fn is_null(&self) -> bool {
@@ -87,8 +98,7 @@ impl Value {
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(Number::U(v)) => Some(*v),
-            Value::Number(Number::I(v)) if *v >= 0 => Some(*v as u64),
+            Value::Number(n) => n.as_u64(),
             _ => None,
         }
     }
@@ -97,8 +107,7 @@ impl Value {
     #[must_use]
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Number(Number::U(v)) => i64::try_from(*v).ok(),
-            Value::Number(Number::I(v)) => Some(*v),
+            Value::Number(n) => n.as_i64(),
             _ => None,
         }
     }
@@ -133,8 +142,34 @@ impl Value {
     /// Object field lookup; `None` for missing keys or non-objects.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()
-            .and_then(|fields| crate::__find(fields, key))
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+}
+
+impl Deserialize for Value {
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.kind() {
+            Some("null") => {
+                r.null()?;
+                Value::Null
+            }
+            Some("bool") => Value::Bool(r.bool()?),
+            Some("number") => Value::Number(r.number()?),
+            Some("string") => Value::String(r.str()?.into_owned()),
+            Some("array") => Value::Array(Deserialize::read_json(r)?),
+            Some("object") => {
+                let mut fields = Vec::new();
+                let mut map = r.map()?;
+                while let Some(key) = map.next_key(r)? {
+                    fields.push((key.into_owned(), Value::read_json(r)?));
+                }
+                Value::Object(fields)
+            }
+            _ => return Err(r.unexpected()),
+        })
     }
 }
 

@@ -4,8 +4,13 @@
 //! `syn`/`quote` this crate walks the raw [`proc_macro::TokenStream`] of
 //! the deriving item and emits the shim's impls as formatted source
 //! text: a `Serialize::write_json` that appends compact JSON straight to
-//! the output buffer, and a `Deserialize::from_value` that rebuilds the
-//! type from a parsed value tree. Supported shapes: non-generic structs
+//! the output buffer, and a `Deserialize::read_json` that reads the type
+//! straight from the shim's pull parser. A named-field body keeps one
+//! `Option` slot per field and fills it while walking the object's keys
+//! in any order: the first occurrence of a key wins (a repeat is still
+//! syntax-checked), unknown keys are skipped, and at the closing `}` a
+//! missing `skip` or `default` field takes `Default::default()` while
+//! any other missing field is an error. Supported shapes: non-generic structs
 //! (named, tuple, unit) and enums (unit, newtype, tuple, struct variants)
 //! with optional `#[serde(skip)]` / `#[serde(default)]` field attributes
 //! — exactly the surface the DReAMSim workspace uses.
@@ -32,6 +37,8 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 /// One field of a named-field struct or struct variant.
 struct Field {
     name: String,
+    /// The field's type, as source text.
+    ty: String,
     /// `#[serde(skip)]`: omitted on serialize, defaulted on deserialize.
     skip: bool,
     /// `#[serde(default)]`: defaulted when missing on deserialize.
@@ -110,8 +117,10 @@ fn parse_named(stream: TokenStream) -> Vec<Field> {
             }
         }
         let name = ident_of(&toks[i]).expect("field name");
-        i += 2; // name, ':'
-                // Skip the type: everything up to a comma outside angle brackets.
+        // The type: everything after `name:` up to a comma outside
+        // angle brackets.
+        i += 2;
+        let start = i;
         let mut depth = 0i32;
         while i < toks.len() {
             if is_punct(&toks[i], '<') {
@@ -119,13 +128,19 @@ fn parse_named(stream: TokenStream) -> Vec<Field> {
             } else if is_punct(&toks[i], '>') {
                 depth -= 1;
             } else if is_punct(&toks[i], ',') && depth == 0 {
-                i += 1;
                 break;
             }
             i += 1;
         }
+        let ty = toks[start..i]
+            .iter()
+            .cloned()
+            .collect::<TokenStream>()
+            .to_string();
+        i += 1; // ','
         fields.push(Field {
             name,
+            ty,
             skip,
             default,
         });
@@ -285,33 +300,6 @@ fn write_tuple(items: &[String], open: &str, close: &str) -> String {
     write_body(open, close, &parts)
 }
 
-/// Deserialize expression rebuilding a named-field body from `__obj`.
-fn named_from_obj(type_path: &str, ctx: &str, fields: &[Field]) -> String {
-    let mut out = format!("{type_path} {{ ");
-    for f in fields {
-        if f.skip {
-            let _ = write!(out, "{}: ::std::default::Default::default(), ", f.name);
-        } else if f.default {
-            let _ = write!(
-                out,
-                "{name}: match ::serde::__find(__obj, \"{name}\") {{ \
-                   Some(__x) => ::serde::Deserialize::from_value(__x)?, \
-                   None => ::std::default::Default::default(), }}, ",
-                name = f.name
-            );
-        } else {
-            let _ = write!(
-                out,
-                "{name}: ::serde::Deserialize::from_value(::serde::__find(__obj, \"{name}\")\
-                   .ok_or_else(|| ::serde::Error::custom(\"{ctx}: missing field {name}\"))?)?, ",
-                name = f.name
-            );
-        }
-    }
-    out.push('}');
-    out
-}
-
 /// The `Serialize` impl: one `write_json` per type that appends compact
 /// JSON to the output buffer. Field names and variant tags are fixed at
 /// expansion time, so they are written as literal text (Rust identifiers
@@ -373,32 +361,90 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
+/// Statements reading a named-field body from the object at `__r` and
+/// evaluating to `path { .. }`, which also names the type in errors.
+fn read_named(path: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut built = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        if f.skip {
+            let _ = write!(built, "{name}: ::std::default::Default::default(), ");
+            continue;
+        }
+        let _ = write!(
+            slots,
+            "let mut __f{i}: ::std::option::Option<{ty}> = ::std::option::Option::None; ",
+            ty = f.ty
+        );
+        let _ = write!(
+            arms,
+            "\"{name}\" if __f{i}.is_none() => \
+               __f{i} = ::std::option::Option::Some(::serde::Deserialize::read_json(__r)?), "
+        );
+        if f.default {
+            let _ = write!(built, "{name}: __f{i}.unwrap_or_default(), ");
+        } else {
+            let _ = write!(
+                built,
+                "{name}: __f{i}.ok_or_else(|| \
+                   ::serde::Error::custom(\"{path}: missing field {name}\"))?, "
+            );
+        }
+    }
+    format!(
+        "{slots} \
+         let mut __map = __r.map().map_err(|_| \
+           ::serde::Error::custom(\"{path}: expected object\"))?; \
+         while let ::std::option::Option::Some(__k) = __map.next_key(__r)? {{ \
+           match &*__k {{ {arms} _ => __r.skip_value()?, }} }} \
+         {path} {{ {built} }}"
+    )
+}
+
+/// Statements reading an `n`-element JSON array at `__r` into
+/// `path(__x0, ..)`; `path` also names the type in errors.
+fn read_tuple(path: &str, n: usize) -> String {
+    let shape = format!("::serde::Error::custom(\"{path}: expected {n} elements\")");
+    let mut out = format!(
+        "let mut __seq = __r.seq().map_err(|_| \
+           ::serde::Error::custom(\"{path}: expected array\"))?; "
+    );
+    for i in 0..n {
+        let _ = write!(
+            out,
+            "if !__seq.next(__r)? {{ return ::std::result::Result::Err({shape}); }} \
+             let __x{i} = ::serde::Deserialize::read_json(__r)?; "
+        );
+    }
+    let items: Vec<String> = (0..n).map(|i| format!("__x{i}")).collect();
+    let _ = write!(
+        out,
+        "if __seq.next(__r)? {{ return ::std::result::Result::Err({shape}); }} \
+         {path}({})",
+        items.join(", ")
+    );
+    out
+}
+
+/// The `Deserialize` impl: one `read_json` per type that reads it from
+/// the shim's pull parser. Enums are externally tagged: a unit variant
+/// is its name as a string, any other variant a single-key object.
 fn gen_deserialize(item: &Item) -> String {
     let name = match item {
         Item::Struct { name, .. } | Item::Enum { name, .. } => name,
     };
     let body = match item {
         Item::Struct { body, .. } => match body {
-            Body::Unit => format!("let _ = __v; Ok({name})"),
-            Body::Tuple(1) => format!("Ok({name}(::serde::Deserialize::from_value(__v)?))"),
-            Body::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&__arr[{i}])?"))
-                    .collect();
-                format!(
-                    "let __arr = __v.as_array().ok_or_else(|| \
-                       ::serde::Error::custom(\"{name}: expected array\"))?; \
-                     if __arr.len() != {n} {{ return Err(::serde::Error::custom(\
-                       \"{name}: expected {n} elements\")); }} \
-                     Ok({name}({items}))",
-                    items = items.join(", ")
-                )
+            Body::Unit => format!("__r.skip_value()?; ::std::result::Result::Ok({name})"),
+            Body::Tuple(1) => {
+                format!("::std::result::Result::Ok({name}(::serde::Deserialize::read_json(__r)?))")
             }
+            Body::Tuple(n) => format!("::std::result::Result::Ok({{ {} }})", read_tuple(name, *n)),
             Body::Named(fields) => format!(
-                "let __obj = __v.as_object().ok_or_else(|| \
-                   ::serde::Error::custom(\"{name}: expected object\"))?; \
-                 Ok({built})",
-                built = named_from_obj(name, name, fields)
+                "::std::result::Result::Ok({{ {} }})",
+                read_named(name, fields)
             ),
         },
         Item::Enum { name, variants } => {
@@ -406,67 +452,50 @@ fn gen_deserialize(item: &Item) -> String {
             let mut data_arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.body {
+                let path = format!("{name}::{vn}");
+                let read = match &v.body {
                     Body::Unit => {
-                        let _ = write!(
-                            unit_arms,
-                            "if __s == \"{vn}\" {{ return Ok({name}::{vn}); }} "
-                        );
+                        let _ = write!(unit_arms, "\"{vn}\" => {path}, ");
+                        continue;
                     }
-                    Body::Tuple(1) => {
-                        let _ = write!(
-                            data_arms,
-                            "if __k == \"{vn}\" {{ return Ok({name}::{vn}(\
-                               ::serde::Deserialize::from_value(__inner)?)); }} "
-                        );
-                    }
-                    Body::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&__arr[{i}])?"))
-                            .collect();
-                        let _ = write!(
-                            data_arms,
-                            "if __k == \"{vn}\" {{ \
-                               let __arr = __inner.as_array().ok_or_else(|| \
-                                 ::serde::Error::custom(\"{name}::{vn}: expected array\"))?; \
-                               if __arr.len() != {n} {{ return Err(::serde::Error::custom(\
-                                 \"{name}::{vn}: expected {n} elements\")); }} \
-                               return Ok({name}::{vn}({items})); }} ",
-                            items = items.join(", ")
-                        );
-                    }
-                    Body::Named(fields) => {
-                        let built = named_from_obj(
-                            &format!("{name}::{vn}"),
-                            &format!("{name}::{vn}"),
-                            fields,
-                        );
-                        let _ = write!(
-                            data_arms,
-                            "if __k == \"{vn}\" {{ \
-                               let __obj = __inner.as_object().ok_or_else(|| \
-                                 ::serde::Error::custom(\"{name}::{vn}: expected object\"))?; \
-                               return Ok({built}); }} "
-                        );
-                    }
-                }
+                    Body::Tuple(1) => format!("{path}(::serde::Deserialize::read_json(__r)?)"),
+                    Body::Tuple(n) => read_tuple(&path, *n),
+                    Body::Named(fields) => read_named(&path, fields),
+                };
+                let _ = write!(data_arms, "\"{vn}\" => {{ {read} }}, ");
             }
+            let unknown = format!(
+                "return ::std::result::Result::Err(::serde::Error::custom(\
+                   format!(\"{name}: unknown variant {{}}\", __tag)))"
+            );
+            let expected = format!("::serde::Error::custom(\"{name}: expected variant\")");
+            // An enum without data variants has no object form.
+            let object_arm = if data_arms.is_empty() {
+                String::new()
+            } else {
+                format!(
+                    "::std::option::Option::Some(\"object\") => {{ \
+                       let mut __map = __r.map()?; \
+                       let __tag = __map.next_key(__r)?.ok_or_else(|| {expected})?; \
+                       let __value = match &*__tag {{ {data_arms} _ => {unknown}, }}; \
+                       if __map.next_key(__r)?.is_some() {{ \
+                         return ::std::result::Result::Err({expected}); }} \
+                       __value }} "
+                )
+            };
             format!(
-                "if let Some(__s) = __v.as_str() {{ {unit_arms} \
-                   return Err(::serde::Error::custom(format!(\"{name}: unknown variant {{__s}}\"))); }} \
-                 if let Some(__pairs) = __v.as_object() {{ \
-                   if __pairs.len() == 1 {{ \
-                     let (__k, __inner) = (&__pairs[0].0, &__pairs[0].1); \
-                     let _ = __inner; \
-                     {data_arms} \
-                     return Err(::serde::Error::custom(format!(\"{name}: unknown variant {{__k}}\"))); }} }} \
-                 Err(::serde::Error::custom(\"{name}: expected variant\"))"
+                "::std::result::Result::Ok(match __r.kind() {{ \
+                   ::std::option::Option::Some(\"string\") => {{ \
+                     let __tag = __r.str()?; \
+                     match &*__tag {{ {unit_arms} _ => {unknown}, }} }} \
+                   {object_arm} \
+                   _ => return ::std::result::Result::Err({expected}), }})"
             )
         }
     };
     format!(
         "#[automatically_derived] impl ::serde::Deserialize for {name} {{ \
-           fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ \
-             {body} }} }}"
+           fn read_json(__r: &mut ::serde::Reader<'_>) \
+             -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}"
     )
 }

@@ -1,12 +1,15 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Writes JSON text by streaming the vendored serde shim's
-//! [`Serialize::write_json`] and parses JSON text back into its
-//! [`Value`] tree, covering the workspace's usage: `to_string`,
-//! `to_string_pretty`, `from_str`, and indexable [`Value`] documents.
-//! Floats use Rust's shortest round-trippable formatting (`{:?}`), so
-//! serialize → parse round-trips are bit-exact for finite values;
-//! non-finite floats render as `null` like the real crate.
+//! Both directions stream through the vendored serde shim, covering the
+//! workspace's usage: `to_string` and `to_string_pretty` append compact
+//! JSON through [`Serialize::write_json`]; `from_str` and `from_slice`
+//! drive a [`serde::Reader`] over the text, from which
+//! [`Deserialize::read_json`] reads the target type with no
+//! intermediate tree. [`Value`] is one more target type, indexable for
+//! documents whose shape is not a Rust type. Floats use Rust's shortest
+//! round-trippable formatting (`{:?}`), so serialize → parse
+//! round-trips are bit-exact for finite values; non-finite floats
+//! render as `null` like the real crate.
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Number, Value};
@@ -37,20 +40,17 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 /// Deserialize any supported type from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
-    }
-    T::from_value(&v)
+    from_slice(s.as_bytes())
+}
+
+/// Deserialize any supported type from JSON bytes, in one pass. Bytes
+/// that are not UTF-8 are an error: inside a string they fail the
+/// string's check, and anywhere else no JSON token starts with them.
+pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
+    let mut r = serde::Reader::new(bytes);
+    let value = T::read_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Re-indent compact JSON, as [`Serialize::write_json`] writes it (no
@@ -121,233 +121,6 @@ fn indent(compact: &str) -> String {
     }
     out.push_str(&compact[run..]);
     out
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at offset {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        let bad = |pos: usize| Error::custom(format!("unexpected character at offset {pos}"));
-        match self.peek() {
-            Some(b'n') => self
-                .eat_keyword("null")
-                .then_some(Value::Null)
-                .ok_or_else(|| bad(self.pos)),
-            Some(b't') => self
-                .eat_keyword("true")
-                .then_some(Value::Bool(true))
-                .ok_or_else(|| bad(self.pos)),
-            Some(b'f') => self
-                .eat_keyword("false")
-                .then_some(Value::Bool(false))
-                .ok_or_else(|| bad(self.pos)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(bad(self.pos)),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `]` at offset {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => {
-                    return Err(Error::custom(format!(
-                        "expected `,` or `}}` at offset {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::custom("invalid UTF-8 in string"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "unknown escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                _ => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        let number = if float {
-            Number::F(
-                text.parse::<f64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        } else if text.starts_with('-') {
-            Number::I(
-                text.parse::<i64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        } else {
-            Number::U(
-                text.parse::<u64>()
-                    .map_err(|_| Error::custom(format!("invalid number `{text}`")))?,
-            )
-        };
-        Ok(Value::Number(number))
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Minimal flag parser for the `dreamsim` binary (no external
-//! dependencies): `--key value` pairs and bare positionals after a
-//! subcommand.
+//! dependencies): `--key value` pairs after a subcommand. No subcommand
+//! takes a positional argument, so [`Args::check`] rejects any bare
+//! token after the subcommand (a single-dash `-seed 9` included).
 
 use std::collections::BTreeMap;
 
@@ -59,10 +60,15 @@ impl Args {
         Ok(out)
     }
 
-    /// Reject any flag outside `valued` and `bare`, a valued flag
-    /// without a value, and a bare flag that swallowed one. `command`
-    /// names the subcommand in the error.
+    /// Reject any positional, any flag outside `valued` and `bare`, a
+    /// valued flag without a value, and a bare flag that swallowed one.
+    /// `command` names the subcommand in the error.
     pub fn check(&self, command: &str, valued: &[&str], bare: &[&str]) -> Result<(), ArgError> {
+        if let Some(token) = self.positionals.first() {
+            return Err(ArgError(format!(
+                "unexpected argument {token:?} for `dreamsim {command}` (flags take two dashes)"
+            )));
+        }
         for (name, value) in &self.flags {
             if valued.contains(&name.as_str()) {
                 if value.is_empty() {
@@ -183,6 +189,20 @@ mod tests {
         assert!(missing.unwrap_err().0.contains("--seed needs a value"));
         let swallowed = parse("run --audit 5").check("run", &[], &["audit"]);
         assert!(swallowed.unwrap_err().0.contains("--audit takes no value"));
+    }
+
+    #[test]
+    fn check_rejects_positionals_naming_the_token() {
+        let single_dash = parse("run --nodes 5 -seed 9").check("run", &["nodes", "seed"], &[]);
+        assert_eq!(
+            single_dash.unwrap_err().0,
+            "unexpected argument \"-seed\" for `dreamsim run` (flags take two dashes)"
+        );
+        let extra = parse("serve extra --horizon 5").check("serve", &["horizon"], &[]);
+        assert!(extra
+            .unwrap_err()
+            .0
+            .contains("\"extra\" for `dreamsim serve`"));
     }
 
     #[test]

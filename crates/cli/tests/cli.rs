@@ -582,6 +582,47 @@ fn domain_kind_without_domains_is_rejected_before_any_work() {
 }
 
 #[test]
+fn stray_positional_tokens_are_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-stray-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for command in ["run", "serve"] {
+        for stray in [&["-seed", "9"][..], &["extra"][..]] {
+            let out_path = dir.join(format!("{command}.out"));
+            let ring = dir.join(format!("{command}-ring"));
+            let out = dreamsim()
+                .args([command, "--nodes", "5", "--tasks", "20"])
+                .args(stray)
+                .arg("--out")
+                .arg(&out_path)
+                .args(if command == "serve" {
+                    vec!["--horizon", "500", "--ring-dir", ring.to_str().unwrap()]
+                } else {
+                    Vec::new()
+                })
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "dreamsim {command} {stray:?}: {err}"
+            );
+            let named = format!(
+                "unexpected argument {:?} for `dreamsim {command}`",
+                stray[0]
+            );
+            assert!(err.contains(&named), "dreamsim {command} {stray:?}: {err}");
+            assert!(
+                out.stdout.is_empty() && !out_path.exists() && !ring.exists(),
+                "dreamsim {command} {stray:?} ran before rejecting the token"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_from_missing_path_is_a_typed_error_not_a_panic() {
     let missing = "/no/such/dir/checkpoint-000000001000.dsc";
     let out = dreamsim()

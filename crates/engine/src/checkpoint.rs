@@ -285,12 +285,15 @@ pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointE
 /// The file is read as raw bytes. Validation order: magic and header
 /// shape ([`CheckpointError::Format`]), format version
 /// ([`CheckpointError::Version`]), payload checksum
-/// ([`CheckpointError::Crc`]), then UTF-8 and JSON decoding
-/// ([`CheckpointError::Format`]). The checksum runs before any text
-/// decoding, so every corruption of the payload — including one that
-/// breaks UTF-8 — is reported as a CRC mismatch. Semantic validation
-/// (parameters, policy/source identity, state invariants) happens later,
-/// in [`Simulation::resume`](crate::Simulation::resume).
+/// ([`CheckpointError::Crc`]), then decoding ([`CheckpointError::Format`]).
+/// The checksum runs before any decoding, so every corruption of the
+/// payload — including one that breaks UTF-8 — is reported as a CRC
+/// mismatch. The decoder then reads the checked bytes in one pass,
+/// straight into the typed [`Checkpoint`] with no intermediate tree,
+/// checking UTF-8 inside strings, the only place JSON allows non-ASCII
+/// bytes. Semantic validation (parameters, policy/source identity, state
+/// invariants) happens later, in
+/// [`Simulation::resume`](crate::Simulation::resume).
 pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
     let raw = std::fs::read(path)?;
     let newline = raw
@@ -327,9 +330,7 @@ pub fn read_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
     if found != expected {
         return Err(CheckpointError::Crc { expected, found });
     }
-    let payload = std::str::from_utf8(payload)
-        .map_err(|e| CheckpointError::Format(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str(payload)
+    serde_json::from_slice(payload)
         .map_err(|e| CheckpointError::Format(format!("payload decode failed: {e}")))
 }
 

@@ -231,39 +231,62 @@ impl serde::Serialize for EventQueue {
 }
 
 impl serde::Deserialize for EventQueue {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("EventQueue: expected object"))?;
-        let entries = serde::__find(obj, "entries")
-            .and_then(serde::Value::as_array)
-            .ok_or_else(|| serde::Error::custom("EventQueue: missing entries array"))?;
-        let next_seq: u64 = serde::Deserialize::from_value(
-            serde::__find(obj, "next_seq")
-                .ok_or_else(|| serde::Error::custom("EventQueue: missing next_seq"))?,
-        )?;
-        let mut heap = BinaryHeap::with_capacity(entries.len());
-        for e in entries {
-            let parts = e
-                .as_array()
-                .ok_or_else(|| serde::Error::custom("EventQueue: entry must be an array"))?;
-            if parts.len() != 3 {
-                return Err(serde::Error::custom(
-                    "EventQueue: entry must be [time, seq, event]",
-                ));
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let no_entries = || serde::Error::custom("EventQueue: missing entries array");
+        let (mut entries, mut next_seq) = (None, None);
+        let mut map = r
+            .map()
+            .map_err(|_| serde::Error::custom("EventQueue: expected object"))?;
+        while let Some(key) = map.next_key(r)? {
+            match &*key {
+                "entries" if entries.is_none() => {
+                    let mut seq = r.seq().map_err(|_| no_entries())?;
+                    let mut list = Vec::new();
+                    while seq.next(r)? {
+                        list.push(read_entry(r)?);
+                    }
+                    entries = Some(list);
+                }
+                "next_seq" if next_seq.is_none() => {
+                    next_seq = Some(<u64 as serde::Deserialize>::read_json(r)?);
+                }
+                _ => r.skip_value()?,
             }
-            let time: Ticks = serde::Deserialize::from_value(&parts[0])?;
-            let seq: u64 = serde::Deserialize::from_value(&parts[1])?;
-            if seq >= next_seq {
+        }
+        let entries = entries.ok_or_else(no_entries)?;
+        let next_seq =
+            next_seq.ok_or_else(|| serde::Error::custom("EventQueue: missing next_seq"))?;
+        let mut heap = BinaryHeap::with_capacity(entries.len());
+        for entry in entries {
+            if entry.seq >= next_seq {
                 return Err(serde::Error::custom(format!(
-                    "EventQueue: entry seq {seq} not below next_seq {next_seq}"
+                    "EventQueue: entry seq {} not below next_seq {next_seq}",
+                    entry.seq
                 )));
             }
-            let event: Event = serde::Deserialize::from_value(&parts[2])?;
-            heap.push(Scheduled { time, seq, event });
+            heap.push(entry);
         }
         Ok(Self { heap, next_seq })
     }
+}
+
+/// One `[time, seq, event]` queue entry.
+fn read_entry(r: &mut serde::Reader<'_>) -> Result<Scheduled, serde::Error> {
+    let shape = || serde::Error::custom("EventQueue: entry must be [time, seq, event]");
+    let mut parts = r
+        .seq()
+        .map_err(|_| serde::Error::custom("EventQueue: entry must be an array"))?;
+    let mut next = |r: &mut serde::Reader<'_>| parts.next(r)?.then_some(()).ok_or_else(shape);
+    next(r)?;
+    let time: Ticks = serde::Deserialize::read_json(r)?;
+    next(r)?;
+    let seq: u64 = serde::Deserialize::read_json(r)?;
+    next(r)?;
+    let event: Event = serde::Deserialize::read_json(r)?;
+    if parts.next(r)? {
+        return Err(shape());
+    }
+    Ok(Scheduled { time, seq, event })
 }
 
 #[cfg(test)]

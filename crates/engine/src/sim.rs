@@ -245,17 +245,36 @@ impl serde::Serialize for TaskTable {
 }
 
 impl serde::Deserialize for TaskTable {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let s = value
-            .get("packed")
-            .ok_or_else(|| serde::Error::custom("TaskTable: expected a packed field"))?
-            .as_str()
-            .ok_or_else(|| serde::Error::custom("TaskTable: packed must be a string"))?;
-        let bytes = crate::compact::from_base64(s)
-            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
-        let tasks = crate::compact::decode_tasks(&bytes)
-            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
-        if let Some(count) = value.get("count").and_then(serde::Value::as_u64) {
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let invalid = |e: String| serde::Error::custom(format!("TaskTable: {e}"));
+        let no_packed = || serde::Error::custom("TaskTable: expected a packed field");
+        // `count` is a cross-check, read only when it is an integer.
+        let (mut tasks, mut count) = (None, None);
+        let mut map = r.map().map_err(|_| no_packed())?;
+        while let Some(key) = map.next_key(r)? {
+            match &*key {
+                "packed" if tasks.is_none() => {
+                    if r.kind() != Some("string") {
+                        return Err(serde::Error::custom("TaskTable: packed must be a string"));
+                    }
+                    // Base64 needs no escapes, so this borrows the payload.
+                    let bytes = crate::compact::from_base64(&r.str()?).map_err(invalid)?;
+                    tasks = Some(crate::compact::decode_tasks(&bytes).map_err(invalid)?);
+                }
+                "count" if count.is_none() => {
+                    count = Some(match r.kind() {
+                        Some("number") => r.number()?.as_u64(),
+                        _ => {
+                            r.skip_value()?;
+                            None
+                        }
+                    });
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let tasks = tasks.ok_or_else(no_packed)?;
+        if let Some(count) = count.flatten() {
             if count != tasks.len() as u64 {
                 return Err(serde::Error::custom(format!(
                     "TaskTable: count {count} disagrees with packed length {}",
@@ -3070,6 +3089,144 @@ mod tests {
             read_checkpoint(&case),
             Err(CheckpointError::Format(_))
         ));
+    }
+
+    /// A CRC-valid payload of every serialized shape this fixture
+    /// reaches: faults, partition domains with a scripted outage, and
+    /// sketch statistics.
+    fn fuzz_base_payload() -> String {
+        let mut p = fault_params();
+        p.domains = Some(DomainParams {
+            count: 2,
+            mttf: Some(300),
+            mttr: 50,
+            kind: DomainOutageKind::Partition,
+            scripted: vec![ScriptedOutage {
+                domain: 0,
+                at: 60,
+                duration: 100,
+            }],
+        });
+        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy)
+            .unwrap()
+            .with_stats_backend(crate::stats::StatsBackend::Sketch);
+        drive_until(&mut sim, 150);
+        serde_json::to_string(&sim.checkpoint()).unwrap()
+    }
+
+    /// Replace one JSON token of `v`, picked by `rng`: a number becomes
+    /// 2^64, negative, a float or a string; a string (or a `null`, a
+    /// bool or an empty container) becomes a number; an array loses an
+    /// element or is cut short; an object loses a member. The new token
+    /// is a marker string in the tree, and the returned text is what
+    /// replaces it in the rendered payload.
+    fn mutate_one_token(v: &mut serde::Value, rng: &mut Rng) -> (String, Option<String>) {
+        use serde::Value;
+        const MARKER: &str = "@@fuzz@@";
+        fn count(v: &Value) -> usize {
+            1 + match v {
+                Value::Array(items) => items.iter().map(count).sum(),
+                Value::Object(fields) => fields.iter().map(|(_, x)| count(x)).sum(),
+                _ => 0,
+            }
+        }
+        /// The `target`-th value of `v` in pre-order.
+        fn nth<'a>(v: &'a mut Value, target: &mut usize) -> Option<&'a mut Value> {
+            if *target == 0 {
+                return Some(v);
+            }
+            *target -= 1;
+            match v {
+                Value::Array(items) => items.iter_mut().find_map(|x| nth(x, target)),
+                Value::Object(fields) => fields.iter_mut().find_map(|(_, x)| nth(x, target)),
+                _ => None,
+            }
+        }
+        let mut target = rng.index(count(v));
+        let site = nth(v, &mut target).expect("a value in range");
+        let text = match site {
+            Value::Number(n) => {
+                let n = n.as_u64().unwrap_or(7);
+                match rng.index(4) {
+                    0 => "18446744073709551616".to_string(),
+                    1 => format!("-{n}1"),
+                    2 => format!("{n}.5"),
+                    _ => format!("\"{n}\""),
+                }
+            }
+            Value::Array(items) if !items.is_empty() => {
+                let len = items.len();
+                if rng.index(2) == 0 {
+                    let gone = rng.index(len);
+                    items.remove(gone);
+                    return (format!("array element {gone} of {len} deleted"), None);
+                }
+                let keep = rng.index(len);
+                items.truncate(keep);
+                return (format!("array cut from {len} to {keep}"), None);
+            }
+            Value::Object(fields) if !fields.is_empty() => {
+                let (key, _) = fields.remove(rng.index(fields.len()));
+                return (format!("member {key:?} deleted"), None);
+            }
+            _ => "3".to_string(),
+        };
+        let what = format!("{} became {text}", serde_json::to_string(site).unwrap());
+        *site = Value::String(MARKER.to_string());
+        (what, Some(text))
+    }
+
+    /// Mutate one token of a valid payload per case, re-stamp the CRC,
+    /// and load it: `read_checkpoint` then `resume` must return, `Ok` or
+    /// a typed error, and never panic or overflow.
+    fn fuzz_decoder(seed: u64, cases: usize) {
+        let payload = fuzz_base_payload();
+        let tree: serde::Value = serde_json::from_str(&payload).unwrap();
+        let dir = temp_dir(&format!("token-fuzz-{seed}"));
+        let path = dir.join("case.dsc");
+        let mut rng = Rng::seed_from(seed);
+        let mut rejected = 0;
+        for case in 0..cases {
+            let mut v = tree.clone();
+            let (what, text) = mutate_one_token(&mut v, &mut rng);
+            let mut mutated = serde_json::to_string(&v).unwrap();
+            if let Some(text) = text {
+                mutated = mutated.replacen("\"@@fuzz@@\"", &text, 1);
+            }
+            let header = format!(
+                "DREAMSIM-CHECKPOINT {} {:08x}\n",
+                checkpoint::FORMAT_VERSION,
+                checkpoint::crc32(mutated.as_bytes())
+            );
+            std::fs::write(&path, header + &mutated).unwrap();
+            let outcome = std::panic::catch_unwind(|| {
+                read_checkpoint(&path)
+                    .and_then(|cp| Simulation::resume(cp, FixedSource, GreedyPolicy).map(|_| ()))
+            });
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("seed {seed} case {case}: {what}: the loader panicked"),
+            }
+        }
+        assert!(
+            rejected > cases / 2,
+            "seed {seed}: only {rejected} of {cases} mutations were rejected"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_decoder_survives_token_mutations() {
+        fuzz_decoder(0xF022, 300);
+    }
+
+    #[test]
+    #[ignore = "a larger fixed-seed sweep; CI runs it by name"]
+    fn checkpoint_decoder_survives_token_mutations_sweep() {
+        for seed in 1..=8 {
+            fuzz_decoder(seed, 1_000);
+        }
     }
 
     #[test]

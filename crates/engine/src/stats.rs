@@ -391,23 +391,33 @@ impl Serialize for WaitSketch {
 }
 
 impl Deserialize for WaitSketch {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("WaitSketch: expected object"))?;
-        let field = |k: &str| {
-            serde::__find(obj, k)
-                .ok_or_else(|| serde::Error::custom(format!("WaitSketch: missing {k}")))
-        };
-        let count: u64 = Deserialize::from_value(field("count")?)?;
-        let max: Ticks = Deserialize::from_value(field("max")?)?;
-        let collapsed = field("collapsed")?
-            .as_bool()
-            .ok_or_else(|| serde::Error::custom("WaitSketch: collapsed must be a bool"))?;
-        let exact: Vec<Ticks> = Deserialize::from_value(field("exact")?)?;
-        let pairs = field("buckets")?
-            .as_array()
-            .ok_or_else(|| serde::Error::custom("WaitSketch: buckets must be an array"))?;
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut count, mut max, mut collapsed, mut exact, mut pairs) =
+            (None, None, None, None, None);
+        let mut map = r
+            .map()
+            .map_err(|_| serde::Error::custom("WaitSketch: expected object"))?;
+        while let Some(key) = map.next_key(r)? {
+            match &*key {
+                "count" if count.is_none() => count = Some(u64::read_json(r)?),
+                "max" if max.is_none() => max = Some(Ticks::read_json(r)?),
+                "collapsed" if collapsed.is_none() => {
+                    let bool_error =
+                        |_| serde::Error::custom("WaitSketch: collapsed must be a bool");
+                    collapsed = Some(r.bool().map_err(bool_error)?);
+                }
+                "exact" if exact.is_none() => exact = Some(Vec::<Ticks>::read_json(r)?),
+                // Checked against `collapsed` below: fields come in any order.
+                "buckets" if pairs.is_none() => pairs = Some(read_buckets(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |k: &str| serde::Error::custom(format!("WaitSketch: missing {k}"));
+        let count = count.ok_or_else(|| missing("count"))?;
+        let max = max.ok_or_else(|| missing("max"))?;
+        let collapsed = collapsed.ok_or_else(|| missing("collapsed"))?;
+        let exact = exact.ok_or_else(|| missing("exact"))?;
+        let pairs = pairs.ok_or_else(|| missing("buckets"))?;
         let mut counts = if collapsed {
             vec![0u64; Self::NUM_BUCKETS]
         } else {
@@ -415,13 +425,7 @@ impl Deserialize for WaitSketch {
         };
         let mut bucket_total = 0u64;
         let mut last_idx: Option<u64> = None;
-        for pair in pairs {
-            let parts = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| serde::Error::custom("WaitSketch: bucket must be [index, count]"))?;
-            let idx: u64 = Deserialize::from_value(&parts[0])?;
-            let c: u64 = Deserialize::from_value(&parts[1])?;
+        for (idx, c) in pairs {
             if !collapsed || idx >= Self::NUM_BUCKETS as u64 || c == 0 {
                 return Err(serde::Error::custom(format!(
                     "WaitSketch: invalid bucket entry [{idx}, {c}]"
@@ -454,6 +458,28 @@ impl Deserialize for WaitSketch {
             max,
         })
     }
+}
+
+/// The sparse `[[index, count], ..]` bucket pairs of a [`WaitSketch`].
+fn read_buckets(r: &mut serde::Reader<'_>) -> Result<Vec<(u64, u64)>, serde::Error> {
+    let mut pairs = Vec::new();
+    let mut seq = r
+        .seq()
+        .map_err(|_| serde::Error::custom("WaitSketch: buckets must be an array"))?;
+    while seq.next(r)? {
+        let shape = || serde::Error::custom("WaitSketch: bucket must be [index, count]");
+        let mut parts = r.seq().map_err(|_| shape())?;
+        let mut next = |r: &mut serde::Reader<'_>| parts.next(r)?.then_some(()).ok_or_else(shape);
+        next(r)?;
+        let idx = u64::read_json(r)?;
+        next(r)?;
+        let c = u64::read_json(r)?;
+        if parts.next(r)? {
+            return Err(shape());
+        }
+        pairs.push((idx, c));
+    }
+    Ok(pairs)
 }
 
 /// Running accumulator over one simulation.

@@ -717,15 +717,22 @@ impl serde::Serialize for ResourceManager {
 /// [`ResourceManager::check_invariants`], which a restore runs next,
 /// reports the corruption rather than the rebuild walking it.
 impl serde::Deserialize for ResourceManager {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            value.get(name).ok_or_else(|| {
-                serde::Error::custom(format!("ResourceManager: missing field {name}"))
-            })
-        };
-        let nodes: Vec<Node> = serde::Deserialize::from_value(field("nodes")?)?;
-        let configs: Vec<Config> = serde::Deserialize::from_value(field("configs")?)?;
-        let heads: ListHeads = serde::Deserialize::from_value(field("lists")?)?;
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let missing =
+            |name: &str| serde::Error::custom(format!("ResourceManager: missing field {name}"));
+        let (mut nodes, mut configs, mut heads) = (None, None, None);
+        let mut map = r.map().map_err(|_| missing("nodes"))?;
+        while let Some(key) = map.next_key(r)? {
+            match &*key {
+                "nodes" if nodes.is_none() => nodes = Some(Vec::<Node>::read_json(r)?),
+                "configs" if configs.is_none() => configs = Some(Vec::<Config>::read_json(r)?),
+                "lists" if heads.is_none() => heads = Some(ListHeads::read_json(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let nodes = nodes.ok_or_else(|| missing("nodes"))?;
+        let configs = configs.ok_or_else(|| missing("configs"))?;
+        let heads = heads.ok_or_else(|| missing("lists"))?;
         let invalid = |msg: String| serde::Error::custom(format!("ResourceManager: {msg}"));
         for (i, n) in nodes.iter().enumerate() {
             if n.id.index() != i {

@@ -241,8 +241,8 @@ impl serde::Serialize for Rng {
 }
 
 impl serde::Deserialize for Rng {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let words = <Vec<u64> as serde::Deserialize>::from_value(value)?;
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let words = <Vec<u64> as serde::Deserialize>::read_json(r)?;
         let s: [u64; 4] = words
             .try_into()
             .map_err(|_| serde::Error::custom("Rng: expected 4 state words"))?;
@@ -351,10 +351,10 @@ mod tests {
                 for _ in 0..23 {
                     draw(&mut a);
                 }
-                let snapshot = serde_json::to_value(&a).expect("Rng state serializes");
+                let snapshot = serde_json::to_string(&a).expect("Rng state serializes");
                 let expected: Vec<u64> = (0..64).map(|_| draw(&mut a)).collect();
-                let mut b = <Rng as serde::Deserialize>::from_value(&snapshot)
-                    .expect("serialized Rng state restores");
+                let mut b: Rng =
+                    serde_json::from_str(&snapshot).expect("serialized Rng state restores");
                 let got: Vec<u64> = (0..64).map(|_| draw(&mut b)).collect();
                 assert_eq!(expected, got);
             }

@@ -1,0 +1,440 @@
+//! The checkpoint decoder's contract, pinned on real payloads.
+//!
+//! `read_checkpoint` must decode what `write_checkpoint` writes back to
+//! the same state, and it must read the JSON the way the shim always
+//! has: field order, whitespace, unknown fields and repeated keys (the
+//! first occurrence wins) do not change the result; a missing
+//! `#[serde(default)]` field, `-0` for an unsigned integer and `null`
+//! for a float are accepted; a float for an integer, a missing
+//! required field (`Option`-typed included), a malformed unknown field,
+//! trailing characters, a truncated document and bytes that are not
+//! UTF-8 are all `CheckpointError::Format`. Two decoded checkpoints are
+//! compared by re-encoding them, which is byte-exact (the golden tests
+//! pin the encoder).
+
+use dreamsim::engine::{
+    read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError, DomainOutageKind,
+    DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams, SimParams, Simulation,
+    StatsBackend,
+};
+use dreamsim::sched::CaseStudyScheduler;
+use dreamsim::workload::{OpenSource, SyntheticSource};
+use serde_json::{Number, Value};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bitwise CRC-32 (IEEE, reflected), independent of the engine's.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// A new empty directory, distinct for every call (tests run in
+/// parallel and build the same scenarios).
+fn fresh_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let name = format!("dreamsim-decode-{tag}-{}-{n}", std::process::id());
+    // lint: allow(r2) -- scratch directory for test artifacts, never simulator state
+    let dir = std::env::temp_dir().join(name);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The JSON payload of the checkpoint file at `path`.
+fn payload_of(path: &Path) -> String {
+    let raw = std::fs::read_to_string(path).unwrap();
+    raw.split_once('\n').expect("a header line").1.to_string()
+}
+
+/// The payload of the middle `.dsc` file in `dir`.
+fn middle_payload(dir: &Path) -> String {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "dsc"))
+        .collect();
+    files.sort();
+    assert!(
+        !files.is_empty(),
+        "{}: no checkpoint written",
+        dir.display()
+    );
+    payload_of(&files[files.len() / 2])
+}
+
+fn batch(tag: &str, p: &SimParams, stats: StatsBackend) -> String {
+    let dir = fresh_dir(tag);
+    let opts = RunOptions {
+        checkpoint_every: Some(5_000),
+        checkpoint_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    Simulation::new(
+        p.clone(),
+        SyntheticSource::from_params(p),
+        CaseStudyScheduler::new(),
+    )
+    .unwrap()
+    .with_stats_backend(stats)
+    .run_with(&opts)
+    .unwrap();
+    let payload = middle_payload(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    payload
+}
+
+fn batch_params(nodes: usize, tasks: usize, seed: u64) -> SimParams {
+    let mut p = SimParams::paper(nodes, tasks, ReconfigMode::Partial).with_seed(seed);
+    p.task_time = dreamsim::engine::params::Range::new(10, 2_000);
+    p
+}
+
+/// A paper run with every optional parameter at its default.
+fn plain_payload() -> String {
+    batch("plain", &batch_params(20, 300, 0xD1A1), StatsBackend::Exact)
+}
+
+/// Fault injection, correlated failure domains with a scripted
+/// outage, and sketch statistics.
+fn chaos_payload() -> String {
+    let mut p = batch_params(24, 300, 0xC4A05);
+    p.faults.node_mttf = Some(20_000);
+    p.faults.reconfig_fail_prob = 0.15;
+    p.faults.task_fail_prob = 0.05;
+    p.faults.suspension_deadline = Some(100_000);
+    p.domains = Some(DomainParams {
+        count: 4,
+        mttf: Some(15_000),
+        mttr: 2_000,
+        kind: DomainOutageKind::Partition,
+        scripted: vec![dreamsim::engine::ScriptedOutage {
+            domain: 2,
+            at: 4_000,
+            duration: 3_000,
+        }],
+    });
+    batch("chaos", &p, StatsBackend::Sketch)
+}
+
+/// A mid-window `serve` snapshot: window statistics and an open source.
+fn serve_payload() -> String {
+    let horizon = 20_000;
+    let mut p = SimParams::paper(16, horizon as usize + 1, ReconfigMode::Partial).with_seed(11);
+    p.arrival = ArrivalDistribution::Poisson;
+    p.service = Some(ServiceParams {
+        horizon,
+        day_length: 4_000,
+        amplitude_permille: 400,
+        window: 1_000,
+        window_retain: 8,
+    });
+    let dir = fresh_dir("serve");
+    let mut opts = ServiceOptions::new(&dir);
+    opts.ring_every = 2_000;
+    opts.ring_retain = 1_000;
+    serve(&p, OpenSource::from_params, CaseStudyScheduler::new, &opts).unwrap();
+    let payload = middle_payload(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    payload
+}
+
+/// Decode `payload` through `read_checkpoint`, under a header whose
+/// CRC matches it.
+fn decode(dir: &Path, payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    let path = dir.join("case.dsc");
+    let mut file = format!("DREAMSIM-CHECKPOINT 2 {:08x}\n", crc32(payload)).into_bytes();
+    file.extend_from_slice(payload);
+    std::fs::write(&path, file).unwrap();
+    read_checkpoint(&path)
+}
+
+fn encode(cp: &Checkpoint) -> String {
+    serde_json::to_string(cp).unwrap()
+}
+
+/// `payload` must decode and re-encode to `expected`.
+fn assert_decodes_to(dir: &Path, what: &str, payload: &str, expected: &str) {
+    match decode(dir, payload.as_bytes()) {
+        Ok(cp) => assert!(
+            encode(&cp) == expected,
+            "{what}: decoded to a different checkpoint"
+        ),
+        Err(e) => panic!("{what}: rejected: {e}"),
+    }
+}
+
+/// `payload` must be rejected as an undecodable payload.
+fn assert_rejected(dir: &Path, what: &str, payload: &[u8]) {
+    match decode(dir, payload) {
+        Err(CheckpointError::Format(_)) => {}
+        Err(other) => panic!("{what}: expected a format error, got {other}"),
+        Ok(_) => panic!("{what}: was accepted"),
+    }
+}
+
+/// Whether `fields` are a struct's (snake_case names), not an
+/// externally tagged enum variant's single CamelCase tag.
+fn is_struct(fields: &[(String, Value)]) -> bool {
+    fields
+        .first()
+        .is_some_and(|(k, _)| k.starts_with(|c: char| c.is_ascii_lowercase()))
+}
+
+/// An object's members, in order.
+type Members = Vec<(String, Value)>;
+
+/// `v` with `edit` applied to every struct object, innermost first.
+fn map_structs(v: &Value, edit: &dyn Fn(&mut Members)) -> Value {
+    match v {
+        Value::Array(items) => Value::Array(items.iter().map(|i| map_structs(i, edit)).collect()),
+        Value::Object(fields) => {
+            let mut fields: Members = fields
+                .iter()
+                .map(|(k, x)| (k.clone(), map_structs(x, edit)))
+                .collect();
+            if is_struct(&fields) {
+                edit(&mut fields);
+            }
+            Value::Object(fields)
+        }
+        other => other.clone(),
+    }
+}
+
+/// `v` with every object's fields in reverse order.
+fn reversed(v: &Value) -> Value {
+    match v {
+        Value::Array(items) => Value::Array(items.iter().map(reversed).collect()),
+        Value::Object(fields) => Value::Object(
+            fields
+                .iter()
+                .rev()
+                .map(|(k, x)| (k.clone(), reversed(x)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// The member at `path` (numeric segments index arrays).
+fn at<'a>(mut v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    for seg in path {
+        v = match v {
+            Value::Object(fields) => {
+                let found = fields.iter_mut().find(|(k, _)| k == seg);
+                &mut found.unwrap_or_else(|| panic!("no member {seg}")).1
+            }
+            Value::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
+            other => panic!("{seg}: not a container: {other:?}"),
+        };
+    }
+    v
+}
+
+/// `v` without the member at `path`.
+fn without(v: &Value, path: &[&str]) -> Value {
+    let mut v = v.clone();
+    let (last, parent) = path.split_last().unwrap();
+    let Value::Object(fields) = at(&mut v, parent) else {
+        panic!("{parent:?} is not an object");
+    };
+    let before = fields.len();
+    fields.retain(|(k, _)| k != last);
+    assert_eq!(fields.len(), before - 1, "no member {path:?}");
+    v
+}
+
+/// `v` with the member at `path` replaced by `x`.
+fn with(v: &Value, path: &[&str], x: Value) -> Value {
+    let mut v = v.clone();
+    *at(&mut v, path) = x;
+    v
+}
+
+fn text(v: &Value) -> String {
+    serde_json::to_string(v).unwrap()
+}
+
+#[test]
+fn layout_variants_decode_to_the_same_checkpoint() {
+    let dir = fresh_dir("variants");
+    for (name, payload) in [
+        ("plain", plain_payload()),
+        ("chaos", chaos_payload()),
+        ("serve", serve_payload()),
+    ] {
+        let tree: Value = serde_json::from_str(&payload).unwrap();
+        assert_eq!(text(&tree), payload, "{name}: the value tree re-renders");
+        assert_decodes_to(&dir, &format!("{name}: as written"), &payload, &payload);
+        let unknown: Value = serde_json::from_str(
+            r#"{"a":[1,-2,3.5e-1,"s\u00e9\"",null,true,false,{"b":{},"c":[]}]}"#,
+        )
+        .unwrap();
+        let variants = [
+            (
+                "pretty-printed",
+                serde_json::to_string_pretty(&tree).unwrap(),
+            ),
+            ("fields reversed", text(&reversed(&tree))),
+            (
+                "an unknown field in every struct",
+                text(&map_structs(&tree, &|f| {
+                    f.insert(f.len() / 2, ("zz_unknown".to_string(), unknown.clone()));
+                })),
+            ),
+            (
+                "every key repeated with null",
+                text(&map_structs(&tree, &|f| {
+                    let repeats: Members =
+                        f.iter().map(|(k, _)| (k.clone(), Value::Null)).collect();
+                    f.extend(repeats);
+                })),
+            ),
+        ];
+        for (what, variant) in &variants {
+            assert_ne!(variant, &payload, "{name}, {what}: the variant differs");
+            assert_decodes_to(&dir, &format!("{name}, {what}"), variant, &payload);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn what_the_decoder_accepts_stays_accepted() {
+    let dir = fresh_dir("accepted");
+    let payload = plain_payload();
+    let tree: Value = serde_json::from_str(&payload).unwrap();
+    // Missing `#[serde(default)]` fields take their defaults, which is
+    // what a paper run holds.
+    let defaults: &[&[&str]] = &[
+        &["stats", "sketch"],
+        &["stats", "window"],
+        &["stats", "tasks_shed"],
+        &["params", "faults"],
+        &["params", "domains"],
+        &["params", "suspension_cap"],
+        &["params", "admission"],
+        &["params", "burst"],
+        &["params", "service"],
+        &["fault", "domains"],
+    ];
+    for path in defaults {
+        let variant = text(&without(&tree, path));
+        assert_decodes_to(&dir, &format!("without {path:?}"), &variant, &payload);
+    }
+    // `-0` reads as 0 for an unsigned field.
+    let zero = text(&with(&tree, &["created"], Value::Number(Number::U(0))));
+    assert_eq!(zero.matches(",\"created\":0,").count(), 1);
+    let minus_zero = zero.replace(",\"created\":0,", ",\"created\":-0,");
+    assert_decodes_to(&dir, "-0 for an unsigned field", &minus_zero, &zero);
+    // `null` reads as NaN for a float, which writes back as `null`.
+    let null = text(&with(
+        &tree,
+        &["params", "closest_match_fraction"],
+        Value::Null,
+    ));
+    assert_decodes_to(&dir, "null for a float", &null, &null);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn what_the_decoder_rejects_stays_rejected() {
+    let dir = fresh_dir("rejected");
+    let payload = plain_payload();
+    let tree: Value = serde_json::from_str(&payload).unwrap();
+    let float = |v: f64| Value::Number(Number::F(v));
+    let cases = [
+        (
+            "a float for an integer",
+            text(&with(&tree, &["clock"], float(1.5))),
+        ),
+        (
+            "an integral float for an integer",
+            text(&with(&tree, &["params", "total_nodes"], float(20.0))),
+        ),
+        (
+            "a negative number for an unsigned field",
+            text(&with(&tree, &["created"], Value::Number(Number::I(-1)))),
+        ),
+        (
+            "a missing required field",
+            text(&without(&tree, &["clock"])),
+        ),
+        (
+            "a missing nested required field",
+            text(&without(&tree, &["params", "seed"])),
+        ),
+        (
+            "a missing Option-typed required field",
+            text(&without(&tree, &["params", "max_sus_retries"])),
+        ),
+        ("trailing characters", format!("{payload} x")),
+        ("a second document", format!("{payload}{{}}")),
+        (
+            "a truncated document",
+            payload[..payload.len() - 1].to_string(),
+        ),
+        ("half a document", payload[..payload.len() / 2].to_string()),
+    ];
+    for (what, variant) in &cases {
+        assert_rejected(&dir, what, variant.as_bytes());
+    }
+    // Malformed unknown fields are still syntax-checked.
+    for junk in [
+        "[1,]",
+        "tru",
+        "nul",
+        "\"\\q\"",
+        "\"\\u12\"",
+        "\"open",
+        "{\"a\" 1}",
+        "{1:2}",
+        "1.2.3",
+        "-",
+        "99999999999999999999",
+        "[1 2]",
+        "}",
+    ] {
+        let variant = format!("{{\"zz_unknown\":{junk},{}", &payload[1..]);
+        assert_rejected(&dir, &format!("unknown field {junk}"), variant.as_bytes());
+    }
+    // Bytes that are not UTF-8, inside a string and outside one.
+    let at = payload.find("\"policy\":\"").unwrap() + "\"policy\":\"".len();
+    let mut bytes = payload.clone().into_bytes();
+    bytes.insert(at, 0xff);
+    assert_rejected(&dir, "a non-UTF-8 byte in a string", &bytes);
+    let mut bytes = payload.into_bytes();
+    bytes.insert(1, 0xc3);
+    assert_rejected(&dir, "a non-UTF-8 byte between fields", &bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A CRC-valid payload nesting an unknown field a million arrays deep
+/// is a decode error. The tree-building decoder, and a reader without
+/// a depth limit, overflowed the stack and aborted the process.
+#[test]
+fn a_deeply_nested_payload_is_a_format_error() {
+    let dir = fresh_dir("deep");
+    let payload = plain_payload();
+    let depth = 1_000_000;
+    let deep = format!(
+        "{{\"zz_unknown\":{}{},{}",
+        "[".repeat(depth),
+        "]".repeat(depth),
+        &payload[1..]
+    );
+    assert_rejected(&dir, "a million nested arrays", deep.as_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,10 +11,12 @@
 //! retired version 1 is refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
-//! into one `(files, bytes, crc32)` triple. On a mismatch the message
-//! prints the actual triple. The strip scenario also pins its final
-//! XML report as `(bytes, crc32)`: its end-of-run fragmentation is
-//! computed only when the run finishes, so no checkpoint holds it.
+//! into one `(files, bytes, crc32)` triple; on a mismatch the message
+//! prints the actual triple. Decoding each file and encoding it again
+//! must reproduce its payload byte for byte. The strip scenario also
+//! pins its final XML report as `(bytes, crc32)`: its end-of-run
+//! fragmentation is computed only when the run finishes, so no
+//! checkpoint holds it.
 
 use dreamsim::engine::{
     read_checkpoint, serve, AdmissionPolicy, ArrivalDistribution, CheckpointError,
@@ -88,6 +90,23 @@ fn check(name: &str, files: &[PathBuf], golden: Golden) {
         "{name}: checkpoint bytes changed; actual (files, bytes, crc32) = \
          ({}, {}, 0x{:08X})",
         actual.0, actual.1, actual.2
+    );
+    for f in files {
+        assert_round_trips(f);
+    }
+}
+
+/// Decoding the checkpoint at `path` and encoding it again must
+/// reproduce its payload byte for byte.
+fn assert_round_trips(path: &Path) {
+    let raw = std::fs::read(path).unwrap();
+    let newline = raw.iter().position(|&b| b == b'\n').expect("a header line");
+    let cp = read_checkpoint(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let again = serde_json::to_string(&cp).unwrap();
+    assert!(
+        again.as_bytes() == &raw[newline + 1..],
+        "{}: decode then encode changed the payload",
+        path.display()
     );
 }
 
