@@ -23,7 +23,8 @@
 use crate::event::{Event, EventQueue};
 use crate::sim::TaskTable;
 use dreamsim_model::{
-    Area, ConfigId, EntryRef, NodeId, ResourceManager, SuspensionQueue, TaskId, TaskState, Ticks,
+    Area, Capabilities, ConfigId, Demand, EntryRef, NodeId, ResourceManager, SuspensionQueue,
+    TaskId, TaskState, Ticks,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -139,8 +140,10 @@ impl std::error::Error for AuditError {}
 ///    completion/failure events point at the slot actually running the
 ///    task, and current suspension timeouts point at a queued task;
 /// 6. suspension queue — queued ids are in range and `Suspended`, no
-///    duplicates, the queue holds exactly the suspended tasks, and its
-///    config column holds each queued task's `resolved_config`.
+///    duplicates, the queue holds exactly the suspended tasks, its
+///    config column holds each queued task's `resolved_config`, and that
+///    configuration fits some node's `TotalArea` with the capabilities
+///    it requires (otherwise the task could never leave the queue).
 pub fn check(
     resources: &ResourceManager,
     tasks: &TaskTable,
@@ -154,7 +157,7 @@ pub fn check(
     check_task_slot_bijection(resources, tasks)?;
     check_task_configs(resources, tasks)?;
     check_event_targets(resources, tasks, suspension, events, clock, num_domains)?;
-    check_suspension(tasks, suspension)?;
+    check_suspension(resources, tasks, suspension)?;
     Ok(())
 }
 
@@ -356,7 +359,11 @@ fn check_event_targets(
     Ok(())
 }
 
-fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(), AuditError> {
+fn check_suspension(
+    resources: &ResourceManager,
+    tasks: &TaskTable,
+    suspension: &SuspensionQueue,
+) -> Result<(), AuditError> {
     if suspension.configs().len() != suspension.len() {
         return Err(AuditError::Suspension {
             detail: format!(
@@ -366,6 +373,7 @@ fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(
             ),
         });
     }
+    let hostable = hostable_configs(resources);
     let mut seen: BTreeSet<TaskId> = BTreeSet::new();
     for (task, config) in suspension.iter().zip(suspension.configs()) {
         if task.index() >= tasks.len() {
@@ -396,6 +404,18 @@ fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(
                 ),
             });
         }
+        // An out-of-range id has no entry; group 4 has rejected it.
+        if let Some(c) = config.filter(|c| hostable.get(c.index()) == Some(&false)) {
+            let config = resources.config(c);
+            return Err(AuditError::Suspension {
+                detail: format!(
+                    "queued {task} needs {c} ({} area units, capabilities {:?}), which no \
+                     node can host",
+                    config.req_area,
+                    config.required_caps.iter().collect::<Vec<_>>()
+                ),
+            });
+        }
     }
     let suspended = tasks
         .iter()
@@ -410,4 +430,28 @@ fn check_suspension(tasks: &TaskTable, suspension: &SuspensionQueue) -> Result<(
         });
     }
     Ok(())
+}
+
+/// Per configuration, whether some node, up or down, has the
+/// `TotalArea` and capabilities to host it. The nodes fold into the
+/// largest area per capability set (at most 128 sets) first, so the
+/// cost is one pass over the nodes plus configs × sets, whatever the
+/// queue's length.
+fn hostable_configs(resources: &ResourceManager) -> Vec<bool> {
+    let nodes = resources.node_store();
+    let mut widest: BTreeMap<Capabilities, Area> = BTreeMap::new();
+    for i in 0..nodes.len() {
+        let area = widest.entry(nodes.caps(i)).or_default();
+        *area = (*area).max(nodes.total_area(i));
+    }
+    resources
+        .configs()
+        .iter()
+        .map(|c| {
+            let demand = Demand::of(c);
+            widest
+                .iter()
+                .any(|(&caps, &area)| area >= demand.area && demand.caps_ok(caps))
+        })
+        .collect()
 }

@@ -180,8 +180,12 @@ mod tests {
             assert_eq!(n.id.index(), i);
             assert!(p.node_area.contains(n.total_area));
             assert!(p.network_delay.contains(n.network_delay));
-            assert!(n.is_blank());
             assert!(n.caps.contains(Capability::PartialReconfig));
+        }
+        let store = dreamsim_model::NodeStore::from_nodes(nodes).unwrap();
+        for i in 0..store.len() {
+            assert!(store.is_blank(i));
+            assert_eq!(store.available_area(i), store.total_area(i));
         }
     }
 

@@ -3246,6 +3246,18 @@ mod tests {
         }
     }
 
+    /// Write `payload` to `path` as a checkpoint whose header carries a
+    /// valid CRC, as a hand-edited file would be re-stamped.
+    fn write_payload(path: &std::path::Path, payload: &serde::Value) {
+        let payload = serde_json::to_string(payload).unwrap();
+        let header = format!(
+            "DREAMSIM-CHECKPOINT {} {:08x}\n",
+            checkpoint::FORMAT_VERSION,
+            checkpoint::crc32(payload.as_bytes())
+        );
+        std::fs::write(path, header + &payload).unwrap();
+    }
+
     /// The value at `path` in a JSON document; numeric segments index
     /// arrays.
     fn at<'a>(mut v: &'a mut serde::Value, path: &[&str]) -> &'a mut serde::Value {
@@ -3264,9 +3276,9 @@ mod tests {
 
     #[test]
     fn malformed_list_fields_are_typed_checkpoint_errors() {
-        // CRC-valid checkpoints whose list heads, slot links, free slots
-        // or configuration ids do not describe a store: each must come
-        // back as a typed error, never a panic.
+        // CRC-valid checkpoints whose list heads, slot links, free slots,
+        // configuration ids or area sums do not describe a store: each
+        // must come back as a typed error, never a panic or an overflow.
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 200);
         let dir = temp_dir("malformed-lists");
@@ -3275,13 +3287,7 @@ mod tests {
         let raw = std::fs::read_to_string(&path).unwrap();
         let good: serde::Value = serde_json::from_str(raw.split_once('\n').unwrap().1).unwrap();
         let load = |payload: &serde::Value| {
-            let payload = serde_json::to_string(payload).unwrap();
-            let header = format!(
-                "DREAMSIM-CHECKPOINT {} {:08x}\n",
-                checkpoint::FORMAT_VERSION,
-                checkpoint::crc32(payload.as_bytes())
-            );
-            std::fs::write(&path, header + &payload).unwrap();
+            write_payload(&path, payload);
             read_checkpoint(&path)
                 .and_then(|cp| Simulation::resume(cp, FixedSource, GreedyPolicy).map(|_| ()))
         };
@@ -3330,6 +3336,24 @@ mod tests {
         };
         let number = |n: u64| serde::Value::Number(serde::Number::U(n));
         let free_path = ["resources", "nodes", n.as_str(), "free"];
+        let field = |name| ["resources", "nodes", n.as_str(), name];
+        let object = |fields: Vec<(&str, serde::Value)>| {
+            serde::Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        // Two more slots of 2^63 area units each, running `task` or idle:
+        // their areas sum past the area type.
+        let huge_slots = |v: &mut serde::Value, task: serde::Value| {
+            let slot = object(vec![
+                ("config", number(0)),
+                ("area", number(1 << 63)),
+                ("task", task),
+                ("link", serde::Value::Null),
+            ]);
+            if let serde::Value::Array(slots) = at(v, &field("slots")) {
+                slots.extend([slot.clone(), slot]);
+            }
+        };
+        let total_area = |v: &mut serde::Value| at(v, &field("total_area")).clone();
         let configs = good["resources"]["configs"].as_array().unwrap().len();
         let decode_errors = [
             (
@@ -3371,6 +3395,31 @@ mod tests {
                 "a configuration id out of range",
                 edited(&|v| *at(v, &["resources", "configs", "0", "id"]) = number(999)),
             ),
+            (
+                "two busy slots of 2^63 area units",
+                edited(&|v| huge_slots(v, number(0))),
+            ),
+            (
+                "two idle slots of 2^63 area units, available area = total",
+                edited(&|v| {
+                    huge_slots(v, serde::Value::Null);
+                    *at(v, &field("available_area")) = total_area(v);
+                }),
+            ),
+            (
+                "a strip region from 2^63 of width 2^63",
+                edited(&|v| {
+                    let region = object(vec![
+                        ("start", number(1 << 63)),
+                        ("width", number(1 << 63)),
+                        ("slot", number(0)),
+                    ]);
+                    *at(v, &field("strip")) = object(vec![
+                        ("width", total_area(v)),
+                        ("regions", serde::Value::Array(vec![region])),
+                    ]);
+                }),
+            ),
         ];
         for (what, payload) in &decode_errors {
             let result = load(payload);
@@ -3386,6 +3435,16 @@ mod tests {
                 assert!(msg.contains("more than one list"), "got: {msg}");
             }
             other => panic!("self-linked slot: expected an audit error, got {other:?}"),
+        }
+        // Slot and available areas that sum past the area type decode;
+        // the restore audit finds Eq. 4 broken instead of wrapping.
+        let area_path = ["resources", "nodes", &n, "slots", &s, "area"];
+        match load(&edited(&|v| {
+            *at(v, &area_path) = number(1 << 63);
+            *at(v, &field("available_area")) = number(1 << 63);
+        })) {
+            Err(CheckpointError::State(msg)) => assert!(msg.contains("Eq. 4"), "got: {msg}"),
+            other => panic!("Eq. 4 sum past 2^64: expected an audit error, got {other:?}"),
         }
     }
 
@@ -3423,6 +3482,49 @@ mod tests {
                 ),
                 other => panic!("{field}: expected an audit error, got {other:?}"),
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn queued_configs_no_node_can_host_are_typed_checkpoint_errors() {
+        // A CRC-valid checkpoint whose queued task resolves to a
+        // configuration wider than every node could never place that
+        // task, and a resumed run would retry it forever: the restore
+        // audit must reject it. Nothing here runs a resumed simulation.
+        let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        let queued = sim.suspension.iter().next().expect("a queued task");
+        let nodes = sim.resources.node_store();
+        let widest = (0..nodes.len()).map(|i| nodes.total_area(i)).max().unwrap();
+        let mut cp = sim.checkpoint();
+        cp.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
+        let dir = temp_dir("unhostable");
+        let path = dir.join("case.dsc");
+        write_checkpoint(&path, &cp).unwrap();
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let good: serde::Value = serde_json::from_str(raw.split_once('\n').unwrap().1).unwrap();
+        let load = |area: Area| {
+            let mut v = good.clone();
+            *at(&mut v, &["resources", "configs", "1", "req_area"]) =
+                serde::Value::Number(serde::Number::U(area));
+            write_payload(&path, &v);
+            read_checkpoint(&path)
+                .and_then(|cp| Simulation::resume(cp, FixedSource, AlwaysSuspendPolicy).map(|_| ()))
+        };
+        assert!(
+            load(widest).is_ok(),
+            "the widest node hosts {widest} area units"
+        );
+        match load(widest + 1) {
+            Err(CheckpointError::State(msg)) => assert!(
+                msg.contains(&format!(
+                    "queued {queued} needs ConfigId(1) ({} area units",
+                    widest + 1
+                )) && msg.contains("which no node can host"),
+                "got: {msg}"
+            ),
+            other => panic!("expected an audit error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

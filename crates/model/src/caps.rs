@@ -56,8 +56,11 @@ impl Capability {
     }
 }
 
-/// A compact set of [`Capability`] flags.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A compact set of [`Capability`] flags. The order is that of the bit
+/// patterns: arbitrary, but fixed, so a set can key a `BTreeMap`.
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct Capabilities(u8);
 
 impl Capabilities {

@@ -49,7 +49,7 @@ pub enum GapFit {
 pub struct Strip {
     width: Area,
     /// Occupied regions, sorted by `start`, pairwise disjoint.
-    regions: Vec<Region>,
+    pub(crate) regions: Vec<Region>,
 }
 
 impl Strip {

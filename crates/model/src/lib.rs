@@ -9,7 +9,8 @@
 //!
 //! * a **node** `Nodeᵢ(TotalArea, AvailableArea, C, family, caps, state)`
 //!   — a partially reconfigurable processing element holding a set `C` of
-//!   currently instantiated processor configurations ([`node::Node`]);
+//!   currently instantiated processor configurations ([`soa::NodeStore`],
+//!   one record per node, built from [`node::Node`] records);
 //! * a **configuration** `Cᵢ(ReqArea, Ptype, param, BSize, ConfigTime)` —
 //!   a soft processor occupying `ReqArea` area units
 //!   ([`config::Config`]);
@@ -25,8 +26,11 @@
 //! list invariants can be checked in one place
 //! ([`store::ResourceManager::check_invariants`]). Runtime node state is
 //! read through one API, the index accessors of [`soa::NodeStore`]
-//! (`rm.node_store().available_area(i)`, `.is_down(i)`, `.slots(i)`, …);
-//! [`node::Node`] is the checkpoint form of one node.
+//! (`rm.node_store().available_area(i)`, `.is_down(i)`, `.slots(i)`, …),
+//! and mutated only through it: the store is the one implementation of
+//! a node's slots, Eq. 4 and slot-index reuse. [`node::Node`] is a plain
+//! record, the construction input when blank and the checkpoint form of
+//! one node when full.
 //!
 //! Every traversal of a list or scan of the node table is charged to a
 //! [`steps::StepCounter`], reproducing the paper's two step metrics
@@ -62,7 +66,7 @@ pub use config::{Config, ProcessorType};
 pub use contiguous::{GapFit, Strip};
 pub use ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
 pub use lists::ConfigLists;
-pub use node::{Node, NodeState, Slot};
+pub use node::{Node, NodeState};
 pub use search::{IndexSnapshot, SearchIndex};
 pub use soa::{NodeStore, SlotView};
 pub use steps::StepCounter;

@@ -15,7 +15,8 @@
 //! entries in exactly the head-first link order and charging one
 //! housekeeping step per visited entry, the same charge as the link walk.
 //!
-//! The `Inext`/`Bnext` links exist only in the checkpoint form: the
+//! The `Inext`/`Bnext` links exist only in the checkpoint form, the
+//! `link` of each slot of a [`Node`] record: the
 //! [`ResourceManager`](crate::store::ResourceManager) serializer derives
 //! each slot's link from the vectors, and its deserializer rebuilds the
 //! vectors by walking each head's links (`ConfigLists::from_links`).
@@ -152,8 +153,11 @@ impl ConfigLists {
     }
 
     /// Rebuild the lists from the checkpoint form: `heads`, and the slot
-    /// links of `nodes`. There must be one head per configuration per
-    /// list, and every head and link must name a slot of the node table.
+    /// links of the `nodes` records. There must be one head per
+    /// configuration per list, and every head and link must name a slot
+    /// of the node table. The walk runs before
+    /// [`NodeStore::from_nodes`](crate::soa::NodeStore::from_nodes) checks
+    /// the records, so it finds slots by position and trusts no field.
     /// A chain longer than the slot table repeats an entry; the walk
     /// stops there and leaves the repeat to the audit.
     pub(crate) fn from_links(

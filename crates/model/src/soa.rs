@@ -1,8 +1,10 @@
 //! Node/slot storage (DESIGN.md §18.1).
 //!
-//! [`NodeStore`] holds the same state as a `Vec<Node>` — the paper's
-//! node table — laid out for the per-event path, so that an assignment
-//! or a release touches one node record and one slot record:
+//! [`NodeStore`] is the paper's node table, and the one implementation
+//! of a node's config-task-pair slots (Fig. 3), its Eq. 4 area account
+//! and slot-index reuse. It is laid out for the per-event path, so that
+//! an assignment or a release touches one node record and one slot
+//! record:
 //!
 //! * **one record per node** (`NodeCell`, one 64-byte cache line): the
 //!   slab bookkeeping, the total, available and busy areas, the live and
@@ -27,8 +29,7 @@
 //! [`is_down`](NodeStore::is_down), [`state`](NodeStore::state),
 //! [`slots`](NodeStore::slots), [`fragmentation`](NodeStore::fragmentation)
 //! and the rest. Each answer reads only the record or column it needs;
-//! nothing assembles a per-node view. [`Node`] remains the checkpoint
-//! form and the reference the mirror tests below hold the store to.
+//! nothing assembles a per-node view.
 //!
 //! ## Slot arena
 //!
@@ -40,24 +41,86 @@
 //! region is abandoned — bounded by the doubling to under half the
 //! arena, and typical slot counts are 1–4). Free slot indices are kept
 //! on an intrusive per-node LIFO stack threaded through the slot
-//! records, reproducing the AoS store's `free.last()` reuse order
-//! **exactly** — slot-index reuse is observable in reports and
-//! checkpoints.
+//! records, so the most recently freed index is reused first — slot-index
+//! reuse is observable in reports and checkpoints.
 //!
 //! ## Checkpoint form
 //!
 //! Checkpoint bytes must not depend on the memory layout, so the store
-//! is written as the legacy `Node` form, one node at a time
-//! (`NodeStore::to_node`), and read back through
-//! [`NodeStore::from_nodes`]. The `Inext`/`Bnext` links of that form
-//! are derived from the idle/busy lists by the
-//! [`ResourceManager`](crate::store::ResourceManager) serializer.
+//! is written as one [`Node`] record per node (`NodeStore::to_node`), and
+//! read back through [`NodeStore::from_nodes`], which construction goes
+//! through too. `from_nodes` is the one place a node record is checked:
+//! dense ids, free entries that name distinct holes, and area sums and
+//! strip region ends that do not overflow. Eq. 4 itself is left to
+//! [`NodeStore::area_invariant_holds`], which the restore audit runs. The
+//! `Inext`/`Bnext` links of that form are derived from the idle/busy
+//! lists by the [`ResourceManager`](crate::store::ResourceManager)
+//! serializer.
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
 use crate::contiguous::{GapFit, Strip};
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
-use crate::node::{Node, NodeError, NodeState, Slot};
+use crate::node::{Node, NodeState, Slot};
+
+/// Errors from the store's node-local mutations
+/// ([`NodeStore::send_bitstream`], [`evict_slot`](NodeStore::evict_slot),
+/// [`add_task`](NodeStore::add_task) and
+/// [`remove_task`](NodeStore::remove_task)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NodeError {
+    /// The configuration does not fit in the node's available area.
+    InsufficientArea {
+        /// Area the configuration needs.
+        needed: Area,
+        /// Area the node has free.
+        available: Area,
+    },
+    /// Enough scalar area is free, but no contiguous gap fits the
+    /// configuration (contiguous placement mode only).
+    Fragmented {
+        /// Area the configuration needs.
+        needed: Area,
+        /// Largest contiguous gap available.
+        largest_gap: Area,
+    },
+    /// The slot index does not name a live slot.
+    NoSuchSlot(u32),
+    /// Tried to add a task to a slot that is already running one.
+    SlotOccupied(u32),
+    /// Tried to remove a task from a slot that has none, or to evict a
+    /// slot whose task is still running.
+    SlotBusyOrVacant(u32),
+}
+
+impl std::fmt::Display for NodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NodeError::InsufficientArea { needed, available } => {
+                write!(
+                    f,
+                    "configuration needs {needed} area units, only {available} free"
+                )
+            }
+            NodeError::Fragmented {
+                needed,
+                largest_gap,
+            } => {
+                write!(
+                    f,
+                    "configuration needs {needed} contiguous columns, largest gap is {largest_gap}"
+                )
+            }
+            NodeError::NoSuchSlot(s) => write!(f, "slot {s} is not live"),
+            NodeError::SlotOccupied(s) => write!(f, "slot {s} already runs a task"),
+            NodeError::SlotBusyOrVacant(s) => {
+                write!(f, "slot {s} is busy (evict) or vacant (remove task)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for NodeError {}
 
 /// Sentinel terminating a per-node free-slot stack.
 const NIL: u32 = u32::MAX;
@@ -86,9 +149,9 @@ struct NodeCell {
     base: usize,
     /// Slab capacity in slots (cells reserved in the arena).
     cap: u32,
-    /// Logical slab length: mirrors the AoS `slots.len()`, counting live
-    /// slots *and* free holes, so slot-index assignment (and therefore
-    /// every downstream tie-break) matches the AoS store.
+    /// Logical slab length: the record's `slots.len()`, counting live
+    /// slots *and* free holes; a new slot index past every hole is this
+    /// length.
     slab_len: u32,
     /// Top of the node's intrusive free-slot stack (`NIL` = empty).
     free_head: u32,
@@ -150,15 +213,17 @@ pub struct SlotView {
 }
 
 impl NodeStore {
-    /// Build the store from the AoS node table. Node ids must be the
-    /// dense sequence `0..len` in order, and every `free` entry must
-    /// name a distinct hole of its node's slab.
+    /// Check the node records and build the store from them: the one
+    /// path from a [`Node`] record into the store, for construction and
+    /// for checkpoint restore alike.
     ///
-    /// # Panics
-    /// Panics if node ids are not dense and ordered, or if a `free`
-    /// entry lies outside its node's slab.
-    #[must_use]
-    pub fn from_nodes(nodes: Vec<Node>) -> Self {
+    /// # Errors
+    /// Names the first node whose id is not its position in `nodes`,
+    /// whose `free` list names a live or out-of-range slot or one hole
+    /// twice, or whose slot areas or strip region ends overflow an
+    /// [`Area`]. Eq. 4 is not checked here; see
+    /// [`area_invariant_holds`](Self::area_invariant_holds).
+    pub fn from_nodes(nodes: Vec<Node>) -> Result<Self, String> {
         let count = nodes.len();
         let mut st = Self {
             records: Vec::with_capacity(count),
@@ -170,16 +235,40 @@ impl NodeStore {
             cells: Vec::with_capacity(nodes.iter().map(|n| n.slots.len()).sum()),
         };
         for (i, n) in nodes.into_iter().enumerate() {
-            assert_eq!(n.id.index(), i, "node ids must be dense and ordered");
+            let id = n.id;
+            if id.index() != i {
+                return Err(format!(
+                    "node ids must be dense and ordered (found {id} at {i})"
+                ));
+            }
+            // A free entry that is not a hole, or a repeated one, would
+            // hand out a live slot index again.
+            let mut seen = vec![false; n.slots.len()];
+            for &s in &n.free {
+                // BOUND: u32 slot index; usize is at least as wide.
+                let f = s as usize;
+                if !matches!(n.slots.get(f), Some(None)) || std::mem::replace(&mut seen[f], true) {
+                    return Err(format!("{id} lists slot {s} as free"));
+                }
+            }
+            let overflow = |what: &str| format!("{id}: {what} overflow the area type");
+            let mut regions = n.strip.iter().flat_map(|s| &s.regions);
+            if regions.any(|r| r.start.checked_add(r.width).is_none()) {
+                return Err(overflow("strip region ends"));
+            }
             let base = st.cells.len();
-            // BOUND: slab length is the AoS slots.len(), bounded by u32 slot ids.
+            // BOUND: slab length is the record's slots.len(), bounded by u32 slot ids.
             let slab_len = n.slots.len() as u32;
-            let mut busy_area = 0;
+            let (mut used, mut busy_area): (Area, Area) = (0, 0);
             for s in n.slots {
                 st.cells.push(match s {
                     Some(s) => {
+                        used = used
+                            .checked_add(s.area)
+                            .ok_or_else(|| overflow("slot areas"))?;
                         if s.task.is_some() {
-                            // BOUND: busy slot areas sum to at most total_area by Eq. 4.
+                            // BOUND: busy slots are live, and the live areas
+                            // were just summed without overflow.
                             busy_area += s.area;
                         }
                         SlotCell {
@@ -193,13 +282,12 @@ impl NodeStore {
                     None => SlotCell::DEAD,
                 });
             }
-            // Rebuild the free stack so its pop order matches the AoS
-            // `free.last()` order: pushing in Vec order leaves the
-            // Vec's last element on top.
+            // Rebuild the free stack so that the record's last `free`
+            // entry is on top: pushing in Vec order leaves it there.
             let mut free_head = NIL;
             for idx in n.free {
-                // BOUND: idx < slab_len (a hole of this node's slab), so
-                // base + idx stays inside the slab.
+                // BOUND: idx < slab_len (a hole of this node's slab, checked
+                // above), so base + idx stays inside the slab.
                 st.cells[base + idx as usize].free_next = free_head;
                 free_head = idx;
             }
@@ -222,10 +310,10 @@ impl NodeStore {
             st.strip.push(n.strip);
             st.gap_fit.push(n.gap_fit);
         }
-        st
+        Ok(st)
     }
 
-    /// Node `i` in the legacy AoS form, the checkpoint form. `links[f]`
+    /// Node `i` as a [`Node`] record, the checkpoint form. `links[f]`
     /// is the list link of the slot at flat arena index `f`
     /// ([`flat`](Self::flat)), so `links` spans the whole arena.
     pub(crate) fn to_node(&self, i: usize, links: &[Option<EntryRef>]) -> Node {
@@ -244,7 +332,7 @@ impl NodeStore {
                 })
             })
             .collect();
-        // The intrusive stack walks top→bottom; the AoS `free` Vec
+        // The intrusive stack walks top→bottom; the record's `free` Vec
         // stores bottom→top (push order), so reverse.
         let mut free = Vec::new();
         let mut cur = r.free_head;
@@ -519,8 +607,9 @@ impl NodeStore {
     }
 
     /// `SendBitstream()`: instantiate `config` in free area of node `i`.
-    /// Identical semantics (including slot-index reuse order) to
-    /// [`Node::send_bitstream`].
+    /// Adjusts `AvailableArea`, bumps the reconfiguration count, and
+    /// returns the new slot index: the most recently freed one, else one
+    /// past the slab. List insertion is the caller's job.
     pub fn send_bitstream(&mut self, i: usize, config: &Config) -> Result<u32, NodeError> {
         let available = self.records[i].available_area;
         if config.req_area > available {
@@ -649,8 +738,9 @@ impl NodeStore {
             }
             None => true,
         };
-        // BOUND: used + available re-checks Eq. 4; both are at most total_area.
-        used + r.available_area == r.total_area
+        // `from_nodes` checked that the slot areas sum, but a restored
+        // record's available area is first checked here.
+        used.checked_add(r.available_area) == Some(r.total_area)
             // BOUND: live is a small per-node slot count.
             && self.cells_of(i).count() == r.live as usize
             // BOUND: running is a small per-node slot count.
@@ -696,102 +786,8 @@ mod tests {
         Config::new(ConfigId(id), area, 10)
     }
 
-    fn blank(total: Area) -> Node {
-        Node::new(NodeId(0), total, 5)
-    }
-
     fn soa(total: Area) -> NodeStore {
-        NodeStore::from_nodes(vec![blank(total)])
-    }
-
-    /// The store's checkpoint form, without list links.
-    fn aos(st: &NodeStore) -> Vec<Node> {
-        let links = vec![None; st.arena_len()];
-        (0..st.len()).map(|i| st.to_node(i, &links)).collect()
-    }
-
-    /// The store's node 0 answers every read the `Node` reference
-    /// answers, and serializes to it.
-    fn assert_mirrors(st: &NodeStore, n: &Node) {
-        assert_eq!(aos(st), vec![n.clone()]);
-        assert_eq!(st.total_area(0), n.total_area);
-        assert_eq!(st.available_area(0), n.available_area());
-        assert_eq!(st.network_delay(0), n.network_delay);
-        assert_eq!(st.caps(0), n.caps);
-        assert_eq!(st.is_down(0), n.down);
-        assert_eq!(st.reconfig_count(0), n.reconfig_count);
-        assert_eq!(st.state(0), n.state());
-        assert_eq!(st.is_blank(0), n.is_blank());
-        assert_eq!(st.live_count(0) as usize, n.configured_count());
-        assert_eq!(st.running_count(0) as usize, n.running_count());
-        let want: Vec<(u32, SlotView)> = n
-            .slots()
-            .map(|(i, s)| {
-                let view = SlotView {
-                    config: s.config,
-                    area: s.area,
-                    task: s.task,
-                };
-                (i, view)
-            })
-            .collect();
-        assert_eq!(st.slots(0).collect::<Vec<_>>(), want);
-        for &(i, view) in &want {
-            assert_eq!(st.slot(0, i), Some(view));
-        }
-    }
-
-    /// Drive an AoS node and a store through the same mutation
-    /// script, comparing results, every read accessor and the
-    /// serialized mirror at every step — the store's layout must be
-    /// observationally identical.
-    #[test]
-    fn mirror_script_matches_aos_node_exactly() {
-        let mut n = blank(2000);
-        let mut st = soa(2000);
-        assert_mirrors(&st, &n);
-        let script: Vec<(u32, Area)> = vec![(1, 600), (2, 300), (3, 500), (4, 100)];
-        let mut slots = Vec::new();
-        for &(id, area) in &script {
-            let a = n.send_bitstream(&cfg(id, area));
-            let b = st.send_bitstream(0, &cfg(id, area));
-            assert_eq!(a, b, "send_bitstream({id})");
-            if let Ok(s) = a {
-                slots.push(s);
-            }
-            assert_mirrors(&st, &n);
-        }
-        // Evict the middle two, then reconfigure: index reuse must
-        // follow the same LIFO order.
-        for &s in &[slots[1], slots[2]] {
-            assert_eq!(
-                n.evict_slot(s).map(|c| c.0),
-                st.evict_slot(0, s).map(|c| c.0)
-            );
-            assert_mirrors(&st, &n);
-        }
-        let ra = n.send_bitstream(&cfg(9, 50)).unwrap();
-        let rb = st.send_bitstream(0, &cfg(9, 50)).unwrap();
-        assert_eq!(ra, rb);
-        assert_eq!(ra, slots[2], "LIFO reuse takes the most recent hole");
-        assert_mirrors(&st, &n);
-        // Task lifecycle.
-        assert_eq!(
-            n.add_task(slots[0], TaskId(7)),
-            st.add_task(0, slots[0], TaskId(7))
-        );
-        assert_mirrors(&st, &n);
-        assert_eq!(st.state(0), NodeState::Busy);
-        assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
-        assert_mirrors(&st, &n);
-        assert_eq!(st.state(0), NodeState::Idle);
-        st.set_down(0, true);
-        n.down = true;
-        assert_mirrors(&st, &n);
-        // Error paths agree too.
-        assert_eq!(n.evict_slot(99), st.evict_slot(0, 99));
-        assert_eq!(n.remove_task(slots[0]), st.remove_task(0, slots[0]));
-        assert!(st.area_invariant_holds(0));
+        NodeStore::from_nodes(vec![Node::new(NodeId(0), total, 5)]).unwrap()
     }
 
     #[test]
@@ -817,58 +813,42 @@ mod tests {
         assert!(st.area_invariant_holds(0));
     }
 
+    /// Experiment A5's first-fit strip: 1000 columns hold 400, 300 and
+    /// 300, and freeing the first two leaves free area the scalar model
+    /// would accept but no gap wide enough.
     #[test]
-    fn serde_round_trip_is_aos_byte_identical() {
-        let mut nodes: Vec<Node> = (0..4)
-            .map(|i| Node::new(NodeId::from_index(i), 3000, 2))
-            .collect();
-        let s0 = nodes[0].send_bitstream(&cfg(0, 500)).unwrap();
-        nodes[0].send_bitstream(&cfg(1, 700)).unwrap();
-        nodes[0].evict_slot(s0).unwrap();
-        nodes[2].send_bitstream(&cfg(2, 900)).unwrap();
-        nodes[2].add_task(0, TaskId(3)).unwrap();
-        let legacy_json = serde_json::to_string(&nodes).unwrap();
-        let st = NodeStore::from_nodes(nodes.clone());
-        let soa_json = serde_json::to_string(&aos(&st)).unwrap();
-        assert_eq!(
-            legacy_json, soa_json,
-            "the checkpoint form must mirror Vec<Node>"
-        );
-        let back: Vec<Node> = serde_json::from_str(&soa_json).unwrap();
-        assert_eq!(aos(&NodeStore::from_nodes(back)), nodes);
-    }
-
-    #[test]
-    fn contiguous_strip_behaviour_matches_aos() {
-        let mut n = Node::new(NodeId(0), 1000, 1).with_contiguous(GapFit::FirstFit);
-        let mut st = NodeStore::from_nodes(vec![n.clone()]);
-        for (id, area) in [(0u32, 400u64), (1, 300), (2, 300)] {
-            assert_eq!(
-                n.send_bitstream(&cfg(id, area)).is_ok(),
-                st.send_bitstream(0, &cfg(id, area)).is_ok()
-            );
-        }
-        // Evict the middle region; a too-wide module must fail on both
-        // with the same Fragmented error.
-        assert_eq!(n.evict_slot(1).is_ok(), st.evict_slot(0, 1).is_ok());
-        assert_eq!(
-            n.send_bitstream(&cfg(5, 350)),
-            st.send_bitstream(0, &cfg(5, 350))
-        );
-        assert_eq!(aos(&st), vec![n.clone()]);
+    fn contiguous_first_fit_script() {
+        let strip = Node::new(NodeId(0), 1000, 1).with_contiguous(GapFit::FirstFit);
+        let mut st = NodeStore::from_nodes(vec![strip]).unwrap();
         assert!(st.is_contiguous(0));
-        assert_eq!(st.is_contiguous(0), n.is_contiguous());
-        assert_eq!(st.fragmentation(0).to_bits(), n.fragmentation().to_bits());
-        // A narrow module in the middle gap, then the first region
-        // freed: two separate gaps, so fragmentation is positive.
+        for (id, area) in [(0, 400), (1, 300), (2, 300)] {
+            assert_eq!(st.send_bitstream(0, &cfg(id, area)), Ok(id));
+        }
+        assert_eq!(st.evict_slot(0, 1), Ok(ConfigId(1)));
         assert_eq!(
-            n.send_bitstream(&cfg(6, 100)),
-            st.send_bitstream(0, &cfg(6, 100))
+            st.send_bitstream(0, &cfg(5, 350)),
+            Err(NodeError::InsufficientArea {
+                needed: 350,
+                available: 300
+            })
         );
-        assert_eq!(n.evict_slot(0), st.evict_slot(0, 0));
-        assert_eq!(aos(&st), vec![n.clone()]);
-        assert!(n.fragmentation() > 0.0);
-        assert_eq!(st.fragmentation(0).to_bits(), n.fragmentation().to_bits());
+        assert_eq!(st.send_bitstream(0, &cfg(6, 100)), Ok(1), "reuses slot 1");
+        assert_eq!(st.evict_slot(0, 0), Ok(ConfigId(0)));
+        assert_eq!(st.available_area(0), 600);
+        // Gaps of 400 and 200: 1 − 400/600.
+        assert_eq!(
+            st.fragmentation(0).to_bits(),
+            0.333_333_333_333_333_37_f64.to_bits()
+        );
+        assert_eq!(
+            st.send_bitstream(0, &cfg(7, 500)),
+            Err(NodeError::Fragmented {
+                needed: 500,
+                largest_gap: 400
+            })
+        );
+        assert_eq!(st.reconfig_count(0), 4);
+        assert!(st.area_invariant_holds(0));
         assert!(!soa(1000).is_contiguous(0));
         assert_eq!(soa(1000).fragmentation(0).to_bits(), 0.0f64.to_bits());
     }

@@ -19,17 +19,18 @@
 //! node record, one slot record and one list vector. Readers outside
 //! the manager borrow it through
 //! [`ResourceManager::node_store`] and ask its index accessors; the
-//! manager adds no read path of its own. Serialization
-//! still goes through the AoS mirror, with the list links derived from
-//! the vectors, so checkpoints are byte-identical to the seed layout.
+//! manager adds no read path of its own. Checkpoints write each node as
+//! a [`Node`] record, with the list links derived from the vectors, and
+//! read the records back through [`NodeStore::from_nodes`], which checks
+//! them; construction takes the same path from blank records.
 
 use crate::caps::Capabilities;
 use crate::config::Config;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
 use crate::lists::{ConfigLists, ListHeads, ListKind};
-use crate::node::{Node, NodeError, NodeState};
+use crate::node::{Node, NodeState};
 use crate::search::{IndexSnapshot, NodeKey, SearchIndex};
-use crate::soa::NodeStore;
+use crate::soa::{NodeError, NodeStore};
 use crate::steps::{StepCounter, StepKind};
 use crate::task::PreferredConfig;
 use std::collections::BTreeSet;
@@ -76,7 +77,7 @@ impl Demand {
 /// Owner of all resource state for one simulation run.
 ///
 /// Serialized by hand in the checkpoint form `{nodes, configs, lists}`:
-/// the node table as legacy `Node`s whose slots carry the lists'
+/// the node table as [`Node`] records whose slots carry the lists'
 /// `Inext`/`Bnext` links, and the head of every list.
 #[derive(Clone, Debug)]
 pub struct ResourceManager {
@@ -103,14 +104,15 @@ impl ResourceManager {
     ///
     /// # Panics
     /// Panics if node or configuration ids are not the dense sequence
-    /// `0..len` in order (both tables are arena-indexed).
+    /// `0..len` in order (both tables are arena-indexed), or with
+    /// [`NodeStore::from_nodes`]'s message if a node record fails its
+    /// other checks.
     #[must_use]
     pub fn new(nodes: Vec<Node>, configs: Vec<Config>) -> Self {
         for (i, c) in configs.iter().enumerate() {
             assert_eq!(c.id.index(), i, "config ids must be dense and ordered");
         }
-        // `from_nodes` asserts dense, ordered node ids.
-        let nodes = NodeStore::from_nodes(nodes);
+        let nodes = NodeStore::from_nodes(nodes).unwrap_or_else(|e| panic!("{e}"));
         let lists = ConfigLists::new(configs.len());
         let index = SearchIndex::rebuild(&nodes, &configs, &lists);
         Self {
@@ -710,10 +712,10 @@ impl serde::Serialize for ResourceManager {
 }
 
 /// Deserialization rebuilds the lists from their heads and slot links,
-/// and the search index, which checkpoints never carry. A node table,
-/// configuration table or list that cannot be read back without
-/// panicking is a decode error; a readable but inconsistent store keeps
-/// an empty index instead, so that
+/// and the search index, which checkpoints never carry. A node table
+/// ([`NodeStore::from_nodes`]), configuration table or list that cannot
+/// be read back without panicking is a decode error; a readable but
+/// inconsistent store keeps an empty index instead, so that
 /// [`ResourceManager::check_invariants`], which a restore runs next,
 /// reports the corruption rather than the rebuild walking it.
 impl serde::Deserialize for ResourceManager {
@@ -734,24 +736,6 @@ impl serde::Deserialize for ResourceManager {
         let configs = configs.ok_or_else(|| missing("configs"))?;
         let heads = heads.ok_or_else(|| missing("lists"))?;
         let invalid = |msg: String| serde::Error::custom(format!("ResourceManager: {msg}"));
-        for (i, n) in nodes.iter().enumerate() {
-            if n.id.index() != i {
-                return Err(invalid(format!(
-                    "node ids must be dense and ordered (found {} at {i})",
-                    n.id
-                )));
-            }
-            // A free entry that is not a hole, or a repeated one, would
-            // hand out a live slot index again.
-            let mut seen = vec![false; n.slots.len()];
-            for &s in &n.free {
-                // BOUND: u32 slot index; usize is at least as wide.
-                let i = s as usize;
-                if !matches!(n.slots.get(i), Some(None)) || std::mem::replace(&mut seen[i], true) {
-                    return Err(invalid(format!("{} lists slot {s} as free", n.id)));
-                }
-            }
-        }
         if let Some((i, c)) = configs.iter().enumerate().find(|(i, c)| c.id.index() != *i) {
             return Err(invalid(format!(
                 "config ids must be dense and ordered (found {} at {i})",
@@ -760,7 +744,7 @@ impl serde::Deserialize for ResourceManager {
         }
         let lists = ConfigLists::from_links(&nodes, heads, configs.len()).map_err(invalid)?;
         let mut rm = Self {
-            nodes: NodeStore::from_nodes(nodes),
+            nodes: NodeStore::from_nodes(nodes).map_err(invalid)?,
             configs,
             lists,
             index: SearchIndex::default(),
@@ -1109,6 +1093,54 @@ mod tests {
             back.find_best_partially_blank(demand, &mut s),
             rm.find_best_partially_blank(demand, &mut s)
         );
+    }
+
+    #[test]
+    fn checkpoint_form_round_trip_is_byte_identical() {
+        // A contiguous node, free holes and a busy slot: decoding the
+        // checkpoint form and encoding it again gives back every byte,
+        // and the holes are reused in the same order.
+        let configs = (0..3)
+            .map(|i| Config::new(ConfigId(i), 300 + 200 * Area::from(i), 10))
+            .collect();
+        let nodes = vec![
+            Node::new(NodeId(0), 3000, 2),
+            Node::new(NodeId(1), 2000, 3).with_contiguous(crate::GapFit::BestFit),
+            Node::new(NodeId(2), 1000, 4),
+        ];
+        let mut rm = ResourceManager::new(nodes, configs);
+        let mut s = StepCounter::new();
+        for (n, c) in [(0, 0), (0, 2), (1, 1), (1, 2), (2, 0)] {
+            rm.configure_slot(NodeId(n), ConfigId(c), &mut s).unwrap();
+        }
+        rm.evict_idle_slots(NodeId(0), &[0], &mut s).unwrap();
+        rm.evict_idle_slots(NodeId(1), &[0], &mut s).unwrap();
+        rm.assign_task(EntryRef::new(NodeId(1), 1), TaskId(4), &mut s)
+            .unwrap();
+        let json = serde_json::to_string(&rm).unwrap();
+        let mut back: ResourceManager = serde_json::from_str(&json).unwrap();
+        back.check_invariants().unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let st = back.node_store();
+        let avail: Vec<Area> = (0..3).map(|i| st.available_area(i)).collect();
+        assert_eq!(avail, vec![2300, 1300, 700]);
+        assert_eq!(st.slot(0, 0), None);
+        let busy = crate::SlotView {
+            config: ConfigId(2),
+            area: 700,
+            task: Some(TaskId(4)),
+        };
+        assert_eq!(st.slots(1).collect::<Vec<_>>(), vec![(1, busy)]);
+        // Gaps of 500 and 800 around the busy strip region: 1 − 800/1300.
+        assert_eq!(
+            st.fragmentation(1).to_bits(),
+            0.384_615_384_615_384_6_f64.to_bits()
+        );
+        for n in [0, 1] {
+            let e = back.configure_slot(NodeId(n), ConfigId(0), &mut s);
+            assert_eq!(e.map(|e| e.slot), Ok(0), "{n} reuses its hole");
+        }
+        back.check_invariants().unwrap();
     }
 
     #[test]
