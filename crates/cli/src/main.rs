@@ -30,7 +30,7 @@ use args::{ArgError, Args};
 use dreamsim_engine::{
     read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
     DomainParams, PlacementModel, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage,
-    SimParams, Simulation, StatsBackend,
+    SimParams, Simulation,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
@@ -60,7 +60,6 @@ USAGE:
                [--swf FILE [--ticks-per-second N] [--max-jobs N]]
                [--checkpoint-every TICKS] [--checkpoint-dir DIR]
                [--audit] [--audit-every TICKS] [--resume-from FILE]
-               [--stats exact|sketch]
                [--report table|xml|json|csv] [--out FILE]
   dreamsim figures [--fig 6a|6b|7a|7b|8a|8b|9a|9b|10|all]
                    [--max-tasks N | --tasks N1,N2,...]
@@ -145,14 +144,6 @@ re-supply the same --replay/--swf file. --audit cross-checks the internal
 state invariants after every dispatched event (and always at checkpoint
 boundaries); --audit-every N audits on a period instead.
 
-Statistics backends: --stats selects wait-time statistics. exact
-(default) stores every wait sample; sketch replaces the unbounded sample
-vector with a fixed-size integer quantile sketch whose percentiles match
-exact to within 1/128 relative error (and are byte-identical below the
-4096-sample exact window). --stats also applies to --resume-from: the
-restored statistics convert to the chosen backend, except that a sketch
-past its exact window stays a sketch (its samples are gone).
-
 Parallel sweeps: figures and ablations fan their independent simulation
 points across --jobs worker threads (0 or omitted = all hardware
 threads; --threads is an alias). Results are merged in point order, so
@@ -175,7 +166,7 @@ const PARAM_FLAGS: (&str, &str) = (
 const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
     ("run", true,
      "policy replay swf ticks-per-second max-jobs checkpoint-every checkpoint-dir audit-every \
-      resume-from stats report out", "audit"),
+      resume-from report out", "audit"),
     ("figures", false, "fig max-tasks tasks jobs threads seed out-dir", ""),
     ("ablations", false, "which nodes tasks mode seed jobs threads", ""),
     ("chaos", false, "script audit-every work-dir report out", "no-drill"),
@@ -551,13 +542,8 @@ fn trace_from_args(args: &Args, num_configs: usize) -> Result<TraceSource, ArgEr
 /// `run --resume-from FILE`: restore a checkpoint and continue. The
 /// simulation parameters (and for synthetic workloads the entire task
 /// stream) come from the checkpoint itself; trace/SWF runs re-supply the
-/// same workload file, which the restored cursor fast-forwards. The
-/// `--stats` backend applies to the restored simulation too.
-fn resume_run(
-    args: &Args,
-    run_opts: &RunOptions,
-    stats: StatsBackend,
-) -> Result<RunResult, ArgError> {
+/// same workload file, which the restored cursor fast-forwards.
+fn resume_run(args: &Args, run_opts: &RunOptions) -> Result<RunResult, ArgError> {
     let path = args.get("resume-from", "");
     let cp = read_checkpoint(Path::new(path))
         .map_err(|e| ArgError(format!("reading checkpoint {path}: {e}")))?;
@@ -580,7 +566,6 @@ fn resume_run(
             let source = SyntheticSource::from_params(cp.params());
             Simulation::resume(cp, source, policy)
                 .map_err(|e| ArgError(format!("restoring {path}: {e}")))?
-                .with_stats_backend(stats)
                 .run_with(run_opts)
         }
         "trace" => {
@@ -593,7 +578,6 @@ fn resume_run(
             let source = trace_from_args(args, cp.params().total_configs)?;
             Simulation::resume(cp, source, policy)
                 .map_err(|e| ArgError(format!("restoring {path}: {e}")))?
-                .with_stats_backend(stats)
                 .run_with(run_opts)
         }
         "open" => {
@@ -614,15 +598,8 @@ fn resume_run(
 
 fn cmd_run(args: &Args) -> Result<(), ArgError> {
     let run_opts = run_options_from_args(args)?;
-    let stats = parse_flag(
-        args,
-        "stats",
-        "exact",
-        Some("exact or sketch"),
-        StatsBackend::parse,
-    )?;
     let result: RunResult = if args.has("resume-from") {
-        resume_run(args, &run_opts, stats)?
+        resume_run(args, &run_opts)?
     } else {
         let params = params_from_args(args)?;
         let policy = policy_from_args(args)?;
@@ -633,14 +610,12 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
             p.total_tasks = source.len();
             Simulation::new(p, source, policy)
                 .map_err(|e| ArgError(e.to_string()))?
-                .with_stats_backend(stats)
                 .run_with(&run_opts)
                 .map_err(|e| ArgError(e.to_string()))?
         } else {
             let source = SyntheticSource::from_params(&params);
             Simulation::new(params, source, policy)
                 .map_err(|e| ArgError(e.to_string()))?
-                .with_stats_backend(stats)
                 .run_with(&run_opts)
                 .map_err(|e| ArgError(e.to_string()))?
         }

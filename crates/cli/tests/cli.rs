@@ -288,25 +288,6 @@ fn figures_output_invariant_across_jobs() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-#[test]
-fn stats_backends_match_defaults_byte_for_byte() {
-    // 100 tasks sits far below the sketch's 4096-sample exact window, so
-    // both statistics backends must render the identical report.
-    let run = |stats: &str| {
-        run_ok(&[
-            "run", "--nodes", "20", "--tasks", "100", "--seed", "3", "--stats", stats, "--report",
-            "csv",
-        ])
-    };
-    assert_eq!(run("exact"), run("sketch"), "sketch stats diverged");
-    let bad_stats = dreamsim()
-        .args(["run", "--stats", "bogus"])
-        .output()
-        .unwrap();
-    assert!(!bad_stats.status.success());
-    assert!(String::from_utf8_lossy(&bad_stats.stderr).contains("--stats must be exact or sketch"));
-}
-
 /// Misspelled and removed flags fail before any simulation starts, and
 /// the error names both the flag and the subcommand.
 #[test]
@@ -321,6 +302,7 @@ fn unknown_flags_are_rejected_before_any_work() {
             "--event-queue",
         ),
         ("run --nodes 20 --tasks 100 --search linear", "--search"),
+        ("run --nodes 20 --tasks 100 --stats sketch", "--stats"),
         ("trace --tasks 20 --sead 5", "--sead"),
         ("serve --horizon 500 --kill-att 200", "--kill-att"),
     ] {

@@ -67,6 +67,4 @@ pub use sim::{
     RunResult, SchedCtx, SchedulePolicy, SearchBackend, Simulation, SourceYield, TaskSource,
     TaskSpec, TaskTable,
 };
-pub use stats::{
-    Metrics, PhaseCounts, PhaseKind, Stats, StatsBackend, WaitSketch, WindowBucket, WindowStats,
-};
+pub use stats::{Metrics, PhaseCounts, PhaseKind, Stats, WindowBucket, WindowStats};

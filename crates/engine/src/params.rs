@@ -19,6 +19,7 @@
 //! Eq. 8 and the UML's `NWDLow`/`NWDHigh` members); the default here is
 //! U\[1..10\] and is configurable.
 
+use dreamsim_model::ids::{Area, MAX_AREA};
 use serde::{Deserialize, Serialize};
 
 /// Whether nodes support partial reconfiguration (the two scenarios
@@ -414,6 +415,13 @@ pub enum ParamsError {
         /// Value given.
         value: u64,
     },
+    /// An area range reaches above [`MAX_AREA`].
+    AreaTooLarge {
+        /// Which parameter.
+        name: &'static str,
+        /// Upper bound given.
+        value: Area,
+    },
 }
 
 impl std::fmt::Display for ParamsError {
@@ -461,6 +469,10 @@ impl std::fmt::Display for ParamsError {
             ParamsError::TicksTooLarge { name, value } => write!(
                 f,
                 "parameter {name}: {value} ticks exceeds the ceiling of {MAX_TICKS} ticks"
+            ),
+            ParamsError::AreaTooLarge { name, value } => write!(
+                f,
+                "parameter {name}: {value} area units exceeds the ceiling of {MAX_AREA} area units"
             ),
         }
     }
@@ -740,6 +752,14 @@ impl SimParams {
         if self.config_area.lo > self.node_area.hi {
             return Err(ParamsError::ConfigsNeverFit);
         }
+        for (name, r) in [
+            ("config_area", self.config_area),
+            ("node_area", self.node_area),
+        ] {
+            if r.hi > MAX_AREA {
+                return Err(ParamsError::AreaTooLarge { name, value: r.hi });
+            }
+        }
         if let Some((name, value)) = self.tick_params().find(|&(_, v)| v > MAX_TICKS) {
             return Err(ParamsError::TicksTooLarge { name, value });
         }
@@ -933,6 +953,24 @@ mod tests {
                 hi: 1000
             }
         );
+        type Field = fn(&mut SimParams) -> &mut Range;
+        let areas: [(&str, Field); 2] = [
+            ("config_area", |p| &mut p.config_area),
+            ("node_area", |p| &mut p.node_area),
+        ];
+        for (name, area) in areas {
+            let mut p = SimParams::default();
+            area(&mut p).hi = MAX_AREA;
+            assert_eq!(p.validate(), Ok(()), "{name} at the ceiling");
+            area(&mut p).hi = MAX_AREA + 1;
+            assert_eq!(
+                p.validate(),
+                Err(ParamsError::AreaTooLarge {
+                    name,
+                    value: MAX_AREA + 1
+                })
+            );
+        }
     }
 
     #[test]

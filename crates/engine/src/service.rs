@@ -318,8 +318,6 @@ pub struct ServiceLegOptions {
     pub ring_every: Ticks,
     /// Ring retention budget (values below 1 clamp to 1).
     pub ring_retain: u64,
-    /// Audit after every dispatched event (expensive; drills).
-    pub audit: bool,
     /// Audit whenever the clock crosses a multiple of this many ticks.
     pub audit_every: Option<Ticks>,
     /// Deterministic kill switch: stop the leg — *without* a final
@@ -382,7 +380,6 @@ impl ServiceOptions {
             ring_dir: Some(self.ring_dir.clone()),
             ring_every: self.ring_every,
             ring_retain: self.ring_retain,
-            audit: false,
             audit_every: self.audit_every,
             stop_at: self.stop_at,
         }

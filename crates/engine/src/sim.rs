@@ -846,21 +846,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         self
     }
 
-    /// Select the waiting-time statistics backend (CLI `--stats`).
-    /// The sketch keeps percentiles byte-identical to the exact
-    /// backend up to [`crate::stats::WaitSketch::EXACT_WINDOW`] placed
-    /// tasks and error-bounded beyond, in O(1) memory (DESIGN.md
-    /// §16). On a resumed simulation
-    /// the checkpoint's own sketch state wins: converting to `Sketch`
-    /// is a no-op if one was restored, and a restored *collapsed*
-    /// sketch refuses conversion back to `Exact` (the samples are
-    /// gone; see [`crate::stats::StatsBackend`]).
-    #[must_use]
-    pub fn with_stats_backend(mut self, backend: crate::stats::StatsBackend) -> Self {
-        self.stats.set_backend(backend);
-        self
-    }
-
     /// Read-only access to the resource manager (tests/monitoring).
     #[must_use]
     pub fn resources(&self) -> &ResourceManager {
@@ -1014,7 +999,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             let ring = CheckpointRing::new(dir.clone(), opts.ring_retain);
             (opts.ring_every, SnapshotSink::Ring(ring))
         });
-        let mut cadence = Cadence::new(self.clock, opts.audit, opts.audit_every, snapshots);
+        let mut cadence = Cadence::new(self.clock, false, opts.audit_every, snapshots);
         self.start(&cadence)?;
         while let Some((t, ev)) = self.events.pop_due(horizon.saturating_sub(1)) {
             debug_assert!(t >= self.clock, "time must be monotone");
@@ -2494,6 +2479,7 @@ mod tests {
 
     use crate::audit::AuditError;
     use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
+    use dreamsim_model::ids::MAX_AREA;
     use dreamsim_model::SlotView;
 
     /// Parameters with every fault mechanism active, so checkpoints must
@@ -3092,8 +3078,7 @@ mod tests {
     }
 
     /// A CRC-valid payload of every serialized shape this fixture
-    /// reaches: faults, partition domains with a scripted outage, and
-    /// sketch statistics.
+    /// reaches: faults and partition domains with a scripted outage.
     fn fuzz_base_payload() -> String {
         let mut p = fault_params();
         p.domains = Some(DomainParams {
@@ -3107,9 +3092,7 @@ mod tests {
                 duration: 100,
             }],
         });
-        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy)
-            .unwrap()
-            .with_stats_backend(crate::stats::StatsBackend::Sketch);
+        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 150);
         serde_json::to_string(&sim.checkpoint()).unwrap()
     }
@@ -3355,6 +3338,20 @@ mod tests {
         };
         let total_area = |v: &mut serde::Value| at(v, &field("total_area")).clone();
         let configs = good["resources"]["configs"].as_array().unwrap().len();
+        // Nodes configured at least once, and an edit of their records
+        // that keeps Eq. 4 but sums past 2^64 across nodes or placements.
+        let nodes = good["resources"]["nodes"].as_array().unwrap();
+        let configured: Vec<String> = (0..nodes.len())
+            .filter(|&i| nodes[i]["reconfig_count"].as_u64() > Some(0))
+            .map(|i| i.to_string())
+            .collect();
+        assert!(configured.len() >= 4, "four configured nodes to edit");
+        let edit_nodes = |v: &mut serde::Value, count, name, value: &dyn Fn(u64) -> u64| {
+            for i in &configured[..count] {
+                let field = at(v, &["resources", "nodes", i, name]);
+                *field = number(value(field.as_u64().unwrap()));
+            }
+        };
         let decode_errors = [
             (
                 "idle_head cut to 3 entries",
@@ -3394,6 +3391,23 @@ mod tests {
             (
                 "a configuration id out of range",
                 edited(&|v| *at(v, &["resources", "configs", "0", "id"]) = number(999)),
+            ),
+            (
+                "a configuration wider than MAX_AREA",
+                edited(&|v| {
+                    *at(v, &["resources", "configs", "0", "req_area"]) = number(MAX_AREA + 1);
+                }),
+            ),
+            (
+                "four configured nodes with 2^62 more total and available area",
+                edited(&|v| {
+                    edit_nodes(v, 4, "total_area", &|a| a + (1 << 62));
+                    edit_nodes(v, 4, "available_area", &|a| a + (1 << 62));
+                }),
+            ),
+            (
+                "two nodes reconfigured 2^63 times",
+                edited(&|v| edit_nodes(v, 2, "reconfig_count", &|_| 1 << 63)),
             ),
             (
                 "two busy slots of 2^63 area units",

@@ -151,335 +151,27 @@ impl WindowStats {
     }
 }
 
-/// Selects how [`Stats`] accumulates the waiting-time distribution.
-///
-/// `Exact` (the seed behaviour and the default) keeps every placed
-/// task's wait in [`Stats::wait_samples`] — one `u64` per task, O(n)
-/// memory and O(n) checkpoint payload. `Sketch` replaces the vector
-/// with the fixed-structure [`WaitSketch`]: O(1) memory in the task
-/// count, exact percentiles up to [`WaitSketch::EXACT_WINDOW`] samples
-/// and bounded-relative-error percentiles beyond
-/// ([`WaitSketch::MAX_REL_ERROR_DENOM`]), which is what makes
-/// million-task scale-ladder runs feasible.
-///
-/// The selection itself is derived state, but the sketch's *contents*
-/// are real state and ride inside checkpoints ([`Stats::sketch`]); a resumed run continues
-/// accumulating into the restored sketch. Switching a
-/// collapsed sketch back to `Exact` is impossible (the individual
-/// samples are gone) and is deliberately a no-op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StatsBackend {
-    /// Per-task wait samples; exact percentiles (seed behaviour).
-    #[default]
-    Exact,
-    /// Fixed-bucket log-histogram sketch; O(1) memory.
-    Sketch,
-}
+/// The `stats.sketch` slot of a v2 checkpoint, which only the retired
+/// `--stats sketch` backend ever filled. Exact runs write `null` there,
+/// and the uninhabited type keeps it that way: a checkpoint that holds a
+/// sketch has lost its individual wait samples, so it is refused rather
+/// than resumed with wrong percentiles.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum RetiredSketch {}
 
-impl StatsBackend {
-    /// Parse a CLI flag value. Accepts `exact` and `sketch`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(Self::Exact),
-            "sketch" => Some(Self::Sketch),
-            _ => None,
-        }
-    }
-
-    /// Stable label for reports and bench output.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            Self::Exact => "exact",
-            Self::Sketch => "sketch",
-        }
+impl Serialize for RetiredSketch {
+    fn write_json(&self, _out: &mut String) {
+        match *self {}
     }
 }
 
-/// Deterministic streaming quantile sketch over waiting times: a hybrid
-/// of an exact window and a fixed-bucket base-2 log histogram (HDR
-/// style, [`WaitSketch::SUB_BITS`] sub-bucket bits per octave).
-///
-/// The first [`WaitSketch::EXACT_WINDOW`] samples are kept verbatim, so
-/// below that size every quantile — and therefore every report byte —
-/// is identical to the `Exact` backend (the differential battery pins
-/// this). The window overflow *collapses* the sketch: all samples move
-/// into the histogram, later samples are bucketed directly, and
-/// quantiles become bucket midpoints with relative error at most
-/// `1 / MAX_REL_ERROR_DENOM` (plus 1 tick of integer slack; pinned by
-/// the adversarial-distribution tests). The maximum is tracked exactly
-/// in both regimes.
-///
-/// Everything is integer arithmetic over a fixed bucket layout, so the
-/// collapsed state is independent of insertion order and serialization
-/// is canonical: buckets are written sparsely as ascending
-/// `[index, count]` pairs, bounding the checkpoint payload by the
-/// bucket count — O(1) in the number of tasks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WaitSketch {
-    /// Un-collapsed samples in insertion order (empty once collapsed).
-    exact: Vec<Ticks>,
-    /// Dense bucket counts; empty before collapse,
-    /// [`Self::NUM_BUCKETS`] entries after.
-    counts: Vec<u64>,
-    /// Total samples recorded.
-    count: u64,
-    /// Exact maximum over all samples.
-    max: Ticks,
-}
-
-impl WaitSketch {
-    /// Samples kept exactly before the sketch collapses to buckets.
-    pub const EXACT_WINDOW: usize = 4096;
-    /// Sub-bucket bits per octave: 2^6 = 64 log-linear buckets per
-    /// power of two.
-    const SUB_BITS: u32 = 6;
-    /// Values below this are their own (exact) bucket.
-    const LINEAR_MAX: u64 = 1 << Self::SUB_BITS;
-    /// Total fixed buckets: 64 linear + 64 per octave for the 58
-    /// octaves from 2^6 through 2^63.
-    // BOUND: LINEAR_MAX = 64 and SUB_BITS = 6, tiny constants.
-    const NUM_BUCKETS: usize = (Self::LINEAR_MAX as usize) * (1 + 64 - Self::SUB_BITS as usize);
-    /// Collapsed-quantile relative error is at most `1 / this` (plus
-    /// one tick of integer rounding slack): bucket width over bucket
-    /// base is `1 / 2^SUB_BITS`, and midpoints halve it.
-    pub const MAX_REL_ERROR_DENOM: u64 = 1 << (Self::SUB_BITS + 1);
-
-    /// Whether the exact window has collapsed into buckets.
-    #[must_use]
-    pub fn is_collapsed(&self) -> bool {
-        !self.counts.is_empty()
+impl Deserialize for RetiredSketch {
+    fn read_json(_r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Err(serde::Error::custom(
+            "stats.sketch: the checkpoint holds a quantile sketch from the retired \
+             `--stats sketch` backend instead of its wait samples; it cannot be resumed",
+        ))
     }
-
-    /// Total samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact maximum over all samples (0 when empty).
-    #[must_use]
-    pub fn max(&self) -> Ticks {
-        self.max
-    }
-
-    /// Bucket index for value `v`: identity below
-    /// [`Self::LINEAR_MAX`], then 64 log-linear buckets per octave.
-    /// Monotone non-decreasing in `v`, which is what lets the
-    /// cumulative-count walk in [`Self::quantile`] respect rank order.
-    fn bucket_index(v: Ticks) -> usize {
-        if v < Self::LINEAR_MAX {
-            // BOUND: v < 64, fits usize.
-            v as usize
-        } else {
-            // v >= 64 has at most 57 leading zeros, so exp is in 6..=63.
-            let exp = 63 - v.leading_zeros();
-            // Top SUB_BITS bits after the leading one select the
-            // sub-bucket; the shifted value is in [64, 128).
-            // BOUND: (v >> (exp - 6)) < 128, fits usize.
-            let sub = (v >> (exp - Self::SUB_BITS)) as usize - Self::LINEAR_MAX as usize;
-            // BOUND: exp <= 63 and LINEAR_MAX = 64, so the product and
-            // sum stay far below NUM_BUCKETS = 3776.
-            Self::LINEAR_MAX as usize * (1 + exp as usize - Self::SUB_BITS as usize) + sub
-        }
-    }
-
-    /// Representative (midpoint) value for bucket `idx` — the inverse
-    /// of [`Self::bucket_index`] up to the pinned error bound.
-    fn bucket_value(idx: usize) -> Ticks {
-        // BOUND: LINEAR_MAX = 64, fits usize.
-        let linear = Self::LINEAR_MAX as usize;
-        if idx < linear {
-            idx as u64
-        } else {
-            let octave = (idx - linear) / linear; // exp - SUB_BITS
-            let sub = ((idx - linear) % linear) as u64;
-            // BOUND: octave <= 57 and (64 + sub) <= 127, so the shifted
-            // base and the added half-width both stay below 2^64.
-            let lo = (Self::LINEAR_MAX + sub) << octave;
-            let width = 1u64 << octave;
-            lo + width / 2
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: Ticks) {
-        self.count += 1;
-        self.max = self.max.max(v);
-        if self.counts.is_empty() {
-            self.exact.push(v);
-            if self.exact.len() > Self::EXACT_WINDOW {
-                self.collapse();
-            }
-        } else {
-            self.counts[Self::bucket_index(v)] += 1;
-        }
-    }
-
-    /// Move every exact sample into the bucket array. Bucket counts are
-    /// commutative, so the collapsed state — and its serialization — is
-    /// independent of the order the samples arrived in (pinned by the
-    /// insertion-order tests).
-    fn collapse(&mut self) {
-        self.counts = vec![0; Self::NUM_BUCKETS];
-        for &v in &self.exact {
-            self.counts[Self::bucket_index(v)] += 1;
-        }
-        self.exact = Vec::new();
-    }
-
-    /// Nearest-rank quantile, `p` in `[0, 1]`, using exactly the
-    /// `Exact` backend's rank formula so the two backends agree to the
-    /// byte while the window holds.
-    #[must_use]
-    pub fn quantile(&self, p: f64) -> Ticks {
-        if self.count == 0 {
-            return 0;
-        }
-        // BOUND: p in [0,1], so the rank is at most count - 1.
-        let rank = ((self.count - 1) as f64 * p).round() as u64;
-        if self.counts.is_empty() {
-            let mut sorted = self.exact.clone();
-            // TIEBREAK: u64 keys — equal waits are indistinguishable,
-            // so an unstable sort cannot reorder anything observable.
-            sorted.sort_unstable();
-            // BOUND: rank < count = exact.len() <= EXACT_WINDOW.
-            sorted[rank as usize]
-        } else {
-            let mut seen = 0u64;
-            for (i, &c) in self.counts.iter().enumerate() {
-                seen += c;
-                if seen > rank {
-                    return Self::bucket_value(i);
-                }
-            }
-            // Unreachable: collapsed bucket counts sum to `count`,
-            // which exceeds every valid rank; the exact max is still a
-            // correct answer for any quantile of a distribution.
-            self.max
-        }
-    }
-
-    /// Tear down an *un-collapsed* sketch into its samples, insertion
-    /// order preserved (backend switch back to `Exact`).
-    fn take_exact(&mut self) -> Vec<Ticks> {
-        std::mem::take(&mut self.exact)
-    }
-}
-
-// Manual serde: the dense bucket array is written sparsely (ascending
-// `[index, count]` pairs, nonzero only), bounding serialized size by
-// the fixed bucket count rather than the task count, and making the
-// encoding canonical — two sketches holding the same distribution
-// serialize to identical bytes.
-impl Serialize for WaitSketch {
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"count\":");
-        self.count.write_json(out);
-        out.push_str(",\"max\":");
-        self.max.write_json(out);
-        out.push_str(",\"collapsed\":");
-        self.is_collapsed().write_json(out);
-        out.push_str(",\"exact\":");
-        self.exact.write_json(out);
-        out.push_str(",\"buckets\":");
-        let buckets = self.counts.iter().enumerate().filter(|&(_, &c)| c != 0);
-        serde::write_seq(out, buckets.map(|(i, &c)| (i as u64, c)));
-        out.push('}');
-    }
-}
-
-impl Deserialize for WaitSketch {
-    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut count, mut max, mut collapsed, mut exact, mut pairs) =
-            (None, None, None, None, None);
-        let mut map = r
-            .map()
-            .map_err(|_| serde::Error::custom("WaitSketch: expected object"))?;
-        while let Some(key) = map.next_key(r)? {
-            match &*key {
-                "count" if count.is_none() => count = Some(u64::read_json(r)?),
-                "max" if max.is_none() => max = Some(Ticks::read_json(r)?),
-                "collapsed" if collapsed.is_none() => {
-                    let bool_error =
-                        |_| serde::Error::custom("WaitSketch: collapsed must be a bool");
-                    collapsed = Some(r.bool().map_err(bool_error)?);
-                }
-                "exact" if exact.is_none() => exact = Some(Vec::<Ticks>::read_json(r)?),
-                // Checked against `collapsed` below: fields come in any order.
-                "buckets" if pairs.is_none() => pairs = Some(read_buckets(r)?),
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |k: &str| serde::Error::custom(format!("WaitSketch: missing {k}"));
-        let count = count.ok_or_else(|| missing("count"))?;
-        let max = max.ok_or_else(|| missing("max"))?;
-        let collapsed = collapsed.ok_or_else(|| missing("collapsed"))?;
-        let exact = exact.ok_or_else(|| missing("exact"))?;
-        let pairs = pairs.ok_or_else(|| missing("buckets"))?;
-        let mut counts = if collapsed {
-            vec![0u64; Self::NUM_BUCKETS]
-        } else {
-            Vec::new()
-        };
-        let mut bucket_total = 0u64;
-        let mut last_idx: Option<u64> = None;
-        for (idx, c) in pairs {
-            if !collapsed || idx >= Self::NUM_BUCKETS as u64 || c == 0 {
-                return Err(serde::Error::custom(format!(
-                    "WaitSketch: invalid bucket entry [{idx}, {c}]"
-                )));
-            }
-            if last_idx.is_some_and(|prev| prev >= idx) {
-                return Err(serde::Error::custom(
-                    "WaitSketch: bucket indices must be strictly ascending",
-                ));
-            }
-            last_idx = Some(idx);
-            // BOUND: idx checked against NUM_BUCKETS above.
-            counts[idx as usize] = c;
-            bucket_total += c;
-        }
-        let held = if collapsed {
-            bucket_total
-        } else {
-            exact.len() as u64
-        };
-        if held != count {
-            return Err(serde::Error::custom(format!(
-                "WaitSketch: holds {held} samples but count says {count}"
-            )));
-        }
-        Ok(Self {
-            exact,
-            counts,
-            count,
-            max,
-        })
-    }
-}
-
-/// The sparse `[[index, count], ..]` bucket pairs of a [`WaitSketch`].
-fn read_buckets(r: &mut serde::Reader<'_>) -> Result<Vec<(u64, u64)>, serde::Error> {
-    let mut pairs = Vec::new();
-    let mut seq = r
-        .seq()
-        .map_err(|_| serde::Error::custom("WaitSketch: buckets must be an array"))?;
-    while seq.next(r)? {
-        let shape = || serde::Error::custom("WaitSketch: bucket must be [index, count]");
-        let mut parts = r.seq().map_err(|_| shape())?;
-        let mut next = |r: &mut serde::Reader<'_>| parts.next(r)?.then_some(()).ok_or_else(shape);
-        next(r)?;
-        let idx = u64::read_json(r)?;
-        next(r)?;
-        let c = u64::read_json(r)?;
-        if parts.next(r)? {
-            return Err(shape());
-        }
-        pairs.push((idx, c));
-    }
-    Ok(pairs)
 }
 
 /// Running accumulator over one simulation.
@@ -538,13 +230,10 @@ pub struct Stats {
     // byte-identical-resume tests).
     #[serde(skip)]
     pub wait_samples: Vec<Ticks>,
-    /// Streaming waiting-time sketch ([`StatsBackend::Sketch`]); `None`
-    /// under the default `Exact` backend, which keeps exact-mode
-    /// checkpoints byte-identical to the seed. Unlike `wait_samples`
-    /// the sketch *is* serialized — it is O(1)-sized — so checkpoints
-    /// carry it directly and resume needs no rebuild step.
+    /// Always `None`: keeps the `"sketch":null` member of the v2
+    /// checkpoint payload, and refuses any other value ([`RetiredSketch`]).
     #[serde(default)]
-    pub sketch: Option<WaitSketch>,
+    pub(crate) sketch: Option<RetiredSketch>,
     /// Sliding-window live metrics (service mode only; `None` in batch
     /// runs, which keeps batch checkpoints shape-stable).
     #[serde(default)]
@@ -558,7 +247,6 @@ impl Stats {
     pub(crate) fn clone_without_samples(&self) -> Self {
         Self {
             wait_samples: Vec::new(),
-            sketch: self.sketch.clone(),
             window: self.window.clone(),
             ..*self
         }
@@ -589,57 +277,14 @@ impl Stats {
         }
         self.total_wait += wait;
         self.total_config_time += config_time;
-        // BOUND: per-task wasted area <= node area (Table II <= 4000); sum far below 2^64.
+        // BOUND: wasted_after is a node's available area, at most its
+        // total area (Eq. 4), which parameters and checkpoints cap at
+        // MAX_AREA = 2^24: the sum cannot reach 2^64 before 2^40 placements.
         self.total_wasted_area += wasted_after;
-        if let Some(sk) = &mut self.sketch {
-            sk.record(wait);
-        } else {
-            self.wait_samples.push(wait);
-        }
+        self.wait_samples.push(wait);
         if let Some(w) = &mut self.window {
             w.current.placements += 1;
             w.current.wait_sum += wait;
-        }
-    }
-
-    /// The active waiting-time accumulation backend.
-    #[must_use]
-    pub fn backend(&self) -> StatsBackend {
-        if self.sketch.is_some() {
-            StatsBackend::Sketch
-        } else {
-            StatsBackend::Exact
-        }
-    }
-
-    /// Switch the waiting-time backend in place.
-    ///
-    /// `Exact → Sketch` re-records every held sample into a fresh
-    /// sketch (lossless: the sketch keeps an exact window far larger
-    /// than any single conversion source) and frees the sample vector.
-    /// `Sketch → Exact` restores the samples while the sketch is still
-    /// un-collapsed; a *collapsed* sketch no longer has them, so the
-    /// request is deliberately a no-op (see [`StatsBackend`]).
-    pub fn set_backend(&mut self, backend: StatsBackend) {
-        match backend {
-            StatsBackend::Sketch => {
-                if self.sketch.is_none() {
-                    let mut sk = WaitSketch::default();
-                    for &w in &self.wait_samples {
-                        sk.record(w);
-                    }
-                    self.wait_samples = Vec::new();
-                    self.sketch = Some(sk);
-                }
-            }
-            StatsBackend::Exact => {
-                if let Some(sk) = &mut self.sketch {
-                    if !sk.is_collapsed() {
-                        self.wait_samples = sk.take_exact();
-                        self.sketch = None;
-                    }
-                }
-            }
         }
     }
 
@@ -670,10 +315,11 @@ impl Stats {
         self.total_config_time += config_time;
     }
 
-    /// Finalize into the Table I metric set.
+    /// Finalize into the Table I metric set. Sorts
+    /// [`wait_samples`](Self::wait_samples) in place to rank them.
     #[must_use]
     pub fn finalize(
-        &self,
+        &mut self,
         params: &SimParams,
         steps: StepCounter,
         end_time: Ticks,
@@ -685,6 +331,10 @@ impl Stats {
         mean_fragmentation_end: f64,
         node_downtime: Ticks,
     ) -> Metrics {
+        // TIEBREAK: u64 keys — equal waits are indistinguishable, so an
+        // unstable sort cannot reorder anything observable.
+        self.wait_samples.sort_unstable();
+        let waits = &self.wait_samples;
         let per_task = |x: u64| {
             if self.generated == 0 {
                 0.0
@@ -692,36 +342,14 @@ impl Stats {
                 x as f64 / self.generated as f64
             }
         };
-        let (wait_p50, wait_p95, wait_p99, wait_max) = if let Some(sk) = &self.sketch {
-            // Sketch backend: same nearest-rank formula, so identical
-            // bytes while the exact window holds (differential-tested);
-            // bounded-error midpoints beyond, exact max always.
-            (
-                sk.quantile(0.50),
-                sk.quantile(0.95),
-                sk.quantile(0.99),
-                sk.max(),
-            )
-        } else {
-            let mut waits = self.wait_samples.clone();
-            // TIEBREAK: u64 keys — equal waits are indistinguishable, so an
-            // unstable sort cannot reorder anything observable.
-            waits.sort_unstable();
-            let pct = |p: f64| -> Ticks {
-                if waits.is_empty() {
-                    0
-                } else {
-                    // BOUND: p in [0,1], so the index is at most waits.len() - 1.
-                    let idx = ((waits.len() - 1) as f64 * p).round() as usize;
-                    waits[idx]
-                }
-            };
-            (
-                pct(0.50),
-                pct(0.95),
-                pct(0.99),
-                waits.last().copied().unwrap_or(0),
-            )
+        let pct = |p: f64| -> Ticks {
+            if waits.is_empty() {
+                0
+            } else {
+                // BOUND: p in [0,1], so the index is at most waits.len() - 1.
+                let idx = ((waits.len() - 1) as f64 * p).round() as usize;
+                waits[idx]
+            }
         };
         Metrics {
             mode: params.mode.label().to_string(),
@@ -743,10 +371,10 @@ impl Stats {
             avg_config_time_per_task: per_task(self.total_config_time),
             total_config_time: self.total_config_time,
             avg_waiting_time_per_task: per_task(self.total_wait),
-            wait_p50,
-            wait_p95,
-            wait_p99,
-            wait_max,
+            wait_p50: pct(0.50),
+            wait_p95: pct(0.95),
+            wait_p99: pct(0.99),
+            wait_max: waits.last().copied().unwrap_or(0),
             avg_scheduling_steps_per_task: per_task(steps.scheduling),
             scheduler_search_length: steps.scheduling,
             housekeeping_steps: steps.housekeeping,
@@ -905,7 +533,9 @@ mod tests {
 
     fn finalize(stats: &Stats, steps: StepCounter) -> Metrics {
         let params = SimParams::paper(100, 1000, ReconfigMode::Partial);
-        stats.finalize(&params, steps, 5_000, 1234, 321, 77, 12, 4, 0.0, 0)
+        stats
+            .clone()
+            .finalize(&params, steps, 5_000, 1234, 321, 77, 12, 4, 0.0, 0)
     }
 
     #[test]
@@ -1096,252 +726,6 @@ mod tests {
         assert_eq!(m, back);
     }
 
-    // ---- WaitSketch battery -------------------------------------------
-
-    /// Exact nearest-rank quantile on a sample set, mirroring the
-    /// `Exact` backend's formula.
-    fn exact_quantile(samples: &[Ticks], p: f64) -> Ticks {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
-    }
-
-    fn sketch_of(samples: &[Ticks]) -> WaitSketch {
-        let mut sk = WaitSketch::default();
-        for &v in samples {
-            sk.record(v);
-        }
-        sk
-    }
-
-    /// Deterministic splitmix64 stream for sample generation.
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    const PCTS: [f64; 3] = [0.50, 0.95, 0.99];
-
-    #[test]
-    fn stats_backend_parse_and_label_round_trip() {
-        for b in [StatsBackend::Exact, StatsBackend::Sketch] {
-            assert_eq!(StatsBackend::parse(b.label()), Some(b));
-        }
-        assert_eq!(StatsBackend::parse("p2"), None);
-        assert_eq!(StatsBackend::default(), StatsBackend::Exact);
-    }
-
-    #[test]
-    fn sketch_matches_exact_backend_below_window() {
-        // The flagship identity: while the exact window holds, sketch
-        // percentiles equal the Exact backend's to the byte — including
-        // the engine-realistic case of heavy ties and zeros.
-        let mut state = 7u64;
-        let samples: Vec<Ticks> = (0..WaitSketch::EXACT_WINDOW)
-            .map(|_| match splitmix(&mut state) % 5 {
-                0 => 0,
-                1 => splitmix(&mut state) % 10,
-                _ => splitmix(&mut state) % 2_000,
-            })
-            .collect();
-        let sk = sketch_of(&samples);
-        assert!(!sk.is_collapsed());
-        for p in PCTS {
-            assert_eq!(sk.quantile(p), exact_quantile(&samples, p));
-        }
-        assert_eq!(sk.max(), *samples.iter().max().unwrap());
-
-        // And through a whole Stats accumulator: identical percentile
-        // fields in the finalized metrics.
-        let mut exact = Stats::default();
-        let mut sketchy = Stats::default();
-        sketchy.set_backend(StatsBackend::Sketch);
-        for &w in &samples {
-            exact.record_placement(PhaseKind::Allocation, w, 0, 0, false);
-            sketchy.record_placement(PhaseKind::Allocation, w, 0, 0, false);
-        }
-        let (me, ms) = (
-            finalize(&exact, StepCounter::default()),
-            finalize(&sketchy, StepCounter::default()),
-        );
-        assert_eq!(
-            (me.wait_p50, me.wait_p95, me.wait_p99, me.wait_max),
-            (ms.wait_p50, ms.wait_p95, ms.wait_p99, ms.wait_max)
-        );
-    }
-
-    #[test]
-    fn collapsed_sketch_is_insertion_order_independent() {
-        // Three engine-producible arrival orders of the same multiset —
-        // ascending (drained suspension queue), descending, and
-        // hash-shuffled (interleaved completions) — must produce
-        // identical quantiles AND identical serialized bytes once
-        // collapsed.
-        let n = 3 * WaitSketch::EXACT_WINDOW;
-        let base: Vec<Ticks> = (0..n as u64).map(|i| (i * i) % 50_000).collect();
-        let mut ascending = base.clone();
-        ascending.sort_unstable(); // TIEBREAK: u64 keys, ties identical
-        let descending: Vec<Ticks> = ascending.iter().rev().copied().collect();
-        let mut shuffled = base.clone();
-        let mut state = 41u64;
-        for i in (1..shuffled.len()).rev() {
-            // BOUND: modulus keeps the index within 0..=i.
-            shuffled.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
-        }
-        let (a, b, c) = (
-            sketch_of(&ascending),
-            sketch_of(&descending),
-            sketch_of(&shuffled),
-        );
-        assert!(a.is_collapsed());
-        assert_eq!(a, b);
-        assert_eq!(a, c);
-        let bytes = serde_json::to_string(&a).unwrap();
-        assert_eq!(bytes, serde_json::to_string(&b).unwrap());
-        assert_eq!(bytes, serde_json::to_string(&c).unwrap());
-        for p in PCTS {
-            assert_eq!(a.quantile(p), b.quantile(p));
-            assert_eq!(a.quantile(p), c.quantile(p));
-        }
-    }
-
-    #[test]
-    fn sketch_serde_round_trips_byte_identically_in_both_regimes() {
-        let mut state = 97u64;
-        for n in [0usize, 100, WaitSketch::EXACT_WINDOW + 1000] {
-            let samples: Vec<Ticks> = (0..n).map(|_| splitmix(&mut state) % 1_000_000).collect();
-            let sk = sketch_of(&samples);
-            let js = serde_json::to_string(&sk).unwrap();
-            let back: WaitSketch = serde_json::from_str(&js).unwrap();
-            assert_eq!(sk, back);
-            assert_eq!(js, serde_json::to_string(&back).unwrap());
-            for p in PCTS {
-                assert_eq!(sk.quantile(p), back.quantile(p));
-            }
-        }
-    }
-
-    #[test]
-    fn sketch_rejects_corrupt_encodings() {
-        let sk = sketch_of(&(0..5000u64).collect::<Vec<_>>());
-        let js = serde_json::to_string(&sk).unwrap();
-        // Bucket entries in an un-collapsed sketch, out-of-range
-        // indices, zero counts, and count mismatches must all fail
-        // loudly rather than deserialize into a lying sketch.
-        for bad in [
-            js.replace("\"collapsed\":true", "\"collapsed\":false"),
-            js.replace("\"count\":5000", "\"count\":4999"),
-        ] {
-            assert!(
-                serde_json::from_str::<WaitSketch>(&bad).is_err(),
-                "corrupt sketch must not deserialize: {bad:.60}"
-            );
-        }
-    }
-
-    #[test]
-    fn sketch_error_bounds_pinned_on_adversarial_distributions() {
-        // Constant, bimodal, and heavy-tail sample sets, all past the
-        // collapse point: every percentile must land within the
-        // documented relative error of the true nearest-rank value,
-        // and the max must be exact.
-        let n = WaitSketch::EXACT_WINDOW * 2;
-        let constant: Vec<Ticks> = vec![123_457; n];
-        let bimodal: Vec<Ticks> = (0..n)
-            .map(|i| if i % 2 == 0 { 10 } else { 5_000_000 })
-            .collect();
-        let mut state = 1234u64;
-        let heavy_tail: Vec<Ticks> = (0..n)
-            .map(|_| {
-                // Pareto-ish: a power of two drawn log-uniformly up to
-                // 2^40, times a small jitter — spans 12 octaves.
-                let exp = splitmix(&mut state) % 40;
-                (1u64 << exp) + splitmix(&mut state) % (1 << exp.min(20))
-            })
-            .collect();
-        for samples in [&constant, &bimodal, &heavy_tail] {
-            let sk = sketch_of(samples);
-            assert!(sk.is_collapsed());
-            assert_eq!(sk.max(), *samples.iter().max().unwrap(), "max stays exact");
-            for p in PCTS {
-                let truth = exact_quantile(samples, p);
-                let got = sk.quantile(p);
-                let tolerance = truth / WaitSketch::MAX_REL_ERROR_DENOM + 1;
-                assert!(
-                    got.abs_diff(truth) <= tolerance,
-                    "p{p}: sketch {got} vs exact {truth} exceeds ±{tolerance}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sketch_checkpoint_payload_is_flat_in_sample_count() {
-        // The O(n) memory-hazard regression (satellite: checkpoint size
-        // must be flat across the ladder): 100× more samples may not
-        // grow the serialized sketch beyond the fixed bucket budget.
-        let mut state = 5u64;
-        let small = {
-            let samples: Vec<Ticks> = (0..10_000)
-                .map(|_| splitmix(&mut state) % 100_000)
-                .collect();
-            serde_json::to_string(&sketch_of(&samples)).unwrap().len()
-        };
-        let large = {
-            let samples: Vec<Ticks> = (0..1_000_000)
-                .map(|_| splitmix(&mut state) % 100_000)
-                .collect();
-            serde_json::to_string(&sketch_of(&samples)).unwrap().len()
-        };
-        // Every possible bucket of the 100k-range distribution is
-        // already populated at 10k samples; the only growth left is
-        // digit width on the counts.
-        assert!(
-            large < small * 2,
-            "sketch payload must be flat: {small} bytes at 10k, {large} at 1M"
-        );
-        // Hard ceiling: sparse encoding is bounded by the bucket count,
-        // regardless of the sample count.
-        assert!(
-            large < 40_000,
-            "collapsed sketch payload too large: {large}"
-        );
-    }
-
-    #[test]
-    fn stats_backend_conversions_are_lossless_until_collapse() {
-        let mut s = Stats::default();
-        for w in [5u64, 9, 9, 1_000, 77] {
-            s.record_placement(PhaseKind::Allocation, w, 0, 0, false);
-        }
-        let before = finalize(&s, StepCounter::default());
-        s.set_backend(StatsBackend::Sketch);
-        assert_eq!(s.backend(), StatsBackend::Sketch);
-        assert!(s.wait_samples.is_empty(), "samples moved into the sketch");
-        let via_sketch = finalize(&s, StepCounter::default());
-        assert_eq!(before, via_sketch);
-        // Round-trip back while un-collapsed: insertion order restored.
-        s.set_backend(StatsBackend::Exact);
-        assert_eq!(s.backend(), StatsBackend::Exact);
-        assert_eq!(s.wait_samples, vec![5, 9, 9, 1_000, 77]);
-        // Collapse, then demand Exact: deliberately refused.
-        s.set_backend(StatsBackend::Sketch);
-        for _ in 0..=WaitSketch::EXACT_WINDOW {
-            s.record_placement(PhaseKind::Allocation, 3, 0, 0, false);
-        }
-        assert!(s.sketch.as_ref().unwrap().is_collapsed());
-        s.set_backend(StatsBackend::Exact);
-        assert_eq!(
-            s.backend(),
-            StatsBackend::Sketch,
-            "a collapsed sketch cannot be expanded back to samples"
-        );
-    }
-
     #[test]
     fn exact_mode_stats_serialization_is_unchanged_by_sketch_field() {
         // Exact-mode checkpoints must stay byte-compatible with the
@@ -1358,5 +742,11 @@ mod tests {
         assert_eq!(back.sketch, None);
         assert_eq!(back.generated, s.generated);
         assert_eq!(back.phases, s.phases);
+        // A sketch written by the retired `--stats sketch` backend is
+        // refused: its wait samples are gone.
+        let sketch = r#"{"count":1,"max":7,"collapsed":false,"exact":[7],"buckets":[]}"#;
+        let retired = js.replace("\"sketch\":null", &format!("\"sketch\":{sketch}"));
+        let err = serde_json::from_str::<Stats>(&retired).unwrap_err();
+        assert!(err.to_string().contains("--stats sketch"), "got: {err}");
     }
 }

@@ -111,7 +111,8 @@ impl Config {
             req_area,
             ptype: ProcessorType::Generic,
             params: Vec::new(),
-            // BOUND: req_area <= 2000 (Table II); the product stays far below 2^64.
+            // BOUND: req_area <= MAX_AREA = 2^24 (checked in parameters and
+            // checkpoints), so the product stays below 2^34.
             bitstream_bytes: req_area * 1024,
             config_time,
             required_caps: Capabilities::none(),

@@ -12,6 +12,14 @@ use serde::{Deserialize, Serialize};
 /// `TotalArea` ∈ \[1000..4000\]).
 pub type Area = u64;
 
+/// The largest area a node or configuration may have: 2^24 area units,
+/// about 4 000 times Table II's largest node.
+///
+/// Parameters and checkpoints are checked against it, so a sum of areas
+/// over the at most 2^32 nodes (`u32` ids) stays below 2^56, and a sum
+/// of one area per placement cannot reach 2^64 before 2^40 placements.
+pub const MAX_AREA: Area = 1 << 24;
+
 /// Simulated time, in timeticks (Eq. 5: total simulation time is the
 /// total number of timeticks).
 pub type Ticks = u64;

@@ -60,7 +60,7 @@
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
 use crate::contiguous::{GapFit, Strip};
-use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
+use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks, MAX_AREA};
 use crate::node::{Node, NodeState, Slot};
 
 /// Errors from the store's node-local mutations
@@ -124,6 +124,12 @@ impl std::error::Error for NodeError {}
 
 /// Sentinel terminating a per-node free-slot stack.
 const NIL: u32 = u32::MAX;
+
+/// The largest reconfiguration count a node record may carry: 2^31.
+/// [`NodeStore::from_nodes`] checks it, so the count summed over the at
+/// most 2^32 nodes (`u32` ids) starts at or below 2^63, and a run adds
+/// one per reconfiguration it performs.
+pub(crate) const MAX_RECONFIGS: u64 = 1 << 31;
 
 /// The node records, the remaining per-node columns, and the slot
 /// arena. Every per-node vector has one entry per node, indexed by
@@ -220,8 +226,10 @@ impl NodeStore {
     /// # Errors
     /// Names the first node whose id is not its position in `nodes`,
     /// whose `free` list names a live or out-of-range slot or one hole
-    /// twice, or whose slot areas or strip region ends overflow an
-    /// [`Area`]. Eq. 4 is not checked here; see
+    /// twice, whose total area exceeds [`MAX_AREA`], whose
+    /// reconfiguration count exceeds 2^31, or whose slot areas or strip
+    /// region ends overflow an [`Area`]. Eq. 4 is not
+    /// checked here; see
     /// [`area_invariant_holds`](Self::area_invariant_holds).
     pub fn from_nodes(nodes: Vec<Node>) -> Result<Self, String> {
         let count = nodes.len();
@@ -250,6 +258,20 @@ impl NodeStore {
                 if !matches!(n.slots.get(f), Some(None)) || std::mem::replace(&mut seen[f], true) {
                     return Err(format!("{id} lists slot {s} as free"));
                 }
+            }
+            // Eq. 4, which the restore audit checks, bounds the
+            // available and slot areas by the total area.
+            if n.total_area > MAX_AREA {
+                return Err(format!(
+                    "{id}: total_area {} exceeds the ceiling of {MAX_AREA} area units",
+                    n.total_area
+                ));
+            }
+            if n.reconfig_count > MAX_RECONFIGS {
+                return Err(format!(
+                    "{id}: reconfig_count {} exceeds the ceiling of {MAX_RECONFIGS}",
+                    n.reconfig_count
+                ));
             }
             let overflow = |what: &str| format!("{id}: {what} overflow the area type");
             let mut regions = n.strip.iter().flat_map(|s| &s.regions);

@@ -26,7 +26,7 @@
 
 use crate::caps::Capabilities;
 use crate::config::Config;
-use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
+use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, MAX_AREA};
 use crate::lists::{ConfigLists, ListHeads, ListKind};
 use crate::node::{Node, NodeState};
 use crate::search::{IndexSnapshot, NodeKey, SearchIndex};
@@ -592,6 +592,9 @@ impl ResourceManager {
     /// `AvailableArea` over all nodes holding at least one configuration.
     #[must_use]
     pub fn wasted_area_snapshot(&self) -> Area {
+        // BOUND: at most 2^32 nodes (u32 ids), each with an available
+        // area of at most its total area (Eq. 4), at most MAX_AREA = 2^24:
+        // the sum stays below 2^56.
         (0..self.nodes.len())
             .filter(|&i| !self.nodes.is_blank(i))
             .map(|i| self.nodes.available_area(i))
@@ -601,6 +604,9 @@ impl ResourceManager {
     /// Total reconfigurations performed across all nodes.
     #[must_use]
     pub fn total_reconfigurations(&self) -> u64 {
+        // BOUND: at most 2^32 nodes (u32 ids), each restored with at most
+        // MAX_RECONFIGS = 2^31, sum to at most 2^63; the run adds one per
+        // reconfiguration, and cannot perform 2^63 of them.
         (0..self.nodes.len())
             .map(|i| self.nodes.reconfig_count(i))
             .sum()
@@ -740,6 +746,12 @@ impl serde::Deserialize for ResourceManager {
             return Err(invalid(format!(
                 "config ids must be dense and ordered (found {} at {i})",
                 c.id
+            )));
+        }
+        if let Some(c) = configs.iter().find(|c| c.req_area > MAX_AREA) {
+            return Err(invalid(format!(
+                "{}: req_area {} exceeds the ceiling of {MAX_AREA} area units",
+                c.id, c.req_area
             )));
         }
         let lists = ConfigLists::from_links(&nodes, heads, configs.len()).map_err(invalid)?;

@@ -560,9 +560,7 @@ impl PlanView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dreamsim_engine::{
-        AdmissionPolicy, ArrivalDistribution, DomainOutageKind, PlacementModel, StatsBackend,
-    };
+    use dreamsim_engine::{AdmissionPolicy, ArrivalDistribution, DomainOutageKind, PlacementModel};
 
     const STRATEGIES: [AllocationStrategy; 5] = [
         AllocationStrategy::BestFit,
@@ -618,11 +616,6 @@ mod tests {
             ],
             AdmissionPolicy::label,
             AdmissionPolicy::parse,
-        );
-        check(
-            &[StatsBackend::Exact, StatsBackend::Sketch],
-            StatsBackend::label,
-            StatsBackend::parse,
         );
         check(
             &STRATEGIES,

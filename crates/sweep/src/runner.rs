@@ -6,7 +6,7 @@
 //! produce identical reports — pinned by the determinism tests.
 
 use crate::parallel::{cost_descending_order, effective_jobs, run_ordered};
-use dreamsim_engine::{Report, SimParams, Simulation, StatsBackend};
+use dreamsim_engine::{Report, SimParams, Simulation};
 use dreamsim_sched::CaseStudyScheduler;
 use dreamsim_workload::SyntheticSource;
 
@@ -20,9 +20,6 @@ pub struct SweepPoint {
     /// The scheduler each run of this point starts from (cloned, so the
     /// point stays reusable).
     pub policy: CaseStudyScheduler,
-    /// Waiting-time statistics backend. Byte-equivalent up to the
-    /// sketch's exact window, error-bounded beyond (DESIGN.md §16).
-    pub stats: StatsBackend,
 }
 
 impl SweepPoint {
@@ -33,7 +30,6 @@ impl SweepPoint {
             label: label.into(),
             params,
             policy: CaseStudyScheduler::new(),
-            stats: StatsBackend::Exact,
         }
     }
 
@@ -41,13 +37,6 @@ impl SweepPoint {
     #[must_use]
     pub fn with_policy(mut self, policy: CaseStudyScheduler) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Builder-style statistics-backend override.
-    #[must_use]
-    pub fn with_stats(mut self, stats: StatsBackend) -> Self {
-        self.stats = stats;
         self
     }
 }
@@ -64,7 +53,6 @@ pub fn run_point(point: &SweepPoint) -> Report {
         // INVARIANT: sweep declarations are programmer input (documented
         // panic above), validated once per point.
         .expect("sweep point parameters must validate")
-        .with_stats_backend(point.stats)
         .run()
         .report
 }
@@ -228,19 +216,5 @@ mod tests {
         assert_eq!(rep.std_dev, 0.0);
         assert_eq!(rep.ci95_half_width, 0.0);
         assert_eq!(rep.mean, rep.samples[0]);
-    }
-
-    #[test]
-    fn stats_backend_points_report_identically() {
-        let point = small(9, ReconfigMode::Partial);
-        let base = run_point(&point);
-        // 200 placed tasks sit far below the sketch's exact window, so
-        // the sketch report is byte-identical.
-        let sk = run_point(&point.clone().with_stats(StatsBackend::Sketch));
-        assert_eq!(
-            base.metrics, sk.metrics,
-            "stats backends must be equivalent"
-        );
-        assert_eq!(base.to_xml(), sk.to_xml());
     }
 }

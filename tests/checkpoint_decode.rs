@@ -15,7 +15,6 @@
 use dreamsim::engine::{
     read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError, DomainOutageKind,
     DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams, SimParams, Simulation,
-    StatsBackend,
 };
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
@@ -74,7 +73,7 @@ fn middle_payload(dir: &Path) -> String {
     payload_of(&files[files.len() / 2])
 }
 
-fn batch(tag: &str, p: &SimParams, stats: StatsBackend) -> String {
+fn batch(tag: &str, p: &SimParams) -> String {
     let dir = fresh_dir(tag);
     let opts = RunOptions {
         checkpoint_every: Some(5_000),
@@ -87,7 +86,6 @@ fn batch(tag: &str, p: &SimParams, stats: StatsBackend) -> String {
         CaseStudyScheduler::new(),
     )
     .unwrap()
-    .with_stats_backend(stats)
     .run_with(&opts)
     .unwrap();
     let payload = middle_payload(&dir);
@@ -103,11 +101,11 @@ fn batch_params(nodes: usize, tasks: usize, seed: u64) -> SimParams {
 
 /// A paper run with every optional parameter at its default.
 fn plain_payload() -> String {
-    batch("plain", &batch_params(20, 300, 0xD1A1), StatsBackend::Exact)
+    batch("plain", &batch_params(20, 300, 0xD1A1))
 }
 
-/// Fault injection, correlated failure domains with a scripted
-/// outage, and sketch statistics.
+/// Fault injection and correlated failure domains with a scripted
+/// outage.
 fn chaos_payload() -> String {
     let mut p = batch_params(24, 300, 0xC4A05);
     p.faults.node_mttf = Some(20_000);
@@ -125,7 +123,7 @@ fn chaos_payload() -> String {
             duration: 3_000,
         }],
     });
-    batch("chaos", &p, StatsBackend::Sketch)
+    batch("chaos", &p)
 }
 
 /// A mid-window `serve` snapshot: window statistics and an open source.
@@ -355,6 +353,9 @@ fn what_the_decoder_rejects_stays_rejected() {
     let payload = plain_payload();
     let tree: Value = serde_json::from_str(&payload).unwrap();
     let float = |v: f64| Value::Number(Number::F(v));
+    let retired_sketch: Value =
+        serde_json::from_str(r#"{"count":1,"max":7,"collapsed":false,"exact":[7],"buckets":[]}"#)
+            .unwrap();
     let cases = [
         (
             "a float for an integer",
@@ -387,6 +388,10 @@ fn what_the_decoder_rejects_stays_rejected() {
             payload[..payload.len() - 1].to_string(),
         ),
         ("half a document", payload[..payload.len() / 2].to_string()),
+        (
+            "a quantile sketch from the retired `--stats sketch` backend",
+            text(&with(&tree, &["stats", "sketch"], retired_sketch)),
+        ),
     ];
     for (what, variant) in &cases {
         assert_rejected(&dir, what, variant.as_bytes());

@@ -6,9 +6,9 @@
 //! these tests pin the length and CRC-32 of real `write_checkpoint`
 //! output for fixed-seed states that between them reach every
 //! serialized shape: fault injection, correlated failure domains,
-//! contiguous strips (experiment A5), sketch statistics, and a
-//! mid-window `serve` snapshot. A last test pins that a header of the
-//! retired version 1 is refused.
+//! contiguous strips (experiment A5), and a mid-window `serve`
+//! snapshot. A last test pins that a header of the retired version 1
+//! is refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple; on a mismatch the message
@@ -21,7 +21,7 @@
 use dreamsim::engine::{
     read_checkpoint, serve, AdmissionPolicy, ArrivalDistribution, CheckpointError,
     DomainOutageKind, DomainParams, PlacementModel, ReconfigMode, RunOptions, ScriptedOutage,
-    ServiceOptions, ServiceParams, SimParams, Simulation, StatsBackend,
+    ServiceOptions, ServiceParams, SimParams, Simulation,
 };
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
@@ -35,7 +35,6 @@ const CHAOS_DOMAINS: Golden = (6, 168_693, 0x8CF1_A5C8);
 const CONTIGUOUS: Golden = (2, 54_671, 0x81EC_47E8);
 /// `(bytes, CRC-32)` of the strip scenario's final XML report.
 const CONTIGUOUS_REPORT: (u64, u32) = (2_112, 0x4E97_4CAD);
-const SKETCH: Golden = (1, 158_743, 0x03E1_121F);
 const SERVE_MID_WINDOW: Golden = (10, 348_998, 0xF1ED_7FC1);
 
 /// Bitwise CRC-32 (IEEE, reflected), written independently of the
@@ -118,7 +117,7 @@ fn batch_params(nodes: usize, tasks: usize, seed: u64) -> SimParams {
 
 /// Run a batch simulation that checkpoints every `every` ticks into a
 /// fresh directory; returns the directory and the final XML report.
-fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> (PathBuf, String) {
+fn run_batch(tag: &str, p: &SimParams, every: u64) -> (PathBuf, String) {
     let dir = fresh_dir(tag);
     let opts = RunOptions {
         checkpoint_every: Some(every),
@@ -131,7 +130,6 @@ fn run_batch(tag: &str, p: &SimParams, stats: StatsBackend, every: u64) -> (Path
         CaseStudyScheduler::new(),
     )
     .unwrap()
-    .with_stats_backend(stats)
     .run_with(&opts)
     .unwrap();
     (dir, result.report.to_xml())
@@ -149,7 +147,7 @@ fn fault_params() -> SimParams {
 
 #[test]
 fn fault_injection_checkpoints_match_golden() {
-    let (dir, _) = run_batch("faults", &fault_params(), StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("faults", &fault_params(), 5_000);
     check("faults", &checkpoint_files(&dir), FAULTS);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -170,7 +168,7 @@ fn chaos_domain_checkpoints_match_golden() {
     });
     p.suspension_cap = Some(16);
     p.admission = AdmissionPolicy::ShedOldest;
-    let (dir, _) = run_batch("chaos", &p, StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("chaos", &p, 5_000);
     check("chaos domains", &checkpoint_files(&dir), CHAOS_DOMAINS);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -179,7 +177,7 @@ fn chaos_domain_checkpoints_match_golden() {
 fn contiguous_strip_checkpoints_match_golden() {
     let mut p = batch_params(16, 300, 0xA5);
     p.placement = PlacementModel::Contiguous;
-    let (dir, xml) = run_batch("strips", &p, StatsBackend::Exact, 5_000);
+    let (dir, xml) = run_batch("strips", &p, 5_000);
     check("contiguous strips", &checkpoint_files(&dir), CONTIGUOUS);
     std::fs::remove_dir_all(&dir).ok();
     assert!(
@@ -192,17 +190,6 @@ fn contiguous_strip_checkpoints_match_golden() {
         "contiguous strips: final report changed; actual (bytes, crc32) = ({}, 0x{:08X})",
         actual.0, actual.1
     );
-}
-
-#[test]
-fn sketch_stats_checkpoint_matches_golden() {
-    // Enough completions to collapse the sketch past its exact window.
-    let p = batch_params(20, 6_000, 0x5CE7C4);
-    let (dir, _) = run_batch("sketch", &p, StatsBackend::Sketch, 25_000);
-    let files = checkpoint_files(&dir);
-    let last = files.last().expect("the run checkpoints").clone();
-    check("sketch stats", &[last], SKETCH);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -233,7 +220,7 @@ fn mid_window_serve_snapshots_match_golden() {
 /// version error before its payload is decoded.
 #[test]
 fn version_1_header_is_rejected() {
-    let (dir, _) = run_batch("v1", &fault_params(), StatsBackend::Exact, 5_000);
+    let (dir, _) = run_batch("v1", &fault_params(), 5_000);
     let files = checkpoint_files(&dir);
     let raw = std::fs::read(&files[files.len() / 2]).unwrap();
     let rest = raw

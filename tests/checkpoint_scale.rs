@@ -1,10 +1,7 @@
-//! Checkpoint-size regression for the sketch statistics (DESIGN.md §16).
+//! Checkpoint size and read cost at scale.
 //!
-//! The seed checkpoint format carried every waiting-time sample
-//! (`wait_samples`), an O(task count) payload that dominates snapshots
-//! of large runs. Under `StatsBackend::Sketch` the samples are folded
-//! into a fixed-structure quantile sketch, so the statistics portion of
-//! a checkpoint must stay **flat** as the task ladder climbs.
+//! The compact columnar task table (DESIGN.md §18) must hold a pinned
+//! byte budget as the task ladder climbs.
 //!
 //! A 20 000-node `serve` snapshot checks the read side at scale
 //! (DESIGN.md §10.1): decoding it and encoding it again reproduces its
@@ -13,7 +10,7 @@
 
 use dreamsim::engine::{
     read_checkpoint, serve, ArrivalDistribution, ReconfigMode, RunOptions, ServiceOptions,
-    ServiceParams, SimParams, Simulation, StatsBackend,
+    ServiceParams, SimParams, Simulation,
 };
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
@@ -38,7 +35,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Run a synthetic workload with periodic checkpoints and return the
 /// bytes of the **last** checkpoint written — the one with the most
 /// waiting-time samples accumulated.
-fn last_checkpoint(p: &SimParams, stats: StatsBackend, dir: &Path) -> Vec<u8> {
+fn last_checkpoint(p: &SimParams, dir: &Path) -> Vec<u8> {
     let opts = RunOptions {
         checkpoint_every: Some(100_000),
         checkpoint_dir: Some(dir.to_path_buf()),
@@ -50,7 +47,6 @@ fn last_checkpoint(p: &SimParams, stats: StatsBackend, dir: &Path) -> Vec<u8> {
         CaseStudyScheduler::new(),
     )
     .unwrap()
-    .with_stats_backend(stats)
     .run_with(&opts)
     .unwrap();
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -83,7 +79,7 @@ fn compact_task_table_meets_byte_budget() {
     for (i, &tasks) in rungs.iter().enumerate() {
         let p = params(tasks, 0xBEEF + i as u64);
         let dir = fresh_dir(&format!("ct{tasks}"));
-        let cp_bytes = last_checkpoint(&p, StatsBackend::Sketch, &dir);
+        let cp_bytes = last_checkpoint(&p, &dir);
         assert!(
             cp_bytes.starts_with(b"DREAMSIM-CHECKPOINT 2 "),
             "n={tasks}: current checkpoints must carry the v2 header"
@@ -106,63 +102,6 @@ fn compact_task_table_meets_byte_budget() {
     assert!(
         compact_sizes[1] <= compact_sizes[0] * 8,
         "compact task table grew superlinearly: {compact_sizes:?}"
-    );
-}
-
-/// Climbing the task ladder 6k → 24k must leave the sketch-mode
-/// statistics payload flat (both rungs sit past the sketch's collapse
-/// threshold, so both serialize the fixed bucket structure), while the
-/// exact-mode payload demonstrably grows with the ladder.
-#[test]
-fn sketch_mode_checkpoint_stats_payload_is_flat_across_the_ladder() {
-    let rungs = [6_000usize, 24_000];
-    let mut sketch_stats = Vec::new();
-    let mut exact_waits = Vec::new();
-    let mut file_sizes = Vec::new();
-    for (i, &tasks) in rungs.iter().enumerate() {
-        let p = params(tasks, 0xC0DE + i as u64);
-        let sk_dir = fresh_dir(&format!("sk{tasks}"));
-        let ex_dir = fresh_dir(&format!("ex{tasks}"));
-        let sk = last_checkpoint(&p, StatsBackend::Sketch, &sk_dir);
-        let ex = last_checkpoint(&p, StatsBackend::Exact, &ex_dir);
-        // Sketch mode never carries raw samples.
-        assert_eq!(
-            field_size(&sk, "wait_samples"),
-            "[]".len(),
-            "n={tasks}: sketch-mode checkpoint still carries wait samples"
-        );
-        sketch_stats.push(field_size(&sk, "stats"));
-        exact_waits.push(field_size(&ex, "wait_samples"));
-        file_sizes.push((sk.len(), ex.len()));
-        std::fs::remove_dir_all(&sk_dir).ok();
-        std::fs::remove_dir_all(&ex_dir).ok();
-    }
-    // End-to-end, at the top rung (where the O(n) sample vector has
-    // outgrown the fixed sketch): the sketch checkpoint file is
-    // strictly smaller than the exact one.
-    let (sk_top, ex_top) = file_sizes[1];
-    assert!(
-        sk_top < ex_top,
-        "top rung: sketch file {sk_top} >= exact file {ex_top}"
-    );
-    let (small, large) = (sketch_stats[0], sketch_stats[1]);
-    assert!(
-        large <= small * 2 && large < 80_000,
-        "sketch stats payload not flat: {small} bytes at {}k tasks, {large} at {}k",
-        rungs[0] / 1000,
-        rungs[1] / 1000
-    );
-    assert!(
-        exact_waits[1] > exact_waits[0] * 2,
-        "expected exact-mode wait samples to grow with the ladder: {exact_waits:?}"
-    );
-    // The removed hazard, head-on: the exact payload at the top rung
-    // dwarfs the entire sketch statistics block.
-    assert!(
-        exact_waits[1] > sketch_stats[1] * 4,
-        "exact wait samples {} should dwarf sketch stats {}",
-        exact_waits[1],
-        sketch_stats[1]
     );
 }
 

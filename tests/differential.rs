@@ -9,15 +9,9 @@
 //!
 //! Drivers: the event-driven and tick-stepped drivers must agree byte
 //! for byte — reports *and* checkpoints — across policies × fault-on/off.
-//!
-//! Statistics backends (DESIGN.md §16): the quantile sketch must render
-//! byte-identical reports at exact-capable sizes (below its 4096-sample
-//! exact window), and its checkpoints must resume to the uninterrupted
-//! run's report.
 
 use dreamsim::engine::{
     read_checkpoint, Driver, ReconfigMode, RunOptions, RunResult, SimParams, Simulation,
-    StatsBackend,
 };
 use dreamsim::sched::{AllocationStrategy, CaseStudyScheduler};
 use dreamsim::workload::SyntheticSource;
@@ -169,11 +163,10 @@ fn resume_mid_run_matches_the_uninterrupted_run() {
     }
 }
 
-/// Run one cell under an explicit stats backend and driver.
+/// Run one cell under an explicit driver.
 fn run_cell_driven(
     p: &SimParams,
     strategy: AllocationStrategy,
-    stats: StatsBackend,
     driver: Driver,
     checkpoint_dir: Option<&Path>,
 ) -> RunResult {
@@ -189,7 +182,6 @@ fn run_cell_driven(
         CaseStudyScheduler::with_strategy(strategy),
     )
     .unwrap()
-    .with_stats_backend(stats)
     .run_with(&opts)
     .unwrap()
 }
@@ -206,115 +198,13 @@ fn driver_grid_reports_and_checkpoints_byte_identical() {
             let p = params(ReconfigMode::Partial, faults, 0xCA1);
             let event_dir = fresh_dir("event");
             let tick_dir = fresh_dir("tick");
-            let event = run_cell_driven(
-                &p,
-                strategy,
-                StatsBackend::Exact,
-                Driver::Event,
-                Some(&event_dir),
-            );
-            let tick = run_cell_driven(
-                &p,
-                strategy,
-                StatsBackend::Exact,
-                Driver::TickStepped,
-                Some(&tick_dir),
-            );
+            let event = run_cell_driven(&p, strategy, Driver::Event, Some(&event_dir));
+            let tick = run_cell_driven(&p, strategy, Driver::TickStepped, Some(&tick_dir));
             assert_runs_identical(&cell, &event, &event_dir, &tick, &tick_dir);
             std::fs::remove_dir_all(&event_dir).ok();
             std::fs::remove_dir_all(&tick_dir).ok();
         }
     }
-}
-
-/// At exact-capable sizes (200 tasks, far below the sketch's
-/// 4096-sample exact window) the quantile sketch renders byte-identical
-/// reports across every policy × driver × fault cell.
-#[test]
-fn stats_backend_reports_byte_identical_below_exact_window() {
-    for strategy in STRATEGIES {
-        for driver in [Driver::Event, Driver::TickStepped] {
-            for faults in [false, true] {
-                let cell = format!("{strategy:?}/{driver:?}/faults={faults}");
-                let p = params(ReconfigMode::Partial, faults, 0x57A7);
-                let exact = run_cell_driven(&p, strategy, StatsBackend::Exact, driver, None);
-                let sketch = run_cell_driven(&p, strategy, StatsBackend::Sketch, driver, None);
-                assert_eq!(exact.metrics, sketch.metrics, "{cell}: metrics");
-                assert_eq!(
-                    exact.report.to_xml(),
-                    sketch.report.to_xml(),
-                    "{cell}: XML report"
-                );
-                assert_eq!(
-                    exact.report.to_json(),
-                    sketch.report.to_json(),
-                    "{cell}: JSON report"
-                );
-            }
-        }
-    }
-}
-
-/// A mid-run checkpoint taken with sketch stats on resumes, under
-/// either driver, to the uninterrupted run's exact report — the sketch
-/// analogue of [`resume_mid_run_matches_the_uninterrupted_run`].
-#[test]
-fn resume_mid_run_with_sketch_stats() {
-    let p = params(ReconfigMode::Partial, true, 0xCA15);
-    let dir = fresh_dir("sketch-resume");
-    let reference = run_cell_driven(
-        &p,
-        AllocationStrategy::BestFit,
-        StatsBackend::Sketch,
-        Driver::Event,
-        Some(&dir),
-    );
-    let files = checkpoint_files(&dir);
-    assert!(files.len() >= 2, "need a mid-run checkpoint to resume");
-    let mid = &files[files.len() / 2].0;
-    for driver in [Driver::Event, Driver::TickStepped] {
-        let cp = read_checkpoint(&dir.join(mid)).unwrap();
-        let resumed = Simulation::resume(
-            cp,
-            SyntheticSource::from_params(&p),
-            CaseStudyScheduler::new(),
-        )
-        .unwrap()
-        .with_stats_backend(StatsBackend::Sketch)
-        .run_with(&RunOptions {
-            driver,
-            ..RunOptions::default()
-        })
-        .unwrap();
-        assert_eq!(
-            resumed.report.to_xml(),
-            reference.report.to_xml(),
-            "resumed {mid} under the {driver:?} driver"
-        );
-        assert_eq!(resumed.metrics, reference.metrics);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The deterministic parallel sweep pool stays byte-identical across
-/// `--jobs` when points run with the quantile sketch.
-#[test]
-fn parallel_batch_invariant_across_jobs_with_sketch_stats() {
-    use dreamsim::sweep::{run_batch, SweepPoint};
-    let points: Vec<SweepPoint> = (0..6)
-        .map(|i| {
-            let p = params(ReconfigMode::Partial, i % 2 == 0, 0xBA7C + i);
-            SweepPoint::new(format!("sketch{i}"), p).with_stats(StatsBackend::Sketch)
-        })
-        .collect();
-    let xmls = |jobs: usize| -> Vec<String> {
-        run_batch(&points, jobs)
-            .iter()
-            .map(dreamsim::engine::Report::to_xml)
-            .collect()
-    };
-    let serial = xmls(1);
-    assert_eq!(serial, xmls(4), "sketch-stats batch diverged at -j4");
 }
 
 /// The continuous auditor accepts the search index after **every**

@@ -1,6 +1,6 @@
 //! Golden phase-profile test: pins every `PhaseProfile` counter of the
 //! paper workload (Table II, partial mode, 2 tasks per node) at 1 000
-//! and 10 000 nodes, under both statistics backends.
+//! and 10 000 nodes.
 //!
 //! The counters are the paper's cost units (scheduling and
 //! housekeeping steps, behind Fig. 9) plus the store, event-queue and
@@ -8,15 +8,14 @@
 //! fixed seed, so the check is exact: a speed-up must leave every one
 //! unchanged, and an algorithmic regression (a superlinear search, a
 //! doubled mutation count) fails here on any machine, whatever its wall
-//! clock says. Sketch statistics change how waits are stored, not what
-//! the simulation does, so the sketch run must match the exact run.
+//! clock says.
 //!
 //! If an intentional model change moves these counters, print the new
 //! values with `cargo test --test phase_profile_golden -- --nocapture`
 //! (each failing assert shows the actual profile) and say why in the
 //! change that updates them.
 
-use dreamsim::engine::{PhaseProfile, StatsBackend};
+use dreamsim::engine::PhaseProfile;
 use dreamsim::rng::derive_stream;
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::SyntheticSource;
@@ -27,24 +26,21 @@ const TASKS_PER_NODE: usize = 2;
 
 /// Run the rung with `nodes` nodes (seed `derive_stream(SEED, nodes)`)
 /// and return its phase profile.
-fn profile(nodes: usize, stats: StatsBackend) -> PhaseProfile {
+fn profile(nodes: usize) -> PhaseProfile {
     let mut params = SimParams::paper(nodes, nodes * TASKS_PER_NODE, ReconfigMode::Partial);
     params.seed = derive_stream(SEED, nodes as u64);
     let source = SyntheticSource::from_params(&params);
     Simulation::new(params, source, CaseStudyScheduler::new())
         .expect("paper parameters validate")
-        .with_stats_backend(stats)
         .run()
         .profile
 }
 
 fn assert_rung(nodes: usize, golden: PhaseProfile) {
-    let exact = profile(nodes, StatsBackend::Exact);
-    assert_eq!(exact, golden, "phase profile moved at {nodes} nodes");
-    let sketch = profile(nodes, StatsBackend::Sketch);
     assert_eq!(
-        sketch, exact,
-        "sketch stats changed the phase profile at {nodes} nodes"
+        profile(nodes),
+        golden,
+        "phase profile moved at {nodes} nodes"
     );
 }
 
