@@ -265,6 +265,12 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+impl<T: Serialize> Serialize for [T] {
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn write_json(&self, out: &mut String) {
         write_seq(out, self);

@@ -101,28 +101,30 @@ impl<'a> Reader<'a> {
     /// Read a number, kept as written: [`Number::U`] for a
     /// non-negative integer, [`Number::I`] for one with a minus sign
     /// (`-0` included), [`Number::F`] for anything with a fraction or
-    /// an exponent.
+    /// an exponent. The text must follow RFC 8259's grammar: no leading
+    /// zero (`01`), and at least one digit after a decimal point (`1.`,
+    /// `1.e5`) or an exponent mark.
     pub fn number(&mut self) -> Result<Number, Error> {
         if self.kind() != Some("number") {
             return Err(self.mismatch("number"));
         }
         let start = self.pos;
-        self.pos += 1;
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        let well_formed = self.number_text();
+        // Extend over the rest of a malformed run, for the message.
+        let mut end = self.pos;
+        while matches!(
+            self.bytes.get(end),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            end += 1;
         }
-        // Every byte consumed above is ASCII.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+        // Every byte of the run is ASCII.
+        let text = std::str::from_utf8(&self.bytes[start..end])
             .map_err(|_| Error::custom("invalid number"))?;
         let invalid = || Error::custom(format!("invalid number `{text}`"));
+        let Some(float) = well_formed.filter(|_| end == self.pos) else {
+            return Err(invalid());
+        };
         Ok(if float {
             Number::F(text.parse().map_err(|_| invalid())?)
         } else if text.starts_with('-') {
@@ -130,6 +132,50 @@ impl<'a> Reader<'a> {
         } else {
             Number::U(text.parse().map_err(|_| invalid())?)
         })
+    }
+
+    /// Consume one number by RFC 8259's grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: whether
+    /// it has a fraction or an exponent, or `None` if the grammar fails.
+    fn number_text(&mut self) -> Option<bool> {
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return None,
+        }
+        let mut float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            float = true;
+            if self.digits() == 0 {
+                return None;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return None;
+            }
+        }
+        Some(float)
+    }
+
+    /// Consume a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     /// Read a non-negative integer (`-0` included).
@@ -336,7 +382,7 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    /// The four hex digits of a `\u` escape.
+    /// The four hex digits of a `\u` escape (digits only: no sign).
     fn hex4(&mut self) -> Result<u32, Error> {
         let hex = self
             .bytes
@@ -344,6 +390,7 @@ impl<'a> Reader<'a> {
             .ok_or_else(|| Error::custom("truncated \\u escape"))?;
         let code = std::str::from_utf8(hex)
             .ok()
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
             .and_then(|h| u32::from_str_radix(h, 16).ok())
             .ok_or_else(|| Error::custom("bad \\u escape"))?;
         self.pos += 4;

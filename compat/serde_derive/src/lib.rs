@@ -10,10 +10,11 @@
 //! in any order: the first occurrence of a key wins (a repeat is still
 //! syntax-checked), unknown keys are skipped, and at the closing `}` a
 //! missing `skip` or `default` field takes `Default::default()` while
-//! any other missing field is an error. Supported shapes: non-generic structs
+//! any other missing field is an error. Supported shapes: structs
 //! (named, tuple, unit) and enums (unit, newtype, tuple, struct variants)
-//! with optional `#[serde(skip)]` / `#[serde(default)]` field attributes
-//! — exactly the surface the DReAMSim workspace uses.
+//! with optional `#[serde(skip)]` / `#[serde(default)]` field attributes,
+//! and `Serialize` on a struct generic over lifetimes only (a borrowed
+//! view) — exactly the surface the DReAMSim workspace uses.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write as _;
@@ -60,6 +61,9 @@ struct Variant {
 enum Item {
     Struct {
         name: String,
+        /// The lifetime parameters between `<` and `>`, as source text
+        /// (empty for a non-generic struct).
+        generics: String,
         body: Body,
     },
     Enum {
@@ -219,8 +223,24 @@ fn parse_item(input: TokenStream) -> Item {
     let kind = ident_of(&toks[i]).expect("struct or enum keyword");
     let name = ident_of(&toks[i + 1]).expect("item name");
     i += 2;
+    let mut generics = String::new();
     if toks.get(i).is_some_and(|t| is_punct(t, '<')) {
-        panic!("serde shim: generic type {name} is not supported");
+        let start = i + 1;
+        while !is_punct(&toks[i], '>') {
+            i += 1;
+        }
+        let params = &toks[start..i];
+        // A lifetime is a `'` joined to its name; a type parameter
+        // would need bounds this shim does not write.
+        let lifetimes_only = params.iter().enumerate().all(|(k, t)| {
+            is_punct(t, '\'') || is_punct(t, ',') || k > 0 && is_punct(&params[k - 1], '\'')
+        });
+        assert!(
+            kind == "struct" && lifetimes_only,
+            "serde shim: generic type {name} is not supported (only structs over lifetimes)"
+        );
+        generics = params.iter().cloned().collect::<TokenStream>().to_string();
+        i += 1;
     }
     match kind.as_str() {
         "struct" => {
@@ -233,7 +253,11 @@ fn parse_item(input: TokenStream) -> Item {
                 }
                 _ => Body::Unit,
             };
-            Item::Struct { name, body }
+            Item::Struct {
+                name,
+                generics,
+                body,
+            }
         }
         "enum" => {
             let Some(TokenTree::Group(g)) = toks.get(i) else {
@@ -352,11 +376,14 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{ {arms} }}")
         }
     };
-    let name = match item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+    let (name, generics) = match item {
+        Item::Struct { name, generics, .. } if !generics.is_empty() => {
+            (name, format!("<{generics}>"))
+        }
+        Item::Struct { name, .. } | Item::Enum { name, .. } => (name, String::new()),
     };
     format!(
-        "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
+        "#[automatically_derived] impl{generics} ::serde::Serialize for {name}{generics} {{ \
            fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }} }}"
     )
 }
@@ -433,7 +460,14 @@ fn read_tuple(path: &str, n: usize) -> String {
 /// is its name as a string, any other variant a single-key object.
 fn gen_deserialize(item: &Item) -> String {
     let name = match item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+        Item::Struct { name, generics, .. } => {
+            assert!(
+                generics.is_empty(),
+                "serde shim: Deserialize on generic type {name} is not supported"
+            );
+            name
+        }
+        Item::Enum { name, .. } => name,
     };
     let body = match item {
         Item::Struct { body, .. } => match body {

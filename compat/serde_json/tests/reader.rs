@@ -115,7 +115,6 @@ fn enums_are_externally_tagged() {
 #[test]
 fn numbers_keep_their_grammar() {
     assert_eq!(from_str::<u64>("-0").unwrap(), 0);
-    assert_eq!(from_str::<u64>("007").unwrap(), 7);
     assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
     assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
     assert_eq!(from_str::<f64>("7").unwrap(), 7.0);
@@ -138,6 +137,13 @@ fn numbers_keep_their_grammar() {
     for bad in ["-", "1.2.3", "--1", "1-"] {
         assert!(from_str::<Value>(bad).is_err(), "{bad}");
     }
+    // RFC 8259: no leading zero, and digits after a decimal point or an
+    // exponent mark.
+    for bad in ["007", "01", "-01", "1.", "1.e5", "-.5", "1e", "1e+"] {
+        assert_eq!(err::<Value>(bad), format!("invalid number `{bad}`"));
+    }
+    assert_eq!(from_str::<f64>("0.5e+1").unwrap(), 5.0);
+    assert_eq!(from_str::<u64>("0").unwrap(), 0);
 }
 
 #[test]
@@ -158,6 +164,8 @@ fn strings_decode_escapes_and_surrogate_pairs() {
     for bad in [
         r#""\ud83d\uzzzz""#,
         r#""\u12""#,
+        r#""\u+041""#,
+        r#""\u-041""#,
         r#""\x""#,
         r#""open"#,
         "\"\\",

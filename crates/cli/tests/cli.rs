@@ -415,6 +415,7 @@ fn trace_and_swf_tick_values_are_typed_errors_not_panics() {
 #[test]
 fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
     use dreamsim_engine::{compact, write_checkpoint, Checkpoint};
+    use dreamsim_model::pack;
     // A CRC-valid checkpoint whose first queued task resolves to a
     // configuration the table does not have must fail the restore
     // audit with a named error, not index out of bounds in a rescan.
@@ -448,18 +449,16 @@ fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
         .expect("the first checkpoint has a queued task");
     let configs = v["resources"]["configs"].as_array().unwrap().len();
     let packed = v["tasks"]["packed"].as_str().unwrap();
-    let mut tasks = compact::decode_tasks(&compact::from_base64(packed).unwrap()).unwrap();
+    let mut tasks = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
     let bad_config = dreamsim_model::ConfigId::from_index(configs);
     tasks[usize::try_from(queued).unwrap()].resolved_config = Some(bad_config);
-    let repacked = serde_json::Value::String(compact::to_base64(&compact::encode_tasks(&tasks)));
+    let mut repacked = String::new();
+    compact::write_tasks(&mut repacked, &tasks);
     let serde_json::Value::Object(fields) = &mut v else {
         panic!("payload is an object")
     };
     let (_, table) = fields.iter_mut().find(|(k, _)| k == "tasks").unwrap();
-    let serde_json::Value::Object(table) = table else {
-        panic!("task table is an object")
-    };
-    table.iter_mut().find(|(k, _)| k == "packed").unwrap().1 = repacked;
+    *table = serde_json::from_str(&repacked).unwrap();
     let cp: Checkpoint = serde_json::from_str(&serde_json::to_string(&v).unwrap()).unwrap();
     let bad = dir.join("bad-config.dsc");
     write_checkpoint(&bad, &cp).unwrap();

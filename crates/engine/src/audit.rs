@@ -18,7 +18,8 @@
 //!
 //! All checks are read-only and use only public accessors, so the
 //! auditor can never itself perturb the state it is validating. Cost is
-//! O(nodes × slots + events + tasks) per invocation.
+//! O(nodes × slots + events + tasks) per invocation: sets keyed by dense
+//! task ids are vectors over the task table, not ordered containers.
 
 use crate::event::{Event, EventQueue};
 use crate::sim::TaskTable;
@@ -26,7 +27,6 @@ use dreamsim_model::{
     Area, Capabilities, ConfigId, Demand, EntryRef, NodeId, ResourceManager, SuspensionQueue,
     TaskId, TaskState, Ticks,
 };
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A violated state invariant, with enough context to locate the
 /// corruption.
@@ -200,7 +200,8 @@ fn check_task_slot_bijection(
     resources: &ResourceManager,
     tasks: &TaskTable,
 ) -> Result<(), AuditError> {
-    let mut placed: BTreeMap<TaskId, EntryRef> = BTreeMap::new();
+    // Per task id, the slot running it.
+    let mut placed: Vec<Option<EntryRef>> = vec![None; tasks.len()];
     let nodes = resources.node_store();
     for i in 0..nodes.len() {
         for (idx, slot) in nodes.slots(i) {
@@ -215,7 +216,7 @@ fn check_task_slot_bijection(
                     ),
                 });
             }
-            if let Some(prev) = placed.insert(task, entry) {
+            if let Some(prev) = placed[task.index()].replace(entry) {
                 return Err(AuditError::TaskSlot {
                     task,
                     detail: format!("running on two slots at once: {prev} and {entry}"),
@@ -231,7 +232,7 @@ fn check_task_slot_bijection(
         }
     }
     for t in tasks.iter() {
-        if t.state == TaskState::Running && !placed.contains_key(&t.id) {
+        if t.state == TaskState::Running && placed[t.id.index()].is_none() {
             return Err(AuditError::TaskSlot {
                 task: t.id,
                 detail: "state is Running but no slot holds it".to_string(),
@@ -267,7 +268,13 @@ fn check_event_targets(
     clock: Ticks,
     num_domains: usize,
 ) -> Result<(), AuditError> {
-    let queued: BTreeSet<TaskId> = suspension.iter().collect();
+    // Per task id, whether it is queued; an out-of-range id is group 6's.
+    let mut queued = vec![false; tasks.len()];
+    for t in suspension.iter() {
+        if let Some(q) = queued.get_mut(t.index()) {
+            *q = true;
+        }
+    }
     let task_in_range = |t: TaskId| t.index() < tasks.len();
     let node_in_range = |n: NodeId| n.index() < resources.num_nodes();
     for (time, ev) in events.pending() {
@@ -347,7 +354,7 @@ fn check_event_targets(
                 let t = tasks.get(task);
                 let current =
                     t.state == TaskState::Suspended && t.suspended_at == Some(enqueued_at);
-                if current && !queued.contains(&task) {
+                if current && !queued[task.index()] {
                     return Err(AuditError::EventTarget {
                         time,
                         detail: format!("current {ev:?} but {task} is not in the suspension queue"),
@@ -373,8 +380,13 @@ fn check_suspension(
             ),
         });
     }
-    let hostable = hostable_configs(resources);
-    let mut seen: BTreeSet<TaskId> = BTreeSet::new();
+    // An empty queue asks no configuration whether it fits.
+    let hostable = if suspension.is_empty() {
+        Vec::new()
+    } else {
+        hostable_configs(resources)
+    };
+    let mut seen = vec![false; tasks.len()];
     for (task, config) in suspension.iter().zip(suspension.configs()) {
         if task.index() >= tasks.len() {
             return Err(AuditError::Suspension {
@@ -384,7 +396,7 @@ fn check_suspension(
                 ),
             });
         }
-        if !seen.insert(task) {
+        if std::mem::replace(&mut seen[task.index()], true) {
             return Err(AuditError::Suspension {
                 detail: format!("{task} queued more than once"),
             });
@@ -434,24 +446,32 @@ fn check_suspension(
 
 /// Per configuration, whether some node, up or down, has the
 /// `TotalArea` and capabilities to host it. The nodes fold into the
-/// largest area per capability set (at most 128 sets) first, so the
-/// cost is one pass over the nodes plus configs × sets, whatever the
-/// queue's length.
+/// largest area per capability set (an array over the 128 sets) first,
+/// so the cost is one pass over the nodes plus configs × sets, whatever
+/// the queue's length.
 fn hostable_configs(resources: &ResourceManager) -> Vec<bool> {
     let nodes = resources.node_store();
-    let mut widest: BTreeMap<Capabilities, Area> = BTreeMap::new();
+    let mut widest: [Option<Area>; Capabilities::SETS] = [None; Capabilities::SETS];
     for i in 0..nodes.len() {
-        let area = widest.entry(nodes.caps(i)).or_default();
-        *area = (*area).max(nodes.total_area(i));
+        let area = nodes.total_area(i);
+        let w = &mut widest[usize::from(nodes.caps(i).bits())];
+        *w = Some(w.map_or(area, |a| a.max(area)));
     }
+    let sets: Vec<(Capabilities, Area)> = widest
+        .iter()
+        .enumerate()
+        .filter_map(|(bits, &area)| {
+            let caps = u8::try_from(bits).ok().and_then(Capabilities::from_bits)?;
+            Some((caps, area?))
+        })
+        .collect();
     resources
         .configs()
         .iter()
         .map(|c| {
             let demand = Demand::of(c);
-            widest
-                .iter()
-                .any(|(&caps, &area)| area >= demand.area && demand.caps_ok(caps))
+            sets.iter()
+                .any(|&(caps, area)| area >= demand.area && demand.caps_ok(caps))
         })
         .collect()
 }

@@ -34,10 +34,19 @@
 //! never leave a half-written file under the checkpoint's final name.
 //!
 //! There is one format: the reader accepts exactly [`FORMAT_VERSION`]
-//! (2, the columnar task table) and rejects any other header version
-//! with [`CheckpointError::Version`] before touching the payload. The
-//! version-1 layout, whose task table was a plain JSON array, is
-//! retired: no writer produces it and no reader decodes it.
+//! (3: the columnar task table and the columnar node table) and rejects
+//! any other header version with [`CheckpointError::Version`] before
+//! touching the payload. The retired layouts — version 1, whose task
+//! table was a plain JSON array, and version 2, whose node table was a
+//! JSON record per node — have no writer and no reader.
+//!
+//! ## One serializer
+//!
+//! A payload is always written through `CheckpointView`, a borrow of
+//! the state: a running simulation's snapshot hook serializes its live
+//! state through one without cloning it, `Simulation::checkpoint` copies
+//! that same view into an owned [`Checkpoint`], and an owned checkpoint
+//! serializes through the view of its own fields.
 
 use crate::event::EventQueue;
 use crate::fault::FaultModel;
@@ -50,10 +59,11 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// Format version written to the header; bumped on any incompatible
-/// payload change. Version 2 packs the task table into the compact
-/// columnar form (see [`crate::compact`]). Readers accept exactly this
-/// version and reject every other one with [`CheckpointError::Version`].
-pub const FORMAT_VERSION: u32 = 2;
+/// payload change. Version 2 packed the task table into the compact
+/// columnar form (see [`crate::compact`]); version 3 packs the node
+/// table too (DESIGN.md §18.4). Readers accept exactly this version and
+/// reject every other one with [`CheckpointError::Version`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic token opening every checkpoint file.
 const MAGIC: &str = "DREAMSIM-CHECKPOINT";
@@ -124,8 +134,9 @@ impl From<std::io::Error> for CheckpointError {
 ///
 /// Produced by [`Simulation::checkpoint`](crate::Simulation::checkpoint),
 /// consumed by [`Simulation::resume`](crate::Simulation::resume);
-/// serialized to disk by [`write_checkpoint`] / [`read_checkpoint`].
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+/// serialized to disk by [`write_checkpoint`] / [`read_checkpoint`],
+/// through the `CheckpointView` of its fields.
+#[derive(Clone, Debug, serde::Deserialize)]
 pub struct Checkpoint {
     pub(crate) params: SimParams,
     /// Identity label of the policy that was running
@@ -156,7 +167,88 @@ pub struct Checkpoint {
     pub(crate) stalled: bool,
 }
 
+/// The checkpoint payload's one serializer: a borrow of every captured
+/// piece of state, in the payload's field order. The snapshot hook
+/// builds one over the live simulation; [`Checkpoint`] builds one over
+/// its own fields.
+#[derive(serde::Serialize)]
+pub(crate) struct CheckpointView<'a> {
+    pub(crate) params: &'a SimParams,
+    pub(crate) policy: &'a str,
+    pub(crate) source_kind: &'a str,
+    pub(crate) source_cursor: u64,
+    pub(crate) resources: &'a ResourceManager,
+    pub(crate) tasks: &'a TaskTable,
+    pub(crate) events: &'a EventQueue,
+    pub(crate) suspension: &'a SuspensionQueue,
+    pub(crate) steps: StepCounter,
+    /// Serialized without its waiting-time samples (serde skips them),
+    /// which travel once, in `wait_samples`.
+    pub(crate) stats: &'a Stats,
+    pub(crate) wait_samples: &'a [Ticks],
+    pub(crate) rng: &'a Rng,
+    pub(crate) fault: &'a FaultModel,
+    pub(crate) clock: Ticks,
+    pub(crate) created: u64,
+    pub(crate) last_arrival: Ticks,
+    pub(crate) stalled: bool,
+}
+
+impl CheckpointView<'_> {
+    /// An owned copy of the viewed state.
+    pub(crate) fn to_checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            params: self.params.clone(),
+            policy: self.policy.to_string(),
+            source_kind: self.source_kind.to_string(),
+            source_cursor: self.source_cursor,
+            resources: self.resources.clone(),
+            tasks: self.tasks.clone(),
+            events: self.events.clone(),
+            suspension: self.suspension.clone(),
+            steps: self.steps,
+            stats: self.stats.clone_without_samples(),
+            wait_samples: self.wait_samples.to_vec(),
+            rng: self.rng.clone(),
+            fault: self.fault.clone(),
+            clock: self.clock,
+            created: self.created,
+            last_arrival: self.last_arrival,
+            stalled: self.stalled,
+        }
+    }
+}
+
+impl serde::Serialize for Checkpoint {
+    fn write_json(&self, out: &mut String) {
+        self.view().write_json(out);
+    }
+}
+
 impl Checkpoint {
+    /// The view that serializes this checkpoint.
+    pub(crate) fn view(&self) -> CheckpointView<'_> {
+        CheckpointView {
+            params: &self.params,
+            policy: &self.policy,
+            source_kind: &self.source_kind,
+            source_cursor: self.source_cursor,
+            resources: &self.resources,
+            tasks: &self.tasks,
+            events: &self.events,
+            suspension: &self.suspension,
+            steps: self.steps,
+            stats: &self.stats,
+            wait_samples: &self.wait_samples,
+            rng: &self.rng,
+            fault: &self.fault,
+            clock: self.clock,
+            created: self.created,
+            last_arrival: self.last_arrival,
+            stalled: self.stalled,
+        }
+    }
+
     /// Parameters of the checkpointed run.
     #[must_use]
     pub fn params(&self) -> &SimParams {
@@ -226,7 +318,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// CRC-32 (IEEE 802.3, reflected, as used by zip/PNG), slice-by-8.
 ///
 /// Checkpoint payloads range from tens of kB (paper-scale batch runs)
-/// to ~5 MB per snapshot of a 20 000-node `serve` ring, and the
+/// to ~1.5 MB per snapshot of a 20 000-node `serve` ring, and the
 /// checksum runs once on every write and once on every read, so it
 /// consumes eight bytes per step through [`CRC_TABLES`] rather than
 /// one bit per step.
@@ -260,7 +352,13 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 /// `path` + `".tmp"`, are flushed and fsynced, and are renamed over
 /// `path` — readers never observe a partial file.
 pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointError> {
-    let payload = serde_json::to_string(cp)
+    write_view(path, &cp.view())
+}
+
+/// [`write_checkpoint`] for any [`CheckpointView`], the snapshot hook's
+/// borrow of live state included.
+pub(crate) fn write_view(path: &Path, view: &CheckpointView<'_>) -> Result<u64, CheckpointError> {
+    let payload = serde_json::to_string(view)
         .map_err(|e| CheckpointError::Format(format!("serialization failed: {e}")))?;
     let header = format!(
         "{MAGIC} {FORMAT_VERSION} {:08x}\n",

@@ -10,10 +10,14 @@
 //! to a few bytes per task.
 //!
 //! The encoding is self-contained and versioned by the checkpoint header
-//! (`FORMAT_VERSION` 2, the only version read or written, carries this
-//! form). Decoding is defensive: every read is
-//! bounds- and range-checked and returns an error instead of panicking,
-//! because checkpoint bytes come from disk.
+//! (format versions 2 and 3 carry this form, byte for byte; version 3,
+//! the only one read or written, adds the columnar node table). The
+//! encoder reads each row once, appending to every column at a time,
+//! and its varints and base64 ([`dreamsim_model::pack`]) go straight
+//! into the payload. Decoding is defensive: every read is bounds- and
+//! range-checked and returns an error instead of panicking, because
+//! checkpoint bytes come from disk; a needed or phantom area above
+//! [`MAX_AREA`] is an error naming the task.
 //!
 //! Column order (after a leading task count):
 //!
@@ -35,48 +39,13 @@
 //!
 //! Task ids are elided entirely: the table is dense, so `id == index`.
 
+use dreamsim_model::ids::MAX_AREA;
+use dreamsim_model::pack::{get_varint, put_u64, put_varint};
 use dreamsim_model::{ConfigId, PreferredConfig, Task, TaskId, TaskState};
-use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // varints
 // ---------------------------------------------------------------------------
-
-/// Append `v` as an LEB128 varint (7 payload bits per byte, little-endian).
-fn put_varint(out: &mut Vec<u8>, mut v: u128) {
-    loop {
-        // BOUND: masked to the low 7 bits before the cast.
-        let mut byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v != 0 {
-            byte |= 0x80;
-        }
-        out.push(byte);
-        if v == 0 {
-            return;
-        }
-    }
-}
-
-/// Read one LEB128 varint from `buf` starting at `*pos`.
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u128, String> {
-    let mut v: u128 = 0;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf
-            .get(*pos)
-            .ok_or_else(|| format!("varint truncated at byte {}", *pos))?;
-        *pos += 1;
-        if shift >= 128 || (shift == 126 && (byte & 0x7f) > 0x03) {
-            return Err(format!("varint overflow at byte {}", *pos - 1));
-        }
-        v |= u128::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
 
 /// Map a signed delta onto the unsigned varint domain (zigzag).
 fn zigzag(v: i128) -> u128 {
@@ -116,15 +85,6 @@ fn put_opt_time(out: &mut Vec<u8>, value: Option<u64>, base: u64) {
     }
 }
 
-/// Decode the counterpart of [`put_opt_time`].
-fn get_opt_time(buf: &[u8], pos: &mut usize, base: u64, what: &str) -> Result<Option<u64>, String> {
-    let raw = get_varint(buf, pos)?;
-    if raw == 0 {
-        return Ok(None);
-    }
-    apply_delta(base, raw - 1, what).map(Some)
-}
-
 /// State codes for the RLE column.
 fn state_code(state: TaskState) -> u128 {
     match state {
@@ -149,10 +109,10 @@ fn state_from_code(code: u128) -> Result<TaskState, String> {
 }
 
 /// Palette key for a `preferred` entry: a (tag, value) pair.
-fn preferred_key(p: PreferredConfig) -> (u128, u128) {
+fn preferred_key(p: PreferredConfig) -> (u8, u64) {
     match p {
-        PreferredConfig::Known(id) => (0, u128::from(id.0)),
-        PreferredConfig::Phantom { area } => (1, u128::from(area)),
+        PreferredConfig::Known(id) => (0, u64::from(id.0)),
+        PreferredConfig::Phantom { area } => (1, area),
     }
 }
 
@@ -174,121 +134,123 @@ fn preferred_from_key(tag: u128, value: u128) -> Result<PreferredConfig, String>
 // encode / decode
 // ---------------------------------------------------------------------------
 
-/// Encode a dense task table into the columnar byte stream.
+/// Append `tasks` to `out` as the checkpoint's packed task table,
+/// `{"count": n, "packed": "<base64>"}`, base64-encoding the columns
+/// straight from their buffers.
 ///
 /// The caller guarantees ids are dense (`task.id.index() == index`); the
 /// table enforces that on `push`, so this only debug-asserts it.
-#[must_use]
-pub fn encode_tasks(tasks: &[Task]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(tasks.len() * 8 + 16);
-    put_varint(&mut out, tasks.len() as u128);
+pub fn write_tasks(out: &mut String, tasks: &[Task]) {
+    let parts = task_columns(tasks);
+    let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+    dreamsim_model::pack::write_packed(out, tasks.len(), &parts);
+}
 
-    for t in tasks {
-        put_varint(&mut out, u128::from(t.required_time));
-    }
-
-    // Preferred-config palette: the distinct values (first-seen order),
-    // then one palette index per task. Known configurations come from a
-    // small list, but every closest-match task carries its own phantom
-    // area, so the palette grows with the table; the ordered index keeps
-    // the lookup logarithmic rather than a scan of the palette per task.
-    let mut palette: Vec<(u128, u128)> = Vec::new();
-    let mut palette_index: BTreeMap<(u128, u128), usize> = BTreeMap::new();
-    let mut indices: Vec<usize> = Vec::with_capacity(tasks.len());
-    for t in tasks {
-        let key = preferred_key(t.preferred);
-        let idx = *palette_index.entry(key).or_insert_with(|| {
-            palette.push(key);
-            palette.len() - 1
-        });
-        indices.push(idx);
-    }
-    put_varint(&mut out, palette.len() as u128);
-    for (tag, value) in &palette {
-        put_varint(&mut out, *tag);
-        put_varint(&mut out, *value);
-    }
-    for idx in indices {
-        put_varint(&mut out, idx as u128);
-    }
-
-    for t in tasks {
-        put_varint(&mut out, u128::from(t.needed_area));
-    }
-    for t in tasks {
-        put_varint(&mut out, u128::from(t.data_bytes));
-    }
-
+/// The columnar byte stream in parts, in stream order: the
+/// task count, column 1, the palette, then columns 2–13. One pass over
+/// the rows appends each row to every column.
+fn task_columns(tasks: &[Task]) -> Vec<Vec<u8>> {
+    let n = tasks.len();
+    let mut count = Vec::new();
+    put_u64(&mut count, n as u64);
+    let column = || Vec::with_capacity(n);
+    let (mut required, mut preferred, mut needed, mut data) =
+        (column(), column(), column(), column());
+    let (mut create, mut start, mut completion) = (column(), column(), column());
+    let (mut assigned, mut resolved, mut sus_retry) = (column(), column(), column());
+    let (mut fault_retries, mut suspended_at, mut states) = (column(), column(), Vec::new());
+    // The `preferred` palette: distinct keys in first-seen order, and
+    // each key's index. Every closest-match task carries its own phantom
+    // area, so the palette grows with the table. The index map is never
+    // iterated, so its order cannot reach the bytes.
+    let mut palette: Vec<(u8, u64)> = Vec::new();
+    // lint: allow(r1) -- the palette's index map: lookups only, never iterated
+    let mut palette_index = std::collections::HashMap::new();
+    let config = |c: Option<ConfigId>| c.map_or(0, |id| u64::from(id.0) + 1);
     // Arrival order makes create_time (near-)nondecreasing, so zigzag
     // deltas against the previous task are tiny.
     let mut prev_create = 0u64;
-    for t in tasks {
+    // The state column as RLE (code, run-length) pairs. In a finished
+    // or late-stage run almost every task is Completed, so the column
+    // collapses to a couple of bytes.
+    let mut run: Option<(u128, u64)> = None;
+    for (i, t) in tasks.iter().enumerate() {
+        debug_assert_eq!(t.id.index(), i, "task ids must be dense");
+        put_u64(&mut required, t.required_time);
+        let key = preferred_key(t.preferred);
+        let next = palette.len() as u64;
+        let index = *palette_index.entry(key).or_insert_with(|| {
+            palette.push(key);
+            next
+        });
+        put_u64(&mut preferred, index);
+        put_u64(&mut needed, t.needed_area);
+        put_u64(&mut data, t.data_bytes);
         put_varint(
-            &mut out,
+            &mut create,
             zigzag(i128::from(t.create_time) - i128::from(prev_create)),
         );
         prev_create = t.create_time;
-    }
-
-    for t in tasks {
-        put_opt_time(&mut out, t.start_time, t.create_time);
-    }
-    for t in tasks {
-        // Completion deltas against start (fall back to create) stay small
-        // because completion = start + required_time for finished tasks.
+        put_opt_time(&mut start, t.start_time, t.create_time);
+        // Completion deltas against start (fall back to create) stay
+        // small because completion = start + required_time for finished
+        // tasks.
         put_opt_time(
-            &mut out,
+            &mut completion,
             t.completion_time,
             t.start_time.unwrap_or(t.create_time),
         );
+        put_u64(&mut assigned, config(t.assigned_config));
+        put_u64(&mut resolved, config(t.resolved_config));
+        put_u64(&mut sus_retry, t.sus_retry);
+        put_u64(&mut fault_retries, u64::from(t.fault_retries));
+        put_opt_time(&mut suspended_at, t.suspended_at, t.create_time);
+        let code = state_code(t.state);
+        run = match run {
+            Some((c, len)) if c == code => Some((c, len + 1)),
+            Some((c, len)) => {
+                put_varint(&mut states, c);
+                put_u64(&mut states, len);
+                Some((code, 1))
+            }
+            None => Some((code, 1)),
+        };
     }
-
-    for t in tasks {
-        match t.assigned_config {
-            None => put_varint(&mut out, 0),
-            Some(id) => put_varint(&mut out, 1 + u128::from(id.0)),
-        }
+    if let Some((c, len)) = run {
+        put_varint(&mut states, c);
+        put_u64(&mut states, len);
     }
-    for t in tasks {
-        match t.resolved_config {
-            None => put_varint(&mut out, 0),
-            Some(id) => put_varint(&mut out, 1 + u128::from(id.0)),
-        }
+    let mut keys = Vec::new();
+    put_u64(&mut keys, palette.len() as u64);
+    for &(tag, value) in &palette {
+        put_u64(&mut keys, u64::from(tag));
+        put_u64(&mut keys, value);
     }
-
-    for t in tasks {
-        put_varint(&mut out, u128::from(t.sus_retry));
-    }
-    for t in tasks {
-        put_varint(&mut out, u128::from(t.fault_retries));
-    }
-    for t in tasks {
-        put_opt_time(&mut out, t.suspended_at, t.create_time);
-    }
-
-    // State column as RLE (code, run-length) pairs. In a finished or
-    // late-stage run almost every task is Completed, so the entire column
-    // collapses to a couple of bytes — the "zero-run elision" that makes
-    // million-task checkpoints cheap.
-    let mut i = 0;
-    while i < tasks.len() {
-        let code = state_code(tasks[i].state);
-        let mut run = 1usize;
-        while i + run < tasks.len() && state_code(tasks[i + run].state) == code {
-            run += 1;
-        }
-        put_varint(&mut out, code);
-        put_varint(&mut out, run as u128);
-        i += run;
-    }
-
-    out
+    vec![
+        count,
+        required,
+        keys,
+        preferred,
+        needed,
+        data,
+        create,
+        start,
+        completion,
+        assigned,
+        resolved,
+        sus_retry,
+        fault_retries,
+        suspended_at,
+        states,
+    ]
 }
 
-/// Decode the byte stream produced by [`encode_tasks`].
+/// Decode the byte stream whose base64 [`write_tasks`] writes.
 ///
 /// Every read is checked; malformed input yields a descriptive error, not
-/// a panic, because checkpoint payloads come from disk.
+/// a panic, because checkpoint payloads come from disk. The first column
+/// creates the rows and every later column fills its field in place, so
+/// the decode holds no column beside the rows.
 pub fn decode_tasks(buf: &[u8]) -> Result<Vec<Task>, String> {
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)?;
@@ -297,104 +259,107 @@ pub fn decode_tasks(buf: &[u8]) -> Result<Vec<Task>, String> {
     // task costs at least one byte per column) so a corrupt count cannot
     // balloon memory before the first truncation error fires.
     let mut tasks: Vec<Task> = Vec::with_capacity(count.min(buf.len()));
-
-    let mut required = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        required.push(to_u64(get_varint(buf, &mut pos)?, "required_time")?);
+    let mut next = |what: &str| get_varint(buf, &mut pos).map_err(|e| format!("{what}: {e}"));
+    for i in 0..count {
+        tasks.push(Task {
+            id: TaskId::from_index(i),
+            required_time: to_u64(next("required_time")?, "required_time")?,
+            preferred: PreferredConfig::Known(ConfigId(0)),
+            needed_area: 0,
+            data_bytes: 0,
+            create_time: 0,
+            start_time: None,
+            completion_time: None,
+            assigned_config: None,
+            resolved_config: None,
+            sus_retry: 0,
+            fault_retries: 0,
+            suspended_at: None,
+            state: TaskState::Created,
+        });
     }
 
-    let palette_len = get_varint(buf, &mut pos)?;
+    let palette_len = next("palette")?;
     let palette_len =
         usize::try_from(palette_len).map_err(|_| format!("palette length {palette_len}"))?;
     let mut palette = Vec::with_capacity(palette_len.min(buf.len()));
     for _ in 0..palette_len {
-        let tag = get_varint(buf, &mut pos)?;
-        let value = get_varint(buf, &mut pos)?;
+        let tag = next("palette")?;
+        let value = next("palette")?;
         palette.push(preferred_from_key(tag, value)?);
     }
-    let mut preferred = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        let idx = get_varint(buf, &mut pos)?;
+    // A needed or phantom area past the ceiling could overflow the
+    // engine's area sums; like a node's or a configuration's, it is a
+    // decode error.
+    let ceiling = |t: &Task, what: &str, area: u64| {
+        if area > MAX_AREA {
+            Err(format!(
+                "{}: {what} {area} exceeds the ceiling of {MAX_AREA} area units",
+                t.id
+            ))
+        } else {
+            Ok(())
+        }
+    };
+    for t in &mut tasks {
+        let idx = next("preferred")?;
         let idx = usize::try_from(idx).map_err(|_| format!("palette index {idx}"))?;
-        preferred.push(
-            *palette
-                .get(idx)
-                .ok_or_else(|| format!("palette index {idx} out of range {palette_len}"))?,
-        );
+        t.preferred = *palette
+            .get(idx)
+            .ok_or_else(|| format!("palette index {idx} out of range {palette_len}"))?;
+        if let PreferredConfig::Phantom { area } = t.preferred {
+            ceiling(t, "phantom area", area)?;
+        }
     }
-
-    let mut needed_area = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        needed_area.push(to_u64(get_varint(buf, &mut pos)?, "needed_area")?);
+    for t in &mut tasks {
+        t.needed_area = to_u64(next("needed_area")?, "needed_area")?;
+        ceiling(t, "needed_area", t.needed_area)?;
     }
-    let mut data_bytes = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        data_bytes.push(to_u64(get_varint(buf, &mut pos)?, "data_bytes")?);
+    for t in &mut tasks {
+        t.data_bytes = to_u64(next("data_bytes")?, "data_bytes")?;
     }
-
-    let mut create = Vec::with_capacity(count.min(buf.len()));
     let mut prev_create = 0u64;
-    for _ in 0..count {
-        let delta = get_varint(buf, &mut pos)?;
-        prev_create = apply_delta(prev_create, delta, "create_time")?;
-        create.push(prev_create);
+    for t in &mut tasks {
+        prev_create = apply_delta(prev_create, next("create_time")?, "create_time")?;
+        t.create_time = prev_create;
+    }
+    for t in &mut tasks {
+        t.start_time = opt_time(next("start_time")?, t.create_time, "start_time")?;
+    }
+    for t in &mut tasks {
+        let base = t.start_time.unwrap_or(t.create_time);
+        t.completion_time = opt_time(next("completion_time")?, base, "completion_time")?;
+    }
+    for t in &mut tasks {
+        t.assigned_config = opt_config(next("assigned_config")?, "assigned_config")?;
+    }
+    for t in &mut tasks {
+        t.resolved_config = opt_config(next("resolved_config")?, "resolved_config")?;
+    }
+    for t in &mut tasks {
+        t.sus_retry = to_u64(next("sus_retry")?, "sus_retry")?;
+    }
+    for t in &mut tasks {
+        t.fault_retries = to_u32(next("fault_retries")?, "fault_retries")?;
+    }
+    for t in &mut tasks {
+        t.suspended_at = opt_time(next("suspended_at")?, t.create_time, "suspended_at")?;
     }
 
-    let mut start = Vec::with_capacity(count.min(buf.len()));
-    for &c in create.iter().take(count) {
-        start.push(get_opt_time(buf, &mut pos, c, "start_time")?);
-    }
-    let mut completion = Vec::with_capacity(count.min(buf.len()));
-    for i in 0..count {
-        let base = start[i].unwrap_or(create[i]);
-        completion.push(get_opt_time(buf, &mut pos, base, "completion_time")?);
-    }
-
-    let mut assigned = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        let raw = get_varint(buf, &mut pos)?;
-        assigned.push(if raw == 0 {
-            None
-        } else {
-            Some(ConfigId(to_u32(raw - 1, "assigned_config")?))
-        });
-    }
-    let mut resolved = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        let raw = get_varint(buf, &mut pos)?;
-        resolved.push(if raw == 0 {
-            None
-        } else {
-            Some(ConfigId(to_u32(raw - 1, "resolved_config")?))
-        });
-    }
-
-    let mut sus_retry = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        sus_retry.push(to_u64(get_varint(buf, &mut pos)?, "sus_retry")?);
-    }
-    let mut fault_retries = Vec::with_capacity(count.min(buf.len()));
-    for _ in 0..count {
-        fault_retries.push(to_u32(get_varint(buf, &mut pos)?, "fault_retries")?);
-    }
-    let mut suspended_at = Vec::with_capacity(count.min(buf.len()));
-    for &c in create.iter().take(count) {
-        suspended_at.push(get_opt_time(buf, &mut pos, c, "suspended_at")?);
-    }
-
-    let mut states = Vec::with_capacity(count.min(buf.len()));
-    while states.len() < count {
-        let code = get_varint(buf, &mut pos)?;
-        let state = state_from_code(code)?;
-        let run = get_varint(buf, &mut pos)?;
+    let mut filled = 0;
+    while filled < count {
+        let state = state_from_code(next("state")?)?;
+        let run = next("state")?;
         let run = usize::try_from(run).map_err(|_| format!("state run length {run}"))?;
-        if run == 0 || states.len() + run > count {
+        if run == 0 || run > count - filled {
             return Err(format!(
-                "state column: run of {run} at {} overflows count {count}",
-                states.len()
+                "state column: run of {run} at {filled} overflows count {count}"
             ));
         }
-        states.extend(std::iter::repeat_n(state, run));
+        for t in &mut tasks[filled..filled + run] {
+            t.state = state;
+        }
+        filled += run;
     }
 
     if pos != buf.len() {
@@ -403,111 +368,35 @@ pub fn decode_tasks(buf: &[u8]) -> Result<Vec<Task>, String> {
             buf.len() - pos
         ));
     }
-
-    for i in 0..count {
-        tasks.push(Task {
-            id: TaskId::from_index(i),
-            required_time: required[i],
-            preferred: preferred[i],
-            needed_area: needed_area[i],
-            data_bytes: data_bytes[i],
-            create_time: create[i],
-            start_time: start[i],
-            completion_time: completion[i],
-            assigned_config: assigned[i],
-            resolved_config: resolved[i],
-            sus_retry: sus_retry[i],
-            fault_retries: fault_retries[i],
-            suspended_at: suspended_at[i],
-            state: states[i],
-        });
-    }
     Ok(tasks)
 }
 
-// ---------------------------------------------------------------------------
-// base64
-// ---------------------------------------------------------------------------
-
-const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-/// Standard base64 with `=` padding (RFC 4648), hand-rolled because the
-/// build is offline and the payload must live inside a JSON string.
-#[must_use]
-pub fn to_base64(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    for chunk in bytes.chunks(3) {
-        let b0 = u32::from(chunk[0]);
-        let b1 = chunk.get(1).copied().map_or(0, u32::from);
-        let b2 = chunk.get(2).copied().map_or(0, u32::from);
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        // BOUND: each index is a 6-bit slice of the triple.
-        out.push(B64_ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        // BOUND: masked to 6 bits.
-        out.push(B64_ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        if chunk.len() > 1 {
-            // BOUND: masked to 6 bits.
-            out.push(B64_ALPHABET[(triple >> 6) as usize & 0x3f] as char);
-        } else {
-            out.push('=');
-        }
-        if chunk.len() > 2 {
-            // BOUND: masked to 6 bits.
-            out.push(B64_ALPHABET[triple as usize & 0x3f] as char);
-        } else {
-            out.push('=');
-        }
+/// Decode an optional timestamp read by [`get_varint`]: `0 = None`, else
+/// `1 + zigzag(v − base)`.
+fn opt_time(raw: u128, base: u64, what: &str) -> Result<Option<u64>, String> {
+    if raw == 0 {
+        return Ok(None);
     }
-    out
+    apply_delta(base, raw - 1, what).map(Some)
 }
 
-/// Decode the output of [`to_base64`]; rejects anything malformed.
-pub fn from_base64(s: &str) -> Result<Vec<u8>, String> {
-    fn value_of(c: u8) -> Result<u32, String> {
-        match c {
-            b'A'..=b'Z' => Ok(u32::from(c - b'A')),
-            b'a'..=b'z' => Ok(u32::from(c - b'a') + 26),
-            b'0'..=b'9' => Ok(u32::from(c - b'0') + 52),
-            b'+' => Ok(62),
-            b'/' => Ok(63),
-            other => Err(format!("base64: invalid byte 0x{other:02x}")),
-        }
+/// Decode an optional configuration id: `0 = None`, else id + 1.
+fn opt_config(raw: u128, what: &str) -> Result<Option<ConfigId>, String> {
+    if raw == 0 {
+        return Ok(None);
     }
-
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(4) {
-        return Err(format!("base64: length {} not a multiple of 4", raw.len()));
-    }
-    let mut out = Vec::with_capacity(raw.len() / 4 * 3);
-    for (i, chunk) in raw.chunks(4).enumerate() {
-        let last = i == raw.len() / 4 - 1;
-        let pad = chunk.iter().filter(|&&c| c == b'=').count();
-        if pad > 0 && (!last || pad > 2 || chunk[..4 - pad].contains(&b'=')) {
-            return Err("base64: misplaced padding".to_string());
-        }
-        let mut triple = 0u32;
-        for &c in &chunk[..4 - pad] {
-            triple = (triple << 6) | value_of(c)?;
-        }
-        // BOUND: pad <= 2, far below u32.
-        triple <<= 6 * pad as u32;
-        // BOUND: each push takes one byte slice of the 24-bit triple.
-        out.push((triple >> 16) as u8);
-        if pad < 2 {
-            // BOUND: one byte slice of the 24-bit triple.
-            out.push((triple >> 8) as u8);
-        }
-        if pad < 1 {
-            // BOUND: one byte slice of the 24-bit triple.
-            out.push(triple as u8);
-        }
-    }
-    Ok(out)
+    to_u32(raw - 1, what).map(|id| Some(ConfigId(id)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dreamsim_model::pack::{from_base64, to_base64};
+
+    /// The columnar byte stream of `tasks`, unwrapped from its base64.
+    fn encode_tasks(tasks: &[Task]) -> Vec<u8> {
+        task_columns(tasks).concat()
+    }
 
     fn sample_task(i: usize) -> Task {
         let completed = i.is_multiple_of(3);
@@ -585,6 +474,16 @@ mod tests {
         assert!(from_base64("ab=c").is_err(), "interior padding");
         assert!(from_base64("a!cd").is_err(), "bad alphabet");
         assert!(from_base64("ab==cd==").is_err(), "padding mid-stream");
+        let err = |s: &str| from_base64(s).unwrap_err();
+        assert_eq!(err("abcdefg"), "base64: length 7 not a multiple of 4");
+        for bad in ["abcd!bcd", "abcdab\u{7f}d", "abcd ab=", "\u{e9}bc"] {
+            assert!(err(bad).starts_with("base64: invalid byte 0x"), "{bad:?}");
+        }
+        for misplaced in ["ab=cabcd", "abcda=cd", "a===", "====", "abcd===="] {
+            assert_eq!(err(misplaced), "base64: misplaced padding", "{misplaced:?}");
+        }
+        assert_eq!(from_base64("").unwrap(), Vec::<u8>::new());
+        assert_eq!(from_base64("YQ==").unwrap(), b"a");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! node).
 
 use crate::audit::AuditError;
-use crate::checkpoint::{self, Checkpoint, CheckpointError};
+use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointView};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultModel;
 use crate::init;
@@ -235,52 +235,20 @@ pub struct TaskTable {
 
 impl serde::Serialize for TaskTable {
     fn write_json(&self, out: &mut String) {
-        let packed = crate::compact::to_base64(&crate::compact::encode_tasks(&self.tasks));
-        out.push_str("{\"count\":");
-        serde::Serialize::write_json(&self.tasks.len(), out);
-        out.push_str(",\"packed\":");
-        serde::Serialize::write_json(packed.as_str(), out);
-        out.push('}');
+        crate::compact::write_tasks(out, &self.tasks);
     }
 }
 
 impl serde::Deserialize for TaskTable {
     fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let invalid = |e: String| serde::Error::custom(format!("TaskTable: {e}"));
-        let no_packed = || serde::Error::custom("TaskTable: expected a packed field");
-        // `count` is a cross-check, read only when it is an integer.
-        let (mut tasks, mut count) = (None, None);
-        let mut map = r.map().map_err(|_| no_packed())?;
-        while let Some(key) = map.next_key(r)? {
-            match &*key {
-                "packed" if tasks.is_none() => {
-                    if r.kind() != Some("string") {
-                        return Err(serde::Error::custom("TaskTable: packed must be a string"));
-                    }
-                    // Base64 needs no escapes, so this borrows the payload.
-                    let bytes = crate::compact::from_base64(&r.str()?).map_err(invalid)?;
-                    tasks = Some(crate::compact::decode_tasks(&bytes).map_err(invalid)?);
-                }
-                "count" if count.is_none() => {
-                    count = Some(match r.kind() {
-                        Some("number") => r.number()?.as_u64(),
-                        _ => {
-                            r.skip_value()?;
-                            None
-                        }
-                    });
-                }
-                _ => r.skip_value()?,
-            }
-        }
-        let tasks = tasks.ok_or_else(no_packed)?;
-        if let Some(count) = count.flatten() {
-            if count != tasks.len() as u64 {
-                return Err(serde::Error::custom(format!(
-                    "TaskTable: count {count} disagrees with packed length {}",
-                    tasks.len()
-                )));
-            }
+        let (count, bytes) = dreamsim_model::pack::read_packed(r, "TaskTable")?;
+        let tasks = crate::compact::decode_tasks(&bytes)
+            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
+        if count != tasks.len() as u64 {
+            return Err(serde::Error::custom(format!(
+                "TaskTable: count {count} disagrees with packed length {}",
+                tasks.len()
+            )));
         }
         Ok(Self { tasks })
     }
@@ -561,14 +529,14 @@ enum SnapshotSink {
 }
 
 impl SnapshotSink {
-    /// Write `cp` and return the bytes written.
-    fn write(&self, cp: &Checkpoint) -> Result<u64, CheckpointError> {
+    /// Write the snapshot `view` and return the bytes written.
+    fn write(&self, view: &CheckpointView<'_>) -> Result<u64, CheckpointError> {
         match self {
             SnapshotSink::Dir(dir) => {
                 std::fs::create_dir_all(dir)?;
-                checkpoint::write_checkpoint(&dir.join(crate::ring::entry_name(cp.clock())), cp)
+                checkpoint::write_view(&dir.join(crate::ring::entry_name(view.clock)), view)
             }
-            SnapshotSink::Ring(ring) => ring.write(cp),
+            SnapshotSink::Ring(ring) => ring.write_view(view),
         }
     }
 }
@@ -776,23 +744,32 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     /// Snapshot the complete current state (see [`crate::checkpoint`]
-    /// for what is and is not captured).
+    /// for what is and is not captured): an owned copy of the borrowed
+    /// view (`view`) the run loops' snapshots serialize without cloning,
+    /// so both write the same bytes.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            params: self.params.clone(),
-            policy: self.policy.state_label(),
-            source_kind: self.source.source_kind().to_string(),
+        self.view(&self.policy.state_label()).to_checkpoint()
+    }
+
+    /// A borrow of every piece of state a checkpoint captures, with the
+    /// policy's identity label `policy`: the snapshot hook's serializer
+    /// and the source of [`checkpoint`](Self::checkpoint).
+    fn view<'a>(&'a self, policy: &'a str) -> CheckpointView<'a> {
+        CheckpointView {
+            params: &self.params,
+            policy,
+            source_kind: self.source.source_kind(),
             source_cursor: self.source.source_cursor(),
-            resources: self.resources.clone(),
-            tasks: self.tasks.clone(),
-            events: self.events.clone(),
-            suspension: self.suspension.clone(),
+            resources: &self.resources,
+            tasks: &self.tasks,
+            events: &self.events,
+            suspension: &self.suspension,
             steps: self.steps,
-            stats: self.stats.clone_without_samples(),
-            wait_samples: self.stats.wait_samples.clone(),
-            rng: self.rng.clone(),
-            fault: self.fault.clone(),
+            stats: &self.stats,
+            wait_samples: &self.stats.wait_samples,
+            rng: &self.rng,
+            fault: &self.fault,
             clock: self.clock,
             created: self.created as u64,
             last_arrival: self.last_arrival,
@@ -1067,7 +1044,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// resume.
     fn snapshot(&mut self, sink: &SnapshotSink) -> Result<(), RunError> {
         self.audit()?;
-        let bytes = sink.write(&self.checkpoint())?;
+        let bytes = sink.write(&self.view(&self.policy.state_label()))?;
         self.checkpoints_written += 1;
         self.checkpoint_bytes += bytes;
         Ok(())
@@ -2480,7 +2457,7 @@ mod tests {
     use crate::audit::AuditError;
     use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointError};
     use dreamsim_model::ids::MAX_AREA;
-    use dreamsim_model::SlotView;
+    use dreamsim_model::{pack, SlotView};
 
     /// Parameters with every fault mechanism active, so checkpoints must
     /// carry retry counters, staleness stamps, per-node down-since
@@ -2950,17 +2927,17 @@ mod tests {
         ));
 
         // Future version → version error (checked before the CRC).
-        let bumped = header.replacen(" 2 ", " 3 ", 1);
+        let bumped = header.replacen(" 3 ", " 4 ", 1);
         assert_ne!(bumped, header, "header should contain the version");
         let bad = dir.join("future.dsc");
         std::fs::write(&bad, format!("{bumped}\n{payload}")).unwrap();
         assert!(matches!(
             read_checkpoint(&bad),
-            Err(CheckpointError::Version { found: 3 })
+            Err(CheckpointError::Version { found: 4 })
         ));
 
         // Version 0 predates the format → version error too.
-        let ancient = header.replacen(" 2 ", " 0 ", 1);
+        let ancient = header.replacen(" 3 ", " 0 ", 1);
         let bad = dir.join("ancient.dsc");
         std::fs::write(&bad, format!("{ancient}\n{payload}")).unwrap();
         assert!(matches!(
@@ -3212,6 +3189,104 @@ mod tests {
         }
     }
 
+    /// A payload whose node table fills every column: down nodes, holes
+    /// on free stacks, busy and idle slots, lists, and strips.
+    fn node_fuzz_base_payload() -> serde::Value {
+        let mut p = fault_params();
+        p.placement = crate::params::PlacementModel::Contiguous;
+        let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
+        drive_until(&mut sim, 150);
+        let v = serde_json::to_value(&sim.checkpoint()).unwrap();
+        let cols = node_columns(&v);
+        for (c, what) in [
+            (col::DOWN, "down nodes"),
+            (col::SLOT_TASK, "live slots"),
+            (col::FREE, "holes"),
+            (col::REGIONS, "strip regions"),
+            (col::LIST_ENTRIES, "list entries"),
+        ] {
+            assert!(!cols[c].is_empty(), "the fuzz base holds {what}");
+        }
+        v
+    }
+
+    /// Mutate the packed node columns of a valid payload at the byte
+    /// level, one mutation per case — flip one to four bits, cut the
+    /// stream short, or splice in an oversized or a huge varint — then
+    /// re-stamp the CRC and load it: `read_checkpoint` then `resume` must
+    /// return, `Ok` or a typed error, and never panic or overflow.
+    fn fuzz_node_columns(seed: u64, cases: usize) {
+        let tree = node_fuzz_base_payload();
+        let packed = tree["resources"]["nodes"]["packed"].as_str().unwrap();
+        let bytes = pack::from_base64(packed).unwrap();
+        let dir = temp_dir(&format!("node-fuzz-{seed}"));
+        let path = dir.join("case.dsc");
+        let mut rng = Rng::seed_from(seed);
+        let mut rejected = 0;
+        for case in 0..cases {
+            let mut b = bytes.clone();
+            let what = match rng.index(4) {
+                0 => {
+                    let flips = 1 + rng.index(4);
+                    for _ in 0..flips {
+                        let at = rng.index(b.len());
+                        b[at] ^= 1 << rng.index(8);
+                    }
+                    format!("{flips} bits flipped")
+                }
+                1 => {
+                    let keep = rng.index(b.len());
+                    b.truncate(keep);
+                    format!("cut to {keep} of {} bytes", bytes.len())
+                }
+                2 => {
+                    let (at, len) = (rng.index(b.len() + 1), 10 + rng.index(12));
+                    let varint = std::iter::repeat_n(0xff, len - 1).chain([0x01]);
+                    b.splice(at..at, varint);
+                    format!("a {len}-byte varint spliced in at byte {at}")
+                }
+                _ => {
+                    let (at, value) = (rng.index(b.len() + 1), rng.rand_int64() | 1 << 32);
+                    let mut varint = Vec::new();
+                    pack::put_u64(&mut varint, value);
+                    b.splice(at..at, varint);
+                    format!("{value} spliced in at byte {at}")
+                }
+            };
+            let mut v = tree.clone();
+            *at(&mut v, &["resources", "nodes", "packed"]) =
+                serde::Value::String(pack::to_base64(&b));
+            write_payload(&path, &v);
+            let outcome = std::panic::catch_unwind(|| {
+                read_checkpoint(&path)
+                    .and_then(|cp| Simulation::resume(cp, FixedSource, GreedyPolicy).map(|_| ()))
+            });
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("seed {seed} case {case}: {what}: the loader panicked"),
+            }
+        }
+        assert!(
+            rejected > cases / 2,
+            "seed {seed}: only {rejected} of {cases} mutations were rejected"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn node_column_decoder_survives_byte_mutations() {
+        fuzz_node_columns(0xC01, 300);
+    }
+
+    #[test]
+    #[ignore = "a larger fixed-seed sweep; CI runs it by name"]
+    fn node_column_decoder_survives_byte_mutations_sweep() {
+        for seed in 1..=8 {
+            fuzz_node_columns(seed, 1_000);
+        }
+    }
+
     #[test]
     fn audit_catches_duplicated_task_across_slots() {
         // Break the task⇔slot bijection from the slot side: one running
@@ -3257,11 +3332,101 @@ mod tests {
         v
     }
 
+    /// The node columns of a checkpoint payload's `resources.nodes`,
+    /// in order (DESIGN.md §18.4): each column is its length, then that
+    /// many varints, so this reads any layout without knowing it.
+    fn node_columns(payload: &serde::Value) -> Vec<Vec<u64>> {
+        let packed = payload["resources"]["nodes"]["packed"].as_str().unwrap();
+        let bytes = pack::from_base64(packed).unwrap();
+        let (mut pos, mut cols) = (0, Vec::new());
+        let next = |pos: &mut usize| u64::try_from(pack::get_varint(&bytes, pos).unwrap());
+        while pos < bytes.len() {
+            let len = next(&mut pos).unwrap();
+            cols.push((0..len).map(|_| next(&mut pos).unwrap()).collect());
+        }
+        assert_eq!(cols.len(), col::COUNT, "the v3 node table has 16 columns");
+        cols
+    }
+
+    /// `payload` with its node columns replaced by `cols`: the helper
+    /// that decodes, edits and re-encodes the packed node table.
+    fn with_node_columns(payload: &serde::Value, cols: &[Vec<u64>]) -> serde::Value {
+        let mut bytes = Vec::new();
+        for c in cols {
+            pack::put_u64(&mut bytes, c.len() as u64);
+            for &v in c {
+                pack::put_u64(&mut bytes, v);
+            }
+        }
+        let mut v = payload.clone();
+        *at(&mut v, &["resources", "nodes", "packed"]) =
+            serde::Value::String(pack::to_base64(&bytes));
+        v
+    }
+
+    /// Column indices of the v3 node table.
+    mod col {
+        pub const TOTAL_AREA: usize = 0;
+        pub const FAMILY: usize = 2;
+        pub const CAPS: usize = 3;
+        pub const RECONFIG: usize = 4;
+        pub const DOWN: usize = 5;
+        pub const PLACEMENT: usize = 6;
+        pub const SLAB_LEN: usize = 7;
+        pub const SLOT_CONFIG: usize = 8;
+        pub const SLOT_AREA: usize = 9;
+        pub const SLOT_TASK: usize = 10;
+        pub const FREE: usize = 11;
+        pub const STRIP_REGIONS: usize = 12;
+        pub const REGIONS: usize = 13;
+        pub const LIST_LEN: usize = 14;
+        pub const LIST_ENTRIES: usize = 15;
+        pub const COUNT: usize = 16;
+    }
+
+    /// Append `slots` to the slab of node `n`: `None` a hole (with a
+    /// placeholder free entry), `Some((config, area, task))` a live slot.
+    /// Returns the positions of the new free entries in the free column.
+    fn grow_slab(cols: &mut [Vec<u64>], n: usize, slots: &[Option<(u64, u64, u64)>]) -> Vec<usize> {
+        let slab_start: u64 = cols[col::SLAB_LEN][..n].iter().sum();
+        let slab_end = (slab_start + cols[col::SLAB_LEN][n]) as usize;
+        let live_before = |cols: &[Vec<u64>], end: usize| {
+            cols[col::SLOT_CONFIG][..end]
+                .iter()
+                .filter(|&&c| c != 0)
+                .count()
+        };
+        let (mut live_at, mut free_at) = (
+            live_before(cols, slab_end),
+            slab_end - live_before(cols, slab_end),
+        );
+        let mut holes = Vec::new();
+        for (k, slot) in slots.iter().enumerate() {
+            let index = cols[col::SLAB_LEN][n];
+            cols[col::SLAB_LEN][n] += 1;
+            cols[col::SLOT_CONFIG].insert(slab_end + k, slot.map_or(0, |(c, _, _)| c + 1));
+            match *slot {
+                None => {
+                    cols[col::FREE].insert(free_at, index);
+                    holes.push(free_at);
+                    free_at += 1;
+                }
+                Some((_, area, task)) => {
+                    cols[col::SLOT_AREA].insert(live_at, area);
+                    cols[col::SLOT_TASK].insert(live_at, task);
+                    live_at += 1;
+                }
+            }
+        }
+        holes
+    }
+
     #[test]
     fn malformed_list_fields_are_typed_checkpoint_errors() {
-        // CRC-valid checkpoints whose list heads, slot links, free slots,
-        // configuration ids or area sums do not describe a store: each
-        // must come back as a typed error, never a panic or an overflow.
+        // CRC-valid checkpoints whose node columns, list columns, free
+        // slots, configuration ids or area sums do not describe a store:
+        // each must come back as a typed error, never a panic or an
+        // overflow.
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 200);
         let dir = temp_dir("malformed-lists");
@@ -3276,116 +3441,78 @@ mod tests {
         };
         assert!(load(&good).is_ok(), "the untouched payload must load");
         assert!(good["resources"]["configs"].as_array().unwrap().len() > 3);
+        let cols = node_columns(&good);
+        assert_eq!(
+            with_node_columns(&good, &cols),
+            good,
+            "the helper round-trips"
+        );
         let edited = |edit: &dyn Fn(&mut serde::Value)| {
             let mut v = good.clone();
             edit(&mut v);
             v
         };
-        let entry = |node: u64, slot: u64| {
-            serde::Value::Object(vec![
-                ("node".into(), serde::Value::Number(serde::Number::U(node))),
-                ("slot".into(), serde::Value::Number(serde::Number::U(slot))),
-            ])
-        };
-        // The first list with an entry, and its head slot.
-        let (list, config) = ["idle_head", "busy_head"]
-            .into_iter()
-            .find_map(|list| {
-                let heads = good["resources"]["lists"][list].as_array()?;
-                Some((list, heads.iter().position(|h| !h.is_null())?))
-            })
-            .expect("a non-empty list");
-        let head = &good["resources"]["lists"][list][config];
-        let (node, slot) = (
-            head["node"].as_u64().unwrap(),
-            head["slot"].as_u64().unwrap(),
-        );
-        let (c, n, s) = (config.to_string(), node.to_string(), slot.to_string());
-        let head_path = ["resources", "lists", list, c.as_str()];
-        let link_path = [
-            "resources",
-            "nodes",
-            n.as_str(),
-            "slots",
-            s.as_str(),
-            "link",
-        ];
-        let resize_heads = |list: &'static str, len: usize| {
-            move |v: &mut serde::Value| {
-                if let serde::Value::Array(heads) = at(v, &["resources", "lists", list]) {
-                    heads.resize(len, serde::Value::Null);
-                }
-            }
+        let columns = |edit: &dyn Fn(&mut Vec<Vec<u64>>)| {
+            let mut c = cols.clone();
+            edit(&mut c);
+            with_node_columns(&good, &c)
         };
         let number = |n: u64| serde::Value::Number(serde::Number::U(n));
-        let free_path = ["resources", "nodes", n.as_str(), "free"];
-        let field = |name| ["resources", "nodes", n.as_str(), name];
-        let object = |fields: Vec<(&str, serde::Value)>| {
-            serde::Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-        };
-        // Two more slots of 2^63 area units each, running `task` or idle:
-        // their areas sum past the area type.
-        let huge_slots = |v: &mut serde::Value, task: serde::Value| {
-            let slot = object(vec![
-                ("config", number(0)),
-                ("area", number(1 << 63)),
-                ("task", task),
-                ("link", serde::Value::Null),
-            ]);
-            if let serde::Value::Array(slots) = at(v, &field("slots")) {
-                slots.extend([slot.clone(), slot]);
-            }
-        };
-        let total_area = |v: &mut serde::Value| at(v, &field("total_area")).clone();
-        let configs = good["resources"]["configs"].as_array().unwrap().len();
-        // Nodes configured at least once, and an edit of their records
-        // that keeps Eq. 4 but sums past 2^64 across nodes or placements.
-        let nodes = good["resources"]["nodes"].as_array().unwrap();
-        let configured: Vec<String> = (0..nodes.len())
-            .filter(|&i| nodes[i]["reconfig_count"].as_u64() > Some(0))
-            .map(|i| i.to_string())
-            .collect();
+        // The first list with an entry, its offset in the entry column,
+        // and its head (newest) entry's node and slot.
+        let lens = &cols[col::LIST_LEN];
+        let list = lens.iter().position(|&l| l > 0).expect("a non-empty list");
+        let first = 2 * lens[..list].iter().sum::<u64>() as usize;
+        let head = first + 2 * (lens[list] as usize - 1);
+        let (node, slot) = (
+            cols[col::LIST_ENTRIES][head],
+            cols[col::LIST_ENTRIES][head + 1],
+        );
+        let n = node as usize;
+        let nodes = cols[col::TOTAL_AREA].len();
+        let configured: Vec<usize> = (0..nodes).filter(|&i| cols[col::RECONFIG][i] > 0).collect();
         assert!(configured.len() >= 4, "four configured nodes to edit");
-        let edit_nodes = |v: &mut serde::Value, count, name, value: &dyn Fn(u64) -> u64| {
-            for i in &configured[..count] {
-                let field = at(v, &["resources", "nodes", i, name]);
-                *field = number(value(field.as_u64().unwrap()));
-            }
-        };
+        let last_entry = cols[col::LIST_ENTRIES].len() - 2;
         let decode_errors = [
             (
-                "idle_head cut to 3 entries",
-                edited(&resize_heads("idle_head", 3)),
+                "three idle and three busy lists",
+                columns(&|c| {
+                    c[col::LIST_LEN] = vec![0; 6];
+                    c[col::LIST_ENTRIES].clear();
+                }),
             ),
-            (
-                "busy_head with one entry too many",
-                edited(&resize_heads("busy_head", configs + 1)),
-            ),
+            ("one list too many", columns(&|c| c[col::LIST_LEN].push(0))),
             (
                 "a head naming node 999999",
-                edited(&|v| *at(v, &head_path) = entry(999_999, 0)),
+                columns(&|c| c[col::LIST_ENTRIES][head] = 999_999),
             ),
             (
                 "a head naming slot 99 of its node",
-                edited(&|v| *at(v, &head_path) = entry(node, 99)),
+                columns(&|c| c[col::LIST_ENTRIES][head + 1] = 99),
             ),
             (
-                "a link naming node 888888",
-                edited(&|v| *at(v, &link_path) = entry(888_888, 0)),
+                "an entry naming node 888888",
+                columns(&|c| c[col::LIST_ENTRIES][last_entry] = 888_888),
             ),
             (
                 "a free entry naming slot 99",
-                edited(&|v| *at(v, &free_path) = serde::Value::Array(vec![number(99)])),
+                columns(&|c| {
+                    let at = grow_slab(c, n, &[None]);
+                    c[col::FREE][at[0]] = 99;
+                }),
             ),
             (
                 "a free entry naming a live slot",
-                edited(&|v| *at(v, &free_path) = serde::Value::Array(vec![number(slot)])),
+                columns(&|c| {
+                    let at = grow_slab(c, n, &[None]);
+                    c[col::FREE][at[0]] = slot;
+                }),
             ),
             (
                 "a hole listed twice as free",
-                edited(&|v| {
-                    *at(v, &["resources", "nodes", &n, "slots", &s]) = serde::Value::Null;
-                    *at(v, &free_path) = serde::Value::Array(vec![number(slot); 2]);
+                columns(&|c| {
+                    let at = grow_slab(c, n, &[None, None]);
+                    c[col::FREE][at[1]] = c[col::FREE][at[0]];
                 }),
             ),
             (
@@ -3399,40 +3526,86 @@ mod tests {
                 }),
             ),
             (
-                "four configured nodes with 2^62 more total and available area",
-                edited(&|v| {
-                    edit_nodes(v, 4, "total_area", &|a| a + (1 << 62));
-                    edit_nodes(v, 4, "available_area", &|a| a + (1 << 62));
+                "four configured nodes with 2^62 more total area",
+                columns(&|c| {
+                    for &i in &configured[..4] {
+                        c[col::TOTAL_AREA][i] += 1 << 62;
+                    }
                 }),
             ),
             (
                 "two nodes reconfigured 2^63 times",
-                edited(&|v| edit_nodes(v, 2, "reconfig_count", &|_| 1 << 63)),
+                columns(&|c| {
+                    for &i in &configured[..2] {
+                        c[col::RECONFIG][i] = 1 << 63;
+                    }
+                }),
             ),
             (
                 "two busy slots of 2^63 area units",
-                edited(&|v| huge_slots(v, number(0))),
+                columns(&|c| {
+                    grow_slab(c, n, &[Some((0, 1 << 63, 1)), Some((0, 1 << 63, 2))]);
+                }),
             ),
             (
-                "two idle slots of 2^63 area units, available area = total",
-                edited(&|v| {
-                    huge_slots(v, serde::Value::Null);
-                    *at(v, &field("available_area")) = total_area(v);
+                "two idle slots of 2^63 area units",
+                columns(&|c| {
+                    grow_slab(c, n, &[Some((0, 1 << 63, 0)), Some((0, 1 << 63, 0))]);
                 }),
             ),
             (
                 "a strip region from 2^63 of width 2^63",
-                edited(&|v| {
-                    let region = object(vec![
-                        ("start", number(1 << 63)),
-                        ("width", number(1 << 63)),
-                        ("slot", number(0)),
-                    ]);
-                    *at(v, &field("strip")) = object(vec![
-                        ("width", total_area(v)),
-                        ("regions", serde::Value::Array(vec![region])),
-                    ]);
+                columns(&|c| {
+                    let rest = (nodes - n - 1) as u64;
+                    let runs = [(0, n as u64), (1, 1), (0, rest)];
+                    c[col::PLACEMENT] = runs
+                        .iter()
+                        .filter(|r| r.1 > 0)
+                        .flat_map(|&(code, run)| [code, run])
+                        .collect();
+                    c[col::STRIP_REGIONS] = vec![1];
+                    c[col::REGIONS] = vec![1 << 63, 1 << 63, slot];
                 }),
+            ),
+            (
+                "a strip region naming slot 99",
+                columns(&|c| {
+                    let rest = (nodes - n - 1) as u64;
+                    let runs = [(0, n as u64), (1, 1), (0, rest)];
+                    c[col::PLACEMENT] = runs
+                        .iter()
+                        .filter(|r| r.1 > 0)
+                        .flat_map(|&(code, run)| [code, run])
+                        .collect();
+                    c[col::STRIP_REGIONS] = vec![1];
+                    c[col::REGIONS] = vec![0, 1, 99];
+                }),
+            ),
+            (
+                "a node count one above the columns",
+                edited(&|v| {
+                    *at(v, &["resources", "nodes", "count"]) = number(nodes as u64 + 1);
+                }),
+            ),
+            (
+                "a family code no family owns",
+                columns(&|c| c[col::FAMILY][n] = 4),
+            ),
+            (
+                "a capability bit no capability owns",
+                columns(&|c| c[col::CAPS][n] = 128),
+            ),
+            (
+                "a down node past the table",
+                columns(&|c| c[col::DOWN] = vec![nodes as u64]),
+            ),
+            (
+                "a placement run past the table",
+                columns(&|c| c[col::PLACEMENT] = vec![0, nodes as u64 + 1]),
+            ),
+            (
+                "a slab one slot longer than its configurations",
+                columns(&|c| c[col::SLAB_LEN][n] += 1),
             ),
         ];
         for (what, payload) in &decode_errors {
@@ -3443,23 +3616,29 @@ mod tests {
                 result.err()
             );
         }
-        // A slot linked to itself decodes; the restore audit rejects it.
-        match load(&edited(&|v| *at(v, &link_path) = entry(node, slot))) {
+        // A list naming one entry twice decodes; the restore audit
+        // rejects it.
+        match load(&columns(&|c| {
+            c[col::LIST_LEN][list] += 1;
+            c[col::LIST_ENTRIES].splice(first..first, [node, slot]);
+        })) {
             Err(CheckpointError::State(msg)) => {
                 assert!(msg.contains("more than one list"), "got: {msg}");
             }
-            other => panic!("self-linked slot: expected an audit error, got {other:?}"),
+            other => panic!("an entry listed twice: expected an audit error, got {other:?}"),
         }
-        // Slot and available areas that sum past the area type decode;
-        // the restore audit finds Eq. 4 broken instead of wrapping.
-        let area_path = ["resources", "nodes", &n, "slots", &s, "area"];
-        match load(&edited(&|v| {
-            *at(v, &area_path) = number(1 << 63);
-            *at(v, &field("available_area")) = number(1 << 63);
-        })) {
+        // A slot area above its node's total area decodes; the restore
+        // audit finds Eq. 4 broken instead of wrapping.
+        let live_before = cols[col::SLOT_CONFIG]
+            [..cols[col::SLAB_LEN][..n].iter().sum::<u64>() as usize + slot as usize]
+            .iter()
+            .filter(|&&c| c != 0)
+            .count();
+        match load(&columns(&|c| c[col::SLOT_AREA][live_before] = 1 << 63)) {
             Err(CheckpointError::State(msg)) => assert!(msg.contains("Eq. 4"), "got: {msg}"),
-            other => panic!("Eq. 4 sum past 2^64: expected an audit error, got {other:?}"),
+            other => panic!("slots above the total area: expected an audit error, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -3610,6 +3789,68 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dreamsim-svc-{}-{}", tag, std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The snapshot hook serializes a borrow of the live state: at every
+    /// boundary of a fault-injected batch run and of a `serve` window,
+    /// the file it writes holds exactly the bytes of
+    /// `serde_json::to_string(&sim.checkpoint())`.
+    #[test]
+    fn snapshots_write_the_bytes_of_checkpoint() {
+        let newest_payload = |dir: &std::path::Path| {
+            let entries = crate::ring::scan_ring(dir).unwrap();
+            let raw = std::fs::read_to_string(&entries.last().unwrap().path).unwrap();
+            raw.split_once('\n').unwrap().1.to_string()
+        };
+        // Batch: every boundary of the run loop's interval, through the
+        // hook the loop calls.
+        let dir = temp_dir("view-batch");
+        let sink = SnapshotSink::Dir(dir.clone());
+        let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
+        sim.prime();
+        sim.primed = true;
+        let mut every = Interval::new(0, 150);
+        let mut written = 0;
+        while let Some((t, ev)) = sim.events.pop() {
+            sim.charge_idle_polls(t - sim.clock);
+            sim.clock = t;
+            sim.dispatch(ev);
+            if every.due(sim.clock) {
+                sim.snapshot(&sink).unwrap();
+                let clock = sim.clock;
+                let want = serde_json::to_string(&sim.checkpoint()).unwrap();
+                assert!(newest_payload(&dir) == want, "batch snapshot at {clock}");
+                written += 1;
+            }
+        }
+        assert!(written >= 5, "only {written} batch boundaries");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Serve: legs cut at each ring boundary, as a kill would cut them;
+        // the last leg drains to the horizon snapshot.
+        let dir = service_dir("view-serve");
+        let mut sim = Simulation::new(service_params(1_000), FixedSource, GreedyPolicy).unwrap();
+        let every = 100;
+        let mut leg = ServiceLegOptions {
+            ring_dir: Some(dir.clone()),
+            ring_every: every,
+            ring_retain: 100,
+            stop_at: Some(every),
+            ..ServiceLegOptions::default()
+        };
+        let mut legs = 0;
+        loop {
+            let end = sim.run_service_leg(&leg, &mut None).unwrap();
+            let clock = sim.clock();
+            let want = serde_json::to_string(&sim.checkpoint()).unwrap();
+            assert!(newest_payload(&dir) == want, "serve snapshot at {clock}");
+            legs += 1;
+            if end == ServiceLegEnd::Horizon {
+                break;
+            }
+            leg.stop_at = Some((clock / every + 1) * every);
+        }
+        assert_eq!(legs, 10, "one snapshot per 100 ticks up to the horizon");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

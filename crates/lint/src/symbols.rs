@@ -9,9 +9,11 @@
 //! ## r8 — checkpoint-coverage proof
 //!
 //! The checkpoint is the single serialized root of simulator state
-//! ([`ROOT_TYPE`]). The proof has two halves:
+//! ([`ROOT_TYPES`]: the owned `Checkpoint`, and the borrowed
+//! `CheckpointView` that every payload is written through). The proof
+//! has two halves:
 //!
-//! 1. **Reachability**: BFS from every struct named `Checkpoint` over
+//! 1. **Reachability**: BFS from every struct named by a root over
 //!    field-type identifiers. Every reachable struct/enum must be
 //!    serializable — `#[derive(Serialize)]` or a hand-written
 //!    `impl Serialize for T`. Hand-written impls are *opaque leaves*:
@@ -47,8 +49,12 @@ use crate::parser::{FileItems, StructDef};
 use crate::rules::{rule_applies, RawFinding};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Root type of the serialized simulator state.
-pub const ROOT_TYPE: &str = "Checkpoint";
+/// Root types of the serialized simulator state: the owned snapshot,
+/// and the borrowed view its serializer and the live snapshot hook both
+/// write through. A root whose serializer is hand-written is an opaque
+/// leaf like any other type, so when `Checkpoint` serializes through
+/// the view, the view's derived serializer carries the proof.
+pub const ROOT_TYPES: [&str; 2] = ["Checkpoint", "CheckpointView"];
 
 /// `(live struct, snapshot struct)` pairs whose fields are captured
 /// name-by-name rather than by serializing the live struct itself.
@@ -86,7 +92,7 @@ fn checkpoint_coverage(files: &[(&str, &FileItems)]) -> Vec<(usize, RawFinding)>
 
     let mut out = Vec::new();
     let mut seen: BTreeSet<(bool, Ref)> = BTreeSet::new();
-    let mut queue: Vec<&str> = vec![ROOT_TYPE];
+    let mut queue: Vec<&str> = ROOT_TYPES.to_vec();
     let mut queued: BTreeSet<&str> = queue.iter().copied().collect();
     while let Some(name) = queue.pop() {
         for &(fi, si) in structs.get(name).into_iter().flatten() {
@@ -289,6 +295,23 @@ mod tests {
         let findings = scan_srcs(&[(
             "crates/engine/src/x.rs",
             "#[derive(serde::Serialize)]\npub struct Checkpoint { pub stats: Stats }\n\
+             pub struct Stats { pub n: u64 }\n",
+        )]);
+        assert!(
+            findings
+                .iter()
+                .any(|(_, f)| f.rule == "r8" && f.message.contains("`Stats`")),
+            "findings: {findings:?}"
+        );
+    }
+
+    #[test]
+    fn a_root_serialized_through_a_view_is_proved_through_the_view() {
+        let findings = scan_srcs(&[(
+            "crates/engine/src/x.rs",
+            "pub struct Checkpoint { pub stats: Stats }\n\
+             impl serde::Serialize for Checkpoint {}\n\
+             #[derive(serde::Serialize)]\npub struct CheckpointView<'a> { pub stats: &'a Stats }\n\
              pub struct Stats { pub n: u64 }\n",
         )]);
         assert!(

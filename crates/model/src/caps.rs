@@ -57,13 +57,41 @@ impl Capability {
 }
 
 /// A compact set of [`Capability`] flags. The order is that of the bit
-/// patterns: arbitrary, but fixed, so a set can key a `BTreeMap`.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+/// patterns: arbitrary, but fixed, so a set can key a `BTreeMap`. Only
+/// the seven capability bits are ever set, so a set is one of
+/// [`Capabilities::SETS`] values and can index an array.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Capabilities(u8);
 
+/// A set reads back from its bit pattern; a bit no capability owns is a
+/// decode error.
+impl Deserialize for Capabilities {
+    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let bits = u8::read_json(r)?;
+        Self::from_bits(bits).ok_or_else(|| {
+            serde::Error::custom(format!("Capabilities: unknown capability bits in {bits}"))
+        })
+    }
+}
+
 impl Capabilities {
+    /// The number of distinct sets, `2^7`: [`bits`](Self::bits) is
+    /// always below it.
+    pub const SETS: usize = 1 << Capability::ALL.len();
+
+    /// The set's bit pattern, below [`SETS`](Self::SETS).
+    #[must_use]
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The set with bit pattern `bits`, or `None` if a bit no capability
+    /// owns is set.
+    #[must_use]
+    pub fn from_bits(bits: u8) -> Option<Self> {
+        (usize::from(bits) < Self::SETS).then_some(Self(bits))
+    }
+
     /// The empty capability set.
     #[must_use]
     pub fn none() -> Self {

@@ -54,6 +54,7 @@ pub mod ids;
 pub mod lists;
 pub mod naive;
 pub mod node;
+pub mod pack;
 pub mod search;
 pub mod soa;
 pub mod steps;

@@ -15,14 +15,11 @@
 //! entries in exactly the head-first link order and charging one
 //! housekeeping step per visited entry, the same charge as the link walk.
 //!
-//! The `Inext`/`Bnext` links exist only in the checkpoint form, the
-//! `link` of each slot of a [`Node`] record: the
-//! [`ResourceManager`](crate::store::ResourceManager) serializer derives
-//! each slot's link from the vectors, and its deserializer rebuilds the
-//! vectors by walking each head's links (`ConfigLists::from_links`).
+//! The checkpoint writes each vector as it stands, oldest entry first
+//! (the store's columns, DESIGN.md §18.4), so a restored list keeps its
+//! order, and with it the search index's LIFO tie-breaks.
 
 use crate::ids::{ConfigId, EntryRef};
-use crate::node::Node;
 use crate::steps::{StepCounter, StepKind};
 
 /// Which of the two lists an operation targets.
@@ -41,15 +38,6 @@ pub struct ConfigLists {
     idle: Vec<Vec<EntryRef>>,
     /// Busy lists, laid out like `idle`.
     busy: Vec<Vec<EntryRef>>,
-}
-
-/// The checkpoint form of [`ConfigLists`]: the head of every list. The
-/// rest of each list is threaded through the `link` field of the
-/// checkpoint's slots.
-#[derive(serde::Serialize, serde::Deserialize)]
-pub(crate) struct ListHeads {
-    idle_head: Vec<Option<EntryRef>>,
-    busy_head: Vec<Option<EntryRef>>,
 }
 
 impl ConfigLists {
@@ -137,67 +125,17 @@ impl ConfigLists {
         self.list(kind, config).is_empty()
     }
 
-    /// Every list, oldest entry first: in the checkpoint form each entry
-    /// links to the one before it in its slice.
+    /// Every list, oldest entry first: the idle lists of every
+    /// configuration, then the busy lists (the checkpoint's order).
     pub(crate) fn vectors(&self) -> impl Iterator<Item = &[EntryRef]> {
         self.idle.iter().chain(&self.busy).map(Vec::as_slice)
     }
 
-    /// The head of every list (the checkpoint form).
-    pub(crate) fn heads(&self) -> ListHeads {
-        let heads = |lists: &[Vec<EntryRef>]| lists.iter().map(|l| l.last().copied()).collect();
-        ListHeads {
-            idle_head: heads(&self.idle),
-            busy_head: heads(&self.busy),
-        }
-    }
-
-    /// Rebuild the lists from the checkpoint form: `heads`, and the slot
-    /// links of the `nodes` records. There must be one head per
-    /// configuration per list, and every head and link must name a slot
-    /// of the node table. The walk runs before
-    /// [`NodeStore::from_nodes`](crate::soa::NodeStore::from_nodes) checks
-    /// the records, so it finds slots by position and trusts no field.
-    /// A chain longer than the slot table repeats an entry; the walk
-    /// stops there and leaves the repeat to the audit.
-    pub(crate) fn from_links(
-        nodes: &[Node],
-        heads: ListHeads,
-        num_configs: usize,
-    ) -> Result<Self, String> {
-        let bound: usize = nodes.iter().map(|n| n.slots.len()).sum();
-        let walk = |heads: Vec<Option<EntryRef>>, name: &str| {
-            if heads.len() != num_configs {
-                return Err(format!(
-                    "{name} has {} heads for {num_configs} configurations",
-                    heads.len()
-                ));
-            }
-            heads
-                .into_iter()
-                .map(|mut cur| {
-                    let mut chain = Vec::new();
-                    while let Some(e) = cur {
-                        let slot = nodes
-                            .get(e.node.index())
-                            // BOUND: u32 slot index; usize is at least as wide.
-                            .and_then(|n| n.slots.get(e.slot as usize))
-                            .ok_or_else(|| format!("{name}: entry {e} names no slot"))?;
-                        chain.push(e);
-                        if chain.len() > bound {
-                            break;
-                        }
-                        cur = slot.as_ref().and_then(|s| s.link);
-                    }
-                    chain.reverse();
-                    Ok(chain)
-                })
-                .collect()
-        };
-        Ok(Self {
-            idle: walk(heads.idle_head, "idle_head")?,
-            busy: walk(heads.busy_head, "busy_head")?,
-        })
+    /// The lists [`vectors`](Self::vectors) yields, one idle and one
+    /// busy list per configuration.
+    pub(crate) fn from_vectors(idle: Vec<Vec<EntryRef>>, busy: Vec<Vec<EntryRef>>) -> Self {
+        debug_assert_eq!(idle.len(), busy.len());
+        Self { idle, busy }
     }
 }
 

@@ -1,27 +1,24 @@
 //! Reconfigurable nodes (Eq. 1):
 //! `Nodeᵢ(TotalArea, AvailableArea, C, family, caps, state)`.
 //!
-//! [`Node`] is a plain record with no behaviour of its own, in two
-//! uses. A blank one, from [`Node::new`] and its builders, is the
-//! construction input of [`crate::store::ResourceManager::new`]. A full
-//! one is the checkpoint form of a node: its slab of *config-task-pair*
-//! slots (Fig. 3's `Config-Task-Pair List`), free slot indices, counts
-//! and strip, where each slot's `link` carries the idle/busy list links.
-//!
-//! Slot placement, eviction, task assignment and release, and the Eq. 4
-//! account
+//! [`Node`] is the construction spec of one node: its id, `TotalArea`,
+//! network delay, family, capabilities and placement model. It has no
+//! behaviour and no runtime state; [`crate::store::ResourceManager::new`]
+//! builds blank nodes from specs. The runtime state — the slab of
+//! *config-task-pair* slots (Fig. 3's `Config-Task-Pair List`), free
+//! slot indices, the reconfiguration count, the `down` flag, the strip
+//! — and the Eq. 4 account
 //!
 //! ```text
 //! AvailableArea = TotalArea − Σ ReqArea(Cᵢ)   over live slots
 //! ```
 //!
-//! live in [`crate::soa::NodeStore`] alone, which
-//! [`NodeStore::from_nodes`](crate::soa::NodeStore::from_nodes) builds
-//! from these records after checking them.
+//! live in [`crate::soa::NodeStore`] alone, which checkpoints write and
+//! read column by column (DESIGN.md §18.4).
 
 use crate::caps::{Capabilities, DeviceFamily};
-use crate::contiguous::{GapFit, Strip};
-use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
+use crate::contiguous::GapFit;
+use crate::ids::{Area, NodeId, Ticks};
 use serde::{Deserialize, Serialize};
 
 /// Coarse node state (the paper's `state` field).
@@ -35,38 +32,13 @@ pub enum NodeState {
     Busy,
 }
 
-/// One config-task pair (Fig. 3) in the checkpoint form: an
-/// instantiated configuration plus the task currently using it, if any.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct Slot {
-    /// The instantiated configuration.
-    pub config: ConfigId,
-    /// Area the configuration occupies (denormalized from the config
-    /// table so area accounting never needs a table lookup).
-    pub area: Area,
-    /// The running task, or `None` when the slot is idle.
-    pub task: Option<TaskId>,
-    /// Single link for the idle or busy list of `config` (the paper's
-    /// `Inext`/`Bnext`); a slot is in exactly one of the two lists at any
-    /// time, so one field serves both. The serializer derives it from
-    /// the lists.
-    pub link: Option<EntryRef>,
-}
-
-/// The record of one reconfigurable processing node: a construction
-/// input when blank, the checkpoint form when full (see the module
-/// docs).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The construction spec of one reconfigurable processing node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Node {
     /// Node identifier (`NodeNo`).
     pub id: NodeId,
     /// Total reconfigurable area (`TotalArea`).
     pub total_area: Area,
-    /// Remaining free area (`AvailableArea`, Eq. 4). This and the other
-    /// crate-visible fields belong to the checkpoint form: only the
-    /// store's conversions to and from the record and the list-link
-    /// walk read them.
-    pub(crate) available_area: Area,
     /// Device family (`family`).
     pub family: DeviceFamily,
     /// Hardware capabilities (`caps`).
@@ -74,50 +46,24 @@ pub struct Node {
     /// One-way communication delay from the RMS to this node, in
     /// timeticks (`NetworkDelay`; the `tcomm` component of Eq. 8).
     pub network_delay: Ticks,
-    /// Number of (re)configurations performed on this node
-    /// (`ReconfigCount`; drives Table I's *average reconfiguration count
-    /// per node*).
-    pub reconfig_count: u64,
-    /// Whether the node is failed/offline (failure-injection extension;
-    /// always `false` in paper-faithful runs). Down nodes are skipped by
-    /// every placement search.
-    pub down: bool,
-    /// Contiguous 1-D placement state (`None` = the paper's scalar area
-    /// model). When present, configurations must fit into a contiguous
-    /// gap of fabric columns (DESIGN.md experiment A5).
-    pub(crate) strip: Option<Strip>,
-    /// Gap-selection policy for contiguous placement.
-    pub(crate) gap_fit: GapFit,
-    /// Slot slab: `None` entries are free slots awaiting reuse, keeping
-    /// `EntryRef`s stable across evictions.
-    pub(crate) slots: Vec<Option<Slot>>,
-    /// Free-slot indices for O(1) reuse.
-    pub(crate) free: Vec<u32>,
-    /// Number of live slots.
-    pub(crate) live: u32,
-    /// Number of slots with a running task.
-    pub(crate) running: u32,
+    /// Contiguous 1-D placement with this gap-selection policy, or
+    /// `None` for the paper's scalar area model (DESIGN.md experiment
+    /// A5).
+    pub gap_fit: Option<GapFit>,
 }
 
 impl Node {
-    /// Create a blank node.
+    /// The spec of a node with the default family, no capabilities and
+    /// scalar placement.
     #[must_use]
     pub fn new(id: NodeId, total_area: Area, network_delay: Ticks) -> Self {
         Self {
             id,
             total_area,
-            available_area: total_area,
             family: DeviceFamily::default(),
             caps: Capabilities::none(),
             network_delay,
-            reconfig_count: 0,
-            down: false,
-            strip: None,
-            gap_fit: GapFit::FirstFit,
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            running: 0,
+            gap_fit: None,
         }
     }
 
@@ -135,14 +81,12 @@ impl Node {
         self
     }
 
-    /// Enable contiguous 1-D placement: configurations must fit into a
-    /// contiguous gap of the node's fabric columns (experiment A5).
-    /// Only valid on a blank node.
+    /// Contiguous 1-D placement: configurations must fit into a
+    /// contiguous gap of the node's fabric columns, chosen by `fit`
+    /// (experiment A5).
     #[must_use]
     pub fn with_contiguous(mut self, fit: GapFit) -> Self {
-        assert!(self.live == 0, "contiguity must be set before configuring");
-        self.strip = Some(Strip::new(self.total_area));
-        self.gap_fit = fit;
+        self.gap_fit = Some(fit);
         self
     }
 }
@@ -154,6 +98,7 @@ mod tests {
 
     use super::*;
     use crate::config::Config;
+    use crate::ids::{ConfigId, TaskId};
     use crate::soa::{NodeError, NodeStore, SlotView};
 
     fn cfg(id: u32, area: Area) -> Config {

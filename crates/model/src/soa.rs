@@ -47,21 +47,23 @@
 //! ## Checkpoint form
 //!
 //! Checkpoint bytes must not depend on the memory layout, so the store
-//! is written as one [`Node`] record per node (`NodeStore::to_node`), and
-//! read back through [`NodeStore::from_nodes`], which construction goes
-//! through too. `from_nodes` is the one place a node record is checked:
-//! dense ids, free entries that name distinct holes, and area sums and
-//! strip region ends that do not overflow. Eq. 4 itself is left to
-//! [`NodeStore::area_invariant_holds`], which the restore audit runs. The
-//! `Inext`/`Bnext` links of that form are derived from the idle/busy
-//! lists by the [`ResourceManager`](crate::store::ResourceManager)
-//! serializer.
+//! is written column by column, straight from the node and slot records
+//! (the `columns` module, DESIGN.md §18.4), and read back straight into
+//! them. The column reader is the one place a node record from outside
+//! is checked: free entries that name distinct holes, the area and
+//! reconfiguration ceilings, slot areas and strip region ends that do
+//! not overflow, list entries that name live slots. Construction from
+//! [`Node`] specs and the reader share one spec check (`push_node`).
+//! Eq. 4 itself is left to [`NodeStore::area_invariant_holds`], which
+//! the restore audit runs.
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
 use crate::contiguous::{GapFit, Strip};
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks, MAX_AREA};
-use crate::node::{Node, NodeState, Slot};
+use crate::node::{Node, NodeState};
+
+mod columns;
 
 /// Errors from the store's node-local mutations
 /// ([`NodeStore::send_bitstream`], [`evict_slot`](NodeStore::evict_slot),
@@ -126,7 +128,7 @@ impl std::error::Error for NodeError {}
 const NIL: u32 = u32::MAX;
 
 /// The largest reconfiguration count a node record may carry: 2^31.
-/// [`NodeStore::from_nodes`] checks it, so the count summed over the at
+/// The checkpoint reader checks it, so the count summed over the at
 /// most 2^32 nodes (`u32` ids) starts at or below 2^63, and a run adds
 /// one per reconfiguration it performs.
 pub(crate) const MAX_RECONFIGS: u64 = 1 << 31;
@@ -155,9 +157,8 @@ struct NodeCell {
     base: usize,
     /// Slab capacity in slots (cells reserved in the arena).
     cap: u32,
-    /// Logical slab length: the record's `slots.len()`, counting live
-    /// slots *and* free holes; a new slot index past every hole is this
-    /// length.
+    /// Logical slab length, counting live slots *and* free holes; a new
+    /// slot index past every hole is this length.
     slab_len: u32,
     /// Top of the node's intrusive free-slot stack (`NIL` = empty).
     free_head: u32,
@@ -166,7 +167,8 @@ struct NodeCell {
     down: bool,
     total_area: Area,
     available_area: Area,
-    /// Sum of the occupied slots' areas; derived, not serialized.
+    /// Sum of the occupied slots' areas; derived, not serialized (nor
+    /// are the counts or the available area).
     busy_area: Area,
     network_delay: Ticks,
 }
@@ -207,7 +209,7 @@ impl SlotCell {
     }
 }
 
-/// Copy of one live slot's fields (the store's replacement for `&Slot`).
+/// Copy of one live slot's fields.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SlotView {
     /// The instantiated configuration.
@@ -219,167 +221,78 @@ pub struct SlotView {
 }
 
 impl NodeStore {
-    /// Check the node records and build the store from them: the one
-    /// path from a [`Node`] record into the store, for construction and
-    /// for checkpoint restore alike.
+    /// Build the store of blank nodes from their specs.
     ///
     /// # Errors
-    /// Names the first node whose id is not its position in `nodes`,
-    /// whose `free` list names a live or out-of-range slot or one hole
-    /// twice, whose total area exceeds [`MAX_AREA`], whose
-    /// reconfiguration count exceeds 2^31, or whose slot areas or strip
-    /// region ends overflow an [`Area`]. Eq. 4 is not
-    /// checked here; see
-    /// [`area_invariant_holds`](Self::area_invariant_holds).
+    /// Names the first spec whose id is not its position in `nodes`, or
+    /// whose total area exceeds [`MAX_AREA`].
     pub fn from_nodes(nodes: Vec<Node>) -> Result<Self, String> {
-        let count = nodes.len();
-        let mut st = Self {
-            records: Vec::with_capacity(count),
-            family: Vec::with_capacity(count),
-            caps: Vec::with_capacity(count),
-            reconfig_count: Vec::with_capacity(count),
-            strip: Vec::with_capacity(count),
-            gap_fit: Vec::with_capacity(count),
-            cells: Vec::with_capacity(nodes.iter().map(|n| n.slots.len()).sum()),
-        };
-        for (i, n) in nodes.into_iter().enumerate() {
-            let id = n.id;
-            if id.index() != i {
+        let mut st = Self::with_capacity(nodes.len());
+        for (i, n) in nodes.iter().enumerate() {
+            if n.id.index() != i {
                 return Err(format!(
-                    "node ids must be dense and ordered (found {id} at {i})"
+                    "node ids must be dense and ordered (found {} at {i})",
+                    n.id
                 ));
             }
-            // A free entry that is not a hole, or a repeated one, would
-            // hand out a live slot index again.
-            let mut seen = vec![false; n.slots.len()];
-            for &s in &n.free {
-                // BOUND: u32 slot index; usize is at least as wide.
-                let f = s as usize;
-                if !matches!(n.slots.get(f), Some(None)) || std::mem::replace(&mut seen[f], true) {
-                    return Err(format!("{id} lists slot {s} as free"));
-                }
-            }
-            // Eq. 4, which the restore audit checks, bounds the
-            // available and slot areas by the total area.
-            if n.total_area > MAX_AREA {
-                return Err(format!(
-                    "{id}: total_area {} exceeds the ceiling of {MAX_AREA} area units",
-                    n.total_area
-                ));
-            }
-            if n.reconfig_count > MAX_RECONFIGS {
-                return Err(format!(
-                    "{id}: reconfig_count {} exceeds the ceiling of {MAX_RECONFIGS}",
-                    n.reconfig_count
-                ));
-            }
-            let overflow = |what: &str| format!("{id}: {what} overflow the area type");
-            let mut regions = n.strip.iter().flat_map(|s| &s.regions);
-            if regions.any(|r| r.start.checked_add(r.width).is_none()) {
-                return Err(overflow("strip region ends"));
-            }
-            let base = st.cells.len();
-            // BOUND: slab length is the record's slots.len(), bounded by u32 slot ids.
-            let slab_len = n.slots.len() as u32;
-            let (mut used, mut busy_area): (Area, Area) = (0, 0);
-            for s in n.slots {
-                st.cells.push(match s {
-                    Some(s) => {
-                        used = used
-                            .checked_add(s.area)
-                            .ok_or_else(|| overflow("slot areas"))?;
-                        if s.task.is_some() {
-                            // BOUND: busy slots are live, and the live areas
-                            // were just summed without overflow.
-                            busy_area += s.area;
-                        }
-                        SlotCell {
-                            config: s.config,
-                            area: s.area,
-                            task: s.task,
-                            live: true,
-                            ..SlotCell::DEAD
-                        }
-                    }
-                    None => SlotCell::DEAD,
-                });
-            }
-            // Rebuild the free stack so that the record's last `free`
-            // entry is on top: pushing in Vec order leaves it there.
-            let mut free_head = NIL;
-            for idx in n.free {
-                // BOUND: idx < slab_len (a hole of this node's slab, checked
-                // above), so base + idx stays inside the slab.
-                st.cells[base + idx as usize].free_next = free_head;
-                free_head = idx;
-            }
-            st.records.push(NodeCell {
-                base,
-                cap: slab_len,
-                slab_len,
-                free_head,
-                live: n.live,
-                running: n.running,
-                down: n.down,
-                total_area: n.total_area,
-                available_area: n.available_area,
-                busy_area,
-                network_delay: n.network_delay,
-            });
-            st.family.push(n.family);
-            st.caps.push(n.caps);
-            st.reconfig_count.push(n.reconfig_count);
-            st.strip.push(n.strip);
-            st.gap_fit.push(n.gap_fit);
+            st.push_node(n.total_area, n.network_delay, n.family, n.caps, n.gap_fit)?;
         }
         Ok(st)
     }
 
-    /// Node `i` as a [`Node`] record, the checkpoint form. `links[f]`
-    /// is the list link of the slot at flat arena index `f`
-    /// ([`flat`](Self::flat)), so `links` spans the whole arena.
-    pub(crate) fn to_node(&self, i: usize, links: &[Option<EntryRef>]) -> Node {
-        let r = &self.records[i];
-        // BOUND: slab_len is a u32 slot count; usize is at least as wide.
-        let slab = &self.cells[r.base..r.base + r.slab_len as usize];
-        let slots = slab
-            .iter()
-            .zip(&links[r.base..])
-            .map(|(c, &link)| {
-                c.live.then_some(Slot {
-                    config: c.config,
-                    area: c.area,
-                    task: c.task,
-                    link,
-                })
-            })
-            .collect();
-        // The intrusive stack walks top→bottom; the record's `free` Vec
-        // stores bottom→top (push order), so reverse.
-        let mut free = Vec::new();
-        let mut cur = r.free_head;
-        while cur != NIL {
-            free.push(cur);
-            // BOUND: cur < slab_len (free-stack entries are holes of this slab).
-            cur = slab[cur as usize].free_next;
+    fn with_capacity(nodes: usize) -> Self {
+        Self {
+            records: Vec::with_capacity(nodes),
+            family: Vec::with_capacity(nodes),
+            caps: Vec::with_capacity(nodes),
+            reconfig_count: Vec::with_capacity(nodes),
+            strip: Vec::with_capacity(nodes),
+            gap_fit: Vec::with_capacity(nodes),
+            cells: Vec::new(),
         }
-        free.reverse();
-        Node {
-            id: NodeId::from_index(i),
-            total_area: r.total_area,
-            available_area: r.available_area,
-            family: self.family[i],
-            caps: self.caps[i],
-            network_delay: r.network_delay,
-            reconfig_count: self.reconfig_count[i],
-            down: r.down,
-            strip: self.strip[i].clone(),
-            gap_fit: self.gap_fit[i],
-            slots,
-            free,
-            live: r.live,
-            running: r.running,
+    }
+
+    /// Append one blank node with an empty slab at the arena's end: the
+    /// one check of a node's spec, shared by construction and the
+    /// checkpoint reader.
+    ///
+    /// # Errors
+    /// A total area above [`MAX_AREA`], named by the node's id.
+    fn push_node(
+        &mut self,
+        total_area: Area,
+        network_delay: Ticks,
+        family: DeviceFamily,
+        caps: Capabilities,
+        gap_fit: Option<GapFit>,
+    ) -> Result<(), String> {
+        // Eq. 4, which the restore audit checks, bounds the available
+        // and slot areas by the total area.
+        if total_area > MAX_AREA {
+            return Err(format!(
+                "{}: total_area {total_area} exceeds the ceiling of {MAX_AREA} area units",
+                NodeId::from_index(self.records.len())
+            ));
         }
+        self.records.push(NodeCell {
+            base: self.cells.len(),
+            cap: 0,
+            slab_len: 0,
+            free_head: NIL,
+            live: 0,
+            running: 0,
+            down: false,
+            total_area,
+            available_area: total_area,
+            busy_area: 0,
+            network_delay,
+        });
+        self.family.push(family);
+        self.caps.push(caps);
+        self.reconfig_count.push(0);
+        self.strip.push(gap_fit.map(|_| Strip::new(total_area)));
+        self.gap_fit.push(gap_fit.unwrap_or_default());
+        Ok(())
     }
 
     /// Number of nodes.
@@ -396,7 +309,8 @@ impl NodeStore {
         self.records.is_empty()
     }
 
-    /// Length of the flat slot arena, abandoned regions included.
+    /// Length of the flat slot arena, abandoned regions included: every
+    /// [`flat`](Self::flat) index is below it.
     pub(crate) fn arena_len(&self) -> usize {
         self.cells.len()
     }
@@ -585,12 +499,17 @@ impl NodeStore {
         self.flat(i, slot).map(|f| self.cells[f].view())
     }
 
+    /// The slab cells of node `i`, holes included.
+    fn slab(&self, i: usize) -> &[SlotCell] {
+        let r = &self.records[i];
+        // BOUND: slab_len is a u32 slot count; usize is at least as wide.
+        &self.cells[r.base..r.base + r.slab_len as usize]
+    }
+
     /// The live slot records of node `i` as `(slot_index, record)`, in
     /// slab order.
     pub(crate) fn cells_of(&self, i: usize) -> impl Iterator<Item = (u32, &SlotCell)> + '_ {
-        let r = &self.records[i];
-        // BOUND: slab_len is a u32 slot count; usize is at least as wide.
-        self.cells[r.base..r.base + r.slab_len as usize]
+        self.slab(i)
             .iter()
             .zip(0u32..)
             .filter_map(|(c, s)| c.live.then_some((s, c)))
@@ -760,8 +679,9 @@ impl NodeStore {
             }
             None => true,
         };
-        // `from_nodes` checked that the slot areas sum, but a restored
-        // record's available area is first checked here.
+        // The checkpoint reader checked that the slot areas sum, but not
+        // that they fit the total area: a restored node whose slots
+        // overfill it reads back with no available area, and fails here.
         used.checked_add(r.available_area) == Some(r.total_area)
             // BOUND: live is a small per-node slot count.
             && self.cells_of(i).count() == r.live as usize

@@ -27,13 +27,12 @@
 use crate::caps::Capabilities;
 use crate::config::Config;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, MAX_AREA};
-use crate::lists::{ConfigLists, ListHeads, ListKind};
+use crate::lists::{ConfigLists, ListKind};
 use crate::node::{Node, NodeState};
 use crate::search::{IndexSnapshot, NodeKey, SearchIndex};
 use crate::soa::{NodeError, NodeStore};
 use crate::steps::{StepCounter, StepKind};
 use crate::task::PreferredConfig;
-use std::collections::BTreeSet;
 
 /// What a placement search is looking for: reconfigurable area plus any
 /// hardware capabilities the configuration requires of its host node
@@ -76,9 +75,10 @@ impl Demand {
 
 /// Owner of all resource state for one simulation run.
 ///
-/// Serialized by hand in the checkpoint form `{nodes, configs, lists}`:
-/// the node table as [`Node`] records whose slots carry the lists'
-/// `Inext`/`Bnext` links, and the head of every list.
+/// Serialized by hand in the checkpoint form `{nodes, configs}`: the
+/// node table, its slots, free stacks and strips, and the idle/busy
+/// lists as one packed table of varint columns (DESIGN.md §18.4), and
+/// the configuration table as JSON records.
 #[derive(Clone, Debug)]
 pub struct ResourceManager {
     nodes: NodeStore,
@@ -105,8 +105,8 @@ impl ResourceManager {
     /// # Panics
     /// Panics if node or configuration ids are not the dense sequence
     /// `0..len` in order (both tables are arena-indexed), or with
-    /// [`NodeStore::from_nodes`]'s message if a node record fails its
-    /// other checks.
+    /// [`NodeStore::from_nodes`]'s message if a node spec fails its
+    /// other check.
     #[must_use]
     pub fn new(nodes: Vec<Node>, configs: Vec<Config>) -> Self {
         for (i, c) in configs.iter().enumerate() {
@@ -657,23 +657,27 @@ impl ResourceManager {
                 ));
             }
         }
-        let mut listed: BTreeSet<EntryRef> = BTreeSet::new();
+        // One mark per arena cell: the flat index of a live slot names
+        // it, so a second mark is an entry on two lists.
+        let mut listed = vec![false; self.nodes.arena_len()];
+        let mut entries = 0usize;
         for c in &self.configs {
             for (kind, want_busy) in [(ListKind::Idle, false), (ListKind::Busy, true)] {
                 for e in self.lists.iter(kind, c.id) {
-                    let slot = self
-                        .nodes
-                        .slot(e.node.index(), e.slot)
-                        .ok_or_else(|| format!("{}: dangling entry {e}", c.id))?;
+                    let (i, s) = (e.node.index(), e.slot);
+                    let Some((f, slot)) = self.nodes.flat(i, s).zip(self.nodes.slot(i, s)) else {
+                        return Err(format!("{}: dangling entry {e}", c.id));
+                    };
                     if slot.config != c.id {
                         return Err(format!("{e} on list of {} but holds {}", c.id, slot.config));
                     }
                     if slot.task.is_some() != want_busy {
                         return Err(format!("{e} on {kind:?} list with task={:?}", slot.task));
                     }
-                    if !listed.insert(e) {
+                    if std::mem::replace(&mut listed[f], true) {
                         return Err(format!("{e} appears on more than one list"));
                     }
+                    entries += 1;
                 }
             }
         }
@@ -681,11 +685,8 @@ impl ResourceManager {
             // BOUND: live is a small per-node slot count.
             .map(|i| self.nodes.live_count(i) as usize)
             .sum();
-        if live != listed.len() {
-            return Err(format!(
-                "{live} live slots but {} listed entries",
-                listed.len()
-            ));
+        if live != entries {
+            return Err(format!("{live} live slots but {entries} listed entries"));
         }
         Ok(())
     }
@@ -693,55 +694,46 @@ impl ResourceManager {
 
 impl serde::Serialize for ResourceManager {
     fn write_json(&self, out: &mut String) {
-        // Derive the `Inext`/`Bnext` links in one pass: every list entry
-        // links to the next older one, the oldest to nothing.
-        let mut links = vec![None; self.nodes.arena_len()];
-        for list in self.lists.vectors() {
-            for pair in list.windows(2) {
-                let e = pair[1];
-                if let Some(f) = self.nodes.flat(e.node.index(), e.slot) {
-                    links[f] = Some(pair[0]);
-                }
-            }
-        }
+        let mut packed = Vec::new();
+        self.nodes.write_columns(&self.lists, &mut packed);
         out.push_str("{\"nodes\":");
-        serde::write_seq(
-            out,
-            (0..self.nodes.len()).map(|i| self.nodes.to_node(i, &links)),
-        );
+        crate::pack::write_packed(out, self.nodes.len(), &[&packed]);
         out.push_str(",\"configs\":");
         serde::Serialize::write_json(&self.configs, out);
-        out.push_str(",\"lists\":");
-        serde::Serialize::write_json(&self.lists.heads(), out);
         out.push('}');
     }
 }
 
-/// Deserialization rebuilds the lists from their heads and slot links,
-/// and the search index, which checkpoints never carry. A node table
-/// ([`NodeStore::from_nodes`]), configuration table or list that cannot
-/// be read back without panicking is a decode error; a readable but
-/// inconsistent store keeps an empty index instead, so that
+/// Deserialization reads the node columns straight into the store and
+/// its lists, checking them ([`NodeStore`]'s column reader), and
+/// rebuilds the search index, which checkpoints never carry. A node
+/// table, configuration table or list that cannot be read back without
+/// panicking is a decode error; a readable but inconsistent store keeps
+/// an empty index instead, so that
 /// [`ResourceManager::check_invariants`], which a restore runs next,
 /// reports the corruption rather than the rebuild walking it.
 impl serde::Deserialize for ResourceManager {
     fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let missing =
             |name: &str| serde::Error::custom(format!("ResourceManager: missing field {name}"));
-        let (mut nodes, mut configs, mut heads) = (None, None, None);
+        let invalid = |msg: String| serde::Error::custom(format!("ResourceManager: {msg}"));
+        let (mut nodes, mut configs) = (None, None);
         let mut map = r.map().map_err(|_| missing("nodes"))?;
         while let Some(key) = map.next_key(r)? {
             match &*key {
-                "nodes" if nodes.is_none() => nodes = Some(Vec::<Node>::read_json(r)?),
+                "nodes" if nodes.is_none() => {
+                    let (count, bytes) = crate::pack::read_packed(r, "ResourceManager: nodes")?;
+                    nodes = Some(
+                        NodeStore::read_columns(&bytes, count)
+                            .map_err(|e| invalid(format!("nodes: {e}")))?,
+                    );
+                }
                 "configs" if configs.is_none() => configs = Some(Vec::<Config>::read_json(r)?),
-                "lists" if heads.is_none() => heads = Some(ListHeads::read_json(r)?),
                 _ => r.skip_value()?,
             }
         }
-        let nodes = nodes.ok_or_else(|| missing("nodes"))?;
+        let (nodes, lists) = nodes.ok_or_else(|| missing("nodes"))?;
         let configs = configs.ok_or_else(|| missing("configs"))?;
-        let heads = heads.ok_or_else(|| missing("lists"))?;
-        let invalid = |msg: String| serde::Error::custom(format!("ResourceManager: {msg}"));
         if let Some((i, c)) = configs.iter().enumerate().find(|(i, c)| c.id.index() != *i) {
             return Err(invalid(format!(
                 "config ids must be dense and ordered (found {} at {i})",
@@ -754,9 +746,15 @@ impl serde::Deserialize for ResourceManager {
                 c.id, c.req_area
             )));
         }
-        let lists = ConfigLists::from_links(&nodes, heads, configs.len()).map_err(invalid)?;
+        if lists.num_configs() != configs.len() {
+            return Err(invalid(format!(
+                "nodes: {} idle and busy lists for {} configurations",
+                lists.num_configs(),
+                configs.len()
+            )));
+        }
         let mut rm = Self {
-            nodes: NodeStore::from_nodes(nodes).map_err(invalid)?,
+            nodes,
             configs,
             lists,
             index: SearchIndex::default(),

@@ -15,7 +15,9 @@
 //!   phantom preference;
 //! * `interarrival` and `required_time` are at most [`MAX_TICKS`], the
 //!   ceiling every tick parameter obeys, so the engine's arrival and
-//!   completion sums cannot wrap (DESIGN.md §14.4);
+//!   completion sums cannot wrap, and a phantom area is at most
+//!   [`MAX_AREA`], the ceiling of every node and configuration area
+//!   (DESIGN.md §14.4);
 //! * fields are whitespace-separated.
 //!
 //! A malformed line is a [`ParseError`] naming the line and the field.
@@ -26,6 +28,7 @@
 
 use dreamsim_engine::params::MAX_TICKS;
 use dreamsim_engine::sim::{SourceYield, TaskSource, TaskSpec};
+use dreamsim_model::ids::MAX_AREA;
 use dreamsim_model::{ConfigId, PreferredConfig, TaskId, Ticks};
 use dreamsim_rng::Rng;
 use std::fmt::Write as _;
@@ -118,6 +121,14 @@ pub fn parse_trace(text: &str) -> Result<Vec<TaskSpec>, ParseError> {
             }
             ("p", area) => {
                 let area = num(area, "phantom area")?;
+                if area > MAX_AREA {
+                    return Err(ParseError {
+                        line,
+                        message: format!(
+                            "phantom area {area} exceeds the ceiling of {MAX_AREA} area units"
+                        ),
+                    });
+                }
                 (PreferredConfig::Phantom { area }, area)
             }
             _ => {
@@ -342,6 +353,22 @@ mod tests {
             (at[0].interarrival, at[0].required_time),
             (MAX_TICKS, MAX_TICKS)
         );
+    }
+
+    /// A phantom area above the area ceiling is a parse error naming the
+    /// line; the ceiling itself is accepted.
+    #[test]
+    fn phantom_areas_above_the_ceiling_are_parse_errors() {
+        for area in [MAX_AREA + 1, u64::MAX] {
+            let err = parse_trace(&format!("1 1 c0 0\n2 5 p{area} 0\n")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert_eq!(
+                err.message,
+                format!("phantom area {area} exceeds the ceiling of {MAX_AREA} area units")
+            );
+        }
+        let at = parse_trace(&format!("1 1 p{MAX_AREA} 0\n")).unwrap();
+        assert_eq!(at[0].needed_area, MAX_AREA);
     }
 
     #[test]

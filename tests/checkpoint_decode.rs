@@ -6,16 +6,21 @@
 //! first occurrence wins) do not change the result; a missing
 //! `#[serde(default)]` field, `-0` for an unsigned integer and `null`
 //! for a float are accepted; a float for an integer, a missing
-//! required field (`Option`-typed included), a malformed unknown field,
-//! trailing characters, a truncated document and bytes that are not
-//! UTF-8 are all `CheckpointError::Format`. Two decoded checkpoints are
-//! compared by re-encoding them, which is byte-exact (the golden tests
-//! pin the encoder).
+//! required field (`Option`-typed included), a malformed unknown field
+//! (numbers and `\u` escapes outside RFC 8259's grammar included), a
+//! task table whose `count` is not its row count, a task row whose
+//! needed or phantom area exceeds `MAX_AREA`, trailing characters, a
+//! truncated document and bytes that are not UTF-8 are all
+//! `CheckpointError::Format`. Two decoded checkpoints are compared by
+//! re-encoding them, which is byte-exact (the golden tests pin the
+//! encoder).
 
 use dreamsim::engine::{
-    read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError, DomainOutageKind,
-    DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams, SimParams, Simulation,
+    compact, read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError,
+    DomainOutageKind, DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams,
+    SimParams, Simulation, FORMAT_VERSION,
 };
+use dreamsim::model::{ids::MAX_AREA, pack, PreferredConfig};
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
 use serde_json::{Number, Value};
@@ -152,7 +157,11 @@ fn serve_payload() -> String {
 /// CRC matches it.
 fn decode(dir: &Path, payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let path = dir.join("case.dsc");
-    let mut file = format!("DREAMSIM-CHECKPOINT 2 {:08x}\n", crc32(payload)).into_bytes();
+    let mut file = format!(
+        "DREAMSIM-CHECKPOINT {FORMAT_VERSION} {:08x}\n",
+        crc32(payload)
+    )
+    .into_bytes();
     file.extend_from_slice(payload);
     std::fs::write(&path, file).unwrap();
     read_checkpoint(&path)
@@ -265,6 +274,17 @@ fn text(v: &Value) -> String {
     serde_json::to_string(v).unwrap()
 }
 
+/// `v` with its packed task table decoded, edited by `edit` and
+/// encoded again.
+fn with_tasks(v: &Value, edit: &dyn Fn(&mut Vec<dreamsim::model::Task>)) -> Value {
+    let packed = v["tasks"]["packed"].as_str().unwrap();
+    let mut tasks = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    edit(&mut tasks);
+    let mut table = String::new();
+    compact::write_tasks(&mut table, &tasks);
+    with(v, &["tasks"], serde_json::from_str(&table).unwrap())
+}
+
 #[test]
 fn layout_variants_decode_to_the_same_checkpoint() {
     let dir = fresh_dir("variants");
@@ -353,6 +373,7 @@ fn what_the_decoder_rejects_stays_rejected() {
     let payload = plain_payload();
     let tree: Value = serde_json::from_str(&payload).unwrap();
     let float = |v: f64| Value::Number(Number::F(v));
+    let rows = tree["tasks"]["count"].as_u64().unwrap();
     let retired_sketch: Value =
         serde_json::from_str(r#"{"count":1,"max":7,"collapsed":false,"exact":[7],"buckets":[]}"#)
             .unwrap();
@@ -392,6 +413,44 @@ fn what_the_decoder_rejects_stays_rejected() {
             "a quantile sketch from the retired `--stats sketch` backend",
             text(&with(&tree, &["stats", "sketch"], retired_sketch)),
         ),
+        (
+            "a float task count",
+            text(&with(&tree, &["tasks", "count"], float(300.0))),
+        ),
+        (
+            "a string task count",
+            text(&with(
+                &tree,
+                &["tasks", "count"],
+                Value::String("300".into()),
+            )),
+        ),
+        (
+            "a missing task count",
+            text(&without(&tree, &["tasks", "count"])),
+        ),
+        (
+            "a task count one above the rows",
+            text(&with(
+                &tree,
+                &["tasks", "count"],
+                Value::Number(Number::U(rows + 1)),
+            )),
+        ),
+        (
+            "a task row needing MAX_AREA + 1 area units",
+            text(&with_tasks(&tree, &|t| t[0].needed_area = MAX_AREA + 1)),
+        ),
+        (
+            "a task row preferring a phantom of MAX_AREA + 1 area units",
+            text(&with_tasks(&tree, &|t| {
+                let phantom = t
+                    .iter_mut()
+                    .find(|t| matches!(t.preferred, PreferredConfig::Phantom { .. }))
+                    .expect("a phantom preference");
+                phantom.preferred = PreferredConfig::Phantom { area: MAX_AREA + 1 };
+            })),
+        ),
     ];
     for (what, variant) in &cases {
         assert_rejected(&dir, what, variant.as_bytes());
@@ -411,6 +470,10 @@ fn what_the_decoder_rejects_stays_rejected() {
         "99999999999999999999",
         "[1 2]",
         "}",
+        "\"\\u+041\"",
+        "1.",
+        "1.e5",
+        "01",
     ] {
         let variant = format!("{{\"zz_unknown\":{junk},{}", &payload[1..]);
         assert_rejected(&dir, &format!("unknown field {junk}"), variant.as_bytes());

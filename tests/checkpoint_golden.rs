@@ -7,8 +7,10 @@
 //! output for fixed-seed states that between them reach every
 //! serialized shape: fault injection, correlated failure domains,
 //! contiguous strips (experiment A5), and a mid-window `serve`
-//! snapshot. A last test pins that a header of the retired version 1
-//! is refused.
+//! snapshot. Format v3 changed the node table's bytes but not the task
+//! table's: one test pins the fault scenario's packed task column to
+//! the bytes format v2 wrote for it. The last tests pin that headers
+//! of the retired versions 1 and 2 are refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple; on a mismatch the message
@@ -21,7 +23,7 @@
 use dreamsim::engine::{
     read_checkpoint, serve, AdmissionPolicy, ArrivalDistribution, CheckpointError,
     DomainOutageKind, DomainParams, PlacementModel, ReconfigMode, RunOptions, ScriptedOutage,
-    ServiceOptions, ServiceParams, SimParams, Simulation,
+    ServiceOptions, ServiceParams, SimParams, Simulation, FORMAT_VERSION,
 };
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
@@ -30,12 +32,12 @@ use std::path::{Path, PathBuf};
 /// `(checkpoint files, total bytes, CRC-32 of their concatenation)`.
 type Golden = (usize, u64, u32);
 
-const FAULTS: Golden = (14, 572_147, 0x10DA_5E5B);
-const CHAOS_DOMAINS: Golden = (6, 168_693, 0x8CF1_A5C8);
-const CONTIGUOUS: Golden = (2, 54_671, 0x81EC_47E8);
+const FAULTS: Golden = (14, 500_743, 0x54A3_EC81);
+const CHAOS_DOMAINS: Golden = (6, 129_334, 0x44E1_EF74);
+const CONTIGUOUS: Golden = (2, 41_984, 0xA66D_4D4A);
 /// `(bytes, CRC-32)` of the strip scenario's final XML report.
 const CONTIGUOUS_REPORT: (u64, u32) = (2_112, 0x4E97_4CAD);
-const SERVE_MID_WINDOW: Golden = (10, 348_998, 0xF1ED_7FC1);
+const SERVE_MID_WINDOW: Golden = (10, 291_781, 0x3BD5_E0F3);
 
 /// Bitwise CRC-32 (IEEE, reflected), written independently of the
 /// engine's so the goldens do not trust the code they check.
@@ -215,22 +217,62 @@ fn mid_window_serve_snapshots_match_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Version 1 is retired: a real checkpoint whose header is rewritten
-/// to version 1, payload and CRC untouched, is refused with a typed
-/// version error before its payload is decoded.
+/// `(checkpoint files, bytes, CRC-32)` of the fault scenario's packed
+/// task columns alone (each file's `tasks.packed` text, concatenated in
+/// file order): the value format v2 wrote for the same run, which the
+/// one-pass encoder must keep byte for byte.
+const FAULTS_TASK_COLUMN: Golden = (14, 95_876, 0xE3A0_0BA8);
+
 #[test]
-fn version_1_header_is_rejected() {
-    let (dir, _) = run_batch("v1", &fault_params(), 5_000);
+fn packed_task_column_keeps_its_v2_bytes() {
+    let (dir, _) = run_batch("taskcol", &fault_params(), 5_000);
     let files = checkpoint_files(&dir);
-    let raw = std::fs::read(&files[files.len() / 2]).unwrap();
-    let rest = raw
-        .strip_prefix(b"DREAMSIM-CHECKPOINT 2 ".as_slice())
-        .expect("checkpoints carry a version-2 header");
-    let v1 = dir.join("v1.dsc");
-    std::fs::write(&v1, [b"DREAMSIM-CHECKPOINT 1 ".as_slice(), rest].concat()).unwrap();
-    match read_checkpoint(&v1) {
-        Err(CheckpointError::Version { found: 1 }) => {}
-        other => panic!("expected a version-1 rejection, got {other:?}"),
+    let mut all = Vec::new();
+    for f in &files {
+        let raw = std::fs::read_to_string(f).unwrap();
+        let payload = raw.split_once('\n').expect("a header line").1;
+        let v: serde_json::Value = serde_json::from_str(payload).unwrap();
+        all.extend_from_slice(v["tasks"]["packed"].as_str().unwrap().as_bytes());
     }
     std::fs::remove_dir_all(&dir).ok();
+    let actual = (files.len(), all.len() as u64, crc32(&all));
+    assert_eq!(
+        actual, FAULTS_TASK_COLUMN,
+        "the packed task column changed; actual (files, bytes, crc32) = ({}, {}, 0x{:08X})",
+        actual.0, actual.1, actual.2
+    );
+}
+
+/// A real checkpoint whose header is rewritten to `version`, payload and
+/// CRC untouched, must be refused with a typed version error before its
+/// payload is decoded.
+fn assert_version_refused(version: u32) {
+    let (dir, _) = run_batch(&format!("v{version}"), &fault_params(), 5_000);
+    let files = checkpoint_files(&dir);
+    let raw = std::fs::read(&files[files.len() / 2]).unwrap();
+    let current = format!("DREAMSIM-CHECKPOINT {FORMAT_VERSION} ");
+    let rest = raw
+        .strip_prefix(current.as_bytes())
+        .expect("checkpoints carry the current header");
+    let old = dir.join(format!("v{version}.dsc"));
+    let header = format!("DREAMSIM-CHECKPOINT {version} ");
+    std::fs::write(&old, [header.as_bytes(), rest].concat()).unwrap();
+    match read_checkpoint(&old) {
+        Err(CheckpointError::Version { found }) if found == version => {}
+        other => panic!("expected a version-{version} rejection, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Version 1, whose task table was a JSON array, is retired.
+#[test]
+fn version_1_header_is_rejected() {
+    assert_version_refused(1);
+}
+
+/// Version 2, whose node table was a JSON record per node, is retired:
+/// no v2 reader is kept.
+#[test]
+fn version_2_header_is_rejected() {
+    assert_version_refused(2);
 }

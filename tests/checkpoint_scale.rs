@@ -1,7 +1,8 @@
 //! Checkpoint size and read cost at scale.
 //!
-//! The compact columnar task table (DESIGN.md §18) must hold a pinned
-//! byte budget as the task ladder climbs.
+//! The compact columnar task table (DESIGN.md §18.2) must hold a pinned
+//! byte budget as the task ladder climbs, and the columnar node table
+//! (§18.4) a pinned budget per node.
 //!
 //! A 20 000-node `serve` snapshot checks the read side at scale
 //! (DESIGN.md §10.1): decoding it and encoding it again reproduces its
@@ -10,7 +11,7 @@
 
 use dreamsim::engine::{
     read_checkpoint, serve, ArrivalDistribution, ReconfigMode, RunOptions, ServiceOptions,
-    ServiceParams, SimParams, Simulation,
+    ServiceParams, SimParams, Simulation, FORMAT_VERSION,
 };
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
@@ -58,17 +59,20 @@ fn last_checkpoint(p: &SimParams, dir: &Path) -> Vec<u8> {
     std::fs::read(last).unwrap()
 }
 
-/// Serialized size of one named field of the checkpoint's JSON payload
-/// (the bytes after the `DREAMSIM-CHECKPOINT` header line).
-fn field_size(checkpoint: &[u8], field: &str) -> usize {
+/// Serialized size of the member at `path` of the checkpoint's JSON
+/// payload (the bytes after the `DREAMSIM-CHECKPOINT` header line).
+fn field_size(checkpoint: &[u8], path: &[&str]) -> usize {
     let text = std::str::from_utf8(checkpoint).unwrap();
     let payload = text.split_once('\n').expect("header line").1;
-    let v: serde_json::Value = serde_json::from_str(payload).expect("valid JSON payload");
-    serde_json::to_string(&v[field]).unwrap().len()
+    let mut v: serde_json::Value = serde_json::from_str(payload).expect("valid JSON payload");
+    for seg in path {
+        v = v[*seg].clone();
+    }
+    serde_json::to_string(&v).unwrap().len()
 }
 
-/// The compact columnar task table (checkpoint format v2, DESIGN.md
-/// §18) must hold a pinned byte budget as the ladder climbs 6k → 24k
+/// The compact columnar task table (checkpoint format v2 and v3, DESIGN.md
+/// §18.2) must hold a pinned byte budget as the ladder climbs 6k → 24k
 /// tasks. The budget is generous (40 bytes per task, base64 included;
 /// observed ≈20) so it only trips on a real encoding regression, not on
 /// workload drift.
@@ -80,11 +84,12 @@ fn compact_task_table_meets_byte_budget() {
         let p = params(tasks, 0xBEEF + i as u64);
         let dir = fresh_dir(&format!("ct{tasks}"));
         let cp_bytes = last_checkpoint(&p, &dir);
+        let header = format!("DREAMSIM-CHECKPOINT {FORMAT_VERSION} ");
         assert!(
-            cp_bytes.starts_with(b"DREAMSIM-CHECKPOINT 2 "),
-            "n={tasks}: current checkpoints must carry the v2 header"
+            cp_bytes.starts_with(header.as_bytes()),
+            "n={tasks}: current checkpoints must carry the v{FORMAT_VERSION} header"
         );
-        let compact = field_size(&cp_bytes, "tasks");
+        let compact = field_size(&cp_bytes, &["tasks"]);
         assert!(
             compact <= tasks * 40 + 256,
             "n={tasks}: compact task table blew its budget: {compact} bytes \
@@ -106,7 +111,7 @@ fn compact_task_table_meets_byte_budget() {
 }
 
 /// Run a 20 000-node `serve` window and return the path of its
-/// mid-window ring snapshot (a ~4 MB payload).
+/// mid-window ring snapshot.
 fn large_serve_snapshot(dir: &Path) -> PathBuf {
     let horizon = 10_000;
     let mut p =
@@ -131,6 +136,30 @@ fn large_serve_snapshot(dir: &Path) -> PathBuf {
     files.sort();
     assert_eq!(files.len(), 2, "one mid-window and one final snapshot");
     files.swap_remove(0)
+}
+
+/// The columnar node table (checkpoint format v3, DESIGN.md §18.4) must
+/// hold a pinned budget per node in a 20 000-node `serve` snapshot:
+/// 20 bytes per node, base64 and the slots and lists included. The
+/// budget is generous (observed ≈ 9.4) so it only trips on a real
+/// encoding regression; the v2 node records took ≈ 220.
+#[test]
+fn columnar_node_table_meets_byte_budget() {
+    let dir = fresh_dir("nodebudget");
+    let path = large_serve_snapshot(&dir);
+    let bytes = std::fs::read(&path).unwrap();
+    let nodes = 20_000;
+    let table = field_size(&bytes, &["resources", "nodes"]);
+    eprintln!(
+        "node table {table} bytes, {:.2} per node",
+        table as f64 / nodes as f64
+    );
+    assert!(
+        table <= nodes * 20,
+        "the node table blew its budget: {table} bytes ({} per node, budget 20)",
+        table / nodes
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Decoding a 20 000-node `serve` snapshot and encoding it again
@@ -164,33 +193,59 @@ fn rss_kb() -> (u64, u64) {
     (field("VmRSS:"), field("VmHWM:"))
 }
 
+/// Bytes per node the decoded 20 000-node snapshot may hold in RSS: its
+/// 64-byte `NodeCell` plus the slots, lists, tasks and queues of that
+/// state (measured 77). Keeping the node columns' base64 and bytes in
+/// the result would add about 16 per node.
+const RESULT_BYTES_PER_NODE: u64 = 88;
+
 /// Reading a checkpoint costs about its result, not a multiple of its
-/// payload: `read_checkpoint` may raise the peak RSS (`VmHWM`) at most
-/// four payloads above the RSS just before the call, for a 20 000-node
-/// `serve` snapshot (a 4 135 kB payload). Run alone by name (debug
-/// build, 2-vCPU VM), the decoder that parsed a `Value` tree first rose
-/// 30 680 kB (7.4 payloads); the streaming decoder rises 4 032 kB (1.0
-/// payload) in each of three runs. The rise is an upper bound, since
-/// the peak may still be the `serve` run's, and other tests running
-/// beside it would inflate it (8 544 kB against 39 472 kB in one such
-/// run), so it runs alone.
+/// payload, for a 20 000-node `serve` snapshot: the decoded checkpoint
+/// `read_checkpoint` returns may hold at most [`RESULT_BYTES_PER_NODE`]
+/// per node (the RSS it still holds after the call), and the read may
+/// raise the peak RSS (`VmHWM`) at most four payloads above that. So
+/// the whole rise is at most 1 718 + 4 × 217 = 2 586 kB whatever the
+/// payload shrinks to; run alone by name (debug build, 2-vCPU VM) it
+/// rises 1 828–1 988 kB, of which the result holds 1 504 kB.
+///
+/// Format v2 wrote the same snapshot as a 4 135 kB payload, about the
+/// size of its result, and the gate bounded the whole rise by four
+/// payloads (16 540 kB): the decoder that parsed a `Value` tree first
+/// rose 30 680 kB (7.4 payloads), the streaming decoder 4 032 kB (1.0
+/// payload). Format v3 writes it in a twentieth of that while the
+/// decoded store keeps its size, so a bound in payloads alone would
+/// fail a read that costs exactly its result. The rise is an upper
+/// bound, since the peak may still be the `serve` run's, and other
+/// tests running beside it would inflate it, so it runs alone.
 #[cfg(target_os = "linux")]
 #[test]
 #[ignore = "reads this process's peak RSS, so it must run alone: CI runs it by name"]
 fn reading_a_large_snapshot_costs_about_its_result() {
     let dir = fresh_dir("readgate");
     let path = large_serve_snapshot(&dir);
+    let nodes: u64 = 20_000;
     let payload_kb = std::fs::metadata(&path).unwrap().len() / 1024;
     let (rss, _) = rss_kb();
     let cp = read_checkpoint(&path).unwrap();
-    let (_, peak) = rss_kb();
+    let (held, peak) = rss_kb();
     drop(cp);
     std::fs::remove_dir_all(&dir).ok();
-    let rise = peak.saturating_sub(rss);
-    eprintln!("payload {payload_kb} kB, RSS before {rss} kB, peak after {peak} kB, rise {rise} kB");
+    let (result, beyond) = (held.saturating_sub(rss), peak.saturating_sub(held));
+    eprintln!(
+        "payload {payload_kb} kB, RSS before {rss} kB, holding the result {held} kB \
+         (+{result} kB, {} B per node), peak {peak} kB (+{beyond} kB beyond the result, \
+         +{} kB in all)",
+        result * 1024 / nodes,
+        peak.saturating_sub(rss)
+    );
     assert!(
-        rise <= 4 * payload_kb,
-        "reading a {payload_kb} kB payload raised the peak RSS by {rise} kB, \
-         more than four payloads"
+        result * 1024 <= nodes * RESULT_BYTES_PER_NODE,
+        "the decoded {nodes}-node checkpoint holds {result} kB, more than \
+         {RESULT_BYTES_PER_NODE} bytes per node"
+    );
+    assert!(
+        beyond <= 4 * payload_kb,
+        "reading a {payload_kb} kB payload raised the peak RSS {beyond} kB above its \
+         result, more than four payloads"
     );
 }
