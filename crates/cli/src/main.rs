@@ -47,8 +47,8 @@ USAGE:
   dreamsim run [--nodes N] [--tasks N] [--mode full|partial] [--seed S]
                [--policy best-fit|first-fit|worst-fit|random|least-loaded]
                [--arrival uniform|poisson|exponential]
-               [--no-suspension] [--mtbf TICKS] [--mttr TICKS]
-               [--mttf TICKS] [--reconfig-fail-prob P] [--task-fail-prob P]
+               [--no-suspension] [--mttf TICKS] [--mttr TICKS]
+               [--reconfig-fail-prob P] [--task-fail-prob P]
                [--max-retries N] [--suspension-deadline TICKS]
                [--no-resubmit]
                [--domains N] [--domain-mttf TICKS] [--domain-mttr TICKS]
@@ -87,13 +87,13 @@ config area U[200..2000], node area U[1000..4000], task time
 U[100..100000], config time U[10..20], 15% closest-match tasks.
 
 Fault injection (all off by default): --mttf enables per-node exponential
-failure/repair processes (repair time --mttr, default 1000); it is mutually
-exclusive with the legacy global --mtbf process. --reconfig-fail-prob makes
-bitstream loads fail with probability P (retried --max-retries times with
-exponential backoff, then degraded to the closest larger configuration);
---task-fail-prob kills running tasks mid-execution; --suspension-deadline
-discards tasks suspended longer than TICKS. Fault-killed tasks are
-resubmitted unless --no-resubmit is given.
+failure/repair processes (repair time --mttr, default 1000); the retired
+--mtbf X on N nodes is --mttf N*X --no-resubmit. --reconfig-fail-prob
+makes bitstream loads fail with probability P (retried --max-retries
+times with exponential backoff, then degraded to the closest larger
+configuration); --task-fail-prob kills running tasks mid-execution;
+--suspension-deadline discards tasks suspended longer than TICKS.
+Fault-killed tasks are resubmitted unless --no-resubmit is given.
 
 Chaos layer (all off by default): --domains N splits the nodes into N
 correlated failure domains (racks/zones); --domain-mttf arms stochastic
@@ -152,7 +152,7 @@ output is byte-identical for every --jobs value.
 
 /// Valued and bare flags [`params_from_args`] reads, space-separated.
 const PARAM_FLAGS: (&str, &str) = (
-    "nodes tasks mode seed arrival placement mtbf mttr mttf reconfig-fail-prob task-fail-prob \
+    "nodes tasks mode seed arrival placement mttr mttf reconfig-fail-prob task-fail-prob \
      max-retries suspension-deadline domains domain-mttf domain-mttr domain-kind outages \
      suspension-cap admission burst",
     "no-suspension no-resubmit",
@@ -288,14 +288,9 @@ fn params_from_args(args: &Args) -> Result<SimParams, ArgError> {
         p.suspension_enabled = false;
     }
     p.placement = parse_flag(args, "placement", "scalar", None, PlacementModel::parse)?;
-    if args.has("mtbf") {
-        p.node_mtbf = Some(args.get_num("mtbf", 0u64)?);
-    }
-    p.node_mttr = args.get_num("mttr", p.node_mttr)?;
     if args.has("mttf") {
         p.faults.node_mttf = Some(args.get_num("mttf", 0u64)?);
     }
-    // --mttr sets the repair time for whichever failure model is active.
     p.faults.node_mttr = args.get_num("mttr", p.faults.node_mttr)?;
     p.faults.reconfig_fail_prob =
         args.get_num("reconfig-fail-prob", p.faults.reconfig_fail_prob)?;

@@ -303,6 +303,7 @@ fn unknown_flags_are_rejected_before_any_work() {
         ),
         ("run --nodes 20 --tasks 100 --search linear", "--search"),
         ("run --nodes 20 --tasks 100 --stats sketch", "--stats"),
+        ("run --nodes 20 --tasks 100 --mtbf 1000", "--mtbf"),
         ("trace --tasks 20 --sead 5", "--sead"),
         ("serve --horizon 500 --kill-att 200", "--kill-att"),
     ] {
@@ -339,8 +340,7 @@ fn tick_parameters_near_u64_max_are_typed_errors_not_panics() {
             "faults.suspension_deadline",
         ),
         (vec!["--mttf", &m], "faults.node_mttf"),
-        (vec!["--mttf", "1", "--mttr", &m], "node_mttr"),
-        (vec!["--mtbf", "1", "--mttr", &m], "node_mttr"),
+        (vec!["--mttf", "1", "--mttr", &m], "faults.node_mttr"),
         (
             vec!["--domains", "5", "--domain-mttf", "1", "--domain-mttr", &m],
             "domains.mttr",

@@ -34,11 +34,13 @@
 //! never leave a half-written file under the checkpoint's final name.
 //!
 //! There is one format: the reader accepts exactly [`FORMAT_VERSION`]
-//! (3: the columnar task table and the columnar node table) and rejects
-//! any other header version with [`CheckpointError::Version`] before
-//! touching the payload. The retired layouts — version 1, whose task
-//! table was a plain JSON array, and version 2, whose node table was a
-//! JSON record per node — have no writer and no reader.
+//! (4: the columnar task and node tables, with the waiting-time samples
+//! inside `stats`) and rejects any other header version with
+//! [`CheckpointError::Version`] before touching the payload. The retired
+//! layouts — version 1, whose task table was a plain JSON array,
+//! version 2, whose node table was a JSON record per node, and version
+//! 3, whose parameters still held the retired global failure chain —
+//! have no writer and no reader.
 //!
 //! ## One serializer
 //!
@@ -60,10 +62,13 @@ use std::path::Path;
 
 /// Format version written to the header; bumped on any incompatible
 /// payload change. Version 2 packed the task table into the compact
-/// columnar form (see [`crate::compact`]); version 3 packs the node
-/// table too (DESIGN.md §18.4). Readers accept exactly this version and
-/// reject every other one with [`CheckpointError::Version`].
-pub const FORMAT_VERSION: u32 = 3;
+/// columnar form (see [`crate::compact`]); version 3 packed the node
+/// table too (DESIGN.md §18.4); version 4 dropped the global failure
+/// chain's parameters and the `stats.sketch` slot, and moved the
+/// waiting-time samples into `stats` (DESIGN.md §10.1). Readers accept
+/// exactly this version and reject every other one with
+/// [`CheckpointError::Version`].
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic token opening every checkpoint file.
 const MAGIC: &str = "DREAMSIM-CHECKPOINT";
@@ -155,10 +160,6 @@ pub struct Checkpoint {
     pub(crate) suspension: SuspensionQueue,
     pub(crate) steps: StepCounter,
     pub(crate) stats: Stats,
-    /// Waiting-time samples, carried separately because [`Stats`] skips
-    /// them in serde (reports never embed the raw samples) — but the
-    /// final percentiles must survive a resume.
-    pub(crate) wait_samples: Vec<Ticks>,
     pub(crate) rng: Rng,
     pub(crate) fault: FaultModel,
     pub(crate) clock: Ticks,
@@ -182,10 +183,7 @@ pub(crate) struct CheckpointView<'a> {
     pub(crate) events: &'a EventQueue,
     pub(crate) suspension: &'a SuspensionQueue,
     pub(crate) steps: StepCounter,
-    /// Serialized without its waiting-time samples (serde skips them),
-    /// which travel once, in `wait_samples`.
     pub(crate) stats: &'a Stats,
-    pub(crate) wait_samples: &'a [Ticks],
     pub(crate) rng: &'a Rng,
     pub(crate) fault: &'a FaultModel,
     pub(crate) clock: Ticks,
@@ -207,8 +205,7 @@ impl CheckpointView<'_> {
             events: self.events.clone(),
             suspension: self.suspension.clone(),
             steps: self.steps,
-            stats: self.stats.clone_without_samples(),
-            wait_samples: self.wait_samples.to_vec(),
+            stats: self.stats.clone(),
             rng: self.rng.clone(),
             fault: self.fault.clone(),
             clock: self.clock,
@@ -239,7 +236,6 @@ impl Checkpoint {
             suspension: &self.suspension,
             steps: self.steps,
             stats: &self.stats,
-            wait_samples: &self.wait_samples,
             rng: &self.rng,
             fault: &self.fault,
             clock: self.clock,

@@ -10,8 +10,9 @@
 //! to a few bytes per task.
 //!
 //! The encoding is self-contained and versioned by the checkpoint header
-//! (format versions 2 and 3 carry this form, byte for byte; version 3,
-//! the only one read or written, adds the columnar node table). The
+//! (format versions 2 to 4 carry this form, byte for byte; version 3
+//! added the columnar node table, and version 4 is the only one read or
+//! written). The
 //! encoder reads each row once, appending to every column at a time,
 //! and its varints and base64 ([`dreamsim_model::pack`]) go straight
 //! into the payload. Decoding is defensive: every read is bounds- and

@@ -10,9 +10,6 @@
 //!   exponentially distributed time-to-failure (mean
 //!   [`FaultParams::node_mttf`]) and is repaired after an exponentially
 //!   distributed time-to-repair (mean [`FaultParams::node_mttr`]).
-//!   This is a *per-node* process, unlike the legacy `node_mtbf`
-//!   parameter's single global chain; the two are mutually exclusive
-//!   (enforced by `SimParams::validate`).
 //! - **Reconfiguration failures** — each bitstream-load attempt fails
 //!   with probability [`FaultParams::reconfig_fail_prob`]; the driver
 //!   retries with bounded exponential [`backoff`](FaultModel::backoff)
@@ -75,25 +72,22 @@ pub struct FaultModel {
     enabled: bool,
     rng: Rng,
     /// `down_since[node] = Some(t)` while the node is down; empty when
-    /// no failure process (legacy, fault-model, or domain) is
-    /// configured.
+    /// no failure process (per-node or domain) is configured.
     down_since: Vec<Option<Ticks>>,
     downtime: Ticks,
-    /// Correlated failure-domain state; `None` (and absent from older
-    /// checkpoints) when domains are not configured.
-    #[serde(default)]
+    /// Correlated failure-domain state; `None` when domains are not
+    /// configured.
     domains: Option<DomainState>,
 }
 
 impl FaultModel {
     /// Build the model for one run. Downtime tracking is allocated when
-    /// either failure process (the fault model's `node_mttf` or the
-    /// legacy `node_mtbf`) can take nodes down.
+    /// a failure process (per-node `node_mttf` or failure domains) can
+    /// take nodes down.
     #[must_use]
     pub fn new(params: &SimParams) -> Self {
         let f = params.faults;
-        let track_downtime =
-            f.node_mttf.is_some() || params.node_mtbf.is_some() || params.domains.is_some();
+        let track_downtime = f.node_mttf.is_some() || params.domains.is_some();
         Self {
             params: f,
             // Configured domains count as a fault feature: domain-killed
@@ -146,8 +140,7 @@ impl FaultModel {
 
     /// Whether killed/failed tasks are resubmitted (within the retry
     /// budget) rather than discarded. Always false when the model is
-    /// disabled, so legacy `node_mtbf` runs keep their discard-on-kill
-    /// behaviour.
+    /// disabled.
     #[must_use]
     pub fn resubmit_enabled(&self) -> bool {
         self.enabled && self.params.resubmit
@@ -671,17 +664,5 @@ mod tests {
         assert_eq!(back.domain_downtime(600), vec![0, 100, 0]);
         // RNG position carried over: next draws agree with the original.
         assert_eq!(back.draw_domain_ttf(), m.draw_domain_ttf());
-    }
-
-    #[test]
-    fn legacy_mtbf_also_gets_downtime_tracking() {
-        let mut p = SimParams::default();
-        p.total_nodes = 2;
-        p.node_mtbf = Some(5_000);
-        let mut m = FaultModel::new(&p);
-        assert!(!m.enabled(), "legacy failures are not the fault model");
-        m.mark_down(NodeId(1), 30);
-        m.mark_up(NodeId(1), 45);
-        assert_eq!(m.total_downtime(100), 15);
     }
 }

@@ -217,16 +217,13 @@ pub struct DomainParams {
     /// (exponentially distributed, per domain, on a dedicated RNG
     /// stream). `None` disables stochastic outages; scripted outages
     /// still fire.
-    #[serde(default)]
     pub mttf: Option<u64>,
     /// Mean time to restore a downed domain, in ticks (exponentially
     /// distributed; scripted outages carry their own fixed duration).
     pub mttr: u64,
     /// What an outage does to member nodes.
-    #[serde(default)]
     pub kind: DomainOutageKind,
     /// Deterministic, pre-scheduled outages (chaos scenario scripts).
-    #[serde(default)]
     pub scripted: Vec<ScriptedOutage>,
 }
 
@@ -318,20 +315,16 @@ pub struct ServiceParams {
     /// Period of the diurnal load curve, in ticks (a triangle wave:
     /// load peaks mid-period and troughs at the period boundary).
     /// Ignored when `amplitude_permille` is zero.
-    #[serde(default)]
     pub day_length: u64,
     /// Diurnal modulation depth in permille of the base arrival rate
     /// (0 = flat Poisson; 500 = mean inter-arrival swings ±50 %).
     /// Capped at 900 so the effective rate never collapses to zero.
-    #[serde(default)]
     pub amplitude_permille: u32,
     /// Sliding-window bucket length for live metrics, in ticks.
     /// Zero disables window accounting entirely.
-    #[serde(default)]
     pub window: u64,
     /// How many closed window buckets to retain (older buckets are
     /// trimmed as the service runs). Must be nonzero when `window` is.
-    #[serde(default)]
     pub window_retain: u64,
 }
 
@@ -385,10 +378,6 @@ pub enum ParamsError {
     /// No configuration could ever fit on any node
     /// (`config_area.lo > node_area.hi`).
     ConfigsNeverFit,
-    /// Both the legacy global failure process (`node_mtbf`) and the
-    /// per-node fault model (`faults.node_mttf`) are enabled; they are
-    /// mutually exclusive.
-    ConflictingFailureModels,
     /// More failure domains than nodes: at least one domain would be
     /// empty.
     DomainsExceedNodes {
@@ -439,13 +428,6 @@ impl std::fmt::Display for ParamsError {
             }
             ParamsError::ConfigsNeverFit => {
                 write!(f, "smallest configuration exceeds largest node area")
-            }
-            ParamsError::ConflictingFailureModels => {
-                write!(
-                    f,
-                    "node_mtbf (legacy global failures) and faults.node_mttf \
-                     (per-node fault model) cannot both be enabled"
-                )
             }
             ParamsError::DomainsExceedNodes { domains, nodes } => {
                 write!(
@@ -624,35 +606,22 @@ pub struct SimParams {
     /// Maximum resume retries before a suspended task is discarded;
     /// `None` (paper behaviour) retries indefinitely.
     pub max_sus_retries: Option<u64>,
-    /// Mean timeticks between injected node failures, or `None` for the
-    /// paper's failure-free runs (extension; see `dreamsim-engine`
-    /// failure-injection docs).
-    pub node_mtbf: Option<u64>,
-    /// Mean timeticks a failed node stays down before repair.
-    pub node_mttr: u64,
-    /// Fault-injection parameters (disabled by default; mutually
-    /// exclusive with `node_mtbf`).
-    #[serde(default)]
+    /// Fault-injection parameters (disabled by default).
     pub faults: FaultParams,
     /// Correlated failure domains (racks/zones). `None` (default)
     /// disables the chaos layer entirely.
-    #[serde(default)]
     pub domains: Option<DomainParams>,
     /// Bound on the suspension-queue length; exceeding it triggers the
     /// [`admission`](Self::admission) policy. `None` (default) leaves
     /// the queue unbounded, as in the paper.
-    #[serde(default)]
     pub suspension_cap: Option<usize>,
     /// What to do when a suspension would exceed `suspension_cap`.
-    #[serde(default)]
     pub admission: AdmissionPolicy,
     /// Overload burst window for the synthetic arrival process. `None`
     /// (default) keeps the paper's steady arrival rate.
-    #[serde(default)]
     pub burst: Option<BurstWindow>,
     /// Open-system service-mode parameters (`dreamsim serve`). `None`
     /// (default) keeps the paper's closed-batch driver.
-    #[serde(default)]
     pub service: Option<ServiceParams>,
     /// Master seed for all randomness in the run.
     pub seed: u64,
@@ -678,8 +647,6 @@ impl Default for SimParams {
             capability_requirement_prob: 0.0,
             suspension_enabled: true,
             max_sus_retries: None,
-            node_mtbf: None,
-            node_mttr: 1_000,
             faults: FaultParams::default(),
             domains: None,
             suspension_cap: None,
@@ -764,9 +731,6 @@ impl SimParams {
             return Err(ParamsError::TicksTooLarge { name, value });
         }
         self.faults.validate()?;
-        if self.node_mtbf.is_some() && self.faults.node_mttf.is_some() {
-            return Err(ParamsError::ConflictingFailureModels);
-        }
         if let Some(d) = &self.domains {
             if d.count == 0 {
                 return Err(ParamsError::ZeroCount("domains.count"));
@@ -838,8 +802,6 @@ impl SimParams {
             ("task_time", Some(self.task_time.hi)),
             ("config_time", Some(self.config_time.hi)),
             ("network_delay", Some(self.network_delay.hi)),
-            ("node_mtbf", self.node_mtbf),
-            ("node_mttr", Some(self.node_mttr)),
             ("faults.node_mttf", f.node_mttf),
             ("faults.node_mttr", Some(f.node_mttr)),
             ("faults.retry_backoff_base", Some(f.retry_backoff_base)),
@@ -883,7 +845,6 @@ mod tests {
         assert!((p.closest_match_fraction - 0.15).abs() < 1e-12);
         assert!(p.suspension_enabled);
         assert_eq!(p.max_sus_retries, None);
-        assert!(p.node_mtbf.is_none());
         p.validate().unwrap();
     }
 
@@ -1106,20 +1067,6 @@ mod tests {
             set(&mut p);
             assert_eq!(p.validate().unwrap_err(), ParamsError::ZeroCount(name));
         }
-    }
-
-    #[test]
-    fn validation_rejects_both_failure_models() {
-        let mut p = SimParams::default();
-        p.node_mtbf = Some(10_000);
-        p.validate().unwrap();
-        p.faults.node_mttf = Some(10_000);
-        assert_eq!(
-            p.validate().unwrap_err(),
-            ParamsError::ConflictingFailureModels
-        );
-        p.node_mtbf = None;
-        p.validate().unwrap();
     }
 
     #[test]

@@ -700,8 +700,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 cp.source_kind
             )));
         }
-        let mut stats = cp.stats;
-        stats.wait_samples = cp.wait_samples;
         let mut events = cp.events;
         // Deserialization sizes the heap to exactly the pending entries;
         // restore the same headroom a fresh run starts with so the
@@ -723,7 +721,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             events,
             suspension,
             steps: cp.steps,
-            stats,
+            stats: cp.stats,
             rng: cp.rng,
             fault: cp.fault,
             source,
@@ -767,7 +765,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             suspension: &self.suspension,
             steps: self.steps,
             stats: &self.stats,
-            wait_samples: &self.stats.wait_samples,
             rng: &self.rng,
             fault: &self.fault,
             clock: self.clock,
@@ -1052,15 +1049,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
 
     fn prime(&mut self) {
         self.poll_source();
-        if let Some(mtbf) = self.params.node_mtbf {
-            let delay = self.draw_failure_delay(mtbf);
-            let node = NodeId::from_index(self.rng.index(self.params.total_nodes));
-            self.events.push(delay, Event::NodeFailure { node });
-        }
         if self.fault.mttf_active() {
             // Per-node failure processes: every node gets its own first
-            // time-to-failure (contrast with the legacy `node_mtbf`
-            // global chain above, which fails one victim at a time).
+            // time-to-failure.
             for i in 0..self.params.total_nodes {
                 let delay = self.fault.draw_ttf();
                 self.events.push(
@@ -1096,10 +1087,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 );
             }
         }
-    }
-
-    fn draw_failure_delay(&mut self, mean: u64) -> Ticks {
-        (self.rng.exponential_with_mean(mean as f64).round() as Ticks).max(1)
     }
 
     /// Poll the source for the next task (if the budget allows), append
@@ -1277,41 +1264,21 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             self.fault.mark_down(node, self.clock);
             for t in killed {
                 self.stats.failure_killed += 1;
-                // Resubmission applies only under the fault model; the
-                // legacy global failure process discards outright.
                 self.resubmit_or_discard(t, DiscardReason::NodeFailed);
             }
             for obs in &mut self.observers {
                 obs.on_node_failure(self.clock, node);
             }
-            let repair_at = if self.fault.mttf_active() {
-                // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                self.clock + self.fault.draw_ttr()
-            } else {
-                let mttr = self.params.node_mttr.max(1);
-                // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                self.clock + self.draw_failure_delay(mttr)
-            };
+            // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
+            let repair_at = self.clock + self.fault.draw_ttr();
             self.events.push(repair_at, Event::NodeRepair { node });
         } else {
-            // The node is already down. Under the per-node fault model a
-            // domain outage beat this node's own failure process to it:
-            // re-arm the chain (normally done by the repair event) so
-            // the process survives the outage. Without domains each node
-            // has exactly one pending failure-or-repair event, so only
-            // the legacy global process (which re-arms nothing here)
-            // reaches this branch.
+            // The node is already down: a domain outage beat this node's
+            // own failure process to it. Re-arm the chain (normally done
+            // by the repair event) so the process survives the outage.
+            // Without domains each node has exactly one pending
+            // failure-or-repair event, so this branch is not reached.
             self.rearm_node_chain(node);
-        }
-        // Chain the next failure only while simulation work remains.
-        if let Some(mtbf) = self.params.node_mtbf {
-            if self.work_remains() {
-                let delay = self.draw_failure_delay(mtbf);
-                let victim = NodeId::from_index(self.rng.index(self.params.total_nodes));
-                self.events
-                    // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                    .push(self.clock + delay, Event::NodeFailure { node: victim });
-            }
         }
     }
 
@@ -2007,20 +1974,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn failure_injection_kills_and_repairs() {
-        let mut p = small_params();
-        p.node_mtbf = Some(50); // very frequent failures
-        p.node_mttr = 20;
-        p.total_tasks = 50;
-        let res = Simulation::new(p, FixedSource, GreedyPolicy).unwrap().run();
-        assert!(res.metrics.node_failures > 0, "failures should fire");
-        assert_eq!(
-            res.metrics.total_tasks_completed + res.metrics.total_discarded_tasks,
-            50
-        );
-    }
-
     /// Policy that parks every task in the suspension queue and never
     /// resumes it; only suspension deadlines can terminate such a run.
     struct AlwaysSuspendPolicy;
@@ -2574,8 +2527,8 @@ mod tests {
         assert_eq!(base.metrics, resumed.run().metrics);
     }
 
-    /// The wait samples travel once, beside the stats, and a resume
-    /// writes them back: the percentiles are the uninterrupted run's.
+    /// The wait samples travel once, inside the stats, and a resume
+    /// restores them: the percentiles are the uninterrupted run's.
     #[test]
     fn checkpoint_carries_wait_samples_once() {
         let p = fault_params();
@@ -2585,9 +2538,24 @@ mod tests {
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, base.metrics.total_simulation_time / 2);
         let cp = sim.checkpoint();
-        assert!(!cp.wait_samples.is_empty(), "tasks waited before the cut");
-        assert_eq!(cp.wait_samples, sim.stats.wait_samples);
-        assert!(cp.stats.wait_samples.is_empty(), "samples copied twice");
+        assert!(
+            !cp.stats.wait_samples.is_empty(),
+            "tasks waited before the cut"
+        );
+        assert_eq!(cp.stats.wait_samples, sim.stats.wait_samples);
+        let payload = serde_json::to_string(&cp).unwrap();
+        assert_eq!(
+            payload.matches("\"wait_samples\"").count(),
+            1,
+            "samples copied twice"
+        );
+        let tree: serde::Value = serde_json::from_str(&payload).unwrap();
+        let samples = tree["stats"]["wait_samples"].as_array().map(<[_]>::len);
+        assert_eq!(
+            samples,
+            Some(cp.stats.wait_samples.len()),
+            "samples inside stats"
+        );
         let resumed = Simulation::resume(cp, FixedSource, GreedyPolicy)
             .unwrap()
             .run();
@@ -2927,17 +2895,19 @@ mod tests {
         ));
 
         // Future version → version error (checked before the CRC).
-        let bumped = header.replacen(" 3 ", " 4 ", 1);
+        let current = format!(" {} ", checkpoint::FORMAT_VERSION);
+        let future = checkpoint::FORMAT_VERSION + 1;
+        let bumped = header.replacen(&current, &format!(" {future} "), 1);
         assert_ne!(bumped, header, "header should contain the version");
         let bad = dir.join("future.dsc");
         std::fs::write(&bad, format!("{bumped}\n{payload}")).unwrap();
         assert!(matches!(
             read_checkpoint(&bad),
-            Err(CheckpointError::Version { found: 4 })
+            Err(CheckpointError::Version { found }) if found == future
         ));
 
         // Version 0 predates the format → version error too.
-        let ancient = header.replacen(" 3 ", " 0 ", 1);
+        let ancient = header.replacen(&current, " 0 ", 1);
         let bad = dir.join("ancient.dsc");
         std::fs::write(&bad, format!("{ancient}\n{payload}")).unwrap();
         assert!(matches!(

@@ -151,29 +151,6 @@ impl WindowStats {
     }
 }
 
-/// The `stats.sketch` slot of a v2 checkpoint, which only the retired
-/// `--stats sketch` backend ever filled. Exact runs write `null` there,
-/// and the uninhabited type keeps it that way: a checkpoint that holds a
-/// sketch has lost its individual wait samples, so it is refused rather
-/// than resumed with wrong percentiles.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum RetiredSketch {}
-
-impl Serialize for RetiredSketch {
-    fn write_json(&self, _out: &mut String) {
-        match *self {}
-    }
-}
-
-impl Deserialize for RetiredSketch {
-    fn read_json(_r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        Err(serde::Error::custom(
-            "stats.sketch: the checkpoint holds a quantile sketch from the retired \
-             `--stats sketch` backend instead of its wait samples; it cannot be resumed",
-        ))
-    }
-}
-
 /// Running accumulator over one simulation.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Stats {
@@ -215,43 +192,22 @@ pub struct Stats {
     pub tasks_lost: u64,
     /// Tasks shed by load-shedding: admission-policy rejections plus
     /// suspension-deadline timeouts (chaos-layer extension).
-    #[serde(default)]
     pub tasks_shed: u64,
     /// Tasks placed degraded — on a strictly larger configuration — by
     /// the `degrade-to-closest-match` admission policy (chaos-layer
     /// extension).
-    #[serde(default)]
     pub tasks_degraded: u64,
     /// Every placed task's waiting time, for distribution statistics
-    /// (P50/P95/P99 in [`Metrics`]); one `u64` per placed task.
-    // REBUILD: not silently defaulted — `Checkpoint` carries its own
-    // `wait_samples` copy and `Simulation::resume` writes it back, so a
-    // resumed run reports identical percentiles (pinned by the
-    // byte-identical-resume tests).
-    #[serde(skip)]
+    /// (P50/P95/P99 in [`Metrics`]); one `u64` per placed task. A
+    /// checkpoint carries them here, so a resumed run reports the same
+    /// percentiles.
     pub wait_samples: Vec<Ticks>,
-    /// Always `None`: keeps the `"sketch":null` member of the v2
-    /// checkpoint payload, and refuses any other value ([`RetiredSketch`]).
-    #[serde(default)]
-    pub(crate) sketch: Option<RetiredSketch>,
     /// Sliding-window live metrics (service mode only; `None` in batch
     /// runs, which keeps batch checkpoints shape-stable).
-    #[serde(default)]
     pub window: Option<WindowStats>,
 }
 
 impl Stats {
-    /// A copy without [`wait_samples`](Self::wait_samples), for a
-    /// checkpoint: serde skips them here, and the checkpoint carries its
-    /// one copy beside.
-    pub(crate) fn clone_without_samples(&self) -> Self {
-        Self {
-            wait_samples: Vec::new(),
-            window: self.window.clone(),
-            ..*self
-        }
-    }
-
     /// Record a task arrival.
     pub fn record_arrival(&mut self) {
         self.generated += 1;
@@ -724,29 +680,5 @@ mod tests {
         let js = serde_json::to_string(&m).unwrap();
         let back: Metrics = serde_json::from_str(&js).unwrap();
         assert_eq!(m, back);
-    }
-
-    #[test]
-    fn exact_mode_stats_serialization_is_unchanged_by_sketch_field() {
-        // Exact-mode checkpoints must stay byte-compatible with the
-        // seed: the sketch field is None and a deserializer that has
-        // never heard of it (simulated by deleting the key) still
-        // produces the same accumulator.
-        let mut s = Stats::default();
-        s.record_arrival();
-        s.record_placement(PhaseKind::Configuration, 4, 15, 100, false);
-        let js = serde_json::to_string(&s).unwrap();
-        assert!(js.contains("\"sketch\":null"));
-        let legacy = js.replace("\"sketch\":null,", "");
-        let back: Stats = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.sketch, None);
-        assert_eq!(back.generated, s.generated);
-        assert_eq!(back.phases, s.phases);
-        // A sketch written by the retired `--stats sketch` backend is
-        // refused: its wait samples are gone.
-        let sketch = r#"{"count":1,"max":7,"collapsed":false,"exact":[7],"buckets":[]}"#;
-        let retired = js.replace("\"sketch\":null", &format!("\"sketch\":{sketch}"));
-        let err = serde_json::from_str::<Stats>(&retired).unwrap_err();
-        assert!(err.to_string().contains("--stats sketch"), "got: {err}");
     }
 }

@@ -172,8 +172,9 @@ fn observer_sees_arrive_place_done_in_causal_order() {
 fn failure_metrics_accounted() {
     let mut p = SimParams::paper(4, 40, ReconfigMode::Partial);
     p.seed = 12;
-    p.node_mtbf = Some(200);
-    p.node_mttr = 100;
+    p.faults.node_mttf = Some(800);
+    p.faults.node_mttr = 100;
+    p.faults.resubmit = false;
     p.task_time = dreamsim_engine::params::Range::new(100, 2_000);
     let source = {
         let specs = (0..40).map(|_| spec(5, 500)).collect();

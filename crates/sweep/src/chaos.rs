@@ -781,9 +781,9 @@ mod tests {
         assert_params_pinned(
             BUILTIN_CAMPAIGN,
             &[
-                ("rack-outage", 0xDAF8_53B8),
-                ("partition-storm", 0xA6AC_F755),
-                ("overload-shed", 0xD8F6_6046),
+                ("rack-outage", 0xCCA2_B4E7),
+                ("partition-storm", 0xA79B_0BEF),
+                ("overload-shed", 0xC90C_C261),
             ],
         );
     }
@@ -798,7 +798,7 @@ mod tests {
              domain-mttr 60\ndomain-kind partition\noutage 1 10 50\nnode-mttf 2000\n\
              node-mttr 150\nburst 0 400 2\nsuspension-cap 16\nadmission degrade-closest\n\
              suspension-deadline 900\nscenario plain\n",
-            &[("every", 0xAC83_6EC8), ("plain", 0xD0B3_6238)],
+            &[("every", 0x580E_2063), ("plain", 0x715E_3563)],
         );
     }
 

@@ -1,6 +1,7 @@
 //! Failure injection + load-balance reporting (extensions beyond the
-//! paper's failure-free evaluation): nodes fail with a configurable
-//! MTBF, killing their tasks, and come back blank after repair.
+//! paper's failure-free evaluation): each node fails with a
+//! configurable mean time to failure (MTTF), killing its tasks, and
+//! comes back blank after repair.
 //!
 //! ```sh
 //! cargo run --release --example failure_injection
@@ -13,25 +14,19 @@ use dreamsim::workload::SyntheticSource;
 fn main() {
     println!(
         "{:>12} {:>10} {:>10} {:>10} {:>12} {:>10}",
-        "MTBF", "failures", "killed", "completed", "discarded", "avg wait"
+        "MTTF", "failures", "killed", "completed", "discarded", "avg wait"
     );
-    for mtbf in [u64::MAX, 500_000, 100_000, 20_000] {
+    for mttf in [None, Some(50_000_000), Some(10_000_000), Some(2_000_000)] {
         let mut params = SimParams::paper(100, 3_000, ReconfigMode::Partial);
         params.seed = 11;
-        if mtbf != u64::MAX {
-            params.node_mtbf = Some(mtbf);
-            params.node_mttr = 5_000;
-        }
+        params.faults.node_mttf = mttf;
+        params.faults.node_mttr = 5_000;
         let source = SyntheticSource::from_params(&params);
         let result = Simulation::new(params, source, CaseStudyScheduler::new())
             .expect("params validate")
             .run();
         let m = &result.metrics;
-        let label = if mtbf == u64::MAX {
-            "none".to_string()
-        } else {
-            mtbf.to_string()
-        };
+        let label = mttf.map_or("none".to_string(), |t| t.to_string());
         println!(
             "{label:>12} {:>10} {:>10} {:>10} {:>12} {:>10.0}",
             m.node_failures,

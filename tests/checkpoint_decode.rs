@@ -3,10 +3,10 @@
 //! `read_checkpoint` must decode what `write_checkpoint` writes back to
 //! the same state, and it must read the JSON the way the shim always
 //! has: field order, whitespace, unknown fields and repeated keys (the
-//! first occurrence wins) do not change the result; a missing
-//! `#[serde(default)]` field, `-0` for an unsigned integer and `null`
-//! for a float are accepted; a float for an integer, a missing
-//! required field (`Option`-typed included), a malformed unknown field
+//! first occurrence wins) do not change the result; `-0` for an
+//! unsigned integer and `null` for a float are accepted; a float for an
+//! integer, a missing member (`Option`-typed included), a malformed
+//! unknown field
 //! (numbers and `\u` escapes outside RFC 8259's grammar included), a
 //! task table whose `count` is not its row count, a task row whose
 //! needed or phantom area exceeds `MAX_AREA`, trailing characters, a
@@ -334,24 +334,6 @@ fn what_the_decoder_accepts_stays_accepted() {
     let dir = fresh_dir("accepted");
     let payload = plain_payload();
     let tree: Value = serde_json::from_str(&payload).unwrap();
-    // Missing `#[serde(default)]` fields take their defaults, which is
-    // what a paper run holds.
-    let defaults: &[&[&str]] = &[
-        &["stats", "sketch"],
-        &["stats", "window"],
-        &["stats", "tasks_shed"],
-        &["params", "faults"],
-        &["params", "domains"],
-        &["params", "suspension_cap"],
-        &["params", "admission"],
-        &["params", "burst"],
-        &["params", "service"],
-        &["fault", "domains"],
-    ];
-    for path in defaults {
-        let variant = text(&without(&tree, path));
-        assert_decodes_to(&dir, &format!("without {path:?}"), &variant, &payload);
-    }
     // `-0` reads as 0 for an unsigned field.
     let zero = text(&with(&tree, &["created"], Value::Number(Number::U(0))));
     assert_eq!(zero.matches(",\"created\":0,").count(), 1);
@@ -374,9 +356,6 @@ fn what_the_decoder_rejects_stays_rejected() {
     let tree: Value = serde_json::from_str(&payload).unwrap();
     let float = |v: f64| Value::Number(Number::F(v));
     let rows = tree["tasks"]["count"].as_u64().unwrap();
-    let retired_sketch: Value =
-        serde_json::from_str(r#"{"count":1,"max":7,"collapsed":false,"exact":[7],"buckets":[]}"#)
-            .unwrap();
     let cases = [
         (
             "a float for an integer",
@@ -409,10 +388,6 @@ fn what_the_decoder_rejects_stays_rejected() {
             payload[..payload.len() - 1].to_string(),
         ),
         ("half a document", payload[..payload.len() / 2].to_string()),
-        (
-            "a quantile sketch from the retired `--stats sketch` backend",
-            text(&with(&tree, &["stats", "sketch"], retired_sketch)),
-        ),
         (
             "a float task count",
             text(&with(&tree, &["tasks", "count"], float(300.0))),
@@ -454,6 +429,34 @@ fn what_the_decoder_rejects_stays_rejected() {
     ];
     for (what, variant) in &cases {
         assert_rejected(&dir, what, variant.as_bytes());
+    }
+    // Every member is written, so every member is required: one that is
+    // missing is an error, never a default. These once defaulted, so
+    // that payloads older than the member still decoded.
+    let chaos: Value = serde_json::from_str(&chaos_payload()).unwrap();
+    let serve: Value = serde_json::from_str(&serve_payload()).unwrap();
+    let missing: &[(&Value, &[&str])] = &[
+        (&tree, &["stats", "window"]),
+        (&tree, &["stats", "tasks_shed"]),
+        (&tree, &["stats", "wait_samples"]),
+        (&tree, &["params", "faults"]),
+        (&tree, &["params", "domains"]),
+        (&tree, &["params", "suspension_cap"]),
+        (&tree, &["params", "admission"]),
+        (&tree, &["params", "burst"]),
+        (&tree, &["params", "service"]),
+        (&tree, &["fault", "domains"]),
+        (&chaos, &["params", "domains", "kind"]),
+        (&chaos, &["params", "domains", "scripted"]),
+        (&serve, &["params", "service", "window"]),
+    ];
+    for (v, path) in missing {
+        let variant = text(&without(v, path));
+        assert_rejected(
+            &dir,
+            &format!("a missing member {path:?}"),
+            variant.as_bytes(),
+        );
     }
     // Malformed unknown fields are still syntax-checked.
     for junk in [

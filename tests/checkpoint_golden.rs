@@ -10,7 +10,7 @@
 //! snapshot. Format v3 changed the node table's bytes but not the task
 //! table's: one test pins the fault scenario's packed task column to
 //! the bytes format v2 wrote for it. The last tests pin that headers
-//! of the retired versions 1 and 2 are refused.
+//! of the retired versions 1, 2 and 3 are refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple; on a mismatch the message
@@ -32,12 +32,12 @@ use std::path::{Path, PathBuf};
 /// `(checkpoint files, total bytes, CRC-32 of their concatenation)`.
 type Golden = (usize, u64, u32);
 
-const FAULTS: Golden = (14, 500_743, 0x54A3_EC81);
-const CHAOS_DOMAINS: Golden = (6, 129_334, 0x44E1_EF74);
-const CONTIGUOUS: Golden = (2, 41_984, 0xA66D_4D4A);
+const FAULTS: Golden = (14, 500_071, 0x2557_3219);
+const CHAOS_DOMAINS: Golden = (6, 129_046, 0x3F0F_A662);
+const CONTIGUOUS: Golden = (2, 41_888, 0xC761_1ADB);
 /// `(bytes, CRC-32)` of the strip scenario's final XML report.
 const CONTIGUOUS_REPORT: (u64, u32) = (2_112, 0x4E97_4CAD);
-const SERVE_MID_WINDOW: Golden = (10, 291_781, 0x3BD5_E0F3);
+const SERVE_MID_WINDOW: Golden = (10, 291_301, 0xAC61_572A);
 
 /// Bitwise CRC-32 (IEEE, reflected), written independently of the
 /// engine's so the goldens do not trust the code they check.
@@ -275,4 +275,12 @@ fn version_1_header_is_rejected() {
 #[test]
 fn version_2_header_is_rejected() {
     assert_version_refused(2);
+}
+
+/// Version 3 is retired too. Its parameters could hold the global
+/// failure chain, which a v4 reader would skip as an unknown member,
+/// resuming the run without its failure process.
+#[test]
+fn version_3_header_is_rejected() {
+    assert_version_refused(3);
 }

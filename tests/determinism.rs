@@ -2,10 +2,16 @@
 //! sweeps are independent of thread count, and the event-driven and
 //! tick-stepped drivers are observationally equivalent.
 
-use dreamsim::engine::{Driver, ReconfigMode, RunOptions, SimParams, Simulation};
+use dreamsim::engine::params::MAX_TICKS;
+use dreamsim::engine::{
+    DomainParams, Driver, Observer, ReconfigMode, RunOptions, SimParams, Simulation,
+};
+use dreamsim::model::{NodeId, Task, Ticks};
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::sweep::runner::{run_batch, run_point, SweepPoint};
 use dreamsim::workload::SyntheticSource;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn params(seed: u64) -> SimParams {
     let mut p = SimParams::paper(30, 300, ReconfigMode::Partial);
@@ -151,6 +157,73 @@ fn disabled_fault_params_do_not_perturb_the_run() {
     assert_eq!(base.metrics.node_failures, 0);
     assert_eq!(base.metrics.tasks_lost, 0);
     assert_eq!(base.metrics.node_downtime, 0);
+}
+
+/// Positions, in callback order, of the last completion and the first
+/// node failure.
+#[derive(Default)]
+struct FailureOrder {
+    seen: u64,
+    last_completion: Option<u64>,
+    first_failure: Option<u64>,
+}
+
+struct OrderLog(Rc<RefCell<FailureOrder>>);
+
+impl Observer for OrderLog {
+    fn on_completion(&mut self, _now: Ticks, _task: &Task) {
+        let mut o = self.0.borrow_mut();
+        o.seen += 1;
+        o.last_completion = Some(o.seen);
+    }
+
+    fn on_node_failure(&mut self, _now: Ticks, _node: NodeId) {
+        let mut o = self.0.borrow_mut();
+        o.seen += 1;
+        let seen = o.seen;
+        o.first_failure.get_or_insert(seen);
+    }
+}
+
+#[test]
+fn enabled_failure_processes_do_not_perturb_the_workload() {
+    // Failure draws come from their own streams, so turning a failure
+    // process on leaves workload and platform generation alone (DESIGN
+    // §9). With failures too rare to strike while work remains, every
+    // task row is the fault-free run's.
+    let base = Simulation::new(
+        params(42),
+        SyntheticSource::from_params(&params(42)),
+        CaseStudyScheduler::new(),
+    )
+    .unwrap()
+    .run();
+    let mut node_mttf = params(42);
+    node_mttf.faults.node_mttf = Some(MAX_TICKS);
+    let mut domain_mttf = params(42);
+    domain_mttf.domains = Some(DomainParams {
+        count: 3,
+        mttf: Some(MAX_TICKS),
+        ..DomainParams::default()
+    });
+    for (name, p) in [("node mttf", node_mttf), ("domain mttf", domain_mttf)] {
+        let order = Rc::new(RefCell::new(FailureOrder::default()));
+        let run = Simulation::new(
+            p.clone(),
+            SyntheticSource::from_params(&p),
+            CaseStudyScheduler::new(),
+        )
+        .unwrap()
+        .with_observer(Box::new(OrderLog(Rc::clone(&order))))
+        .run();
+        let o = order.borrow();
+        let last_completion = o.last_completion.expect("tasks complete");
+        assert!(
+            o.first_failure.is_none_or(|f| f > last_completion),
+            "{name}: a node failed while work remained, so the premise fails"
+        );
+        assert_eq!(run.tasks, base.tasks, "{name}");
+    }
 }
 
 #[test]
