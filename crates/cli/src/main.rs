@@ -17,8 +17,8 @@
 //!   watchdog-driven auto-recovery, and sliding-window live metrics.
 //! * `trace` — generate a synthetic trace file for later replay.
 //!
-//! Every enum flag value is read by the `parse` of the type that owns its
-//! spelling, and a checkpoint's policy label by
+//! Every run parameter flag is read by [`SimParams::set`], the parser
+//! chaos scenarios share, and a checkpoint's policy label by
 //! [`CaseStudyScheduler::from_label`]. The determinism lint has its own
 //! binary, `dreamsim-lint`.
 //!
@@ -28,9 +28,8 @@ mod args;
 
 use args::{ArgError, Args};
 use dreamsim_engine::{
-    read_checkpoint, AdmissionPolicy, ArrivalDistribution, BurstWindow, DomainOutageKind,
-    DomainParams, PlacementModel, ReconfigMode, Report, RunOptions, RunResult, ScriptedOutage,
-    SimParams, Simulation,
+    read_checkpoint, ArrivalDistribution, ReconfigMode, Report, RunOptions, RunResult, SimParams,
+    Simulation,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::{AllocationStrategy, CaseStudyScheduler};
@@ -108,11 +107,13 @@ tightens arrival interarrivals to at most INTERVAL inside
 [START, END). Partition outages plus a bounded queue need
 --suspension-deadline (or a resuming policy) so parked tasks cannot
 stall the run forever. The `chaos` subcommand runs whole campaigns of
-such scenarios from a script (see the dreamsim-sweep chaos module docs
-for the format; omit --script for the built-in campaign), audits
-continuously (--audit-every, default 500), runs a kill-and-resume drill
-per scenario (checkpoints into --work-dir, default chaos-work), and
-reports availability metrics as CSV or JSON.
+such scenarios from a script (omit --script for the built-in campaign):
+`scenario NAME` opens each scenario, and every other line is one of the
+run's parameter flags above without its dashes (`domains 4`, `outages
+0:500:800,2:1500:600`, `no-resubmit`), at most once per scenario. It
+audits continuously (--audit-every, default 500), runs a kill-and-resume
+drill per scenario (checkpoints into --work-dir, default chaos-work),
+and reports availability metrics as CSV or JSON.
 
 Service mode: `serve` runs an open-system window of --horizon ticks of
 streaming arrivals (Poisson by default) whose rate follows a diurnal
@@ -146,29 +147,21 @@ boundaries); --audit-every N audits on a period instead.
 
 Parallel sweeps: figures and ablations fan their independent simulation
 points across --jobs worker threads (0 or omitted = all hardware
-threads; --threads is an alias). Results are merged in point order, so
-output is byte-identical for every --jobs value.
+threads). Results are merged in point order, so output is byte-identical
+for every --jobs value.
 ";
 
-/// Valued and bare flags [`params_from_args`] reads, space-separated.
-const PARAM_FLAGS: (&str, &str) = (
-    "nodes tasks mode seed arrival placement mttr mttf reconfig-fail-prob task-fail-prob \
-     max-retries suspension-deadline domains domain-mttf domain-mttr domain-kind outages \
-     suspension-cap admission burst",
-    "no-suspension no-resubmit",
-);
-
-/// The flags each subcommand reads: `(command, builds SimParams from
-/// the command line, valued flags, bare flags)`. A subcommand that
-/// builds its [`SimParams`] with [`params_from_args`] also accepts
-/// [`PARAM_FLAGS`].
+/// The flags each subcommand reads: `(command, accepts every run
+/// parameter flag, valued flags, bare flags)`. The run parameter flags
+/// are [`SimParams::FLAGS`]; `ablations` and `trace` list the few they
+/// accept, and [`params_from_args`] applies whichever are given.
 #[rustfmt::skip]
 const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
     ("run", true,
      "policy replay swf ticks-per-second max-jobs checkpoint-every checkpoint-dir audit-every \
       resume-from report out", "audit"),
-    ("figures", false, "fig max-tasks tasks jobs threads seed out-dir", ""),
-    ("ablations", false, "which nodes tasks mode seed jobs threads", ""),
+    ("figures", false, "fig max-tasks tasks jobs seed out-dir", ""),
+    ("ablations", false, "which nodes tasks mode seed jobs", ""),
     ("chaos", false, "script audit-every work-dir report out", "no-drill"),
     ("serve", true,
      "policy horizon day-length amplitude window window-retain ring-dir ring-every ring-retain \
@@ -185,8 +178,12 @@ fn accepted_flags(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str>
     let mut valued: Vec<&str> = valued.split_whitespace().collect();
     let mut bare: Vec<&str> = bare.split_whitespace().collect();
     if params {
-        valued.extend(PARAM_FLAGS.0.split_whitespace());
-        bare.extend(PARAM_FLAGS.1.split_whitespace());
+        for f in SimParams::FLAGS {
+            match f.value {
+                Some(_) => valued.push(f.name),
+                None => bare.push(f.name),
+            }
+        }
     }
     Some((valued, bare))
 }
@@ -233,142 +230,25 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--flag`'s value (or `default`), read by the `parse` of the type that
-/// owns its spelling. An unknown value is an error naming the flag, and
-/// the accepted `choices` when given.
-fn parse_flag<T>(
-    args: &Args,
-    flag: &str,
-    default: &str,
-    choices: Option<&str>,
-    parse: fn(&str) -> Option<T>,
-) -> Result<T, ArgError> {
-    let s = args.get(flag, default);
-    parse(s).ok_or_else(|| {
-        ArgError(match choices {
-            Some(choices) => format!("--{flag} must be {choices}, got {s:?}"),
-            None => format!("unknown --{flag} {s:?}"),
-        })
-    })
-}
-
-/// Worker count for parallel sweeps: `--jobs N` (preferred), with
-/// `--threads N` kept as an alias; 0 or omitted selects the hardware
-/// parallelism.
-fn parse_jobs(args: &Args) -> Result<usize, ArgError> {
-    if args.has("jobs") {
-        args.get_num("jobs", 0usize)
-    } else {
-        args.get_num("threads", 0usize)
-    }
-}
-
 /// The scheduler `--policy` names (`run` and `serve`).
 fn policy_from_args(args: &Args) -> Result<CaseStudyScheduler, ArgError> {
-    let strategy = parse_flag(args, "policy", "best-fit", None, AllocationStrategy::parse)?;
+    let s = args.get("policy", "best-fit");
+    let strategy =
+        AllocationStrategy::parse(s).ok_or_else(|| ArgError(format!("unknown --policy {s:?}")))?;
     Ok(CaseStudyScheduler::with_strategy(strategy))
 }
 
-fn params_from_args(args: &Args) -> Result<SimParams, ArgError> {
-    let mode = parse_flag(
-        args,
-        "mode",
-        "partial",
-        Some("full or partial"),
-        ReconfigMode::parse,
-    )?;
-    let mut p = SimParams::paper(
-        args.get_num("nodes", 200usize)?,
-        args.get_num("tasks", 10_000usize)?,
-        mode,
-    );
-    p.seed = args.get_num("seed", 0x5EEDu64)?;
-    p.arrival = parse_flag(args, "arrival", "uniform", None, ArrivalDistribution::parse)?;
-    if args.has("no-suspension") {
-        p.suspension_enabled = false;
-    }
-    p.placement = parse_flag(args, "placement", "scalar", None, PlacementModel::parse)?;
-    if args.has("mttf") {
-        p.faults.node_mttf = Some(args.get_num("mttf", 0u64)?);
-    }
-    p.faults.node_mttr = args.get_num("mttr", p.faults.node_mttr)?;
-    p.faults.reconfig_fail_prob =
-        args.get_num("reconfig-fail-prob", p.faults.reconfig_fail_prob)?;
-    p.faults.task_fail_prob = args.get_num("task-fail-prob", p.faults.task_fail_prob)?;
-    p.faults.max_retries = args.get_num("max-retries", p.faults.max_retries)?;
-    if args.has("suspension-deadline") {
-        p.faults.suspension_deadline = Some(args.get_num("suspension-deadline", 0u64)?);
-    }
-    if args.has("no-resubmit") {
-        p.faults.resubmit = false;
-    }
-    if args.has("domains") {
-        let mut d = DomainParams {
-            count: args.get_num("domains", 0usize)?,
-            ..DomainParams::default()
-        };
-        if args.has("domain-mttf") {
-            d.mttf = Some(args.get_num("domain-mttf", 0u64)?);
+/// `base` with every run parameter flag on the command line set through
+/// [`SimParams::set`], in [`SimParams::FLAGS`] order, and validated.
+fn params_from_args(args: &Args, mut base: SimParams) -> Result<SimParams, ArgError> {
+    for f in SimParams::FLAGS {
+        if let Some(value) = args.flags.get(f.name) {
+            base.set(f.name, value)
+                .map_err(|e| ArgError(e.to_string()))?;
         }
-        d.mttr = args.get_num("domain-mttr", d.mttr)?;
-        d.kind = parse_flag(
-            args,
-            "domain-kind",
-            "fail",
-            Some("fail or partition"),
-            DomainOutageKind::parse,
-        )?;
-        if args.has("outages") {
-            d.scripted = parse_outages(args.get("outages", ""))?;
-        }
-        p.domains = Some(d);
-    } else if let Some(flag) = ["domain-mttf", "domain-mttr", "domain-kind", "outages"]
-        .into_iter()
-        .find(|f| args.has(f))
-    {
-        return Err(ArgError(format!("--{flag} requires --domains N")));
     }
-    if args.has("suspension-cap") {
-        p.suspension_cap = Some(args.get_num("suspension-cap", 0usize)?);
-    }
-    p.admission = parse_flag(
-        args,
-        "admission",
-        "block",
-        Some("block, shed-oldest, or degrade-closest"),
-        AdmissionPolicy::parse,
-    )?;
-    if args.has("burst") {
-        let v = args.get_list("burst", &[])?;
-        if v.len() != 3 {
-            return Err(ArgError("--burst expects START,END,INTERVAL".into()));
-        }
-        p.burst = Some(BurstWindow {
-            start: v[0] as u64,
-            end: v[1] as u64,
-            interval: v[2] as u64,
-        });
-    }
-    p.validate().map_err(|e| ArgError(e.to_string()))?;
-    Ok(p)
-}
-
-/// Parse `--outages D:AT:DUR,...` into scripted domain outages.
-fn parse_outages(spec: &str) -> Result<Vec<ScriptedOutage>, ArgError> {
-    spec.split(',')
-        .map(|entry| {
-            let parts: Vec<&str> = entry.trim().split(':').collect();
-            let err = || ArgError(format!("--outages entry {entry:?} must be D:AT:DUR"));
-            if parts.len() != 3 {
-                return Err(err());
-            }
-            Ok(ScriptedOutage {
-                domain: parts[0].parse().map_err(|_| err())?,
-                at: parts[1].parse().map_err(|_| err())?,
-                duration: parts[2].parse().map_err(|_| err())?,
-            })
-        })
-        .collect()
+    base.validate().map_err(|e| ArgError(e.to_string()))?;
+    Ok(base)
 }
 
 fn write_or_print(out: Option<&str>, content: &str) -> Result<(), ArgError> {
@@ -596,7 +476,7 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
     let result: RunResult = if args.has("resume-from") {
         resume_run(args, &run_opts)?
     } else {
-        let params = params_from_args(args)?;
+        let params = params_from_args(args, SimParams::default())?;
         let policy = policy_from_args(args)?;
         if args.has("swf") || args.has("replay") {
             let source = trace_from_args(args, params.total_configs)?;
@@ -626,12 +506,13 @@ fn cmd_run(args: &Args) -> Result<(), ArgError> {
 fn cmd_serve(args: &Args) -> Result<(), ArgError> {
     use dreamsim_engine::{serve, ServiceOptions, ServiceParams, WatchdogParams};
     use dreamsim_workload::OpenSource;
-    let mut params = params_from_args(args)?;
-    if !args.has("arrival") {
-        // Open-system default: Poisson arrivals (the batch default stays
-        // uniform for byte-compatibility of `run`).
-        params.arrival = ArrivalDistribution::Poisson;
-    }
+    // Open-system default: Poisson arrivals (the batch default stays
+    // uniform for byte-compatibility of `run`).
+    let open = SimParams {
+        arrival: ArrivalDistribution::Poisson,
+        ..SimParams::default()
+    };
+    let mut params = params_from_args(args, open)?;
     let horizon = args.get_num("horizon", 50_000u64)?;
     params.service = Some(ServiceParams {
         horizon,
@@ -740,7 +621,7 @@ fn cmd_figures(args: &Args) -> Result<(), ArgError> {
         vec![Figure::parse(which).ok_or_else(|| ArgError(format!("unknown figure {which:?}")))?]
     };
     let max_tasks = args.get_num("max-tasks", 10_000usize)?;
-    let jobs = parse_jobs(args)?;
+    let jobs = args.get_num("jobs", 0usize)?;
     let seed = args.get_num("seed", 2012u64)?;
     // Explicit --tasks 1000,2000,... overrides the default ladder.
     let task_counts = if args.has("tasks") {
@@ -790,23 +671,13 @@ fn cmd_figures(args: &Args) -> Result<(), ArgError> {
 
 fn cmd_ablations(args: &Args) -> Result<(), ArgError> {
     let which = args.get("which", "all");
-    let mode = parse_flag(
-        args,
-        "mode",
-        "partial",
-        Some("full or partial"),
-        ReconfigMode::parse,
-    )?;
-    let mut base = SimParams::paper(
-        args.get_num("nodes", 100usize)?,
-        args.get_num("tasks", 2_000usize)?,
-        mode,
-    );
-    base.seed = args.get_num("seed", 7u64)?;
     // The harnesses treat parameters as programmer input and panic on
-    // invalid ones, so user input is validated here first.
-    base.validate().map_err(|e| ArgError(e.to_string()))?;
-    let threads = parse_jobs(args)?;
+    // invalid ones; `params_from_args` validates user input first.
+    let base = params_from_args(
+        args,
+        SimParams::paper(100, 2_000, ReconfigMode::Partial).with_seed(7),
+    )?;
+    let threads = args.get_num("jobs", 0usize)?;
     let run_a1 = which == "all" || which == "a1";
     let run_a2 = which == "all" || which == "a2";
     let run_a3 = which == "all" || which == "a3";
@@ -961,14 +832,17 @@ fn cmd_trace(args: &Args) -> Result<(), ArgError> {
     if out.is_empty() {
         return Err(ArgError("trace: --out FILE is required".into()));
     }
-    let tasks = args.get_num("tasks", 1_000usize)?;
-    let seed = args.get_num("seed", 0x5EEDu64)?;
-    let mut p = SimParams::default();
-    p.total_tasks = tasks;
-    p.seed = seed;
+    let p = params_from_args(
+        args,
+        SimParams {
+            total_tasks: 1_000,
+            ..SimParams::default()
+        },
+    )?;
+    let tasks = p.total_tasks;
     let source = SyntheticSource::from_params(&p);
     let mut recorder = RecordingSource::new(source);
-    let mut rng = Rng::seed_from(seed);
+    let mut rng = Rng::seed_from(p.seed);
     use dreamsim_engine::sim::{SourceYield, TaskSource as _};
     for _ in 0..tasks {
         match recorder.next_task(0, &mut rng) {
@@ -1034,14 +908,93 @@ mod tests {
         }
     }
 
+    fn parse(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).unwrap()
+    }
+
     #[test]
     fn undocumented_flags_are_accepted_only_where_read() {
-        let parse = |s: &str| Args::parse(s.split_whitespace().map(String::from)).unwrap();
-        // `--threads` aliases `--jobs` only where `parse_jobs` reads it.
-        assert!(check_flags(&parse("figures --threads 2")).is_ok());
-        assert!(check_flags(&parse("run --threads 2")).is_err());
+        // The retired `--threads` alias of `--jobs` is unknown everywhere.
+        for command in ["figures", "ablations", "run"] {
+            let err = check_flags(&parse(&format!("{command} --threads 2"))).unwrap_err();
+            assert_eq!(
+                err.0,
+                format!("unknown flag --threads for `dreamsim {command}`")
+            );
+        }
         // `serve` builds its parameters with `params_from_args`.
         assert!(check_flags(&parse("serve --tasks 10 --no-suspension")).is_ok());
         assert!(check_flags(&parse("--help")).is_ok());
+    }
+
+    /// A value off its default for every run parameter flag, in
+    /// [`SimParams::FLAGS`] order.
+    const SAMPLES: [(&str, &str); 22] = [
+        ("nodes", "8"),
+        ("tasks", "40"),
+        ("mode", "full"),
+        ("seed", "3"),
+        ("arrival", "poisson"),
+        ("placement", "contiguous"),
+        ("no-suspension", ""),
+        ("mttf", "2000"),
+        ("mttr", "150"),
+        ("reconfig-fail-prob", "0.25"),
+        ("task-fail-prob", "0.125"),
+        ("max-retries", "5"),
+        ("suspension-deadline", "900"),
+        ("no-resubmit", ""),
+        ("domains", "3"),
+        ("domain-mttf", "500"),
+        ("domain-mttr", "60"),
+        ("domain-kind", "partition"),
+        ("outages", "1:10:50,0:20:5"),
+        ("suspension-cap", "16"),
+        ("admission", "degrade-closest"),
+        ("burst", "0,400,2"),
+    ];
+
+    /// Every run parameter flag sets the same parameters as a `run` flag
+    /// and as a chaos directive.
+    #[test]
+    fn every_param_flag_parses_alike_as_run_flag_and_chaos_directive() {
+        use dreamsim_sweep::chaos::parse_campaign;
+        let names: Vec<&str> = SimParams::FLAGS.iter().map(|f| f.name).collect();
+        assert_eq!(names, SAMPLES.map(|(flag, _)| flag));
+        let base = SimParams::paper(40, 400, ReconfigMode::Partial).with_seed(42);
+        assert_eq!(parse_campaign("scenario s").unwrap()[0].params, base);
+        let mut with_domains = base.clone();
+        with_domains.set("domains", "2").unwrap();
+        for (flag, value) in SAMPLES {
+            let needs_domains = matches!(
+                base.clone().set(flag, value),
+                Err(dreamsim_engine::ParamsError::NeedsDomains(_))
+            );
+            let (unset, cli_domains, script_domains) = if needs_domains {
+                (&with_domains, "--domains 2", "domains 2")
+            } else {
+                (&base, "", "")
+            };
+            let run = parse(&format!("run {cli_domains} --{flag} {value}"));
+            let cli = params_from_args(&run, base.clone()).unwrap();
+            let script = format!("scenario s\n{script_domains}\n{flag} {value}\n");
+            let scenario = parse_campaign(&script).unwrap().remove(0).params;
+            assert_eq!(cli, scenario, "--{flag} {value}");
+            assert_ne!(&cli, unset, "--{flag} {value} sets nothing");
+        }
+        // Table order, not command-line order, puts `domains` first.
+        let run = parse("run --outages 0:500:800 --domain-kind partition --domains 2");
+        let d = params_from_args(&run, SimParams::default())
+            .unwrap()
+            .domains;
+        assert_eq!(d.map(|d| (d.count, d.scripted.len())), Some((2, 1)));
+        // The retired admission spelling is an error naming it.
+        let run = parse("run --admission degrade-to-closest-match");
+        let err = params_from_args(&run, SimParams::default()).unwrap_err();
+        assert_eq!(
+            err.0,
+            "--admission expects block, shed-oldest or degrade-closest, \
+             got \"degrade-to-closest-match\""
+        );
     }
 }

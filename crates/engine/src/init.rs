@@ -65,9 +65,7 @@ pub fn generate_nodes(params: &SimParams, rng: &mut Rng) -> Vec<Node> {
                 .with_caps(caps);
             match params.placement {
                 crate::params::PlacementModel::Scalar => node,
-                crate::params::PlacementModel::Contiguous => {
-                    node.with_contiguous(dreamsim_model::GapFit::FirstFit)
-                }
+                crate::params::PlacementModel::Contiguous => node.with_contiguous(),
             }
         })
         .collect()

@@ -278,7 +278,7 @@ impl AdmissionPolicy {
         match s {
             "block" => Some(AdmissionPolicy::Block),
             "shed-oldest" => Some(AdmissionPolicy::ShedOldest),
-            "degrade-closest" | "degrade-to-closest-match" => Some(AdmissionPolicy::DegradeClosest),
+            "degrade-closest" => Some(AdmissionPolicy::DegradeClosest),
             _ => None,
         }
     }
@@ -411,6 +411,19 @@ pub enum ParamsError {
         /// Upper bound given.
         value: Area,
     },
+    /// No entry of [`SimParams::FLAGS`] has this name.
+    UnknownFlag(String),
+    /// A flag's value does not match the flag's grammar.
+    FlagValue {
+        /// The flag, without its `--`.
+        flag: &'static str,
+        /// Value given.
+        value: String,
+        /// The grammar ([`ParamFlag::value`]).
+        expected: &'static str,
+    },
+    /// A failure-domain flag was set before `domains`.
+    NeedsDomains(&'static str),
 }
 
 impl std::fmt::Display for ParamsError {
@@ -456,6 +469,13 @@ impl std::fmt::Display for ParamsError {
                 f,
                 "parameter {name}: {value} area units exceeds the ceiling of {MAX_AREA} area units"
             ),
+            ParamsError::UnknownFlag(name) => write!(f, "unknown flag --{name}"),
+            ParamsError::FlagValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "--{flag} expects {expected}, got {value:?}"),
+            ParamsError::NeedsDomains(flag) => write!(f, "--{flag} requires --domains N"),
         }
     }
 }
@@ -826,6 +846,192 @@ impl SimParams {
             .into_iter()
             .filter_map(|(name, value)| value.map(|v| (name, v)))
             .chain(scripted)
+    }
+}
+
+/// How a [`ParamFlag`] writes its value into the parameters: `None`,
+/// leaving them as they were, when the value does not parse.
+type Apply = fn(&mut SimParams, &str) -> Option<()>;
+
+/// The one spelling of a run parameter: `--NAME VALUE` on the `dreamsim
+/// run` and `serve` command lines, and the line `NAME VALUE` in a chaos
+/// scenario.
+#[derive(Clone, Copy, Debug)]
+pub struct ParamFlag {
+    /// The flag without its leading `--`.
+    pub name: &'static str,
+    /// The value's grammar, as errors name it; `None` for a bare flag,
+    /// which takes no value.
+    pub value: Option<&'static str>,
+    /// Whether the flag configures failure domains, which `domains` must
+    /// enable first.
+    needs_domains: bool,
+    apply: Apply,
+}
+
+/// A flag that takes a value of grammar `value`.
+const fn valued(name: &'static str, value: &'static str, apply: Apply) -> ParamFlag {
+    ParamFlag {
+        name,
+        value: Some(value),
+        needs_domains: false,
+        apply,
+    }
+}
+
+/// A flag that takes no value.
+const fn bare(name: &'static str, apply: Apply) -> ParamFlag {
+    ParamFlag {
+        name,
+        value: None,
+        needs_domains: false,
+        apply,
+    }
+}
+
+/// A failure-domain flag: `domains` must be set first.
+const fn in_domains(name: &'static str, value: &'static str, apply: Apply) -> ParamFlag {
+    ParamFlag {
+        needs_domains: true,
+        ..valued(name, value, apply)
+    }
+}
+
+const COUNT: &str = "a count";
+const TICKS: &str = "a tick count";
+const PROBABILITY: &str = "a probability";
+
+/// `*slot = value` when the value parsed.
+fn put<T>(slot: &mut T, value: Option<T>) -> Option<()> {
+    *slot = value?;
+    Some(())
+}
+
+fn num<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// `D:AT:DUR[,D:AT:DUR...]`: scripted domain outages.
+fn outages(v: &str) -> Option<Vec<ScriptedOutage>> {
+    v.split(',')
+        .map(|entry| {
+            let mut parts = entry.trim().split(':');
+            let outage = ScriptedOutage {
+                domain: num(parts.next()?)?,
+                at: num(parts.next()?)?,
+                duration: num(parts.next()?)?,
+            };
+            parts.next().is_none().then_some(outage)
+        })
+        .collect()
+}
+
+/// `START,END,INTERVAL`: an overload burst window.
+fn burst(v: &str) -> Option<BurstWindow> {
+    let mut parts = v.split(',').map(|x| num(x.trim()));
+    let window = BurstWindow {
+        start: parts.next()??,
+        end: parts.next()??,
+        interval: parts.next()??,
+    };
+    parts.next().is_none().then_some(window)
+}
+
+impl SimParams {
+    /// Every run-parameter flag, in the order a command line applies
+    /// them: `domains` comes before the flags that need it, so their
+    /// order on the command line does not matter.
+    pub const FLAGS: &'static [ParamFlag] = &[
+        valued("nodes", COUNT, |p, v| put(&mut p.total_nodes, num(v))),
+        valued("tasks", COUNT, |p, v| put(&mut p.total_tasks, num(v))),
+        valued("mode", "full or partial", |p, v| {
+            put(&mut p.mode, ReconfigMode::parse(v))
+        }),
+        valued("seed", "an integer", |p, v| put(&mut p.seed, num(v))),
+        valued("arrival", "uniform, poisson or exponential", |p, v| {
+            put(&mut p.arrival, ArrivalDistribution::parse(v))
+        }),
+        valued("placement", "scalar or contiguous", |p, v| {
+            put(&mut p.placement, PlacementModel::parse(v))
+        }),
+        bare("no-suspension", |p, _| {
+            put(&mut p.suspension_enabled, Some(false))
+        }),
+        valued("mttf", TICKS, |p, v| {
+            put(&mut p.faults.node_mttf, num(v).map(Some))
+        }),
+        valued("mttr", TICKS, |p, v| put(&mut p.faults.node_mttr, num(v))),
+        valued("reconfig-fail-prob", PROBABILITY, |p, v| {
+            put(&mut p.faults.reconfig_fail_prob, num(v))
+        }),
+        valued("task-fail-prob", PROBABILITY, |p, v| {
+            put(&mut p.faults.task_fail_prob, num(v))
+        }),
+        valued("max-retries", COUNT, |p, v| {
+            put(&mut p.faults.max_retries, num(v))
+        }),
+        valued("suspension-deadline", TICKS, |p, v| {
+            put(&mut p.faults.suspension_deadline, num(v).map(Some))
+        }),
+        bare("no-resubmit", |p, _| {
+            put(&mut p.faults.resubmit, Some(false))
+        }),
+        valued("domains", COUNT, |p, v| {
+            let count = num(v)?;
+            p.domains.get_or_insert_with(DomainParams::default).count = count;
+            Some(())
+        }),
+        in_domains("domain-mttf", TICKS, |p, v| {
+            put(&mut p.domains.as_mut()?.mttf, num(v).map(Some))
+        }),
+        in_domains("domain-mttr", TICKS, |p, v| {
+            put(&mut p.domains.as_mut()?.mttr, num(v))
+        }),
+        in_domains("domain-kind", "fail or partition", |p, v| {
+            put(&mut p.domains.as_mut()?.kind, DomainOutageKind::parse(v))
+        }),
+        in_domains("outages", "D:AT:DUR[,D:AT:DUR...]", |p, v| {
+            put(&mut p.domains.as_mut()?.scripted, outages(v))
+        }),
+        valued("suspension-cap", COUNT, |p, v| {
+            put(&mut p.suspension_cap, num(v).map(Some))
+        }),
+        valued(
+            "admission",
+            "block, shed-oldest or degrade-closest",
+            |p, v| put(&mut p.admission, AdmissionPolicy::parse(v)),
+        ),
+        valued("burst", "START,END,INTERVAL", |p, v| {
+            put(&mut p.burst, burst(v).map(Some))
+        }),
+    ];
+
+    /// Set the run parameter `flag` (a [`FLAGS`](Self::FLAGS) name) from
+    /// its text `value`, which is empty for a bare flag. Only the
+    /// flag's grammar is checked; [`validate`](Self::validate) checks
+    /// the values once every flag is set.
+    ///
+    /// # Errors
+    /// An unknown flag, a value outside the flag's grammar, or a
+    /// failure-domain flag while `domains` is unset. The parameters are
+    /// left unchanged.
+    pub fn set(&mut self, flag: &str, value: &str) -> Result<(), ParamsError> {
+        let f = Self::FLAGS
+            .iter()
+            .find(|f| f.name == flag)
+            .ok_or_else(|| ParamsError::UnknownFlag(flag.to_string()))?;
+        if f.needs_domains && self.domains.is_none() {
+            return Err(ParamsError::NeedsDomains(f.name));
+        }
+        let applied = match f.value {
+            None if !value.is_empty() => None,
+            _ => (f.apply)(self, value),
+        };
+        applied.ok_or_else(|| ParamsError::FlagValue {
+            flag: f.name,
+            value: value.to_string(),
+            expected: f.value.unwrap_or("no value"),
+        })
     }
 }
 
@@ -1230,10 +1436,6 @@ mod tests {
         ] {
             assert_eq!(AdmissionPolicy::parse(a.label()), Some(a));
         }
-        assert_eq!(
-            AdmissionPolicy::parse("degrade-to-closest-match"),
-            Some(AdmissionPolicy::DegradeClosest)
-        );
         assert_eq!(AdmissionPolicy::parse("nope"), None);
         for k in [DomainOutageKind::Fail, DomainOutageKind::Partition] {
             assert_eq!(DomainOutageKind::parse(k.label()), Some(k));
@@ -1265,6 +1467,71 @@ mod tests {
         let js = serde_json::to_string(&p).unwrap();
         let back: SimParams = serde_json::from_str(&js).unwrap();
         assert_eq!(p, back);
+    }
+
+    #[test]
+    fn set_reads_list_values_and_rejects_what_their_grammar_does_not_take() {
+        let mut p = SimParams::default();
+        p.set("domains", "3").unwrap();
+        p.set("outages", "0:500:800, 2:1500:600").unwrap();
+        p.set("burst", "0, 4000,2").unwrap();
+        p.set("no-resubmit", "").unwrap();
+        let d = p.domains.as_ref().unwrap();
+        assert_eq!(d.count, 3);
+        assert_eq!(
+            d.scripted,
+            [(0, 500, 800), (2, 1500, 600)].map(|(domain, at, duration)| ScriptedOutage {
+                domain,
+                at,
+                duration
+            })
+        );
+        let window = BurstWindow {
+            start: 0,
+            end: 4000,
+            interval: 2,
+        };
+        assert_eq!(p.burst, Some(window));
+        assert!(!p.faults.resubmit);
+        let before = p.clone();
+        for (flag, value) in [
+            ("outages", "0:500"),
+            ("outages", "0:500:800:1"),
+            ("burst", "0 4000 2"),
+            ("burst", "0,4000,2,"),
+            ("admission", "degrade-to-closest-match"),
+            ("domains", "-1"),
+            ("no-suspension", "yes"),
+            ("nodes", ""),
+        ] {
+            let expected = SimParams::FLAGS
+                .iter()
+                .find(|f| f.name == flag)
+                .and_then(|f| f.value)
+                .unwrap_or("no value");
+            assert_eq!(
+                p.set(flag, value),
+                Err(ParamsError::FlagValue {
+                    flag,
+                    value: value.to_string(),
+                    expected
+                })
+            );
+            assert_eq!(
+                p, before,
+                "a rejected --{flag} {value} leaves the parameters"
+            );
+        }
+        assert_eq!(
+            p.set("node-mttf", "2000").unwrap_err().to_string(),
+            "unknown flag --node-mttf"
+        );
+        let err = SimParams::default().set("domain-kind", "partition");
+        assert_eq!(err, Err(ParamsError::NeedsDomains("domain-kind")));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "--domain-kind requires --domains N"
+        );
     }
 
     #[test]

@@ -3574,6 +3574,10 @@ mod tests {
                 columns(&|c| c[col::PLACEMENT] = vec![0, nodes as u64 + 1]),
             ),
             (
+                "placement code 2, the retired best-fit strip",
+                columns(&|c| c[col::PLACEMENT] = vec![2, nodes as u64]),
+            ),
+            (
                 "a slab one slot longer than its configurations",
                 columns(&|c| c[col::SLAB_LEN][n] += 1),
             ),

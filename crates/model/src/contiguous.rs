@@ -11,8 +11,8 @@
 //! model is.
 //!
 //! The allocator tracks occupied `[start, start+width)` intervals keyed
-//! by the owning slot index, supports first-fit and best-fit gap
-//! selection, and reports fragmentation statistics.
+//! by the owning slot index, places each module in the leftmost gap that
+//! fits (first fit), and reports fragmentation statistics.
 
 use crate::ids::Area;
 use serde::{Deserialize, Serialize};
@@ -32,16 +32,6 @@ impl Region {
     fn end(&self) -> Area {
         self.start + self.width
     }
-}
-
-/// Gap-selection policy for placements.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GapFit {
-    /// Leftmost gap that fits.
-    #[default]
-    FirstFit,
-    /// Smallest gap that fits (minimizes leftover splinters).
-    BestFit,
 }
 
 /// A 1-D strip of reconfigurable fabric columns.
@@ -145,9 +135,10 @@ impl Strip {
         1.0 - self.largest_gap() as f64 / free as f64
     }
 
-    /// Place a module of `width` for `slot`, returning its start column.
-    /// Fails (without changing anything) when no gap fits.
-    pub fn place(&mut self, width: Area, slot: u32, fit: GapFit) -> Option<Area> {
+    /// Place a module of `width` for `slot` in the leftmost gap that
+    /// fits, returning its start column. Fails (without changing
+    /// anything) when no gap fits.
+    pub fn place(&mut self, width: Area, slot: u32) -> Option<Area> {
         debug_assert!(
             self.regions.iter().all(|r| r.slot != slot),
             "slot {slot} already placed"
@@ -155,24 +146,7 @@ impl Strip {
         if width == 0 {
             return Some(0);
         }
-        let mut chosen: Option<(Area, Area)> = None; // (start, gap width)
-        for (start, gw) in self.gaps() {
-            if gw < width {
-                continue;
-            }
-            match fit {
-                GapFit::FirstFit => {
-                    chosen = Some((start, gw));
-                    break;
-                }
-                GapFit::BestFit => {
-                    if chosen.is_none_or(|(_, w)| gw < w) {
-                        chosen = Some((start, gw));
-                    }
-                }
-            }
-        }
-        let (start, _) = chosen?;
+        let (start, _) = self.gaps().find(|&(_, gap)| gap >= width)?;
         let pos = self
             .regions
             .binary_search_by_key(&start, |r| r.start)
@@ -235,20 +209,38 @@ mod tests {
     #[test]
     fn first_fit_places_leftmost() {
         let mut s = Strip::new(100);
-        assert_eq!(s.place(30, 0, GapFit::FirstFit), Some(0));
-        assert_eq!(s.place(30, 1, GapFit::FirstFit), Some(30));
-        assert_eq!(s.place(40, 2, GapFit::FirstFit), Some(60));
+        assert_eq!(s.place(30, 0), Some(0));
+        assert_eq!(s.place(30, 1), Some(30));
+        assert_eq!(s.place(40, 2), Some(60));
         assert_eq!(s.total_free(), 0);
-        assert!(s.place(1, 3, GapFit::FirstFit).is_none());
+        assert!(s.place(1, 3).is_none());
+        assert!(s.is_consistent());
+    }
+
+    #[test]
+    fn first_fit_prefers_leftmost_sufficient_gap() {
+        let mut s = Strip::new(100);
+        s.place(10, 0); // [0,10)
+        s.place(20, 1); // [10,30)
+        s.place(30, 2); // [30,60)
+        s.free_slot(1); // gaps: [10,30)=20, [60,100)=40
+        assert_eq!(s.place(15, 3), Some(10));
+        // The leftmost gap wins over a tighter one further right.
+        let mut s = Strip::new(100);
+        s.place(40, 0); // [0,40)
+        s.place(10, 1); // [40,50)
+        s.place(30, 2); // [50,80); gap [80,100)=20
+        s.free_slot(0); // gaps: [0,40)=40, [80,100)=20
+        assert_eq!(s.place(15, 3), Some(0), "first fit takes the left gap");
         assert!(s.is_consistent());
     }
 
     #[test]
     fn freeing_creates_fragmentation() {
         let mut s = Strip::new(100);
-        s.place(30, 0, GapFit::FirstFit);
-        s.place(30, 1, GapFit::FirstFit);
-        s.place(40, 2, GapFit::FirstFit);
+        s.place(30, 0);
+        s.place(30, 1);
+        s.place(40, 2);
         // Free the middle region: 30 free columns but max gap 30.
         assert!(s.free_slot(1));
         assert_eq!(s.total_free(), 30);
@@ -265,10 +257,10 @@ mod tests {
     fn scalar_area_can_lie_where_contiguity_cannot() {
         // The A5 headline scenario: 50 free columns, but split 25+25.
         let mut s = Strip::new(100);
-        s.place(25, 0, GapFit::FirstFit); // [0,25)
-        s.place(25, 1, GapFit::FirstFit); // [25,50)
-        s.place(25, 2, GapFit::FirstFit); // [50,75)
-        s.place(25, 3, GapFit::FirstFit); // [75,100)
+        s.place(25, 0); // [0,25)
+        s.place(25, 1); // [25,50)
+        s.place(25, 2); // [50,75)
+        s.place(25, 3); // [75,100)
         s.free_slot(0);
         s.free_slot(2);
         assert_eq!(s.total_free(), 50);
@@ -277,42 +269,11 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_prefers_smallest_sufficient_gap() {
-        let mut s = Strip::new(100);
-        s.place(10, 0, GapFit::FirstFit); // [0,10)
-        s.place(20, 1, GapFit::FirstFit); // [10,30)
-        s.place(30, 2, GapFit::FirstFit); // [30,60)
-        s.free_slot(1); // gap [10,30) width 20
-                        // gaps now: [10,30)=20 and [60,100)=40.
-        assert_eq!(s.place(15, 3, GapFit::BestFit), Some(10));
-        // First fit would also pick 10 here; test the reverse case:
-        let mut s2 = Strip::new(100);
-        s2.place(10, 0, GapFit::FirstFit); // [0,10)
-        s2.free_slot(0); // gap [0,10) and that's it: [0,100) actually.
-        assert_eq!(s2.place(5, 1, GapFit::FirstFit), Some(0));
-        let mut s3 = Strip::new(100);
-        s3.place(40, 0, GapFit::FirstFit); // [0,40)
-        s3.place(10, 1, GapFit::FirstFit); // [40,50)
-        s3.place(30, 2, GapFit::FirstFit); // [50,80); gap [80,100)=20
-        s3.free_slot(0); // gaps: [0,40)=40, [80,100)=20
-        assert_eq!(
-            s3.place(15, 3, GapFit::BestFit),
-            Some(80),
-            "best fit takes the 20-gap"
-        );
-        assert_eq!(
-            s3.place(15, 4, GapFit::FirstFit),
-            Some(0),
-            "first fit takes the left gap"
-        );
-    }
-
-    #[test]
     fn can_fit_after_removing_models_eviction() {
         let mut s = Strip::new(100);
-        s.place(30, 0, GapFit::FirstFit); // [0,30)
-        s.place(30, 1, GapFit::FirstFit); // [30,60)
-        s.place(30, 2, GapFit::FirstFit); // [60,90)
+        s.place(30, 0); // [0,30)
+        s.place(30, 1); // [30,60)
+        s.place(30, 2); // [60,90)
         assert!(!s.can_fit(40));
         // Evicting the middle alone gives a 30-gap: still no.
         assert!(!s.can_fit_after_removing(40, &[1]));
@@ -326,7 +287,7 @@ mod tests {
     fn free_unknown_slot_is_noop() {
         let mut s = Strip::new(50);
         assert!(!s.free_slot(9));
-        s.place(10, 0, GapFit::FirstFit);
+        s.place(10, 0);
         assert!(!s.free_slot(9));
         assert_eq!(s.placed_count(), 1);
     }
@@ -334,8 +295,8 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let mut s = Strip::new(60);
-        s.place(20, 0, GapFit::FirstFit);
-        s.place(20, 1, GapFit::FirstFit);
+        s.place(20, 0);
+        s.place(20, 1);
         s.clear();
         assert_eq!(s.total_free(), 60);
         assert_eq!(s.placed_count(), 0);
@@ -345,7 +306,7 @@ mod tests {
     #[test]
     fn zero_width_placement_is_trivially_ok() {
         let mut s = Strip::new(10);
-        assert_eq!(s.place(0, 0, GapFit::FirstFit), Some(0));
+        assert_eq!(s.place(0, 0), Some(0));
         assert!(s.can_fit(0));
         assert!(s.can_fit_after_removing(0, &[]));
     }
@@ -353,8 +314,8 @@ mod tests {
     #[test]
     fn gaps_iterator_covers_free_space_exactly() {
         let mut s = Strip::new(100);
-        s.place(10, 0, GapFit::FirstFit);
-        s.place(15, 1, GapFit::FirstFit);
+        s.place(10, 0);
+        s.place(15, 1);
         s.free_slot(0);
         let gaps: Vec<(Area, Area)> = s.gaps().collect();
         assert_eq!(gaps, vec![(0, 10), (25, 75)]);

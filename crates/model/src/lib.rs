@@ -64,7 +64,7 @@ pub mod task;
 
 pub use caps::{Capabilities, Capability, DeviceFamily};
 pub use config::{Config, ProcessorType};
-pub use contiguous::{GapFit, Strip};
+pub use contiguous::Strip;
 pub use ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks};
 pub use lists::ConfigLists;
 pub use node::{Node, NodeState};

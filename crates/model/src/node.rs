@@ -17,7 +17,6 @@
 //! read column by column (DESIGN.md §18.4).
 
 use crate::caps::{Capabilities, DeviceFamily};
-use crate::contiguous::GapFit;
 use crate::ids::{Area, NodeId, Ticks};
 use serde::{Deserialize, Serialize};
 
@@ -46,10 +45,9 @@ pub struct Node {
     /// One-way communication delay from the RMS to this node, in
     /// timeticks (`NetworkDelay`; the `tcomm` component of Eq. 8).
     pub network_delay: Ticks,
-    /// Contiguous 1-D placement with this gap-selection policy, or
-    /// `None` for the paper's scalar area model (DESIGN.md experiment
-    /// A5).
-    pub gap_fit: Option<GapFit>,
+    /// Contiguous 1-D (first-fit strip) placement, or `false` for the
+    /// paper's scalar area model (DESIGN.md experiment A5).
+    pub contiguous: bool,
 }
 
 impl Node {
@@ -63,7 +61,7 @@ impl Node {
             family: DeviceFamily::default(),
             caps: Capabilities::none(),
             network_delay,
-            gap_fit: None,
+            contiguous: false,
         }
     }
 
@@ -82,11 +80,11 @@ impl Node {
     }
 
     /// Contiguous 1-D placement: configurations must fit into a
-    /// contiguous gap of the node's fabric columns, chosen by `fit`
-    /// (experiment A5).
+    /// contiguous gap of the node's fabric columns, the leftmost that
+    /// fits (experiment A5).
     #[must_use]
-    pub fn with_contiguous(mut self, fit: GapFit) -> Self {
-        self.gap_fit = Some(fit);
+    pub fn with_contiguous(mut self) -> Self {
+        self.contiguous = true;
         self
     }
 }

@@ -11,7 +11,7 @@
 //!   running counts, the network delay and the `down` flag — every
 //!   per-node field a slot lookup, a placement or a completion reads.
 //!   The fields assignment and release never read (`family`, `caps`,
-//!   `reconfig_count`, `strip`, `gap_fit`) stay separate columns;
+//!   `reconfig_count`, `strip`) stay separate columns;
 //! * **one record per slot** (`SlotCell`) in a flat arena shared by all
 //!   nodes: the configuration, its area, the running task, the search
 //!   index's push sequence, and the free-stack link and live flag.
@@ -59,7 +59,7 @@
 
 use crate::caps::{Capabilities, DeviceFamily};
 use crate::config::Config;
-use crate::contiguous::{GapFit, Strip};
+use crate::contiguous::Strip;
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId, Ticks, MAX_AREA};
 use crate::node::{Node, NodeState};
 
@@ -143,7 +143,6 @@ pub struct NodeStore {
     caps: Vec<Capabilities>,
     reconfig_count: Vec<u64>,
     strip: Vec<Option<Strip>>,
-    gap_fit: Vec<GapFit>,
     /// The flat slot arena; node `i`'s slab starts at `records[i].base`.
     cells: Vec<SlotCell>,
 }
@@ -235,7 +234,13 @@ impl NodeStore {
                     n.id
                 ));
             }
-            st.push_node(n.total_area, n.network_delay, n.family, n.caps, n.gap_fit)?;
+            st.push_node(
+                n.total_area,
+                n.network_delay,
+                n.family,
+                n.caps,
+                n.contiguous,
+            )?;
         }
         Ok(st)
     }
@@ -247,7 +252,6 @@ impl NodeStore {
             caps: Vec::with_capacity(nodes),
             reconfig_count: Vec::with_capacity(nodes),
             strip: Vec::with_capacity(nodes),
-            gap_fit: Vec::with_capacity(nodes),
             cells: Vec::new(),
         }
     }
@@ -264,7 +268,7 @@ impl NodeStore {
         network_delay: Ticks,
         family: DeviceFamily,
         caps: Capabilities,
-        gap_fit: Option<GapFit>,
+        contiguous: bool,
     ) -> Result<(), String> {
         // Eq. 4, which the restore audit checks, bounds the available
         // and slot areas by the total area.
@@ -290,8 +294,7 @@ impl NodeStore {
         self.family.push(family);
         self.caps.push(caps);
         self.reconfig_count.push(0);
-        self.strip.push(gap_fit.map(|_| Strip::new(total_area)));
-        self.gap_fit.push(gap_fit.unwrap_or_default());
+        self.strip.push(contiguous.then(|| Strip::new(total_area)));
         Ok(())
     }
 
@@ -568,7 +571,7 @@ impl NodeStore {
             self.records[i].slab_len
         };
         if let Some(strip) = &mut self.strip[i] {
-            if strip.place(config.req_area, idx, self.gap_fit[i]).is_none() {
+            if strip.place(config.req_area, idx).is_none() {
                 return Err(NodeError::Fragmented {
                     needed: config.req_area,
                     largest_gap: strip.largest_gap(),
@@ -760,7 +763,7 @@ mod tests {
     /// would accept but no gap wide enough.
     #[test]
     fn contiguous_first_fit_script() {
-        let strip = Node::new(NodeId(0), 1000, 1).with_contiguous(GapFit::FirstFit);
+        let strip = Node::new(NodeId(0), 1000, 1).with_contiguous();
         let mut st = NodeStore::from_nodes(vec![strip]).unwrap();
         assert!(st.is_contiguous(0));
         for (id, area) in [(0, 400), (1, 300), (2, 300)] {

@@ -16,7 +16,7 @@
 //! | 4 | `caps`           | n               | capability bits, below 128                   |
 //! | 5 | `reconfig_count` | n               | at most 2^31                                 |
 //! | 6 | `down`           | down nodes      | node index, ascending                        |
-//! | 7 | `placement`      | 2 × runs        | RLE (code, run): 0 scalar, 1 first-fit strip, 2 best-fit strip |
+//! | 7 | `placement`      | 2 × runs        | RLE (code, run): 0 scalar, 1 strip (first fit) |
 //! | 8 | `slab_len`       | n               | slot indices in use, holes included          |
 //! | 9 | `slot_config`    | Σ slab_len      | per slab cell: 0 = hole, else config + 1     |
 //! |10 | `slot_area`      | live slots      | area                                         |
@@ -35,7 +35,7 @@
 
 use super::{NodeStore, SlotCell, MAX_RECONFIGS, NIL};
 use crate::caps::{Capabilities, DeviceFamily};
-use crate::contiguous::{GapFit, Region, Strip};
+use crate::contiguous::{Region, Strip};
 use crate::ids::{Area, ConfigId, EntryRef, NodeId, TaskId};
 use crate::lists::ConfigLists;
 use crate::pack::{get_varint, put_u64};
@@ -113,11 +113,7 @@ fn id(i: usize) -> NodeId {
 impl NodeStore {
     /// The placement code of node `i` (column 7).
     fn placement(&self, i: usize) -> u64 {
-        match (&self.strip[i], self.gap_fit[i]) {
-            (None, _) => 0,
-            (Some(_), GapFit::FirstFit) => 1,
-            (Some(_), GapFit::BestFit) => 2,
-        }
+        u64::from(self.strip[i].is_some())
     }
 
     /// Append the store and `lists` as the checkpoint columns.
@@ -279,7 +275,7 @@ impl NodeStore {
                 0,
                 DeviceFamily::default(),
                 Capabilities::none(),
-                None,
+                false,
             )?;
         }
         r.open("network_delay", Some(n))?;
@@ -327,18 +323,16 @@ impl NodeStore {
         for _ in 0..pairs / 2 {
             let code = r.value()?;
             let run = r.usize()?;
-            let gap_fit = match code {
-                0 => None,
-                1 => Some(GapFit::FirstFit),
-                2 => Some(GapFit::BestFit),
+            let contiguous = match code {
+                0 => false,
+                1 => true,
                 _ => return Err(format!("placement: unknown code {code}")),
             };
             if run == 0 || run > n - start {
                 return Err(format!("placement: a run of {run} at node {start} of {n}"));
             }
             for i in start..start + run {
-                st.strip[i] = gap_fit.map(|_| Strip::new(st.records[i].total_area));
-                st.gap_fit[i] = gap_fit.unwrap_or_default();
+                st.strip[i] = contiguous.then(|| Strip::new(st.records[i].total_area));
             }
             start += run;
         }

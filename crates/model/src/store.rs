@@ -19,10 +19,13 @@
 //! node record, one slot record and one list vector. Readers outside
 //! the manager borrow it through
 //! [`ResourceManager::node_store`] and ask its index accessors; the
-//! manager adds no read path of its own. Checkpoints write each node as
-//! a [`Node`] record, with the list links derived from the vectors, and
-//! read the records back through [`NodeStore::from_nodes`], which checks
-//! them; construction takes the same path from blank records.
+//! manager adds no read path of its own. Checkpoints write the store and
+//! the idle/busy lists as packed varint columns, straight from the node
+//! and slot records, and read them straight back into the records,
+//! checking each column against the ones before it (DESIGN.md §18.4).
+//! Construction builds blank nodes from [`Node`] specs through
+//! [`NodeStore::from_nodes`], which shares the column reader's check of
+//! a node's spec.
 
 use crate::caps::Capabilities;
 use crate::config::Config;
@@ -1115,7 +1118,7 @@ mod tests {
             .collect();
         let nodes = vec![
             Node::new(NodeId(0), 3000, 2),
-            Node::new(NodeId(1), 2000, 3).with_contiguous(crate::GapFit::BestFit),
+            Node::new(NodeId(1), 2000, 3).with_contiguous(),
             Node::new(NodeId(2), 1000, 4),
         ];
         let mut rm = ResourceManager::new(nodes, configs);

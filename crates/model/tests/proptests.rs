@@ -4,7 +4,7 @@
 
 use dreamsim_model::lists::ListKind;
 use dreamsim_model::{
-    Capabilities, Capability, Config, ConfigId, Demand, EntryRef, GapFit, Node, NodeId, NodeState,
+    Capabilities, Capability, Config, ConfigId, Demand, EntryRef, Node, NodeId, NodeState,
     PreferredConfig, ResourceManager, StepCounter, TaskId,
 };
 use proptest::prelude::*;
@@ -58,7 +58,7 @@ fn build_mixed(nodes: usize, configs: usize, strips: u16, dsp: u16) -> ResourceM
         .map(|i| {
             let mut n = Node::new(NodeId::from_index(i), 500 + (i as u64 * 307) % 2500, 1);
             if strips >> i & 1 == 1 {
-                n = n.with_contiguous(GapFit::FirstFit);
+                n = n.with_contiguous();
             }
             if dsp >> i & 1 == 1 {
                 let mut caps = Capabilities::none();

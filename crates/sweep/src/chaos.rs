@@ -14,30 +14,36 @@
 //!
 //! Line-oriented; `#` starts a comment, blank lines separate nothing.
 //! Every scenario opens with `scenario <name>`; the directives that
-//! follow apply to it until the next `scenario` line:
+//! follow apply to it until the next `scenario` line. A directive is a
+//! `dreamsim run` parameter flag without its `--`, then the flag's value
+//! ([`SimParams::FLAGS`] lists them, and [`SimParams::set`] reads them
+//! for both front ends):
 //!
 //! ```text
 //! scenario rack-outage
-//! nodes 40                   # cluster size          (default 40)
-//! tasks 400                  # workload size         (default 400)
-//! seed 11                    # master seed           (default 42)
-//! domains 4                  # enable failure domains (once per scenario)
-//! domain-mttf 3000           # stochastic outages (omit for scripted-only)
-//! domain-mttr 400            # mean repair time      (default 1000)
-//! domain-kind fail           # fail | partition
-//! outage 0 500 800           # scripted: domain, start, duration
-//! node-mttf 2000             # per-node failure processes
-//! node-mttr 150
-//! burst 0 4000 2             # overload window: start, end, interval
-//! suspension-cap 32          # bounded suspension queue
-//! admission shed-oldest      # block | shed-oldest | degrade-closest
-//! suspension-deadline 2000   # shed parked tasks after this long
+//! nodes 40                      # cluster size          (default 40)
+//! tasks 400                     # workload size         (default 400)
+//! seed 11                       # master seed           (default 42)
+//! domains 4                     # failure domains, before the lines below
+//! domain-mttf 3000              # stochastic outages (omit for scripted-only)
+//! domain-mttr 400               # mean repair time      (default 1000)
+//! domain-kind fail              # fail | partition
+//! outages 0:500:800,2:1500:600  # scripted: domain:start:duration, ...
+//! mttf 2000                     # per-node failure processes
+//! mttr 150
+//! burst 0,4000,2                # overload window: start,end,interval
+//! suspension-cap 32             # bounded suspension queue
+//! admission shed-oldest         # block | shed-oldest | degrade-closest
+//! suspension-deadline 2000      # shed parked tasks after this long
 //! ```
+//!
+//! Directives apply in script order, each at most once per scenario,
+//! and a scenario is validated ([`SimParams::validate`]) where it ends.
 
 use dreamsim_engine::{
-    read_checkpoint, scan_ring, serve, AdmissionPolicy, ArrivalDistribution, BurstWindow,
-    CheckpointError, DomainOutageKind, DomainParams, ReconfigMode, RunOptions, RunResult,
-    ScriptedOutage, ServiceError, ServiceOptions, ServiceParams, SimParams, Simulation,
+    read_checkpoint, scan_ring, serve, ArrivalDistribution, BurstWindow, CheckpointError,
+    ReconfigMode, RunOptions, RunResult, ServiceError, ServiceOptions, ServiceParams, SimParams,
+    Simulation,
 };
 use dreamsim_model::Ticks;
 use dreamsim_sched::CaseStudyScheduler;
@@ -133,145 +139,68 @@ fn parse_err(line: usize, detail: impl Into<String>) -> ChaosError {
     }
 }
 
-fn num<T: std::str::FromStr>(line: usize, key: &str, word: &str) -> Result<T, ChaosError> {
-    word.parse()
-        .map_err(|_| parse_err(line, format!("`{key}` expects a number, got {word:?}")))
-}
-
-fn arity<'a>(
-    line: usize,
-    key: &str,
-    args: &'a [&'a str],
-    n: usize,
-) -> Result<&'a [&'a str], ChaosError> {
-    if args.len() == n {
-        Ok(args)
-    } else {
-        Err(parse_err(
-            line,
-            format!("`{key}` expects {n} argument(s), got {}", args.len()),
-        ))
+/// Validate the scenario that opened on line `line`, if any.
+fn check_scenario(sc: Option<&ChaosScenario>, line: usize) -> Result<(), ChaosError> {
+    match sc {
+        Some(sc) => sc
+            .params
+            .validate()
+            .map_err(|e| parse_err(line, format!("scenario {:?}: {e}", sc.name))),
+        None => Ok(()),
     }
 }
 
-/// The single numeric argument of directive `key`.
-fn one_num<T: std::str::FromStr>(line: usize, key: &str, args: &[&str]) -> Result<T, ChaosError> {
-    num(line, key, arity(line, key, args, 1)?[0])
-}
-
 /// Parse a campaign script into scenarios. Errors carry the offending
-/// 1-based line number.
+/// 1-based line number; an invalid scenario names its `scenario` line.
 pub fn parse_campaign(text: &str) -> Result<Vec<ChaosScenario>, ChaosError> {
     let mut out: Vec<ChaosScenario> = Vec::new();
+    // The open scenario's `scenario` line and the directives it has set.
+    let mut opened = 0;
+    let mut seen: Vec<&str> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let stripped = raw.split('#').next().unwrap_or("").trim();
         if stripped.is_empty() {
             continue;
         }
-        let mut words = stripped.split_ascii_whitespace();
-        // INVARIANT: stripped is non-empty, so a first word exists.
-        let key = words.next().expect("non-empty line has a first word");
-        let args: Vec<&str> = words.collect();
+        let (key, value) = stripped
+            .split_once(char::is_whitespace)
+            .map_or((stripped, ""), |(k, v)| (k, v.trim()));
         if key == "scenario" {
-            let a = arity(line, key, &args, 1)?;
-            if out.iter().any(|s| s.name == a[0]) {
+            check_scenario(out.last(), opened)?;
+            if value.is_empty() || value.contains(char::is_whitespace) {
+                return Err(parse_err(line, "`scenario` expects one name"));
+            }
+            if out.iter().any(|s| s.name == value) {
                 return Err(parse_err(
                     line,
-                    format!("duplicate scenario name {:?}", a[0]),
+                    format!("duplicate scenario name {value:?}"),
                 ));
             }
             out.push(ChaosScenario {
-                name: a[0].to_string(),
+                name: value.to_string(),
                 params: SimParams::paper(40, 400, ReconfigMode::Partial).with_seed(42),
             });
+            opened = line;
+            seen.clear();
             continue;
         }
-        let p = &mut out
+        let sc = out
             .last_mut()
-            .ok_or_else(|| parse_err(line, format!("`{key}` before any `scenario` line")))?
-            .params;
-        match key {
-            "nodes" => p.total_nodes = one_num(line, key, &args)?,
-            "tasks" => p.total_tasks = one_num(line, key, &args)?,
-            "seed" => p.seed = one_num(line, key, &args)?,
-            "domains" => {
-                let count = one_num(line, key, &args)?;
-                // A second `domains` line would silently drop the
-                // directives that configured the first.
-                if p.domains.is_some() {
-                    return Err(parse_err(line, "`domains` given twice in one scenario"));
-                }
-                p.domains = Some(DomainParams {
-                    count,
-                    ..DomainParams::default()
-                });
-            }
-            "domain-mttf" | "domain-mttr" | "domain-kind" | "outage" => {
-                let d = p.domains.as_mut().ok_or_else(|| {
-                    parse_err(line, format!("`{key}` requires a preceding `domains` line"))
-                })?;
-                match key {
-                    "domain-mttf" => d.mttf = Some(one_num(line, key, &args)?),
-                    "domain-mttr" => d.mttr = one_num(line, key, &args)?,
-                    "domain-kind" => {
-                        let kind = arity(line, key, &args, 1)?[0];
-                        d.kind = DomainOutageKind::parse(kind).ok_or_else(|| {
-                            parse_err(
-                                line,
-                                format!("`domain-kind` is fail|partition, got {kind:?}"),
-                            )
-                        })?;
-                    }
-                    _ => {
-                        let a = arity(line, key, &args, 3)?;
-                        let outage = ScriptedOutage {
-                            domain: num(line, key, a[0])?,
-                            at: num(line, key, a[1])?,
-                            duration: num(line, key, a[2])?,
-                        };
-                        if outage.domain as usize >= d.count {
-                            return Err(parse_err(
-                                line,
-                                format!(
-                                    "outage targets domain {} but only {} domain(s) exist",
-                                    outage.domain, d.count
-                                ),
-                            ));
-                        }
-                        d.scripted.push(outage);
-                    }
-                }
-            }
-            "node-mttf" => p.faults.node_mttf = Some(one_num(line, key, &args)?),
-            "node-mttr" => p.faults.node_mttr = one_num(line, key, &args)?,
-            "burst" => {
-                let a = arity(line, key, &args, 3)?;
-                p.burst = Some(BurstWindow {
-                    start: num(line, key, a[0])?,
-                    end: num(line, key, a[1])?,
-                    interval: num(line, key, a[2])?,
-                });
-            }
-            "suspension-cap" => p.suspension_cap = Some(one_num(line, key, &args)?),
-            "admission" => {
-                let a = arity(line, key, &args, 1)?;
-                p.admission = AdmissionPolicy::parse(a[0]).ok_or_else(|| {
-                    parse_err(
-                        line,
-                        format!(
-                            "`admission` is block|shed-oldest|degrade-closest, got {:?}",
-                            a[0]
-                        ),
-                    )
-                })?;
-            }
-            "suspension-deadline" => {
-                p.faults.suspension_deadline = Some(one_num(line, key, &args)?);
-            }
-            other => return Err(parse_err(line, format!("unknown directive `{other}`"))),
+            .ok_or_else(|| parse_err(line, format!("`{key}` before any `scenario` line")))?;
+        // A repeat would silently overwrite the earlier line.
+        if seen.contains(&key) {
+            return Err(parse_err(
+                line,
+                format!("`{key}` given twice in scenario {:?}", sc.name),
+            ));
         }
+        seen.push(key);
+        sc.params
+            .set(key, value)
+            .map_err(|e| parse_err(line, e.to_string()))?;
     }
+    check_scenario(out.last(), opened)?;
     Ok(out)
 }
 
@@ -286,8 +215,7 @@ seed 11
 domains 4
 domain-mttr 400
 domain-kind fail
-outage 0 500 800
-outage 2 1500 600
+outages 0:500:800,2:1500:600
 
 scenario partition-storm      # stochastic partitions with recovery
 nodes 40
@@ -303,7 +231,7 @@ scenario overload-shed        # arrival burst against a bounded queue
 nodes 24
 tasks 600
 seed 13
-burst 0 4000 2
+burst 0,4000,2
 suspension-cap 32
 admission shed-oldest
 suspension-deadline 2000
@@ -487,18 +415,14 @@ fn drill_scenario(
     // The "killed" process: same run, but leaving snapshots behind. Its
     // in-memory result is discarded — only the files survive the kill.
     let _killed = run_one(&sc.params, &kill_opts)?;
-    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(&dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "dsc"))
-        .collect();
-    snapshots.sort();
+    let snapshots = scan_ring(&dir)?;
     let first = snapshots.first().ok_or_else(|| {
         ChaosError::Run(format!(
             "drill for scenario {:?} produced no checkpoint",
             sc.name
         ))
     })?;
-    let cp = read_checkpoint(first)?;
+    let cp = read_checkpoint(&first.path)?;
     let checkpoint_at = cp.clock();
     let source = SyntheticSource::from_params(cp.params());
     let resumed = Simulation::resume(cp, source, CaseStudyScheduler::new())?
@@ -721,6 +645,7 @@ pub fn run_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dreamsim_engine::{AdmissionPolicy, DomainOutageKind};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("dreamsim-chaos-{}-{}", tag, std::process::id()));
@@ -788,15 +713,15 @@ mod tests {
         );
     }
 
-    /// Each directive writes its own field (`node-mttr` sets only
+    /// Each directive writes its own field (`mttr` sets only
     /// `faults.node_mttr`), and a directive-free scenario is the
     /// 40-node, 400-task, seed-42 partial run; pinned like the built-ins.
     #[test]
     fn every_directive_yields_its_pinned_params() {
         assert_params_pinned(
             "scenario every\nnodes 8\ntasks 40\nseed 3\ndomains 2\ndomain-mttf 500\n\
-             domain-mttr 60\ndomain-kind partition\noutage 1 10 50\nnode-mttf 2000\n\
-             node-mttr 150\nburst 0 400 2\nsuspension-cap 16\nadmission degrade-closest\n\
+             domain-mttr 60\ndomain-kind partition\noutages 1:10:50\nmttf 2000\n\
+             mttr 150\nburst 0,400,2\nsuspension-cap 16\nadmission degrade-closest\n\
              suspension-deadline 900\nscenario plain\n",
             &[("every", 0x580E_2063), ("plain", 0x715E_3563)],
         );
@@ -806,32 +731,74 @@ mod tests {
     fn parse_errors_carry_line_numbers() {
         let cases = [
             ("nodes 10", 1, "before any `scenario`"),
-            ("scenario a\nbogus 1", 2, "unknown directive"),
-            ("scenario a\nnodes ten", 2, "expects a number"),
-            ("scenario a\nnodes 1 2", 2, "expects 1 argument"),
+            ("scenario a\nbogus 1", 2, "unknown flag --bogus"),
             (
-                "scenario a\noutage 0 1 2",
+                "scenario a\nnodes ten",
                 2,
-                "requires a preceding `domains`",
+                "--nodes expects a count, got \"ten\"",
             ),
-            ("scenario a\ndomains 2\noutage 5 1 2", 3, "only 2 domain(s)"),
+            (
+                "scenario a\nnodes 1 2",
+                2,
+                "--nodes expects a count, got \"1 2\"",
+            ),
+            (
+                "scenario a\nno-suspension 1",
+                2,
+                "--no-suspension expects no value",
+            ),
+            (
+                "scenario a\noutages 0:1:2",
+                2,
+                "--outages requires --domains N",
+            ),
+            (
+                "scenario a\ndomains 2\noutages 5:1:2",
+                1,
+                "only 2 domain(s)",
+            ),
             (
                 "scenario a\ndomain-kind melt",
                 2,
-                "requires a preceding `domains`",
+                "--domain-kind requires --domains N",
             ),
             (
                 "scenario a\ndomains 2\ndomain-kind melt",
                 3,
-                "`domain-kind` is fail|partition, got \"melt\"",
+                "--domain-kind expects fail or partition, got \"melt\"",
             ),
-            ("scenario a\nadmission lru", 2, "admission"),
+            ("scenario a\nadmission lru", 2, "--admission expects"),
             ("scenario a\nscenario a", 2, "duplicate scenario"),
+            ("scenario a b", 1, "`scenario` expects one name"),
+            (
+                "scenario a\nnodes 0\nscenario b",
+                1,
+                "total_nodes must be nonzero",
+            ),
             (
                 "scenario a\nnodes 8\ntasks 40\ndomains 4\ndomain-mttf 500\n\
-                 outage 3 10 50\ndomains 2",
+                 outages 3:10:50\ndomains 2",
                 7,
-                "`domains` given twice",
+                "`domains` given twice in scenario \"a\"",
+            ),
+            ("scenario a\nmttf 5\n\nmttf 6", 4, "`mttf` given twice"),
+            // Spellings that are not run flags.
+            ("scenario a\nnode-mttf 2000", 2, "unknown flag --node-mttf"),
+            ("scenario a\nnode-mttr 150", 2, "unknown flag --node-mttr"),
+            (
+                "scenario a\ndomains 2\noutage 0 500 800",
+                3,
+                "unknown flag --outage",
+            ),
+            (
+                "scenario a\nburst 0 4000 2",
+                2,
+                "--burst expects START,END,INTERVAL, got \"0 4000 2\"",
+            ),
+            (
+                "scenario a\nadmission degrade-to-closest-match",
+                2,
+                "got \"degrade-to-closest-match\"",
             ),
         ];
         for (text, line, needle) in cases {
@@ -867,7 +834,7 @@ mod tests {
         // One small scripted-outage scenario, full drill.
         let scs = parse_campaign(
             "scenario mini\nnodes 16\ntasks 120\nseed 5\ndomains 2\n\
-             domain-mttr 200\noutage 0 300 400\n",
+             domain-mttr 200\noutages 0:300:400\n",
         )
         .unwrap();
         let dir = temp_dir("drill");

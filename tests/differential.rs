@@ -1,5 +1,5 @@
-//! Differential equivalence suite for the drivers and the derived-state
-//! backends.
+//! Differential equivalence suite for the two drivers and for checkpoint
+//! resume, with the continuous auditor run after every event.
 //!
 //! Checkpoints (DESIGN.md §10–11): a run resumed from a mid-run
 //! checkpoint, whose search index is rebuilt on load, finishes with the
@@ -212,7 +212,7 @@ fn driver_grid_reports_and_checkpoints_byte_identical() {
 /// the incremental index hooks are validated at event granularity, not
 /// just at run end.
 #[test]
-fn audit_every_event_passes_under_indexed_backend() {
+fn audit_after_every_event_accepts_the_search_index() {
     for mode in [ReconfigMode::Full, ReconfigMode::Partial] {
         let p = params(mode, true, 0xA0D1);
         let opts = RunOptions {
