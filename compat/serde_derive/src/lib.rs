@@ -12,9 +12,9 @@
 //! missing `skip` or `default` field takes `Default::default()` while
 //! any other missing field is an error. Supported shapes: structs
 //! (named, tuple, unit) and enums (unit, newtype, tuple, struct variants)
-//! with optional `#[serde(skip)]` / `#[serde(default)]` field attributes,
-//! and `Serialize` on a struct generic over lifetimes only (a borrowed
-//! view) — exactly the surface the DReAMSim workspace uses.
+//! with optional `#[serde(skip)]` / `#[serde(default)]` field
+//! attributes, none of them generic — exactly the surface the DReAMSim
+//! workspace uses.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::fmt::Write as _;
@@ -61,9 +61,6 @@ struct Variant {
 enum Item {
     Struct {
         name: String,
-        /// The lifetime parameters between `<` and `>`, as source text
-        /// (empty for a non-generic struct).
-        generics: String,
         body: Body,
     },
     Enum {
@@ -223,25 +220,10 @@ fn parse_item(input: TokenStream) -> Item {
     let kind = ident_of(&toks[i]).expect("struct or enum keyword");
     let name = ident_of(&toks[i + 1]).expect("item name");
     i += 2;
-    let mut generics = String::new();
-    if toks.get(i).is_some_and(|t| is_punct(t, '<')) {
-        let start = i + 1;
-        while !is_punct(&toks[i], '>') {
-            i += 1;
-        }
-        let params = &toks[start..i];
-        // A lifetime is a `'` joined to its name; a type parameter
-        // would need bounds this shim does not write.
-        let lifetimes_only = params.iter().enumerate().all(|(k, t)| {
-            is_punct(t, '\'') || is_punct(t, ',') || k > 0 && is_punct(&params[k - 1], '\'')
-        });
-        assert!(
-            kind == "struct" && lifetimes_only,
-            "serde shim: generic type {name} is not supported (only structs over lifetimes)"
-        );
-        generics = params.iter().cloned().collect::<TokenStream>().to_string();
-        i += 1;
-    }
+    assert!(
+        !toks.get(i).is_some_and(|t| is_punct(t, '<')),
+        "serde shim: generic type {name} is not supported"
+    );
     match kind.as_str() {
         "struct" => {
             let body = match toks.get(i) {
@@ -253,11 +235,7 @@ fn parse_item(input: TokenStream) -> Item {
                 }
                 _ => Body::Unit,
             };
-            Item::Struct {
-                name,
-                generics,
-                body,
-            }
+            Item::Struct { name, body }
         }
         "enum" => {
             let Some(TokenTree::Group(g)) = toks.get(i) else {
@@ -376,14 +354,9 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{ {arms} }}")
         }
     };
-    let (name, generics) = match item {
-        Item::Struct { name, generics, .. } if !generics.is_empty() => {
-            (name, format!("<{generics}>"))
-        }
-        Item::Struct { name, .. } | Item::Enum { name, .. } => (name, String::new()),
-    };
+    let (Item::Struct { name, .. } | Item::Enum { name, .. }) = item;
     format!(
-        "#[automatically_derived] impl{generics} ::serde::Serialize for {name}{generics} {{ \
+        "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
            fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }} }}"
     )
 }
@@ -459,16 +432,7 @@ fn read_tuple(path: &str, n: usize) -> String {
 /// the shim's pull parser. Enums are externally tagged: a unit variant
 /// is its name as a string, any other variant a single-key object.
 fn gen_deserialize(item: &Item) -> String {
-    let name = match item {
-        Item::Struct { name, generics, .. } => {
-            assert!(
-                generics.is_empty(),
-                "serde shim: Deserialize on generic type {name} is not supported"
-            );
-            name
-        }
-        Item::Enum { name, .. } => name,
-    };
+    let (Item::Struct { name, .. } | Item::Enum { name, .. }) = item;
     let body = match item {
         Item::Struct { body, .. } => match body {
             Body::Unit => format!("__r.skip_value()?; ::std::result::Result::Ok({name})"),

@@ -1,7 +1,8 @@
 //! Minimal flag parser for the `dreamsim` binary (no external
-//! dependencies): `--key value` pairs after a subcommand. No subcommand
-//! takes a positional argument, so [`Args::check`] rejects any bare
-//! token after the subcommand (a single-dash `-seed 9` included).
+//! dependencies): `--key value` pairs after a subcommand, each flag at
+//! most once. No subcommand takes a positional argument, so
+//! [`Args::check`] rejects any bare token after the subcommand (a
+//! single-dash `-seed 9` included).
 
 use std::collections::BTreeMap;
 
@@ -29,7 +30,8 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse raw tokens (without the program name).
+    /// Parse raw tokens (without the program name). A flag given twice,
+    /// in either spelling, is an error naming it.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -43,13 +45,13 @@ impl Args {
                     if k.is_empty() {
                         return Err(ArgError("empty flag name".into()));
                     }
-                    out.flags.insert(k.to_string(), v.to_string());
+                    out.set_flag(k, v.to_string())?;
                 } else {
                     let value = match it.peek() {
                         Some(next) if !next.starts_with("--") => it.next(),
                         _ => None,
                     };
-                    out.flags.insert(key.to_string(), value.unwrap_or_default());
+                    out.set_flag(key, value.unwrap_or_default())?;
                 }
             } else if out.command.is_none() {
                 out.command = Some(tok);
@@ -58,6 +60,14 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Record flag `key`, rejecting a second occurrence.
+    fn set_flag(&mut self, key: &str, value: String) -> Result<(), ArgError> {
+        if self.flags.insert(key.to_string(), value).is_some() {
+            return Err(ArgError(format!("--{key} given twice")));
+        }
+        Ok(())
     }
 
     /// Reject any positional, any flag outside `valued` and `bare`, a
@@ -203,6 +213,19 @@ mod tests {
             .unwrap_err()
             .0
             .contains("\"extra\" for `dreamsim serve`"));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_an_error_naming_it() {
+        let err = |line: &str| {
+            Args::parse(line.split_whitespace().map(String::from))
+                .unwrap_err()
+                .0
+        };
+        assert_eq!(err("run --nodes 5 --nodes 6"), "--nodes given twice");
+        assert_eq!(err("run --nodes=5 --nodes 6"), "--nodes given twice");
+        assert_eq!(err("run --seed 1 --seed=1"), "--seed given twice");
+        assert_eq!(err("run --audit --tasks 9 --audit"), "--audit given twice");
     }
 
     #[test]

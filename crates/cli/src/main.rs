@@ -116,7 +116,8 @@ drill per scenario (checkpoints into --work-dir, default chaos-work),
 and reports availability metrics as CSV or JSON.
 
 Service mode: `serve` runs an open-system window of --horizon ticks of
-streaming arrivals (Poisson by default) whose rate follows a diurnal
+streaming arrivals (Poisson by default; the horizon bounds the task
+count, so `serve` takes no --tasks) whose rate follows a diurnal
 triangle wave: --day-length sets the period, --amplitude the modulation
 depth in permille of the mean rate (0-900; 0 is flat), composable with
 --burst. Live metrics roll in sliding windows of --window ticks (the
@@ -151,24 +152,26 @@ threads). Results are merged in point order, so output is byte-identical
 for every --jobs value.
 ";
 
-/// The flags each subcommand reads: `(command, accepts every run
-/// parameter flag, valued flags, bare flags)`. The run parameter flags
-/// are [`SimParams::FLAGS`]; `ablations` and `trace` list the few they
-/// accept, and [`params_from_args`] applies whichever are given.
+/// The flags each subcommand reads: `(command, run parameter flags,
+/// valued flags, bare flags)`. The run parameter flags are
+/// [`SimParams::FLAGS`]: `None` for a command that reads none of them,
+/// else the ones it does not read (`serve` derives its task budget from
+/// `--horizon`); `ablations` and `trace` list the few they accept, and
+/// [`params_from_args`] applies whichever are given.
 #[rustfmt::skip]
-const COMMAND_FLAGS: &[(&str, bool, &str, &str)] = &[
-    ("run", true,
+const COMMAND_FLAGS: &[(&str, Option<&str>, &str, &str)] = &[
+    ("run", Some(""),
      "policy replay swf ticks-per-second max-jobs checkpoint-every checkpoint-dir audit-every \
       resume-from report out", "audit"),
-    ("figures", false, "fig max-tasks tasks jobs seed out-dir", ""),
-    ("ablations", false, "which nodes tasks mode seed jobs", ""),
-    ("chaos", false, "script audit-every work-dir report out", "no-drill"),
-    ("serve", true,
+    ("figures", None, "fig max-tasks tasks jobs seed out-dir", ""),
+    ("ablations", None, "which nodes tasks mode seed jobs", ""),
+    ("chaos", None, "script audit-every work-dir report out", "no-drill"),
+    ("serve", Some("tasks"),
      "policy horizon day-length amplitude window window-retain ring-dir ring-every ring-retain \
       audit-every stall-window max-restarts kill-at recovery-report report out",
      "no-watchdog"),
-    ("trace", false, "out tasks seed", ""),
-    ("help", false, "", "help"),
+    ("trace", None, "out tasks seed", ""),
+    ("help", None, "", "help"),
 ];
 
 /// The flags `command` reads, as `(valued, bare)` for [`Args::check`];
@@ -177,8 +180,12 @@ fn accepted_flags(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str>
     let &(_, params, valued, bare) = COMMAND_FLAGS.iter().find(|(c, ..)| *c == command)?;
     let mut valued: Vec<&str> = valued.split_whitespace().collect();
     let mut bare: Vec<&str> = bare.split_whitespace().collect();
-    if params {
-        for f in SimParams::FLAGS {
+    if let Some(unread) = params {
+        let unread: Vec<&str> = unread.split_whitespace().collect();
+        for f in SimParams::FLAGS
+            .iter()
+            .filter(|f| !unread.contains(&f.name))
+        {
             match f.value {
                 Some(_) => valued.push(f.name),
                 None => bare.push(f.name),
@@ -922,8 +929,11 @@ mod tests {
                 format!("unknown flag --threads for `dreamsim {command}`")
             );
         }
-        // `serve` builds its parameters with `params_from_args`.
-        assert!(check_flags(&parse("serve --tasks 10 --no-suspension")).is_ok());
+        // `serve` builds its parameters with `params_from_args`, but
+        // sets the task budget from `--horizon` itself.
+        assert!(check_flags(&parse("serve --nodes 10 --no-suspension")).is_ok());
+        let err = check_flags(&parse("serve --tasks 7")).unwrap_err();
+        assert_eq!(err.0, "unknown flag --tasks for `dreamsim serve`");
         assert!(check_flags(&parse("--help")).is_ok());
     }
 

@@ -262,6 +262,68 @@ fn checkpoint_resume_reproduces_fault_run_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace-fed run resumes from every one of its checkpoints byte for
+/// byte: the trace source's replay cursor travels in each snapshot, so
+/// re-supplying the same `--replay` file continues the stream exactly
+/// where the checkpoint left it.
+#[test]
+fn trace_fed_resume_from_every_checkpoint_reproduces_the_report() {
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-trace-cp-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("w.trace");
+    let trace = trace.to_str().unwrap();
+    let cps_dir = dir.join("cps");
+    let full = dir.join("full.xml");
+    run_ok(&["trace", "--out", trace, "--tasks", "400", "--seed", "3"]);
+    run_ok(&[
+        "run",
+        "--replay",
+        trace,
+        "--nodes",
+        "20",
+        "--seed",
+        "3",
+        "--mttf",
+        "20000",
+        "--checkpoint-every",
+        "20000",
+        "--checkpoint-dir",
+        cps_dir.to_str().unwrap(),
+        "--report",
+        "xml",
+        "--out",
+        full.to_str().unwrap(),
+    ]);
+    let full_bytes = std::fs::read(&full).unwrap();
+    let mut cps: Vec<_> = std::fs::read_dir(&cps_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    cps.sort();
+    assert!(cps.len() >= 10, "expected many checkpoints, got {cps:?}");
+    let resumed = dir.join("resumed.xml");
+    for cp in &cps {
+        run_ok(&[
+            "run",
+            "--resume-from",
+            cp.to_str().unwrap(),
+            "--replay",
+            trace,
+            "--report",
+            "xml",
+            "--out",
+            resumed.to_str().unwrap(),
+        ]);
+        assert!(
+            std::fs::read(&resumed).unwrap() == full_bytes,
+            "resuming {} diverged from the uninterrupted run",
+            cp.display()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn figures_output_invariant_across_jobs() {
     let base = std::env::temp_dir().join(format!("dreamsim-figs-jobs-{}", std::process::id()));
@@ -306,6 +368,11 @@ fn unknown_flags_are_rejected_before_any_work() {
         ("run --nodes 20 --tasks 100 --mtbf 1000", "--mtbf"),
         ("trace --tasks 20 --sead 5", "--sead"),
         ("serve --horizon 500 --kill-att 200", "--kill-att"),
+        // `serve` derives its task budget from --horizon.
+        (
+            "serve --nodes 12 --seed 5 --horizon 5000 --arrival uniform --tasks 7",
+            "--tasks",
+        ),
     ] {
         let out = dreamsim()
             .args(line.split_whitespace())
@@ -323,6 +390,38 @@ fn unknown_flags_are_rejected_before_any_work() {
         assert!(
             out.stdout.is_empty() && !out_path.exists(),
             "dreamsim {line} did work before rejecting {flag}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag given twice fails before any simulation starts, naming the
+/// flag, whichever spelling either occurrence uses.
+#[test]
+fn repeated_flags_are_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("dreamsim-cli-twice-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_path = dir.join("out");
+    for line in [
+        "run --nodes 5 --nodes 6 --tasks 10",
+        "run --nodes=5 --tasks 10 --nodes 6",
+    ] {
+        let out = dreamsim()
+            .args(line.split_whitespace())
+            .arg("--out")
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "dreamsim {line}: {err}");
+        assert!(
+            err.contains("--nodes given twice"),
+            "dreamsim {line}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty() && !out_path.exists(),
+            "dreamsim {line} did work before rejecting the repeat"
         );
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -538,13 +637,13 @@ fn domain_kind_without_domains_is_rejected_before_any_work() {
         let out_path = dir.join(format!("{command}.out"));
         let ring = dir.join(format!("{command}-ring"));
         let out = dreamsim()
-            .args([command, "--nodes", "5", "--tasks", "20"])
+            .args([command, "--nodes", "5"])
             .args(["--domain-kind", "partition", "--out"])
             .arg(&out_path)
             .args(if command == "serve" {
                 vec!["--horizon", "500", "--ring-dir", ring.to_str().unwrap()]
             } else {
-                Vec::new()
+                vec!["--tasks", "20"]
             })
             .output()
             .unwrap();
@@ -572,14 +671,14 @@ fn stray_positional_tokens_are_rejected_before_any_work() {
             let out_path = dir.join(format!("{command}.out"));
             let ring = dir.join(format!("{command}-ring"));
             let out = dreamsim()
-                .args([command, "--nodes", "5", "--tasks", "20"])
+                .args([command, "--nodes", "5"])
                 .args(stray)
                 .arg("--out")
                 .arg(&out_path)
                 .args(if command == "serve" {
                     vec!["--horizon", "500", "--ring-dir", ring.to_str().unwrap()]
                 } else {
-                    Vec::new()
+                    vec!["--tasks", "20"]
                 })
                 .output()
                 .unwrap();

@@ -2,11 +2,10 @@
 //!
 //! A [`Checkpoint`] captures the complete observable state of a
 //! [`Simulation`](crate::Simulation) mid-run: the resource store (nodes,
-//! slots, intrusive idle/busy list links), the task table, the event
-//! queue **with its tie-break sequence numbers**, the suspension queue,
-//! step/statistics accumulators, the RNG stream position, and the fault
-//! model (its own RNG, per-node down-since stamps, accumulated
-//! downtime). Restoring from a checkpoint and running to completion
+//! slots, idle/busy lists), the task table, the event queue **with its
+//! tie-break sequence numbers**, the suspension queue, step/statistics
+//! accumulators, the RNG stream position, and the fault model (its own
+//! RNG, per-node down-since stamps, accumulated downtime). Restoring from a checkpoint and running to completion
 //! produces bit-identical results — the same XML report, metrics, and
 //! fault counters — as the uninterrupted run, on both drivers.
 //!
@@ -42,13 +41,16 @@
 //! 3, whose parameters still held the retired global failure chain —
 //! have no writer and no reader.
 //!
-//! ## One serializer
+//! ## One state value
 //!
-//! A payload is always written through `CheckpointView`, a borrow of
-//! the state: a running simulation's snapshot hook serializes its live
-//! state through one without cloning it, `Simulation::checkpoint` copies
-//! that same view into an owned [`Checkpoint`], and an owned checkpoint
-//! serializes through the view of its own fields.
+//! A running simulation keeps its captured state *as* a [`Checkpoint`]:
+//! the run loops mutate its fields in place, the snapshot hook
+//! serializes it in place (after copying the source's replay cursor
+//! into it), [`Simulation::checkpoint`](crate::Simulation::checkpoint)
+//! returns a clone, and [`Simulation::resume`](crate::Simulation::resume)
+//! adopts a decoded one whole. A new captured member is declared here
+//! and initialised in [`Simulation::new`](crate::Simulation::new),
+//! nowhere else.
 
 use crate::event::EventQueue;
 use crate::fault::FaultModel;
@@ -139,9 +141,12 @@ impl From<std::io::Error> for CheckpointError {
 ///
 /// Produced by [`Simulation::checkpoint`](crate::Simulation::checkpoint),
 /// consumed by [`Simulation::resume`](crate::Simulation::resume);
-/// serialized to disk by [`write_checkpoint`] / [`read_checkpoint`],
-/// through the `CheckpointView` of its fields.
-#[derive(Clone, Debug, serde::Deserialize)]
+/// serialized to disk by [`write_checkpoint`] / [`read_checkpoint`].
+/// The derived serializer writes the fields in declaration order, which
+/// is the payload's member order. A running simulation holds its live
+/// state as one of these, so every member is both live state and
+/// payload.
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Checkpoint {
     pub(crate) params: SimParams,
     /// Identity label of the policy that was running
@@ -153,6 +158,7 @@ pub struct Checkpoint {
     pub(crate) source_kind: String,
     /// Replay cursor of the task source
     /// ([`TaskSource::source_cursor`](crate::TaskSource::source_cursor)).
+    /// A running simulation refreshes it just before each snapshot.
     pub(crate) source_cursor: u64,
     pub(crate) resources: ResourceManager,
     pub(crate) tasks: TaskTable,
@@ -163,88 +169,14 @@ pub struct Checkpoint {
     pub(crate) rng: Rng,
     pub(crate) fault: FaultModel,
     pub(crate) clock: Ticks,
+    /// Tasks the source has yielded so far.
     pub(crate) created: u64,
     pub(crate) last_arrival: Ticks,
+    /// The source reported `NotYet`; re-poll after the next completion.
     pub(crate) stalled: bool,
-}
-
-/// The checkpoint payload's one serializer: a borrow of every captured
-/// piece of state, in the payload's field order. The snapshot hook
-/// builds one over the live simulation; [`Checkpoint`] builds one over
-/// its own fields.
-#[derive(serde::Serialize)]
-pub(crate) struct CheckpointView<'a> {
-    pub(crate) params: &'a SimParams,
-    pub(crate) policy: &'a str,
-    pub(crate) source_kind: &'a str,
-    pub(crate) source_cursor: u64,
-    pub(crate) resources: &'a ResourceManager,
-    pub(crate) tasks: &'a TaskTable,
-    pub(crate) events: &'a EventQueue,
-    pub(crate) suspension: &'a SuspensionQueue,
-    pub(crate) steps: StepCounter,
-    pub(crate) stats: &'a Stats,
-    pub(crate) rng: &'a Rng,
-    pub(crate) fault: &'a FaultModel,
-    pub(crate) clock: Ticks,
-    pub(crate) created: u64,
-    pub(crate) last_arrival: Ticks,
-    pub(crate) stalled: bool,
-}
-
-impl CheckpointView<'_> {
-    /// An owned copy of the viewed state.
-    pub(crate) fn to_checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            params: self.params.clone(),
-            policy: self.policy.to_string(),
-            source_kind: self.source_kind.to_string(),
-            source_cursor: self.source_cursor,
-            resources: self.resources.clone(),
-            tasks: self.tasks.clone(),
-            events: self.events.clone(),
-            suspension: self.suspension.clone(),
-            steps: self.steps,
-            stats: self.stats.clone(),
-            rng: self.rng.clone(),
-            fault: self.fault.clone(),
-            clock: self.clock,
-            created: self.created,
-            last_arrival: self.last_arrival,
-            stalled: self.stalled,
-        }
-    }
-}
-
-impl serde::Serialize for Checkpoint {
-    fn write_json(&self, out: &mut String) {
-        self.view().write_json(out);
-    }
 }
 
 impl Checkpoint {
-    /// The view that serializes this checkpoint.
-    pub(crate) fn view(&self) -> CheckpointView<'_> {
-        CheckpointView {
-            params: &self.params,
-            policy: &self.policy,
-            source_kind: &self.source_kind,
-            source_cursor: self.source_cursor,
-            resources: &self.resources,
-            tasks: &self.tasks,
-            events: &self.events,
-            suspension: &self.suspension,
-            steps: self.steps,
-            stats: &self.stats,
-            rng: &self.rng,
-            fault: &self.fault,
-            clock: self.clock,
-            created: self.created,
-            last_arrival: self.last_arrival,
-            stalled: self.stalled,
-        }
-    }
-
     /// Parameters of the checkpointed run.
     #[must_use]
     pub fn params(&self) -> &SimParams {
@@ -348,13 +280,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 /// `path` + `".tmp"`, are flushed and fsynced, and are renamed over
 /// `path` — readers never observe a partial file.
 pub fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<u64, CheckpointError> {
-    write_view(path, &cp.view())
-}
-
-/// [`write_checkpoint`] for any [`CheckpointView`], the snapshot hook's
-/// borrow of live state included.
-pub(crate) fn write_view(path: &Path, view: &CheckpointView<'_>) -> Result<u64, CheckpointError> {
-    let payload = serde_json::to_string(view)
+    let payload = serde_json::to_string(cp)
         .map_err(|e| CheckpointError::Format(format!("serialization failed: {e}")))?;
     let header = format!(
         "{MAGIC} {FORMAT_VERSION} {:08x}\n",

@@ -25,7 +25,7 @@
 //! deleted. Combined with atomic writes, a valid snapshot always
 //! survives a crash at any instant.
 
-use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointView};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use std::path::{Path, PathBuf};
 
 /// A checkpoint directory with bounded retention.
@@ -116,14 +116,8 @@ impl CheckpointRing {
     /// retention. Returns the bytes written, as
     /// [`write_checkpoint`](checkpoint::write_checkpoint) does.
     pub fn write(&self, cp: &Checkpoint) -> Result<u64, CheckpointError> {
-        self.write_view(&cp.view())
-    }
-
-    /// [`write`](Self::write) for any [`CheckpointView`], the snapshot
-    /// hook's borrow of live state included.
-    pub(crate) fn write_view(&self, view: &CheckpointView<'_>) -> Result<u64, CheckpointError> {
         std::fs::create_dir_all(&self.dir).map_err(CheckpointError::Io)?;
-        let bytes = checkpoint::write_view(&self.dir.join(entry_name(view.clock)), view)?;
+        let bytes = checkpoint::write_checkpoint(&self.dir.join(entry_name(cp.clock)), cp)?;
         self.prune()?;
         Ok(bytes)
     }

@@ -27,7 +27,7 @@
 //! node).
 
 use crate::audit::AuditError;
-use crate::checkpoint::{self, Checkpoint, CheckpointError, CheckpointView};
+use crate::checkpoint::{self, Checkpoint, CheckpointError};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultModel;
 use crate::init;
@@ -529,14 +529,14 @@ enum SnapshotSink {
 }
 
 impl SnapshotSink {
-    /// Write the snapshot `view` and return the bytes written.
-    fn write(&self, view: &CheckpointView<'_>) -> Result<u64, CheckpointError> {
+    /// Write the snapshot `cp` and return the bytes written.
+    fn write(&self, cp: &Checkpoint) -> Result<u64, CheckpointError> {
         match self {
             SnapshotSink::Dir(dir) => {
                 std::fs::create_dir_all(dir)?;
-                checkpoint::write_view(&dir.join(crate::ring::entry_name(view.clock)), view)
+                checkpoint::write_checkpoint(&dir.join(crate::ring::entry_name(cp.clock)), cp)
             }
-            SnapshotSink::Ring(ring) => ring.write_view(view),
+            SnapshotSink::Ring(ring) => ring.write(cp),
         }
     }
 }
@@ -572,15 +572,10 @@ const SERVICE_RESERVE_CAP: usize = 1 << 20;
 
 /// The simulation driver.
 pub struct Simulation<S, P> {
-    params: SimParams,
-    resources: ResourceManager,
-    tasks: TaskTable,
-    events: EventQueue,
-    suspension: SuspensionQueue,
-    steps: StepCounter,
-    stats: Stats,
-    rng: Rng,
-    fault: FaultModel,
+    /// Every captured member of the run, held as the snapshot it is
+    /// serialized as (see [`crate::checkpoint`]).
+    // REBUILD: resume adopts the decoded checkpoint as this state, whole.
+    state: Checkpoint,
     // REBUILD: the checkpoint captures the source as (source_kind,
     // source_cursor); [`Simulation::resume`] checks the kind and
     // fast-forwards a caller-supplied source via `restore_cursor`.
@@ -589,11 +584,6 @@ pub struct Simulation<S, P> {
     // REBUILD: observers are process-local hooks, deliberately outside
     // the snapshot; callers re-register them after resume.
     observers: Vec<Box<dyn Observer>>,
-    clock: Ticks,
-    created: usize,
-    last_arrival: Ticks,
-    /// The source reported `NotYet`; re-poll after the next completion.
-    stalled: bool,
     /// Whether [`prime`](Self::prime) already ran (true for resumed
     /// simulations, whose checkpoint captured the primed state).
     // REBUILD: resume constructs the simulation with primed = true;
@@ -638,9 +628,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             params.total_tasks
         };
         stats.wait_samples.reserve(reserve_budget);
-        Ok(Self {
-            fault,
+        let state = Checkpoint {
             params,
+            policy: policy.state_label(),
+            source_kind: source.source_kind().to_string(),
+            source_cursor: source.source_cursor(),
             resources,
             tasks: TaskTable {
                 tasks: Vec::with_capacity(reserve_budget),
@@ -650,13 +642,17 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             steps: StepCounter::new(),
             stats,
             rng,
-            source,
-            policy,
-            observers: Vec::new(),
+            fault,
             clock: 0,
             created: 0,
             last_arrival: 0,
             stalled: false,
+        };
+        Ok(Self {
+            state,
+            source,
+            policy,
+            observers: Vec::new(),
             primed: false,
             checkpoints_written: 0,
             checkpoint_bytes: 0,
@@ -676,7 +672,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     ///
     /// Running a resumed simulation to completion produces bit-identical
     /// results to the uninterrupted run, on either driver.
-    pub fn resume(cp: Checkpoint, mut source: S, policy: P) -> Result<Self, CheckpointError> {
+    pub fn resume(mut cp: Checkpoint, mut source: S, policy: P) -> Result<Self, CheckpointError> {
         cp.params
             .validate()
             .map_err(|e| CheckpointError::State(format!("invalid parameters: {e}")))?;
@@ -700,38 +696,24 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 cp.source_kind
             )));
         }
-        let mut events = cp.events;
         // Deserialization sizes the heap to exactly the pending entries;
         // restore the same headroom a fresh run starts with so the
         // resumed half pushes without regrowing (capacity is
         // unobservable — resumes stay byte-identical).
-        events.ensure_capacity(expected_pending_events(&cp.params));
+        cp.events
+            .ensure_capacity(expected_pending_events(&cp.params));
         // The config column is derived state the checkpoint does not
         // carry. An out-of-range queued id gets `None` here; the audit
         // below rejects it.
-        let mut suspension = cp.suspension;
-        suspension.rebuild_configs(|t| {
+        cp.suspension.rebuild_configs(|t| {
             let in_range = t.index() < cp.tasks.len();
             in_range.then(|| cp.tasks.get(t).resolved_config).flatten()
         });
         let sim = Self {
-            params: cp.params,
-            resources: cp.resources,
-            tasks: cp.tasks,
-            events,
-            suspension,
-            steps: cp.steps,
-            stats: cp.stats,
-            rng: cp.rng,
-            fault: cp.fault,
+            state: cp,
             source,
             policy,
             observers: Vec::new(),
-            clock: cp.clock,
-            // BOUND: created is at most total_tasks, which is itself a usize.
-            created: cp.created as usize,
-            last_arrival: cp.last_arrival,
-            stalled: cp.stalled,
             primed: true,
             checkpoints_written: 0,
             checkpoint_bytes: 0,
@@ -742,36 +724,14 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     /// Snapshot the complete current state (see [`crate::checkpoint`]
-    /// for what is and is not captured): an owned copy of the borrowed
-    /// view (`view`) the run loops' snapshots serialize without cloning,
-    /// so both write the same bytes.
+    /// for what is and is not captured): a clone of the live state with
+    /// the source's current replay cursor, so it serializes to the bytes
+    /// the run loops' snapshots write.
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
-        self.view(&self.policy.state_label()).to_checkpoint()
-    }
-
-    /// A borrow of every piece of state a checkpoint captures, with the
-    /// policy's identity label `policy`: the snapshot hook's serializer
-    /// and the source of [`checkpoint`](Self::checkpoint).
-    fn view<'a>(&'a self, policy: &'a str) -> CheckpointView<'a> {
-        CheckpointView {
-            params: &self.params,
-            policy,
-            source_kind: self.source.source_kind(),
-            source_cursor: self.source.source_cursor(),
-            resources: &self.resources,
-            tasks: &self.tasks,
-            events: &self.events,
-            suspension: &self.suspension,
-            steps: self.steps,
-            stats: &self.stats,
-            rng: &self.rng,
-            fault: &self.fault,
-            clock: self.clock,
-            created: self.created as u64,
-            last_arrival: self.last_arrival,
-            stalled: self.stalled,
-        }
+        let mut cp = self.state.clone();
+        cp.source_cursor = self.source.source_cursor();
+        cp
     }
 
     /// Snapshot the deterministic per-phase operation counters (see
@@ -780,13 +740,15 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     #[must_use]
     pub fn phase_profile(&self) -> crate::profile::PhaseProfile {
         crate::profile::PhaseProfile {
-            scheduling_steps: self.steps.scheduling,
-            housekeeping_steps: self.steps.housekeeping,
-            store_mutations: self.resources.mutation_ops(),
-            events_pushed: self.events.pushes(),
+            scheduling_steps: self.state.steps.scheduling,
+            housekeeping_steps: self.state.steps.housekeeping,
+            store_mutations: self.state.resources.mutation_ops(),
+            events_pushed: self.state.events.pushes(),
             // BOUND: every popped event was pushed first, so len ≤ pushes.
-            events_popped: self.events.pushes() - self.events.len() as u64,
-            stats_samples: self.stats.generated + self.stats.completed + self.stats.discarded,
+            events_popped: self.state.events.pushes() - self.state.events.len() as u64,
+            stats_samples: self.state.stats.generated
+                + self.state.stats.completed
+                + self.state.stats.discarded,
             checkpoints_written: self.checkpoints_written,
             checkpoint_bytes: self.checkpoint_bytes,
         }
@@ -796,12 +758,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// ([`crate::audit::check`]).
     pub fn audit(&self) -> Result<(), AuditError> {
         crate::audit::check(
-            &self.resources,
-            &self.tasks,
-            &self.events,
-            &self.suspension,
-            self.clock,
-            self.fault.num_domains(),
+            &self.state.resources,
+            &self.state.tasks,
+            &self.state.events,
+            &self.state.suspension,
+            self.state.clock,
+            self.state.fault.num_domains(),
         )
     }
 
@@ -823,7 +785,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// Read-only access to the resource manager (tests/monitoring).
     #[must_use]
     pub fn resources(&self) -> &ResourceManager {
-        &self.resources
+        &self.state.resources
     }
 
     /// Run event-driven to completion.
@@ -852,7 +814,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 .unwrap_or_else(|| std::path::PathBuf::from("."));
             (every, SnapshotSink::Dir(dir))
         });
-        let mut cadence = Cadence::new(self.clock, opts.audit, opts.audit_every, snapshots);
+        let mut cadence = Cadence::new(self.state.clock, opts.audit, opts.audit_every, snapshots);
         self.start(&cadence)?;
         match opts.driver {
             Driver::Event => self.drive_events(&mut cadence)?,
@@ -879,10 +841,10 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
 
     /// The event-driven loop: the clock jumps to each next event.
     fn drive_events(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
-        while let Some((t, ev)) = self.events.pop() {
-            debug_assert!(t >= self.clock, "time must be monotone");
-            self.charge_idle_polls(t - self.clock);
-            self.clock = t;
+        while let Some((t, ev)) = self.state.events.pop() {
+            debug_assert!(t >= self.state.clock, "time must be monotone");
+            self.charge_idle_polls(t - self.state.clock);
+            self.state.clock = t;
             self.dispatch(ev);
             self.at_boundary(cadence)?;
         }
@@ -892,18 +854,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// The tick-stepped loop ([`Driver::TickStepped`]): dispatch every
     /// event due now, then advance the clock by one timetick.
     fn drive_ticks(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
-        while !self.events.is_empty() {
-            while let Some((t, ev)) = self.events.pop_due(self.clock) {
-                debug_assert_eq!(t, self.clock);
+        while !self.state.events.is_empty() {
+            while let Some((t, ev)) = self.state.events.pop_due(self.state.clock) {
+                debug_assert_eq!(t, self.state.clock);
                 self.dispatch(ev);
                 self.at_boundary(cadence)?;
             }
-            if self.events.is_empty() {
+            if self.state.events.is_empty() {
                 break;
             }
             self.charge_idle_polls(1);
             // BOUND: one tick per loop iteration; runs end far below 2^64.
-            self.clock += 1;
+            self.state.clock += 1;
         }
         Ok(())
     }
@@ -916,25 +878,25 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// charge them arithmetically and remain trace-equivalent to the
     /// tick-stepped driver.
     fn charge_idle_polls(&mut self, elapsed: Ticks) {
-        if elapsed == 0 || self.suspension.is_empty() {
+        if elapsed == 0 || self.state.suspension.is_empty() {
             return;
         }
-        self.steps.charge(
+        self.state.steps.charge(
             dreamsim_model::steps::StepKind::Scheduling,
             // BOUND: elapsed <= makespan and the poll constant is small; product far below 2^64.
             elapsed * POLL_SCHED_STEPS,
         );
-        self.steps.charge(
+        self.state.steps.charge(
             dreamsim_model::steps::StepKind::Housekeeping,
             // BOUND: elapsed x small constant x node count stays far below 2^64.
-            elapsed * POLL_HOUSEKEEPING_PER_NODE * self.params.total_nodes as u64,
+            elapsed * POLL_HOUSEKEEPING_PER_NODE * self.state.params.total_nodes as u64,
         );
     }
 
     /// Current simulated clock (service orchestration and tests).
     #[must_use]
     pub fn clock(&self) -> Ticks {
-        self.clock
+        self.state.clock
     }
 
     /// Run one open-system **service leg**: dispatch every event with a
@@ -962,6 +924,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         watchdog: &mut Option<Watchdog>,
     ) -> Result<ServiceLegEnd, RunError> {
         let horizon = self
+            .state
             .params
             .service
             // INVARIANT: service legs are only reachable through
@@ -973,36 +936,43 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             let ring = CheckpointRing::new(dir.clone(), opts.ring_retain);
             (opts.ring_every, SnapshotSink::Ring(ring))
         });
-        let mut cadence = Cadence::new(self.clock, false, opts.audit_every, snapshots);
+        let mut cadence = Cadence::new(self.state.clock, false, opts.audit_every, snapshots);
         self.start(&cadence)?;
-        while let Some((t, ev)) = self.events.pop_due(horizon.saturating_sub(1)) {
-            debug_assert!(t >= self.clock, "time must be monotone");
-            self.charge_idle_polls(t - self.clock);
-            self.clock = t;
-            if let Some(w) = &mut self.stats.window {
+        while let Some((t, ev)) = self.state.events.pop_due(horizon.saturating_sub(1)) {
+            debug_assert!(t >= self.state.clock, "time must be monotone");
+            self.charge_idle_polls(t - self.state.clock);
+            self.state.clock = t;
+            if let Some(w) = &mut self.state.stats.window {
                 w.roll(t);
             }
             self.dispatch(ev);
             self.at_boundary(&mut cadence)?;
             if let Some(wd) = watchdog {
-                let progress = self.stats.completed + self.stats.discarded;
-                if let Some(diag) = wd.observe(self.clock, progress, self.suspension.len() as u64) {
+                let progress = self.state.stats.completed + self.state.stats.discarded;
+                if let Some(diag) = wd.observe(
+                    self.state.clock,
+                    progress,
+                    self.state.suspension.len() as u64,
+                ) {
                     return Ok(ServiceLegEnd::Stalled(diag));
                 }
             }
-            if opts.stop_at.is_some_and(|kill_at| self.clock >= kill_at) {
+            if opts
+                .stop_at
+                .is_some_and(|kill_at| self.state.clock >= kill_at)
+            {
                 return Ok(ServiceLegEnd::Killed);
             }
         }
         // Horizon reached (or the queue ran dry below it): charge the
         // trailing idle interval, close the window buckets, and drain
         // to the final ring snapshot.
-        if self.clock < horizon {
-            self.charge_idle_polls(horizon - self.clock);
-            self.clock = horizon;
+        if self.state.clock < horizon {
+            self.charge_idle_polls(horizon - self.state.clock);
+            self.state.clock = horizon;
         }
-        if let Some(w) = &mut self.stats.window {
-            w.roll(self.clock);
+        if let Some(w) = &mut self.state.stats.window {
+            w.roll(self.state.clock);
         }
         if let Some((_, sink)) = &cadence.snapshot {
             self.snapshot(sink)?;
@@ -1022,9 +992,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// the clock has crossed the next interval boundary, re-arming each
     /// interval past the current clock.
     fn at_boundary(&mut self, cadence: &mut Cadence) -> Result<(), RunError> {
-        let audit_due = cadence.audit.as_mut().is_some_and(|a| a.due(self.clock));
+        let audit_due = cadence
+            .audit
+            .as_mut()
+            .is_some_and(|a| a.due(self.state.clock));
         if let Some((interval, sink)) = &mut cadence.snapshot {
-            if interval.due(self.clock) {
+            if interval.due(self.state.clock) {
                 // The snapshot audits first, covering any audit due now.
                 return self.snapshot(sink);
             }
@@ -1041,7 +1014,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// resume.
     fn snapshot(&mut self, sink: &SnapshotSink) -> Result<(), RunError> {
         self.audit()?;
-        let bytes = sink.write(&self.view(&self.policy.state_label()))?;
+        self.state.source_cursor = self.source.source_cursor();
+        let bytes = sink.write(&self.state)?;
         self.checkpoints_written += 1;
         self.checkpoint_bytes += bytes;
         Ok(())
@@ -1049,12 +1023,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
 
     fn prime(&mut self) {
         self.poll_source();
-        if self.fault.mttf_active() {
+        if self.state.fault.mttf_active() {
             // Per-node failure processes: every node gets its own first
             // time-to-failure.
-            for i in 0..self.params.total_nodes {
-                let delay = self.fault.draw_ttf();
-                self.events.push(
+            for i in 0..self.state.params.total_nodes {
+                let delay = self.state.fault.draw_ttf();
+                self.state.events.push(
                     delay,
                     Event::NodeFailure {
                         node: NodeId::from_index(i),
@@ -1065,8 +1039,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // Chaos layer: pre-schedule every scripted outage, then arm the
         // stochastic per-domain outage processes. Domain-free runs take
         // neither branch and draw nothing from the domain stream.
-        for &s in self.fault.scripted_outages() {
-            self.events.push(
+        for &s in self.state.fault.scripted_outages() {
+            self.state.events.push(
                 s.at,
                 Event::DomainOutage {
                     domain: s.domain,
@@ -1074,10 +1048,10 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 },
             );
         }
-        if self.fault.domain_mttf_active() {
-            for d in 0..self.fault.num_domains() {
-                let delay = self.fault.draw_domain_ttf();
-                self.events.push(
+        if self.state.fault.domain_mttf_active() {
+            for d in 0..self.state.fault.num_domains() {
+                let delay = self.state.fault.draw_domain_ttf();
+                self.state.events.push(
                     delay,
                     Event::DomainOutage {
                         // BOUND: domain count is validated <= total_nodes, far below 2^32.
@@ -1093,13 +1067,13 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// it to the table, and schedule its arrival. Returns whether a task
     /// was scheduled.
     fn poll_source(&mut self) -> bool {
-        if self.created >= self.params.total_tasks {
+        if self.state.created >= self.state.params.total_tasks as u64 {
             return false;
         }
-        let spec = match self.source.next_task(self.clock, &mut self.rng) {
+        let spec = match self.source.next_task(self.state.clock, &mut self.state.rng) {
             SourceYield::Task(spec) => spec,
             SourceYield::NotYet => {
-                self.stalled = true;
+                self.state.stalled = true;
                 return false;
             }
             SourceYield::Exhausted => return false,
@@ -1108,22 +1082,24 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // current time chain from `now` rather than the (earlier) last
         // scheduled arrival.
         // BOUND: a synthetic draw stays below 2^38 and a trace/SWF interarrival is capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
-        let arrival = self.last_arrival.max(self.clock) + spec.interarrival;
-        self.last_arrival = arrival;
-        let id = TaskId::from_index(self.tasks.len());
+        let arrival = self.state.last_arrival.max(self.state.clock) + spec.interarrival;
+        self.state.last_arrival = arrival;
+        let id = TaskId::from_index(self.state.tasks.len());
         // For in-list preferences the task's NeededArea mirrors the
         // configuration's ReqArea (the source may not know the table).
         let needed_area = match spec.preferred {
-            PreferredConfig::Known(c) if c.index() < self.resources.num_configs() => {
-                self.resources.config(c).req_area
+            PreferredConfig::Known(c) if c.index() < self.state.resources.num_configs() => {
+                self.state.resources.config(c).req_area
             }
             _ => spec.needed_area,
         };
         let task = Task::new(id, arrival, spec.required_time, spec.preferred, needed_area)
             .with_data_bytes(spec.data_bytes);
-        self.tasks.push(task);
-        self.created += 1;
-        self.events.push(arrival, Event::TaskArrival { task: id });
+        self.state.tasks.push(task);
+        self.state.created += 1;
+        self.state
+            .events
+            .push(arrival, Event::TaskArrival { task: id });
         true
     }
 
@@ -1156,25 +1132,29 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     fn ctx_and_policy(&mut self) -> (SchedCtx<'_>, &mut P) {
         (
             SchedCtx {
-                now: self.clock,
-                mode: self.params.mode,
-                suspension_enabled: self.params.suspension_enabled,
-                max_sus_retries: self.params.max_sus_retries,
-                resources: &mut self.resources,
-                suspension: &mut self.suspension,
-                tasks: &mut self.tasks,
-                steps: &mut self.steps,
-                rng: &mut self.rng,
+                now: self.state.clock,
+                mode: self.state.params.mode,
+                suspension_enabled: self.state.params.suspension_enabled,
+                max_sus_retries: self.state.params.max_sus_retries,
+                resources: &mut self.state.resources,
+                suspension: &mut self.state.suspension,
+                tasks: &mut self.state.tasks,
+                steps: &mut self.state.steps,
+                rng: &mut self.state.rng,
             },
             &mut self.policy,
         )
     }
 
     fn handle_arrival(&mut self, task: TaskId) {
-        self.stats.record_arrival();
+        self.state.stats.record_arrival();
         for obs in &mut self.observers {
-            obs.on_arrival(self.clock, self.tasks.get(task));
-            obs.on_snapshot(self.clock, &self.resources, self.suspension.len());
+            obs.on_arrival(self.state.clock, self.state.tasks.get(task));
+            obs.on_snapshot(
+                self.state.clock,
+                &self.state.resources,
+                self.state.suspension.len(),
+            );
         }
         self.schedule(task);
         // Chain the next arrival.
@@ -1199,11 +1179,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// another placement, and the task itself possibly resubmitted and
     /// re-placed — changes nothing and returns `false`.
     fn release_current_run(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) -> bool {
-        let t = self.tasks.get(task);
+        let t = self.state.tasks.get(task);
         if t.state != TaskState::Running || t.start_time != Some(started_at) {
             return false;
         }
         if self
+            .state
             .resources
             .node_store()
             .slot(entry.node.index(), entry.slot)
@@ -1212,8 +1193,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             return false;
         }
         let released = self
+            .state
             .resources
-            .release_task(entry, &mut self.steps)
+            .release_task(entry, &mut self.state.steps)
             // INVARIANT: the staleness guard above verified the slot is
             // live and still holds `task`; the auditor pins the same
             // task ⇔ slot bijection on every audited event.
@@ -1227,8 +1209,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// only while it does; gating on queue emptiness would self-sustain
     /// forever, since each chain's own next event would count as work.
     fn work_remains(&self) -> bool {
-        let unfinished = self.stats.completed + self.stats.discarded < self.created as u64;
-        self.created < self.params.total_tasks || unfinished
+        let unfinished =
+            self.state.stats.completed + self.state.stats.discarded < self.state.created;
+        self.state.created < self.state.params.total_tasks as u64 || unfinished
     }
 
     fn handle_completion(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) {
@@ -1236,42 +1219,44 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             return;
         }
         {
-            let t = self.tasks.get_mut(task);
-            t.completion_time = Some(self.clock);
+            let t = self.state.tasks.get_mut(task);
+            t.completion_time = Some(self.state.clock);
             t.state = TaskState::Completed;
         }
-        let residence = self.clock - self.tasks.get(task).create_time;
-        self.stats.record_completion(residence);
+        let residence = self.state.clock - self.state.tasks.get(task).create_time;
+        self.state.stats.record_completion(residence);
         for obs in &mut self.observers {
-            obs.on_completion(self.clock, self.tasks.get(task));
+            obs.on_completion(self.state.clock, self.state.tasks.get(task));
         }
         let (mut ctx, policy) = self.ctx_and_policy();
         let resumes = policy.on_slot_freed(&mut ctx, entry);
         self.enact_resumes(resumes);
         // Dependency-gated sources may have tasks unlocked by this
         // completion.
-        self.source.on_task_completed(task, self.clock);
-        if self.stalled {
-            self.stalled = false;
+        self.source.on_task_completed(task, self.state.clock);
+        if self.state.stalled {
+            self.state.stalled = false;
             while self.poll_source() {}
         }
     }
 
     fn handle_failure(&mut self, node: NodeId) {
-        if !self.resources.node_store().is_down(node.index()) {
-            let killed = self.resources.fail_node(node, &mut self.steps);
-            self.stats.node_failures += 1;
-            self.fault.mark_down(node, self.clock);
+        if !self.state.resources.node_store().is_down(node.index()) {
+            let killed = self.state.resources.fail_node(node, &mut self.state.steps);
+            self.state.stats.node_failures += 1;
+            self.state.fault.mark_down(node, self.state.clock);
             for t in killed {
-                self.stats.failure_killed += 1;
+                self.state.stats.failure_killed += 1;
                 self.resubmit_or_discard(t, DiscardReason::NodeFailed);
             }
             for obs in &mut self.observers {
-                obs.on_node_failure(self.clock, node);
+                obs.on_node_failure(self.state.clock, node);
             }
             // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-            let repair_at = self.clock + self.fault.draw_ttr();
-            self.events.push(repair_at, Event::NodeRepair { node });
+            let repair_at = self.state.clock + self.state.fault.draw_ttr();
+            self.state
+                .events
+                .push(repair_at, Event::NodeRepair { node });
         } else {
             // The node is already down: a domain outage beat this node's
             // own failure process to it. Re-arm the chain (normally done
@@ -1283,10 +1268,10 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     fn handle_repair(&mut self, node: NodeId) {
-        self.resources.repair_node(node);
-        self.fault.mark_up(node, self.clock);
+        self.state.resources.repair_node(node);
+        self.state.fault.mark_up(node, self.state.clock);
         for obs in &mut self.observers {
-            obs.on_node_repair(self.clock, node);
+            obs.on_node_repair(self.state.clock, node);
         }
         self.rearm_node_chain(node);
         let (mut ctx, policy) = self.ctx_and_policy();
@@ -1297,11 +1282,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// Schedule `node`'s next failure under the per-node fault model
     /// while simulation work remains.
     fn rearm_node_chain(&mut self, node: NodeId) {
-        if self.fault.mttf_active() && self.work_remains() {
-            let delay = self.fault.draw_ttf();
-            self.events
+        if self.state.fault.mttf_active() && self.work_remains() {
+            let delay = self.state.fault.draw_ttf();
+            self.state
+                .events
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                .push(self.clock + delay, Event::NodeFailure { node });
+                .push(self.state.clock + delay, Event::NodeFailure { node });
         }
     }
 
@@ -1315,45 +1301,49 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // An outage on an already-down domain collapses into the open
         // one; only the stochastic chain needs re-arming so the process
         // survives the overlap.
-        if self.fault.domain_is_down(domain) {
+        if self.state.fault.domain_is_down(domain) {
             if duration.is_none() {
                 self.rearm_domain_chain(domain);
             }
             return;
         }
-        let members = self.fault.domain_members(domain);
-        let kind = self.fault.domain_kind();
+        let members = self.state.fault.domain_members(domain);
+        let kind = self.state.fault.domain_kind();
         let mut victims = Vec::new();
         let mut evicted = Vec::new();
         for i in members {
             let node = NodeId::from_index(i);
             // Nodes already down for their own reasons keep their own
             // repair schedule and are not claimed by this outage.
-            if self.resources.node_store().is_down(i) {
+            if self.state.resources.node_store().is_down(i) {
                 continue;
             }
-            let killed = self.resources.fail_node(node, &mut self.steps);
-            self.fault.mark_down(node, self.clock);
+            let killed = self.state.resources.fail_node(node, &mut self.state.steps);
+            self.state.fault.mark_down(node, self.state.clock);
             // BOUND: node indices are < total_nodes, far below 2^32.
             victims.push(i as u32);
             evicted.extend(killed);
             for obs in &mut self.observers {
-                obs.on_node_failure(self.clock, node);
+                obs.on_node_failure(self.state.clock, node);
             }
         }
-        self.fault.mark_domain_down(domain, self.clock, victims);
+        self.state
+            .fault
+            .mark_domain_down(domain, self.state.clock, victims);
         for obs in &mut self.observers {
-            obs.on_domain_outage(self.clock, domain);
+            obs.on_domain_outage(self.state.clock, domain);
         }
-        if kind == DomainOutageKind::Partition && self.params.suspension_enabled {
+        if kind == DomainOutageKind::Partition && self.state.params.suspension_enabled {
             for t in evicted {
                 {
-                    let task = self.tasks.get_mut(t);
+                    let task = self.state.tasks.get_mut(t);
                     task.state = TaskState::Created;
                     task.start_time = None;
                     task.assigned_config = None;
                 }
-                self.suspension.push(self.tasks.get(t), &mut self.steps);
+                self.state
+                    .suspension
+                    .push(self.state.tasks.get(t), &mut self.state.steps);
                 self.enact_suspension(t);
             }
         } else {
@@ -1361,17 +1351,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             // (ablation A3) partitioned tasks have nowhere to wait, so
             // they follow the failure path too.
             for t in evicted {
-                self.stats.failure_killed += 1;
+                self.state.stats.failure_killed += 1;
                 self.resubmit_or_discard(t, DiscardReason::NodeFailed);
             }
         }
         let restore_at = match duration {
             // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-            Some(d) => self.clock + d,
+            Some(d) => self.state.clock + d,
             // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-            None => self.clock + self.fault.draw_domain_ttr(),
+            None => self.state.clock + self.state.fault.draw_domain_ttr(),
         };
-        self.events
+        self.state
+            .events
             .push(restore_at, Event::DomainRestore { domain });
     }
 
@@ -1380,17 +1371,17 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// suspension queue per node, and re-arm the stochastic outage
     /// process.
     fn handle_domain_restore(&mut self, domain: u32) {
-        let victims = self.fault.mark_domain_up(domain, self.clock);
+        let victims = self.state.fault.mark_domain_up(domain, self.state.clock);
         for obs in &mut self.observers {
-            obs.on_domain_restore(self.clock, domain);
+            obs.on_domain_restore(self.state.clock, domain);
         }
         for i in victims {
             // BOUND: u32 node index; usize is at least 32 bits on every supported target.
             let node = NodeId::from_index(i as usize);
-            self.resources.repair_node(node);
-            self.fault.mark_up(node, self.clock);
+            self.state.resources.repair_node(node);
+            self.state.fault.mark_up(node, self.state.clock);
             for obs in &mut self.observers {
-                obs.on_node_repair(self.clock, node);
+                obs.on_node_repair(self.state.clock, node);
             }
             let (mut ctx, policy) = self.ctx_and_policy();
             let resumes = policy.on_node_repaired(&mut ctx, node);
@@ -1402,11 +1393,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// Schedule the next stochastic outage for `domain` while simulation
     /// work remains.
     fn rearm_domain_chain(&mut self, domain: u32) {
-        if self.fault.domain_mttf_active() && self.work_remains() {
-            let delay = self.fault.draw_domain_ttf();
-            self.events.push(
+        if self.state.fault.domain_mttf_active() && self.work_remains() {
+            let delay = self.state.fault.draw_domain_ttf();
+            self.state.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                self.clock + delay,
+                self.state.clock + delay,
                 Event::DomainOutage {
                     domain,
                     duration: None,
@@ -1421,7 +1412,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // The task waits out its backoff in `Created` state and is in no
         // queue or slot, so nothing else should touch it; guard anyway
         // so a stale event can never double-schedule.
-        if self.tasks.get(task).state != TaskState::Created {
+        if self.state.tasks.get(task).state != TaskState::Created {
             return;
         }
         self.schedule(task);
@@ -1434,15 +1425,15 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         if !self.release_current_run(task, entry, started_at) {
             return;
         }
-        self.stats.task_failures += 1;
+        self.state.stats.task_failures += 1;
         {
-            let t = self.tasks.get_mut(task);
+            let t = self.state.tasks.get_mut(task);
             t.state = TaskState::Created;
             t.start_time = None;
             t.assigned_config = None;
         }
         for obs in &mut self.observers {
-            obs.on_task_failed(self.clock, self.tasks.get(task));
+            obs.on_task_failed(self.state.clock, self.state.tasks.get(task));
         }
         let (mut ctx, policy) = self.ctx_and_policy();
         let resumes = policy.on_slot_freed(&mut ctx, entry);
@@ -1454,12 +1445,15 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// (and possibly re-suspended) since it was scheduled.
     fn handle_suspension_timeout(&mut self, task: TaskId, enqueued_at: Ticks) {
         {
-            let t = self.tasks.get(task);
+            let t = self.state.tasks.get(task);
             if t.state != TaskState::Suspended || t.suspended_at != Some(enqueued_at) {
                 return;
             }
         }
-        let removed = self.suspension.remove_task(task, &mut self.steps);
+        let removed = self
+            .state
+            .suspension
+            .remove_task(task, &mut self.state.steps);
         debug_assert!(removed, "suspended task missing from the queue");
         self.enact_discard(task, DiscardReason::SuspensionTimeout);
     }
@@ -1467,23 +1461,23 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// Resubmit a fault-killed task to the scheduler, or discard it with
     /// `reason` once resubmission is off or the retry budget is spent.
     fn resubmit_or_discard(&mut self, task: TaskId, reason: DiscardReason) {
-        if !self.fault.resubmit_enabled()
-            || self.tasks.get(task).fault_retries >= self.fault.max_retries()
+        if !self.state.fault.resubmit_enabled()
+            || self.state.tasks.get(task).fault_retries >= self.state.fault.max_retries()
         {
             self.enact_discard(task, reason);
             return;
         }
         let attempt = {
-            let t = self.tasks.get_mut(task);
+            let t = self.state.tasks.get_mut(task);
             t.state = TaskState::Created;
             t.start_time = None;
             t.assigned_config = None;
             t.fault_retries += 1;
             t.fault_retries
         };
-        self.stats.resubmissions += 1;
+        self.state.stats.resubmissions += 1;
         for obs in &mut self.observers {
-            obs.on_resubmit(self.clock, self.tasks.get(task), attempt);
+            obs.on_resubmit(self.state.clock, self.state.tasks.get(task), attempt);
         }
         self.schedule(task);
     }
@@ -1492,25 +1486,25 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// suspension deadline if one is configured.
     fn enact_suspension(&mut self, task: TaskId) {
         {
-            let t = self.tasks.get_mut(task);
+            let t = self.state.tasks.get_mut(task);
             t.state = TaskState::Suspended;
-            t.suspended_at = Some(self.clock);
+            t.suspended_at = Some(self.state.clock);
         }
         for obs in &mut self.observers {
-            obs.on_suspend(self.clock, self.tasks.get(task));
+            obs.on_suspend(self.state.clock, self.state.tasks.get(task));
         }
-        if let Some(deadline) = self.fault.suspension_deadline() {
-            self.events.push(
+        if let Some(deadline) = self.state.fault.suspension_deadline() {
+            self.state.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                self.clock + deadline,
+                self.state.clock + deadline,
                 Event::SuspensionTimeout {
                     task,
-                    enqueued_at: self.clock,
+                    enqueued_at: self.state.clock,
                 },
             );
         }
-        if let Some(cap) = self.params.suspension_cap {
-            if self.suspension.len() > cap {
+        if let Some(cap) = self.state.params.suspension_cap {
+            if self.state.suspension.len() > cap {
                 self.enforce_admission(task);
             }
         }
@@ -1520,12 +1514,13 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// took it past `suspension_cap`. Apply the configured admission
     /// policy to bring it back within bounds.
     fn enforce_admission(&mut self, newcomer: TaskId) {
-        match self.params.admission {
+        match self.state.params.admission {
             AdmissionPolicy::Block => self.shed(newcomer, DiscardReason::AdmissionBlocked),
             AdmissionPolicy::ShedOldest => {
                 let oldest = self
+                    .state
                     .suspension
-                    .remove_first_match(&mut self.steps, |_| true)
+                    .remove_first_match(&mut self.state.steps, |_| true)
                     // INVARIANT: enforce_admission runs only when the
                     // queue length exceeds the cap, so it is non-empty.
                     .expect("overflowing suspension queue is non-empty");
@@ -1545,7 +1540,10 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// pending suspension-timeout event (if any) goes stale with the
     /// state change.
     fn shed(&mut self, task: TaskId, reason: DiscardReason) {
-        let removed = self.suspension.remove_task(task, &mut self.steps);
+        let removed = self
+            .state
+            .suspension
+            .remove_task(task, &mut self.state.steps);
         debug_assert!(removed, "shed task missing from the suspension queue");
         self.enact_discard(task, reason);
     }
@@ -1556,23 +1554,35 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// idle instance found. Returns whether a placement happened.
     fn try_degrade(&mut self, task: TaskId) -> bool {
         let mut area = {
-            let t = self.tasks.get(task);
+            let t = self.state.tasks.get(task);
             match t.resolved_config {
-                Some(c) => self.resources.config(c).req_area,
+                Some(c) => self.state.resources.config(c).req_area,
                 None => t.needed_area,
             }
         };
-        while let Some(config) = self.resources.find_closest_config(area, &mut self.steps) {
-            if let Some(entry) = self.resources.find_best_idle(config, &mut self.steps) {
-                let removed = self.suspension.remove_task(task, &mut self.steps);
+        while let Some(config) = self
+            .state
+            .resources
+            .find_closest_config(area, &mut self.state.steps)
+        {
+            if let Some(entry) = self
+                .state
+                .resources
+                .find_best_idle(config, &mut self.state.steps)
+            {
+                let removed = self
+                    .state
+                    .suspension
+                    .remove_task(task, &mut self.state.steps);
                 debug_assert!(removed, "degrading task missing from the queue");
-                self.resources
-                    .assign_task(entry, task, &mut self.steps)
+                self.state
+                    .resources
+                    .assign_task(entry, task, &mut self.state.steps)
                     // INVARIANT: find_best_idle returned a live idle
                     // slot; nothing ran in between.
                     .expect("idle slot accepts the degraded task");
-                self.tasks.get_mut(task).resolved_config = Some(config);
-                self.stats.tasks_degraded += 1;
+                self.state.tasks.get_mut(task).resolved_config = Some(config);
+                self.state.stats.tasks_degraded += 1;
                 self.enact_placement(
                     Placement {
                         task,
@@ -1585,7 +1595,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 );
                 return true;
             }
-            area = self.resources.config(config).req_area;
+            area = self.state.resources.config(config).req_area;
         }
         false
     }
@@ -1605,54 +1615,56 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // failed attempt rolls back to exactly the pre-placement state.
         // Direct allocations (config_time == 0) load no bitstream and
         // draw nothing.
-        if p.config_time > 0 && self.fault.reconfig_attempt_fails() {
+        if p.config_time > 0 && self.state.fault.reconfig_attempt_fails() {
             self.abort_reconfig(&p);
             return;
         }
-        let fails_midrun = self.fault.task_attempt_fails();
-        let store = self.resources.node_store();
+        let fails_midrun = self.state.fault.task_attempt_fails();
+        let store = self.state.resources.node_store();
         let tcomm = store.network_delay(p.entry.node.index());
         let wasted_after = store.available_area(p.entry.node.index());
         let (wait, completion) = {
-            let t = self.tasks.get_mut(p.task);
-            t.start_time = Some(self.clock);
+            let t = self.state.tasks.get_mut(p.task);
+            t.start_time = Some(self.state.clock);
             t.assigned_config = Some(p.config);
             t.state = TaskState::Running;
             if resumed {
                 t.sus_retry += 1;
             }
-            let wait = (self.clock - t.create_time) + tcomm + p.config_time;
+            let wait = (self.state.clock - t.create_time) + tcomm + p.config_time;
             // BOUND: each term is a validated tick parameter or a trace/SWF time capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
-            let completion = self.clock + p.config_time + tcomm + t.required_time;
+            let completion = self.state.clock + p.config_time + tcomm + t.required_time;
             (wait, completion)
         };
         if fails_midrun {
             let run_for = self
+                .state
                 .fault
-                .draw_fail_point(self.tasks.get(p.task).required_time);
-            self.events.push(
+                .draw_fail_point(self.state.tasks.get(p.task).required_time);
+            self.state.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
-                self.clock + p.config_time + tcomm + run_for,
+                self.state.clock + p.config_time + tcomm + run_for,
                 Event::TaskFailed {
                     task: p.task,
                     entry: p.entry,
-                    started_at: self.clock,
+                    started_at: self.state.clock,
                 },
             );
         } else {
-            self.events.push(
+            self.state.events.push(
                 completion,
                 Event::TaskCompletion {
                     task: p.task,
                     entry: p.entry,
-                    started_at: self.clock,
+                    started_at: self.state.clock,
                 },
             );
         }
-        self.stats
+        self.state
+            .stats
             .record_placement(p.phase, wait, p.config_time, wasted_after, resumed);
         for obs in &mut self.observers {
-            obs.on_placement(self.clock, self.tasks.get(p.task), &p);
+            obs.on_placement(self.state.clock, self.state.tasks.get(p.task), &p);
         }
     }
 
@@ -1664,33 +1676,35 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// configuration exists to degrade to.
     fn abort_reconfig(&mut self, p: &Placement) {
         let released = self
+            .state
             .resources
-            .release_task(p.entry, &mut self.steps)
+            .release_task(p.entry, &mut self.state.steps)
             // INVARIANT: abort_reconfig runs synchronously inside the
             // placement that configured `p.entry`; no event can have
             // touched the slot in between.
             .expect("aborted placement holds a live busy slot");
         assert_eq!(released, p.task, "aborted placement / slot task mismatch");
-        self.resources
-            .evict_idle_slots(p.entry.node, &[p.entry.slot], &mut self.steps)
+        self.state
+            .resources
+            .evict_idle_slots(p.entry.node, &[p.entry.slot], &mut self.state.steps)
             // INVARIANT: release_task just returned Ok for this very
             // slot, leaving it idle.
             .expect("aborted slot is idle after release");
-        self.stats.record_reconfig_failure(p.config_time);
+        self.state.stats.record_reconfig_failure(p.config_time);
         let attempt = {
-            let t = self.tasks.get_mut(p.task);
+            let t = self.state.tasks.get_mut(p.task);
             t.state = TaskState::Created;
             t.fault_retries += 1;
             t.fault_retries
         };
         for obs in &mut self.observers {
-            obs.on_reconfig_failed(self.clock, self.tasks.get(p.task), attempt);
+            obs.on_reconfig_failed(self.state.clock, self.state.tasks.get(p.task), attempt);
         }
-        if attempt <= self.fault.max_retries() {
-            self.stats.reconfig_retries += 1;
-            self.events.push(
+        if attempt <= self.state.fault.max_retries() {
+            self.state.stats.reconfig_retries += 1;
+            self.state.events.push(
                 // BOUND: backoff is capped by max_retries doublings of a validated base delay.
-                self.clock + self.fault.backoff(attempt),
+                self.state.clock + self.state.fault.backoff(attempt),
                 Event::ReconfigFailed { task: p.task },
             );
             return;
@@ -1701,19 +1715,20 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // budget. Each degradation strictly grows the area, so even a
         // 100 % failure probability terminates at the largest
         // configuration.
-        let failed_area = self.resources.config(p.config).req_area;
+        let failed_area = self.state.resources.config(p.config).req_area;
         match self
+            .state
             .resources
-            .find_closest_config(failed_area, &mut self.steps)
+            .find_closest_config(failed_area, &mut self.state.steps)
         {
             Some(next) => {
-                let t = self.tasks.get_mut(p.task);
+                let t = self.state.tasks.get_mut(p.task);
                 t.resolved_config = Some(next);
                 t.fault_retries = 0;
-                self.stats.reconfig_retries += 1;
-                self.events.push(
+                self.state.stats.reconfig_retries += 1;
+                self.state.events.push(
                     // BOUND: backoff is capped by max_retries doublings of a validated base delay.
-                    self.clock + self.fault.backoff(attempt),
+                    self.state.clock + self.state.fault.backoff(attempt),
                     Event::ReconfigFailed { task: p.task },
                 );
             }
@@ -1722,16 +1737,16 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     fn enact_discard(&mut self, task: TaskId, reason: DiscardReason) {
-        self.tasks.get_mut(task).state = TaskState::Discarded;
-        self.stats.record_discard();
+        self.state.tasks.get_mut(task).state = TaskState::Discarded;
+        self.state.stats.record_discard();
         if reason.is_fault() {
-            self.stats.tasks_lost += 1;
+            self.state.stats.tasks_lost += 1;
         }
         if reason.is_shed() {
-            self.stats.tasks_shed += 1;
+            self.state.stats.tasks_shed += 1;
         }
         for obs in &mut self.observers {
-            obs.on_discard(self.clock, self.tasks.get(task), reason);
+            obs.on_discard(self.state.clock, self.state.tasks.get(task), reason);
         }
     }
 
@@ -1741,17 +1756,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // free capacity. Count them as discarded.
         let mut leftovers = Vec::new();
         while let Some(t) = self
+            .state
             .suspension
-            .remove_first_match(&mut self.steps, |_| true)
+            .remove_first_match(&mut self.state.steps, |_| true)
         {
             leftovers.push(t);
         }
         for t in leftovers {
             self.enact_discard(t, DiscardReason::SuspensionDrain);
         }
-        debug_assert!(self.resources.check_invariants().is_ok());
+        debug_assert!(self.state.resources.check_invariants().is_ok());
         // One pass in node order; `Sum` keeps the summation order.
-        let nodes = self.resources.node_store();
+        let nodes = self.state.resources.node_store();
         let mut configured = 0usize;
         let fragmentation: f64 = (0..nodes.len())
             .filter(|&i| !nodes.is_blank(i))
@@ -1763,30 +1779,30 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         } else {
             fragmentation / configured as f64
         };
-        let mut metrics = self.stats.finalize(
-            &self.params,
-            self.steps,
-            self.clock,
-            self.resources.wasted_area_snapshot(),
-            self.resources.total_reconfigurations(),
-            self.resources.used_nodes(),
-            self.suspension.total_suspensions(),
-            self.suspension.peak_len(),
+        let mut metrics = self.state.stats.finalize(
+            &self.state.params,
+            self.state.steps,
+            self.state.clock,
+            self.state.resources.wasted_area_snapshot(),
+            self.state.resources.total_reconfigurations(),
+            self.state.resources.used_nodes(),
+            self.state.suspension.total_suspensions(),
+            self.state.suspension.peak_len(),
             mean_fragmentation_end,
-            self.fault.total_downtime(self.clock),
+            self.state.fault.total_downtime(self.state.clock),
         );
         // Chaos-layer availability metrics live in the fault model (so
         // checkpoints carry open outages); fill them in post-finalize.
-        metrics.domain_outages = self.fault.domain_outages();
-        metrics.domain_restores = self.fault.domain_restores();
-        metrics.domain_downtime = self.fault.domain_downtime(self.clock);
-        metrics.mean_time_to_recover = self.fault.mean_time_to_recover();
-        let report = Report::new(self.params.clone(), metrics.clone());
+        metrics.domain_outages = self.state.fault.domain_outages();
+        metrics.domain_restores = self.state.fault.domain_restores();
+        metrics.domain_downtime = self.state.fault.domain_downtime(self.state.clock);
+        metrics.mean_time_to_recover = self.state.fault.mean_time_to_recover();
+        let report = Report::new(self.state.params.clone(), metrics.clone());
         RunResult {
             metrics,
             report,
             profile: self.phase_profile(),
-            tasks: self.tasks.into_vec(),
+            tasks: self.state.tasks.into_vec(),
         }
     }
 }
@@ -2022,12 +2038,12 @@ mod tests {
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         sim.prime();
         let mut saw_failure = false;
-        while let Some((t, ev)) = sim.events.pop() {
-            sim.charge_idle_polls(t - sim.clock);
-            sim.clock = t;
+        while let Some((t, ev)) = sim.state.events.pop() {
+            sim.charge_idle_polls(t - sim.state.clock);
+            sim.state.clock = t;
             sim.dispatch(ev);
-            sim.resources.check_invariants().unwrap();
-            let nodes = sim.resources.node_store();
+            sim.state.resources.check_invariants().unwrap();
+            let nodes = sim.state.resources.node_store();
             for i in (0..nodes.len()).filter(|&i| nodes.is_down(i)) {
                 saw_failure = true;
                 // A failed node was stripped of every slot, so the list
@@ -2358,18 +2374,21 @@ mod tests {
         // Pre-configure an idle instance of the closest configuration
         // strictly larger than config 0 (the one every task prefers), so
         // the overflow has somewhere to degrade to.
-        let area0 = sim.resources.config(ConfigId(0)).req_area;
+        let area0 = sim.state.resources.config(ConfigId(0)).req_area;
         let big = sim
+            .state
             .resources
-            .find_closest_config(area0, &mut sim.steps)
+            .find_closest_config(area0, &mut sim.state.steps)
             .expect("a strictly larger configuration exists");
-        let demand = dreamsim_model::store::Demand::of(sim.resources.config(big));
+        let demand = dreamsim_model::store::Demand::of(sim.state.resources.config(big));
         let node = sim
+            .state
             .resources
-            .find_best_blank(demand, &mut sim.steps)
+            .find_best_blank(demand, &mut sim.state.steps)
             .expect("a blank node can host it");
-        sim.resources
-            .configure_slot(node, big, &mut sim.steps)
+        sim.state
+            .resources
+            .configure_slot(node, big, &mut sim.state.steps)
             .unwrap();
         let res = sim.run();
         let m = &res.metrics;
@@ -2443,9 +2462,9 @@ mod tests {
             sim.prime();
             sim.primed = true;
         }
-        while let Some((t, ev)) = sim.events.pop() {
-            sim.charge_idle_polls(t - sim.clock);
-            sim.clock = t;
+        while let Some((t, ev)) = sim.state.events.pop() {
+            sim.charge_idle_polls(t - sim.state.clock);
+            sim.state.clock = t;
             sim.dispatch(ev);
             if let Some(x) = probe(sim) {
                 return x;
@@ -2460,7 +2479,7 @@ mod tests {
         sim: &Simulation<FixedSource, GreedyPolicy>,
         mut f: impl FnMut(NodeId, u32, SlotView) -> Option<T>,
     ) -> Option<T> {
-        let nodes = sim.resources.node_store();
+        let nodes = sim.state.resources.node_store();
         (0..nodes.len()).find_map(|i| {
             nodes
                 .slots(i)
@@ -2487,11 +2506,11 @@ mod tests {
             sim.prime();
             sim.primed = true;
         }
-        while let Some((t, ev)) = sim.events.pop() {
-            sim.charge_idle_polls(t - sim.clock);
-            sim.clock = t;
+        while let Some((t, ev)) = sim.state.events.pop() {
+            sim.charge_idle_polls(t - sim.state.clock);
+            sim.state.clock = t;
             sim.dispatch(ev);
-            if sim.clock >= stop {
+            if sim.state.clock >= stop {
                 break;
             }
         }
@@ -2513,7 +2532,7 @@ mod tests {
         let resumed =
             Simulation::resume(read_checkpoint(&pa).unwrap(), FixedSource, GreedyPolicy).unwrap();
         assert!(
-            resumed.events.capacity() >= expected_pending_events(&p),
+            resumed.state.events.capacity() >= expected_pending_events(&p),
             "resume must restore the pre-sized headroom"
         );
         write_checkpoint(&pb, &resumed.checkpoint()).unwrap();
@@ -2542,7 +2561,7 @@ mod tests {
             !cp.stats.wait_samples.is_empty(),
             "tasks waited before the cut"
         );
-        assert_eq!(cp.stats.wait_samples, sim.stats.wait_samples);
+        assert_eq!(cp.stats.wait_samples, sim.state.stats.wait_samples);
         let payload = serde_json::to_string(&cp).unwrap();
         assert_eq!(
             payload.matches("\"wait_samples\"").count(),
@@ -2572,7 +2591,10 @@ mod tests {
         let stop = base.metrics.total_simulation_time / 2;
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, stop);
-        assert!(!sim.events.is_empty(), "checkpoint must be taken mid-run");
+        assert!(
+            !sim.state.events.is_empty(),
+            "checkpoint must be taken mid-run"
+        );
         let dir = temp_dir("bitident-ev");
         let path = dir.join("mid.dsc");
         write_checkpoint(&path, &sim.checkpoint()).unwrap();
@@ -2595,7 +2617,10 @@ mod tests {
         let stop = base.metrics.total_simulation_time / 2;
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, stop);
-        assert!(!sim.events.is_empty(), "checkpoint must be taken mid-run");
+        assert!(
+            !sim.state.events.is_empty(),
+            "checkpoint must be taken mid-run"
+        );
         let dir = temp_dir("bitident-ts");
         let path = dir.join("mid.dsc");
         write_checkpoint(&path, &sim.checkpoint()).unwrap();
@@ -2640,10 +2665,13 @@ mod tests {
         let mut sim = Simulation::new(p, FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 200);
         assert!(
-            sim.fault.domain_is_down(1),
+            sim.state.fault.domain_is_down(1),
             "checkpoint must capture an open outage"
         );
-        assert!(!sim.events.is_empty(), "checkpoint must be taken mid-run");
+        assert!(
+            !sim.state.events.is_empty(),
+            "checkpoint must be taken mid-run"
+        );
         let dir = temp_dir("bitident-chaos");
         let path = dir.join("mid.dsc");
         write_checkpoint(&path, &sim.checkpoint()).unwrap();
@@ -2756,13 +2784,15 @@ mod tests {
         // store's busy-area check would catch it first.)
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         let (victim, slot) = drive_to_idle_slot(&mut sim);
-        let nodes = sim.resources.node_store();
+        let nodes = sim.state.resources.node_store();
         let area = nodes.slot(victim.index(), slot).unwrap().area;
         let total = nodes.total_area(victim.index());
-        sim.resources.debug_set_slot_area(victim, slot, area + 1);
-        sim.resources.debug_set_total_area(victim, total + 1);
+        sim.state
+            .resources
+            .debug_set_slot_area(victim, slot, area + 1);
+        sim.state.resources.debug_set_total_area(victim, total + 1);
         assert!(
-            sim.resources.check_invariants().is_ok(),
+            sim.state.resources.check_invariants().is_ok(),
             "compensated corruption must evade the store's own checker"
         );
         match sim.audit() {
@@ -2785,7 +2815,8 @@ mod tests {
         // Park a task id on an idle slot without moving it to the busy
         // list: flags and lists now disagree.
         let victim = drive_to_idle_slot(&mut sim);
-        sim.resources
+        sim.state
+            .resources
             .debug_set_slot_task(victim.0, victim.1, Some(TaskId(0)));
         match sim.audit() {
             Err(AuditError::Store { detail }) => {
@@ -2800,12 +2831,13 @@ mod tests {
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 200);
         let running = sim
+            .state
             .tasks
             .iter()
             .find(|t| t.state == TaskState::Running)
             .map(|t| t.id)
             .expect("a running task exists by t=200");
-        sim.tasks.get_mut(running).state = TaskState::Completed;
+        sim.state.tasks.get_mut(running).state = TaskState::Completed;
         match sim.audit() {
             Err(AuditError::TaskSlot { task, .. }) => assert_eq!(task, running),
             other => panic!("expected TaskSlot, got {other:?}"),
@@ -2816,8 +2848,8 @@ mod tests {
     fn audit_catches_bogus_event_target() {
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 200);
-        sim.events.push(
-            sim.clock + 5,
+        sim.state.events.push(
+            sim.state.clock + 5,
             Event::TaskArrival {
                 task: TaskId(9_999),
             },
@@ -2836,13 +2868,15 @@ mod tests {
         drive_until(&mut sim, 200);
         // Queue a task that is not in Suspended state.
         let not_suspended = sim
+            .state
             .tasks
             .iter()
             .find(|t| t.state != TaskState::Suspended)
             .map(|t| t.id)
             .unwrap();
-        sim.suspension
-            .push(sim.tasks.get(not_suspended), &mut sim.steps);
+        sim.state
+            .suspension
+            .push(sim.state.tasks.get(not_suspended), &mut sim.state.steps);
         assert!(matches!(sim.audit(), Err(AuditError::Suspension { .. })));
     }
 
@@ -2853,7 +2887,8 @@ mod tests {
         // corrupted mid-run.
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         let victim = drive_to_idle_slot(&mut sim);
-        sim.resources
+        sim.state
+            .resources
             .debug_set_slot_task(victim.0, victim.1, Some(TaskId(0)));
         let opts = RunOptions {
             audit: true,
@@ -3266,7 +3301,8 @@ mod tests {
             let running = find_slot(s, |_, _, view| view.task)?;
             Some((running, idle_slot(s)?))
         });
-        sim.resources
+        sim.state
+            .resources
             .debug_set_slot_task(spare.0, spare.1, Some(running));
         match sim.audit() {
             Err(AuditError::Store { .. } | AuditError::TaskSlot { .. }) => {}
@@ -3622,8 +3658,8 @@ mod tests {
         // panic later when a rescan indexes the table with the id.
         let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
         drive_until(&mut sim, 200);
-        let queued = sim.suspension.iter().next().expect("a queued task");
-        let configs = sim.resources.num_configs();
+        let queued = sim.state.suspension.iter().next().expect("a queued task");
+        let configs = sim.state.resources.num_configs();
         let dir = temp_dir("task-configs");
         let path = dir.join("case.dsc");
         let reload = |cp: &Checkpoint| {
@@ -3661,8 +3697,8 @@ mod tests {
         // audit must reject it. Nothing here runs a resumed simulation.
         let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
         drive_until(&mut sim, 200);
-        let queued = sim.suspension.iter().next().expect("a queued task");
-        let nodes = sim.resources.node_store();
+        let queued = sim.state.suspension.iter().next().expect("a queued task");
+        let nodes = sim.state.resources.node_store();
         let widest = (0..nodes.len()).map(|i| nodes.total_area(i)).max().unwrap();
         let mut cp = sim.checkpoint();
         cp.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
@@ -3704,8 +3740,8 @@ mod tests {
         let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
         drive_until(&mut sim, 200);
         assert!(sim.audit().is_ok());
-        let queued = sim.suspension.iter().next().expect("a queued task");
-        sim.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
+        let queued = sim.state.suspension.iter().next().expect("a queued task");
+        sim.state.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
         match sim.audit() {
             Err(AuditError::Suspension { detail }) => {
                 assert!(detail.contains("config column"), "got: {detail}");
@@ -3765,7 +3801,7 @@ mod tests {
         dir
     }
 
-    /// The snapshot hook serializes a borrow of the live state: at every
+    /// The snapshot hook serializes the live state in place: at every
     /// boundary of a fault-injected batch run and of a `serve` window,
     /// the file it writes holds exactly the bytes of
     /// `serde_json::to_string(&sim.checkpoint())`.
@@ -3778,20 +3814,20 @@ mod tests {
         };
         // Batch: every boundary of the run loop's interval, through the
         // hook the loop calls.
-        let dir = temp_dir("view-batch");
+        let dir = temp_dir("snap-batch");
         let sink = SnapshotSink::Dir(dir.clone());
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         sim.prime();
         sim.primed = true;
         let mut every = Interval::new(0, 150);
         let mut written = 0;
-        while let Some((t, ev)) = sim.events.pop() {
-            sim.charge_idle_polls(t - sim.clock);
-            sim.clock = t;
+        while let Some((t, ev)) = sim.state.events.pop() {
+            sim.charge_idle_polls(t - sim.state.clock);
+            sim.state.clock = t;
             sim.dispatch(ev);
-            if every.due(sim.clock) {
+            if every.due(sim.state.clock) {
                 sim.snapshot(&sink).unwrap();
-                let clock = sim.clock;
+                let clock = sim.state.clock;
                 let want = serde_json::to_string(&sim.checkpoint()).unwrap();
                 assert!(newest_payload(&dir) == want, "batch snapshot at {clock}");
                 written += 1;
@@ -3801,7 +3837,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // Serve: legs cut at each ring boundary, as a kill would cut them;
         // the last leg drains to the horizon snapshot.
-        let dir = service_dir("view-serve");
+        let dir = service_dir("snap-serve");
         let mut sim = Simulation::new(service_params(1_000), FixedSource, GreedyPolicy).unwrap();
         let every = 100;
         let mut leg = ServiceLegOptions {

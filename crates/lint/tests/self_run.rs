@@ -24,8 +24,8 @@ fn every_suppression_carries_a_reason() {
     assert!(
         !report.suppressions.is_empty(),
         "the tree is expected to carry at least the documented pragmas \
-         (balancer zero-guards, lint argv); if all were removed, drop \
-         this assertion"
+         (the task palette's index map, lint argv, test scratch \
+         directories); if all were removed, drop this assertion"
     );
     for s in &report.suppressions {
         assert!(

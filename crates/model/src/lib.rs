@@ -19,9 +19,9 @@
 //!
 //! Section IV.B's dynamic structures are reproduced in [`lists`] (the
 //! per-configuration idle/busy lists headed by `Idle_start` /
-//! `Busy_start`, one vector each, whose checkpoint form threads them
-//! through `Inext`/`Bnext` links) and [`suspension`] (the suspension
-//! queue). [`store::ResourceManager`] ties
+//! `Busy_start`, one vector each, which checkpoints carry as vectors
+//! too: columns 15–16 of the node table, `soa/columns.rs`) and
+//! [`suspension`] (the suspension queue). [`store::ResourceManager`] ties
 //! everything together and is the single mutation point, so the area and
 //! list invariants can be checked in one place
 //! ([`store::ResourceManager::check_invariants`]). Runtime node state is
@@ -29,8 +29,8 @@
 //! (`rm.node_store().available_area(i)`, `.is_down(i)`, `.slots(i)`, …),
 //! and mutated only through it: the store is the one implementation of
 //! a node's slots, Eq. 4 and slot-index reuse. [`node::Node`] is a plain
-//! record, the construction input when blank and the checkpoint form of
-//! one node when full.
+//! record, the construction spec of one blank node; checkpoints never
+//! write it.
 //!
 //! Every traversal of a list or scan of the node table is charged to a
 //! [`steps::StepCounter`], reproducing the paper's two step metrics

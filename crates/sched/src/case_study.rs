@@ -34,7 +34,7 @@ use dreamsim_model::{ConfigId, EntryRef, NodeId, TaskId};
 
 /// How the **allocation** phase picks among idle instances of the target
 /// configuration. The paper uses best fit; the others exist for the
-/// policy ablation (DESIGN.md A1) and the future-work load balancer.
+/// policy ablation (DESIGN.md A1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AllocationStrategy {
     /// Minimum `AvailableArea` (the paper's choice).

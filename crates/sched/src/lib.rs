@@ -17,15 +17,11 @@
 //!   a node is only ever reconfigured whole).
 //!
 //! [`AllocationStrategy`] swaps the allocation phase's pick (first fit,
-//! worst fit, random, least loaded) for the policy ablation, and
-//! [`balancer`] implements the load-balancing module the paper lists as
-//! future work.
+//! worst fit, random, least loaded) for the policy ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod balancer;
 pub mod case_study;
 
-pub use balancer::{LoadBalancer, LoadReport};
 pub use case_study::{AllocationStrategy, CaseStudyScheduler};

@@ -1,5 +1,5 @@
-//! Failure injection + load-balance reporting (extensions beyond the
-//! paper's failure-free evaluation): each node fails with a
+//! Failure injection (an extension beyond the paper's failure-free
+//! evaluation): each node fails with a
 //! configurable mean time to failure (MTTF), killing its tasks, and
 //! comes back blank after repair.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use dreamsim::engine::{ReconfigMode, SimParams, Simulation};
-use dreamsim::sched::{CaseStudyScheduler, LoadBalancer};
+use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::SyntheticSource;
 
 fn main() {
@@ -36,25 +36,4 @@ fn main() {
             m.avg_waiting_time_per_task
         );
     }
-
-    // Load-distribution snapshot mid-run, via the monitoring hook: build
-    // a small simulation, run it, and report the final (drained) state
-    // plus a mid-simulation style report from a fresh resource manager.
-    let mut params = SimParams::paper(40, 400, ReconfigMode::Partial);
-    params.seed = 3;
-    let source = SyntheticSource::from_params(&params);
-    let sim = Simulation::new(params, source, CaseStudyScheduler::new()).unwrap();
-    let report = LoadBalancer::new().report(sim.resources());
-    println!(
-        "\ninitial load report: mean load {:.2}, CV {:.2}, Gini {:.2}, busy {:.0}%",
-        report.mean_load,
-        report.load_cv,
-        report.load_gini,
-        report.busy_fraction * 100.0
-    );
-    let result = sim.run();
-    println!(
-        "after run: {} tasks completed, {} node failures",
-        result.metrics.total_tasks_completed, result.metrics.node_failures
-    );
 }
