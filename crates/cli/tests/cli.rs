@@ -513,8 +513,8 @@ fn trace_and_swf_tick_values_are_typed_errors_not_panics() {
 
 #[test]
 fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
-    use dreamsim_engine::{compact, write_checkpoint, Checkpoint};
-    use dreamsim_model::pack;
+    use dreamsim_engine::{write_checkpoint, Checkpoint};
+    use dreamsim_model::{compact, pack};
     // A CRC-valid checkpoint whose first queued task resolves to a
     // configuration the table does not have must fail the restore
     // audit with a named error, not index out of bounds in a rescan.
@@ -548,9 +548,15 @@ fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
         .expect("the first checkpoint has a queued task");
     let configs = v["resources"]["configs"].as_array().unwrap().len();
     let packed = v["tasks"]["packed"].as_str().unwrap();
-    let mut tasks = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    let mut tasks = dreamsim_model::TaskTable::new();
     let bad_config = dreamsim_model::ConfigId::from_index(configs);
-    tasks[usize::try_from(queued).unwrap()].resolved_config = Some(bad_config);
+    for mut row in &decoded {
+        if row.id.index() == usize::try_from(queued).unwrap() {
+            row.resolved_config = Some(bad_config);
+        }
+        tasks.push(row).unwrap();
+    }
     let mut repacked = String::new();
     compact::write_tasks(&mut repacked, &tasks);
     let serde_json::Value::Object(fields) = &mut v else {

@@ -7,7 +7,7 @@
 //! per-slot area against the configuration table, the task table against
 //! slot occupancy and the configuration table, pending events against
 //! the tasks and nodes they target, and the suspension queue (ids and
-//! config column) against task states and rows.
+//! config column) against the task table's state and config columns.
 //!
 //! The auditor runs at checkpoint boundaries (a checkpoint of corrupted
 //! state is worse than no checkpoint), under the CLI's `--audit` /
@@ -22,10 +22,9 @@
 //! task ids are vectors over the task table, not ordered containers.
 
 use crate::event::{Event, EventQueue};
-use crate::sim::TaskTable;
 use dreamsim_model::{
     Area, Capabilities, ConfigId, Demand, EntryRef, NodeId, ResourceManager, SuspensionQueue,
-    TaskId, TaskState, Ticks,
+    TaskId, TaskState, TaskTable, Ticks,
 };
 
 /// A violated state invariant, with enough context to locate the
@@ -222,7 +221,7 @@ fn check_task_slot_bijection(
                     detail: format!("running on two slots at once: {prev} and {entry}"),
                 });
             }
-            let state = tasks.get(task).state;
+            let state = tasks.state(task);
             if state != TaskState::Running {
                 return Err(AuditError::TaskSlot {
                     task,
@@ -231,10 +230,10 @@ fn check_task_slot_bijection(
             }
         }
     }
-    for t in tasks.iter() {
-        if t.state == TaskState::Running && placed[t.id.index()].is_none() {
+    for (i, &state) in tasks.states().iter().enumerate() {
+        if state == TaskState::Running && placed[i].is_none() {
             return Err(AuditError::TaskSlot {
-                task: t.id,
+                task: TaskId::from_index(i),
                 detail: "state is Running but no slot holds it".to_string(),
             });
         }
@@ -244,14 +243,15 @@ fn check_task_slot_bijection(
 
 fn check_task_configs(resources: &ResourceManager, tasks: &TaskTable) -> Result<(), AuditError> {
     let num_configs = resources.num_configs();
-    for t in tasks.iter() {
+    for i in 0..tasks.len() {
+        let task = TaskId::from_index(i);
         for (field, config) in [
-            ("resolved_config", t.resolved_config),
-            ("assigned_config", t.assigned_config),
+            ("resolved_config", tasks.resolved_config(task)),
+            ("assigned_config", tasks.assigned_config(task)),
         ] {
             if let Some(c) = config.filter(|c| c.index() >= num_configs) {
                 return Err(AuditError::TaskConfig {
-                    task: t.id,
+                    task,
                     detail: format!("{field} is {c} (have {num_configs} configs)"),
                 });
             }
@@ -319,8 +319,8 @@ fn check_event_targets(
                 }
                 // Stale events (killed/resubmitted runs) are legal; only
                 // a *current* event must match live slot occupancy.
-                let t = tasks.get(task);
-                let current = t.state == TaskState::Running && t.start_time == Some(started_at);
+                let current = tasks.state(task) == TaskState::Running
+                    && tasks.start_time(task) == Some(started_at);
                 if current
                     && resources
                         .node_store()
@@ -351,9 +351,8 @@ fn check_event_targets(
                         detail: format!("{ev:?} targets out-of-range {task}"),
                     });
                 }
-                let t = tasks.get(task);
-                let current =
-                    t.state == TaskState::Suspended && t.suspended_at == Some(enqueued_at);
+                let current = tasks.state(task) == TaskState::Suspended
+                    && tasks.suspended_at(task) == Some(enqueued_at);
                 if current && !queued[task.index()] {
                     return Err(AuditError::EventTarget {
                         time,
@@ -401,18 +400,18 @@ fn check_suspension(
                 detail: format!("{task} queued more than once"),
             });
         }
-        let t = tasks.get(task);
-        if t.state != TaskState::Suspended {
+        let state = tasks.state(task);
+        if state != TaskState::Suspended {
             return Err(AuditError::Suspension {
-                detail: format!("queued {task} has state {:?}, not Suspended", t.state),
+                detail: format!("queued {task} has state {state:?}, not Suspended"),
             });
         }
-        if config != t.resolved_config {
+        let resolved = tasks.resolved_config(task);
+        if config != resolved {
             return Err(AuditError::Suspension {
                 detail: format!(
                     "config column records {config:?} for queued {task}, whose \
-                     resolved_config is {:?}",
-                    t.resolved_config
+                     resolved_config is {resolved:?}"
                 ),
             });
         }
@@ -430,8 +429,9 @@ fn check_suspension(
         }
     }
     let suspended = tasks
+        .states()
         .iter()
-        .filter(|t| t.state == TaskState::Suspended)
+        .filter(|&&s| s == TaskState::Suspended)
         .count();
     if suspended != suspension.len() {
         return Err(AuditError::Suspension {

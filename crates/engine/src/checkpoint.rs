@@ -55,9 +55,8 @@
 use crate::event::EventQueue;
 use crate::fault::FaultModel;
 use crate::params::SimParams;
-use crate::sim::TaskTable;
 use crate::stats::Stats;
-use dreamsim_model::{ResourceManager, StepCounter, SuspensionQueue, Ticks};
+use dreamsim_model::{ResourceManager, StepCounter, SuspensionQueue, TaskTable, Ticks};
 use dreamsim_rng::Rng;
 use std::io::Write as _;
 use std::path::Path;

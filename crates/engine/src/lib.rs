@@ -30,7 +30,6 @@
 
 pub mod audit;
 pub mod checkpoint;
-pub mod compact;
 pub mod event;
 pub mod fault;
 pub mod init;
@@ -65,6 +64,6 @@ pub use service::{
 pub use sim::{
     Decision, DiscardReason, Driver, PlacePhase, Placement, Resume, RunError, RunOptions,
     RunResult, SchedCtx, SchedulePolicy, SearchBackend, Simulation, SourceYield, TaskSource,
-    TaskSpec, TaskTable,
+    TaskSpec,
 };
 pub use stats::{Metrics, PhaseCounts, PhaseKind, Stats, WindowBucket, WindowStats};

@@ -352,6 +352,12 @@ impl Default for ServiceParams {
 /// clock has absorbed more than 2^25 such delays in a row.
 pub const MAX_TICKS: u64 = 1 << 32;
 
+/// The largest suspension-retry limit ([`SimParams::max_sus_retries`]):
+/// `u32::MAX − 1`. The task table counts `SusRetry` in a `u32` column
+/// that saturates at `u32::MAX`, so below this ceiling a limit check
+/// always sees the exact count.
+pub const MAX_SUS_RETRIES: u64 = u32::MAX as u64 - 1;
+
 /// Parameter validation error.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ParamsError {
@@ -411,6 +417,8 @@ pub enum ParamsError {
         /// Upper bound given.
         value: Area,
     },
+    /// The suspension-retry limit exceeds [`MAX_SUS_RETRIES`].
+    RetryLimitTooLarge(u64),
     /// No entry of [`SimParams::FLAGS`] has this name.
     UnknownFlag(String),
     /// A flag's value does not match the flag's grammar.
@@ -464,6 +472,11 @@ impl std::fmt::Display for ParamsError {
             ParamsError::TicksTooLarge { name, value } => write!(
                 f,
                 "parameter {name}: {value} ticks exceeds the ceiling of {MAX_TICKS} ticks"
+            ),
+            ParamsError::RetryLimitTooLarge(value) => write!(
+                f,
+                "parameter max_sus_retries: {value} exceeds the ceiling of {MAX_SUS_RETRIES} \
+                 retries"
             ),
             ParamsError::AreaTooLarge { name, value } => write!(
                 f,
@@ -624,7 +637,8 @@ pub struct SimParams {
     /// tasks that would suspend are discarded instead).
     pub suspension_enabled: bool,
     /// Maximum resume retries before a suspended task is discarded;
-    /// `None` (paper behaviour) retries indefinitely.
+    /// `None` (paper behaviour) retries indefinitely. At most
+    /// [`MAX_SUS_RETRIES`].
     pub max_sus_retries: Option<u64>,
     /// Fault-injection parameters (disabled by default).
     pub faults: FaultParams,
@@ -749,6 +763,9 @@ impl SimParams {
         }
         if let Some((name, value)) = self.tick_params().find(|&(_, v)| v > MAX_TICKS) {
             return Err(ParamsError::TicksTooLarge { name, value });
+        }
+        if let Some(limit) = self.max_sus_retries.filter(|&l| l > MAX_SUS_RETRIES) {
+            return Err(ParamsError::RetryLimitTooLarge(limit));
         }
         self.faults.validate()?;
         if let Some(d) = &self.domains {
@@ -1052,6 +1069,20 @@ mod tests {
         assert!(p.suspension_enabled);
         assert_eq!(p.max_sus_retries, None);
         p.validate().unwrap();
+    }
+
+    #[test]
+    fn a_retry_limit_above_the_ceiling_is_rejected() {
+        let mut p = SimParams::default();
+        p.max_sus_retries = Some(MAX_SUS_RETRIES);
+        assert_eq!(p.validate(), Ok(()));
+        p.max_sus_retries = Some(MAX_SUS_RETRIES + 1);
+        let err = p.validate().unwrap_err();
+        assert_eq!(err, ParamsError::RetryLimitTooLarge(MAX_SUS_RETRIES + 1));
+        assert_eq!(
+            err.to_string(),
+            "parameter max_sus_retries: 4294967295 exceeds the ceiling of 4294967294 retries"
+        );
     }
 
     #[test]

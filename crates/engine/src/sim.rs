@@ -37,9 +37,10 @@ use crate::report::Report;
 use crate::ring::CheckpointRing;
 use crate::service::{ServiceLegEnd, ServiceLegOptions, Watchdog};
 use crate::stats::{Metrics, PhaseKind, Stats, WindowStats};
+use dreamsim_model::ids::MAX_AREA;
 use dreamsim_model::{
     Area, ConfigId, EntryRef, NodeId, PreferredConfig, ResourceManager, StepCounter,
-    SuspensionQueue, Task, TaskId, TaskState, Ticks,
+    SuspensionQueue, Task, TaskId, TaskState, TaskTable, Ticks,
 };
 use dreamsim_rng::Rng;
 
@@ -222,86 +223,6 @@ pub enum Resume {
     },
 }
 
-/// Dense task table (the driver's master copy of every task).
-///
-/// Serialization is custom: the table reads and writes the compact
-/// columnar form from [`crate::compact`]
-/// (`{"count": n, "packed": "<base64>"}`), which is what makes
-/// checkpoints small.
-#[derive(Clone, Debug, Default)]
-pub struct TaskTable {
-    tasks: Vec<Task>,
-}
-
-impl serde::Serialize for TaskTable {
-    fn write_json(&self, out: &mut String) {
-        crate::compact::write_tasks(out, &self.tasks);
-    }
-}
-
-impl serde::Deserialize for TaskTable {
-    fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (count, bytes) = dreamsim_model::pack::read_packed(r, "TaskTable")?;
-        let tasks = crate::compact::decode_tasks(&bytes)
-            .map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
-        if count != tasks.len() as u64 {
-            return Err(serde::Error::custom(format!(
-                "TaskTable: count {count} disagrees with packed length {}",
-                tasks.len()
-            )));
-        }
-        Ok(Self { tasks })
-    }
-}
-
-impl TaskTable {
-    /// Empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of tasks created so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no tasks have been created.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Append a task; its id must equal its index.
-    pub fn push(&mut self, task: Task) {
-        assert_eq!(task.id.index(), self.tasks.len(), "task ids must be dense");
-        self.tasks.push(task);
-    }
-
-    /// Borrow a task.
-    #[must_use]
-    pub fn get(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
-    }
-
-    /// Mutably borrow a task.
-    pub fn get_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.index()]
-    }
-
-    /// Iterate all tasks.
-    pub fn iter(&self) -> impl Iterator<Item = &Task> {
-        self.tasks.iter()
-    }
-
-    /// Consume into the underlying vector.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<Task> {
-        self.tasks
-    }
-}
-
 /// Mutable view handed to the policy on every scheduling decision.
 pub struct SchedCtx<'a> {
     /// Current simulation time.
@@ -316,7 +237,8 @@ pub struct SchedCtx<'a> {
     pub resources: &'a mut ResourceManager,
     /// The suspension queue.
     pub suspension: &'a mut SuspensionQueue,
-    /// The task table (policies read preferences and bump retry counts).
+    /// The task table, one column per field (policies read preferences
+    /// and resolved configurations, and bump retry counts).
     pub tasks: &'a mut TaskTable,
     /// Search-step accounting.
     pub steps: &'a mut StepCounter,
@@ -448,8 +370,9 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// Full report (parameters + metrics).
     pub report: Report,
-    /// Final state of every task.
-    pub tasks: Vec<Task>,
+    /// Final state of every task: the run's own columns, handed over
+    /// whole ([`TaskTable::row`] assembles one task's row).
+    pub tasks: TaskTable,
     /// Deterministic per-phase operation counters for the run (see
     /// [`crate::profile`]).
     pub profile: crate::profile::PhaseProfile,
@@ -570,6 +493,18 @@ impl Cadence {
 /// is a horizon-derived upper bound rather than an expected count.
 const SERVICE_RESERVE_CAP: usize = 1 << 20;
 
+/// How many tasks' worth of per-task state a run reserves up front: the
+/// task budget, capped in service mode so a long horizon doesn't
+/// pre-allocate gigabytes. Capacity is unobservable (pop order, reports,
+/// and checkpoint bytes are identical either way).
+fn reserve_budget(params: &SimParams) -> usize {
+    if params.service.is_some() {
+        params.total_tasks.min(SERVICE_RESERVE_CAP)
+    } else {
+        params.total_tasks
+    }
+}
+
 /// The simulation driver.
 pub struct Simulation<S, P> {
     /// Every captured member of the run, held as the snapshot it is
@@ -580,6 +515,9 @@ pub struct Simulation<S, P> {
     // source_cursor); [`Simulation::resume`] checks the kind and
     // fast-forwards a caller-supplied source via `restore_cursor`.
     source: S,
+    // REBUILD: the checkpoint records the policy's state label;
+    // [`Simulation::resume`] takes a caller-supplied policy and refuses
+    // one whose label differs.
     policy: P,
     // REBUILD: observers are process-local hooks, deliberately outside
     // the snapshot; callers re-register them after resume.
@@ -617,26 +555,14 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 stats.window = Some(WindowStats::new(s.window, s.window_retain));
             }
         }
-        // Service-mode task budgets are a horizon-derived upper bound,
-        // not an expected count — cap the up-front reservations so a
-        // long horizon doesn't pre-allocate gigabytes. Capacity is
-        // unobservable (pop order, reports, and checkpoint bytes are
-        // identical either way).
-        let reserve_budget = if params.service.is_some() {
-            params.total_tasks.min(SERVICE_RESERVE_CAP)
-        } else {
-            params.total_tasks
-        };
-        stats.wait_samples.reserve(reserve_budget);
+        stats.wait_samples.reserve(reserve_budget(&params));
         let state = Checkpoint {
             params,
             policy: policy.state_label(),
             source_kind: source.source_kind().to_string(),
             source_cursor: source.source_cursor(),
             resources,
-            tasks: TaskTable {
-                tasks: Vec::with_capacity(reserve_budget),
-            },
+            tasks: TaskTable::new(),
             events,
             suspension: SuspensionQueue::new(),
             steps: StepCounter::new(),
@@ -696,6 +622,16 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 cp.source_kind
             )));
         }
+        // Every task the source yields enters the table, so a run keeps
+        // `created` equal to the table's length; a mismatch would resume
+        // with a wrong count of tasks generated.
+        if cp.created != cp.tasks.len() as u64 {
+            return Err(CheckpointError::State(format!(
+                "created count {} disagrees with the task table's {} tasks",
+                cp.created,
+                cp.tasks.len()
+            )));
+        }
         // Deserialization sizes the heap to exactly the pending entries;
         // restore the same headroom a fresh run starts with so the
         // resumed half pushes without regrowing (capacity is
@@ -707,7 +643,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // below rejects it.
         cp.suspension.rebuild_configs(|t| {
             let in_range = t.index() < cp.tasks.len();
-            in_range.then(|| cp.tasks.get(t).resolved_config).flatten()
+            in_range.then(|| cp.tasks.resolved_config(t)).flatten()
         });
         let sim = Self {
             state: cp,
@@ -1022,6 +958,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     fn prime(&mut self) {
+        // Reserve every task column for the run's budget before the
+        // first task enters, so no column doubles past its final size.
+        // Here rather than in `new`: a simulation that is built and
+        // never run allocates none of the thirteen columns.
+        let budget = reserve_budget(&self.state.params);
+        self.state.tasks.reserve(budget);
         self.poll_source();
         if self.state.fault.mttf_active() {
             // Per-node failure processes: every node gets its own first
@@ -1084,7 +1026,6 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // BOUND: a synthetic draw stays below 2^38 and a trace/SWF interarrival is capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
         let arrival = self.state.last_arrival.max(self.state.clock) + spec.interarrival;
         self.state.last_arrival = arrival;
-        let id = TaskId::from_index(self.state.tasks.len());
         // For in-list preferences the task's NeededArea mirrors the
         // configuration's ReqArea (the source may not know the table).
         let needed_area = match spec.preferred {
@@ -1093,9 +1034,31 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             }
             _ => spec.needed_area,
         };
-        let task = Task::new(id, arrival, spec.required_time, spec.preferred, needed_area)
-            .with_data_bytes(spec.data_bytes);
-        self.state.tasks.push(task);
+        // Areas are held to MAX_AREA here, as parameters, traces and
+        // checkpoints hold them (DESIGN.md §14.4). No configuration is
+        // wider than MAX_AREA and a closest match must be strictly wider,
+        // so a task asking for more is discarded on arrival
+        // (`NoClosestConfig`) after the same search steps either way, and
+        // the held area is one a checkpoint carries.
+        let preferred = match spec.preferred {
+            PreferredConfig::Phantom { area } => PreferredConfig::Phantom {
+                area: area.min(MAX_AREA),
+            },
+            known => known,
+        };
+        let id = self
+            .state
+            .tasks
+            .create(
+                arrival,
+                spec.required_time,
+                preferred,
+                needed_area.min(MAX_AREA),
+                spec.data_bytes,
+            )
+            // INVARIANT: the needed area was just held to MAX_AREA, far
+            // inside the u32 column, the only bound `create` checks.
+            .expect("areas held to MAX_AREA fit the task table");
         self.state.created += 1;
         self.state
             .events
@@ -1148,13 +1111,16 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
 
     fn handle_arrival(&mut self, task: TaskId) {
         self.state.stats.record_arrival();
-        for obs in &mut self.observers {
-            obs.on_arrival(self.state.clock, self.state.tasks.get(task));
-            obs.on_snapshot(
-                self.state.clock,
-                &self.state.resources,
-                self.state.suspension.len(),
-            );
+        if !self.observers.is_empty() {
+            let row = self.state.tasks.row(task);
+            for obs in &mut self.observers {
+                obs.on_arrival(self.state.clock, &row);
+                obs.on_snapshot(
+                    self.state.clock,
+                    &self.state.resources,
+                    self.state.suspension.len(),
+                );
+            }
         }
         self.schedule(task);
         // Chain the next arrival.
@@ -1179,8 +1145,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// another placement, and the task itself possibly resubmitted and
     /// re-placed — changes nothing and returns `false`.
     fn release_current_run(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) -> bool {
-        let t = self.state.tasks.get(task);
-        if t.state != TaskState::Running || t.start_time != Some(started_at) {
+        let tasks = &self.state.tasks;
+        if tasks.state(task) != TaskState::Running || tasks.start_time(task) != Some(started_at) {
             return false;
         }
         if self
@@ -1218,16 +1184,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         if !self.release_current_run(task, entry, started_at) {
             return;
         }
-        {
-            let t = self.state.tasks.get_mut(task);
-            t.completion_time = Some(self.state.clock);
-            t.state = TaskState::Completed;
-        }
-        let residence = self.state.clock - self.state.tasks.get(task).create_time;
+        let tasks = &mut self.state.tasks;
+        tasks.set_completion_time(task, Some(self.state.clock));
+        tasks.set_state(task, TaskState::Completed);
+        let residence = self.state.clock - tasks.create_time(task);
         self.state.stats.record_completion(residence);
-        for obs in &mut self.observers {
-            obs.on_completion(self.state.clock, self.state.tasks.get(task));
-        }
+        self.notify(task, |obs, now, row| obs.on_completion(now, row));
         let (mut ctx, policy) = self.ctx_and_policy();
         let resumes = policy.on_slot_freed(&mut ctx, entry);
         self.enact_resumes(resumes);
@@ -1335,15 +1297,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         }
         if kind == DomainOutageKind::Partition && self.state.params.suspension_enabled {
             for t in evicted {
-                {
-                    let task = self.state.tasks.get_mut(t);
-                    task.state = TaskState::Created;
-                    task.start_time = None;
-                    task.assigned_config = None;
-                }
+                self.end_run(t);
+                let resolved = self.state.tasks.resolved_config(t);
                 self.state
                     .suspension
-                    .push(self.state.tasks.get(t), &mut self.state.steps);
+                    .push(t, resolved, &mut self.state.steps);
                 self.enact_suspension(t);
             }
         } else {
@@ -1412,7 +1370,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // The task waits out its backoff in `Created` state and is in no
         // queue or slot, so nothing else should touch it; guard anyway
         // so a stale event can never double-schedule.
-        if self.state.tasks.get(task).state != TaskState::Created {
+        if self.state.tasks.state(task) != TaskState::Created {
             return;
         }
         self.schedule(task);
@@ -1426,15 +1384,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             return;
         }
         self.state.stats.task_failures += 1;
-        {
-            let t = self.state.tasks.get_mut(task);
-            t.state = TaskState::Created;
-            t.start_time = None;
-            t.assigned_config = None;
-        }
-        for obs in &mut self.observers {
-            obs.on_task_failed(self.state.clock, self.state.tasks.get(task));
-        }
+        self.end_run(task);
+        self.notify(task, |obs, now, row| obs.on_task_failed(now, row));
         let (mut ctx, policy) = self.ctx_and_policy();
         let resumes = policy.on_slot_freed(&mut ctx, entry);
         self.enact_resumes(resumes);
@@ -1444,11 +1395,11 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// A suspension deadline came due; stale if the task was resumed
     /// (and possibly re-suspended) since it was scheduled.
     fn handle_suspension_timeout(&mut self, task: TaskId, enqueued_at: Ticks) {
+        let tasks = &self.state.tasks;
+        if tasks.state(task) != TaskState::Suspended
+            || tasks.suspended_at(task) != Some(enqueued_at)
         {
-            let t = self.state.tasks.get(task);
-            if t.state != TaskState::Suspended || t.suspended_at != Some(enqueued_at) {
-                return;
-            }
+            return;
         }
         let removed = self
             .state
@@ -1462,37 +1413,26 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// `reason` once resubmission is off or the retry budget is spent.
     fn resubmit_or_discard(&mut self, task: TaskId, reason: DiscardReason) {
         if !self.state.fault.resubmit_enabled()
-            || self.state.tasks.get(task).fault_retries >= self.state.fault.max_retries()
+            || self.state.tasks.fault_retries(task) >= self.state.fault.max_retries()
         {
             self.enact_discard(task, reason);
             return;
         }
-        let attempt = {
-            let t = self.state.tasks.get_mut(task);
-            t.state = TaskState::Created;
-            t.start_time = None;
-            t.assigned_config = None;
-            t.fault_retries += 1;
-            t.fault_retries
-        };
+        self.end_run(task);
+        let attempt = self.state.tasks.fault_retries(task) + 1;
+        self.state.tasks.set_fault_retries(task, attempt);
         self.state.stats.resubmissions += 1;
-        for obs in &mut self.observers {
-            obs.on_resubmit(self.state.clock, self.state.tasks.get(task), attempt);
-        }
+        self.notify(task, |obs, now, row| obs.on_resubmit(now, row, attempt));
         self.schedule(task);
     }
 
     /// Mark `task` suspended (the policy already queued it) and arm the
     /// suspension deadline if one is configured.
     fn enact_suspension(&mut self, task: TaskId) {
-        {
-            let t = self.state.tasks.get_mut(task);
-            t.state = TaskState::Suspended;
-            t.suspended_at = Some(self.state.clock);
-        }
-        for obs in &mut self.observers {
-            obs.on_suspend(self.state.clock, self.state.tasks.get(task));
-        }
+        let tasks = &mut self.state.tasks;
+        tasks.set_state(task, TaskState::Suspended);
+        tasks.set_suspended_at(task, Some(self.state.clock));
+        self.notify(task, |obs, now, row| obs.on_suspend(now, row));
         if let Some(deadline) = self.state.fault.suspension_deadline() {
             self.state.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
@@ -1553,12 +1493,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// in closest-match order and run the task, degraded, on the first
     /// idle instance found. Returns whether a placement happened.
     fn try_degrade(&mut self, task: TaskId) -> bool {
-        let mut area = {
-            let t = self.state.tasks.get(task);
-            match t.resolved_config {
-                Some(c) => self.state.resources.config(c).req_area,
-                None => t.needed_area,
-            }
+        let mut area = match self.state.tasks.resolved_config(task) {
+            Some(c) => self.state.resources.config(c).req_area,
+            None => self.state.tasks.needed_area(task),
         };
         while let Some(config) = self
             .state
@@ -1581,7 +1518,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                     // INVARIANT: find_best_idle returned a live idle
                     // slot; nothing ran in between.
                     .expect("idle slot accepts the degraded task");
-                self.state.tasks.get_mut(task).resolved_config = Some(config);
+                self.state.tasks.set_resolved_config(task, Some(config));
                 self.state.stats.tasks_degraded += 1;
                 self.enact_placement(
                     Placement {
@@ -1623,24 +1560,19 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         let store = self.state.resources.node_store();
         let tcomm = store.network_delay(p.entry.node.index());
         let wasted_after = store.available_area(p.entry.node.index());
-        let (wait, completion) = {
-            let t = self.state.tasks.get_mut(p.task);
-            t.start_time = Some(self.state.clock);
-            t.assigned_config = Some(p.config);
-            t.state = TaskState::Running;
-            if resumed {
-                t.sus_retry += 1;
-            }
-            let wait = (self.state.clock - t.create_time) + tcomm + p.config_time;
-            // BOUND: each term is a validated tick parameter or a trace/SWF time capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
-            let completion = self.state.clock + p.config_time + tcomm + t.required_time;
-            (wait, completion)
-        };
+        let tasks = &mut self.state.tasks;
+        tasks.set_start_time(p.task, Some(self.state.clock));
+        tasks.set_assigned_config(p.task, Some(p.config));
+        tasks.set_state(p.task, TaskState::Running);
+        if resumed {
+            tasks.bump_sus_retry(p.task);
+        }
+        let required_time = tasks.required_time(p.task);
+        let wait = (self.state.clock - tasks.create_time(p.task)) + tcomm + p.config_time;
+        // BOUND: each term is a validated tick parameter or a trace/SWF time capped at MAX_TICKS (DESIGN.md §14.4); far below 2^64.
+        let completion = self.state.clock + p.config_time + tcomm + required_time;
         if fails_midrun {
-            let run_for = self
-                .state
-                .fault
-                .draw_fail_point(self.state.tasks.get(p.task).required_time);
+            let run_for = self.state.fault.draw_fail_point(required_time);
             self.state.events.push(
                 // BOUND: clock plus a bounded delay; simulated time stays far below 2^64.
                 self.state.clock + p.config_time + tcomm + run_for,
@@ -1663,9 +1595,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         self.state
             .stats
             .record_placement(p.phase, wait, p.config_time, wasted_after, resumed);
-        for obs in &mut self.observers {
-            obs.on_placement(self.state.clock, self.state.tasks.get(p.task), &p);
-        }
+        self.notify(p.task, |obs, now, row| obs.on_placement(now, row, &p));
     }
 
     /// Roll back a placement whose bitstream load failed: release and
@@ -1691,15 +1621,12 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             // slot, leaving it idle.
             .expect("aborted slot is idle after release");
         self.state.stats.record_reconfig_failure(p.config_time);
-        let attempt = {
-            let t = self.state.tasks.get_mut(p.task);
-            t.state = TaskState::Created;
-            t.fault_retries += 1;
-            t.fault_retries
-        };
-        for obs in &mut self.observers {
-            obs.on_reconfig_failed(self.state.clock, self.state.tasks.get(p.task), attempt);
-        }
+        let attempt = self.state.tasks.fault_retries(p.task) + 1;
+        self.state.tasks.set_state(p.task, TaskState::Created);
+        self.state.tasks.set_fault_retries(p.task, attempt);
+        self.notify(p.task, |obs, now, row| {
+            obs.on_reconfig_failed(now, row, attempt);
+        });
         if attempt <= self.state.fault.max_retries() {
             self.state.stats.reconfig_retries += 1;
             self.state.events.push(
@@ -1722,9 +1649,8 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             .find_closest_config(failed_area, &mut self.state.steps)
         {
             Some(next) => {
-                let t = self.state.tasks.get_mut(p.task);
-                t.resolved_config = Some(next);
-                t.fault_retries = 0;
+                self.state.tasks.set_resolved_config(p.task, Some(next));
+                self.state.tasks.set_fault_retries(p.task, 0);
                 self.state.stats.reconfig_retries += 1;
                 self.state.events.push(
                     // BOUND: backoff is capped by max_retries doublings of a validated base delay.
@@ -1737,7 +1663,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     }
 
     fn enact_discard(&mut self, task: TaskId, reason: DiscardReason) {
-        self.state.tasks.get_mut(task).state = TaskState::Discarded;
+        self.state.tasks.set_state(task, TaskState::Discarded);
         self.state.stats.record_discard();
         if reason.is_fault() {
             self.state.stats.tasks_lost += 1;
@@ -1745,8 +1671,27 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         if reason.is_shed() {
             self.state.stats.tasks_shed += 1;
         }
+        self.notify(task, |obs, now, row| obs.on_discard(now, row, reason));
+    }
+
+    /// End `task`'s current run: back to `Created`, with no start time
+    /// or assigned configuration.
+    fn end_run(&mut self, task: TaskId) {
+        let tasks = &mut self.state.tasks;
+        tasks.set_state(task, TaskState::Created);
+        tasks.set_start_time(task, None);
+        tasks.set_assigned_config(task, None);
+    }
+
+    /// Hand `task`'s row to every observer. The row is assembled only
+    /// when one is registered, so an unobserved run builds none.
+    fn notify(&mut self, task: TaskId, mut call: impl FnMut(&mut dyn Observer, Ticks, &Task)) {
+        if self.observers.is_empty() {
+            return;
+        }
+        let row = self.state.tasks.row(task);
         for obs in &mut self.observers {
-            obs.on_discard(self.state.clock, self.state.tasks.get(task), reason);
+            call(obs.as_mut(), self.state.clock, &row);
         }
     }
 
@@ -1802,7 +1747,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
             metrics,
             report,
             profile: self.phase_profile(),
-            tasks: self.state.tasks.into_vec(),
+            tasks: self.state.tasks,
         }
     }
 }
@@ -1843,8 +1788,7 @@ mod tests {
             // Honor a previously resolved configuration (set e.g. by the
             // reconfiguration-failure degradation path), like the real
             // schedulers do.
-            let t = ctx.tasks.get(task);
-            let config = match (t.resolved_config, t.preferred) {
+            let config = match (ctx.tasks.resolved_config(task), ctx.tasks.preferred(task)) {
                 (Some(c), _) | (None, PreferredConfig::Known(c)) => c,
                 (None, PreferredConfig::Phantom { .. }) => {
                     return Decision::Discarded(DiscardReason::NoClosestConfig)
@@ -1972,7 +1916,8 @@ mod tests {
             1,
             PreferredConfig::Known(ConfigId(0)),
             1,
-        ));
+        ))
+        .unwrap();
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
     }
@@ -1987,7 +1932,8 @@ mod tests {
             1,
             PreferredConfig::Known(ConfigId(0)),
             1,
-        ));
+        ))
+        .unwrap();
     }
 
     /// Policy that parks every task in the suspension queue and never
@@ -2000,7 +1946,8 @@ mod tests {
         }
 
         fn schedule(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId) -> Decision {
-            ctx.suspension.push(ctx.tasks.get(task), ctx.steps);
+            ctx.suspension
+                .push(task, ctx.tasks.resolved_config(task), ctx.steps);
             Decision::Suspended
         }
 
@@ -2397,7 +2344,7 @@ mod tests {
         assert_eq!(m.total_tasks_completed, 1);
         // The first task stays parked and drains at the end.
         assert_eq!(m.total_discarded_tasks, 1);
-        let degraded = &res.tasks[1];
+        let degraded = res.tasks.row(TaskId(1));
         assert_eq!(degraded.state, TaskState::Completed);
         assert_eq!(degraded.assigned_config, Some(big));
     }
@@ -2761,6 +2708,28 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_created_count_that_disagrees_with_the_table() {
+        let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        let cp = sim.checkpoint();
+        let len = cp.tasks.len();
+        assert_eq!(cp.created, len as u64, "a real run keeps them equal");
+        assert!(Simulation::resume(cp.clone(), FixedSource, GreedyPolicy).is_ok());
+        for created in [0, 100_000] {
+            let mut bad = cp.clone();
+            bad.created = created;
+            match Simulation::resume(bad, FixedSource, GreedyPolicy).err() {
+                Some(CheckpointError::State(msg)) => assert!(
+                    msg.contains(&format!("created count {created}"))
+                        && msg.contains(&format!("{len} tasks")),
+                    "created {created}: got {msg}"
+                ),
+                other => panic!("created {created}: expected a state error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn resume_rejects_mismatched_policy_and_source() {
         let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
         drive_until(&mut sim, 100);
@@ -2837,7 +2806,7 @@ mod tests {
             .find(|t| t.state == TaskState::Running)
             .map(|t| t.id)
             .expect("a running task exists by t=200");
-        sim.state.tasks.get_mut(running).state = TaskState::Completed;
+        sim.state.tasks.set_state(running, TaskState::Completed);
         match sim.audit() {
             Err(AuditError::TaskSlot { task, .. }) => assert_eq!(task, running),
             other => panic!("expected TaskSlot, got {other:?}"),
@@ -2874,9 +2843,10 @@ mod tests {
             .find(|t| t.state != TaskState::Suspended)
             .map(|t| t.id)
             .unwrap();
+        let resolved = sim.state.tasks.resolved_config(not_suspended);
         sim.state
             .suspension
-            .push(sim.state.tasks.get(not_suspended), &mut sim.state.steps);
+            .push(not_suspended, resolved, &mut sim.state.steps);
         assert!(matches!(sim.audit(), Err(AuditError::Suspension { .. })));
     }
 
@@ -3670,13 +3640,12 @@ mod tests {
         assert!(reload(&sim.checkpoint()).is_ok(), "the untouched state");
         for field in ["resolved_config", "assigned_config"] {
             let mut cp = sim.checkpoint();
-            let task = cp.tasks.get_mut(queued);
-            let config = if field == "resolved_config" {
-                &mut task.resolved_config
+            let bad = Some(ConfigId::from_index(configs));
+            if field == "resolved_config" {
+                cp.tasks.set_resolved_config(queued, bad);
             } else {
-                &mut task.assigned_config
-            };
-            *config = Some(ConfigId::from_index(configs));
+                cp.tasks.set_assigned_config(queued, bad);
+            }
             match reload(&cp) {
                 Err(CheckpointError::State(msg)) => assert!(
                     msg.contains(&format!("{queued} names a nonexistent configuration"))
@@ -3701,7 +3670,7 @@ mod tests {
         let nodes = sim.state.resources.node_store();
         let widest = (0..nodes.len()).map(|i| nodes.total_area(i)).max().unwrap();
         let mut cp = sim.checkpoint();
-        cp.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
+        cp.tasks.set_resolved_config(queued, Some(ConfigId(1)));
         let dir = temp_dir("unhostable");
         let path = dir.join("case.dsc");
         write_checkpoint(&path, &cp).unwrap();
@@ -3741,7 +3710,9 @@ mod tests {
         drive_until(&mut sim, 200);
         assert!(sim.audit().is_ok());
         let queued = sim.state.suspension.iter().next().expect("a queued task");
-        sim.state.tasks.get_mut(queued).resolved_config = Some(ConfigId(1));
+        sim.state
+            .tasks
+            .set_resolved_config(queued, Some(ConfigId(1)));
         match sim.audit() {
             Err(AuditError::Suspension { detail }) => {
                 assert!(detail.contains("config column"), "got: {detail}");
@@ -3765,8 +3736,9 @@ mod tests {
             .find(|t| t.state != TaskState::Suspended)
             .map(|t| t.id)
             .unwrap();
+        let resolved = cp.tasks.resolved_config(not_suspended);
         cp.suspension
-            .push(cp.tasks.get(not_suspended), &mut StepCounter::new());
+            .push(not_suspended, resolved, &mut StepCounter::new());
         match Simulation::resume(cp, FixedSource, GreedyPolicy).err() {
             Some(CheckpointError::State(msg)) => {
                 assert!(msg.contains("audit"), "got: {msg}");

@@ -92,7 +92,7 @@ fn eq8_waiting_time_is_exactly_comm_plus_config_for_immediate_placement() {
     let result = Simulation::new(p, Script::new(vec![spec(5, 1_000)]), PinToNodeZero)
         .unwrap()
         .run();
-    let t = &result.tasks[0];
+    let t = result.tasks.row(TaskId(0));
     assert_eq!(t.create_time, 5);
     assert_eq!(t.start_time, Some(5), "placed at arrival");
     // completion = start + config(10) + comm(3) + required(1000).

@@ -109,7 +109,7 @@ pub const RULES: [RuleInfo; 13] = [
         name: "checkpoint-coverage",
         summary: "state reachable from the checkpoint that the snapshot provably does not \
                   cover: a reachable type without Serialize capability, or a live Simulation \
-                  field with no Checkpoint counterpart and no // REBUILD: note",
+                  field with no // REBUILD: note",
     },
     RuleInfo {
         id: "r9",

@@ -24,11 +24,14 @@
 //!    type aliases, generics) are skipped: the proof is over workspace
 //!    state types, and an unknown name proves nothing either way.
 //! 2. **Live pairs** ([`LIVE_PAIRS`]): the live `Simulation` struct is
-//!    not serialized itself — it embeds its `Checkpoint` state beside
-//!    process-local members — so a new live field can silently escape
-//!    the snapshot while every reachable type still serializes. Each
-//!    live-struct field must either name-match a snapshot field or carry
-//!    a `// REBUILD:` note saying how resume reconstructs it. The pair
+//!    not serialized itself — it embeds its `Checkpoint` state as one
+//!    field beside process-local members — so a new live field can
+//!    silently escape the snapshot while every reachable type still
+//!    serializes. Every live-struct field, the embedded state included,
+//!    must carry a `// REBUILD:` note saying how resume reconstructs
+//!    it. A field whose name matches a snapshot field proves nothing:
+//!    every captured member lives inside the embedded state, so a
+//!    same-named field beside it is a second, uncaptured copy. The pair
 //!    check only runs when both types are in the scanned set — a
 //!    single-file scan cannot prove or refute it.
 //!
@@ -58,8 +61,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const ROOT_TYPES: [&str; 1] = ["Checkpoint"];
 
 /// `(live struct, snapshot struct)` pairs: the live struct is not
-/// serialized itself, so each of its fields must match a snapshot field
-/// by name or carry a `// REBUILD:` note.
+/// serialized itself but embeds the snapshot as its state, so each of
+/// its fields must carry a `// REBUILD:` note.
 pub const LIVE_PAIRS: [(&str, &str); 1] = [("Simulation", "Checkpoint")];
 
 /// Run both global analyses; findings come back tagged with the index
@@ -142,29 +145,21 @@ fn checkpoint_coverage(files: &[(&str, &FileItems)]) -> Vec<(usize, RawFinding)>
 
     // Live-pair field coverage.
     for (live_name, snap_name) in LIVE_PAIRS {
-        let Some(snaps) = structs.get(snap_name) else {
+        if !structs.contains_key(snap_name) {
             continue; // snapshot type not in the scanned set: unprovable
-        };
-        let snap_fields: BTreeSet<&str> = snaps
-            .iter()
-            .flat_map(|&(fi, si)| files[fi].1.structs[si].fields.iter())
-            .map(|f| f.name.as_str())
-            .collect();
+        }
         for &(fi, si) in structs.get(live_name).into_iter().flatten() {
             let def: &StructDef = &files[fi].1.structs[si];
-            for field in &def.fields {
-                if snap_fields.contains(field.name.as_str()) || field.rebuild_note {
-                    continue;
-                }
+            for field in def.fields.iter().filter(|f| !f.rebuild_note) {
                 out.push((
                     fi,
                     RawFinding {
                         rule: "r8",
                         line: field.line,
                         message: format!(
-                            "live-state field `{live_name}::{}` has no `{snap_name}` counterpart \
-                             and no `// REBUILD:` note; capture it in the snapshot or document \
-                             how resume rebuilds it",
+                            "live-state field `{live_name}::{}` has no `// REBUILD:` note; \
+                             capture it in the embedded `{snap_name}` or document how resume \
+                             rebuilds it",
                             field.name
                         ),
                     },
@@ -341,11 +336,25 @@ mod tests {
         let findings = scan_srcs(&[(
             "crates/engine/src/x.rs",
             "#[derive(serde::Serialize)]\npub struct Checkpoint { pub clock: u64 }\n\
-             pub struct Simulation {\n    pub clock: u64,\n    pub scratch: u64,\n    // REBUILD: observers re-register on resume.\n    pub observers: u64,\n}\n",
+             pub struct Simulation {\n    // REBUILD: resume adopts the checkpoint.\n    pub state: Checkpoint,\n    pub scratch: u64,\n    // REBUILD: observers re-register on resume.\n    pub observers: u64,\n}\n",
         )]);
         let r8: Vec<&RawFinding> = findings.iter().map(|(_, f)| f).collect();
         assert_eq!(r8.len(), 1, "findings: {findings:?}");
         assert!(r8[0].message.contains("`Simulation::scratch`"));
+    }
+
+    #[test]
+    fn a_field_named_like_a_snapshot_member_still_needs_a_rebuild_note() {
+        // `clock` is a `Checkpoint` member, but beside the embedded state
+        // it is a second copy the snapshot never writes.
+        let findings = scan_srcs(&[(
+            "crates/engine/src/x.rs",
+            "#[derive(serde::Serialize)]\npub struct Checkpoint { pub clock: u64 }\n\
+             pub struct Simulation {\n    // REBUILD: resume adopts the checkpoint.\n    pub state: Checkpoint,\n    pub clock: u64,\n}\n",
+        )]);
+        let r8: Vec<&RawFinding> = findings.iter().map(|(_, f)| f).collect();
+        assert_eq!(r8.len(), 1, "findings: {findings:?}");
+        assert!(r8[0].message.contains("`Simulation::clock`"));
     }
 
     #[test]

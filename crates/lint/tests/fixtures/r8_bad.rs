@@ -1,6 +1,6 @@
 //! r8 fixture: checkpoint-reachable state the snapshot provably
 //! misses — one reachable type without Serialize capability, and one
-//! live field with no snapshot counterpart.
+//! live field with no rebuild story.
 use serde::{Deserialize, Serialize};
 
 /// The serialized snapshot root.
@@ -15,10 +15,10 @@ pub struct Stats {
     pub completed: u64,
 }
 
-/// Live state: `scratch` has no `Checkpoint` counterpart and no
-/// `// REBUILD:` note, so a resume would silently lose it.
+/// Live state: `scratch` has no `// REBUILD:` note, so a resume would
+/// silently lose it.
 pub struct Simulation {
-    pub clock: u64,
-    pub stats: Stats,
+    // REBUILD: resume adopts the decoded checkpoint as this state.
+    pub state: Checkpoint,
     pub scratch: Vec<u64>,
 }

@@ -1,6 +1,5 @@
 //! r8 fixture (clean): every reachable type serializes — by derive or
-//! by hand — and every live field is captured or documents its
-//! rebuild story.
+//! by hand — and every live field documents its rebuild story.
 use serde::{Deserialize, Serialize};
 
 /// The serialized snapshot root.
@@ -28,12 +27,11 @@ impl Serialize for EventQueue {
     }
 }
 
-/// Live state: every field either name-matches a snapshot field or
-/// carries a `// REBUILD:` audit note.
+/// Live state: the captured members live in the embedded snapshot, and
+/// every field carries a `// REBUILD:` audit note.
 pub struct Simulation {
-    pub clock: u64,
-    pub stats: Stats,
-    pub queue: EventQueue,
+    // REBUILD: resume adopts the decoded checkpoint as this state.
+    pub state: Checkpoint,
     // REBUILD: observers are process-local hooks; callers re-register
     // them after resume.
     pub observers: Vec<u32>,

@@ -6,8 +6,8 @@
 //! This test seeds the two headline hazards into copies of the *real*
 //! engine sources and asserts the proofs catch them:
 //!
-//! * a fresh `Simulation` field with no `Checkpoint` counterpart and
-//!   no `// REBUILD:` note → r8 must fire;
+//! * a fresh `Simulation` field with no `// REBUILD:` note → r8 must
+//!   fire;
 //! * a transitive `SystemTime::now()` helper called from a new engine
 //!   fn → r9 must fire at the call site.
 

@@ -15,7 +15,9 @@
 //!   a soft processor occupying `ReqArea` area units
 //!   ([`config::Config`]);
 //! * a **task** `Taskᵢ(t_required, Cpref, data)` — a unit of work that
-//!   wants a particular processor configuration ([`task::Task`]).
+//!   wants a particular processor configuration ([`task::Task`], one row
+//!   of the columnar [`task::TaskTable`], whose checkpoint form is
+//!   [`compact`]).
 //!
 //! Section IV.B's dynamic structures are reproduced in [`lists`] (the
 //! per-configuration idle/busy lists headed by `Idle_start` /
@@ -48,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod caps;
+pub mod compact;
 pub mod config;
 pub mod contiguous;
 pub mod ids;
@@ -73,4 +76,4 @@ pub use soa::{NodeStore, SlotView};
 pub use steps::StepCounter;
 pub use store::{Demand, ResourceManager};
 pub use suspension::SuspensionQueue;
-pub use task::{PreferredConfig, Task, TaskState};
+pub use task::{PreferredConfig, Task, TaskState, TaskTable, TaskTableError};

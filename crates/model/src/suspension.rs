@@ -16,16 +16,16 @@
 //! `resolved_config` the task had when it was pushed. A rescan decides
 //! on the configuration alone, so [`SuspensionQueue::remove_first_match`]
 //! walks that column and reads an id only at the match — no per-entry
-//! load of the task's row. [`push`](SuspensionQueue::push) takes the
-//! row itself, so column and row agree when a task enters, and nothing
-//! rewrites a queued task's `resolved_config` while it waits. The column
-//! is derived state: checkpoints carry only the ids, and resume refills
-//! it from the task table ([`SuspensionQueue::rebuild_configs`]) before
-//! the restore audit compares it against the rows.
+//! load from the task table. [`push`](SuspensionQueue::push) takes the
+//! id with the task's `resolved_config` as the caller reads it from the
+//! table, and nothing rewrites a queued task's `resolved_config` while
+//! it waits. The column is derived state: checkpoints carry only the
+//! ids, and resume refills it from the task table
+//! ([`SuspensionQueue::rebuild_configs`]) before the restore audit
+//! compares it against the table.
 
 use crate::ids::{ConfigId, TaskId};
 use crate::steps::{StepCounter, StepKind};
-use crate::task::Task;
 use std::collections::VecDeque;
 
 /// How the config column stores an unresolved configuration (a task
@@ -85,11 +85,11 @@ impl SuspensionQueue {
         self.total_suspensions
     }
 
-    /// `AddTaskToSusQueue()`: park a task at the tail, recording its
+    /// `AddTaskToSusQueue()`: park `task` at the tail, recording its
     /// current `resolved_config` in the config column.
-    pub fn push(&mut self, task: &Task, steps: &mut StepCounter) {
-        self.queue.push_back(task.id);
-        self.configs.push_back(encode(task.resolved_config));
+    pub fn push(&mut self, task: TaskId, resolved: Option<ConfigId>, steps: &mut StepCounter) {
+        self.queue.push_back(task);
+        self.configs.push_back(encode(resolved));
         self.total_suspensions += 1;
         self.peak_len = self.peak_len.max(self.queue.len());
         steps.tick(StepKind::Housekeeping);
@@ -167,20 +167,12 @@ fn decode(c: u32) -> Option<ConfigId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::PreferredConfig;
-
-    /// A task row with id `id` whose configuration resolved to `config`.
-    fn row(id: u32, config: Option<u32>) -> Task {
-        let mut t = Task::new(TaskId(id), 0, 1, PreferredConfig::Phantom { area: 1 }, 1);
-        t.resolved_config = config.map(ConfigId);
-        t
-    }
 
     /// Push tasks `0..n`, task `i` resolved to configuration `i`.
     fn queue_of(n: u32, s: &mut StepCounter) -> SuspensionQueue {
         let mut q = SuspensionQueue::new();
         for i in 0..n {
-            q.push(&row(i, Some(i)), s);
+            q.push(TaskId(i), Some(ConfigId(i)), s);
         }
         q
     }
@@ -234,8 +226,8 @@ mod tests {
         // walk hands the closure `None` for it, and callers skip it.
         let mut s = StepCounter::new();
         let mut q = SuspensionQueue::new();
-        q.push(&row(0, None), &mut s);
-        q.push(&row(1, Some(4)), &mut s);
+        q.push(TaskId(0), None, &mut s);
+        q.push(TaskId(1), Some(ConfigId(4)), &mut s);
         let mut seen = Vec::new();
         let got = q.remove_first_match(&mut s, |c| {
             seen.push(c);
@@ -250,10 +242,10 @@ mod tests {
     fn peak_and_total_counters() {
         let mut q = SuspensionQueue::new();
         let mut s = StepCounter::new();
-        q.push(&row(0, Some(0)), &mut s);
-        q.push(&row(1, Some(1)), &mut s);
+        q.push(TaskId(0), Some(ConfigId(0)), &mut s);
+        q.push(TaskId(1), Some(ConfigId(1)), &mut s);
         q.remove_first_match(&mut s, |_| true);
-        q.push(&row(2, Some(2)), &mut s);
+        q.push(TaskId(2), Some(ConfigId(2)), &mut s);
         assert_eq!(q.peak_len(), 2);
         assert_eq!(q.total_suspensions(), 3);
     }
@@ -293,9 +285,9 @@ mod tests {
         // removal takes exactly one (the earliest) occurrence.
         let mut q = SuspensionQueue::new();
         let mut s = StepCounter::new();
-        q.push(&row(7, Some(1)), &mut s);
-        q.push(&row(3, Some(2)), &mut s);
-        q.push(&row(7, Some(3)), &mut s);
+        q.push(TaskId(7), Some(ConfigId(1)), &mut s);
+        q.push(TaskId(3), Some(ConfigId(2)), &mut s);
+        q.push(TaskId(7), Some(ConfigId(3)), &mut s);
         assert!(q.remove_task(TaskId(7), &mut s));
         assert_eq!(pairs(&q), vec![(3, Some(2)), (7, Some(3))]);
         assert!(q.remove_task(TaskId(7), &mut s));
@@ -307,9 +299,9 @@ mod tests {
     fn remove_first_match_duplicate_ids_take_front_occurrence() {
         let mut q = SuspensionQueue::new();
         let mut s = StepCounter::new();
-        q.push(&row(5, Some(2)), &mut s);
-        q.push(&row(5, Some(2)), &mut s);
-        q.push(&row(1, Some(1)), &mut s);
+        q.push(TaskId(5), Some(ConfigId(2)), &mut s);
+        q.push(TaskId(5), Some(ConfigId(2)), &mut s);
+        q.push(TaskId(1), Some(ConfigId(1)), &mut s);
         assert_eq!(
             q.remove_first_match(&mut s, |c| c == Some(ConfigId(2))),
             Some(TaskId(5))
@@ -342,7 +334,7 @@ mod tests {
         let mut next = 8;
         while q.configs.as_slices().1.len() < 2 {
             assert!(next < 64, "the tail never wrapped");
-            q.push(&row(next, Some(next)), &mut s);
+            q.push(TaskId(next), Some(ConfigId(next)), &mut s);
             next += 1;
         }
         let (front_len, len) = (q.configs.as_slices().0.len(), q.len());
@@ -385,7 +377,7 @@ mod tests {
             pairs(&q),
             vec![(0, Some(0)), (2, Some(2)), (4, Some(4)), (5, Some(5))]
         );
-        q.push(&row(9, None), &mut s);
+        q.push(TaskId(9), None, &mut s);
         assert_eq!(
             q.remove_first_match(&mut s, |c| c == Some(ConfigId(4))),
             Some(TaskId(4))

@@ -145,18 +145,15 @@ impl CaseStudyScheduler {
     /// Step 1: resolve the task's preferred configuration to a concrete
     /// entry of the configuration list, caching the result on the task.
     fn resolve_config(&self, ctx: &mut SchedCtx<'_>, task: TaskId) -> Option<ConfigId> {
-        if let Some(c) = ctx.tasks.get(task).resolved_config {
+        if let Some(c) = ctx.tasks.resolved_config(task) {
             return Some(c);
         }
-        let (pref, needed) = {
-            let t = ctx.tasks.get(task);
-            (t.preferred, t.needed_area)
-        };
+        let needed = ctx.tasks.needed_area(task);
         let resolved = ctx
             .resources
-            .find_preferred_config(pref, ctx.steps)
+            .find_preferred_config(ctx.tasks.preferred(task), ctx.steps)
             .or_else(|| ctx.resources.find_closest_config(needed, ctx.steps));
-        ctx.tasks.get_mut(task).resolved_config = resolved;
+        ctx.tasks.set_resolved_config(task, resolved);
         resolved
     }
 
@@ -323,7 +320,7 @@ impl SchedulePolicy for CaseStudyScheduler {
         }
         let demand = Demand::of(ctx.resources.config(config));
         if ctx.suspension_enabled && ctx.resources.busy_candidate_exists(demand, ctx.steps) {
-            ctx.suspension.push(ctx.tasks.get(task), ctx.steps);
+            ctx.suspension.push(task, Some(config), ctx.steps);
             return Decision::Suspended;
         }
         Decision::Discarded(DiscardReason::NoFeasibleNode)
@@ -402,12 +399,9 @@ impl SchedulePolicy for CaseStudyScheduler {
             // the prefix boundary after removal).
             if chosen.is_none() {
                 for tid in suspension.iter() {
-                    let t = tasks.get_mut(tid);
-                    t.sus_retry += 1;
-                    if let Some(limit) = *max_sus_retries {
-                        if t.sus_retry > limit {
-                            over_limit.push(tid);
-                        }
+                    let retries = tasks.bump_sus_retry(tid);
+                    if max_sus_retries.is_some_and(|limit| u64::from(retries) > limit) {
+                        over_limit.push(tid);
                     }
                 }
             }

@@ -9,7 +9,8 @@ use dreamsim_engine::sim::{
 use dreamsim_engine::{PhaseKind, ReconfigMode, SimParams, Simulation};
 use dreamsim_model::{Capabilities, Capability, Config, EntryRef, Node, NodeId};
 use dreamsim_model::{
-    ConfigId, PreferredConfig, ResourceManager, StepCounter, SuspensionQueue, Task, TaskId, Ticks,
+    ConfigId, PreferredConfig, ResourceManager, StepCounter, SuspensionQueue, TaskId, TaskTable,
+    Ticks,
 };
 use dreamsim_rng::Rng;
 use dreamsim_sched::CaseStudyScheduler;
@@ -18,7 +19,7 @@ use dreamsim_sched::CaseStudyScheduler;
 struct Harness {
     resources: ResourceManager,
     suspension: SuspensionQueue,
-    tasks: dreamsim_engine::TaskTable,
+    tasks: TaskTable,
     steps: StepCounter,
     rng: Rng,
     mode: ReconfigMode,
@@ -44,7 +45,7 @@ impl Harness {
         Self {
             resources: ResourceManager::new(nodes, configs),
             suspension: SuspensionQueue::new(),
-            tasks: dreamsim_engine::TaskTable::new(),
+            tasks: TaskTable::new(),
             steps: StepCounter::new(),
             rng: Rng::seed_from(1),
             mode,
@@ -52,9 +53,7 @@ impl Harness {
     }
 
     fn add_task(&mut self, pref: PreferredConfig, needed_area: u64) -> TaskId {
-        let id = TaskId::from_index(self.tasks.len());
-        self.tasks.push(Task::new(id, 0, 100, pref, needed_area));
-        id
+        self.tasks.create(0, 100, pref, needed_area, 0).unwrap()
     }
 
     /// Park a task whose configuration already resolved to `config`,
@@ -62,8 +61,8 @@ impl Harness {
     fn suspend(&mut self, config: ConfigId) -> TaskId {
         let area = self.resources.config(config).req_area;
         let t = self.add_task(PreferredConfig::Known(config), area);
-        self.tasks.get_mut(t).resolved_config = Some(config);
-        self.suspension.push(self.tasks.get(t), &mut self.steps);
+        self.tasks.set_resolved_config(t, Some(config));
+        self.suspension.push(t, Some(config), &mut self.steps);
         t
     }
 
@@ -110,7 +109,10 @@ impl Harness {
     }
 
     fn sus_retries(&self, tasks: &[TaskId]) -> Vec<u64> {
-        tasks.iter().map(|&t| self.tasks.get(t).sus_retry).collect()
+        tasks
+            .iter()
+            .map(|&t| u64::from(self.tasks.sus_retry(t)))
+            .collect()
     }
 }
 
@@ -242,7 +244,7 @@ fn closest_match_path_and_discard_without_candidates() {
     let t = h.add_task(PreferredConfig::Phantom { area: 600 }, 600);
     let d = h.schedule(&mut policy, t);
     assert_eq!(placed_phase(&d), PhaseKind::Configuration);
-    assert_eq!(h.tasks.get(t).resolved_config, Some(ConfigId(1)));
+    assert_eq!(h.tasks.resolved_config(t), Some(ConfigId(1)));
 
     // Phantom area 900 → nothing strictly larger → discard.
     let t2 = h.add_task(PreferredConfig::Phantom { area: 900 }, 900);
@@ -346,7 +348,9 @@ fn failed_rescan_charges_every_entry_and_bumps_every_retry() {
     let (mut h, freed) = partial_rescan_harness();
     let x = ConfigId(0);
     let queue = [h.suspend(x), h.suspend(x), h.suspend(x)];
-    h.tasks.get_mut(queue[1]).sus_retry = 5;
+    for _ in 0..5 {
+        h.tasks.bump_sus_retry(queue[1]);
+    }
     let (hk, sched) = (h.steps.housekeeping, h.steps.scheduling);
     let mut policy = CaseStudyScheduler::new();
     assert!(h.on_slot_freed(&mut policy, freed).is_empty());

@@ -370,7 +370,7 @@ mod tests {
             }
 
             fn schedule(&mut self, ctx: &mut SchedCtx<'_>, task: TaskId) -> Decision {
-                let PreferredConfig::Known(config) = ctx.tasks.get(task).preferred else {
+                let PreferredConfig::Known(config) = ctx.tasks.preferred(task) else {
                     return Decision::Discarded(DiscardReason::NoClosestConfig);
                 };
                 if let Some(entry) = ctx.resources.find_best_idle(config, ctx.steps) {

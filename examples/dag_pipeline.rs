@@ -11,7 +11,7 @@
 //! ```
 
 use dreamsim::engine::{ReconfigMode, SimParams, Simulation};
-use dreamsim::model::{ConfigId, PreferredConfig, TaskState};
+use dreamsim::model::{ConfigId, PreferredConfig, TaskId};
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{DagSource, DagSpec, DagTask};
 
@@ -73,18 +73,12 @@ fn main() {
 
     // Per-frame makespan: the merge task of each frame is every 6th task.
     println!("\nframe completion times:");
-    let mut completed: Vec<_> = result
-        .tasks
-        .iter()
-        .filter(|t| t.state == TaskState::Completed)
-        .collect();
-    completed.sort_by_key(|t| t.completion_time);
-    for (frame, chunk) in result.tasks.chunks(6).enumerate() {
-        if let Some(merge) = chunk.last() {
-            match merge.completion_time {
-                Some(ct) => println!("  frame {frame}: merged at tick {ct}"),
-                None => println!("  frame {frame}: did not finish"),
-            }
+    let tasks = &result.tasks;
+    for (frame, start) in (0..tasks.len()).step_by(6).enumerate() {
+        let merge = TaskId::from_index((start + 6).min(tasks.len()) - 1);
+        match tasks.completion_time(merge) {
+            Some(ct) => println!("  frame {frame}: merged at tick {ct}"),
+            None => println!("  frame {frame}: did not finish"),
         }
     }
 }

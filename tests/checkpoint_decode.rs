@@ -15,12 +15,17 @@
 //! re-encoding them, which is byte-exact (the golden tests pin the
 //! encoder).
 
+use dreamsim::engine::sim::{SourceYield, TaskSource, TaskSpec};
 use dreamsim::engine::{
-    compact, read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError,
-    DomainOutageKind, DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams,
-    SimParams, Simulation, FORMAT_VERSION,
+    read_checkpoint, serve, ArrivalDistribution, Checkpoint, CheckpointError, DomainOutageKind,
+    DomainParams, ReconfigMode, RunOptions, ServiceOptions, ServiceParams, SimParams, Simulation,
+    FORMAT_VERSION,
 };
-use dreamsim::model::{ids::MAX_AREA, pack, PreferredConfig};
+use dreamsim::model::{
+    compact, ids::MAX_AREA, pack, ConfigId, PreferredConfig, Task, TaskId, TaskState, TaskTable,
+    Ticks,
+};
+use dreamsim::rng::Rng;
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
 use serde_json::{Number, Value};
@@ -276,10 +281,15 @@ fn text(v: &Value) -> String {
 
 /// `v` with its packed task table decoded, edited by `edit` and
 /// encoded again.
-fn with_tasks(v: &Value, edit: &dyn Fn(&mut Vec<dreamsim::model::Task>)) -> Value {
+fn with_tasks(v: &Value, edit: &dyn Fn(&mut Vec<Task>)) -> Value {
     let packed = v["tasks"]["packed"].as_str().unwrap();
-    let mut tasks = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
-    edit(&mut tasks);
+    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    let mut rows: Vec<Task> = decoded.iter().collect();
+    edit(&mut rows);
+    let mut tasks = TaskTable::new();
+    for row in rows {
+        tasks.push(row).unwrap();
+    }
     let mut table = String::new();
     compact::write_tasks(&mut table, &tasks);
     with(v, &["tasks"], serde_json::from_str(&table).unwrap())
@@ -507,5 +517,100 @@ fn a_deeply_nested_payload_is_a_format_error() {
         &payload[1..]
     );
     assert_rejected(&dir, "a million nested arrays", deep.as_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Yields one task every 10 ticks on configuration 0, except that every
+/// fifth asks for a phantom configuration of 2^30 area units, above
+/// `MAX_AREA`. It replays from its cursor, so a resume can pick it up.
+#[derive(Default)]
+struct OversizedEveryFifth {
+    yielded: u64,
+}
+
+impl TaskSource for OversizedEveryFifth {
+    fn next_task(&mut self, _now: Ticks, _rng: &mut Rng) -> SourceYield {
+        self.yielded += 1;
+        let (preferred, needed_area) = if self.yielded.is_multiple_of(5) {
+            (PreferredConfig::Phantom { area: 1 << 30 }, 1 << 30)
+        } else {
+            (PreferredConfig::Known(ConfigId(0)), 0)
+        };
+        SourceYield::Task(TaskSpec {
+            interarrival: 10,
+            required_time: 100,
+            preferred,
+            needed_area,
+            data_bytes: 0,
+        })
+    }
+
+    fn source_kind(&self) -> &'static str {
+        "oversized-every-fifth"
+    }
+
+    fn source_cursor(&self) -> u64 {
+        self.yielded
+    }
+
+    fn restore_cursor(&mut self, cursor: u64) -> bool {
+        self.yielded = cursor;
+        true
+    }
+}
+
+/// A source's area above `MAX_AREA` is held to it where the task enters
+/// the run, so every checkpoint of the run decodes, and a resume from
+/// each reproduces the uninterrupted report. Such a task is discarded
+/// on arrival either way: no configuration is wider than the ceiling.
+#[test]
+fn source_areas_above_the_ceiling_still_checkpoint_and_resume() {
+    let p = SimParams::paper(10, 50, ReconfigMode::Partial).with_seed(3);
+    let sim = || {
+        Simulation::new(
+            p.clone(),
+            OversizedEveryFifth::default(),
+            CaseStudyScheduler::new(),
+        )
+        .unwrap()
+    };
+    let base = sim().run();
+    let m = &base.metrics;
+    assert_eq!((m.total_tasks_completed, m.total_discarded_tasks), (40, 10));
+    let held = base.tasks.row(TaskId(4));
+    assert_eq!(held.preferred, PreferredConfig::Phantom { area: MAX_AREA });
+    assert_eq!(held.needed_area, MAX_AREA);
+    assert_eq!(held.state, TaskState::Discarded);
+
+    let dir = fresh_dir("oversized");
+    let opts = RunOptions {
+        checkpoint_every: Some(100),
+        checkpoint_dir: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    sim().run_with(&opts).unwrap();
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert!(files.len() >= 5, "{} checkpoints", files.len());
+    for path in &files {
+        let cp = read_checkpoint(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let resumed = Simulation::resume(
+            cp,
+            OversizedEveryFifth::default(),
+            CaseStudyScheduler::new(),
+        )
+        .unwrap()
+        .run();
+        assert_eq!(
+            resumed.report.to_xml(),
+            base.report.to_xml(),
+            "resumed from {}",
+            path.display()
+        );
+        assert_eq!(resumed.tasks, base.tasks, "resumed from {}", path.display());
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,12 +7,14 @@
 //! A 20 000-node `serve` snapshot checks the read side at scale
 //! (DESIGN.md §10.1): decoding it and encoding it again reproduces its
 //! payload, and reading it costs about the decoded state, not a
-//! multiple of the payload.
+//! multiple of the payload. A million-task table checks the live side:
+//! it costs about its columns' bytes per task (DESIGN.md §18.5).
 
 use dreamsim::engine::{
     read_checkpoint, serve, ArrivalDistribution, ReconfigMode, RunOptions, ServiceOptions,
     ServiceParams, SimParams, Simulation, FORMAT_VERSION,
 };
+use dreamsim::model::{ConfigId, PreferredConfig, Task, TaskId, TaskState, TaskTable};
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{OpenSource, SyntheticSource};
 use std::path::{Path, PathBuf};
@@ -194,19 +196,19 @@ fn rss_kb() -> (u64, u64) {
 }
 
 /// Bytes per node the decoded 20 000-node snapshot may hold in RSS: its
-/// 64-byte `NodeCell` plus the slots, lists, tasks and queues of that
-/// state (measured 77). Keeping the node columns' base64 and bytes in
-/// the result would add about 16 per node.
-const RESULT_BYTES_PER_NODE: u64 = 88;
+/// 64-byte `NodeCell` plus the slots, lists, task columns and queues of
+/// that state (measured 70). Keeping the node columns' base64 and bytes
+/// in the result would add about 16 per node.
+const RESULT_BYTES_PER_NODE: u64 = 80;
 
 /// Reading a checkpoint costs about its result, not a multiple of its
 /// payload, for a 20 000-node `serve` snapshot: the decoded checkpoint
 /// `read_checkpoint` returns may hold at most [`RESULT_BYTES_PER_NODE`]
 /// per node (the RSS it still holds after the call), and the read may
 /// raise the peak RSS (`VmHWM`) at most four payloads above that. So
-/// the whole rise is at most 1 718 + 4 × 217 = 2 586 kB whatever the
+/// the whole rise is at most 1 562 + 4 × 217 = 2 430 kB whatever the
 /// payload shrinks to; run alone by name (debug build, 2-vCPU VM) it
-/// rises 1 828–1 988 kB, of which the result holds 1 504 kB.
+/// rises 1 820–2 020 kB, of which the result holds 1 380 kB.
 ///
 /// Format v2 wrote the same snapshot as a 4 135 kB payload, about the
 /// size of its result, and the gate bounded the whole rise by four
@@ -247,5 +249,54 @@ fn reading_a_large_snapshot_costs_about_its_result() {
         beyond <= 4 * payload_kb,
         "reading a {payload_kb} kB payload raised the peak RSS {beyond} kB above its \
          result, more than four payloads"
+    );
+}
+
+/// Bytes of RSS one task may take in a [`TaskTable`] reserved for its
+/// rows: the columns take [`TaskTable::BYTES_PER_TASK`] = 73, where a
+/// `Vec<Task>` takes 136 (`size_of::<Task>()`).
+const TABLE_BYTES_PER_TASK: u64 = 80;
+
+/// A task table holds about its columns' bytes per task: pushing
+/// 1 000 000 rows into a table reserved for them raises this process's
+/// RSS (`VmRSS`) at most [`TABLE_BYTES_PER_TASK`] bytes per task. Other
+/// tests running beside it would inflate the rise, so it runs alone.
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "reads this process's RSS, so it must run alone: CI runs it by name"]
+fn a_task_table_holds_at_most_80_bytes_per_task() {
+    let n: u64 = 1_000_000;
+    let (before, _) = rss_kb();
+    let mut table = TaskTable::with_capacity(n as usize);
+    for i in 0..n {
+        let mut row = Task::new(
+            TaskId::from_index(i as usize),
+            10 * i,
+            100 + i % 1_000,
+            PreferredConfig::Known(ConfigId((i % 50) as u32)),
+            500,
+        )
+        .with_data_bytes(8 * (100 + i % 1_000));
+        if i % 3 == 0 {
+            row.start_time = Some(10 * i + 5);
+            row.completion_time = Some(10 * i + 105);
+            row.assigned_config = Some(ConfigId((i % 50) as u32));
+            row.resolved_config = row.assigned_config;
+            row.state = TaskState::Completed;
+        }
+        table.push(row).unwrap();
+    }
+    let (after, _) = rss_kb();
+    let per_task = after.saturating_sub(before) * 1024 / n;
+    eprintln!(
+        "RSS {before} kB before, {after} kB with {n} tasks: {per_task} B per task \
+         (columns {} B)",
+        TaskTable::BYTES_PER_TASK
+    );
+    assert_eq!(table.len(), n as usize);
+    assert!(
+        per_task <= TABLE_BYTES_PER_TASK,
+        "the task table holds {per_task} bytes of RSS per task, more than \
+         {TABLE_BYTES_PER_TASK}"
     );
 }

@@ -886,7 +886,8 @@ fn check(seed: u64) -> Result<(), String> {
         .with_observer(Box::new(Journal(Rc::clone(&journal))))
         .run();
     let engine_decisions = journal.take();
-    let (metrics, decisions) = Spec::new(&params, strategy, configs, nodes, &engine.tasks).run();
+    let tasks: Vec<Task> = engine.tasks.iter().collect();
+    let (metrics, decisions) = Spec::new(&params, strategy, configs, nodes, &tasks).run();
     let label = format!(
         "case {seed:#x}: {} nodes, {} tasks, {} mode, {strategy:?}",
         params.total_nodes, params.total_tasks, params.mode

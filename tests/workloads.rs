@@ -3,7 +3,7 @@
 
 use dreamsim::engine::sim::{SourceYield, TaskSource};
 use dreamsim::engine::{ReconfigMode, SimParams, Simulation};
-use dreamsim::model::{ConfigId, PreferredConfig, TaskState};
+use dreamsim::model::{ConfigId, PreferredConfig, TaskId, TaskState};
 use dreamsim::rng::Rng;
 use dreamsim::sched::CaseStudyScheduler;
 use dreamsim::workload::{trace, DagSource, DagSpec, DagTask, SyntheticSource, TraceSource};
@@ -74,14 +74,14 @@ fn dag_chain_respects_dependencies_end_to_end() {
         .run();
     assert_eq!(result.metrics.total_tasks_completed, n as u64);
     // Strict pipeline: task k+1 must not start before task k completes.
-    for w in result.tasks.windows(2) {
-        let done = w[0].completion_time.expect("completed");
-        let next_start = w[1].start_time.expect("started");
+    for (prev, next) in result.tasks.iter().zip(result.tasks.iter().skip(1)) {
+        let done = prev.completion_time.expect("completed");
+        let next_start = next.start_time.expect("started");
         assert!(
             next_start >= done,
             "task {:?} started at {next_start} before {:?} finished at {done}",
-            w[1].id,
-            w[0].id
+            next.id,
+            prev.id
         );
     }
 }
@@ -95,10 +95,12 @@ fn dag_fork_join_sink_starts_after_all_workers() {
         .unwrap()
         .run();
     assert_eq!(result.metrics.total_tasks_completed, 5);
-    let sink = &result.tasks[4];
-    let sink_start = sink.start_time.expect("sink ran");
-    for worker in &result.tasks[1..4] {
-        let done = worker.completion_time.expect("worker completed");
+    let sink_start = result.tasks.start_time(TaskId(4)).expect("sink ran");
+    for worker in (1..4).map(TaskId) {
+        let done = result
+            .tasks
+            .completion_time(worker)
+            .expect("worker completed");
         assert!(sink_start >= done, "sink started before a worker finished");
     }
 }
