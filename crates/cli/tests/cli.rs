@@ -548,7 +548,7 @@ fn resume_with_a_nonexistent_task_config_is_a_typed_error_not_a_panic() {
         .expect("the first checkpoint has a queued task");
     let configs = v["resources"]["configs"].as_array().unwrap().len();
     let packed = v["tasks"]["packed"].as_str().unwrap();
-    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap(), 0).unwrap();
     let mut tasks = dreamsim_model::TaskTable::new();
     let bad_config = dreamsim_model::ConfigId::from_index(configs);
     for mut row in &decoded {

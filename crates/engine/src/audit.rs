@@ -2,8 +2,8 @@
 //!
 //! [`check`] cross-validates every piece of live simulator state against
 //! every other: the resource store's idle/busy lists against node slot
-//! flags (plus the live search index against a from-scratch
-//! rebuild — see DESIGN.md §11),
+//! flags (plus the live search index against the node records and
+//! lists, in one pass — see DESIGN.md §11),
 //! per-slot area against the configuration table, the task table against
 //! slot occupancy and the configuration table, pending events against
 //! the tasks and nodes they target, and the suspension queue (ids and
@@ -19,7 +19,13 @@
 //! All checks are read-only and use only public accessors, so the
 //! auditor can never itself perturb the state it is validating. Cost is
 //! O(nodes × slots + events + tasks) per invocation: sets keyed by dense
-//! task ids are vectors over the task table, not ordered containers.
+//! task ids are vectors over the task table's rows, indexed from its
+//! `first` id, not ordered containers.
+//!
+//! A service retires finished rows ([`TaskTable::retire_finished`]). A
+//! retired id is finished: a completion, failure, retry or timeout event
+//! naming it is stale, as one naming a finished task is; an arrival, a
+//! slot or a suspension-queue entry naming it is a violation.
 
 use crate::event::{Event, EventQueue};
 use dreamsim_model::{
@@ -33,7 +39,7 @@ use dreamsim_model::{
 pub enum AuditError {
     /// The resource store's own cross-structure invariants failed (list
     /// membership and uniqueness, Eq. 4 area accounting, the search
-    /// index against a rebuild). Carries the store's walk trace.
+    /// index against the store). Carries the store's walk trace.
     Store {
         /// Diagnostic from [`ResourceManager::check_invariants`],
         /// including the list-walk trace of the offending entry.
@@ -129,16 +135,17 @@ impl std::error::Error for AuditError {}
 /// 2. slot areas — every live slot's `area` matches its configuration's
 ///    `req_area` and its config id is in range;
 /// 3. task ⇔ slot bijection — slots hold exactly the `Running` tasks,
-///    each exactly once;
+///    each exactly once (a retired id in a slot is a violation);
 /// 4. task configurations — every task's `resolved_config` and
 ///    `assigned_config`, when set, is in range;
 /// 5. event targets — every pending event is due no earlier than `clock`
 ///    and targets in-range ids (domain events against `num_domains`, the
 ///    count of configured failure domains — 0 when domains are off, so
-///    any pending domain event is then invalid); *current* (non-stale)
+///    any pending domain event is then invalid; an arrival a held row,
+///    any other task event a held or retired one); *current* (non-stale)
 ///    completion/failure events point at the slot actually running the
 ///    task, and current suspension timeouts point at a queued task;
-/// 6. suspension queue — queued ids are in range and `Suspended`, no
+/// 6. suspension queue — queued ids are held rows and `Suspended`, no
 ///    duplicates, the queue holds exactly the suspended tasks, its
 ///    config column holds each queued task's `resolved_config`, and that
 ///    configuration fits some node's `TotalArea` with the capabilities
@@ -195,33 +202,56 @@ fn check_slot_areas(resources: &ResourceManager) -> Result<(), AuditError> {
     Ok(())
 }
 
+/// The id of row `i` of `tasks`.
+fn id_of(tasks: &TaskTable, i: usize) -> TaskId {
+    TaskId::from_index(tasks.first().index() + i)
+}
+
+/// The row of `task` in `tasks`, if the table holds it.
+fn row_of(tasks: &TaskTable, task: TaskId) -> Option<usize> {
+    tasks
+        .holds(task)
+        .then(|| task.index() - tasks.first().index())
+}
+
+/// Why `tasks` holds no row for `task`: it retired, or it is past the
+/// last row.
+fn missing(tasks: &TaskTable, task: TaskId) -> String {
+    if task < tasks.first() {
+        format!("retired {task} (the table starts at {})", tasks.first())
+    } else {
+        format!(
+            "out-of-range {task} (the table holds {} tasks from {})",
+            tasks.len(),
+            tasks.first()
+        )
+    }
+}
+
 fn check_task_slot_bijection(
     resources: &ResourceManager,
     tasks: &TaskTable,
 ) -> Result<(), AuditError> {
-    // Per task id, the slot running it.
+    // Per row, the slot running it.
     let mut placed: Vec<Option<EntryRef>> = vec![None; tasks.len()];
     let nodes = resources.node_store();
     for i in 0..nodes.len() {
         for (idx, slot) in nodes.slots(i) {
             let Some(task) = slot.task else { continue };
             let entry = EntryRef::new(NodeId::from_index(i), idx);
-            if task.index() >= tasks.len() {
+            let Some(row) = row_of(tasks, task) else {
                 return Err(AuditError::TaskSlot {
                     task,
-                    detail: format!(
-                        "{entry} runs out-of-range task (table has {} tasks)",
-                        tasks.len()
-                    ),
+                    detail: format!("{entry} runs {}", missing(tasks, task)),
                 });
-            }
-            if let Some(prev) = placed[task.index()].replace(entry) {
+            };
+            if let Some(prev) = placed[row].replace(entry) {
                 return Err(AuditError::TaskSlot {
                     task,
                     detail: format!("running on two slots at once: {prev} and {entry}"),
                 });
             }
-            let state = tasks.state(task);
+            let state = tasks.states()[row];
             if state != TaskState::Running {
                 return Err(AuditError::TaskSlot {
                     task,
@@ -233,7 +263,7 @@ fn check_task_slot_bijection(
     for (i, &state) in tasks.states().iter().enumerate() {
         if state == TaskState::Running && placed[i].is_none() {
             return Err(AuditError::TaskSlot {
-                task: TaskId::from_index(i),
+                task: id_of(tasks, i),
                 detail: "state is Running but no slot holds it".to_string(),
             });
         }
@@ -244,7 +274,7 @@ fn check_task_slot_bijection(
 fn check_task_configs(resources: &ResourceManager, tasks: &TaskTable) -> Result<(), AuditError> {
     let num_configs = resources.num_configs();
     for i in 0..tasks.len() {
-        let task = TaskId::from_index(i);
+        let task = id_of(tasks, i);
         for (field, config) in [
             ("resolved_config", tasks.resolved_config(task)),
             ("assigned_config", tasks.assigned_config(task)),
@@ -268,14 +298,16 @@ fn check_event_targets(
     clock: Ticks,
     num_domains: usize,
 ) -> Result<(), AuditError> {
-    // Per task id, whether it is queued; an out-of-range id is group 6's.
+    // Per row, whether its task is queued; a retired or out-of-range id
+    // is group 6's.
     let mut queued = vec![false; tasks.len()];
     for t in suspension.iter() {
-        if let Some(q) = queued.get_mut(t.index()) {
-            *q = true;
+        if let Some(row) = row_of(tasks, t) {
+            queued[row] = true;
         }
     }
-    let task_in_range = |t: TaskId| t.index() < tasks.len();
+    // Retired ids are in range: events naming them are stale.
+    let task_in_range = |t: TaskId| u64::from(t.0) < tasks.created();
     let node_in_range = |n: NodeId| n.index() < resources.num_nodes();
     for (time, ev) in events.pending() {
         if time < clock {
@@ -285,7 +317,15 @@ fn check_event_targets(
             });
         }
         match ev {
-            Event::TaskArrival { task } | Event::ReconfigFailed { task } => {
+            Event::TaskArrival { task } => {
+                if !tasks.holds(task) {
+                    return Err(AuditError::EventTarget {
+                        time,
+                        detail: format!("{ev:?} targets {}", missing(tasks, task)),
+                    });
+                }
+            }
+            Event::ReconfigFailed { task } => {
                 if !task_in_range(task) {
                     return Err(AuditError::EventTarget {
                         time,
@@ -319,7 +359,7 @@ fn check_event_targets(
                 }
                 // Stale events (killed/resubmitted runs) are legal; only
                 // a *current* event must match live slot occupancy.
-                let current = tasks.state(task) == TaskState::Running
+                let current = tasks.state(task) == Some(TaskState::Running)
                     && tasks.start_time(task) == Some(started_at);
                 if current
                     && resources
@@ -351,9 +391,9 @@ fn check_event_targets(
                         detail: format!("{ev:?} targets out-of-range {task}"),
                     });
                 }
-                let current = tasks.state(task) == TaskState::Suspended
+                let current = tasks.state(task) == Some(TaskState::Suspended)
                     && tasks.suspended_at(task) == Some(enqueued_at);
-                if current && !queued[task.index()] {
+                if current && row_of(tasks, task).is_some_and(|row| !queued[row]) {
                     return Err(AuditError::EventTarget {
                         time,
                         detail: format!("current {ev:?} but {task} is not in the suspension queue"),
@@ -387,20 +427,17 @@ fn check_suspension(
     };
     let mut seen = vec![false; tasks.len()];
     for (task, config) in suspension.iter().zip(suspension.configs()) {
-        if task.index() >= tasks.len() {
+        let Some(row) = row_of(tasks, task) else {
             return Err(AuditError::Suspension {
-                detail: format!(
-                    "queue holds out-of-range {task} (table has {} tasks)",
-                    tasks.len()
-                ),
+                detail: format!("queue holds {}", missing(tasks, task)),
             });
-        }
-        if std::mem::replace(&mut seen[task.index()], true) {
+        };
+        if std::mem::replace(&mut seen[row], true) {
             return Err(AuditError::Suspension {
                 detail: format!("{task} queued more than once"),
             });
         }
-        let state = tasks.state(task);
+        let state = tasks.states()[row];
         if state != TaskState::Suspended {
             return Err(AuditError::Suspension {
                 detail: format!("queued {task} has state {state:?}, not Suspended"),

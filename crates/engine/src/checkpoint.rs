@@ -33,13 +33,15 @@
 //! never leave a half-written file under the checkpoint's final name.
 //!
 //! There is one format: the reader accepts exactly [`FORMAT_VERSION`]
-//! (4: the columnar task and node tables, with the waiting-time samples
-//! inside `stats`) and rejects any other header version with
+//! (5: the columnar task and node tables, the waiting-time samples
+//! inside `stats`, and the task table's `first` id beside its `count`)
+//! and rejects any other header version with
 //! [`CheckpointError::Version`] before touching the payload. The retired
 //! layouts — version 1, whose task table was a plain JSON array,
-//! version 2, whose node table was a JSON record per node, and version
-//! 3, whose parameters still held the retired global failure chain —
-//! have no writer and no reader.
+//! version 2, whose node table was a JSON record per node, version 3,
+//! whose parameters still held the retired global failure chain, and
+//! version 4, whose task table always started at id 0 — have no writer
+//! and no reader.
 //!
 //! ## One state value
 //!
@@ -66,10 +68,11 @@ use std::path::Path;
 /// columnar form (see [`crate::compact`]); version 3 packed the node
 /// table too (DESIGN.md §18.4); version 4 dropped the global failure
 /// chain's parameters and the `stats.sketch` slot, and moved the
-/// waiting-time samples into `stats` (DESIGN.md §10.1). Readers accept
-/// exactly this version and reject every other one with
-/// [`CheckpointError::Version`].
-pub const FORMAT_VERSION: u32 = 4;
+/// waiting-time samples into `stats`; version 5 added the task table's
+/// `first`, the id of its first row, which a service advances as it
+/// retires finished rows (DESIGN.md §10.1). Readers accept exactly this
+/// version and reject every other one with [`CheckpointError::Version`].
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic token opening every checkpoint file.
 const MAGIC: &str = "DREAMSIM-CHECKPOINT";
@@ -168,7 +171,8 @@ pub struct Checkpoint {
     pub(crate) rng: Rng,
     pub(crate) fault: FaultModel,
     pub(crate) clock: Ticks,
-    /// Tasks the source has yielded so far.
+    /// Tasks the source has yielded so far: the task table's `first`
+    /// plus its rows.
     pub(crate) created: u64,
     pub(crate) last_arrival: Ticks,
     /// The source reported `NotYet`; re-poll after the next completion.

@@ -370,8 +370,10 @@ pub struct RunResult {
     pub metrics: Metrics,
     /// Full report (parameters + metrics).
     pub report: Report,
-    /// Final state of every task: the run's own columns, handed over
-    /// whole ([`TaskTable::row`] assembles one task's row).
+    /// Final state of the run's tasks: its own columns, handed over
+    /// whole ([`TaskTable::row`] assembles one task's row). A batch run
+    /// holds every task; a service holds the rows its last ring
+    /// snapshot did not retire ([`TaskTable::first`] onward).
     pub tasks: TaskTable,
     /// Deterministic per-phase operation counters for the run (see
     /// [`crate::profile`]).
@@ -622,13 +624,17 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
                 cp.source_kind
             )));
         }
-        // Every task the source yields enters the table, so a run keeps
-        // `created` equal to the table's length; a mismatch would resume
-        // with a wrong count of tasks generated.
-        if cp.created != cp.tasks.len() as u64 {
+        // Every task the source yields enters the table, and only
+        // finished rows leave it from the front, so a run keeps `created`
+        // equal to `first + len`; a mismatch would resume with a wrong
+        // count of tasks generated.
+        if cp.created != cp.tasks.created() {
             return Err(CheckpointError::State(format!(
-                "created count {} disagrees with the task table's {} tasks",
+                "created count {} disagrees with the task table's {} tasks \
+                 (first {} + {} rows)",
                 cp.created,
+                cp.tasks.created(),
+                cp.tasks.first().0,
                 cp.tasks.len()
             )));
         }
@@ -639,11 +645,13 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         cp.events
             .ensure_capacity(expected_pending_events(&cp.params));
         // The config column is derived state the checkpoint does not
-        // carry. An out-of-range queued id gets `None` here; the audit
-        // below rejects it.
+        // carry. A retired or out-of-range queued id gets `None` here; the
+        // audit below rejects it.
         cp.suspension.rebuild_configs(|t| {
-            let in_range = t.index() < cp.tasks.len();
-            in_range.then(|| cp.tasks.resolved_config(t)).flatten()
+            cp.tasks
+                .holds(t)
+                .then(|| cp.tasks.resolved_config(t))
+                .flatten()
         });
         let sim = Self {
             state: cp,
@@ -948,7 +956,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// count it in the phase profile. It always audits first:
     /// persisting a corrupted snapshot would poison every future
     /// resume.
+    ///
+    /// A ring entry first retires the service's finished rows
+    /// ([`TaskTable::retire_finished`]), so the live table and the
+    /// snapshot hold the unfinished window, not the history. Ring
+    /// boundaries fall at the same clocks in every run of a window, and
+    /// retiring charges no steps and draws nothing, so a window resumed
+    /// from any ring entry retires, writes and reports byte for byte as
+    /// the uninterrupted one. A batch run never retires.
     fn snapshot(&mut self, sink: &SnapshotSink) -> Result<(), RunError> {
+        if let SnapshotSink::Ring(_) = sink {
+            self.state.tasks.retire_finished();
+        }
         self.audit()?;
         self.state.source_cursor = self.source.source_cursor();
         let bytes = sink.write(&self.state)?;
@@ -1146,7 +1165,9 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// re-placed — changes nothing and returns `false`.
     fn release_current_run(&mut self, task: TaskId, entry: EntryRef, started_at: Ticks) -> bool {
         let tasks = &self.state.tasks;
-        if tasks.state(task) != TaskState::Running || tasks.start_time(task) != Some(started_at) {
+        if tasks.state(task) != Some(TaskState::Running)
+            || tasks.start_time(task) != Some(started_at)
+        {
             return false;
         }
         if self
@@ -1370,7 +1391,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // The task waits out its backoff in `Created` state and is in no
         // queue or slot, so nothing else should touch it; guard anyway
         // so a stale event can never double-schedule.
-        if self.state.tasks.state(task) != TaskState::Created {
+        if self.state.tasks.state(task) != Some(TaskState::Created) {
             return;
         }
         self.schedule(task);
@@ -1396,7 +1417,7 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
     /// (and possibly re-suspended) since it was scheduled.
     fn handle_suspension_timeout(&mut self, task: TaskId, enqueued_at: Ticks) {
         let tasks = &self.state.tasks;
-        if tasks.state(task) != TaskState::Suspended
+        if tasks.state(task) != Some(TaskState::Suspended)
             || tasks.suspended_at(task) != Some(enqueued_at)
         {
             return;
@@ -2828,6 +2849,97 @@ mod tests {
                 assert!(detail.contains("9999"), "got: {detail}");
             }
             other => panic!("expected EventTarget, got {other:?}"),
+        }
+    }
+
+    /// After finished rows retire, an event that names a retired task
+    /// is stale, so the audit accepts a completion, failure, retry or
+    /// timeout naming one; an arrival, a slot or a queue entry naming
+    /// one is a violation.
+    #[test]
+    fn audit_reads_retired_ids_as_finished() {
+        let mut sim = Simulation::new(fault_params(), FixedSource, GreedyPolicy).unwrap();
+        drive_until(&mut sim, 400);
+        assert!(
+            sim.state.tasks.retire_finished() > 0,
+            "nothing finished by 400"
+        );
+        sim.audit().unwrap();
+        let retired = TaskId(sim.state.tasks.first().0 - 1);
+        let due = sim.state.clock + 5;
+        let entry = EntryRef::new(NodeId(0), 0);
+        for stale in [
+            Event::TaskCompletion {
+                task: retired,
+                entry,
+                started_at: 0,
+            },
+            Event::TaskFailed {
+                task: retired,
+                entry,
+                started_at: 0,
+            },
+            Event::ReconfigFailed { task: retired },
+            Event::SuspensionTimeout {
+                task: retired,
+                enqueued_at: 0,
+            },
+        ] {
+            let mut with_stale = sim.checkpoint();
+            with_stale.events.push(due, stale);
+            crate::audit::check(
+                &with_stale.resources,
+                &with_stale.tasks,
+                &with_stale.events,
+                &with_stale.suspension,
+                with_stale.clock,
+                0,
+            )
+            .unwrap_or_else(|e| panic!("{stale:?} is stale, got {e}"));
+        }
+        // The handlers drop the same events.
+        let before = sim.checkpoint();
+        sim.handle_completion(retired, entry, 0);
+        sim.handle_reconfig_retry(retired);
+        sim.handle_suspension_timeout(retired, 0);
+        assert!(
+            serde_json::to_string(&sim.checkpoint()).unwrap()
+                == serde_json::to_string(&before).unwrap(),
+            "a stale event changed the state"
+        );
+
+        let mut arrival = sim.checkpoint();
+        arrival
+            .events
+            .push(due, Event::TaskArrival { task: retired });
+        let mut queued = sim.checkpoint();
+        queued
+            .suspension
+            .push(retired, None, &mut StepCounter::new());
+        let mut slot = sim.checkpoint();
+        let busy = (0..slot.resources.num_nodes())
+            .find_map(|i| {
+                let store = slot.resources.node_store();
+                store
+                    .slots(i)
+                    .find(|(_, s)| s.task.is_some())
+                    .map(|(s, _)| (NodeId::from_index(i), s))
+            })
+            .expect("a running slot at 400");
+        slot.resources
+            .debug_set_slot_task(busy.0, busy.1, Some(retired));
+        for (what, cp) in [("arrival", arrival), ("queue", queued), ("slot", slot)] {
+            let err = crate::audit::check(
+                &cp.resources,
+                &cp.tasks,
+                &cp.events,
+                &cp.suspension,
+                cp.clock,
+                0,
+            )
+            .expect_err(what)
+            .to_string();
+            assert!(err.contains(&format!("retired {retired}")), "{what}: {err}");
         }
     }
 

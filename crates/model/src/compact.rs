@@ -10,9 +10,13 @@
 //! to a few bytes per task.
 //!
 //! The encoding is self-contained and versioned by the checkpoint header
-//! (format versions 2 to 4 carry this form, byte for byte; version 3
-//! added the columnar node table, and version 4 is the only one read or
-//! written). The [`TaskTable`] already holds one column per field, so
+//! (format versions 2 to 5 carry this form, byte for byte; version 3
+//! added the columnar node table, version 5 the wrapper's `first`, and
+//! version 5 is the only one read or written). The wrapper is
+//! `{"first": f, "count": n, "packed": "<base64>"}`: `first` is the id
+//! of the first row (0 unless a service retired finished rows), and the
+//! stream holds rows `first..first + n`. The [`TaskTable`] already holds
+//! one column per field, so
 //! the encoder writes each packed column from its in-memory column (the
 //! palette and its index column as they are), and its varints and
 //! base64 ([`crate::pack`]) go straight into the payload; the decoder
@@ -41,7 +45,8 @@
 //! |12 | `suspended_at`    | 0 = `None`, else 1 + zigzag(value − create)     |
 //! |13 | `state`           | RLE pairs (state code, run length)              |
 //!
-//! Task ids are elided entirely: the table is dense, so `id == index`.
+//! Task ids are elided entirely: the table is dense, so
+//! `id == first + index`.
 
 use crate::ids::{Area, TaskId, MAX_AREA};
 use crate::pack::{get_varint, put_u64, put_varint};
@@ -147,12 +152,21 @@ impl serde::Serialize for TaskTable {
 
 impl serde::Deserialize for TaskTable {
     fn read_json(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (count, bytes) = crate::pack::read_packed(r, "TaskTable")?;
-        let tasks =
-            decode_tasks(&bytes).map_err(|e| serde::Error::custom(format!("TaskTable: {e}")))?;
+        let err = |e: String| serde::Error::custom(format!("TaskTable: {e}"));
+        let ([first, count], bytes) = crate::pack::read_packed(r, "TaskTable", ["first", "count"])?;
+        // Every row's id, and the next one created, must be a u32.
+        let first = u32::try_from(first)
+            .ok()
+            .filter(|&f| u64::from(f).saturating_add(count) <= u64::from(u32::MAX))
+            .ok_or_else(|| {
+                err(format!(
+                    "first {first} + count {count} exceeds the u32 id range"
+                ))
+            })?;
+        let tasks = decode_tasks(&bytes, first).map_err(err)?;
         if count != tasks.len() as u64 {
-            return Err(serde::Error::custom(format!(
-                "TaskTable: count {count} disagrees with packed length {}",
+            return Err(err(format!(
+                "count {count} disagrees with packed length {}",
                 tasks.len()
             )));
         }
@@ -161,12 +175,16 @@ impl serde::Deserialize for TaskTable {
 }
 
 /// Append `tasks` to `out` as the checkpoint's packed task table,
-/// `{"count": n, "packed": "<base64>"}`, base64-encoding the columns
-/// straight from their buffers.
+/// `{"first": f, "count": n, "packed": "<base64>"}`, base64-encoding the
+/// columns straight from their buffers.
 pub fn write_tasks(out: &mut String, tasks: &TaskTable) {
     let parts = task_columns(tasks);
     let parts: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
-    crate::pack::write_packed(out, tasks.len(), &parts);
+    let members = [
+        ("first", u64::from(tasks.first)),
+        ("count", tasks.len() as u64),
+    ];
+    crate::pack::write_packed(out, &members, &parts);
 }
 
 /// A column of plain varints.
@@ -252,13 +270,15 @@ fn task_columns(t: &TaskTable) -> Vec<Vec<u8>> {
     ]
 }
 
-/// Decode the byte stream whose base64 [`write_tasks`] writes.
+/// Decode the byte stream whose base64 [`write_tasks`] writes, as the
+/// rows from id `first` on; the caller has checked that every id fits a
+/// `u32`.
 ///
 /// Every read is checked; malformed input yields a descriptive error, not
 /// a panic, because checkpoint payloads come from disk. Each packed
 /// column fills its in-memory column, so the decode holds nothing beside
 /// the columns.
-pub fn decode_tasks(buf: &[u8]) -> Result<TaskTable, String> {
+pub fn decode_tasks(buf: &[u8], first: u32) -> Result<TaskTable, String> {
     let mut pos = 0usize;
     let count = get_varint(buf, &mut pos)?;
     let count = usize::try_from(count).map_err(|_| format!("task count {count} too large"))?;
@@ -266,8 +286,11 @@ pub fn decode_tasks(buf: &[u8]) -> Result<TaskTable, String> {
     // task costs at least one byte per column) so a corrupt count cannot
     // balloon memory before the first truncation error fires.
     let mut t = TaskTable::with_capacity(count.min(buf.len()));
+    t.first = first;
     let mut next = |what: &str| get_varint(buf, &mut pos).map_err(|e| format!("{what}: {e}"));
-    let id = TaskId::from_index;
+    // Names row `i` in errors; an id past the u32 range is a count the
+    // caller's check would have refused, so it saturates harmlessly.
+    let id = |i: usize| TaskId(first.saturating_add(u32::try_from(i).unwrap_or(u32::MAX)));
     // A needed or phantom area past the ceiling could overflow the
     // engine's area sums; like a node's or a configuration's, it is a
     // decode error naming the task.
@@ -289,12 +312,10 @@ pub fn decode_tasks(buf: &[u8]) -> Result<TaskTable, String> {
     let palette_len = next("palette")?;
     let palette_len = u32::try_from(palette_len)
         .map_err(|_| format!("palette length {palette_len} exceeds u32"))?;
-    for k in 0..palette_len {
+    for _ in 0..palette_len {
         let tag = next("palette")?;
         let value = next("palette")?;
-        let p = preferred_from_key(tag, value)?;
-        t.palette.push(p);
-        t.palette_index.entry(p).or_insert(k);
+        t.push_palette_entry(preferred_from_key(tag, value)?);
     }
     for i in 0..count {
         let idx = next("preferred")?;
@@ -454,7 +475,7 @@ mod tests {
     fn round_trips_mixed_states() {
         let tasks: Vec<Task> = (0..257).map(sample_task).collect();
         let bytes = encode_tasks(&tasks);
-        let back = decode_tasks(&bytes).expect("decode"); // INVARIANT: test asserts on decode success.
+        let back = decode_tasks(&bytes, 0).expect("decode"); // INVARIANT: test asserts on decode success.
         assert_eq!(back.iter().collect::<Vec<_>>(), tasks);
         assert_eq!(back, table(&tasks));
     }
@@ -462,7 +483,7 @@ mod tests {
     #[test]
     fn round_trips_empty_table() {
         let bytes = encode_tasks(&[]);
-        assert_eq!(decode_tasks(&bytes).unwrap(), TaskTable::new()); // INVARIANT: test asserts on decode success.
+        assert_eq!(decode_tasks(&bytes, 0).unwrap(), TaskTable::new()); // INVARIANT: test asserts on decode success.
     }
 
     #[test]
@@ -526,7 +547,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_values_a_column_cannot_hold() {
-        assert!(decode_tasks(&one_task(0, 0, 0)).is_ok());
+        assert!(decode_tasks(&one_task(0, 0, 0), 0).is_ok());
         let sentinel_time = 1 + zigzag(i128::from(u64::MAX));
         let sentinel_config = u128::from(u32::MAX) + 1;
         for (bytes, expected) in [
@@ -543,7 +564,7 @@ mod tests {
                 "sus_retry: value 4294967296 exceeds u32",
             ),
         ] {
-            let err = decode_tasks(&bytes).unwrap_err();
+            let err = decode_tasks(&bytes, 0).unwrap_err();
             assert!(err.starts_with(expected), "got {err}");
         }
     }
@@ -553,10 +574,10 @@ mod tests {
         let tasks: Vec<Task> = (0..40).map(sample_task).collect();
         let bytes = encode_tasks(&tasks);
         for cut in [1usize, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_tasks(&bytes[..cut]).is_err(), "cut={cut}");
+            assert!(decode_tasks(&bytes[..cut], 0).is_err(), "cut={cut}");
         }
         let mut extended = bytes.clone();
         extended.push(0);
-        assert!(decode_tasks(&extended).is_err(), "trailing byte");
+        assert!(decode_tasks(&extended, 0).is_err(), "trailing byte");
     }
 }

@@ -1,6 +1,7 @@
 //! Byte packing for the checkpoint's columnar tables: LEB128 varints,
 //! RFC 4648 base64, and the `{"count": n, "packed": "<base64>"}` object
-//! a packed table travels in inside the JSON payload.
+//! a packed table travels in inside the JSON payload (the task table's
+//! also carries `first` before `count`).
 //!
 //! The node table ([`crate::store::ResourceManager`]'s checkpoint form)
 //! and the engine's task table both write their columns as varints into
@@ -235,44 +236,62 @@ fn bad_chunk(chunk: &[u8]) -> String {
     }
 }
 
-/// Append a packed table, `{"count":<count>,"packed":"<base64>"}`, whose
-/// bytes are the concatenation of `parts`.
-pub fn write_packed(out: &mut String, count: usize, parts: &[&[u8]]) {
-    out.push_str("{\"count\":");
-    serde::Serialize::write_json(&count, out);
-    out.push_str(",\"packed\":\"");
+/// Append a packed table, `{"<member>":<value>,…,"packed":"<base64>"}`:
+/// its integer `members` in order, then the base64 of the concatenation
+/// of `parts`.
+pub fn write_packed(out: &mut String, members: &[(&str, u64)], parts: &[&[u8]]) {
+    out.push('{');
+    for (name, value) in members {
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        serde::Serialize::write_json(value, out);
+        out.push(',');
+    }
+    out.push_str("\"packed\":\"");
     push_base64(out, parts);
     out.push_str("\"}");
 }
 
-/// Read a packed table written by [`write_packed`]: its `count` and its
-/// decoded bytes. `count` must be an integer and `packed` a base64
-/// string; `what` names the table in errors. The caller checks `count`
-/// against what the bytes decode to.
-pub fn read_packed(r: &mut serde::Reader<'_>, what: &str) -> Result<(u64, Vec<u8>), serde::Error> {
+/// Read a packed table written by [`write_packed`]: the values of its
+/// integer `members`, in the order named, and its decoded bytes. Every
+/// member must be an integer and `packed` a base64 string; `what` names
+/// the table in errors. The caller checks the members against what the
+/// bytes decode to.
+pub fn read_packed<const N: usize>(
+    r: &mut serde::Reader<'_>,
+    what: &str,
+    members: [&str; N],
+) -> Result<([u64; N], Vec<u8>), serde::Error> {
     let err = |msg: String| serde::Error::custom(format!("{what}: {msg}"));
-    let (mut count, mut bytes) = (None, None);
+    let mut values = [None; N];
+    let mut bytes = None;
     let mut map = r
         .map()
         .map_err(|_| err("expected a packed table".to_string()))?;
     while let Some(key) = map.next_key(r)? {
-        match &*key {
-            "count" if count.is_none() => {
-                count = Some(r.u64().map_err(|e| err(format!("count: {e}")))?);
+        if let Some(k) = members.iter().position(|&m| m == &*key) {
+            if values[k].is_none() {
+                values[k] = Some(r.u64().map_err(|e| err(format!("{key}: {e}")))?);
+                continue;
             }
-            "packed" if bytes.is_none() => {
-                if r.kind() != Some("string") {
-                    return Err(err("packed must be a string".to_string()));
-                }
-                // Base64 needs no escapes, so this borrows the payload.
-                bytes = Some(from_base64(&r.str()?).map_err(err)?);
-            }
-            _ => r.skip_value()?,
         }
+        if &*key == "packed" && bytes.is_none() {
+            if r.kind() != Some("string") {
+                return Err(err("packed must be a string".to_string()));
+            }
+            // Base64 needs no escapes, so this borrows the payload.
+            bytes = Some(from_base64(&r.str()?).map_err(err)?);
+            continue;
+        }
+        r.skip_value()?;
     }
-    let count = count.ok_or_else(|| err("missing field count".to_string()))?;
+    let mut out = [0u64; N];
+    for ((slot, value), name) in out.iter_mut().zip(values).zip(members) {
+        *slot = value.ok_or_else(|| err(format!("missing field {name}")))?;
+    }
     let bytes = bytes.ok_or_else(|| err("expected a packed field".to_string()))?;
-    Ok((count, bytes))
+    Ok((out, bytes))
 }
 
 #[cfg(test)]

@@ -61,10 +61,14 @@
 //! with the store, rebuilds it (and re-stamps the slot records' push
 //! sequences) when a store is deserialized, and keeps it incrementally
 //! in sync from every mutation path (configure, assign/release, evict,
-//! fail/repair). `check_invariants` — and hence
-//! the engine auditor — cross-checks the live index against a
-//! from-scratch [`SearchIndex::rebuild`] via [`IndexSnapshot`]
-//! equality, which pins membership, keys, *and* tie-break order.
+//! fail/repair). `check_invariants` — and hence the engine auditor —
+//! checks the live index against the node records and lists in one
+//! pass (`SearchIndex::check`): every set entry under its node's key,
+//! every idle-list entry under its map key, push sequences falling from
+//! head to tail, and each set's and map's size. That pins membership,
+//! keys *and* tie-break order, as equality with a from-scratch
+//! [`SearchIndex::rebuild`]'s [`IndexSnapshot`] does; the property
+//! tests hold the live index to that rebuild after every mutation.
 //! Checkpoints never serialize the index.
 
 use crate::config::Config;
@@ -344,6 +348,106 @@ impl SearchIndex {
         self.configs_by_area.get(i).map(|&(_, id)| id)
     }
 
+    /// Check this index against the store state it answers for, in one
+    /// pass over the nodes and the idle lists, without building a
+    /// second index:
+    /// 1. every blank and partial entry's key is its node's [`NodeKey`];
+    /// 2. each set holds as many entries as there are nodes that belong
+    ///    in it;
+    /// 3. each idle list's entries sit in their configuration's map
+    ///    under `(available area, Reverse(seq))`, `seq` being the slot's
+    ///    push sequence;
+    /// 4. push sequences strictly fall from each list's head to its
+    ///    tail, all below `seq_next`;
+    /// 5. each map holds as many entries as its list;
+    /// 6. the config-area table is the configurations sorted by
+    ///    `(ReqArea, ConfigId)`.
+    ///
+    /// 1–2 pin the node sets' membership and keys, and 3–5 the idle
+    /// maps' membership, keys and the list walk's tie-break order: what
+    /// equality with a rebuild's [`IndexSnapshot`] pins.
+    pub(crate) fn check(
+        &self,
+        nodes: &NodeStore,
+        configs: &[Config],
+        lists: &ConfigLists,
+    ) -> Result<(), String> {
+        let (mut blank, mut partial) = (0usize, 0usize);
+        for i in 0..nodes.len() {
+            match NodeKey::of(nodes, i).set {
+                Some((SetKind::Blank, _)) => blank += 1,
+                Some((SetKind::Partial, _)) => partial += 1,
+                None => {}
+            }
+        }
+        for (set, kind, belong, name) in [
+            (&self.blank, SetKind::Blank, blank, "blank"),
+            (&self.partial, SetKind::Partial, partial, "partially-blank"),
+        ] {
+            for &(area, node) in set {
+                let key = (node.index() < nodes.len()).then(|| NodeKey::of(nodes, node.index()));
+                if key.map(|k| k.set) != Some(Some((kind, area))) {
+                    return Err(format!(
+                        "{name} set holds ({area}, {node}), but the node's key is {key:?}"
+                    ));
+                }
+            }
+            if set.len() != belong {
+                return Err(format!(
+                    "{name} set holds {} nodes, but {belong} belong in it",
+                    set.len()
+                ));
+            }
+        }
+        if self.idle.len() != configs.len() {
+            return Err(format!(
+                "idle index covers {} configs, the table has {}",
+                self.idle.len(),
+                configs.len()
+            ));
+        }
+        for (c, map) in configs.iter().zip(&self.idle) {
+            let mut above = self.seq_next;
+            for e in lists.iter(ListKind::Idle, c.id) {
+                let Some(cell) = nodes.cell(e) else {
+                    return Err(format!("idle list of {} holds dead slot {e}", c.id));
+                };
+                if cell.seq >= above {
+                    return Err(format!(
+                        "idle list of {}: {e}'s push sequence {} does not fall below {above}",
+                        c.id, cell.seq
+                    ));
+                }
+                above = cell.seq;
+                let key = (nodes.available_area(e.node.index()), Reverse(cell.seq));
+                if map.get(&key) != Some(&e) {
+                    return Err(format!(
+                        "idle index of {}: {e} is not under its key {key:?}",
+                        c.id
+                    ));
+                }
+            }
+            let listed = lists.len(ListKind::Idle, c.id);
+            if map.len() != listed {
+                return Err(format!(
+                    "idle index of {} holds {} entries, its list {listed}",
+                    c.id,
+                    map.len()
+                ));
+            }
+        }
+        let sorted = self.configs_by_area.windows(2).all(|w| w[0] < w[1]);
+        let exact = self.configs_by_area.len() == configs.len()
+            && self
+                .configs_by_area
+                .iter()
+                .all(|&(area, id)| configs.get(id.index()).is_some_and(|c| c.req_area == area));
+        if !(sorted && exact) {
+            return Err("config-area table out of order".to_string());
+        }
+        Ok(())
+    }
+
     /// Order-preserving summary for consistency checks (see
     /// [`IndexSnapshot`]).
     #[must_use]
@@ -361,44 +465,6 @@ impl SearchIndex {
     }
 }
 
-impl IndexSnapshot {
-    /// First component on which `self` and `other` disagree, for
-    /// auditor diagnostics; `None` when equal.
-    #[must_use]
-    pub fn first_divergence(&self, other: &IndexSnapshot) -> Option<String> {
-        if self.blank != other.blank {
-            return Some(format!(
-                "blank set: live {:?} vs rebuilt {:?}",
-                self.blank, other.blank
-            ));
-        }
-        if self.partial != other.partial {
-            return Some(format!(
-                "partially-blank set: live {:?} vs rebuilt {:?}",
-                self.partial, other.partial
-            ));
-        }
-        if self.configs_by_area != other.configs_by_area {
-            return Some("config-area table out of order".to_string());
-        }
-        for (i, (a, b)) in self.idle.iter().zip(&other.idle).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "idle index of ConfigId({i}): live {a:?} vs rebuilt {b:?}"
-                ));
-            }
-        }
-        if self.idle.len() != other.idle.len() {
-            return Some(format!(
-                "idle index covers {} configs, rebuild covers {}",
-                self.idle.len(),
-                other.idle.len()
-            ));
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,6 +477,8 @@ mod tests {
         assert_eq!(idx.partial_candidates(0).next(), None);
         let snap = idx.snapshot();
         assert!(snap.blank.is_empty() && snap.partial.is_empty());
-        assert_eq!(snap.first_divergence(&idx.snapshot()), None);
+        assert_eq!(snap, idx.snapshot());
+        idx.check(&NodeStore::default(), &[], &ConfigLists::new(0))
+            .unwrap();
     }
 }

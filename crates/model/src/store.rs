@@ -91,7 +91,7 @@ pub struct ResourceManager {
     /// the node table and lists.
     // REBUILD: derived state only — deserialization calls
     // `SearchIndex::rebuild` from the restored nodes/lists, and the
-    // restore audit pins live-vs-rebuilt snapshot equality.
+    // restore audit checks the index against them.
     index: SearchIndex,
     /// Monotone count of store mutation operations (configure, evict,
     /// assign, release, fail, repair) — the phase profiler's
@@ -634,19 +634,17 @@ impl ResourceManager {
     ///    its config when vacant, the busy list when running a task;
     /// 3. the lists contain no duplicates, no dangling entries, and no
     ///    entries of the wrong configuration;
-    /// 4. the incrementally maintained search index matches a
-    ///    from-scratch rebuild — membership, keys, and tie-break order
-    ///    ([`IndexSnapshot`] equality).
+    /// 4. the incrementally maintained search index matches the store —
+    ///    membership, keys, and tie-break order — checked in one pass
+    ///    against the node records and lists, without a rebuild
+    ///    (`SearchIndex::check`; equality with
+    ///    [`rebuilt_index_snapshot`](Self::rebuilt_index_snapshot) is the
+    ///    reference the property tests hold it to).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.check_structure()?;
-        if let Some(divergence) = self
-            .index
-            .snapshot()
-            .first_divergence(&self.rebuilt_index_snapshot())
-        {
-            return Err(format!("search index out of sync: {divergence}"));
-        }
-        Ok(())
+        self.index
+            .check(&self.nodes, &self.configs, &self.lists)
+            .map_err(|e| format!("search index out of sync: {e}"))
     }
 
     /// Checks 1–3 of [`check_invariants`](Self::check_invariants): the
@@ -700,7 +698,7 @@ impl serde::Serialize for ResourceManager {
         let mut packed = Vec::new();
         self.nodes.write_columns(&self.lists, &mut packed);
         out.push_str("{\"nodes\":");
-        crate::pack::write_packed(out, self.nodes.len(), &[&packed]);
+        crate::pack::write_packed(out, &[("count", self.nodes.len() as u64)], &[&packed]);
         out.push_str(",\"configs\":");
         serde::Serialize::write_json(&self.configs, out);
         out.push('}');
@@ -725,7 +723,8 @@ impl serde::Deserialize for ResourceManager {
         while let Some(key) = map.next_key(r)? {
             match &*key {
                 "nodes" if nodes.is_none() => {
-                    let (count, bytes) = crate::pack::read_packed(r, "ResourceManager: nodes")?;
+                    let ([count], bytes) =
+                        crate::pack::read_packed(r, "ResourceManager: nodes", ["count"])?;
                     nodes = Some(
                         NodeStore::read_columns(&bytes, count)
                             .map_err(|e| invalid(format!("nodes: {e}")))?,
@@ -1179,6 +1178,74 @@ mod tests {
         rm.debug_set_slot_area(NodeId(0), e.slot, 401);
         rm.debug_set_total_area(NodeId(0), 1001);
         assert!(rm.check_invariants().is_err());
+    }
+
+    /// The one-pass index check's message on `rm`, which must fail it
+    /// and the whole store check; the reference comparison with a
+    /// rebuild must agree that the index is off.
+    fn index_error(rm: &ResourceManager) -> String {
+        assert!(rm.check_invariants().is_err());
+        assert_ne!(rm.search_index_snapshot(), rm.rebuilt_index_snapshot());
+        rm.index
+            .check(&rm.nodes, &rm.configs, &rm.lists)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn index_check_reports_a_stale_blank_key() {
+        let mut rm = make(&[(0, 400)], &[1000, 2000]);
+        rm.check_invariants().unwrap();
+        // Node 0 is blank and indexed under TotalArea 1000. (The store
+        // check reports Eq. 4 first: the area moved without rebalancing.)
+        rm.debug_set_total_area(NodeId(0), 1500);
+        let err = index_error(&rm);
+        assert!(err.contains("blank set holds (1000, NodeId(0))"), "{err}");
+    }
+
+    #[test]
+    fn index_check_reports_a_stale_idle_key() {
+        let mut rm = make(&[(0, 400)], &[1000]);
+        let mut s = StepCounter::new();
+        let e = rm.configure_slot(NodeId(0), ConfigId(0), &mut s).unwrap();
+        rm.check_invariants().unwrap();
+        // Re-key the idle entry under an area its node does not have;
+        // the node's own set key stays right.
+        rm.index.remove_entry(&rm.nodes, e);
+        rm.index.add_entry(&mut rm.nodes, e, ConfigId(0), 999);
+        assert!(rm
+            .check_invariants()
+            .unwrap_err()
+            .starts_with("search index out of sync"));
+        let err = index_error(&rm);
+        assert!(
+            err.contains("idle index of ConfigId(0): NodeId(0)#0 is not under its key"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn index_check_reports_push_sequences_out_of_list_order() {
+        let mut rm = make(&[(0, 400)], &[1000, 1000]);
+        let mut s = StepCounter::new();
+        let tail = rm.configure_slot(NodeId(0), ConfigId(0), &mut s).unwrap();
+        let head = rm.configure_slot(NodeId(1), ConfigId(0), &mut s).unwrap();
+        rm.check_invariants().unwrap();
+        // Push the head's index entry before the tail's, so the list's
+        // head carries the older sequence: both keys are right, but the
+        // best-fit tie-break would pick the tail.
+        rm.index.remove_entry(&rm.nodes, head);
+        rm.index.remove_entry(&rm.nodes, tail);
+        rm.index.add_entry(&mut rm.nodes, head, ConfigId(0), 600);
+        rm.index.add_entry(&mut rm.nodes, tail, ConfigId(0), 600);
+        assert!(rm
+            .check_invariants()
+            .unwrap_err()
+            .starts_with("search index out of sync"));
+        let err = index_error(&rm);
+        assert!(
+            err.contains("idle list of ConfigId(0): NodeId(0)#0's push sequence"),
+            "{err}"
+        );
     }
 
     #[test]

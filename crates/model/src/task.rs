@@ -8,10 +8,18 @@
 //! preferred one. Such preferences are modeled as
 //! [`PreferredConfig::Phantom`] carrying only the required area.
 //!
-//! The driver keeps every task in a [`TaskTable`]: one dense column per
-//! field, with no id column (`id == index`) and sentinels instead of
-//! `Option` padding. A [`Task`] is the by-value row the table assembles
-//! for observers, the public row API and tests.
+//! The driver keeps its tasks in a [`TaskTable`]: one dense column per
+//! field, with no id column (`id == first + index`) and sentinels instead
+//! of `Option` padding. A [`Task`] is the by-value row the table
+//! assembles for observers, the public row API and tests.
+//!
+//! `first` is the id of the table's first row. It stays 0 in a batch
+//! run, which keeps every row. A service retires finished rows at each
+//! ring snapshot ([`TaskTable::retire_finished`]): the longest prefix of
+//! Completed and Discarded rows leaves the table and `first` moves past
+//! it, so the table holds the unfinished window, not the history. A
+//! retired id reads as finished ([`TaskTable::state`] is `None`); any
+//! other accessor panics on it, as on an id past the last row.
 //!
 //! | column            | element        | bound that makes it fit                       |
 //! |-------------------|----------------|-----------------------------------------------|
@@ -285,7 +293,16 @@ fn stored_config(config: Option<ConfigId>) -> u32 {
     config.map_or(NO_CONFIG, |c| c.0)
 }
 
-/// Dense task table (the driver's master copy of every task), one column
+/// How the palette's index vectors mark a preference not seen yet. No
+/// palette reaches `u32::MAX` entries (at most one per task id).
+const NOT_SEEN: u32 = u32::MAX;
+
+/// `Known` ids below this are looked up by id in a dense vector
+/// (4 bytes an id, at most 256 KiB); a wider id (a trace or a crafted
+/// checkpoint may name any `u32`) goes to the map with the phantoms.
+const DENSE_KNOWN: usize = 1 << 16;
+
+/// Dense task table (the driver's master copy of its tasks), one column
 /// per field; see the module docs for each column's width and bound.
 ///
 /// Hot paths read and write single columns through the accessors;
@@ -293,6 +310,9 @@ fn stored_config(config: Option<ConfigId>) -> u32 {
 /// writes the checkpoint's packed columnar form ([`crate::compact`]).
 #[derive(Clone, Default)]
 pub struct TaskTable {
+    /// The id of the first row; rows below it were retired
+    /// ([`retire_finished`](Self::retire_finished)).
+    pub(crate) first: u32,
     pub(crate) required_time: Vec<Ticks>,
     /// Index into `palette`.
     pub(crate) preferred: Vec<u32>,
@@ -300,8 +320,7 @@ pub struct TaskTable {
     /// palette lists them.
     pub(crate) palette: Vec<PreferredConfig>,
     /// Each palette entry's index, for appends; derived from `palette`.
-    // lint: allow(r1) -- the palette's index map: lookups only, never iterated
-    pub(crate) palette_index: std::collections::HashMap<PreferredConfig, u32>,
+    palette_index: PaletteIndex,
     pub(crate) needed_area: Vec<u32>,
     pub(crate) data_bytes: Vec<u64>,
     pub(crate) create_time: Vec<Ticks>,
@@ -351,16 +370,44 @@ impl TaskTable {
         self.state.reserve(additional);
     }
 
-    /// Number of tasks created so far.
+    /// Number of rows held: every task created, less those retired.
     #[must_use]
     pub fn len(&self) -> usize {
         self.state.len()
     }
 
-    /// Whether no tasks have been created.
+    /// Whether the table holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.state.is_empty()
+    }
+
+    /// The id of the first row: 0 until finished rows are retired.
+    #[must_use]
+    pub fn first(&self) -> TaskId {
+        TaskId(self.first)
+    }
+
+    /// Tasks created so far, retired ones included: `first + len`, the
+    /// id the next created task gets.
+    #[must_use]
+    pub fn created(&self) -> u64 {
+        u64::from(self.first) + self.len() as u64
+    }
+
+    /// Whether `id` names a row the table holds (neither retired nor
+    /// past the last row).
+    #[must_use]
+    pub fn holds(&self, id: TaskId) -> bool {
+        id.0 >= self.first && self.at(id) < self.len()
+    }
+
+    /// The row index of task `id`. A retired id wraps past every row, so
+    /// indexing with it panics as with an id past the last row.
+    #[inline]
+    fn at(&self, id: TaskId) -> usize {
+        // BOUND: a u32 difference; usize is at least 32 bits on every supported target.
+        id.0.wrapping_sub(self.first) as usize
     }
 
     /// The palette index of `preferred`, appending it on first sight.
@@ -368,18 +415,72 @@ impl TaskTable {
         // BOUND: the palette gains at most one entry per task, and task
         // ids are u32; a decoded palette is capped at u32::MAX entries.
         let next = self.palette.len() as u32;
-        let palette = &mut self.palette;
-        *self.palette_index.entry(preferred).or_insert_with(|| {
-            palette.push(preferred);
-            next
-        })
+        let slot = self.palette_index.slot(preferred);
+        if *slot == NOT_SEEN {
+            *slot = next;
+            self.palette.push(preferred);
+        }
+        *slot
+    }
+
+    /// Append a decoded palette entry, indexing it unless an earlier
+    /// entry holds the same preference (that one keeps the index).
+    pub(crate) fn push_palette_entry(&mut self, preferred: PreferredConfig) {
+        // BOUND: the decoder caps the palette at u32::MAX entries.
+        let next = self.palette.len() as u32;
+        let slot = self.palette_index.slot(preferred);
+        if *slot == NOT_SEEN {
+            *slot = next;
+        }
+        self.palette.push(preferred);
+    }
+
+    /// Retire the longest prefix of finished (Completed or Discarded)
+    /// rows: they leave every column and `first` moves past them.
+    /// Returns how many rows retired. The palette keeps its entries, so
+    /// a preference seen again keeps its index.
+    ///
+    /// A service calls this at each ring snapshot; a batch run never
+    /// does. Only a row no event, slot or queue can still act on may go:
+    /// a finished task is in no slot and no queue, and an event naming
+    /// it is stale, as one naming a retired id is ([`state`](Self::state)
+    /// reads it as finished).
+    pub fn retire_finished(&mut self) -> usize {
+        let n = self
+            .state
+            .iter()
+            .take_while(|s| matches!(s, TaskState::Completed | TaskState::Discarded))
+            .count();
+        if n == 0 {
+            return 0;
+        }
+        self.required_time.drain(..n);
+        self.preferred.drain(..n);
+        self.needed_area.drain(..n);
+        self.data_bytes.drain(..n);
+        self.create_time.drain(..n);
+        self.start_time.drain(..n);
+        self.completion_time.drain(..n);
+        self.assigned_config.drain(..n);
+        self.resolved_config.drain(..n);
+        self.sus_retry.drain(..n);
+        self.fault_retries.drain(..n);
+        self.suspended_at.drain(..n);
+        self.state.drain(..n);
+        // BOUND: n rows held ids first..first+n, each a u32.
+        self.first += n as u32;
+        n
     }
 
     /// Append a task as the source yields it: created at `create_time`,
-    /// nothing resolved, assigned or started yet. Returns its id.
+    /// nothing resolved, assigned or started yet. Returns its id,
+    /// [`created`](Self::created) before the append.
     ///
     /// A needed area above `u32::MAX` is an error, and the table is left
     /// unchanged.
+    ///
+    /// # Panics
+    /// Panics if the id would exceed `u32::MAX`.
     pub fn create(
         &mut self,
         create_time: Ticks,
@@ -388,7 +489,8 @@ impl TaskTable {
         needed_area: Area,
         data_bytes: u64,
     ) -> Result<TaskId, TaskTableError> {
-        let id = TaskId::from_index(self.len());
+        // BOUND: a u32 widened to usize, plus a row count.
+        let id = TaskId::from_index(self.first as usize + self.len());
         let needed_area = u32_cell(id, "needed_area", needed_area)?;
         let preferred = self.intern(preferred);
         self.required_time.push(required_time);
@@ -407,14 +509,19 @@ impl TaskTable {
         Ok(id)
     }
 
-    /// Append a whole row; its id must equal its index. A value a column
-    /// cannot hold is an error, and the table is left unchanged.
+    /// Append a whole row; its id must be the next one,
+    /// [`created`](Self::created). A value a column cannot hold is an
+    /// error, and the table is left unchanged.
     ///
     /// # Panics
-    /// Panics if `task.id` is not the next index: ids are positions here,
+    /// Panics if `task.id` is not the next id: ids are positions here,
     /// not data.
     pub fn push(&mut self, task: Task) -> Result<(), TaskTableError> {
-        assert_eq!(task.id.index(), self.len(), "task ids must be dense");
+        assert_eq!(
+            u64::from(task.id.0),
+            self.created(),
+            "task ids must be dense"
+        );
         let id = task.id;
         let start = time_cell(id, "start_time", task.start_time)?;
         let completion = time_cell(id, "completion_time", task.completion_time)?;
@@ -429,7 +536,7 @@ impl TaskTable {
             task.needed_area,
             task.data_bytes,
         )?;
-        let i = id.index();
+        let i = self.at(id);
         self.start_time[i] = start;
         self.completion_time[i] = completion;
         self.suspended_at[i] = suspended_at;
@@ -444,7 +551,7 @@ impl TaskTable {
     /// Assemble task `id`'s row.
     #[must_use]
     pub fn row(&self, id: TaskId) -> Task {
-        let i = id.index();
+        let i = self.at(id);
         Task {
             id,
             required_time: self.required_time[i],
@@ -463,94 +570,100 @@ impl TaskTable {
         }
     }
 
-    /// Every task's row, by value, in id order.
+    /// Every held task's row, by value, in id order.
     #[must_use]
     pub fn iter(&self) -> Rows<'_> {
         Rows {
             table: self,
-            ids: 0..self.len(),
+            // BOUND: a u32 widened to usize, plus a row count.
+            ids: self.first as usize..self.first as usize + self.len(),
         }
     }
 
     /// `t_required`.
     #[must_use]
     pub fn required_time(&self, id: TaskId) -> Ticks {
-        self.required_time[id.index()]
+        self.required_time[self.at(id)]
     }
 
     /// `Cpref`.
     #[must_use]
     pub fn preferred(&self, id: TaskId) -> PreferredConfig {
         // BOUND: u32 palette index; usize is at least 32 bits on every supported target.
-        self.palette[self.preferred[id.index()] as usize]
+        self.palette[self.preferred[self.at(id)] as usize]
     }
 
     /// `NeededArea`.
     #[must_use]
     pub fn needed_area(&self, id: TaskId) -> Area {
-        Area::from(self.needed_area[id.index()])
+        Area::from(self.needed_area[self.at(id)])
     }
 
     /// `CreateTime`.
     #[must_use]
     pub fn create_time(&self, id: TaskId) -> Ticks {
-        self.create_time[id.index()]
+        self.create_time[self.at(id)]
     }
 
     /// `StartTime` of the current run, if running or finished.
     #[must_use]
     pub fn start_time(&self, id: TaskId) -> Option<Ticks> {
-        time_of(self.start_time[id.index()])
+        time_of(self.start_time[self.at(id)])
     }
 
     /// Record (or clear) the current run's start.
     pub fn set_start_time(&mut self, id: TaskId, time: Option<Ticks>) {
-        self.start_time[id.index()] = stored_time(time);
+        let i = self.at(id);
+        self.start_time[i] = stored_time(time);
     }
 
     /// `CompletionTime`.
     #[must_use]
     pub fn completion_time(&self, id: TaskId) -> Option<Ticks> {
-        time_of(self.completion_time[id.index()])
+        time_of(self.completion_time[self.at(id)])
     }
 
     /// Record the completion time.
     pub fn set_completion_time(&mut self, id: TaskId, time: Option<Ticks>) {
-        self.completion_time[id.index()] = stored_time(time);
+        let i = self.at(id);
+        self.completion_time[i] = stored_time(time);
     }
 
     /// `AssignedConfig` of the current run.
     #[must_use]
     pub fn assigned_config(&self, id: TaskId) -> Option<ConfigId> {
-        config_of(self.assigned_config[id.index()])
+        config_of(self.assigned_config[self.at(id)])
     }
 
     /// Record (or clear) the current run's configuration.
     pub fn set_assigned_config(&mut self, id: TaskId, config: Option<ConfigId>) {
-        self.assigned_config[id.index()] = stored_config(config);
+        let i = self.at(id);
+        self.assigned_config[i] = stored_config(config);
     }
 
     /// The configuration the scheduler resolved for the task.
     #[must_use]
     pub fn resolved_config(&self, id: TaskId) -> Option<ConfigId> {
-        config_of(self.resolved_config[id.index()])
+        config_of(self.resolved_config[self.at(id)])
     }
 
     /// Cache the resolved configuration.
     pub fn set_resolved_config(&mut self, id: TaskId, config: Option<ConfigId>) {
-        self.resolved_config[id.index()] = stored_config(config);
+        let i = self.at(id);
+        self.resolved_config[i] = stored_config(config);
     }
 
     /// `SusRetry`.
     #[must_use]
     pub fn sus_retry(&self, id: TaskId) -> u32 {
-        self.sus_retry[id.index()]
+        self.sus_retry[self.at(id)]
     }
 
     /// Count one more suspension retry; returns the new count, which
     /// saturates at `u32::MAX` (see the module docs).
     pub fn bump_sus_retry(&mut self, id: TaskId) -> u32 {
-        let n = &mut self.sus_retry[id.index()];
+        let i = self.at(id);
+        let n = &mut self.sus_retry[i];
         *n = n.saturating_add(1);
         *n
     }
@@ -558,40 +671,77 @@ impl TaskTable {
     /// Fault retries so far.
     #[must_use]
     pub fn fault_retries(&self, id: TaskId) -> u32 {
-        self.fault_retries[id.index()]
+        self.fault_retries[self.at(id)]
     }
 
     /// Set the fault-retry count.
     pub fn set_fault_retries(&mut self, id: TaskId, retries: u32) {
-        self.fault_retries[id.index()] = retries;
+        let i = self.at(id);
+        self.fault_retries[i] = retries;
     }
 
     /// When the task last entered the suspension queue.
     #[must_use]
     pub fn suspended_at(&self, id: TaskId) -> Option<Ticks> {
-        time_of(self.suspended_at[id.index()])
+        time_of(self.suspended_at[self.at(id)])
     }
 
     /// Record when the task entered the suspension queue.
     pub fn set_suspended_at(&mut self, id: TaskId, time: Option<Ticks>) {
-        self.suspended_at[id.index()] = stored_time(time);
+        let i = self.at(id);
+        self.suspended_at[i] = stored_time(time);
     }
 
-    /// Lifecycle state.
+    /// Lifecycle state, or `None` for a retired task: it finished
+    /// (Completed or Discarded) before its row left the table.
+    ///
+    /// # Panics
+    /// Panics if `id` is past the last row.
     #[must_use]
-    pub fn state(&self, id: TaskId) -> TaskState {
-        self.state[id.index()]
+    pub fn state(&self, id: TaskId) -> Option<TaskState> {
+        (id.0 >= self.first).then(|| self.state[self.at(id)])
     }
 
     /// Set the lifecycle state.
     pub fn set_state(&mut self, id: TaskId, state: TaskState) {
-        self.state[id.index()] = state;
+        let i = self.at(id);
+        self.state[i] = state;
     }
 
-    /// The state column, in id order.
+    /// The state column, in id order from [`first`](Self::first).
     #[must_use]
     pub fn states(&self) -> &[TaskState] {
         &self.state
+    }
+}
+
+/// Each palette entry's index by preference. A `Known` preference, the
+/// common case, is looked up by config id in a dense vector, so a
+/// created task hashes nothing; the map holds only the rest.
+#[derive(Clone, Default)]
+struct PaletteIndex {
+    /// By config id, for ids below `DENSE_KNOWN` (`NOT_SEEN` where
+    /// none); empty until the first `Known` preference.
+    known: Vec<u32>,
+    /// Phantom areas, and a known id past `DENSE_KNOWN`.
+    // lint: allow(r1) -- the palette's index map: lookups only, never iterated
+    sparse: std::collections::HashMap<PreferredConfig, u32>,
+}
+
+impl PaletteIndex {
+    /// The index slot of `preferred` (`NOT_SEEN` until set): its config
+    /// id's entry in the dense vector, grown to reach it, or its map
+    /// entry.
+    fn slot(&mut self, preferred: PreferredConfig) -> &mut u32 {
+        match preferred {
+            PreferredConfig::Known(c) if c.index() < DENSE_KNOWN => {
+                if c.index() >= self.known.len() {
+                    self.known.resize(c.index() + 1, NOT_SEEN);
+                }
+                &mut self.known[c.index()]
+            }
+            _ => self.sparse.entry(preferred).or_insert(NOT_SEEN),
+        }
     }
 }
 
@@ -628,16 +778,18 @@ impl<'a> IntoIterator for &'a TaskTable {
 }
 
 impl PartialEq for TaskTable {
-    /// Row-wise equality: two tables are equal when every row is, however
-    /// their palettes were laid out.
+    /// Row-wise equality: two tables are equal when they hold the same
+    /// ids and every row is equal, however their palettes were laid out.
     fn eq(&self, other: &Self) -> bool {
         let preferred_eq = || {
-            (0..self.len()).all(|i| {
-                let id = TaskId::from_index(i);
-                self.preferred(id) == other.preferred(id)
-            })
+            self.preferred
+                .iter()
+                .zip(&other.preferred)
+                // BOUND: u32 palette indices; usize is at least 32 bits on every supported target.
+                .all(|(&a, &b)| self.palette[a as usize] == other.palette[b as usize])
         };
-        self.len() == other.len()
+        self.first == other.first
+            && self.len() == other.len()
             && self.required_time == other.required_time
             && self.needed_area == other.needed_area
             && self.data_bytes == other.data_bytes
@@ -798,6 +950,83 @@ mod tests {
         // One palette entry per distinct preference, in first-seen order.
         assert_eq!(table.palette.len(), 2);
         assert_eq!(table.iter().count(), 3);
+    }
+
+    /// A table of `states.len()` rows from id 0, row `i` in `states[i]`.
+    fn table_in(states: &[TaskState]) -> TaskTable {
+        let mut table = TaskTable::new();
+        for (i, &state) in states.iter().enumerate() {
+            let mut row = task();
+            row.id = TaskId::from_index(i);
+            row.state = state;
+            table.push(row).unwrap();
+        }
+        table
+    }
+
+    #[test]
+    fn retiring_drops_the_finished_prefix_and_moves_first() {
+        use TaskState::{Completed, Discarded, Running, Suspended};
+        let mut table = table_in(&[Completed, Discarded, Running, Completed, Suspended]);
+        assert_eq!(table.retire_finished(), 2);
+        assert_eq!(
+            (table.first(), table.len(), table.created()),
+            (TaskId(2), 3, 5)
+        );
+        // A retired id reads as finished; the held ones keep their rows.
+        assert_eq!(table.state(TaskId(1)), None);
+        assert_eq!(table.state(TaskId(2)), Some(Running));
+        assert_eq!(table.row(TaskId(3)).state, Completed);
+        assert!(!table.holds(TaskId(1)) && table.holds(TaskId(4)) && !table.holds(TaskId(5)));
+        let ids: Vec<TaskId> = table.iter().map(|t| t.id).collect();
+        assert_eq!(ids, [TaskId(2), TaskId(3), TaskId(4)]);
+        // Nothing finished leads the table now, so nothing retires.
+        assert_eq!(table.retire_finished(), 0);
+        // New rows continue the ids.
+        let next = table
+            .create(9, 11, PreferredConfig::Known(ConfigId(2)), 800, 0)
+            .unwrap();
+        assert_eq!(next, TaskId(5));
+        table.set_state(TaskId(2), Completed);
+        table.set_state(TaskId(4), Discarded);
+        assert_eq!(table.retire_finished(), 3);
+        assert_eq!((table.first(), table.len()), (TaskId(5), 1));
+        // Equality compares ids, not only rows.
+        let other = table_in(&[TaskState::Created]);
+        assert_eq!(other.row(TaskId(0)).state, table.row(TaskId(5)).state);
+        assert_ne!(table, other);
+    }
+
+    #[test]
+    #[should_panic(expected = "task ids must be dense")]
+    fn a_pushed_row_must_continue_past_the_retired_ids() {
+        let mut table = table_in(&[TaskState::Completed]);
+        table.retire_finished();
+        let mut row = task();
+        row.id = TaskId(0);
+        let _ = table.push(row);
+    }
+
+    #[test]
+    fn preferences_intern_in_first_seen_order_however_they_are_looked_up() {
+        let mut table = TaskTable::new();
+        let wide = PreferredConfig::Known(ConfigId(u32::MAX - 1));
+        let prefs = [
+            PreferredConfig::Known(ConfigId(7)),
+            PreferredConfig::Phantom { area: 300 },
+            wide,
+            PreferredConfig::Known(ConfigId(0)),
+            PreferredConfig::Known(ConfigId(7)),
+            PreferredConfig::Phantom { area: 300 },
+            wide,
+        ];
+        for (i, &p) in prefs.iter().enumerate() {
+            table.create(i as u64, 1, p, 300, 0).unwrap();
+        }
+        assert_eq!(table.palette, prefs[..4]);
+        assert_eq!(table.preferred, [0, 1, 2, 3, 0, 1, 2]);
+        // A dense lookup reaches only the ids it was asked for.
+        assert_eq!(table.palette_index.known.len(), 8);
     }
 
     #[test]

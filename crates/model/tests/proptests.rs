@@ -407,8 +407,9 @@ proptest! {
         dsp_caps.insert(Capability::DspSlices);
         for op in &ops {
             apply(&mut rm, op, &mut steps, &mut next_task, nodes, configs);
-            // Structural health first: list/area invariants, and the
-            // live index vs a from-scratch rebuild (membership *and*
+            // Structural health first: list/area invariants and the
+            // one-pass index check, then the reference it stands for:
+            // the live index vs a from-scratch rebuild (membership *and*
             // tie-break order, via IndexSnapshot).
             if let Err(e) = rm.check_invariants() {
                 prop_assert!(false, "invariant violated after {op:?}: {e}");

@@ -8,7 +8,8 @@
 //! integer, a missing member (`Option`-typed included), a malformed
 //! unknown field
 //! (numbers and `\u` escapes outside RFC 8259's grammar included), a
-//! task table whose `count` is not its row count, a task row whose
+//! task table whose `count` is not its row count or whose `first +
+//! count` passes the `u32` id range, a task row whose
 //! needed or phantom area exceeds `MAX_AREA`, trailing characters, a
 //! truncated document and bytes that are not UTF-8 are all
 //! `CheckpointError::Format`. Two decoded checkpoints are compared by
@@ -283,7 +284,7 @@ fn text(v: &Value) -> String {
 /// encoded again.
 fn with_tasks(v: &Value, edit: &dyn Fn(&mut Vec<Task>)) -> Value {
     let packed = v["tasks"]["packed"].as_str().unwrap();
-    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap()).unwrap();
+    let decoded = compact::decode_tasks(&pack::from_base64(packed).unwrap(), 0).unwrap();
     let mut rows: Vec<Task> = decoded.iter().collect();
     edit(&mut rows);
     let mut tasks = TaskTable::new();
@@ -415,6 +416,14 @@ fn what_the_decoder_rejects_stays_rejected() {
             text(&without(&tree, &["tasks", "count"])),
         ),
         (
+            "a missing first task id",
+            text(&without(&tree, &["tasks", "first"])),
+        ),
+        (
+            "a float first task id",
+            text(&with(&tree, &["tasks", "first"], float(0.0))),
+        ),
+        (
             "a task count one above the rows",
             text(&with(
                 &tree,
@@ -499,6 +508,64 @@ fn what_the_decoder_rejects_stays_rejected() {
     let mut bytes = payload.into_bytes();
     bytes.insert(1, 0xc3);
     assert_rejected(&dir, "a non-UTF-8 byte between fields", &bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A task table's rows are ids `first..first + count`, so a wrapper
+/// whose `first + count` passes `u32::MAX` is a decode error naming
+/// both; one that fits but disagrees with the checkpoint's `created`
+/// count decodes, and `resume` refuses it as a state error naming both
+/// numbers.
+#[test]
+fn a_task_wrapper_past_the_id_range_or_off_created_is_a_typed_error() {
+    let dir = fresh_dir("first");
+    let tree: Value = serde_json::from_str(&plain_payload()).unwrap();
+    let rows = tree["tasks"]["count"].as_u64().unwrap();
+    let created = tree["created"].as_u64().unwrap();
+    assert_eq!(
+        tree["tasks"]["first"].as_u64(),
+        Some(0),
+        "a batch run never retires"
+    );
+    let first = |f: u64| {
+        text(&with(
+            &tree,
+            &["tasks", "first"],
+            Value::Number(Number::U(f)),
+        ))
+    };
+    let max = u64::from(u32::MAX);
+    for f in [max - rows + 1, max, max + 1, u64::MAX] {
+        match decode(&dir, first(f).as_bytes()) {
+            Err(CheckpointError::Format(msg)) => assert!(
+                msg.contains(&format!(
+                    "first {f} + count {rows} exceeds the u32 id range"
+                )),
+                "first {f}: {msg}"
+            ),
+            other => panic!("first {f}: expected a format error, got {other:?}"),
+        }
+    }
+    for f in [1, max - rows] {
+        let cp = decode(&dir, first(f).as_bytes())
+            .unwrap_or_else(|e| panic!("first {f} fits the id range: {e}"));
+        let p = cp.params().clone();
+        match Simulation::resume(
+            cp,
+            SyntheticSource::from_params(&p),
+            CaseStudyScheduler::new(),
+        ) {
+            Err(CheckpointError::State(msg)) => assert!(
+                msg.contains(&format!(
+                    "created count {created} disagrees with the task table's {} tasks",
+                    f + rows
+                )),
+                "first {f}: {msg}"
+            ),
+            Err(other) => panic!("first {f}: expected a state error, got {other}"),
+            Ok(_) => panic!("first {f}: resumed"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

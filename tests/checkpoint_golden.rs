@@ -6,11 +6,12 @@
 //! these tests pin the length and CRC-32 of real `write_checkpoint`
 //! output for fixed-seed states that between them reach every
 //! serialized shape: fault injection, correlated failure domains,
-//! contiguous strips (experiment A5), and a mid-window `serve`
-//! snapshot. Format v3 changed the node table's bytes but not the task
-//! table's: one test pins the fault scenario's packed task column to
-//! the bytes format v2 wrote for it. The last tests pin that headers
-//! of the retired versions 1, 2 and 3 are refused.
+//! contiguous strips (experiment A5), a mid-window `serve` snapshot,
+//! and a `serve` window that retires finished rows. Formats v3 and v5
+//! changed other bytes but not the packed task column's: one test pins
+//! the fault scenario's packed task column to the bytes format v2 wrote
+//! for it. The last tests pin that headers of the retired versions 1 to
+//! 4 are refused.
 //!
 //! Each scenario folds every checkpoint file it writes, in name order,
 //! into one `(files, bytes, crc32)` triple; on a mismatch the message
@@ -32,12 +33,14 @@ use std::path::{Path, PathBuf};
 /// `(checkpoint files, total bytes, CRC-32 of their concatenation)`.
 type Golden = (usize, u64, u32);
 
-const FAULTS: Golden = (14, 500_071, 0x2557_3219);
-const CHAOS_DOMAINS: Golden = (6, 129_046, 0x3F0F_A662);
-const CONTIGUOUS: Golden = (2, 41_888, 0xC761_1ADB);
+const FAULTS: Golden = (14, 500_211, 0xFB06_D99A);
+const CHAOS_DOMAINS: Golden = (6, 129_106, 0x2124_2BB3);
+const CONTIGUOUS: Golden = (2, 41_908, 0x0B13_195A);
 /// `(bytes, CRC-32)` of the strip scenario's final XML report.
 const CONTIGUOUS_REPORT: (u64, u32) = (2_112, 0x4E97_4CAD);
-const SERVE_MID_WINDOW: Golden = (10, 291_301, 0xAC61_572A);
+const SERVE_MID_WINDOW: Golden = (10, 291_401, 0xC56E_BB63);
+/// A `serve` window whose tasks are short enough to finish and retire.
+const SERVE_RETIRING: Golden = (10, 231_948, 0xE6DA_099D);
 
 /// Bitwise CRC-32 (IEEE, reflected), written independently of the
 /// engine's so the goldens do not trust the code they check.
@@ -217,6 +220,42 @@ fn mid_window_serve_snapshots_match_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `serve` window whose tasks run 10 to 2 000 ticks: its ring
+/// snapshots retire finished rows, so all but the first carry a task
+/// table whose `first` is past 0.
+#[test]
+fn retiring_serve_snapshots_match_golden() {
+    let horizon = 20_000;
+    let mut p = SimParams::paper(16, horizon as usize + 1, ReconfigMode::Partial).with_seed(11);
+    p.arrival = ArrivalDistribution::Poisson;
+    p.task_time = dreamsim::engine::params::Range::new(10, 2_000);
+    p.service = Some(ServiceParams {
+        horizon,
+        day_length: 4_000,
+        amplitude_permille: 400,
+        window: 1_000,
+        window_retain: 8,
+    });
+    let dir = fresh_dir("retiring");
+    let mut opts = ServiceOptions::new(&dir);
+    opts.ring_every = 2_000;
+    opts.ring_retain = 1_000;
+    let outcome = serve(&p, OpenSource::from_params, CaseStudyScheduler::new, &opts).unwrap();
+    assert!(outcome.result.is_some(), "the service window drains");
+    let files = checkpoint_files(&dir);
+    for f in &files[1..] {
+        let raw = std::fs::read_to_string(f).unwrap();
+        let v: serde_json::Value = serde_json::from_str(raw.split_once('\n').unwrap().1).unwrap();
+        assert!(
+            v["tasks"]["first"].as_u64().unwrap() > 0,
+            "{} retired no row",
+            f.display()
+        );
+    }
+    check("retiring serve", &files, SERVE_RETIRING);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `(checkpoint files, bytes, CRC-32)` of the fault scenario's packed
 /// task columns alone (each file's `tasks.packed` text, concatenated in
 /// file order): the value format v2 wrote for the same run, which the
@@ -283,4 +322,11 @@ fn version_2_header_is_rejected() {
 #[test]
 fn version_3_header_is_rejected() {
     assert_version_refused(3);
+}
+
+/// Version 4 is retired: its task table carried no `first`, so every
+/// table started at id 0 and a service kept every row it created.
+#[test]
+fn version_4_header_is_rejected() {
+    assert_version_refused(4);
 }

@@ -73,7 +73,7 @@ fn field_size(checkpoint: &[u8], path: &[&str]) -> usize {
     serde_json::to_string(&v).unwrap().len()
 }
 
-/// The compact columnar task table (checkpoint formats v2 to v4, DESIGN.md
+/// The compact columnar task table (checkpoint formats v2 to v5, DESIGN.md
 /// §18.2) must hold a pinned byte budget as the ladder climbs 6k → 24k
 /// tasks. The budget is generous (40 bytes per task, base64 included;
 /// observed ≈20) so it only trips on a real encoding regression, not on
@@ -140,7 +140,7 @@ fn large_serve_snapshot(dir: &Path) -> PathBuf {
     files.swap_remove(0)
 }
 
-/// The columnar node table (checkpoint formats v3 and v4, DESIGN.md §18.4) must
+/// The columnar node table (checkpoint formats v3 to v5, DESIGN.md §18.4) must
 /// hold a pinned budget per node in a 20 000-node `serve` snapshot:
 /// 20 bytes per node, base64 and the slots and lists included. The
 /// budget is generous (observed ≈ 9.4) so it only trips on a real
