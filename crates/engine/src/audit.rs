@@ -7,7 +7,8 @@
 //! per-slot area against the configuration table, the task table against
 //! slot occupancy and the configuration table, pending events against
 //! the tasks and nodes they target, and the suspension queue (ids and
-//! config column) against the task table's state and config columns.
+//! config column) against the task table's state and config columns,
+//! and its per-configuration index against its columns.
 //!
 //! The auditor runs at checkpoint boundaries (a checkpoint of corrupted
 //! state is worse than no checkpoint), under the CLI's `--audit` /
@@ -145,7 +146,11 @@ impl std::error::Error for AuditError {}
 ///    any other task event a held or retired one); *current* (non-stale)
 ///    completion/failure events point at the slot actually running the
 ///    task, and current suspension timeouts point at a queued task;
-/// 6. suspension queue — queued ids are held rows and `Suspended`, no
+/// 6. suspension queue — its per-configuration index agrees with its
+///    columns ([`SuspensionQueue::check_index`]: stamps rise strictly,
+///    each configuration's FIFO holds exactly its entries' stamps in
+///    queue order, and the heads are those FIFOs' fronts in ascending
+///    order), queued ids are held rows and `Suspended`, no
 ///    duplicates, the queue holds exactly the suspended tasks, its
 ///    config column holds each queued task's `resolved_config`, and that
 ///    configuration fits some node's `TotalArea` with the capabilities
@@ -410,15 +415,9 @@ fn check_suspension(
     tasks: &TaskTable,
     suspension: &SuspensionQueue,
 ) -> Result<(), AuditError> {
-    if suspension.configs().len() != suspension.len() {
-        return Err(AuditError::Suspension {
-            detail: format!(
-                "config column holds {} entries but the queue holds {}",
-                suspension.configs().len(),
-                suspension.len()
-            ),
-        });
-    }
+    suspension
+        .check_index()
+        .map_err(|detail| AuditError::Suspension { detail })?;
     // An empty queue asks no configuration whether it fits.
     let hostable = if suspension.is_empty() {
         Vec::new()

@@ -644,14 +644,18 @@ impl<S: TaskSource, P: SchedulePolicy> Simulation<S, P> {
         // unobservable — resumes stay byte-identical).
         cp.events
             .ensure_capacity(expected_pending_events(&cp.params));
-        // The config column is derived state the checkpoint does not
-        // carry. A retired or out-of-range queued id gets `None` here; the
-        // audit below rejects it.
+        // The config column and the queue's index over it are derived
+        // state the checkpoint does not carry. A retired or out-of-range
+        // queued id gets `None` here, and so does a configuration outside
+        // the table, so the index stays the table's size; the audit below
+        // rejects each (the last as its task row's configuration).
+        let num_configs = cp.resources.num_configs();
         cp.suspension.rebuild_configs(|t| {
             cp.tasks
                 .holds(t)
                 .then(|| cp.tasks.resolved_config(t))
                 .flatten()
+                .filter(|c| c.index() < num_configs)
         });
         let sim = Self {
             state: cp,
@@ -2963,6 +2967,23 @@ mod tests {
     }
 
     #[test]
+    fn audit_catches_a_corrupted_suspension_index() {
+        let mut sim = Simulation::new(small_params(), FixedSource, AlwaysSuspendPolicy).unwrap();
+        drive_until(&mut sim, 200);
+        assert!(sim.state.suspension.len() >= 2, "two queued tasks by 200");
+        sim.audit().unwrap();
+        // The second entry's stamp no longer rises above the first's.
+        sim.state.suspension.debug_set_stamp(1, 0);
+        match sim.audit() {
+            Err(AuditError::Suspension { detail }) => assert!(
+                detail.contains("entry 1 has stamp 0, not above"),
+                "got: {detail}"
+            ),
+            other => panic!("expected a suspension error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn run_with_audit_aborts_on_corrupted_store() {
         // End-to-end: a run under --audit must stop with a typed error
         // (not a panic, not a silently wrong report) when state is
@@ -3750,21 +3771,25 @@ mod tests {
             Simulation::resume(cp, FixedSource, AlwaysSuspendPolicy).map(|_| ())
         };
         assert!(reload(&sim.checkpoint()).is_ok(), "the untouched state");
-        for field in ["resolved_config", "assigned_config"] {
-            let mut cp = sim.checkpoint();
-            let bad = Some(ConfigId::from_index(configs));
-            if field == "resolved_config" {
-                cp.tasks.set_resolved_config(queued, bad);
-            } else {
-                cp.tasks.set_assigned_config(queued, bad);
-            }
-            match reload(&cp) {
-                Err(CheckpointError::State(msg)) => assert!(
-                    msg.contains(&format!("{queued} names a nonexistent configuration"))
-                        && msg.contains(field),
-                    "{field}: got {msg}"
-                ),
-                other => panic!("{field}: expected an audit error, got {other:?}"),
+        // The first id past the table, and the largest a task column
+        // holds (`u32::MAX` is its `None`), which resume must not size
+        // the suspension queue's per-configuration index by.
+        for bad in [ConfigId::from_index(configs), ConfigId(u32::MAX - 1)] {
+            for field in ["resolved_config", "assigned_config"] {
+                let mut cp = sim.checkpoint();
+                if field == "resolved_config" {
+                    cp.tasks.set_resolved_config(queued, Some(bad));
+                } else {
+                    cp.tasks.set_assigned_config(queued, Some(bad));
+                }
+                match reload(&cp) {
+                    Err(CheckpointError::State(msg)) => assert!(
+                        msg.contains(&format!("{queued} names a nonexistent configuration"))
+                            && msg.contains(field),
+                        "{field} {bad}: got {msg}"
+                    ),
+                    other => panic!("{field} {bad}: expected an audit error, got {other:?}"),
+                }
             }
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -5,9 +5,10 @@
 use dreamsim_model::lists::ListKind;
 use dreamsim_model::{
     Capabilities, Capability, Config, ConfigId, Demand, EntryRef, Node, NodeId, NodeState,
-    PreferredConfig, ResourceManager, StepCounter, TaskId,
+    PreferredConfig, ResourceManager, StepCounter, SuspensionQueue, TaskId,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// An abstract operation to apply to the store.
 #[derive(Clone, Debug)]
@@ -593,5 +594,185 @@ proptest! {
             .map(|i| store.available_area(i))
             .sum();
         prop_assert_eq!(rm.wasted_area_snapshot(), expected);
+    }
+}
+
+/// An operation on the suspension queue, for the reference test of its
+/// per-configuration index. Ids come from a small range, so pushes
+/// repeat ids and `RemoveTask` both hits and misses; configurations come
+/// from `0..QUEUE_CONFIGS` or are unresolved (`None`).
+#[derive(Clone, Debug)]
+enum QueueOp {
+    Push {
+        task: u32,
+        config: Option<u32>,
+    },
+    /// Accept the configurations whose bit is set (bit `k` for
+    /// configuration `k`, bit 7 for `None`).
+    AcceptSet(u8),
+    /// Accept exactly this configuration, through the walk or, when
+    /// `probe`, through the one-FIFO probe.
+    Exact {
+        config: u32,
+        probe: bool,
+    },
+    AcceptAll,
+    AcceptNone,
+    RemoveTask(u32),
+    /// A checkpoint round trip: serialize, read back, rebuild the column
+    /// and the index.
+    Rebuild,
+}
+
+const QUEUE_CONFIGS: u32 = 5;
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        8 => (0u32..12, 0u32..QUEUE_CONFIGS + 1).prop_map(|(task, c)| QueueOp::Push {
+            task,
+            config: (c < QUEUE_CONFIGS).then_some(c),
+        }),
+        3 => any::<u8>().prop_map(QueueOp::AcceptSet),
+        2 => (0u32..QUEUE_CONFIGS + 1, any::<bool>())
+            .prop_map(|(config, probe)| QueueOp::Exact { config, probe }),
+        1 => Just(QueueOp::AcceptAll),
+        1 => Just(QueueOp::AcceptNone),
+        2 => (0u32..12).prop_map(QueueOp::RemoveTask),
+        1 => Just(QueueOp::Rebuild),
+    ]
+}
+
+/// Whether `op`'s configuration-only predicate accepts `config`.
+fn accepts(op: &QueueOp, config: Option<u32>) -> bool {
+    match *op {
+        QueueOp::AcceptSet(set) => set & (1 << config.unwrap_or(7)) != 0,
+        QueueOp::Exact { config: c, .. } => config == Some(c),
+        QueueOp::AcceptAll => true,
+        _ => false,
+    }
+}
+
+/// The paper's linear walk over a plain `VecDeque` of `(id, config)`:
+/// the entry removed, the housekeeping steps charged, and the distinct
+/// configurations in first-appearance order up to the match.
+fn linear_walk(
+    model: &mut VecDeque<(u32, Option<u32>)>,
+    accept: impl Fn(Option<u32>) -> bool,
+) -> (Option<u32>, u64, Vec<Option<u32>>) {
+    let mut asked = Vec::new();
+    for i in 0..model.len() {
+        let config = model[i].1;
+        if !asked.contains(&config) {
+            asked.push(config);
+        }
+        if accept(config) {
+            return (model.remove(i).map(|(t, _)| t), i as u64 + 1, asked);
+        }
+    }
+    (None, model.len() as u64, asked)
+}
+
+/// Apply `ops` to a [`SuspensionQueue`] and to a linear-walk model, and
+/// compare after every step: the id each removal returns, the
+/// housekeeping charge, the ids and config column in order, the
+/// configurations `accept` is asked about (each once, in
+/// first-appearance order) and the index's own check.
+fn queue_matches_the_linear_walk(ops: &[QueueOp]) {
+    let mut q = SuspensionQueue::new();
+    let mut model: VecDeque<(u32, Option<u32>)> = VecDeque::new();
+    let (mut steps, mut model_steps) = (StepCounter::new(), 0u64);
+    for (n, op) in ops.iter().enumerate() {
+        let (before, model_before) = (steps.housekeeping, model_steps);
+        match *op {
+            QueueOp::Push { task, config } => {
+                q.push(TaskId(task), config.map(ConfigId), &mut steps);
+                model.push_back((task, config));
+                model_steps += 1;
+            }
+            QueueOp::RemoveTask(task) => {
+                let hit = q.remove_task(TaskId(task), &mut steps);
+                let at = model.iter().position(|&(t, _)| t == task);
+                model_steps += at.map_or(model.len(), |i| i + 1) as u64;
+                assert_eq!(hit, at.is_some(), "step {n}: {op:?}");
+                if let Some(i) = at {
+                    model.remove(i);
+                }
+            }
+            QueueOp::Rebuild => {
+                let json = serde_json::to_string(&q).unwrap();
+                let mut back: SuspensionQueue = serde_json::from_str(&json).unwrap();
+                let mut column = model.iter().map(|&(_, c)| c.map(ConfigId));
+                back.rebuild_configs(|_| column.next().flatten());
+                assert_eq!(back, q, "step {n}: the rebuilt queue differs");
+                q = back;
+            }
+            QueueOp::Exact {
+                config,
+                probe: true,
+            } => {
+                let got = q.remove_first_of(ConfigId(config), &mut steps);
+                let (want, charge, _) = linear_walk(&mut model, |c| accepts(op, c));
+                model_steps += charge;
+                assert_eq!(got.map(|t| t.0), want, "step {n}: {op:?}");
+            }
+            _ => {
+                let mut asked = Vec::new();
+                let got = q.remove_first_match(&mut steps, |c| {
+                    let c = c.map(|c| c.0);
+                    asked.push(c);
+                    accepts(op, c)
+                });
+                let (want, charge, want_asked) = linear_walk(&mut model, |c| accepts(op, c));
+                model_steps += charge;
+                assert_eq!(got.map(|t| t.0), want, "step {n}: {op:?}");
+                assert_eq!(asked, want_asked, "step {n}: {op:?} asked");
+            }
+        }
+        assert_eq!(
+            steps.housekeeping - before,
+            model_steps - model_before,
+            "step {n}: {op:?} charged"
+        );
+        assert_eq!(
+            q.iter().map(|t| t.0).collect::<Vec<_>>(),
+            model.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            "step {n}: ids"
+        );
+        assert_eq!(
+            q.configs().map(|c| c.map(|c| c.0)).collect::<Vec<_>>(),
+            model.iter().map(|&(_, c)| c).collect::<Vec<_>>(),
+            "step {n}: config column"
+        );
+        if let Err(e) = q.check_index() {
+            panic!("step {n}: {op:?} left the index inconsistent: {e}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The suspension queue's per-configuration index answers every
+    /// operation as the paper's linear walk does (DESIGN.md §4).
+    #[test]
+    fn suspension_queue_matches_a_linear_walk(
+        ops in prop::collection::vec(arb_queue_op(), 0..160),
+    ) {
+        queue_matches_the_linear_walk(&ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The fixed-seed sweep of the same check: 10 000 cases. Run by
+    /// name: `cargo test -p dreamsim-model --test proptests
+    /// suspension_queue_matches_a_linear_walk_sweep -- --ignored`.
+    #[test]
+    #[ignore = "a larger fixed-seed sweep; CI runs it by name"]
+    fn suspension_queue_matches_a_linear_walk_sweep(
+        ops in prop::collection::vec(arb_queue_op(), 0..160),
+    ) {
+        queue_matches_the_linear_walk(&ops);
     }
 }

@@ -364,31 +364,29 @@ impl SchedulePolicy for CaseStudyScheduler {
                 .node_store()
                 .slot(node.index(), freed.slot)
                 .map(|s| s.config);
-            // Full mode, pass 1: exact configuration reuse.
+            // Full mode, pass 1: exact configuration reuse, a probe of
+            // the freed configuration's earliest queued task.
             if *mode == ReconfigMode::Full {
                 if let Some(fc) = freed_config {
                     chosen = suspension
-                        .remove_first_match(steps, |c| c == Some(fc))
+                        .remove_first_of(fc, steps)
                         .map(|tid| (tid, (fc, Plan::Allocate(freed))));
                 }
             }
             // The partial-mode scan, or full mode's pass 2 (FIFO-first
             // reconfiguration fallback). Nothing is mutated until a task
             // is chosen, so for this node and freed slot `plan` is a
-            // function of the configuration alone: once it rejects a
-            // configuration, every later task resolving to it is skipped.
-            // Each examined entry is still charged its step.
+            // function of the configuration alone, and the queue asks it
+            // once per queued configuration, earliest first (DESIGN.md
+            // §4). Every entry a linear walk would examine is still
+            // charged its step.
             if chosen.is_none() {
-                let mut rejected = vec![false; view.resources.num_configs()];
                 let mut accepted = None;
-                let picked = suspension.remove_first_match(steps, |c| match c {
-                    Some(config) if !rejected[config.index()] => {
-                        accepted = view
-                            .plan_or_reject(node, freed, config, &mut rejected)
-                            .map(|plan| (config, plan));
-                        accepted.is_some()
-                    }
-                    _ => false,
+                let picked = suspension.remove_first_match(steps, |c| {
+                    accepted = c.and_then(|config| {
+                        view.plan(node, freed, config).map(|plan| (config, plan))
+                    });
+                    accepted.is_some()
                 });
                 chosen = picked.zip(accepted);
             }
@@ -508,24 +506,6 @@ struct PlanView<'a> {
 }
 
 impl PlanView<'_> {
-    /// [`plan`](Self::plan) for `config`, marking it in `rejected` when
-    /// there is none. Out of line, so that the rescan walk's per-entry
-    /// loop inlines only its `rejected` test (DESIGN.md §4).
-    #[inline(never)]
-    fn plan_or_reject(
-        &self,
-        node: NodeId,
-        freed: EntryRef,
-        config: ConfigId,
-        rejected: &mut [bool],
-    ) -> Option<Plan> {
-        let plan = self.plan(node, freed, config);
-        if plan.is_none() {
-            rejected[config.index()] = true;
-        }
-        plan
-    }
-
     fn plan(&self, node: NodeId, freed: EntryRef, config: ConfigId) -> Option<Plan> {
         let (nodes, i) = (self.resources.node_store(), node.index());
         if nodes.is_down(i) {

@@ -27,9 +27,14 @@ fn params(tasks: usize, seed: u64) -> SimParams {
     p
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
+/// The scratch directory `tag` of the test process `pid`.
+fn scratch_dir(tag: &str, pid: u32) -> PathBuf {
     // lint: allow(r2) -- scratch directory for test artifacts, never simulator state
-    let dir = std::env::temp_dir().join(format!("dreamsim-cpscale-{tag}-{}", std::process::id()));
+    std::env::temp_dir().join(format!("dreamsim-cpscale-{tag}-{pid}"))
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = scratch_dir(tag, std::process::id());
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -115,6 +120,13 @@ fn compact_task_table_meets_byte_budget() {
 /// Run a 20 000-node `serve` window and return the path of its
 /// mid-window ring snapshot.
 fn large_serve_snapshot(dir: &Path) -> PathBuf {
+    write_large_serve_snapshots(dir);
+    mid_window_snapshot(dir)
+}
+
+/// Run a 20 000-node `serve` window, writing a mid-window and a final
+/// ring snapshot into `dir`.
+fn write_large_serve_snapshots(dir: &Path) {
     let horizon = 10_000;
     let mut p =
         SimParams::paper(20_000, horizon as usize + 1, ReconfigMode::Partial).with_seed(2012);
@@ -130,6 +142,11 @@ fn large_serve_snapshot(dir: &Path) -> PathBuf {
     opts.ring_every = horizon / 2;
     opts.ring_retain = 1_000;
     serve(&p, OpenSource::from_params, CaseStudyScheduler::new, &opts).unwrap();
+}
+
+/// The mid-window snapshot [`write_large_serve_snapshots`] wrote into
+/// `dir`.
+fn mid_window_snapshot(dir: &Path) -> PathBuf {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -181,34 +198,60 @@ fn large_serve_snapshot_round_trips_byte_for_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `(VmRSS, VmHWM)` of this process, in kB.
+/// The `/proc/self/status` fields `names` of this process, in kB.
 #[cfg(target_os = "linux")]
-fn rss_kb() -> (u64, u64) {
+fn status_kb<const N: usize>(names: [&str; N]) -> [u64; N] {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
-    let field = |name: &str| {
+    names.map(|name| {
         status
             .lines()
             .find_map(|l| l.strip_prefix(name))
             .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
             .unwrap_or_else(|| panic!("no {name} in /proc/self/status"))
-    };
-    (field("VmRSS:"), field("VmHWM:"))
+    })
 }
 
-/// Bytes per node the decoded 20 000-node snapshot may hold in RSS: its
-/// 64-byte `NodeCell` plus the slots, lists, task columns and queues of
-/// that state (measured 70). Keeping the node columns' base64 and bytes
-/// in the result would add about 16 per node.
-const RESULT_BYTES_PER_NODE: u64 = 80;
+/// Bytes of anonymous memory per node the decoded 20 000-node snapshot
+/// may hold, from the widths of what it decodes into (DESIGN.md §18.1,
+/// §11.1): per node, the store's columns take 106 bytes (the 64-byte
+/// `NodeCell`, a 32-byte `Option<Strip>`, an 8-byte reconfiguration
+/// count and a byte each of family and capabilities), and the search
+/// index's blank-node set 21 more (a bulk-built B-tree of 16-byte
+/// `(area, id)` keys, eleven to a 208-byte leaf with the allocator's
+/// header, ~19 bytes a key, plus the internal nodes). That is 127. The
+/// rest of the snapshot (its 178 slots, 181 tasks, 179 events and 180
+/// wait samples) takes about 2 more, and the heap may keep the packed
+/// node table the read decoded from base64 (141 kB, 7 bytes a node)
+/// resident after the read frees it: 136, rounded up to 144. Measured
+/// 138.
+const RESULT_BYTES_PER_NODE: u64 = 144;
+
+/// The read gate's child: writes the 20 000-node snapshots into the
+/// scratch directory its parent, the gate, made for it, so that the gate
+/// reads them on a heap no `serve` run has used. Run on its own (no such
+/// directory for its parent), it does nothing.
+#[cfg(unix)]
+#[test]
+#[ignore = "the read gate runs it in a child process"]
+fn write_the_read_gate_snapshots() {
+    let dir = scratch_dir("readgate", std::os::unix::process::parent_id());
+    if dir.is_dir() {
+        write_large_serve_snapshots(&dir);
+    }
+}
 
 /// Reading a checkpoint costs about its result, not a multiple of its
 /// payload, for a 20 000-node `serve` snapshot: the decoded checkpoint
 /// `read_checkpoint` returns may hold at most [`RESULT_BYTES_PER_NODE`]
-/// per node (the RSS it still holds after the call), and the read may
-/// raise the peak RSS (`VmHWM`) at most four payloads above that. So
-/// the whole rise is at most 1 562 + 4 × 217 = 2 430 kB whatever the
-/// payload shrinks to; run alone by name (debug build, 2-vCPU VM) it
-/// rises 1 820–2 020 kB, of which the result holds 1 380 kB.
+/// per node (the anonymous RSS, `RssAnon`, it still holds after the
+/// call), and the read may raise the peak RSS (`VmHWM`) at most four
+/// payloads above the RSS (`VmRSS`) that holds it.
+///
+/// A child process (this test binary, run on
+/// [`write_the_read_gate_snapshots`]) writes the snapshot, so the read
+/// runs on a heap that no `serve` run has used and left free pages in.
+/// Anonymous memory leaves out the code pages the read is the first to
+/// touch in this process (384 kB of file-backed RSS, 19 bytes a node).
 ///
 /// Format v2 wrote the same snapshot as a 4 135 kB payload, about the
 /// size of its result, and the gate bounded the whole rise by four
@@ -216,27 +259,34 @@ const RESULT_BYTES_PER_NODE: u64 = 80;
 /// rose 30 680 kB (7.4 payloads), the streaming decoder 4 032 kB (1.0
 /// payload). Format v3 writes it in a twentieth of that while the
 /// decoded store keeps its size, so a bound in payloads alone would
-/// fail a read that costs exactly its result. The rise is an upper
-/// bound, since the peak may still be the `serve` run's, and other
-/// tests running beside it would inflate it, so it runs alone.
+/// fail a read that costs exactly its result. Other tests running
+/// beside it would inflate the rise, so it runs alone.
 #[cfg(target_os = "linux")]
 #[test]
 #[ignore = "reads this process's peak RSS, so it must run alone: CI runs it by name"]
 fn reading_a_large_snapshot_costs_about_its_result() {
     let dir = fresh_dir("readgate");
-    let path = large_serve_snapshot(&dir);
+    // lint: allow(r2) -- re-runs this test binary, never simulator state
+    let exe = std::env::current_exe().unwrap();
+    let status = std::process::Command::new(exe)
+        .args(["write_the_read_gate_snapshots", "--exact", "--ignored"])
+        .stdout(std::process::Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success(), "the snapshot child failed: {status}");
+    let path = mid_window_snapshot(&dir);
     let nodes: u64 = 20_000;
     let payload_kb = std::fs::metadata(&path).unwrap().len() / 1024;
-    let (rss, _) = rss_kb();
+    let [anon, rss] = status_kb(["RssAnon:", "VmRSS:"]);
     let cp = read_checkpoint(&path).unwrap();
-    let (held, peak) = rss_kb();
+    let [anon_held, held, peak] = status_kb(["RssAnon:", "VmRSS:", "VmHWM:"]);
     drop(cp);
     std::fs::remove_dir_all(&dir).ok();
-    let (result, beyond) = (held.saturating_sub(rss), peak.saturating_sub(held));
+    let (result, beyond) = (anon_held.saturating_sub(anon), peak.saturating_sub(held));
     eprintln!(
-        "payload {payload_kb} kB, RSS before {rss} kB, holding the result {held} kB \
-         (+{result} kB, {} B per node), peak {peak} kB (+{beyond} kB beyond the result, \
-         +{} kB in all)",
+        "payload {payload_kb} kB; anonymous RSS {anon} kB before, {anon_held} kB holding \
+         the result (+{result} kB, {} B per node); RSS {rss} kB before, {held} kB holding \
+         the result, peak {peak} kB (+{beyond} kB beyond the result, +{} kB in all)",
         result * 1024 / nodes,
         peak.saturating_sub(rss)
     );
@@ -266,7 +316,7 @@ const TABLE_BYTES_PER_TASK: u64 = 80;
 #[ignore = "reads this process's RSS, so it must run alone: CI runs it by name"]
 fn a_task_table_holds_at_most_80_bytes_per_task() {
     let n: u64 = 1_000_000;
-    let (before, _) = rss_kb();
+    let [before] = status_kb(["VmRSS:"]);
     let mut table = TaskTable::with_capacity(n as usize);
     for i in 0..n {
         let mut row = Task::new(
@@ -286,7 +336,7 @@ fn a_task_table_holds_at_most_80_bytes_per_task() {
         }
         table.push(row).unwrap();
     }
-    let (after, _) = rss_kb();
+    let [after] = status_kb(["VmRSS:"]);
     let per_task = after.saturating_sub(before) * 1024 / n;
     eprintln!(
         "RSS {before} kB before, {after} kB with {n} tasks: {per_task} B per task \
